@@ -11,6 +11,7 @@ from .convolution import (
     CouplingParams,
     FixedFunctionPrior,
     IndependentPrior,
+    LatentFactor,
     LatentState,
     cross_cov,
     latent_grid,

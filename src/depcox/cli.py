@@ -174,14 +174,17 @@ def _model_rows(model, samples, archive, test, quad, independent=False):
         cfg_run = replace(cfg_run, independent=True)
     region = archive.config.region
     rows = []
-    grid_lams = intensity_samples(samples, quad.nodes, archive.train, region, cfg_run)
+    # one pass over the samples: every process at the quadrature nodes and
+    # at all test points, each process then reading its own test points
+    n_nodes = quad.nodes.shape[0]
+    X = np.vstack([quad.nodes, *(ev.points for ev in test if len(ev))])
+    lams = intensity_samples(samples, X, archive.train, region, cfg_run)
+    ends = n_nodes + np.cumsum([len(ev) for ev in test])
     for d, ev in enumerate(test):
-        if len(ev):
-            ev_lams = intensity_samples(samples, ev.points, archive.train, region, cfg_run)[:, d, :]
-        else:
-            ev_lams = np.zeros((len(samples), 0))
-        lls = sample_logliks(ev_lams, grid_lams[:, d, :], quad)
-        rows.append((f"process_{d}", model, "predictive_loglik", predictive_loglik(ev_lams, grid_lams[:, d, :], quad)))
+        grid_lams = lams[:, d, :n_nodes]
+        ev_lams = lams[:, d, ends[d] - len(ev) : ends[d]]
+        lls = sample_logliks(ev_lams, grid_lams, quad)
+        rows.append((f"process_{d}", model, "predictive_loglik", predictive_loglik(ev_lams, grid_lams, quad)))
         finite = lls[np.isfinite(lls)]
         rows.append(
             (f"process_{d}", model, "mean_sample_loglik", float(np.mean(finite)) if finite.size else -np.inf)

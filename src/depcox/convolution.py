@@ -8,6 +8,14 @@ covariance ``theta_d + phi_q`` and the output covariance
 their values on a fixed inducing grid; conditioned on those values the
 processes decouple, and the residual covariance of each process is kept
 dense while cross-process covariance is never materialized.
+
+Each latent Gram matrix ``K_q = K(grid, grid; phi_q)`` is factored once
+per distinct ``phi_q`` (``LatentFactor``) and shared by every prior at
+that variance. A point set enters through its projection
+``W = [L_q^{-1} K(grid, X; theta + phi_q)]_q``; residual covariances are
+Gram matrices minus ``W_A^T W_B``. Callers that keep ``W`` for a point set
+must keep it in step with the set (the per-process workspace in ``sgcp``
+does), so that a new point costs the projection of that point alone.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from .gaussian import (
     gauss_density,
     gauss_gram,
     gauss_gram_dv,
+    mvn_sample,
     tri_solve,
 )
 
@@ -112,6 +121,28 @@ def output_cov(x, x2, d: int, d2: int, params: CouplingParams, phis) -> float:
     return total
 
 
+class LatentFactor:
+    """Cholesky factor of one latent function's grid covariance K(grid, grid; phi).
+
+    Built once per distinct ``phi`` and shared by every prior at that
+    ``phi``; its inverse, the latent prior precision, is formed on first use.
+    """
+
+    def __init__(self, grid: np.ndarray, phi: float):
+        self.grid = grid
+        self.phi = float(phi)
+        self.L, _ = cholesky_with_jitter(gauss_gram(grid, grid, self.phi))
+        self._inverse = None
+
+    def matches(self, grid: np.ndarray, phi: float) -> bool:
+        return phi == self.phi and (grid is self.grid or np.array_equal(grid, self.grid))
+
+    def inverse(self) -> np.ndarray:
+        if self._inverse is None:
+            self._inverse = chol_solve(self.L, np.eye(self.L.shape[0]))
+        return self._inverse
+
+
 class ConvolutionPrior:
     """Conditional prior over one process's function values given the latent state.
 
@@ -119,21 +150,39 @@ class ConvolutionPrior:
     residual left after conditioning the process on the grid values. The
     per-process kernel parameters are passed per call since they are part
     of the sampled state.
+
+    Covariances are computed from projections: ``project(X, theta)`` is the
+    stacked ``W = L_q^{-1} K(grid, X; theta + phi_q)``, and the residual
+    covariance between two point sets is ``kappa^2 (G - W_A^T W_B)`` with
+    ``G`` the summed output Gram matrices. A caller that keeps ``W`` for its
+    points (the per-process workspace does) pays only for the projection of
+    a new point, one J-vector solve per latent function, not for the whole
+    point set again.
     """
 
-    def __init__(self, latent: LatentState):
+    def __init__(self, latent: LatentState, factors=()):
+        """``factors``: ``LatentFactor``s to reuse for each latent function
+        whose grid and variance they match; the others are factored here."""
         self.latent = latent
-        self._Ls = []
-        self._alphas = []  # K_q^{-1} u_q, independent of kappa/theta
-        for q in range(latent.n_latent):
-            Kq = gauss_gram(latent.grid, latent.grid, latent.phis[q])
-            L, _ = cholesky_with_jitter(Kq)
-            self._Ls.append(L)
-            self._alphas.append(chol_solve(L, latent.values[q]))
+        self.factors = [
+            next((f for f in factors if f.matches(latent.grid, phi)), None)
+            or LatentFactor(latent.grid, phi)
+            for phi in latent.phis
+        ]
+        # K_q^{-1} u_q, independent of kappa/theta
+        self._alphas = [chol_solve(f.L, u) for f, u in zip(self.factors, latent.values)]
 
     @property
     def dim(self) -> int:
         return self.latent.grid.shape[1]
+
+    def project(self, X, theta: float) -> np.ndarray:
+        """Stacked whitened cross-covariances ``L_q^{-1} K(grid, X; theta + phi_q)``,
+        shape (Q*J, n)."""
+        X = np.asarray(X, dtype=float)
+        return np.concatenate(
+            [tri_solve(f.L, gauss_gram(self.latent.grid, X, theta + f.phi)) for f in self.factors]
+        )
 
     def mean(self, X, kappa: float, theta: float) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -143,16 +192,11 @@ class ConvolutionPrior:
             m += U @ self._alphas[q]
         return kappa * m
 
-    def cov(self, A, B, kappa: float, theta: float) -> np.ndarray:
-        """Residual cross-covariance between two point sets."""
-        A = np.asarray(A, dtype=float)
-        B = np.asarray(B, dtype=float)
-        C = np.zeros((A.shape[0], B.shape[0]))
-        for q, (L, phi) in enumerate(zip(self._Ls, self.latent.phis)):
-            WA = tri_solve(L, gauss_gram(self.latent.grid, A, theta + phi))
-            WB = tri_solve(L, gauss_gram(self.latent.grid, B, theta + phi))
-            C += gauss_gram(A, B, 2.0 * theta + phi) - WA.T @ WB
-        return kappa**2 * C
+    def cov(self, A, WA, B, WB, kappa: float, theta: float) -> np.ndarray:
+        """Residual cross-covariance between point sets ``A`` and ``B``, given
+        their projections ``WA`` and ``WB``."""
+        G = sum(gauss_gram(A, B, 2.0 * theta + phi) for phi in self.latent.phis)
+        return kappa**2 * (G - WA.T @ WB)
 
     def _marginal_var(self, kappa: float, theta: float) -> float:
         d = self.dim
@@ -160,10 +204,14 @@ class ConvolutionPrior:
             (2.0 * np.pi * (2.0 * theta + phi)) ** (-0.5 * d) for phi in self.latent.phis
         )
 
-    def mean_cov(self, X, kappa: float, theta: float) -> tuple[np.ndarray, np.ndarray]:
+    def mean_cov(self, X, kappa: float, theta: float, W=None) -> tuple[np.ndarray, np.ndarray]:
+        """Mean and residual covariance at ``X``; ``W`` is ``X``'s projection
+        if the caller holds it already."""
         X = np.asarray(X, dtype=float)
+        if W is None:
+            W = self.project(X, theta)
         m = self.mean(X, kappa, theta)
-        C = self.cov(X, X, kappa, theta)
+        C = self.cov(X, W, X, W, kappa, theta)
         C = 0.5 * (C + C.T)
         # The residual is a difference of same-sized terms; when the grid
         # resolves the kernels it collapses into cancellation noise, so
@@ -186,13 +234,13 @@ class ConvolutionPrior:
         dm_t = np.zeros(n)
         C = np.zeros((n, n))
         dC_t = np.zeros((n, n))
-        for q, (L, phi) in enumerate(zip(self._Ls, self.latent.phis)):
+        for q, (f, phi) in enumerate(zip(self.factors, self.latent.phis)):
             U, dU = gauss_gram_dv(X, self.latent.grid, theta + phi)
             G, dG = gauss_gram_dv(X, X, 2.0 * theta + phi)
             m += U @ self._alphas[q]
             dm_t += dU @ self._alphas[q]
-            W = tri_solve(L, U.T)
-            dW = tri_solve(L, dU.T)
+            W = tri_solve(f.L, U.T)
+            dW = tri_solve(f.L, dU.T)
             C += G - W.T @ W
             dC_t += 2.0 * dG - dW.T @ W - W.T @ dW
         m *= kappa
@@ -205,14 +253,35 @@ class ConvolutionPrior:
             C[np.diag_indices_from(C)] += floor
         return m, C, dm, dC
 
-    def coupling_matrix(self, X, kappa: float, theta: float) -> np.ndarray:
-        """Map from stacked latent grid values to the process mean at ``X``."""
+    def coupling_matrix(self, W, kappa: float) -> np.ndarray:
+        """Map from stacked latent grid values to the process mean at the
+        points whose projection is ``W``: ``kappa [K(X, grid) K_q^{-1}]_q``."""
+        J = self.latent.n_grid
+        return np.concatenate(
+            [
+                kappa * tri_solve(f.L, W[q * J : (q + 1) * J], trans="T").T
+                for q, f in enumerate(self.factors)
+            ],
+            axis=1,
+        )
+
+    def extend(self, X, pts, W, a, kappa: float, theta: float) -> np.ndarray:
+        """``mean(X) + cov(X, pts) @ a`` without projecting ``X``.
+
+        ``W`` is the projection of ``pts``. Each latent function's
+        ``K(X, grid)`` serves both the mean and the projected part of the
+        cross-covariance, applied to the grid vector ``L_q^{-T} W_q a``.
+        """
         X = np.asarray(X, dtype=float)
-        blocks = []
-        for q, (L, phi) in enumerate(zip(self._Ls, self.latent.phis)):
+        J = self.latent.n_grid
+        Wa = W @ a
+        out = np.zeros(X.shape[0])
+        for q, (f, phi) in enumerate(zip(self.factors, self.latent.phis)):
             U = gauss_gram(X, self.latent.grid, theta + phi)
-            blocks.append(kappa * chol_solve(L, U.T).T)
-        return np.concatenate(blocks, axis=1)
+            r = tri_solve(f.L, Wa[q * J : (q + 1) * J], trans="T")
+            out += U @ (kappa * self._alphas[q] - kappa**2 * r)
+            out += kappa**2 * (gauss_gram(X, pts, 2.0 * theta + phi) @ a)
+        return out
 
     def latent_interpolant(self, X) -> np.ndarray:
         """Conditional mean of each latent function at arbitrary points, (Q, n)."""
@@ -237,14 +306,22 @@ class IndependentPrior:
         self.phi0 = float(phi0)
         self.dim = dim
 
+    def project(self, X, theta: float) -> np.ndarray:
+        """No latent grid: an empty (0, n) projection."""
+        return np.zeros((0, np.asarray(X).shape[0]))
+
     def mean(self, X, kappa: float, theta: float) -> np.ndarray:
         return np.zeros(np.asarray(X).shape[0])
 
-    def cov(self, A, B, kappa: float, theta: float) -> np.ndarray:
+    def cov(self, A, WA, B, WB, kappa: float, theta: float) -> np.ndarray:
         return kappa**2 * gauss_gram(A, B, 2.0 * theta + self.phi0)
 
-    def mean_cov(self, X, kappa: float, theta: float):
-        return self.mean(X, kappa, theta), self.cov(X, X, kappa, theta)
+    def mean_cov(self, X, kappa: float, theta: float, W=None):
+        return self.mean(X, kappa, theta), self.cov(X, W, X, W, kappa, theta)
+
+    def extend(self, X, pts, W, a, kappa: float, theta: float) -> np.ndarray:
+        """``mean(X) + cov(X, pts) @ a``."""
+        return self.cov(X, self.project(X, theta), pts, W, kappa, theta) @ a
 
     def mean_cov_grads(self, X, kappa: float, theta: float):
         X = np.asarray(X, dtype=float)
@@ -266,37 +343,38 @@ class FixedFunctionPrior:
         self.func = func
         self.dim = dim
 
+    def project(self, X, theta: float) -> np.ndarray:
+        return np.zeros((0, np.asarray(X).shape[0]))
+
     def mean(self, X, kappa: float, theta: float) -> np.ndarray:
         return np.asarray(self.func(np.asarray(X, dtype=float)), dtype=float)
 
-    def cov(self, A, B, kappa: float, theta: float) -> np.ndarray:
+    def cov(self, A, WA, B, WB, kappa: float, theta: float) -> np.ndarray:
         return np.zeros((np.asarray(A).shape[0], np.asarray(B).shape[0]))
 
-    def mean_cov(self, X, kappa: float, theta: float):
-        return self.mean(X, kappa, theta), self.cov(X, X, kappa, theta)
+    def mean_cov(self, X, kappa: float, theta: float, W=None):
+        return self.mean(X, kappa, theta), self.cov(X, W, X, W, kappa, theta)
 
 
 def latent_posterior(
-    g_list, X_list, latent: LatentState, params: CouplingParams
+    g_list, X_list, prior: ConvolutionPrior, params: CouplingParams
 ) -> Mvn:
     """Joint Gaussian posterior over the stacked latent grid values.
 
     Works in precision form: the bracketed precision is the latent prior
     precision plus one quadratic contribution per process, each built from
     that process's coupling matrix and dense residual covariance. No
-    cross-process covariance is ever assembled.
+    cross-process covariance is ever assembled. Only the prior's latent
+    factors enter, not its current grid values.
     """
     if len(g_list) != params.n_processes or len(X_list) != params.n_processes:
         raise ValidationError("one g vector and one point set per process required")
-    prior = ConvolutionPrior(latent)
-    J = latent.n_grid
-    Q = latent.n_latent
+    J = prior.latent.n_grid
+    Q = prior.latent.n_latent
     # Latent prior precision, block diagonal over latent functions.
     P = np.zeros((Q * J, Q * J))
-    eyeJ = np.eye(J)
-    for q, L in enumerate(prior._Ls):
-        sl = slice(q * J, (q + 1) * J)
-        P[sl, sl] = chol_solve(L, eyeJ)
+    for q, f in enumerate(prior.factors):
+        P[q * J : (q + 1) * J, q * J : (q + 1) * J] = f.inverse()
     b = np.zeros(Q * J)
     for d in range(params.n_processes):
         X_d = np.asarray(X_list[d], dtype=float)
@@ -307,8 +385,9 @@ def latent_posterior(
             raise ValidationError(f"g values and locations disagree for process {d}")
         if g_d.size == 0:
             continue
-        A = prior.coupling_matrix(X_d, params.kappas[d], params.thetas[d])
-        _, D = prior.mean_cov(X_d, params.kappas[d], params.thetas[d])
+        W = prior.project(X_d, params.thetas[d])
+        A = prior.coupling_matrix(W, params.kappas[d])
+        _, D = prior.mean_cov(X_d, params.kappas[d], params.thetas[d], W)
         L_D, _ = cholesky_with_jitter(D)
         DiA = chol_solve(L_D, A)
         P += A.T @ DiA
@@ -316,7 +395,7 @@ def latent_posterior(
     P = 0.5 * (P + P.T)
     # P is positive definite by construction; jitter only as a fallback
     try:
-        L_P = np.linalg.cholesky(P)
+        L_P = np.asfortranarray(np.linalg.cholesky(P))
     except np.linalg.LinAlgError:
         L_P, _ = cholesky_with_jitter(P)
     eye = np.eye(Q * J)
@@ -326,48 +405,50 @@ def latent_posterior(
 
 
 def sample_latent_posterior(
-    g_list, X_list, latent: LatentState, params: CouplingParams, rng: np.random.Generator
+    g_list, X_list, prior: ConvolutionPrior, params: CouplingParams, rng: np.random.Generator
 ) -> np.ndarray:
     """Draw new latent grid values from their joint posterior, shaped (Q, J)."""
-    post = latent_posterior(g_list, X_list, latent, params)
-    from .gaussian import mvn_sample
-
+    post = latent_posterior(g_list, X_list, prior, params)
     flat = mvn_sample(post, rng)
-    return flat.reshape(latent.n_latent, latent.n_grid)
+    return flat.reshape(prior.latent.n_latent, prior.latent.n_grid)
 
 
-def latent_logpost(phi: float, values_q: np.ndarray, grid: np.ndarray,
+def latent_logpost(factor: LatentFactor, values_q: np.ndarray,
                    log_mean: float, log_sd: float) -> float:
-    """Log conditional posterior of one latent variance given its grid values."""
-    K = gauss_gram(grid, grid, phi)
-    L, _ = cholesky_with_jitter(K)
+    """Log conditional posterior of one latent variance, ``factor.phi``,
+    given that latent function's grid values."""
+    L = factor.L
     w = tri_solve(L, values_q)
     quad = -0.5 * float(np.dot(w, w))
     logdet = -float(np.sum(np.log(np.diag(L))))
-    z = (np.log(phi) - log_mean) / log_sd
+    z = (np.log(factor.phi) - log_mean) / log_sd
     return quad + logdet - 0.5 * z * z
 
 
 def phi_mh_update(
-    latent: LatentState,
+    prior: ConvolutionPrior,
     rng: np.random.Generator,
     step: float = 0.1,
     log_mean: float = 0.0,
     log_sd: float = 1.0,
-) -> tuple[LatentState, np.ndarray]:
+) -> tuple[ConvolutionPrior, np.ndarray]:
     """One log-space random-walk Metropolis step per latent variance.
 
-    Returns the updated state and a boolean acceptance flag per latent
-    function.
+    Returns the prior at the updated variances, which keeps the current
+    factor of each rejected proposal and the proposal's factor of each
+    accepted one, and a boolean acceptance flag per latent function.
     """
-    new = latent.copy()
+    latent = prior.latent
+    phis = latent.phis.copy()
+    factors = list(prior.factors)
     accepted = np.zeros(latent.n_latent, dtype=bool)
     for q in range(latent.n_latent):
-        cur = latent.phis[q]
-        prop = float(np.exp(np.log(cur) + step * rng.standard_normal()))
-        lp_cur = latent_logpost(cur, latent.values[q], latent.grid, log_mean, log_sd)
-        lp_prop = latent_logpost(prop, latent.values[q], latent.grid, log_mean, log_sd)
+        cur = factors[q]
+        prop = LatentFactor(latent.grid, np.exp(np.log(cur.phi) + step * rng.standard_normal()))
+        lp_cur = latent_logpost(cur, latent.values[q], log_mean, log_sd)
+        lp_prop = latent_logpost(prop, latent.values[q], log_mean, log_sd)
         if np.isfinite(lp_prop) and np.log(rng.random()) < lp_prop - lp_cur:
-            new.phis[q] = prop
+            phis[q] = prop.phi
+            factors[q] = prop
             accepted[q] = True
-    return new, accepted
+    return ConvolutionPrior(LatentState(latent.grid, latent.values, phis), factors), accepted

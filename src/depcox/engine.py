@@ -1,16 +1,15 @@
 """Full MCMC orchestration over all observed processes.
 
-Each iteration runs the five per-process kernels (optionally in parallel,
-one worker per process with its own keyed random stream), then at a
-barrier draws the latent grid values from their joint posterior and
-updates the latent variances. Results are merged in process order, so a
-fixed seed gives identical output regardless of worker count.
+Each iteration runs the five per-process kernels, each process with its
+own keyed random stream, then draws the latent grid values from their
+joint posterior and updates the latent variances. The latent stage
+factors each latent Gram matrix once per distinct variance and passes
+that factor to every step that needs it.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +25,7 @@ from .convolution import (
     sample_latent_posterior,
 )
 from .errors import NumericalError, ValidationError
-from .gaussian import Mvn, cholesky_with_jitter, mvn_sample
+from .gaussian import Mvn, chol_solve, cholesky_with_jitter, gauss_gram, mvn_sample
 from .sgcp import (
     AugmentedState,
     EventSet,
@@ -51,7 +50,6 @@ class RunConfig:
     burn_in: int = 0
     thin_every: int = 1
     seed: int = 0
-    parallel_workers: int = 1
     ladder: RateLadder = field(default_factory=RateLadder)
     n_latent: int = 1
     grid_per_axis: int = 20
@@ -69,8 +67,6 @@ class RunConfig:
             raise ValidationError("need 0 <= burn_in < n_iters")
         if self.thin_every < 1:
             raise ValidationError("thin_every must be at least 1")
-        if self.parallel_workers < 1:
-            raise ValidationError("parallel_workers must be at least 1")
         if self.n_latent < 1 or self.grid_per_axis < 2:
             raise ValidationError("need at least one latent function and two grid points")
         if not 0.0 < self.insert_prob < 1.0:
@@ -109,7 +105,7 @@ def run_chain(data, region: Region, config: RunConfig):
     return samples
 
 
-def _latent_ess_move(states, x_list, latent: LatentState, params, ladder, rng):
+def _latent_ess_move(states, x_list, prior: ConvolutionPrior, params, ladder, rng):
     """Joint slice move of the latent values and all function values.
 
     Holds each process's residual (function values minus the smoothed
@@ -118,26 +114,26 @@ def _latent_ess_move(states, x_list, latent: LatentState, params, ladder, rng):
     function values. This is the non-centered counterpart of the exact
     latent resample: when the inducing grid resolves the kernels well the
     residuals are tiny and the centered alternation alone would move the
-    latent only by hairline steps per sweep.
+    latent only by hairline steps per sweep. Only the function values are
+    kept: the exact resample that follows redraws the latent values.
     """
-    from .gaussian import gauss_gram
     from .sgcp import elliptical_slice, point_loglik
 
-    prior = ConvolutionPrior(latent)
+    latent = prior.latent
     A_list = [
-        prior.coupling_matrix(x_list[d], params.kappas[d], params.thetas[d])
-        if x_list[d].shape[0]
-        else np.zeros((0, latent.n_latent * latent.n_grid))
+        prior.coupling_matrix(prior.project(x_list[d], params.thetas[d]), params.kappas[d])
         for d in range(len(states))
     ]
     u_flat = latent.values.ravel()
     residuals = [states[d].g_values - A_list[d] @ u_flat for d in range(len(states))]
     J = latent.n_grid
-    cov = np.zeros((latent.n_latent * J, latent.n_latent * J))
-    for q in range(latent.n_latent):
+    cov = np.zeros((u_flat.size, u_flat.size))
+    chol = np.zeros((u_flat.size, u_flat.size), order="F")
+    for q, f in enumerate(prior.factors):
         sl = slice(q * J, (q + 1) * J)
-        cov[sl, sl] = gauss_gram(latent.grid, latent.grid, latent.phis[q])
-    prior_dist = Mvn(np.zeros(u_flat.size), cov)
+        cov[sl, sl] = gauss_gram(latent.grid, latent.grid, f.phi)
+        chol[sl, sl] = f.L
+    prior_dist = Mvn(np.zeros(u_flat.size), cov, chol)
 
     def loglik(u):
         total = 0.0
@@ -149,7 +145,6 @@ def _latent_ess_move(states, x_list, latent: LatentState, params, ladder, rng):
         return total
 
     u_new = elliptical_slice(u_flat, prior_dist, loglik, rng)
-    latent.values = u_new.reshape(latent.n_latent, J)
     for d, state in enumerate(states):
         state.g_values = A_list[d] @ u_new + residuals[d]
 
@@ -177,13 +172,12 @@ def run_chain_with_info(data, region: Region, config: RunConfig):
         prior = IndependentPrior(np.exp(priors.phi_log_mean), region.dim)
     else:
         phis = np.full(config.n_latent, np.exp(priors.phi_log_mean))
-        values = np.zeros((config.n_latent, grid.shape[0]))
+        prior = ConvolutionPrior(LatentState(grid, np.zeros((config.n_latent, grid.shape[0])), phis))
+        values = np.stack(
+            [f.L @ latent_rng.standard_normal(grid.shape[0]) for f in prior.factors]
+        )
         latent = LatentState(grid, values, phis)
-        prior = ConvolutionPrior(latent)
-        for q in range(config.n_latent):
-            L = prior._Ls[q]
-            latent.values[q] = L @ latent_rng.standard_normal(grid.shape[0])
-        prior = ConvolutionPrior(latent)
+        prior = ConvolutionPrior(latent, prior.factors)
 
     states = []
     contexts = []
@@ -241,89 +235,77 @@ def run_chain_with_info(data, region: Region, config: RunConfig):
 
     samples = []
     timings = {"process_updates": 0.0, "latent_updates": 0.0}
-    pool = (
-        ThreadPoolExecutor(max_workers=config.parallel_workers)
-        if config.parallel_workers > 1
-        else None
-    )
     t_start = time.perf_counter()
-    try:
-        for it in range(config.n_iters):
-            current_iter = it
-            t0 = time.perf_counter()
-            if pool is not None:
-                results = list(pool.map(sweep_one, range(n_proc)))
-            else:
-                results = [sweep_one(d) for d in range(n_proc)]
-            in_burn = it < config.burn_in
-            for d, (state, accepted, _) in enumerate(results):
-                states[d] = state
-                if not in_burn:  # acceptance reported for the post-adaptation phase
-                    hmc_accepts[d] += accepted
-            hmc_tries += 0 if in_burn else 1
+    for it in range(config.n_iters):
+        current_iter = it
+        t0 = time.perf_counter()
+        results = [sweep_one(d) for d in range(n_proc)]
+        in_burn = it < config.burn_in
+        for d, (state, accepted, _) in enumerate(results):
+            states[d] = state
+            if not in_burn:  # acceptance reported for the post-adaptation phase
+                hmc_accepts[d] += accepted
+        hmc_tries += 0 if in_burn else 1
+        if config.adapt and in_burn:
+            for d, (_, _, accept_prob) in enumerate(results):
+                hmc_step[d] *= np.exp(0.05 * (accept_prob - 0.65))
+            if it >= avg_from:
+                log_step_sum += np.log(hmc_step)
+                avg_count += 1
+        t1 = time.perf_counter()
+        timings["process_updates"] += t1 - t0
+
+        if latent is not None:
+            params = CouplingParams(
+                np.array([s.kappa for s in states]),
+                np.array([s.theta for s in states]),
+            )
+            x_list = [contexts[d].points(states[d]) for d in range(n_proc)]
+            _latent_ess_move(states, x_list, prior, params, ladder, latent_rng)
+            g_list = [s.g_values for s in states]
+            new_values = sample_latent_posterior(
+                g_list, x_list, prior, params, latent_rng
+            )
+            prior = ConvolutionPrior(LatentState(grid, new_values, latent.phis), prior.factors)
+            prior, acc = phi_mh_update(
+                prior,
+                latent_rng,
+                step=phi_step,
+                log_mean=priors.phi_log_mean,
+                log_sd=priors.phi_log_sd,
+            )
+            latent = prior.latent
+            if not in_burn:
+                phi_accepts += float(np.mean(acc))
+                phi_tries += 1
             if config.adapt and in_burn:
-                for d, (_, _, accept_prob) in enumerate(results):
-                    hmc_step[d] *= np.exp(0.05 * (accept_prob - 0.65))
+                phi_step *= float(np.exp(0.05 * (np.mean(acc) - 0.3)))
                 if it >= avg_from:
-                    log_step_sum += np.log(hmc_step)
-                    avg_count += 1
-            t1 = time.perf_counter()
-            timings["process_updates"] += t1 - t0
+                    log_phi_sum += np.log(phi_step)
+            for ctx in contexts:
+                ctx.prior = prior
+        timings["latent_updates"] += time.perf_counter() - t1
 
-            if latent is not None:
-                params = CouplingParams(
-                    np.array([s.kappa for s in states]),
-                    np.array([s.theta for s in states]),
-                )
-                x_list = [contexts[d].points(states[d]) for d in range(n_proc)]
-                _latent_ess_move(states, x_list, latent, params, ladder, latent_rng)
-                g_list = [s.g_values for s in states]
-                new_values = sample_latent_posterior(
-                    g_list, x_list, latent, params, latent_rng
-                )
-                latent = LatentState(grid, new_values, latent.phis)
-                latent, acc = phi_mh_update(
-                    latent,
-                    latent_rng,
-                    step=phi_step,
-                    log_mean=priors.phi_log_mean,
-                    log_sd=priors.phi_log_sd,
-                )
-                if not in_burn:
-                    phi_accepts += float(np.mean(acc))
-                    phi_tries += 1
-                if config.adapt and in_burn:
-                    phi_step *= float(np.exp(0.05 * (np.mean(acc) - 0.3)))
-                    if it >= avg_from:
-                        log_phi_sum += np.log(phi_step)
-                prior = ConvolutionPrior(latent)
-                for ctx in contexts:
-                    ctx.prior = prior
-            timings["latent_updates"] += time.perf_counter() - t1
+        if config.adapt and it == config.burn_in - 1 and avg_count > 0:
+            hmc_step = np.exp(log_step_sum / avg_count)
+            phi_step = float(np.exp(log_phi_sum / avg_count)) if latent is not None else phi_step
 
-            if config.adapt and it == config.burn_in - 1 and avg_count > 0:
-                hmc_step = np.exp(log_step_sum / avg_count)
-                phi_step = float(np.exp(log_phi_sum / avg_count)) if latent is not None else phi_step
-
-            if it >= config.burn_in and (it - config.burn_in) % config.thin_every == 0:
-                samples.append(
-                    PosteriorSample(
-                        iteration=it,
-                        thinned=[s.thinned.copy() for s in states],
-                        rate_idx=[s.rate_idx.copy() for s in states],
-                        g_values=[s.g_values.copy() for s in states],
-                        lambda_stars=np.array([s.lambda_star for s in states]),
-                        kappas=np.array([s.kappa for s in states]),
-                        thetas=np.array([s.theta for s in states]),
-                        latent_values=(
-                            latent.values.copy() if latent is not None else np.zeros((0, 0))
-                        ),
-                        phis=(latent.phis.copy() if latent is not None else np.zeros(0)),
-                    )
+        if it >= config.burn_in and (it - config.burn_in) % config.thin_every == 0:
+            samples.append(
+                PosteriorSample(
+                    iteration=it,
+                    thinned=[s.thinned.copy() for s in states],
+                    rate_idx=[s.rate_idx.copy() for s in states],
+                    g_values=[s.g_values.copy() for s in states],
+                    lambda_stars=np.array([s.lambda_star for s in states]),
+                    kappas=np.array([s.kappa for s in states]),
+                    thetas=np.array([s.theta for s in states]),
+                    latent_values=(
+                        latent.values.copy() if latent is not None else np.zeros((0, 0))
+                    ),
+                    phis=(latent.phis.copy() if latent is not None else np.zeros(0)),
                 )
-    finally:
-        if pool is not None:
-            pool.shutdown()
+            )
     elapsed = time.perf_counter() - t_start
     info = RunInfo(
         timings=timings,
@@ -345,17 +327,32 @@ class GridSummary:
 
 
 def _conditional_g_on_grid(prior, grid, pts, g, kappa, theta):
-    """Posterior-mean extension of one sample's function values to a grid."""
-    m_grid = prior.mean(grid, kappa, theta)
+    """Posterior-mean extension of one sample's function values to a grid:
+    ``m(grid) + cov(grid, pts) C^{-1} (g - m(pts))``, with the right-hand
+    solve done once and the grid never projected."""
     if pts.shape[0] == 0:
-        return m_grid
-    m_pts, C = prior.mean_cov(pts, kappa, theta)
+        return prior.mean(grid, kappa, theta)
+    W = prior.project(pts, theta)
+    m_pts, C = prior.mean_cov(pts, kappa, theta, W)
     L, _ = cholesky_with_jitter(C)
-    from .gaussian import tri_solve
+    a = chol_solve(L, g - m_pts)
+    return prior.extend(grid, pts, W, a, kappa, theta)
 
-    v = tri_solve(L, g - m_pts)
-    W = tri_solve(L, prior.cov(pts, grid, kappa, theta))
-    return m_grid + W.T @ v
+
+def _sample_priors(samples, region: Region, config: RunConfig):
+    """Yield the conditional prior of each sample in turn, reusing a latent
+    factor from one sample to the next while the latent variances stay put."""
+    if config.independent:
+        prior = IndependentPrior(np.exp(config.priors.phi_log_mean), region.dim)
+        for _ in samples:
+            yield prior
+        return
+    inducing = latent_grid(region, config.grid_per_axis, config.grid_pad)
+    factors = ()
+    for s in samples:
+        prior = ConvolutionPrior(LatentState(inducing, s.latent_values, s.phis), factors)
+        factors = prior.factors
+        yield prior
 
 
 def summarize(samples, grid, data, region: Region, config: RunConfig) -> GridSummary:
@@ -369,16 +366,12 @@ def summarize(samples, grid, data, region: Region, config: RunConfig) -> GridSum
     data = [d if isinstance(d, EventSet) else EventSet(d) for d in data]
     n_proc = len(data)
     n_grid = grid.shape[0]
-    inducing = latent_grid(region, config.grid_per_axis, config.grid_pad)
 
     lam_acc = np.zeros((2, n_proc, n_grid))  # running sum and sum of squares
     n_latent = 0 if config.independent else config.n_latent
     lat_acc = np.zeros((2, n_latent, n_grid))
-    for s in samples:
-        if config.independent:
-            prior = IndependentPrior(np.exp(config.priors.phi_log_mean), region.dim)
-        else:
-            prior = ConvolutionPrior(LatentState(inducing, s.latent_values, s.phis))
+    for s, prior in zip(samples, _sample_priors(samples, region, config)):
+        if not config.independent:
             interp = prior.latent_interpolant(grid)
             lat_acc[0] += interp
             lat_acc[1] += interp**2
@@ -416,13 +409,8 @@ def intensity_samples(samples, X, data, region: Region, config: RunConfig) -> np
         X = X[:, None]
     data = [d if isinstance(d, EventSet) else EventSet(d) for d in data]
     n_proc = len(data)
-    inducing = latent_grid(region, config.grid_per_axis, config.grid_pad)
     out = np.zeros((len(samples), n_proc, X.shape[0]))
-    for i, s in enumerate(samples):
-        if config.independent:
-            prior = IndependentPrior(np.exp(config.priors.phi_log_mean), region.dim)
-        else:
-            prior = ConvolutionPrior(LatentState(inducing, s.latent_values, s.phis))
+    for i, (s, prior) in enumerate(zip(samples, _sample_priors(samples, region, config))):
         for d in range(n_proc):
             pts = (
                 np.vstack([data[d].points, s.thinned[d]])

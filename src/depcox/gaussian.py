@@ -8,10 +8,10 @@ matrix inverses are never formed outside of test oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import lapack, solve_triangular
 
 from .errors import NumericalError, ValidationError
 
@@ -20,6 +20,11 @@ from .errors import NumericalError, ValidationError
 # routinely near-singular, so this is load-bearing, not cosmetic.
 JITTER_SCALE = 1e-8
 MAX_JITTER_DOUBLINGS = 4
+
+# Resolved once: scipy's solve_triangular validates and looks the routine up
+# on every call, which cost ten times the solve itself for the small
+# single-right-hand-side systems of the per-point updates.
+_TRTRS = lapack.dtrtrs
 
 
 def gauss_density(x, z, variance: float) -> float:
@@ -76,18 +81,22 @@ def _as_points(X) -> np.ndarray:
 
 
 def cholesky_with_jitter(cov: np.ndarray) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor of ``cov`` plus jitter; returns (L, jitter used)."""
+    """Lower Cholesky factor of ``cov`` plus jitter; returns (L, jitter used).
+
+    The factor is Fortran-ordered, the layout ``tri_solve`` hands to LAPACK
+    without a copy.
+    """
     cov = np.asarray(cov, dtype=float)
     n = cov.shape[0]
     if n == 0:
-        return np.zeros((0, 0)), 0.0
+        return np.zeros((0, 0), order="F"), 0.0
     sym = 0.5 * (cov + cov.T)
     mean_diag = float(np.trace(sym)) / n
     jitter = JITTER_SCALE * mean_diag if mean_diag > 0 else JITTER_SCALE
     eye = np.eye(n)
     for _ in range(MAX_JITTER_DOUBLINGS + 1):
         try:
-            return np.linalg.cholesky(sym + jitter * eye), jitter
+            return np.asfortranarray(np.linalg.cholesky(sym + jitter * eye)), jitter
         except np.linalg.LinAlgError:
             jitter *= 2.0
     raise NumericalError(
@@ -96,8 +105,20 @@ def cholesky_with_jitter(cov: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def tri_solve(L: np.ndarray, b: np.ndarray, trans: str = "N") -> np.ndarray:
-    """Lower-triangular solve without finiteness validation (hot path)."""
-    return solve_triangular(L, b, lower=True, trans=trans, check_finite=False)
+    """Solve ``L x = b`` (``trans="T"``: ``L^T x = b``) for lower-triangular L.
+
+    Calls LAPACK ``dtrtrs`` directly, without finiteness validation (hot
+    path); a Fortran-ordered L is used in place. Raises ``LinAlgError`` on a
+    zero pivot, as ``solve_triangular`` does.
+    """
+    if L.shape[0] == 0:  # dtrtrs rejects an empty system as an illegal argument
+        return np.zeros(np.shape(b))
+    x, info = _TRTRS(L, b, lower=1, trans=0 if trans == "N" else 1)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dtrtrs")
+    return x
 
 
 def chol_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -107,10 +128,16 @@ def chol_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Mvn:
-    """A multivariate normal given by its mean vector and covariance matrix."""
+    """A multivariate normal given by its mean vector and covariance matrix.
+
+    ``chol`` is the covariance's lower Cholesky factor when the caller
+    holds it already; ``mvn_sample`` then draws through it instead of
+    factoring ``cov`` again.
+    """
 
     mean: np.ndarray
     cov: np.ndarray
+    chol: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
@@ -176,5 +203,5 @@ def mvn_sample(dist: Mvn, rng: np.random.Generator) -> np.ndarray:
         return np.zeros(0)
     if not dist.cov.any():
         return dist.mean.copy()
-    L, _ = cholesky_with_jitter(dist.cov)
+    L = dist.chol if dist.chol is not None else cholesky_with_jitter(dist.cov)[0]
     return dist.mean + L @ rng.standard_normal(dist.dim)

@@ -117,7 +117,6 @@ def config_from_dict(raw: dict) -> ShellConfig:
         burn_in=raw.get("burn_in", 0),
         thin_every=raw.get("thin_every", 1),
         seed=raw.get("seed", 0),
-        parallel_workers=raw.get("parallel_workers", 1),
         ladder=ladder,
         n_latent=raw.get("n_latent", 1),
         grid_per_axis=raw.get("grid_per_axis", 20),
@@ -152,7 +151,6 @@ def config_to_dict(cfg: ShellConfig) -> dict:
         "burn_in": run.burn_in,
         "thin_every": run.thin_every,
         "seed": run.seed,
-        "parallel_workers": run.parallel_workers,
         "n_latent": run.n_latent,
         "grid_per_axis": run.grid_per_axis,
         "grid_pad": run.grid_pad,

@@ -234,19 +234,31 @@ def point_loglik(g_values, n_data: int, rate_idx, ladder: RateLadder) -> float:
 
 class _Workspace:
     """Dense conditional prior over the current point set with a cached
-    Cholesky factor; supports cheap appends and drop-one conditionals."""
+    Cholesky factor; supports cheap appends and drop-one conditionals.
+
+    Invariant: ``W == prior.project(pts, theta)``, each point's
+    cross-covariance with the latent grid whitened by the latent factors,
+    and ``m``, ``C`` are the prior mean and residual covariance at ``pts``.
+    ``append``, ``remove`` and ``update_point`` keep ``W``, ``m``, ``C``,
+    ``g`` and (when formed) the factor of ``C`` in step with ``pts``, so a
+    conditional at a new site projects only that site: one J-vector solve
+    per latent function plus ``W_x^T W``. Priors without a latent grid
+    project to an empty (0, n) ``W``.
+    """
 
     def __init__(self, ctx: GpContext, state: AugmentedState):
         self.prior = ctx.prior
         self.kappa = state.kappa
         self.theta = state.theta
         self.pts = ctx.points(state)
-        self.m, self.C = self.prior.mean_cov(self.pts, self.kappa, self.theta)
+        self.W = self.prior.project(self.pts, self.theta)
+        self.m, self.C = self.prior.mean_cov(self.pts, self.kappa, self.theta, self.W)
         self.g = state.g_values.copy()
         self.degenerate = self.C.size == 0 or not self.C.any()
         self._L = None
         self._v = None
         self._jitter = 0.0
+        self._last_site = None
 
     def _factor(self):
         if self._L is None:
@@ -254,19 +266,30 @@ class _Workspace:
             self._v = tri_solve(self._L, self.g - self.m)
         return self._L, self._v
 
-    def _star(self, x):
+    def _site(self, x):
+        """A new site with its projection, prior mean and prior variance.
+
+        The last site is kept: the kernels propose at a site and then append
+        or move a point to that same site.
+        """
         x = np.atleast_1d(np.asarray(x, dtype=float))[None, :]
-        m1, C1 = self.prior.mean_cov(x, self.kappa, self.theta)
-        return x, float(m1[0]), float(C1[0, 0])
+        if self._last_site is None or not np.array_equal(x, self._last_site[0]):
+            w = self.prior.project(x, self.theta)
+            m1, C1 = self.prior.mean_cov(x, self.kappa, self.theta, w)
+            self._last_site = (x, w, float(m1[0]), float(C1[0, 0]))
+        return self._last_site
+
+    def _cross(self, x, w) -> np.ndarray:
+        return self.prior.cov(x, w, self.pts, self.W, self.kappa, self.theta).ravel()
 
     def conditional(self, x, exclude: int | None = None) -> tuple[float, float]:
         """Mean and variance of the function at ``x`` given the current
         values, optionally leaving one point out."""
-        x, mstar, cstar = self._star(x)
+        x, w_x, mstar, cstar = self._site(x)
         n = self.pts.shape[0]
         if self.degenerate or n == 0 or (exclude is not None and n == 1):
             return mstar, max(cstar, 0.0)
-        ks = self.prior.cov(x, self.pts, self.kappa, self.theta).ravel()
+        ks = self._cross(x, w_x)
         if exclude is None:
             L, v = self._factor()
             w = tri_solve(L, ks)
@@ -280,17 +303,11 @@ class _Workspace:
         return mu, max(cstar - float(w @ w), 0.0)
 
     def append(self, x, g_value: float) -> None:
-        x, mstar, cstar = self._star(x)
+        x, w_x, mstar, cstar = self._site(x)
         n = self.pts.shape[0]
-        if n == 0:
-            self.pts = x
-            self.m = np.array([mstar])
-            self.C = np.array([[cstar]])
-            self.g = np.array([g_value])
-            self._L = None
-            return
-        ks = self.prior.cov(x, self.pts, self.kappa, self.theta).ravel()
+        ks = self._cross(x, w_x)
         self.pts = np.vstack([self.pts, x])
+        self.W = np.hstack([self.W, w_x])
         self.m = np.append(self.m, mstar)
         self.g = np.append(self.g, g_value)
         C_new = np.empty((n + 1, n + 1))
@@ -299,13 +316,15 @@ class _Workspace:
         C_new[:n, n] = ks
         C_new[n, n] = cstar
         self.C = C_new
+        if n == 0:  # the first point decides whether the prior has any spread
+            self.degenerate = not self.C.any()
         if self.degenerate:
             return
         if self._L is not None:
             w = tri_solve(self._L, ks)
             d2 = cstar + self._jitter - float(w @ w)
             if d2 > 1e-12 * max(cstar, 1e-12):
-                L_new = np.zeros((n + 1, n + 1))
+                L_new = np.zeros((n + 1, n + 1), order="F")
                 L_new[:n, :n] = self._L
                 L_new[n, :n] = w
                 L_new[n, n] = np.sqrt(d2)
@@ -317,6 +336,7 @@ class _Workspace:
         self._L = None
 
     def remove(self, i: int) -> None:
+        self.W = np.delete(self.W, i, axis=1)
         self.pts = np.delete(self.pts, i, axis=0)
         self.m = np.delete(self.m, i)
         self.g = np.delete(self.g, i)
@@ -324,11 +344,12 @@ class _Workspace:
         self._L = None
 
     def update_point(self, i: int, x, g_value: float) -> None:
-        x, mstar, _ = self._star(x)
+        x, w_x, mstar, _ = self._site(x)
         self.pts[i] = x[0]
+        self.W[:, i] = w_x[:, 0]
         self.m[i] = mstar
         self.g[i] = g_value
-        row = self.prior.cov(x, self.pts, self.kappa, self.theta).ravel()
+        row = self._cross(x, w_x)
         self.C[i, :] = row
         self.C[:, i] = row
         self._L = None
@@ -442,7 +463,7 @@ def elliptical_slice(
     ll_cur = loglik(current)
     if not np.isfinite(ll_cur):
         raise ValidationError("current state has zero likelihood; invariants violated")
-    nu = mvn_sample(Mvn(np.zeros(current.size), prior_dist.cov), rng)
+    nu = mvn_sample(Mvn(np.zeros(current.size), prior_dist.cov, prior_dist.chol), rng)
     log_y = ll_cur + np.log(rng.random())
     angle = rng.uniform(0.0, 2.0 * np.pi)
     lo, hi = angle - 2.0 * np.pi, angle

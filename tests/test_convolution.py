@@ -8,6 +8,7 @@ from depcox.convolution import (
     ConvolutionPrior,
     CouplingParams,
     IndependentPrior,
+    LatentFactor,
     LatentState,
     cross_cov,
     latent_grid,
@@ -164,6 +165,20 @@ class TestConditionalPrior:
             np.testing.assert_allclose(dm[i], (m_p - m_m) / (2 * h), atol=1e-5)
             np.testing.assert_allclose(dC[i], (C_p - C_m) / (2 * h), atol=1e-5)
 
+    def test_extend_matches_projected_cross_covariance(self):
+        rng = np.random.default_rng(10)
+        grid = latent_grid(Region([0.0, 0.0], [1.0, 1.0]), 4)
+        latent = LatentState(grid, rng.standard_normal((2, 16)), [0.02, 0.05])
+        kappa, theta = 0.9, 0.01
+        pts, X = rng.uniform(size=(6, 2)), rng.uniform(size=(9, 2))
+        a = rng.standard_normal(6)
+        for prior in (ConvolutionPrior(latent), IndependentPrior(0.02, dim=2)):
+            W = prior.project(pts, theta)
+            want = prior.mean(X, kappa, theta) + prior.cov(
+                X, prior.project(X, theta), pts, W, kappa, theta
+            ) @ a
+            np.testing.assert_allclose(prior.extend(X, pts, W, a, kappa, theta), want, rtol=1e-9, atol=1e-12)
+
     def test_independent_prior_grads(self):
         rng = np.random.default_rng(3)
         prior = IndependentPrior(0.05)
@@ -212,7 +227,7 @@ class TestLatentPosterior:
         params = CouplingParams([0.0, 0.0], [0.05, 0.05])
         X = [np.array([[0.2], [0.6]]), np.array([[0.4]])]
         g = [np.array([1.0, -1.0]), np.array([0.5])]
-        post = latent_posterior(g, X, latent, params)
+        post = latent_posterior(g, X, ConvolutionPrior(latent), params)
         K = _jittered(gauss_gram(grid, grid, 0.1))
         np.testing.assert_allclose(post.mean, np.zeros(4), atol=1e-9)
         np.testing.assert_allclose(post.cov, K, atol=1e-6)
@@ -226,7 +241,7 @@ class TestLatentPosterior:
             params = CouplingParams(rng.uniform(0.5, 1.5, size=2), rng.uniform(0.02, 0.2, size=2))
             X_list = [rng.uniform(0, 1, size=(3, 1)) for _ in range(2)]
             g_list = [rng.standard_normal(3) for _ in range(2)]
-            post = latent_posterior(g_list, X_list, latent, params)
+            post = latent_posterior(g_list, X_list, ConvolutionPrior(latent), params)
 
             K_uu, A_list, D_list = _joint_blocks(X_list, latent, params)
             A = np.vstack(A_list)
@@ -248,9 +263,10 @@ class TestLatentPosterior:
         latent = LatentState(grid, rng.standard_normal((1, 4)), [0.1])
         X = rng.uniform(0, 1, size=(4, 1))
         g = rng.standard_normal(4)
-        single = latent_posterior([g], [X], latent, CouplingParams([1.0], [0.05]))
+        prior = ConvolutionPrior(latent)
+        single = latent_posterior([g], [X], prior, CouplingParams([1.0], [0.05]))
         double = latent_posterior(
-            [g, g], [X, X], latent, CouplingParams([1.0, 1.0], [0.05, 0.05])
+            [g, g], [X, X], prior, CouplingParams([1.0, 1.0], [0.05, 0.05])
         )
         eigs = np.linalg.eigvalsh(single.cov - double.cov)
         assert eigs.min() > -1e-10
@@ -262,9 +278,9 @@ class TestPhiUpdate:
         rng = np.random.default_rng(7)
         grid = np.linspace(0, 1, 5)[:, None]
         latent = LatentState(grid, rng.standard_normal((1, 5)), [0.2])
-        new, accepted = phi_mh_update(latent, np.random.default_rng(0), step=0.0)
+        new, accepted = phi_mh_update(ConvolutionPrior(latent), np.random.default_rng(0), step=0.0)
         assert accepted.all()
-        np.testing.assert_array_equal(new.phis, latent.phis)
+        np.testing.assert_array_equal(new.latent.phis, latent.phis)
 
     def test_logpost_matches_2x2_determinant_oracle(self):
         grid = np.array([[0.0], [0.3]])
@@ -274,7 +290,7 @@ class TestPhiUpdate:
         det = K[0, 0] * K[1, 1] - K[0, 1] ** 2
         inv = np.array([[K[1, 1], -K[0, 1]], [-K[0, 1], K[0, 0]]]) / det
         expected = -0.5 * u @ inv @ u - 0.5 * np.log(det) - 0.5 * np.log(phi) ** 2
-        got = latent_logpost(phi, u, grid, log_mean=0.0, log_sd=1.0)
+        got = latent_logpost(LatentFactor(grid, phi), u, log_mean=0.0, log_sd=1.0)
         assert got == pytest.approx(expected, rel=1e-9)
 
     def test_zero_latent_prefers_smaller_determinant(self):
@@ -282,17 +298,17 @@ class TestPhiUpdate:
         # grid Gram toward singularity (small determinant) and wins
         grid = np.array([[0.0], [0.3]])
         u = np.zeros(2)
-        lp_small = latent_logpost(0.05, u, grid, 0.0, 1e6)
-        lp_large = latent_logpost(0.5, u, grid, 0.0, 1e6)
+        lp_small = latent_logpost(LatentFactor(grid, 0.05), u, 0.0, 1e6)
+        lp_large = latent_logpost(LatentFactor(grid, 0.5), u, 0.0, 1e6)
         assert lp_large > lp_small
 
     def test_fixed_seed_is_deterministic(self):
         rng = np.random.default_rng(8)
         grid = np.linspace(0, 1, 5)[:, None]
         latent = LatentState(grid, rng.standard_normal((2, 5)), [0.2, 0.4])
-        a, acc_a = phi_mh_update(latent, np.random.default_rng(3), step=0.3)
-        b, acc_b = phi_mh_update(latent, np.random.default_rng(3), step=0.3)
-        np.testing.assert_array_equal(a.phis, b.phis)
+        a, acc_a = phi_mh_update(ConvolutionPrior(latent), np.random.default_rng(3), step=0.3)
+        b, acc_b = phi_mh_update(ConvolutionPrior(latent), np.random.default_rng(3), step=0.3)
+        np.testing.assert_array_equal(a.latent.phis, b.latent.phis)
         np.testing.assert_array_equal(acc_a, acc_b)
 
 

@@ -6,6 +6,7 @@ from scipy.stats import ks_2samp
 
 import depcox.convolution
 import depcox.engine
+import depcox.sgcp
 from depcox.engine import (
     PosteriorSample,
     RunConfig,
@@ -73,18 +74,33 @@ class TestRunChain:
         samples = run_chain(data, UNIT, _small_config(n_iters=10, burn_in=4, thin_every=2))
         assert [s.iteration for s in samples] == [4, 6, 8]
 
-    def test_worker_count_does_not_change_output(self):
-        data, _ = _toy_data(n_proc=3, lam=(15.0, 20.0))
-        cfg1 = _small_config(n_iters=12, burn_in=2, parallel_workers=1, seed=5)
-        cfg2 = _small_config(n_iters=12, burn_in=2, parallel_workers=3, seed=5)
-        s1 = run_chain(data, UNIT, cfg1)
-        s2 = run_chain(data, UNIT, cfg2)
-        assert len(s1) == len(s2)
-        for a, b in zip(s1, s2):
-            np.testing.assert_array_equal(a.lambda_stars, b.lambda_stars)
-            np.testing.assert_array_equal(a.latent_values, b.latent_values)
-            for ta, tb in zip(a.thinned, b.thinned):
-                np.testing.assert_array_equal(ta, tb)
+    def test_cached_projections_match_fresh_ones(self, monkeypatch):
+        # the second chain's workspaces recompute their projection from
+        # scratch at every use, so a workspace update that leaves its
+        # cached projection stale makes the two chains part
+        square = Region([0.0, 0.0], [1.0, 1.0])
+        rng = np.random.default_rng(31)
+        truth = sample_ground_truth(square, 2, 1, rng, lambda_star_range=(20.0, 25.0), grid_per_axis=6)
+        data = sample_events(truth, rng)
+        cfg = _small_config(n_iters=10, burn_in=0, grid_per_axis=6, seed=4)
+        cached = run_chain(data, square, cfg)
+        monkeypatch.setattr(
+            depcox.sgcp._Workspace,
+            "W",
+            property(lambda ws: ws.prior.project(ws.pts, ws.theta), lambda ws, value: None),
+            raising=False,
+        )
+        fresh = run_chain(data, square, cfg)
+        assert len(cached) == len(fresh) == 10
+        for a, b in zip(cached, fresh):
+            assert [t.shape[0] for t in a.thinned] == [t.shape[0] for t in b.thinned]
+            for x, y in [
+                (a.latent_values, b.latent_values),
+                (a.lambda_stars, b.lambda_stars),
+                *zip(a.g_values, b.g_values),
+                *zip(a.thinned, b.thinned),
+            ]:
+                assert np.max(np.abs(x - y), initial=0.0) <= 1e-6 * np.max(np.abs(y), initial=0.0)
 
     def test_rejects_events_outside_region(self):
         data = [EventSet(np.array([[1.5]]))]

@@ -13,6 +13,7 @@ from depcox.gaussian import (
     gauss_gram_dv,
     mvn_logpdf,
     mvn_sample,
+    tri_solve,
 )
 
 
@@ -73,6 +74,28 @@ class TestCholeskyJitter:
     def test_empty_matrix(self):
         L, jit = cholesky_with_jitter(np.zeros((0, 0)))
         assert L.shape == (0, 0)
+
+
+class TestTriSolve:
+    def test_matches_dense_solve_on_factor(self):
+        rng = np.random.default_rng(3)
+        A = rng.standard_normal((6, 6))
+        L, _ = cholesky_with_jitter(A @ A.T + 6 * np.eye(6))
+        assert L.flags.f_contiguous
+        b = rng.standard_normal((6, 2))
+        np.testing.assert_allclose(L @ tri_solve(L, b), b, atol=1e-12)
+        np.testing.assert_allclose(L.T @ tri_solve(L, b[:, 0], trans="T"), b[:, 0], atol=1e-12)
+
+    def test_zero_pivot_raises(self):
+        L = np.asfortranarray(np.tril(np.ones((3, 3))))
+        L[1, 1] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            tri_solve(L, np.ones(3))
+
+    def test_empty_system_returns_empty(self):
+        L = np.zeros((0, 0), order="F")
+        assert tri_solve(L, np.zeros(0)).shape == (0,)
+        assert tri_solve(L, np.zeros((0, 3)), trans="T").shape == (0, 3)
 
 
 def _brute_conditional(mean, cov, obs_idx, obs_val):

@@ -5,7 +5,14 @@ import pytest
 from scipy.special import expit, logit
 from scipy.stats import kstest, norm
 
-from depcox.convolution import FixedFunctionPrior, IndependentPrior
+from depcox.convolution import (
+    ConvolutionPrior,
+    FixedFunctionPrior,
+    IndependentPrior,
+    LatentFactor,
+    LatentState,
+    latent_grid,
+)
 from depcox.errors import ValidationError
 from depcox.gaussian import Mvn, conditional_mvn
 from depcox.sgcp import (
@@ -167,6 +174,92 @@ class TestWorkspace:
         mu_b, var_b = ws_fresh.conditional(np.array([0.45]))
         assert mu_a == pytest.approx(mu_b, abs=1e-8)
         assert var_a == pytest.approx(var_b, abs=1e-8)
+
+
+class TestWorkspaceCache:
+    """The cached projection, mean and covariance stay equal to fresh ones
+    through any sequence of workspace updates."""
+
+    THETA = 0.01
+    KAPPA = 1.1
+
+    def _prior(self, phis=(0.02, 0.05)):
+        grid = latent_grid(Region([0.0, 0.0], [1.0, 1.0]), 4)
+        values = np.random.default_rng(21).standard_normal((len(phis), grid.shape[0]))
+        return ConvolutionPrior(LatentState(grid, values, phis))
+
+    def _fresh(self, prior, ws):
+        ctx = GpContext(ws.pts, prior)
+        state = _empty_state(n_data=ws.pts.shape[0], kappa=self.KAPPA, theta=self.THETA)
+        state.thinned = np.zeros((0, 2))
+        state.g_values = ws.g.copy()
+        return _Workspace(ctx, state)
+
+    @staticmethod
+    def _assert_rel(a, b, rel):
+        assert a.shape == b.shape
+        scale = max(np.max(np.abs(b)), 1e-300) if b.size else 1.0
+        assert np.max(np.abs(a - b), initial=0.0) <= rel * scale
+
+    def test_random_updates_keep_cache_fresh(self):
+        rng = np.random.default_rng(22)
+        prior = self._prior()
+        ctx = GpContext(rng.uniform(size=(5, 2)), prior)
+        state = _empty_state(n_data=5, kappa=self.KAPPA, theta=self.THETA)
+        state.thinned = np.zeros((0, 2))
+        state.g_values = rng.standard_normal(5)
+        ws = _Workspace(ctx, state)
+        for step in range(40):
+            n = ws.pts.shape[0]
+            op = rng.choice(["append", "remove", "update"]) if n > 2 else "append"
+            if rng.random() < 0.5:
+                ws.conditional(rng.uniform(size=2))  # forms the factor that appends extend
+            if op == "append":
+                ws.append(rng.uniform(size=2), rng.standard_normal())
+            elif op == "remove":
+                ws.remove(int(rng.integers(n)))
+            else:
+                ws.update_point(int(rng.integers(n)), rng.uniform(size=2), rng.standard_normal())
+            self._assert_rel(ws.W, prior.project(ws.pts, self.THETA), 1e-10)
+            m, C = prior.mean_cov(ws.pts, self.KAPPA, self.THETA)
+            self._assert_rel(ws.m, m, 1e-10)
+            self._assert_rel(ws.C, C, 1e-10)
+            fresh = self._fresh(prior, ws)
+            x = rng.uniform(size=2)
+            j = int(rng.integers(ws.pts.shape[0]))
+            for got, want in [
+                (ws.conditional(x), fresh.conditional(x)),
+                (ws.conditional(x, exclude=j), fresh.conditional(x, exclude=j)),
+            ]:
+                # an extended factor keeps the jitter it was formed with and
+                # a fresh one takes its own, which moves conditionals by ~1e-7
+                assert got[0] == pytest.approx(want[0], rel=1e-6, abs=1e-9)
+                assert got[1] == pytest.approx(want[1], rel=1e-6, abs=1e-9)
+
+    def test_first_append_to_empty_set_conditions(self):
+        prior = self._prior()
+        ctx = GpContext(np.zeros((0, 2)), prior)
+        state = _empty_state(kappa=self.KAPPA, theta=self.THETA)
+        state.thinned = np.zeros((0, 2))
+        ws = _Workspace(ctx, state)
+        x = np.array([0.4, 0.6])
+        _, var_before = ws.conditional(x)
+        ws.append(x, 0.3)
+        mu, var = ws.conditional(x + 1e-3)
+        want = self._fresh(prior, ws).conditional(x + 1e-3)
+        assert var < 0.1 * var_before
+        assert (mu, var) == pytest.approx(want, rel=1e-8)
+
+    def test_factor_is_reused_only_at_its_phi(self):
+        prior = self._prior()
+        moved = LatentState(prior.latent.grid, prior.latent.values, [0.02, 0.06])
+        rebuilt = ConvolutionPrior(moved, prior.factors)
+        assert rebuilt.factors[0] is prior.factors[0]
+        assert rebuilt.factors[1] is not prior.factors[1]
+        assert rebuilt.factors[1].phi == 0.06
+        np.testing.assert_array_equal(
+            rebuilt.factors[1].L, LatentFactor(prior.latent.grid, 0.06).L
+        )
 
 
 class TestBirthDeath:

@@ -144,6 +144,12 @@ class TestFit:
         main(["fit", *events, "--config", str(cfg), "--out", str(b)])
         assert _archive_files_equal(a, b)
 
+    def test_config_with_retired_worker_count_loads(self, tmp_path):
+        # configs and archives written while runs had a worker count still load
+        cfg = io.load_config(_write_config(tmp_path, parallel_workers=3))
+        assert cfg.run.n_iters == 40
+        assert "parallel_workers" not in io.config_to_dict(cfg)
+
     def test_event_outside_region_exits_2_with_row(self, tmp_path, capsys):
         cfg = _write_config(tmp_path)
         bad = tmp_path / "bad.csv"
