@@ -36,6 +36,7 @@ from .engine import (
 from .errors import NumericalError, ValidationError
 from .gaussian import (
     Mvn,
+    ProductGrid,
     cholesky_with_jitter,
     conditional_mvn,
     gauss_density,

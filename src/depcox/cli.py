@@ -177,8 +177,8 @@ def _model_rows(model, samples, archive, test, quad, independent=False):
     # one pass over the samples: every process at the quadrature nodes and
     # at all test points, each process then reading its own test points
     n_nodes = quad.nodes.shape[0]
-    X = np.vstack([quad.nodes, *(ev.points for ev in test if len(ev))])
-    lams = intensity_samples(samples, X, archive.train, region, cfg_run)
+    X = np.vstack([np.zeros((0, region.dim)), *(ev.points for ev in test if len(ev))])
+    lams = intensity_samples(samples, X, archive.train, region, cfg_run, quad.grid)
     ends = n_nodes + np.cumsum([len(ev) for ev in test])
     for d, ev in enumerate(test):
         grid_lams = lams[:, d, :n_nodes]
@@ -197,7 +197,7 @@ def _l2_rows(model, samples, archive, truth, quad, independent=False):
     if independent:
         cfg_run = replace(cfg_run, independent=True)
     region = archive.config.region
-    lam = intensity_samples(samples, quad.nodes, archive.train, region, cfg_run).mean(axis=0)
+    lam = summarize(samples, quad.grid, archive.train, region, cfg_run).intensity_mean
     rows = []
     for d in range(len(archive.train)):
         true_lam = truth.intensity(d, quad.nodes)
@@ -238,7 +238,7 @@ def cmd_export_grid(args) -> int:
     if args.resolution < 2:
         raise ValidationError("resolution must be at least 2")
     quad = Quadrature.for_region(region, args.resolution)
-    summary = summarize(archive.samples, quad.nodes, archive.train, region, archive.config.run)
+    summary = summarize(archive.samples, quad.grid, archive.train, region, archive.config.run)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for d in range(summary.intensity_mean.shape[0]):

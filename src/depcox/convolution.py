@@ -16,6 +16,10 @@ that variance. A point set enters through its projection
 Gram matrices minus ``W_A^T W_B``. Callers that keep ``W`` for a point set
 must keep it in step with the set (the per-process workspace in ``sgcp``
 does), so that a new point costs the projection of that point alone.
+
+Predictions (``extend``, ``latent_interpolant``) take either scattered
+points or a ``ProductGrid``; on a grid every Gram-vector product runs
+through per-axis factors (``gaussian.gram_matvec``).
 """
 
 from __future__ import annotations
@@ -26,11 +30,14 @@ import numpy as np
 from .errors import ValidationError
 from .gaussian import (
     Mvn,
+    ProductGrid,
+    chol_inverse,
     chol_solve,
     cholesky_with_jitter,
     gauss_density,
     gauss_gram,
     gauss_gram_dv,
+    gram_matvec,
     mvn_sample,
     tri_solve,
 )
@@ -97,8 +104,7 @@ def latent_grid(region, per_axis: int, pad: float = 0.1) -> np.ndarray:
     for lo, hi in zip(region.lower, region.upper):
         ext = pad * (hi - lo)
         axes.append(np.linspace(lo - ext, hi + ext, per_axis))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
+    return ProductGrid(axes).nodes
 
 
 def cross_cov(x, z, kappa: float, theta: float, phi: float) -> float:
@@ -139,7 +145,7 @@ class LatentFactor:
 
     def inverse(self) -> np.ndarray:
         if self._inverse is None:
-            self._inverse = chol_solve(self.L, np.eye(self.L.shape[0]))
+            self._inverse = chol_inverse(self.L)
         return self._inverse
 
 
@@ -222,6 +228,24 @@ class ConvolutionPrior:
             C[np.diag_indices_from(C)] += floor
         return m, C
 
+    def site(self, x, kappa: float, theta: float) -> tuple[np.ndarray, float, float]:
+        """Projection, prior mean and residual variance at one site ``x`` (1, d).
+
+        The mean reads the same ``K(grid, x)`` column that the projection
+        whitens, and the variance is the closed-form marginal less the
+        projected part, floored as in ``mean_cov``.
+        """
+        ws = []
+        m = 0.0
+        for f, alpha in zip(self.factors, self._alphas):
+            k = gauss_gram(self.latent.grid, x, theta + f.phi)
+            m += float(k[:, 0] @ alpha)
+            ws.append(tri_solve(f.L, k))
+        w = np.concatenate(ws)
+        marginal = self._marginal_var(kappa, theta)
+        var = marginal - kappa**2 * float(w[:, 0] @ w[:, 0]) + 1e-12 * marginal
+        return w, kappa * m, var
+
     def mean_cov_grads(self, X, kappa: float, theta: float):
         """Mean, covariance and their gradients in (log kappa, log theta).
 
@@ -268,28 +292,27 @@ class ConvolutionPrior:
     def extend(self, X, pts, W, a, kappa: float, theta: float) -> np.ndarray:
         """``mean(X) + cov(X, pts) @ a`` without projecting ``X``.
 
-        ``W`` is the projection of ``pts``. Each latent function's
-        ``K(X, grid)`` serves both the mean and the projected part of the
-        cross-covariance, applied to the grid vector ``L_q^{-T} W_q a``.
+        ``X`` is a point array or a ``ProductGrid``; ``W`` is the
+        projection of ``pts``. Each latent function's ``K(X, grid)``
+        serves both the mean and the projected part of the
+        cross-covariance, applied to the grid vector
+        ``kappa alpha_q - kappa^2 L_q^{-T} W_q a``.
         """
-        X = np.asarray(X, dtype=float)
         J = self.latent.n_grid
         Wa = W @ a
-        out = np.zeros(X.shape[0])
+        out = 0.0
         for q, (f, phi) in enumerate(zip(self.factors, self.latent.phis)):
-            U = gauss_gram(X, self.latent.grid, theta + phi)
             r = tri_solve(f.L, Wa[q * J : (q + 1) * J], trans="T")
-            out += U @ (kappa * self._alphas[q] - kappa**2 * r)
-            out += kappa**2 * (gauss_gram(X, pts, 2.0 * theta + phi) @ a)
+            c = kappa * self._alphas[q] - kappa**2 * r
+            out += gram_matvec(X, self.latent.grid, theta + phi, c)
+            out += kappa**2 * gram_matvec(X, pts, 2.0 * theta + phi, a)
         return out
 
     def latent_interpolant(self, X) -> np.ndarray:
-        """Conditional mean of each latent function at arbitrary points, (Q, n)."""
-        X = np.asarray(X, dtype=float)
-        out = np.zeros((self.latent.n_latent, X.shape[0]))
-        for q, phi in enumerate(self.latent.phis):
-            out[q] = gauss_gram(X, self.latent.grid, phi) @ self._alphas[q]
-        return out
+        """Conditional mean of each latent function at a point array or a
+        ``ProductGrid``, (Q, n)."""
+        grid = self.latent.grid
+        return np.stack([gram_matvec(X, grid, phi, a) for phi, a in zip(self.latent.phis, self._alphas)])
 
 
 class IndependentPrior:
@@ -319,9 +342,14 @@ class IndependentPrior:
     def mean_cov(self, X, kappa: float, theta: float, W=None):
         return self.mean(X, kappa, theta), self.cov(X, W, X, W, kappa, theta)
 
+    def site(self, x, kappa: float, theta: float) -> tuple[np.ndarray, float, float]:
+        """Empty projection, zero mean and the marginal variance at one site."""
+        var = kappa**2 * (2.0 * np.pi * (2.0 * theta + self.phi0)) ** (-0.5 * self.dim)
+        return np.zeros((0, 1)), 0.0, var
+
     def extend(self, X, pts, W, a, kappa: float, theta: float) -> np.ndarray:
-        """``mean(X) + cov(X, pts) @ a``."""
-        return self.cov(X, self.project(X, theta), pts, W, kappa, theta) @ a
+        """``mean(X) + cov(X, pts) @ a``; ``X`` is a point array or a ``ProductGrid``."""
+        return kappa**2 * gram_matvec(X, pts, 2.0 * theta + self.phi0, a)
 
     def mean_cov_grads(self, X, kappa: float, theta: float):
         X = np.asarray(X, dtype=float)
@@ -355,9 +383,13 @@ class FixedFunctionPrior:
     def mean_cov(self, X, kappa: float, theta: float, W=None):
         return self.mean(X, kappa, theta), self.cov(X, W, X, W, kappa, theta)
 
+    def site(self, x, kappa: float, theta: float) -> tuple[np.ndarray, float, float]:
+        """Empty projection, the known value and zero variance at one site."""
+        return np.zeros((0, 1)), float(self.mean(x, kappa, theta)[0]), 0.0
+
 
 def latent_posterior(
-    g_list, X_list, prior: ConvolutionPrior, params: CouplingParams
+    g_list, X_list, prior: ConvolutionPrior, params: CouplingParams, W_list=None
 ) -> Mvn:
     """Joint Gaussian posterior over the stacked latent grid values.
 
@@ -365,7 +397,8 @@ def latent_posterior(
     precision plus one quadratic contribution per process, each built from
     that process's coupling matrix and dense residual covariance. No
     cross-process covariance is ever assembled. Only the prior's latent
-    factors enter, not its current grid values.
+    factors enter, not its current grid values. ``W_list`` holds each
+    process's projection if the caller has it already.
     """
     if len(g_list) != params.n_processes or len(X_list) != params.n_processes:
         raise ValidationError("one g vector and one point set per process required")
@@ -385,7 +418,7 @@ def latent_posterior(
             raise ValidationError(f"g values and locations disagree for process {d}")
         if g_d.size == 0:
             continue
-        W = prior.project(X_d, params.thetas[d])
+        W = prior.project(X_d, params.thetas[d]) if W_list is None else W_list[d]
         A = prior.coupling_matrix(W, params.kappas[d])
         _, D = prior.mean_cov(X_d, params.kappas[d], params.thetas[d], W)
         L_D, _ = cholesky_with_jitter(D)
@@ -398,17 +431,15 @@ def latent_posterior(
         L_P = np.asfortranarray(np.linalg.cholesky(P))
     except np.linalg.LinAlgError:
         L_P, _ = cholesky_with_jitter(P)
-    eye = np.eye(Q * J)
-    cov_p = chol_solve(L_P, eye)
-    mean_p = chol_solve(L_P, b)
-    return Mvn(mean_p, 0.5 * (cov_p + cov_p.T))
+    return Mvn(chol_solve(L_P, b), chol_inverse(L_P))
 
 
 def sample_latent_posterior(
-    g_list, X_list, prior: ConvolutionPrior, params: CouplingParams, rng: np.random.Generator
+    g_list, X_list, prior: ConvolutionPrior, params: CouplingParams, rng: np.random.Generator,
+    W_list=None,
 ) -> np.ndarray:
     """Draw new latent grid values from their joint posterior, shaped (Q, J)."""
-    post = latent_posterior(g_list, X_list, prior, params)
+    post = latent_posterior(g_list, X_list, prior, params, W_list)
     flat = mvn_sample(post, rng)
     return flat.reshape(prior.latent.n_latent, prior.latent.n_grid)
 

@@ -25,7 +25,15 @@ from .convolution import (
     sample_latent_posterior,
 )
 from .errors import NumericalError, ValidationError
-from .gaussian import Mvn, chol_solve, cholesky_with_jitter, gauss_gram, mvn_sample
+from .gaussian import (
+    Mvn,
+    ProductGrid,
+    _as_points,
+    chol_solve,
+    cholesky_with_jitter,
+    gauss_gram,
+    mvn_sample,
+)
 from .sgcp import (
     AugmentedState,
     EventSet,
@@ -105,7 +113,7 @@ def run_chain(data, region: Region, config: RunConfig):
     return samples
 
 
-def _latent_ess_move(states, x_list, prior: ConvolutionPrior, params, ladder, rng):
+def _latent_ess_move(states, W_list, prior: ConvolutionPrior, params, ladder, rng):
     """Joint slice move of the latent values and all function values.
 
     Holds each process's residual (function values minus the smoothed
@@ -116,14 +124,12 @@ def _latent_ess_move(states, x_list, prior: ConvolutionPrior, params, ladder, rn
     residuals are tiny and the centered alternation alone would move the
     latent only by hairline steps per sweep. Only the function values are
     kept: the exact resample that follows redraws the latent values.
+    ``W_list`` holds each process's projection of its points.
     """
     from .sgcp import elliptical_slice, point_loglik
 
     latent = prior.latent
-    A_list = [
-        prior.coupling_matrix(prior.project(x_list[d], params.thetas[d]), params.kappas[d])
-        for d in range(len(states))
-    ]
+    A_list = [prior.coupling_matrix(W, kappa) for W, kappa in zip(W_list, params.kappas)]
     u_flat = latent.values.ravel()
     residuals = [states[d].g_values - A_list[d] @ u_flat for d in range(len(states))]
     J = latent.n_grid
@@ -261,10 +267,13 @@ def run_chain_with_info(data, region: Region, config: RunConfig):
                 np.array([s.theta for s in states]),
             )
             x_list = [contexts[d].points(states[d]) for d in range(n_proc)]
-            _latent_ess_move(states, x_list, prior, params, ladder, latent_rng)
+            # one projection per process serves both latent moves: the
+            # slice move changes function values, not points or theta
+            W_list = [prior.project(x, theta) for x, theta in zip(x_list, params.thetas)]
+            _latent_ess_move(states, W_list, prior, params, ladder, latent_rng)
             g_list = [s.g_values for s in states]
             new_values = sample_latent_posterior(
-                g_list, x_list, prior, params, latent_rng
+                g_list, x_list, prior, params, latent_rng, W_list
             )
             prior = ConvolutionPrior(LatentState(grid, new_values, latent.phis), prior.factors)
             prior, acc = phi_mh_update(
@@ -326,19 +335,6 @@ class GridSummary:
     latent_sd: np.ndarray
 
 
-def _conditional_g_on_grid(prior, grid, pts, g, kappa, theta):
-    """Posterior-mean extension of one sample's function values to a grid:
-    ``m(grid) + cov(grid, pts) C^{-1} (g - m(pts))``, with the right-hand
-    solve done once and the grid never projected."""
-    if pts.shape[0] == 0:
-        return prior.mean(grid, kappa, theta)
-    W = prior.project(pts, theta)
-    m_pts, C = prior.mean_cov(pts, kappa, theta, W)
-    L, _ = cholesky_with_jitter(C)
-    a = chol_solve(L, g - m_pts)
-    return prior.extend(grid, pts, W, a, kappa, theta)
-
-
 def _sample_priors(samples, region: Region, config: RunConfig):
     """Yield the conditional prior of each sample in turn, reusing a latent
     factor from one sample to the next while the latent variances stay put."""
@@ -355,70 +351,69 @@ def _sample_priors(samples, region: Region, config: RunConfig):
         yield prior
 
 
-def summarize(samples, grid, data, region: Region, config: RunConfig) -> GridSummary:
-    """Pointwise mean and standard deviation of the intensity of every
-    process and of every latent function across posterior samples."""
+def _extensions(samples, targets, data, region: Region, config: RunConfig):
+    """Each sample's conditional function values at the ``targets``.
+
+    Yields ``(sample, prior, g)`` with ``g[d][t]`` the conditional mean of
+    process ``d``'s function at target ``t`` (a point array or a
+    ``ProductGrid``): ``m(X) + cov(X, pts) C^{-1} (g - m(pts))``. The
+    conditional (projection, factor and ``a = C^{-1} (g - m(pts))``) is
+    formed once per sample and process and extended to every target.
+    """
     if len(samples) == 0:
         raise ValidationError("at least one posterior sample required")
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim == 1:
-        grid = grid[:, None]
     data = [d if isinstance(d, EventSet) else EventSet(d) for d in data]
-    n_proc = len(data)
-    n_grid = grid.shape[0]
-
-    lam_acc = np.zeros((2, n_proc, n_grid))  # running sum and sum of squares
-    n_latent = 0 if config.independent else config.n_latent
-    lat_acc = np.zeros((2, n_latent, n_grid))
     for s, prior in zip(samples, _sample_priors(samples, region, config)):
-        if not config.independent:
+        g = []
+        for d, ev in enumerate(data):
+            pts = np.vstack([ev.points, s.thinned[d]]) if s.thinned[d].shape[0] else ev.points
+            kappa, theta = s.kappas[d], s.thetas[d]
+            W = prior.project(pts, theta)
+            m_pts, C = prior.mean_cov(pts, kappa, theta, W)
+            a = chol_solve(cholesky_with_jitter(C)[0], s.g_values[d] - m_pts)
+            g.append([prior.extend(X, pts, W, a, kappa, theta) for X in targets])
+        yield s, prior, g
+
+
+def summarize(samples, grid, data, region: Region, config: RunConfig) -> GridSummary:
+    """Pointwise mean and standard deviation of the intensity of every
+    process and of every latent function across posterior samples, at the
+    nodes of a ``ProductGrid`` or at a point array ``grid``."""
+    if isinstance(grid, ProductGrid):
+        nodes = grid.nodes
+    else:
+        grid = nodes = _as_points(grid)
+    n_latent = 0 if config.independent else config.n_latent
+    lam_acc = np.zeros((2, len(data), len(nodes)))  # running sum and sum of squares
+    lat_acc = np.zeros((2, n_latent, len(nodes)))
+    for s, prior, g in _extensions(samples, [grid], data, region, config):
+        lam = s.lambda_stars[:, None] * expit(np.stack([g_d[0] for g_d in g]))
+        lam_acc += [lam, lam**2]
+        if n_latent:
             interp = prior.latent_interpolant(grid)
-            lat_acc[0] += interp
-            lat_acc[1] += interp**2
-        for d in range(n_proc):
-            pts = (
-                np.vstack([data[d].points, s.thinned[d]])
-                if s.thinned[d].shape[0]
-                else data[d].points
-            )
-            g_grid = _conditional_g_on_grid(
-                prior, grid, pts, s.g_values[d], s.kappas[d], s.thetas[d]
-            )
-            lam = s.lambda_stars[d] * expit(g_grid)
-            lam_acc[0, d] += lam
-            lam_acc[1, d] += lam**2
+            lat_acc += [interp, interp**2]
     n = len(samples)
     lam_mean = lam_acc[0] / n
     lam_sd = np.sqrt(np.maximum(lam_acc[1] / n - lam_mean**2, 0.0))
     lat_mean = lat_acc[0] / n
     lat_sd = np.sqrt(np.maximum(lat_acc[1] / n - lat_mean**2, 0.0))
-    return GridSummary(grid, lam_mean, lam_sd, lat_mean, lat_sd)
+    return GridSummary(nodes, lam_mean, lam_sd, lat_mean, lat_sd)
 
 
-def intensity_samples(samples, X, data, region: Region, config: RunConfig) -> np.ndarray:
+def intensity_samples(samples, X, data, region: Region, config: RunConfig, grid=None) -> np.ndarray:
     """Per-sample intensity of every process at arbitrary points, (S, D, n).
 
     The function value at a new point is the conditional mean given that
     sample's state, extending each retained draw to the requested
-    locations.
+    locations. Given a ``ProductGrid`` ``grid``, its N nodes come first,
+    (S, D, N + n), from the same conditional as the points.
     """
-    if len(samples) == 0:
-        raise ValidationError("at least one posterior sample required")
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    data = [d if isinstance(d, EventSet) else EventSet(d) for d in data]
-    n_proc = len(data)
-    out = np.zeros((len(samples), n_proc, X.shape[0]))
-    for i, (s, prior) in enumerate(zip(samples, _sample_priors(samples, region, config))):
-        for d in range(n_proc):
-            pts = (
-                np.vstack([data[d].points, s.thinned[d]])
-                if s.thinned[d].shape[0]
-                else data[d].points
-            )
-            g_X = _conditional_g_on_grid(prior, X, pts, s.g_values[d], s.kappas[d], s.thetas[d])
-            out[i, d] = s.lambda_stars[d] * expit(g_X)
+    X = _as_points(X)
+    targets = [X] if grid is None else [grid, X]
+    out = np.zeros((len(samples), len(data), (0 if grid is None else grid.size) + X.shape[0]))
+    for i, (s, _, g) in enumerate(_extensions(samples, targets, data, region, config)):
+        for d, g_d in enumerate(g):
+            out[i, d] = s.lambda_stars[d] * expit(np.concatenate(g_d))
     return out
 
 

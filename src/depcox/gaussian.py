@@ -1,9 +1,16 @@
 """Gaussian kernel evaluations and multivariate normal primitives.
 
 Everything downstream (covariance assembly, conditioning, slice and
-Hamiltonian updates) funnels through the handful of routines here. All
-factorizations are Cholesky-based with a small diagonal jitter; explicit
-matrix inverses are never formed outside of test oracles.
+Hamiltonian updates, prediction) funnels through the handful of routines
+here. All factorizations are Cholesky-based with a small diagonal jitter.
+Explicit inverses are formed from a Cholesky factor (``chol_inverse``)
+only where the whole matrix is needed: the latent prior precision, the
+latent posterior covariance and the trace terms of the Hamiltonian
+gradient.
+
+The isotropic Gaussian kernel factorizes over axes, so on a product grid
+(``ProductGrid``) a Gram-vector product needs only one small factor per
+axis (``gram_matvec``).
 """
 
 from __future__ import annotations
@@ -25,6 +32,31 @@ MAX_JITTER_DOUBLINGS = 4
 # on every call, which cost ten times the solve itself for the small
 # single-right-hand-side systems of the per-point updates.
 _TRTRS = lapack.dtrtrs
+_POTRI = lapack.dpotri
+
+
+class ProductGrid:
+    """Tensor-product grid given by its axes.
+
+    Its nodes run in ``ij`` order, the last axis fastest, as
+    ``np.meshgrid(*axes, indexing="ij")`` lays them out.
+    """
+
+    def __init__(self, axes):
+        self.axes = tuple(np.asarray(a, dtype=float).ravel() for a in axes)
+
+    @property
+    def dim(self) -> int:
+        return len(self.axes)
+
+    @property
+    def size(self) -> int:
+        return int(np.prod([a.size for a in self.axes]))
+
+    @property
+    def nodes(self) -> np.ndarray:
+        mesh = np.meshgrid(*self.axes, indexing="ij")
+        return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
 def gauss_density(x, z, variance: float) -> float:
@@ -71,6 +103,35 @@ def gauss_gram_dv(X, Z, variance: float) -> tuple[np.ndarray, np.ndarray]:
     G = (2.0 * np.pi * variance) ** (-0.5 * d) * np.exp(-0.5 * sq / variance)
     dG = G * (0.5 * sq / variance**2 - 0.5 * d / variance)
     return G, dG
+
+
+def gram_matvec(X, Z, variance: float, c) -> np.ndarray:
+    """``gauss_gram(X, Z, variance) @ c`` for points ``X`` or a ``ProductGrid``.
+
+    On a grid the kernel factorizes over axes: each axis gives a factor
+    ``E_a = (2 pi v)^{-1/2} exp(-(x_a - z_a)^2 / 2v)`` of shape
+    (axis length, m), and the product contracts them with ``c`` (in 2D,
+    ``(E_1 * c) @ E_2^T``), never forming the (nodes x m) matrix.
+    """
+    if not isinstance(X, ProductGrid):
+        return gauss_gram(X, Z, variance) @ c
+    if variance <= 0:
+        raise ValidationError(f"variance must be positive, got {variance}")
+    Z = _as_points(Z)
+    if Z.shape[1] != X.dim:
+        raise ValidationError("point sets have different dimension")
+    c = np.asarray(c, dtype=float)
+    scale = (2.0 * np.pi * variance) ** -0.5
+    E = [
+        scale * np.exp(-0.5 * (x[:, None] - z[None, :]) ** 2 / variance)
+        for x, z in zip(X.axes, Z.T)
+    ]
+    if X.dim == 1:
+        return E[0] @ c
+    if X.dim == 2:
+        return ((E[0] * c) @ E[1].T).ravel()
+    axes = "abcdefghijklmnopqrstuvwxy"[: X.dim]
+    return np.einsum(",".join(a + "z" for a in axes) + ",z->" + axes, *E, c).ravel()
 
 
 def _as_points(X) -> np.ndarray:
@@ -124,6 +185,23 @@ def tri_solve(L: np.ndarray, b: np.ndarray, trans: str = "N") -> np.ndarray:
 def chol_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve (L L^T) x = b with a lower-triangular L."""
     return tri_solve(L, tri_solve(L, b), trans="T")
+
+
+def chol_inverse(L: np.ndarray) -> np.ndarray:
+    """``(L L^T)^{-1}`` from its lower Cholesky factor, symmetric.
+
+    One LAPACK ``dpotri`` call (n^3 * 2/3 flops, against 2 n^3 for
+    ``chol_solve(L, eye)``) fills the lower triangle, which is mirrored.
+    """
+    if L.shape[0] == 0:
+        return np.zeros((0, 0))
+    inv, info = _POTRI(L, lower=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular matrix: zero diagonal at {info - 1}")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotri")
+    inv = np.tril(inv)
+    return inv + np.tril(inv, -1).T
 
 
 @dataclass

@@ -16,15 +16,20 @@ from scipy.fft import dct
 from scipy.optimize import brentq
 
 from .errors import ValidationError
+from .gaussian import ProductGrid
 from .sgcp import Region
 
 
 @dataclass
 class Quadrature:
-    """Tensor-product trapezoid nodes and weights over a region."""
+    """Tensor-product trapezoid nodes and weights over a region.
+
+    ``grid`` holds the axes; ``nodes`` are its nodes in the same order.
+    """
 
     nodes: np.ndarray  # (n, dim)
     weights: np.ndarray  # (n,)
+    grid: ProductGrid
 
     @classmethod
     def for_region(cls, region: Region, resolution: int | None = None) -> "Quadrature":
@@ -40,13 +45,11 @@ class Quadrature:
             w[-1] *= 0.5
             axes.append(x)
             axis_w.append(w)
-        mesh = np.meshgrid(*axes, indexing="ij")
-        nodes = np.stack([m.ravel() for m in mesh], axis=-1)
-        wmesh = np.meshgrid(*axis_w, indexing="ij")
-        weights = np.ones(nodes.shape[0])
-        for w in wmesh:
+        grid = ProductGrid(axes)
+        weights = np.ones(grid.size)
+        for w in np.meshgrid(*axis_w, indexing="ij"):
             weights *= w.ravel()
-        return cls(nodes, weights)
+        return cls(grid.nodes, weights, grid)
 
     @property
     def volume(self) -> float:

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import NumericalError, ValidationError
-from .gaussian import Mvn, cholesky_with_jitter, mvn_sample, tri_solve
+from .gaussian import Mvn, chol_inverse, cholesky_with_jitter, mvn_sample, tri_solve
 from .thinning import (
     RateLadder,
     accept_delete,
@@ -274,9 +274,7 @@ class _Workspace:
         """
         x = np.atleast_1d(np.asarray(x, dtype=float))[None, :]
         if self._last_site is None or not np.array_equal(x, self._last_site[0]):
-            w = self.prior.project(x, self.theta)
-            m1, C1 = self.prior.mean_cov(x, self.kappa, self.theta, w)
-            self._last_site = (x, w, float(m1[0]), float(C1[0, 0]))
+            self._last_site = (x, *self.prior.site(x, self.kappa, self.theta))
         return self._last_site
 
     def _cross(self, x, w) -> np.ndarray:
@@ -519,13 +517,13 @@ def _hyper_energy(prior, pts, g, rho, priors: PriorConfig):
     w = tri_solve(L, r)
     alpha = tri_solve(L, w, trans="T")
     nlp += 0.5 * float(w @ w) + float(np.sum(np.log(np.diag(L)))) + 0.5 * n * np.log(2.0 * np.pi)
+    Cinv = chol_inverse(L)
     for i in range(2):
-        half = tri_solve(L, dC[i])
-        Cinv_dC = tri_solve(L, half, trans="T")
+        # tr(C^{-1} dC_i) as an elementwise sum, from the one inverse
         dloglik = (
             float(alpha @ dm[i])
             + 0.5 * float(alpha @ dC[i] @ alpha)
-            - 0.5 * float(np.trace(Cinv_dC))
+            - 0.5 * float(np.sum(Cinv * dC[i].T))
         )
         grad[i] -= dloglik
     return nlp, grad

@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from depcox.convolution import (
     ConvolutionPrior,
     CouplingParams,
+    FixedFunctionPrior,
     IndependentPrior,
     LatentFactor,
     LatentState,
@@ -178,6 +179,25 @@ class TestConditionalPrior:
                 X, prior.project(X, theta), pts, W, kappa, theta
             ) @ a
             np.testing.assert_allclose(prior.extend(X, pts, W, a, kappa, theta), want, rtol=1e-9, atol=1e-12)
+
+    def test_site_matches_projection_and_mean_cov(self):
+        rng = np.random.default_rng(11)
+        grid = latent_grid(Region([0.0, 0.0], [1.0, 1.0]), 4)
+        latent = LatentState(grid, rng.standard_normal((2, 16)), [0.02, 0.05])
+        kappa, theta = 0.9, 0.01
+        priors = (
+            ConvolutionPrior(latent),
+            IndependentPrior(0.02, dim=2),
+            FixedFunctionPrior(lambda X: X[:, 0] - X[:, 1], dim=2),
+        )
+        for x in rng.uniform(size=(5, 1, 2)):
+            for prior in priors:
+                w, m, var = prior.site(x, kappa, theta)
+                W = prior.project(x, theta)
+                m1, C1 = prior.mean_cov(x, kappa, theta, W)
+                np.testing.assert_allclose(w, W, rtol=1e-12, atol=0)
+                assert m == pytest.approx(m1[0], rel=1e-12, abs=1e-14)
+                assert var == pytest.approx(C1[0, 0], rel=1e-10, abs=1e-14)
 
     def test_independent_prior_grads(self):
         rng = np.random.default_rng(3)

@@ -20,6 +20,7 @@ from depcox.engine import (
 )
 from depcox.errors import ValidationError
 from depcox.generate import sample_events, sample_ground_truth
+from depcox.metrics import Quadrature
 from depcox.sgcp import EventSet, PriorConfig, Region
 from depcox.thinning import RateLadder
 
@@ -223,6 +224,71 @@ class TestSummarize:
     def test_empty_samples_rejected(self):
         with pytest.raises(ValidationError):
             summarize([], np.zeros((3, 1)), [EventSet(np.zeros((0, 1)))], UNIT, _small_config())
+
+
+def _grid_case(dim, independent, seed=0):
+    """Hand-made samples of two processes on a unit cube, with two latent
+    functions unless ``independent``. The second process has no events,
+    and in the first sample no thinned points either."""
+    rng = np.random.default_rng(seed)
+    region = Region([0.0] * dim, [1.0] * dim)
+    cfg = _small_config(n_latent=2, grid_per_axis=4, independent=independent)
+    J = 4**dim
+    # each point in a cell of its own, so C stays well conditioned: with
+    # near-duplicate points C^{-1} (g - m) reaches 1e5, and the rounding of
+    # the dense Gram matrix alone then moves the prediction by 1e-9
+    k = 9 if dim == 1 else 3
+    cells = np.stack(np.meshgrid(*[np.arange(k)] * dim, indexing="ij"), -1).reshape(-1, dim)
+    cells = rng.permutation(cells)
+
+    def spread(rows):
+        return (cells[rows] + rng.uniform(0.3, 0.7, size=cells[rows].shape)) / k
+
+    data = [EventSet(spread(slice(0, 4))), EventSet(np.zeros((0, dim)))]
+    samples = []
+    for i in range(3):
+        m = 2 if i else 0
+        samples.append(
+            PosteriorSample(
+                iteration=i,
+                thinned=[spread(slice(4, 7)), spread(slice(7, 7 + m))],
+                rate_idx=[np.zeros(3, dtype=int), np.zeros(m, dtype=int)],
+                g_values=[rng.standard_normal(7), rng.standard_normal(m)],
+                lambda_stars=rng.uniform(5.0, 10.0, size=2),
+                kappas=rng.uniform(0.5, 1.5, size=2),
+                thetas=rng.uniform(0.005, 0.02, size=2),
+                latent_values=np.zeros((0, 0)) if independent else rng.standard_normal((2, J)),
+                phis=np.zeros(0) if independent else rng.uniform(0.01, 0.03, size=2),
+            )
+        )
+    return samples, data, region, cfg
+
+
+class TestProductGridPrediction:
+    CASES = [(1, False), (1, True), (2, False), (2, True)]
+
+    @pytest.mark.parametrize("dim,independent", CASES)
+    def test_grid_and_points_match_dense_path(self, dim, independent):
+        samples, data, region, cfg = _grid_case(dim, independent)
+        quad = Quadrature.for_region(region, 9 if dim == 2 else 33)
+        X = np.random.default_rng(1).uniform(size=(5, dim))
+        dense = intensity_samples(samples, np.vstack([quad.nodes, X]), data, region, cfg)
+        product = intensity_samples(samples, X, data, region, cfg, quad.grid)
+        assert product.shape == dense.shape == (3, 2, quad.nodes.shape[0] + 5)
+        np.testing.assert_allclose(product, dense, rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("dim,independent", CASES)
+    def test_summary_on_grid_is_mean_and_sd_of_samples(self, dim, independent):
+        samples, data, region, cfg = _grid_case(dim, independent, seed=2)
+        quad = Quadrature.for_region(region, 9 if dim == 2 else 33)
+        summary = summarize(samples, quad.grid, data, region, cfg)
+        lams = intensity_samples(samples, quad.nodes, data, region, cfg)
+        np.testing.assert_array_equal(summary.grid, quad.nodes)
+        np.testing.assert_allclose(summary.intensity_mean, lams.mean(axis=0), rtol=1e-10)
+        np.testing.assert_allclose(
+            summary.intensity_sd, lams.std(axis=0), rtol=1e-6, atol=1e-9 * lams.max()
+        )
+        assert summary.latent_mean.shape == (0 if independent else 2, quad.nodes.shape[0])
 
 
 class TestDiagnostics:

@@ -6,11 +6,14 @@ import pytest
 from depcox.errors import ValidationError
 from depcox.gaussian import (
     Mvn,
+    ProductGrid,
+    chol_inverse,
     cholesky_with_jitter,
     conditional_mvn,
     gauss_density,
     gauss_gram,
     gauss_gram_dv,
+    gram_matvec,
     mvn_logpdf,
     mvn_sample,
     tri_solve,
@@ -57,6 +60,44 @@ class TestGaussDensity:
         _, dG = gauss_gram_dv(X, X, v)
         num = (gauss_gram(X, X, v + h) - gauss_gram(X, X, v - h)) / (2 * h)
         np.testing.assert_allclose(dG, num, atol=1e-6)
+
+
+class TestGramMatvec:
+    @pytest.mark.parametrize("lengths", [(7,), (5, 3), (4, 2, 3)])
+    def test_product_grid_matches_dense_gram(self, lengths):
+        rng = np.random.default_rng(len(lengths))
+        grid = ProductGrid([np.sort(rng.uniform(-1, 1, n)) for n in lengths])
+        Z = rng.uniform(-1, 1, size=(6, len(lengths)))
+        c = rng.standard_normal(6)
+        nodes = np.stack([m.ravel() for m in np.meshgrid(*grid.axes, indexing="ij")], axis=-1)
+        want = gauss_gram(nodes, Z, 0.3) @ c
+        got = gram_matvec(grid, Z, 0.3, c)
+        assert got.shape == (grid.size,)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+        np.testing.assert_array_equal(grid.nodes, nodes)
+
+    def test_points_take_the_dense_product(self):
+        rng = np.random.default_rng(4)
+        X, Z, c = rng.uniform(size=(5, 2)), rng.uniform(size=(3, 2)), rng.standard_normal(3)
+        np.testing.assert_array_equal(gram_matvec(X, Z, 0.2, c), gauss_gram(X, Z, 0.2) @ c)
+
+    def test_empty_point_set_gives_zeros(self):
+        grid = ProductGrid([np.linspace(0, 1, 4), np.linspace(0, 1, 3)])
+        np.testing.assert_array_equal(gram_matvec(grid, np.zeros((0, 2)), 0.1, np.zeros(0)), np.zeros(12))
+
+
+class TestCholInverse:
+    def test_matches_dense_inverse_and_is_symmetric(self):
+        rng = np.random.default_rng(5)
+        A = rng.standard_normal((7, 7))
+        S = A @ A.T + 7 * np.eye(7)
+        L, _ = cholesky_with_jitter(S)
+        inv = chol_inverse(L)
+        np.testing.assert_array_equal(inv, inv.T)
+        np.testing.assert_allclose(inv @ (L @ L.T), np.eye(7), atol=1e-12)
+
+    def test_empty_factor(self):
+        assert chol_inverse(np.zeros((0, 0), order="F")).shape == (0, 0)
 
 
 class TestCholeskyJitter:

@@ -22,6 +22,7 @@ from depcox.sgcp import (
     PriorConfig,
     Region,
     _Workspace,
+    _hyper_energy,
     birth_death_step,
     elliptical_slice,
     ess_function_update,
@@ -424,6 +425,29 @@ class TestHmcHyperUpdate:
         a, _, _ = hmc_hyper_update(state, ctx, PriorConfig(), np.random.default_rng(2), 0.2)
         b, _, _ = hmc_hyper_update(state, ctx, PriorConfig(), np.random.default_rng(2), 0.2)
         assert a.kappa == b.kappa and a.theta == b.theta
+
+
+class TestHyperEnergy:
+    @pytest.mark.parametrize("coupled", [True, False])
+    def test_gradient_matches_finite_differences(self, coupled):
+        # points a kernel width apart keep C far from singular, so the
+        # jitter the factorization adds does not enter
+        rng = np.random.default_rng(0)
+        pts = np.linspace(0.05, 0.95, 6)[:, None]
+        g = rng.standard_normal(6)
+        priors = PriorConfig(theta_log_mean=np.log(0.01), kappa_log_sd=0.7, theta_log_sd=0.7)
+        grid = latent_grid(UNIT, 4)
+        prior = (
+            ConvolutionPrior(LatentState(grid, rng.standard_normal((1, 4)), [0.02]))
+            if coupled
+            else IndependentPrior(0.02)
+        )
+        rho, h = np.log([0.8, 0.01]), 1e-5
+        _, grad = _hyper_energy(prior, pts, g, rho, priors)
+        for i, e in enumerate(np.eye(2)):
+            up, _ = _hyper_energy(prior, pts, g, rho + h * e, priors)
+            down, _ = _hyper_energy(prior, pts, g, rho - h * e, priors)
+            assert grad[i] == pytest.approx((up - down) / (2 * h), rel=1e-5)
 
 
 class TestGibbsLambda:

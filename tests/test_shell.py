@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import depcox.convolution
+import depcox.gaussian
 from depcox import io
 from depcox.cli import main
 from depcox.engine import intensity_samples
@@ -247,6 +249,23 @@ class TestEval:
         assert np.isfinite(kde_ll)
         assert kde_ll > uniform_ll
 
+    def test_quadrature_and_export_form_no_node_gram(self, fitted, monkeypatch):
+        tmp_path, cfg, gen, arch = fitted
+        shapes = []
+        original = depcox.gaussian.gauss_gram
+
+        def recording(X, Z, variance):
+            out = original(X, Z, variance)
+            shapes.append(out.shape)
+            return out
+
+        for module in (depcox.gaussian, depcox.convolution):
+            monkeypatch.setattr(module, "gauss_gram", recording)
+        truth = str(gen / "truth_manifest.json")
+        assert main(["eval", str(arch), "--truth", truth, "--out", str(tmp_path / "r.csv")]) == 0
+        assert main(["export-grid", str(arch), "--out", str(tmp_path / "g"), "--resolution", "100"]) == 0
+        assert shapes and not any(n in shape for shape in shapes for n in (128, 100))
+
     def test_process_count_mismatch_exits_2(self, fitted):
         tmp_path, cfg, gen, arch = fitted
         solo = tmp_path / "solo.csv"
@@ -273,6 +292,32 @@ class TestExportGrid:
             assert np.all(vals[:, 2] >= 0)  # sd column
             assert np.all(vals[:, 1] >= 0) and np.all(vals[:, 1] <= max_lam)
         assert (out / "latent_0.csv").exists()
+
+    def test_2d_surfaces_are_finite_and_match_point_predictions(self, tmp_path):
+        cfg = _write_config(
+            tmp_path, region={"lower": [0.0, 0.0], "upper": [1.0, 1.0]}, grid_per_axis=5,
+            n_iters=12, burn_in=6,
+        )
+        gen = tmp_path / "gen"
+        main(["generate", "--config", str(cfg), "--out", str(gen)])
+        arch = tmp_path / "arch"
+        main(["fit", str(gen / "events_0.csv"), str(gen / "events_1.csv"),
+              "--config", str(cfg), "--out", str(arch)])
+        out = tmp_path / "grids"
+        assert main(["export-grid", str(arch), "--out", str(out), "--resolution", "12"]) == 0
+        loaded = io.load_archive(arch)
+        nodes = Quadrature.for_region(loaded.config.region, 12).nodes
+        lams = intensity_samples(
+            loaded.samples, nodes, loaded.train, loaded.config.region, loaded.config.run
+        )
+        for d in range(2):
+            vals = np.loadtxt(out / f"intensity_process_{d}.csv", delimiter=",", skiprows=1)
+            assert vals.shape == (144, 4) and np.all(np.isfinite(vals))
+            np.testing.assert_array_equal(vals[:, :2], nodes)
+            assert np.all(vals[:, 3] >= 0)
+            np.testing.assert_allclose(vals[:, 2], lams[:, d].mean(axis=0), rtol=1e-6)
+        latent = np.loadtxt(out / "latent_0.csv", delimiter=",", skiprows=1)
+        assert latent.shape == (144, 4) and np.all(np.isfinite(latent))
 
     def test_missing_archive_exits_2(self, tmp_path):
         assert main(["export-grid", str(tmp_path / "nope"), "--out", str(tmp_path / "o")]) == 2
