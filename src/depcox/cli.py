@@ -85,8 +85,7 @@ def cmd_fit(args) -> int:
     cfg = io.load_config(args.config)
     if args.seed is not None:
         cfg.run.seed = args.seed
-    events = io.read_event_files(args.events)
-    _validate_in_region(args.events, cfg)
+    events = io.read_event_files(args.events, cfg.region)
     rng = np.random.default_rng(cfg.run.seed)
     train, test, split_idx = _split(events, cfg.train_fraction, rng)
     samples, info = run_chain_with_info(train, cfg.region, cfg.run)
@@ -103,15 +102,6 @@ def cmd_fit(args) -> int:
         f"{info.iterations_per_second:.2f} iterations/sec"
     )
     return 0
-
-
-def _validate_in_region(paths, cfg) -> None:
-    for path in paths:
-        for row_no, pid, point in io.iter_event_rows(path):
-            if not cfg.region.contains_point(np.asarray(point)):
-                raise ValidationError(
-                    f"{path}:{row_no}: event for process {pid} lies outside the region"
-                )
 
 
 def _split(events, fraction, rng):

@@ -33,6 +33,7 @@ from .gaussian import (
     ProductGrid,
     chol_inverse,
     chol_solve,
+    cholesky,
     cholesky_with_jitter,
     gauss_density,
     gauss_gram,
@@ -128,7 +129,8 @@ def output_cov(x, x2, d: int, d2: int, params: CouplingParams, phis) -> float:
 
 
 class LatentFactor:
-    """Cholesky factor of one latent function's grid covariance K(grid, grid; phi).
+    """One latent function's grid covariance ``K = K(grid, grid; phi)`` and
+    its Cholesky factor ``L``.
 
     Built once per distinct ``phi`` and shared by every prior at that
     ``phi``; its inverse, the latent prior precision, is formed on first use.
@@ -137,7 +139,8 @@ class LatentFactor:
     def __init__(self, grid: np.ndarray, phi: float):
         self.grid = grid
         self.phi = float(phi)
-        self.L, _ = cholesky_with_jitter(gauss_gram(grid, grid, self.phi))
+        self.K = gauss_gram(grid, grid, self.phi)
+        self.L, _ = cholesky_with_jitter(self.K)
         self._inverse = None
 
     def matches(self, grid: np.ndarray, phi: float) -> bool:
@@ -389,7 +392,7 @@ class FixedFunctionPrior:
 
 
 def latent_posterior(
-    g_list, X_list, prior: ConvolutionPrior, params: CouplingParams, W_list=None
+    g_list, X_list, prior: ConvolutionPrior, params: CouplingParams, W_list=None, A_list=None
 ) -> Mvn:
     """Joint Gaussian posterior over the stacked latent grid values.
 
@@ -398,7 +401,8 @@ def latent_posterior(
     that process's coupling matrix and dense residual covariance. No
     cross-process covariance is ever assembled. Only the prior's latent
     factors enter, not its current grid values. ``W_list`` holds each
-    process's projection if the caller has it already.
+    process's projection and ``A_list`` its coupling matrix if the caller
+    has them already.
     """
     if len(g_list) != params.n_processes or len(X_list) != params.n_processes:
         raise ValidationError("one g vector and one point set per process required")
@@ -419,7 +423,7 @@ def latent_posterior(
         if g_d.size == 0:
             continue
         W = prior.project(X_d, params.thetas[d]) if W_list is None else W_list[d]
-        A = prior.coupling_matrix(W, params.kappas[d])
+        A = prior.coupling_matrix(W, params.kappas[d]) if A_list is None else A_list[d]
         _, D = prior.mean_cov(X_d, params.kappas[d], params.thetas[d], W)
         L_D, _ = cholesky_with_jitter(D)
         DiA = chol_solve(L_D, A)
@@ -428,18 +432,19 @@ def latent_posterior(
     P = 0.5 * (P + P.T)
     # P is positive definite by construction; jitter only as a fallback
     try:
-        L_P = np.asfortranarray(np.linalg.cholesky(P))
+        L_P = cholesky(P)
     except np.linalg.LinAlgError:
         L_P, _ = cholesky_with_jitter(P)
+    del P  # before the inverse: at J = 400 this stage sets the chain's peak memory
     return Mvn(chol_solve(L_P, b), chol_inverse(L_P))
 
 
 def sample_latent_posterior(
     g_list, X_list, prior: ConvolutionPrior, params: CouplingParams, rng: np.random.Generator,
-    W_list=None,
+    W_list=None, A_list=None,
 ) -> np.ndarray:
     """Draw new latent grid values from their joint posterior, shaped (Q, J)."""
-    post = latent_posterior(g_list, X_list, prior, params, W_list)
+    post = latent_posterior(g_list, X_list, prior, params, W_list, A_list)
     flat = mvn_sample(post, rng)
     return flat.reshape(prior.latent.n_latent, prior.latent.n_grid)
 

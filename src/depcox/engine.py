@@ -5,6 +5,15 @@ own keyed random stream, then draws the latent grid values from their
 joint posterior and updates the latent variances. The latent stage
 factors each latent Gram matrix once per distinct variance and passes
 that factor to every step that needs it.
+
+Each process's conditional prior lives in the workspace its ``GpContext``
+owns (``sgcp._Workspace``): the point-set projection ``W``, mean ``m`` and
+residual covariance ``C``, kept in step by the kernels that move points.
+The function slice update draws from its ``m`` and ``C``, and the latent
+stage takes each process's ``W`` from it; the engine never projects a
+point set itself. Installing the end-of-sweep prior, at the same latent
+factors, refreshes only ``m``; a Hamiltonian or latent-variance accept
+makes the next use rebuild the workspace.
 """
 
 from __future__ import annotations
@@ -31,7 +40,6 @@ from .gaussian import (
     _as_points,
     chol_solve,
     cholesky_with_jitter,
-    gauss_gram,
     mvn_sample,
 )
 from .sgcp import (
@@ -113,7 +121,7 @@ def run_chain(data, region: Region, config: RunConfig):
     return samples
 
 
-def _latent_ess_move(states, W_list, prior: ConvolutionPrior, params, ladder, rng):
+def _latent_ess_move(states, A_list, prior: ConvolutionPrior, ladder, rng):
     """Joint slice move of the latent values and all function values.
 
     Holds each process's residual (function values minus the smoothed
@@ -124,12 +132,11 @@ def _latent_ess_move(states, W_list, prior: ConvolutionPrior, params, ladder, rn
     residuals are tiny and the centered alternation alone would move the
     latent only by hairline steps per sweep. Only the function values are
     kept: the exact resample that follows redraws the latent values.
-    ``W_list`` holds each process's projection of its points.
+    ``A_list`` holds each process's coupling matrix.
     """
     from .sgcp import elliptical_slice, point_loglik
 
     latent = prior.latent
-    A_list = [prior.coupling_matrix(W, kappa) for W, kappa in zip(W_list, params.kappas)]
     u_flat = latent.values.ravel()
     residuals = [states[d].g_values - A_list[d] @ u_flat for d in range(len(states))]
     J = latent.n_grid
@@ -137,7 +144,7 @@ def _latent_ess_move(states, W_list, prior: ConvolutionPrior, params, ladder, rn
     chol = np.zeros((u_flat.size, u_flat.size), order="F")
     for q, f in enumerate(prior.factors):
         sl = slice(q * J, (q + 1) * J)
-        cov[sl, sl] = gauss_gram(latent.grid, latent.grid, f.phi)
+        cov[sl, sl] = f.K
         chol[sl, sl] = f.L
     prior_dist = Mvn(np.zeros(u_flat.size), cov, chol)
 
@@ -228,8 +235,7 @@ def run_chain_with_info(data, region: Region, config: RunConfig):
             ctx = contexts[d]
             state = birth_death_step(state, region, ladder, ctx, rng, b=config.insert_prob)
             state = move_step(state, region, ladder, ctx, rng)
-            m, C = ctx.prior.mean_cov(ctx.points(state), state.kappa, state.theta)
-            state = ess_function_update(state, Mvn(m, C), ladder, rng)
+            state = ess_function_update(state, ctx.workspace(state).prior_dist(), ladder, rng)
             state, accepted, accept_prob = hmc_hyper_update(
                 state, ctx, priors, rng, float(hmc_step[d]), config.hmc_steps
             )
@@ -266,14 +272,16 @@ def run_chain_with_info(data, region: Region, config: RunConfig):
                 np.array([s.kappa for s in states]),
                 np.array([s.theta for s in states]),
             )
-            x_list = [contexts[d].points(states[d]) for d in range(n_proc)]
-            # one projection per process serves both latent moves: the
-            # slice move changes function values, not points or theta
-            W_list = [prior.project(x, theta) for x, theta in zip(x_list, params.thetas)]
-            _latent_ess_move(states, W_list, prior, params, ladder, latent_rng)
+            # each process's kept projection and one coupling matrix serve
+            # both latent moves: the slice move changes function values, not
+            # points or theta
+            spaces = [ctx.workspace(s) for ctx, s in zip(contexts, states)]
+            W_list = [ws.W for ws in spaces]
+            A_list = [prior.coupling_matrix(W, k) for W, k in zip(W_list, params.kappas)]
+            _latent_ess_move(states, A_list, prior, ladder, latent_rng)
             g_list = [s.g_values for s in states]
             new_values = sample_latent_posterior(
-                g_list, x_list, prior, params, latent_rng, W_list
+                g_list, [ws.pts for ws in spaces], prior, params, latent_rng, W_list, A_list
             )
             prior = ConvolutionPrior(LatentState(grid, new_values, latent.phis), prior.factors)
             prior, acc = phi_mh_update(

@@ -11,6 +11,11 @@ gradient.
 The isotropic Gaussian kernel factorizes over axes, so on a product grid
 (``ProductGrid``) a Gram-vector product needs only one small factor per
 axis (``gram_matvec``).
+
+The hot factorizations and solves call LAPACK directly, through routines
+resolved once at import: ``cholesky`` (``dpotrf``, which
+``cholesky_with_jitter`` wraps), ``tri_solve`` (``dtrtrs``) and
+``chol_inverse`` (``dpotri``).
 """
 
 from __future__ import annotations
@@ -30,9 +35,11 @@ MAX_JITTER_DOUBLINGS = 4
 
 # Resolved once: scipy's solve_triangular validates and looks the routine up
 # on every call, which cost ten times the solve itself for the small
-# single-right-hand-side systems of the per-point updates.
+# single-right-hand-side systems of the per-point updates. np.linalg.cholesky
+# took three times as long as dpotrf on a 400x400 matrix, for the same factor.
 _TRTRS = lapack.dtrtrs
 _POTRI = lapack.dpotri
+_POTRF = lapack.dpotrf
 
 
 class ProductGrid:
@@ -141,23 +148,42 @@ def _as_points(X) -> np.ndarray:
     return X
 
 
+def cholesky(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a symmetric positive definite ``a``, with
+    no jitter; raises ``LinAlgError`` if ``a`` is not positive definite.
+
+    One LAPACK ``dpotrf`` call; the factor is Fortran-ordered, the layout
+    ``tri_solve`` hands to LAPACK without a copy, with its upper triangle
+    zeroed.
+    """
+    L, info = _POTRF(a, lower=1, clean=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"matrix not positive definite: pivot {info - 1}")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrf")
+    return L
+
+
 def cholesky_with_jitter(cov: np.ndarray) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of ``cov`` plus jitter; returns (L, jitter used).
 
-    The factor is Fortran-ordered, the layout ``tri_solve`` hands to LAPACK
-    without a copy.
+    The factor is Fortran-ordered (see ``cholesky``).
     """
     cov = np.asarray(cov, dtype=float)
     n = cov.shape[0]
     if n == 0:
         return np.zeros((0, 0), order="F"), 0.0
-    sym = 0.5 * (cov + cov.T)
+    sym = cov + cov.T
+    sym *= 0.5
     mean_diag = float(np.trace(sym)) / n
     jitter = JITTER_SCALE * mean_diag if mean_diag > 0 else JITTER_SCALE
-    eye = np.eye(n)
     for _ in range(MAX_JITTER_DOUBLINGS + 1):
+        # sym + jitter * I without building I and jitter * I: at J = 400
+        # the latent stage's factorizations set the chain's peak memory
+        shifted = sym.copy()
+        shifted.flat[:: n + 1] += jitter
         try:
-            return np.asfortranarray(np.linalg.cholesky(sym + jitter * eye)), jitter
+            return cholesky(shifted), jitter
         except np.linalg.LinAlgError:
             jitter *= 2.0
     raise NumericalError(
@@ -201,7 +227,8 @@ def chol_inverse(L: np.ndarray) -> np.ndarray:
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dpotri")
     inv = np.tril(inv)
-    return inv + np.tril(inv, -1).T
+    inv += np.tril(inv, -1).T
+    return inv
 
 
 @dataclass

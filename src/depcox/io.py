@@ -35,16 +35,23 @@ def write_event_file(path, events: EventSet, dim: int | None = None) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_event_files(paths) -> list[EventSet]:
-    """Read one or more event files; process ids are mapped to a contiguous
-    0..D-1 label set in sorted order of the raw ids."""
+def read_event_files(paths, region: Region | None = None) -> list[EventSet]:
+    """Read one or more event files, each once; process ids are mapped to a
+    contiguous 0..D-1 label set in sorted order of the raw ids.
+
+    Given a ``region``, an event outside it raises ``ValidationError``
+    naming its file and row.
+    """
     raw: dict[int, list] = {}
     dim = 1
     for path in paths:
-        text = Path(path).read_text().strip().splitlines()
-        if text:
-            dim = max(dim, len(text[0].split(",")) - 1)
-        for row_no, pid, point in iter_event_rows(path):
+        file_dim, rows = _event_table(path)
+        dim = max(dim, file_dim)
+        for row_no, pid, point in rows:
+            if region is not None and not region.contains_point(point):
+                raise ValidationError(
+                    f"{path}:{row_no}: event for process {pid} lies outside the region"
+                )
             raw.setdefault(pid, []).append(point)
     if not raw:
         # header-only inputs define a single process with no events
@@ -57,6 +64,12 @@ def read_event_files(paths) -> list[EventSet]:
 
 def iter_event_rows(path):
     """Yield (row_number, process_id, point) from one event file."""
+    yield from _event_table(path)[1]
+
+
+def _event_table(path) -> tuple[int, list]:
+    """One event file's dimension, from its header, and its rows
+    (row_number, process_id, point)."""
     text = Path(path).read_text().strip().splitlines()
     if not text:
         raise ValidationError(f"{path}: empty event file")
@@ -64,6 +77,7 @@ def iter_event_rows(path):
     if header[0] != EVENT_HEADER or len(header) < 2:
         raise ValidationError(f"{path}: bad header {text[0]!r}")
     dim = len(header) - 1
+    rows = []
     for row_no, line in enumerate(text[1:], start=2):
         if not line.strip():
             continue
@@ -77,7 +91,8 @@ def iter_event_rows(path):
             raise ValidationError(f"{path}:{row_no}: {exc}") from exc
         if not all(np.isfinite(point)):
             raise ValidationError(f"{path}:{row_no}: non-finite coordinate")
-        yield row_no, pid, point
+        rows.append((row_no, pid, point))
+    return dim, rows
 
 
 # ---------------------------------------------------------------------------

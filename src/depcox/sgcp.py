@@ -8,6 +8,15 @@ points, relocation moves, an elliptical slice update of the function
 values, a Hamiltonian update of the hyperparameters, and a conjugate Gamma
 resample of the bound. Each kernel leaves the augmented posterior
 invariant on its own, so they can be composed in any order.
+
+The conditional prior over a process's current points (projection ``W``,
+mean ``m``, residual covariance ``C``) lives in one ``_Workspace`` per
+process, owned by its ``GpContext`` for the whole chain. Birth/death and
+move take it from the context and keep it in step as they add, remove and
+move points. It is rebuilt only when ``W`` or ``C`` no longer hold: a new
+``kappa`` or ``theta``, new latent factors, or a different point set. A
+new prior at the same factors refreshes ``m`` alone. The Cholesky factor
+of ``C`` is formed afresh by each kernel.
 """
 
 from __future__ import annotations
@@ -189,10 +198,16 @@ class AugmentedState:
 @dataclass
 class GpContext:
     """What a process's kernels need from the outside: its observed
-    locations and the (conditional) prior over its function values."""
+    locations and the (conditional) prior over its function values.
+
+    The context owns the process's ``_Workspace`` and hands it out through
+    ``workspace``, so one projection of the point set serves every kernel
+    for as long as it holds (see ``_Workspace``).
+    """
 
     data: np.ndarray
     prior: object = field(repr=False)
+    _ws: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=float)
@@ -208,6 +223,22 @@ class GpContext:
         if self.data.shape[0] == 0:
             return state.thinned.copy()
         return np.vstack([self.data, state.thinned])
+
+    def workspace(self, state: AugmentedState) -> "_Workspace":
+        """The conditional prior over ``state``'s points under ``prior``.
+
+        The kept workspace is reused while its latent factors, ``kappa``,
+        ``theta`` and point set still hold, and built afresh otherwise. A
+        reused one takes ``state``'s function values, refreshes its mean if
+        the prior changed at the same factors, and drops its Cholesky
+        factor, so each kernel factors ``C`` afresh at its first conditional.
+        """
+        ws = self._ws
+        if ws is None or not ws.holds_for(self.prior, state):
+            ws = self._ws = _Workspace(self, state)
+        else:
+            ws.refresh(self.prior, state)
+        return ws
 
 
 def point_loglik(g_values, n_data: int, rate_idx, ladder: RateLadder) -> float:
@@ -232,6 +263,17 @@ def point_loglik(g_values, n_data: int, rate_idx, ladder: RateLadder) -> float:
     return ll
 
 
+def _same_factors(a, b) -> bool:
+    """Whether two priors share their latent factors, object for object."""
+    if a is b:
+        return True
+    fa, fb = getattr(a, "factors", None), getattr(b, "factors", None)
+    return (
+        fa is not None and fb is not None and len(fa) == len(fb)
+        and all(x is y for x, y in zip(fa, fb))
+    )
+
+
 class _Workspace:
     """Dense conditional prior over the current point set with a cached
     Cholesky factor; supports cheap appends and drop-one conditionals.
@@ -244,6 +286,17 @@ class _Workspace:
     conditional at a new site projects only that site: one J-vector solve
     per latent function plus ``W_x^T W``. Priors without a latent grid
     project to an empty (0, n) ``W``.
+
+    Lifetime: one workspace per process lives for the whole chain, owned
+    by the process's ``GpContext``. ``W`` and ``C`` depend only on the
+    latent factors, ``kappa``, ``theta`` and the points, ``m`` also on the
+    latent values. So the workspace survives a new prior at the same
+    factors, which refreshes ``m`` only (``refresh``), and is rebuilt when
+    ``kappa`` or ``theta`` changes (a Hamiltonian accept), when a factor
+    changes (a latent-variance accept) or when the point set no longer
+    matches (``holds_for``). The factor of ``C`` lives for one kernel: a
+    kept ``C`` carries the rounding of its updates, and a fresh factor
+    takes a fresh jitter, as a freshly built ``C`` would.
     """
 
     def __init__(self, ctx: GpContext, state: AugmentedState):
@@ -259,6 +312,28 @@ class _Workspace:
         self._v = None
         self._jitter = 0.0
         self._last_site = None
+
+    def holds_for(self, prior, state: AugmentedState) -> bool:
+        """Whether ``W`` and ``C`` hold for ``prior`` and ``state``'s points
+        (the observed ones are the context's and never change)."""
+        return (
+            state.kappa == self.kappa
+            and state.theta == self.theta
+            and _same_factors(prior, self.prior)
+            and self.pts.shape[0] == state.g_values.size
+            and np.array_equal(self.pts[state.n_data :], state.thinned)
+        )
+
+    def refresh(self, prior, state: AugmentedState) -> None:
+        """Take ``state``'s function values and drop the factor of ``C``; a
+        new ``prior`` at the same factors also refreshes the mean."""
+        if prior is not self.prior:
+            self.prior = prior
+            self.m = prior.mean(self.pts, self.kappa, self.theta)
+            self._last_site = None
+        self.g = state.g_values.copy()
+        self._L = None
+        self._v = None
 
     def _factor(self):
         if self._L is None:
@@ -375,7 +450,7 @@ def birth_death_step(
     default is one attempt per observed event plus one.
     """
     state = state.copy()
-    ws = _Workspace(ctx, state)
+    ws = ctx.workspace(state)
     if attempts is None:
         attempts = ctx.data.shape[0] + 1
     levels = ladder.as_array()
@@ -425,7 +500,7 @@ def move_step(
         return state
     if scale is None:
         scale = region.axis_lengths / 10.0
-    ws = _Workspace(ctx, state)
+    ws = ctx.workspace(state)
     levels = ladder.as_array()
     for i in range(M):
         x_new = state.thinned[i] + scale * rng.standard_normal(region.dim)
@@ -529,14 +604,16 @@ def _hyper_energy(prior, pts, g, rho, priors: PriorConfig):
     return nlp, grad
 
 
-def leapfrog(energy_and_grad, q0: np.ndarray, p0: np.ndarray, step_size: float, n_steps: int):
+def leapfrog(energy_and_grad, q0: np.ndarray, p0: np.ndarray, step_size: float, n_steps: int,
+             start=None):
     """Standard leapfrog integration of Hamiltonian dynamics.
 
+    ``start`` is ``energy_and_grad(q0)`` if the caller has it already.
     Returns ``(q, p, energy, ok)``; ``ok`` is False if the potential or its
     gradient became non-finite along the trajectory.
     """
     try:
-        u, grad = energy_and_grad(q0)
+        u, grad = energy_and_grad(q0) if start is None else start
     except (NumericalError, FloatingPointError, OverflowError):
         return q0, p0, np.inf, False
     q = q0.copy()
@@ -578,12 +655,12 @@ def hmc_hyper_update(
         return _hyper_energy(ctx.prior, pts, g, r, priors)
 
     try:
-        u0, _ = energy_and_grad(rho)
+        start = energy_and_grad(rho)
     except NumericalError:
         return state.copy(), False, 0.0
     p0 = rng.standard_normal(2)
-    h0 = u0 + 0.5 * float(p0 @ p0)
-    rho_new, p_new, u_new, ok = leapfrog(energy_and_grad, rho, p0, step_size, n_steps)
+    h0 = start[0] + 0.5 * float(p0 @ p0)
+    rho_new, p_new, u_new, ok = leapfrog(energy_and_grad, rho, p0, step_size, n_steps, start)
     new = state.copy()
     if not ok:
         return new, False, 0.0

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from depcox.errors import ValidationError
+from depcox.errors import NumericalError, ValidationError
 from depcox.gaussian import (
     Mvn,
+    JITTER_SCALE,
     ProductGrid,
     chol_inverse,
     cholesky_with_jitter,
@@ -115,6 +116,33 @@ class TestCholeskyJitter:
     def test_empty_matrix(self):
         L, jit = cholesky_with_jitter(np.zeros((0, 0)))
         assert L.shape == (0, 0)
+
+    def test_matches_numpy_factor_of_the_jittered_matrix(self):
+        rng = np.random.default_rng(4)
+        for n in (1, 7, 70):
+            A = rng.standard_normal((n, n))
+            S = A @ A.T + n * np.eye(n)
+            L, jit = cholesky_with_jitter(S)
+            sym = 0.5 * (S + S.T)
+            assert jit == pytest.approx(JITTER_SCALE * np.trace(sym) / n, rel=1e-12)
+            assert L.flags.f_contiguous
+            want = np.linalg.cholesky(sym + jit * np.eye(n))
+            assert np.max(np.abs(L - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_escalates_on_singular_psd_matrix(self):
+        # rank 3, positive semidefinite in exact arithmetic; built through a
+        # cancellation, as the residual covariance is, so rounding leaves
+        # eigenvalues below minus the first jitter
+        X = np.random.default_rng(0).uniform(size=(30, 3))
+        S = (X @ X.T + 1e8) - 1e8
+        L, jit = cholesky_with_jitter(S)
+        base = JITTER_SCALE * np.trace(S) / 30
+        assert jit > 1.5 * base  # at least one doubling
+        np.testing.assert_allclose(L @ L.T, S + jit * np.eye(30), rtol=0, atol=1e-12)
+
+    def test_raises_on_indefinite_matrix(self):
+        with pytest.raises(NumericalError, match=r"\(2x2\) not positive definite"):
+            cholesky_with_jitter(np.diag([1.0, -1.0]))
 
 
 class TestTriSolve:

@@ -5,6 +5,7 @@ import pytest
 from scipy.special import expit, logit
 from scipy.stats import kstest, norm
 
+import depcox.sgcp
 from depcox.convolution import (
     ConvolutionPrior,
     FixedFunctionPrior,
@@ -263,6 +264,85 @@ class TestWorkspaceCache:
         )
 
 
+class TestWorkspaceLifetime:
+    """The context's workspace lives across kernels: a new prior at the same
+    latent factors refreshes only the mean; anything that changes ``W`` or
+    ``C`` rebuilds it."""
+
+    THETA = 0.01
+    KAPPA = 1.1
+
+    def _setup(self):
+        rng = np.random.default_rng(23)
+        grid = latent_grid(Region([0.0, 0.0], [1.0, 1.0]), 4)
+        prior = ConvolutionPrior(LatentState(grid, rng.standard_normal((2, 16)), [0.02, 0.05]))
+        ctx = GpContext(rng.uniform(size=(5, 2)), prior)
+        state = _empty_state(n_data=5, kappa=self.KAPPA, theta=self.THETA)
+        state.thinned = np.zeros((0, 2))
+        state.append_thinned(rng.uniform(size=2), -0.5, 0)
+        state.g_values = rng.standard_normal(6)
+        return ctx, state, rng
+
+    def test_same_factors_refresh_the_mean_only(self, monkeypatch):
+        ctx, state, rng = self._setup()
+        ws = ctx.workspace(state)
+        W, C = ws.W.copy(), ws.C.copy()
+        ws.conditional(rng.uniform(size=2))  # forms the factor
+        old = ctx.prior
+        ctx.prior = ConvolutionPrior(
+            LatentState(old.latent.grid, rng.standard_normal((2, 16)), old.latent.phis), old.factors
+        )
+        state.g_values = rng.standard_normal(6)
+        with monkeypatch.context() as patched:
+            patched.setattr(ConvolutionPrior, "project", lambda *a: pytest.fail("re-projected"))
+            assert ctx.workspace(state) is ws
+        assert ws.prior is ctx.prior and ws._L is None
+        np.testing.assert_array_equal(ws.W, W)
+        np.testing.assert_array_equal(ws.C, C)
+        np.testing.assert_array_equal(ws.g, state.g_values)
+        m = ctx.prior.mean(ctx.points(state), self.KAPPA, self.THETA)
+        assert np.max(np.abs(ws.m - m)) <= 1e-10 * np.max(np.abs(m))
+        x = rng.uniform(size=2)
+        want = _Workspace(ctx, state).conditional(x)
+        assert ws.conditional(x) == pytest.approx(want, rel=1e-8)
+
+    @pytest.mark.parametrize("change", ["kappa", "theta", "phi", "points"])
+    def test_changes_to_w_or_c_rebuild(self, change):
+        ctx, state, rng = self._setup()
+        ws = ctx.workspace(state)
+        if change == "kappa":
+            state.kappa *= 1.5
+        elif change == "theta":
+            state.theta *= 1.5
+        elif change == "phi":
+            old = ctx.prior
+            ctx.prior = ConvolutionPrior(
+                LatentState(old.latent.grid, old.latent.values, [0.02, 0.07]), old.factors
+            )
+        else:
+            state.thinned[0] += 0.01
+        rebuilt = ctx.workspace(state)
+        assert rebuilt is not ws
+        pts = ctx.points(state)
+        np.testing.assert_array_equal(rebuilt.W, ctx.prior.project(pts, state.theta))
+        m, C = ctx.prior.mean_cov(pts, state.kappa, state.theta)
+        np.testing.assert_array_equal(rebuilt.m, m)
+        np.testing.assert_array_equal(rebuilt.C, C)
+
+    def test_kernels_keep_the_context_workspace_in_step(self):
+        ctx, state, rng = self._setup()
+        region = Region([0.0, 0.0], [1.0, 1.0])
+        state.lambda_star = 30.0
+        ws = ctx.workspace(state)
+        for _ in range(5):
+            state = birth_death_step(state, region, SINGLE, ctx, rng)
+            state = move_step(state, region, SINGLE, ctx, rng)
+        assert state.n_thinned > 1
+        assert ctx.workspace(state) is ws
+        np.testing.assert_array_equal(ws.pts, ctx.points(state))
+        np.testing.assert_allclose(ws.W, ctx.prior.project(ws.pts, self.THETA), rtol=0, atol=1e-10)
+
+
 class TestBirthDeath:
     def test_deletion_with_no_points_is_noop(self):
         state = _empty_state()
@@ -425,6 +505,29 @@ class TestHmcHyperUpdate:
         a, _, _ = hmc_hyper_update(state, ctx, PriorConfig(), np.random.default_rng(2), 0.2)
         b, _, _ = hmc_hyper_update(state, ctx, PriorConfig(), np.random.default_rng(2), 0.2)
         assert a.kappa == b.kappa and a.theta == b.theta
+
+    def test_start_energy_is_evaluated_once(self, monkeypatch):
+        # leapfrog takes the start energy and gradient from the caller;
+        # made to evaluate them again, it gives the same transition
+        state = _empty_state(n_data=3)
+        state.g_values = np.array([0.5, -0.5, 0.2])
+        ctx = GpContext(np.random.default_rng(0).uniform(size=(3, 1)), IndependentPrior(0.05))
+        calls = []
+        energy = depcox.sgcp._hyper_energy
+        monkeypatch.setattr(depcox.sgcp, "_hyper_energy", lambda *a: calls.append(1) or energy(*a))
+
+        def run():
+            calls.clear()
+            out = hmc_hyper_update(state, ctx, PriorConfig(), np.random.default_rng(2), 0.2, 10)
+            return out, len(calls)
+
+        (a, accepted_a, prob_a), n_a = run()
+        monkeypatch.setattr(
+            depcox.sgcp, "leapfrog", lambda f, q0, p0, eps, n, start=None: leapfrog(f, q0, p0, eps, n)
+        )
+        (b, accepted_b, prob_b), n_b = run()
+        assert n_a == 11 and n_b == n_a + 1
+        assert (a.kappa, a.theta, accepted_a, prob_a) == (b.kappa, b.theta, accepted_b, prob_b)
 
 
 class TestHyperEnergy:

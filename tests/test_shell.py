@@ -152,6 +152,19 @@ class TestFit:
         assert cfg.run.n_iters == 40
         assert "parallel_workers" not in io.config_to_dict(cfg)
 
+    def test_fit_reads_each_event_file_once(self, tmp_path, monkeypatch):
+        cfg = _write_config(tmp_path, n_iters=2, burn_in=0)
+        gen = tmp_path / "gen"
+        main(["generate", "--config", str(cfg), "--out", str(gen)])
+        events = [gen / "events_0.csv", gen / "events_1.csv"]
+        reads = []
+        read_text = Path.read_text
+        monkeypatch.setattr(
+            Path, "read_text", lambda path, *a, **k: reads.append(path) or read_text(path, *a, **k)
+        )
+        assert main(["fit", *map(str, events), "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+        assert sorted(p for p in reads if p.name.startswith("events_")) == events
+
     def test_event_outside_region_exits_2_with_row(self, tmp_path, capsys):
         cfg = _write_config(tmp_path)
         bad = tmp_path / "bad.csv"
