@@ -9,14 +9,11 @@ multi-level thinning.
 from .convolution import (
     ConvolutionPrior,
     CouplingParams,
-    FixedFunctionPrior,
     IndependentPrior,
     LatentFactor,
     LatentState,
-    cross_cov,
     latent_grid,
     latent_posterior,
-    output_cov,
     phi_mh_update,
     sample_latent_posterior,
 )
@@ -28,7 +25,6 @@ from .engine import (
     diagnostics,
     effective_sample_size,
     intensity_samples,
-    run_chain,
     run_chain_with_info,
     split_psrf,
     summarize,
@@ -38,10 +34,7 @@ from .gaussian import (
     Mvn,
     ProductGrid,
     cholesky_with_jitter,
-    conditional_mvn,
-    gauss_density,
     gauss_gram,
-    mvn_logpdf,
     mvn_sample,
 )
 from .generate import (

@@ -125,28 +125,25 @@ def cmd_eval(args) -> int:
     cfg = io.load_config(args.config) if args.config else archive.config
     if cfg.region.dim != archive.config.region.dim:
         raise ValidationError("config region dimension does not match archive")
-    if args.events:
-        test = io.read_event_files(args.events)
-    else:
-        test = archive.test
+    test = io.read_event_files(args.events, cfg.region) if args.events else archive.test
     if len(test) != len(archive.train):
         raise ValidationError(
             f"archive has {len(archive.train)} processes but test data has {len(test)}"
         )
     quad = Quadrature.for_region(cfg.region, cfg.quad_resolution())
     rows = []
-    rows += _model_rows("ours", archive.samples, archive, test, quad)
+    rows += _model_rows("ours", archive.samples, archive.config.run, archive, test, quad)
     truth = io.load_truth(args.truth) if args.truth else None
     if truth is not None:
-        rows += _l2_rows("ours", archive.samples, archive, truth, quad)
+        rows += _l2_rows("ours", archive.samples, archive.config.run, archive, truth, quad)
     if args.baselines:
         ind_cfg = replace(archive.config.run, independent=True)
         if args.seed is not None:
             ind_cfg = replace(ind_cfg, seed=args.seed)
         ind_samples, _ = run_chain_with_info(archive.train, cfg.region, ind_cfg)
-        rows += _model_rows("independent", ind_samples, archive, test, quad, independent=True)
+        rows += _model_rows("independent", ind_samples, ind_cfg, archive, test, quad)
         if truth is not None:
-            rows += _l2_rows("independent", ind_samples, archive, truth, quad, independent=True)
+            rows += _l2_rows("independent", ind_samples, ind_cfg, archive, truth, quad)
         rows += _kde_rows(archive, test, quad, truth)
     if args.out:
         io.write_report(args.out, rows)
@@ -158,17 +155,14 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _model_rows(model, samples, archive, test, quad, independent=False):
-    cfg_run = archive.config.run
-    if independent:
-        cfg_run = replace(cfg_run, independent=True)
+def _model_rows(model, samples, run, archive, test, quad):
     region = archive.config.region
     rows = []
     # one pass over the samples: every process at the quadrature nodes and
     # at all test points, each process then reading its own test points
     n_nodes = quad.nodes.shape[0]
     X = np.vstack([np.zeros((0, region.dim)), *(ev.points for ev in test if len(ev))])
-    lams = intensity_samples(samples, X, archive.train, region, cfg_run, quad.grid)
+    lams = intensity_samples(samples, X, archive.train, region, run, quad.grid)
     ends = n_nodes + np.cumsum([len(ev) for ev in test])
     for d, ev in enumerate(test):
         grid_lams = lams[:, d, :n_nodes]
@@ -182,12 +176,8 @@ def _model_rows(model, samples, archive, test, quad, independent=False):
     return rows
 
 
-def _l2_rows(model, samples, archive, truth, quad, independent=False):
-    cfg_run = archive.config.run
-    if independent:
-        cfg_run = replace(cfg_run, independent=True)
-    region = archive.config.region
-    lam = summarize(samples, quad.grid, archive.train, region, cfg_run).intensity_mean
+def _l2_rows(model, samples, run, archive, truth, quad):
+    lam = summarize(samples, quad.grid, archive.train, archive.config.region, run).intensity_mean
     rows = []
     for d in range(len(archive.train)):
         true_lam = truth.intensity(d, quad.nodes)

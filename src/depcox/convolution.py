@@ -31,11 +31,11 @@ from .errors import ValidationError
 from .gaussian import (
     Mvn,
     ProductGrid,
+    _as_points,
     chol_inverse,
     chol_solve,
     cholesky,
     cholesky_with_jitter,
-    gauss_density,
     gauss_gram,
     gauss_gram_dv,
     gram_matvec,
@@ -73,9 +73,7 @@ class LatentState:
     phis: np.ndarray  # (Q,)
 
     def __post_init__(self):
-        self.grid = np.asarray(self.grid, dtype=float)
-        if self.grid.ndim == 1:
-            self.grid = self.grid[:, None]
+        self.grid = _as_points(self.grid)
         self.values = np.atleast_2d(np.asarray(self.values, dtype=float))
         self.phis = np.atleast_1d(np.asarray(self.phis, dtype=float))
         if self.values.shape[1] != self.grid.shape[0]:
@@ -93,9 +91,6 @@ class LatentState:
     def n_grid(self) -> int:
         return self.grid.shape[0]
 
-    def copy(self) -> "LatentState":
-        return LatentState(self.grid, self.values.copy(), self.phis.copy())
-
 
 def latent_grid(region, per_axis: int, pad: float = 0.1) -> np.ndarray:
     """Evenly spaced inducing grid spanning the region extended by ``pad`` per side."""
@@ -106,26 +101,6 @@ def latent_grid(region, per_axis: int, pad: float = 0.1) -> np.ndarray:
         ext = pad * (hi - lo)
         axes.append(np.linspace(lo - ext, hi + ext, per_axis))
     return ProductGrid(axes).nodes
-
-
-def cross_cov(x, z, kappa: float, theta: float, phi: float) -> float:
-    """Covariance between a process value at ``x`` and a latent value at ``z``."""
-    if theta <= 0 or phi <= 0:
-        raise ValidationError("theta and phi must be positive")
-    return kappa * gauss_density(x, z, theta + phi)
-
-
-def output_cov(x, x2, d: int, d2: int, params: CouplingParams, phis) -> float:
-    """Covariance between process values (latent functions summed out)."""
-    phis = np.atleast_1d(np.asarray(phis, dtype=float))
-    total = 0.0
-    for phi in phis:
-        total += (
-            params.kappas[d]
-            * params.kappas[d2]
-            * gauss_density(x, x2, params.thetas[d] + params.thetas[d2] + phi)
-        )
-    return total
 
 
 class LatentFactor:
@@ -213,23 +188,29 @@ class ConvolutionPrior:
             (2.0 * np.pi * (2.0 * theta + phi)) ** (-0.5 * d) for phi in self.latent.phis
         )
 
+    def _floored(self, C: np.ndarray, kappa: float, theta: float) -> np.ndarray:
+        """A residual covariance ``C`` symmetrised, with its diagonal raised
+        by 1e-12 of the marginal variance.
+
+        The residual is a difference of same-sized terms; when the grid
+        resolves the kernels it collapses into cancellation noise, so the
+        floor is relative to the marginal (pre-subtraction) variance rather
+        than the residual's own scale.
+        """
+        C = 0.5 * (C + C.T)
+        floor = 1e-12 * self._marginal_var(kappa, theta)
+        if floor > 0 and C.shape[0]:
+            C[np.diag_indices_from(C)] += floor
+        return C
+
     def mean_cov(self, X, kappa: float, theta: float, W=None) -> tuple[np.ndarray, np.ndarray]:
         """Mean and residual covariance at ``X``; ``W`` is ``X``'s projection
         if the caller holds it already."""
         X = np.asarray(X, dtype=float)
         if W is None:
             W = self.project(X, theta)
-        m = self.mean(X, kappa, theta)
         C = self.cov(X, W, X, W, kappa, theta)
-        C = 0.5 * (C + C.T)
-        # The residual is a difference of same-sized terms; when the grid
-        # resolves the kernels it collapses into cancellation noise, so
-        # floor the diagonal relative to the marginal (pre-subtraction)
-        # variance rather than the residual's own scale.
-        floor = 1e-12 * self._marginal_var(kappa, theta)
-        if floor > 0 and C.shape[0]:
-            C[np.diag_indices_from(C)] += floor
-        return m, C
+        return self.mean(X, kappa, theta), self._floored(C, kappa, theta)
 
     def site(self, x, kappa: float, theta: float) -> tuple[np.ndarray, float, float]:
         """Projection, prior mean and residual variance at one site ``x`` (1, d).
@@ -274,11 +255,7 @@ class ConvolutionPrior:
         C *= kappa**2
         dm = np.stack([m, kappa * theta * dm_t])  # d/dlog kappa, d/dlog theta
         dC = np.stack([2.0 * C, kappa**2 * theta * dC_t])
-        C = 0.5 * (C + C.T)
-        floor = 1e-12 * self._marginal_var(kappa, theta)
-        if floor > 0 and C.shape[0]:
-            C[np.diag_indices_from(C)] += floor
-        return m, C, dm, dC
+        return m, self._floored(C, kappa, theta), dm, dC
 
     def coupling_matrix(self, W, kappa: float) -> np.ndarray:
         """Map from stacked latent grid values to the process mean at the
@@ -363,34 +340,6 @@ class IndependentPrior:
         return np.zeros(n), C, np.zeros((2, n)), dC
 
 
-class FixedFunctionPrior:
-    """Degenerate prior pinning the function to a known surface.
-
-    Used by benchmark harnesses that hold the intensity at ground truth:
-    conditional draws return the true value with zero variance.
-    """
-
-    def __init__(self, func, dim: int = 1):
-        self.func = func
-        self.dim = dim
-
-    def project(self, X, theta: float) -> np.ndarray:
-        return np.zeros((0, np.asarray(X).shape[0]))
-
-    def mean(self, X, kappa: float, theta: float) -> np.ndarray:
-        return np.asarray(self.func(np.asarray(X, dtype=float)), dtype=float)
-
-    def cov(self, A, WA, B, WB, kappa: float, theta: float) -> np.ndarray:
-        return np.zeros((np.asarray(A).shape[0], np.asarray(B).shape[0]))
-
-    def mean_cov(self, X, kappa: float, theta: float, W=None):
-        return self.mean(X, kappa, theta), self.cov(X, W, X, W, kappa, theta)
-
-    def site(self, x, kappa: float, theta: float) -> tuple[np.ndarray, float, float]:
-        """Empty projection, the known value and zero variance at one site."""
-        return np.zeros((0, 1)), float(self.mean(x, kappa, theta)[0]), 0.0
-
-
 def latent_posterior(
     g_list, X_list, prior: ConvolutionPrior, params: CouplingParams, W_list=None, A_list=None
 ) -> Mvn:
@@ -414,17 +363,16 @@ def latent_posterior(
         P[q * J : (q + 1) * J, q * J : (q + 1) * J] = f.inverse()
     b = np.zeros(Q * J)
     for d in range(params.n_processes):
-        X_d = np.asarray(X_list[d], dtype=float)
+        X_d = _as_points(X_list[d])
         g_d = np.asarray(g_list[d], dtype=float)
-        if X_d.ndim == 1:
-            X_d = X_d[:, None]
         if g_d.size != X_d.shape[0]:
             raise ValidationError(f"g values and locations disagree for process {d}")
         if g_d.size == 0:
             continue
         W = prior.project(X_d, params.thetas[d]) if W_list is None else W_list[d]
         A = prior.coupling_matrix(W, params.kappas[d]) if A_list is None else A_list[d]
-        _, D = prior.mean_cov(X_d, params.kappas[d], params.thetas[d], W)
+        D = prior._floored(prior.cov(X_d, W, X_d, W, params.kappas[d], params.thetas[d]),
+                           params.kappas[d], params.thetas[d])
         L_D, _ = cholesky_with_jitter(D)
         DiA = chol_solve(L_D, A)
         P += A.T @ DiA

@@ -91,17 +91,20 @@ class RunConfig:
 
 @dataclass
 class PosteriorSample:
-    """One retained draw of the full augmented state."""
+    """One retained draw of the full augmented state.
+
+    Fields are in the key order of an archive's sample records.
+    """
 
     iteration: int
-    thinned: list
-    rate_idx: list
-    g_values: list
     lambda_stars: np.ndarray
     kappas: np.ndarray
     thetas: np.ndarray
-    latent_values: np.ndarray  # (Q, J); empty for independent runs
     phis: np.ndarray
+    latent_values: np.ndarray  # (Q, J); (0, 0) for independent runs
+    thinned: list
+    rate_idx: list
+    g_values: list
 
 
 @dataclass
@@ -112,13 +115,6 @@ class RunInfo:
     iterations_per_second: float
     hmc_accept_rate: np.ndarray
     phi_accept_rate: float
-    inducing_grid: np.ndarray
-
-
-def run_chain(data, region: Region, config: RunConfig):
-    """Run the full sampler; returns the retained posterior samples."""
-    samples, _ = run_chain_with_info(data, region, config)
-    return samples
 
 
 def _latent_ess_move(states, A_list, prior: ConvolutionPrior, ladder, rng):
@@ -163,6 +159,8 @@ def _latent_ess_move(states, A_list, prior: ConvolutionPrior, ladder, rng):
 
 
 def run_chain_with_info(data, region: Region, config: RunConfig):
+    """Run the full sampler; returns the retained posterior samples and a
+    ``RunInfo``."""
     data = [d if isinstance(d, EventSet) else EventSet(d) for d in data]
     n_proc = len(data)
     if n_proc == 0:
@@ -329,7 +327,6 @@ def run_chain_with_info(data, region: Region, config: RunConfig):
         iterations_per_second=config.n_iters / elapsed if elapsed > 0 else float("inf"),
         hmc_accept_rate=hmc_accepts / max(hmc_tries, 1),
         phi_accept_rate=phi_accepts / max(phi_tries, 1),
-        inducing_grid=grid,
     )
     return samples, info
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lapack, solve_triangular
+from scipy.linalg import lapack
 
 from .errors import NumericalError, ValidationError
 
@@ -66,25 +66,9 @@ class ProductGrid:
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-def gauss_density(x, z, variance: float) -> float:
-    """Isotropic Gaussian density of point ``x`` around centre ``z``.
-
-    Product of per-axis univariate normal densities sharing one variance:
-    ``(2*pi*v)**(-d/2) * exp(-|x - z|**2 / (2*v))``.
-    """
-    if variance <= 0:
-        raise ValidationError(f"variance must be positive, got {variance}")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    if x.shape != z.shape:
-        raise ValidationError(f"point dimensions disagree: {x.shape} vs {z.shape}")
-    sq = float(np.sum((x - z) ** 2))
-    d = x.size
-    return float((2.0 * np.pi * variance) ** (-0.5 * d) * np.exp(-0.5 * sq / variance))
-
-
 def gauss_gram(X, Z, variance: float) -> np.ndarray:
-    """Matrix of ``gauss_density`` values between two point sets.
+    """Isotropic Gaussian densities ``(2 pi v)^{-d/2} exp(-|x - z|^2 / 2v)``
+    between two point sets.
 
     X is (n, d), Z is (m, d); returns (n, m). One-dimensional inputs are
     treated as columns of scalars.
@@ -142,6 +126,8 @@ def gram_matvec(X, Z, variance: float, c) -> np.ndarray:
 
 
 def _as_points(X) -> np.ndarray:
+    """``X`` as an (n, dim) float array: a 1-D ``X``, empty or not, holds n
+    scalars."""
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
@@ -255,51 +241,6 @@ class Mvn:
     @property
     def dim(self) -> int:
         return self.mean.size
-
-
-def conditional_mvn(joint: Mvn, observed_indices, observed_values) -> Mvn:
-    """Condition a joint Gaussian on exact observations at some indices.
-
-    Returns the Gaussian over the remaining indices, in their original
-    order. Conditioning on nothing returns the joint unchanged.
-    """
-    obs = np.asarray(observed_indices, dtype=int)
-    if obs.size == 0:
-        return Mvn(joint.mean.copy(), joint.cov.copy())
-    if len(np.unique(obs)) != obs.size:
-        raise ValidationError("observed indices must be distinct")
-    if obs.min() < 0 or obs.max() >= joint.dim:
-        raise ValidationError("observed index out of range")
-    values = np.asarray(observed_values, dtype=float)
-    if values.size != obs.size:
-        raise ValidationError("observed values do not match indices")
-
-    free = np.setdiff1d(np.arange(joint.dim), obs, assume_unique=False)
-    S_oo = joint.cov[np.ix_(obs, obs)]
-    S_fo = joint.cov[np.ix_(free, obs)]
-    S_ff = joint.cov[np.ix_(free, free)]
-    L, _ = cholesky_with_jitter(S_oo)
-    u = solve_triangular(L, values - joint.mean[obs], lower=True)
-    V = solve_triangular(L, S_fo.T, lower=True)
-    mean_c = joint.mean[free] + V.T @ u
-    cov_c = S_ff - V.T @ V
-    return Mvn(mean_c, 0.5 * (cov_c + cov_c.T))
-
-
-def mvn_logpdf(x, dist: Mvn) -> float:
-    """Exact log density of ``dist`` at ``x`` via Cholesky."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.size != dist.dim:
-        raise ValidationError(f"x of size {x.size} does not match dimension {dist.dim}")
-    if dist.dim == 0:
-        return 0.0
-    L, _ = cholesky_with_jitter(dist.cov)
-    w = solve_triangular(L, x - dist.mean, lower=True)
-    return float(
-        -0.5 * dist.dim * np.log(2.0 * np.pi)
-        - np.sum(np.log(np.diag(L)))
-        - 0.5 * np.dot(w, w)
-    )
 
 
 def mvn_sample(dist: Mvn, rng: np.random.Generator) -> np.ndarray:

@@ -15,7 +15,7 @@ from scipy.special import expit
 
 from .convolution import latent_grid
 from .errors import ValidationError
-from .gaussian import chol_solve, cholesky_with_jitter, gauss_gram
+from .gaussian import ProductGrid, _as_points, chol_solve, cholesky_with_jitter, gauss_gram
 from .sgcp import EventSet, Region
 
 
@@ -33,9 +33,7 @@ class GroundTruth:
     low_fraction: float | None = field(default=None)
 
     def __post_init__(self):
-        self.grid = np.asarray(self.grid, dtype=float)
-        if self.grid.ndim == 1:
-            self.grid = self.grid[:, None]
+        self.grid = _as_points(self.grid)
         self.weights = np.atleast_2d(np.asarray(self.weights, dtype=float))
         self.phis = np.atleast_1d(np.asarray(self.phis, dtype=float))
         self.kappas = np.atleast_1d(np.asarray(self.kappas, dtype=float))
@@ -52,25 +50,14 @@ class GroundTruth:
 
     def g(self, d: int, X) -> np.ndarray:
         """Process function: each basis kernel smoothed into variance theta_d."""
-        X = np.asarray(X, dtype=float)
-        out = np.zeros(X.shape[0] if X.ndim > 1 else np.atleast_2d(X).shape[0])
+        X = _as_points(X)
+        out = np.zeros(X.shape[0])
         for q in range(self.n_latent):
             out = out + gauss_gram(X, self.grid, self.thetas[d] + self.phis[q]) @ self.weights[q]
         return self.kappas[d] * out
 
     def intensity(self, d: int, X) -> np.ndarray:
         return self.lambda_stars[d] * expit(self.g(d, X))
-
-    def latent_mean(self, q: int, X) -> np.ndarray:
-        """The latent interpolant itself (no smoothing)."""
-        return gauss_gram(X, self.grid, self.phis[q]) @ self.weights[q]
-
-    def latent_values(self) -> np.ndarray:
-        """Latent function values on the grid, (Q, J)."""
-        out = np.zeros_like(self.weights)
-        for q in range(self.n_latent):
-            out[q] = gauss_gram(self.grid, self.grid, self.phis[q]) @ self.weights[q]
-        return out
 
 
 def sample_ground_truth(
@@ -159,16 +146,9 @@ def sample_events(truth: GroundTruth, rng: np.random.Generator) -> list[EventSet
 
 def low_intensity_fraction(truth: GroundTruth, d: int = 0, resolution: int = 2048) -> float:
     """Fraction of the region where the intensity sits at or below half its bound."""
-    if truth.region.dim == 1:
-        X = np.linspace(truth.region.lower[0], truth.region.upper[0], resolution)[:, None]
-    else:
-        per_axis = max(2, int(round(resolution ** (1.0 / truth.region.dim))))
-        axes = [
-            np.linspace(lo, hi, per_axis)
-            for lo, hi in zip(truth.region.lower, truth.region.upper)
-        ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        X = np.stack([m.ravel() for m in mesh], axis=-1)
+    region = truth.region
+    per_axis = max(2, int(round(resolution ** (1.0 / region.dim))))
+    X = ProductGrid([np.linspace(lo, hi, per_axis) for lo, hi in zip(region.lower, region.upper)]).nodes
     lam = truth.intensity(d, X)
     return float(np.mean(lam <= 0.5 * truth.lambda_stars[d]))
 
@@ -208,9 +188,7 @@ def bump_intensity(
     heights = rng.uniform(-3.0, 3.0, size=n_bumps)
 
     def intensity(X):
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X[:, None]
+        X = _as_points(X)
         g = np.full(X.shape[0], -1.0)
         for c, w, h in zip(centers, widths, heights):
             g = g + h * np.exp(-0.5 * np.sum((X - c) ** 2, axis=1) / w**2)

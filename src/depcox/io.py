@@ -3,13 +3,17 @@ chain archives.
 
 Everything is flat text (CSV / JSON / JSON lines) so runs diff cleanly;
 an archive is a directory, with timings kept in their own file so that
-reruns with equal seeds are byte-identical everywhere else.
+reruns with equal seeds are byte-identical everywhere else. The JSON
+serializers derive from the dataclass fields: a key is a field's name
+and a missing key takes the field's default, so the field names are the
+file format. Only the region, the ladder, the priors and a sample's
+per-process lists are spelled out.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,30 +27,68 @@ from .thinning import RateLadder
 EVENT_HEADER = "process_id"
 
 
+def _write_csv(path, header: list[str], rows) -> None:
+    """A header line, then one line per row: strings as they are, numbers
+    as ``repr(float)`` so that they read back exactly."""
+    lines = [",".join(header)]
+    lines += [",".join(v if isinstance(v, str) else repr(float(v)) for v in row) for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _coordinates(dim: int) -> list[str]:
+    return [f"x{a + 1}" for a in range(dim)]
+
+
+def _to_json(value):
+    """A field value as JSON: a dataclass as an object of its fields, an
+    array as nested lists."""
+    if is_dataclass(value):
+        return {f.name: _to_json(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, list):
+        return [_to_json(v) for v in value]
+    return value
+
+
+def _given(cls, raw: dict) -> dict:
+    """The entries of ``raw`` that name fields of the dataclass ``cls``."""
+    return {f.name: raw[f.name] for f in fields(cls) if f.name in raw}
+
+
+def _region(raw: dict) -> Region:
+    try:
+        return Region(raw["region"]["lower"], raw["region"]["upper"])
+    except KeyError as exc:
+        raise ValidationError(f"missing region bounds: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # event files
 
-def write_event_file(path, events: EventSet, dim: int | None = None) -> None:
-    dim = events.points.shape[1] if dim is None else dim
-    header = ",".join([EVENT_HEADER] + [f"x{a + 1}" for a in range(dim)])
-    lines = [header]
-    for row in events.points:
-        lines.append(",".join([str(events.process_id)] + [repr(float(v)) for v in row]))
-    Path(path).write_text("\n".join(lines) + "\n")
+def write_event_file(path, events, dim: int | None = None) -> None:
+    """Write one ``EventSet``, or a list of them in order, as an event file."""
+    sets = [events] if isinstance(events, EventSet) else events
+    dim = sets[0].points.shape[1] if dim is None else dim
+    rows = ([str(ev.process_id), *point] for ev in sets for point in ev.points)
+    _write_csv(path, [EVENT_HEADER, *_coordinates(dim)], rows)
 
 
 def read_event_files(paths, region: Region | None = None) -> list[EventSet]:
     """Read one or more event files, each once; process ids are mapped to a
     contiguous 0..D-1 label set in sorted order of the raw ids.
 
-    Given a ``region``, an event outside it raises ``ValidationError``
-    naming its file and row.
+    All files must have the dimension of the first, and of the ``region``
+    if one is given; an event outside the ``region`` raises
+    ``ValidationError`` naming its file and row.
     """
     raw: dict[int, list] = {}
-    dim = 1
+    dim = None if region is None else region.dim
     for path in paths:
         file_dim, rows = _event_table(path)
-        dim = max(dim, file_dim)
+        if dim is not None and file_dim != dim:
+            raise ValidationError(f"{path}: events have {file_dim} coordinates, expected {dim}")
+        dim = file_dim
         for row_no, pid, point in rows:
             if region is not None and not region.contains_point(point):
                 raise ValidationError(
@@ -55,7 +97,7 @@ def read_event_files(paths, region: Region | None = None) -> list[EventSet]:
             raw.setdefault(pid, []).append(point)
     if not raw:
         # header-only inputs define a single process with no events
-        return [EventSet(np.zeros((0, dim)), 0)]
+        return [EventSet(np.zeros((0, dim or 1)), 0)]
     out = []
     for new_id, pid in enumerate(sorted(raw)):
         out.append(EventSet(np.asarray(raw[pid], dtype=float), new_id))
@@ -100,13 +142,19 @@ def _event_table(path) -> tuple[int, list]:
 
 @dataclass
 class ShellConfig:
-    """Fully validated run configuration loaded from a JSON config file."""
+    """Fully validated run configuration loaded from a JSON config file,
+    which holds the ``RunConfig`` fields at its top level, the ladder as
+    ``ladder`` (its levels) and ``slack``."""
 
     region: Region
     run: RunConfig
     quadrature_resolution: int = 0  # 0 means the dimension default
     train_fraction: float = 0.75
     generate: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if not 0.0 < self.train_fraction <= 1.0:
+            raise ValidationError("train_fraction must lie in (0, 1]")
 
     def quad_resolution(self) -> int | None:
         return self.quadrature_resolution or None
@@ -121,97 +169,30 @@ def load_config(path) -> ShellConfig:
 
 
 def config_from_dict(raw: dict) -> ShellConfig:
-    try:
-        region = Region(raw["region"]["lower"], raw["region"]["upper"])
-    except KeyError as exc:
-        raise ValidationError(f"config missing region bounds: {exc}") from exc
-    ladder = RateLadder(tuple(raw.get("ladder", [1.0])), raw.get("slack", 0.9))
+    region = _region(raw)
+    ladder = RateLadder(tuple(raw.get("ladder", RateLadder.levels)), raw.get("slack", RateLadder.slack))
     priors = PriorConfig(**raw.get("priors", {}))
-    run = RunConfig(
-        n_iters=raw.get("n_iters", 1000),
-        burn_in=raw.get("burn_in", 0),
-        thin_every=raw.get("thin_every", 1),
-        seed=raw.get("seed", 0),
-        ladder=ladder,
-        n_latent=raw.get("n_latent", 1),
-        grid_per_axis=raw.get("grid_per_axis", 20),
-        grid_pad=raw.get("grid_pad", 0.1),
-        priors=priors,
-        insert_prob=raw.get("insert_prob", 0.5),
-        hmc_steps=raw.get("hmc_steps", 10),
-        hmc_step_size=raw.get("hmc_step_size", 0.1),
-        phi_step_size=raw.get("phi_step_size", 0.1),
-        adapt=raw.get("adapt", True),
-        independent=raw.get("independent", False),
-    )
-    frac = raw.get("train_fraction", 0.75)
-    if not 0.0 < frac <= 1.0:
-        raise ValidationError("train_fraction must lie in (0, 1]")
-    return ShellConfig(
-        region=region,
-        run=run,
-        quadrature_resolution=raw.get("quadrature_resolution", 0),
-        train_fraction=frac,
-        generate=raw.get("generate", {}),
-    )
+    run = RunConfig(**_given(RunConfig, raw) | {"ladder": ladder, "priors": priors})
+    return ShellConfig(**_given(ShellConfig, raw) | {"region": region, "run": run})
 
 
 def config_to_dict(cfg: ShellConfig) -> dict:
-    run = cfg.run
-    return {
-        "region": {"lower": cfg.region.lower.tolist(), "upper": cfg.region.upper.tolist()},
-        "ladder": list(run.ladder.levels),
-        "slack": run.ladder.slack,
-        "n_iters": run.n_iters,
-        "burn_in": run.burn_in,
-        "thin_every": run.thin_every,
-        "seed": run.seed,
-        "n_latent": run.n_latent,
-        "grid_per_axis": run.grid_per_axis,
-        "grid_pad": run.grid_pad,
-        "priors": vars(run.priors).copy(),
-        "insert_prob": run.insert_prob,
-        "hmc_steps": run.hmc_steps,
-        "hmc_step_size": run.hmc_step_size,
-        "phi_step_size": run.phi_step_size,
-        "adapt": run.adapt,
-        "independent": run.independent,
-        "quadrature_resolution": cfg.quadrature_resolution,
-        "train_fraction": cfg.train_fraction,
-        "generate": cfg.generate,
-    }
+    shell = _to_json(cfg)
+    run = shell.pop("run")
+    ladder = run.pop("ladder")
+    region = shell.pop("region")
+    return {"region": region, "ladder": list(ladder["levels"]), "slack": ladder["slack"], **run, **shell}
 
 
 # ---------------------------------------------------------------------------
 # ground-truth manifests
 
 def truth_to_manifest(truth: GroundTruth) -> dict:
-    return {
-        "region": {
-            "lower": truth.region.lower.tolist(),
-            "upper": truth.region.upper.tolist(),
-        },
-        "grid": truth.grid.tolist(),
-        "weights": truth.weights.tolist(),
-        "phis": truth.phis.tolist(),
-        "kappas": truth.kappas.tolist(),
-        "thetas": truth.thetas.tolist(),
-        "lambda_stars": truth.lambda_stars.tolist(),
-        "low_fraction": truth.low_fraction,
-    }
+    return _to_json(truth)
 
 
 def truth_from_manifest(raw: dict) -> GroundTruth:
-    return GroundTruth(
-        region=Region(raw["region"]["lower"], raw["region"]["upper"]),
-        grid=np.asarray(raw["grid"], dtype=float),
-        weights=np.asarray(raw["weights"], dtype=float),
-        phis=np.asarray(raw["phis"], dtype=float),
-        kappas=np.asarray(raw["kappas"], dtype=float),
-        thetas=np.asarray(raw["thetas"], dtype=float),
-        lambda_stars=np.asarray(raw["lambda_stars"], dtype=float),
-        low_fraction=raw.get("low_fraction"),
-    )
+    return GroundTruth(**_given(GroundTruth, raw) | {"region": _region(raw)})
 
 
 def save_truth(path, truth: GroundTruth) -> None:
@@ -225,35 +206,28 @@ def load_truth(path) -> GroundTruth:
 # ---------------------------------------------------------------------------
 # chain archives
 
+# the per-process lists of a sample and the dtype of their arrays; every
+# other field but the iteration is a float array
+_PER_PROCESS = {"thinned": float, "rate_idx": int, "g_values": float}
+
+
 def sample_to_record(s: PosteriorSample) -> dict:
-    return {
-        "iteration": s.iteration,
-        "lambda_stars": s.lambda_stars.tolist(),
-        "kappas": s.kappas.tolist(),
-        "thetas": s.thetas.tolist(),
-        "phis": s.phis.tolist(),
-        "latent_values": s.latent_values.tolist(),
-        "thinned": [t.tolist() for t in s.thinned],
-        "rate_idx": [r.tolist() for r in s.rate_idx],
-        "g_values": [g.tolist() for g in s.g_values],
-    }
+    return _to_json(s)
 
 
 def sample_from_record(raw: dict, dim: int) -> PosteriorSample:
-    thinned = [
-        np.asarray(t, dtype=float).reshape(-1, dim) for t in raw["thinned"]
-    ]
-    return PosteriorSample(
-        iteration=raw["iteration"],
-        thinned=thinned,
-        rate_idx=[np.asarray(r, dtype=int) for r in raw["rate_idx"]],
-        g_values=[np.asarray(g, dtype=float) for g in raw["g_values"]],
-        lambda_stars=np.asarray(raw["lambda_stars"], dtype=float),
-        kappas=np.asarray(raw["kappas"], dtype=float),
-        thetas=np.asarray(raw["thetas"], dtype=float),
-        latent_values=np.asarray(raw["latent_values"], dtype=float),
-        phis=np.asarray(raw["phis"], dtype=float),
-    )
+    def load(name, value):
+        if name in _PER_PROCESS:
+            return [np.asarray(v, dtype=_PER_PROCESS[name]) for v in value]
+        return value if name == "iteration" else np.asarray(value, dtype=float)
+
+    s = PosteriorSample(**{f.name: load(f.name, raw[f.name]) for f in fields(PosteriorSample)})
+    # JSON keeps no shape for an empty array: no thinned points is (0, dim),
+    # and an independent run's latent values, with no phis, are (0, 0)
+    s.thinned = [t.reshape(-1, dim) for t in s.thinned]
+    if not s.phis.size:
+        s.latent_values = s.latent_values.reshape(0, 0)
+    return s
 
 
 @dataclass
@@ -281,8 +255,8 @@ def save_archive(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_text(json.dumps(config_to_dict(cfg), indent=1) + "\n")
-    _write_combined_events(out / "train_events.csv", train, cfg.region.dim)
-    _write_combined_events(out / "test_events.csv", test, cfg.region.dim)
+    write_event_file(out / "train_events.csv", train, cfg.region.dim)
+    write_event_file(out / "test_events.csv", test, cfg.region.dim)
     (out / "split_indices.json").write_text(json.dumps(split_indices, indent=1) + "\n")
     with (out / "samples.jsonl").open("w") as fh:
         for s in samples:
@@ -290,15 +264,6 @@ def save_archive(
     (out / "diagnostics.json").write_text(json.dumps(diag, indent=1) + "\n")
     (out / "timings.json").write_text(json.dumps(timings, indent=1) + "\n")
     return out
-
-
-def _write_combined_events(path, events: list[EventSet], dim: int) -> None:
-    header = ",".join([EVENT_HEADER] + [f"x{a + 1}" for a in range(dim)])
-    lines = [header]
-    for ev in events:
-        for row in ev.points:
-            lines.append(",".join([str(ev.process_id)] + [repr(float(v)) for v in row]))
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def _read_combined_events(path, n_processes: int, dim: int) -> list[EventSet]:
@@ -335,17 +300,10 @@ def load_archive(path) -> Archive:
 
 def write_grid_file(path, grid: np.ndarray, mean: np.ndarray, sd: np.ndarray) -> None:
     """Rows of ``x1[,x2],mean,sd`` for one exported surface."""
-    dim = grid.shape[1]
-    header = ",".join([f"x{a + 1}" for a in range(dim)] + ["mean", "sd"])
-    lines = [header]
-    for row, m, s in zip(grid, mean, sd):
-        lines.append(",".join([repr(float(v)) for v in row] + [repr(float(m)), repr(float(s))]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = ([*point, m, s] for point, m, s in zip(grid, mean, sd))
+    _write_csv(path, [*_coordinates(grid.shape[1]), "mean", "sd"], rows)
 
 
 def write_report(path, rows: list[tuple]) -> None:
     """Metric report rows of (dataset, model, metric, value)."""
-    lines = ["dataset,model,metric,value"]
-    for dataset, model, metric, value in rows:
-        lines.append(f"{dataset},{model},{metric},{repr(float(value))}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, ["dataset", "model", "metric", "value"], rows)

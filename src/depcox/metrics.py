@@ -16,7 +16,7 @@ from scipy.fft import dct
 from scipy.optimize import brentq
 
 from .errors import ValidationError
-from .gaussian import ProductGrid
+from .gaussian import ProductGrid, _as_points
 from .sgcp import Region
 
 
@@ -46,10 +46,8 @@ class Quadrature:
             axes.append(x)
             axis_w.append(w)
         grid = ProductGrid(axes)
-        weights = np.ones(grid.size)
-        for w in np.meshgrid(*axis_w, indexing="ij"):
-            weights *= w.ravel()
-        return cls(grid.nodes, weights, grid)
+        # each node's weight is the product of its axes' weights
+        return cls(grid.nodes, ProductGrid(axis_w).nodes.prod(axis=1), grid)
 
     @property
     def volume(self) -> float:
@@ -188,9 +186,7 @@ def kde_intensity(
     region approaches the count (minus boundary leakage). Unless given,
     bandwidths come from the 1D diffusion rule applied per axis.
     """
-    X = np.asarray(train_points, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
+    X = _as_points(train_points)
     n, dim = X.shape
     if n < 2:
         raise ValidationError("kernel density estimate needs at least 2 events")

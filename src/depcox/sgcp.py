@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import NumericalError, ValidationError
-from .gaussian import Mvn, chol_inverse, cholesky_with_jitter, mvn_sample, tri_solve
+from .gaussian import Mvn, _as_points, chol_inverse, cholesky_with_jitter, mvn_sample, tri_solve
 from .thinning import (
     RateLadder,
     accept_delete,
@@ -66,9 +66,7 @@ class Region:
         return self.upper - self.lower
 
     def contains(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X[:, None]
+        X = _as_points(X)
         return np.all((X >= self.lower) & (X <= self.upper), axis=1)
 
     def contains_point(self, x) -> bool:
@@ -87,12 +85,7 @@ class EventSet:
     process_id: int = 0
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.size == 0:
-            pts = pts.reshape(0, pts.shape[1] if pts.ndim == 2 else 1)
-        elif pts.ndim == 1:
-            pts = pts[:, None]
-        self.points = pts
+        self.points = _as_points(self.points)
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -134,12 +127,7 @@ class AugmentedState:
     data_rate_idx: np.ndarray  # (K,) int notional levels of the observed points
 
     def __post_init__(self):
-        self.thinned = np.asarray(self.thinned, dtype=float)
-        if self.thinned.size == 0:
-            dim = self.thinned.shape[1] if self.thinned.ndim == 2 else 1
-            self.thinned = self.thinned.reshape(0, dim)
-        elif self.thinned.ndim == 1:
-            self.thinned = self.thinned[:, None]
+        self.thinned = _as_points(self.thinned)
         self.rate_idx = np.asarray(self.rate_idx, dtype=int)
         self.g_values = np.asarray(self.g_values, dtype=float)
         self.data_rate_idx = np.asarray(self.data_rate_idx, dtype=int)
@@ -210,12 +198,7 @@ class GpContext:
     _ws: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=float)
-        if data.size == 0:
-            data = data.reshape(0, data.shape[1] if data.ndim == 2 else 1)
-        elif data.ndim == 1:
-            data = data[:, None]
-        self.data = data
+        self.data = _as_points(self.data)
 
     def points(self, state: AugmentedState) -> np.ndarray:
         if state.n_thinned == 0:

@@ -1,0 +1,126 @@
+"""Reference implementations the tests check the library against.
+
+Each is the plain textbook form of something the library computes in a
+faster or more structured way: single-pair kernel densities and
+covariances, dense Gaussian conditioning and log densities, and a prior
+that pins the function to a known surface.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from scipy.linalg import solve_triangular
+
+from depcox.convolution import CouplingParams
+from depcox.errors import ValidationError
+from depcox.gaussian import Mvn, cholesky_with_jitter
+
+
+def gauss_density(x, z, variance: float) -> float:
+    """Isotropic Gaussian density of point ``x`` around centre ``z``.
+
+    Product of per-axis univariate normal densities sharing one variance:
+    ``(2*pi*v)**(-d/2) * exp(-|x - z|**2 / (2*v))``.
+    """
+    if variance <= 0:
+        raise ValidationError(f"variance must be positive, got {variance}")
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    if x.shape != z.shape:
+        raise ValidationError(f"point dimensions disagree: {x.shape} vs {z.shape}")
+    sq = float(np.sum((x - z) ** 2))
+    d = x.size
+    return float((2.0 * np.pi * variance) ** (-0.5 * d) * np.exp(-0.5 * sq / variance))
+
+
+def conditional_mvn(joint: Mvn, observed_indices, observed_values) -> Mvn:
+    """Condition a joint Gaussian on exact observations at some indices.
+
+    Returns the Gaussian over the remaining indices, in their original
+    order. Conditioning on nothing returns the joint unchanged.
+    """
+    obs = np.asarray(observed_indices, dtype=int)
+    if obs.size == 0:
+        return Mvn(joint.mean.copy(), joint.cov.copy())
+    if len(np.unique(obs)) != obs.size:
+        raise ValidationError("observed indices must be distinct")
+    if obs.min() < 0 or obs.max() >= joint.dim:
+        raise ValidationError("observed index out of range")
+    values = np.asarray(observed_values, dtype=float)
+    if values.size != obs.size:
+        raise ValidationError("observed values do not match indices")
+
+    free = np.setdiff1d(np.arange(joint.dim), obs, assume_unique=False)
+    S_oo = joint.cov[np.ix_(obs, obs)]
+    S_fo = joint.cov[np.ix_(free, obs)]
+    S_ff = joint.cov[np.ix_(free, free)]
+    L, _ = cholesky_with_jitter(S_oo)
+    u = solve_triangular(L, values - joint.mean[obs], lower=True)
+    V = solve_triangular(L, S_fo.T, lower=True)
+    mean_c = joint.mean[free] + V.T @ u
+    cov_c = S_ff - V.T @ V
+    return Mvn(mean_c, 0.5 * (cov_c + cov_c.T))
+
+
+def mvn_logpdf(x, dist: Mvn) -> float:
+    """Exact log density of ``dist`` at ``x`` via Cholesky."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.size != dist.dim:
+        raise ValidationError(f"x of size {x.size} does not match dimension {dist.dim}")
+    if dist.dim == 0:
+        return 0.0
+    L, _ = cholesky_with_jitter(dist.cov)
+    w = solve_triangular(L, x - dist.mean, lower=True)
+    return float(
+        -0.5 * dist.dim * np.log(2.0 * np.pi)
+        - np.sum(np.log(np.diag(L)))
+        - 0.5 * np.dot(w, w)
+    )
+
+
+def cross_cov(x, z, kappa: float, theta: float, phi: float) -> float:
+    """Covariance between a process value at ``x`` and a latent value at ``z``."""
+    if theta <= 0 or phi <= 0:
+        raise ValidationError("theta and phi must be positive")
+    return kappa * gauss_density(x, z, theta + phi)
+
+
+def output_cov(x, x2, d: int, d2: int, params: CouplingParams, phis) -> float:
+    """Covariance between process values (latent functions summed out)."""
+    phis = np.atleast_1d(np.asarray(phis, dtype=float))
+    total = 0.0
+    for phi in phis:
+        total += (
+            params.kappas[d]
+            * params.kappas[d2]
+            * gauss_density(x, x2, params.thetas[d] + params.thetas[d2] + phi)
+        )
+    return total
+
+
+class FixedFunctionPrior:
+    """Degenerate prior pinning the function to a known surface.
+
+    Holds a process's function at a known value in kernel tests:
+    conditional draws return that value with zero variance.
+    """
+
+    def __init__(self, func, dim: int = 1):
+        self.func = func
+        self.dim = dim
+
+    def project(self, X, theta: float) -> np.ndarray:
+        return np.zeros((0, np.asarray(X).shape[0]))
+
+    def mean(self, X, kappa: float, theta: float) -> np.ndarray:
+        return np.asarray(self.func(np.asarray(X, dtype=float)), dtype=float)
+
+    def cov(self, A, WA, B, WB, kappa: float, theta: float) -> np.ndarray:
+        return np.zeros((np.asarray(A).shape[0], np.asarray(B).shape[0]))
+
+    def mean_cov(self, X, kappa: float, theta: float, W=None):
+        return self.mean(X, kappa, theta), self.cov(X, W, X, W, kappa, theta)
+
+    def site(self, x, kappa: float, theta: float) -> tuple[np.ndarray, float, float]:
+        """Empty projection, the known value and zero variance at one site."""
+        return np.zeros((0, 1)), float(self.mean(x, kappa, theta)[0]), 0.0

@@ -7,20 +7,18 @@ from scipy.integrate import quad
 from depcox.convolution import (
     ConvolutionPrior,
     CouplingParams,
-    FixedFunctionPrior,
     IndependentPrior,
     LatentFactor,
     LatentState,
-    cross_cov,
     latent_grid,
     latent_logpost,
     latent_posterior,
-    output_cov,
     phi_mh_update,
 )
 from depcox.errors import ValidationError
-from depcox.gaussian import JITTER_SCALE, cholesky_with_jitter, gauss_density, gauss_gram
+from depcox.gaussian import JITTER_SCALE, cholesky_with_jitter, gauss_gram
 from depcox.sgcp import Region
+from oracles import FixedFunctionPrior, cross_cov, gauss_density, output_cov
 
 
 def _jittered(K):

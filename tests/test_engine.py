@@ -13,7 +13,6 @@ from depcox.engine import (
     diagnostics,
     effective_sample_size,
     intensity_samples,
-    run_chain,
     run_chain_with_info,
     split_psrf,
     summarize,
@@ -66,13 +65,13 @@ def _toy_data(seed=0, n_proc=2, lam=(20.0, 25.0)):
 class TestRunChain:
     def test_single_sample_when_iters_is_burnin_plus_one(self):
         data, _ = _toy_data()
-        samples = run_chain(data, UNIT, _small_config(n_iters=4, burn_in=3))
+        samples = run_chain_with_info(data, UNIT, _small_config(n_iters=4, burn_in=3))[0]
         assert len(samples) == 1
         assert samples[0].iteration == 3
 
     def test_thinning_counts(self):
         data, _ = _toy_data()
-        samples = run_chain(data, UNIT, _small_config(n_iters=10, burn_in=4, thin_every=2))
+        samples = run_chain_with_info(data, UNIT, _small_config(n_iters=10, burn_in=4, thin_every=2))[0]
         assert [s.iteration for s in samples] == [4, 6, 8]
 
     def test_cached_projections_match_fresh_ones(self, monkeypatch):
@@ -84,14 +83,14 @@ class TestRunChain:
         truth = sample_ground_truth(square, 2, 1, rng, lambda_star_range=(20.0, 25.0), grid_per_axis=6)
         data = sample_events(truth, rng)
         cfg = _small_config(n_iters=10, burn_in=0, grid_per_axis=6, seed=4)
-        cached = run_chain(data, square, cfg)
+        cached = run_chain_with_info(data, square, cfg)[0]
         monkeypatch.setattr(
             depcox.sgcp._Workspace,
             "W",
             property(lambda ws: ws.prior.project(ws.pts, ws.theta), lambda ws, value: None),
             raising=False,
         )
-        fresh = run_chain(data, square, cfg)
+        fresh = run_chain_with_info(data, square, cfg)[0]
         assert len(cached) == len(fresh) == 10
         for a, b in zip(cached, fresh):
             assert [t.shape[0] for t in a.thinned] == [t.shape[0] for t in b.thinned]
@@ -118,11 +117,11 @@ class TestRunChain:
             n_iters=10, burn_in=0, n_latent=2, grid_per_axis=6, seed=5, independent=independent,
             hmc_step_size=0.3, phi_step_size=3.0,
         )
-        kept = run_chain(data, region, cfg)
+        kept = run_chain_with_info(data, region, cfg)[0]
         monkeypatch.setattr(
             depcox.sgcp.GpContext, "workspace", lambda ctx, state: depcox.sgcp._Workspace(ctx, state)
         )
-        rebuilt = run_chain(data, region, cfg)
+        rebuilt = run_chain_with_info(data, region, cfg)[0]
         assert len(kept) == len(rebuilt) == 10
         for a, b in zip(kept, rebuilt):
             assert [t.shape[0] for t in a.thinned] == [t.shape[0] for t in b.thinned]
@@ -143,7 +142,7 @@ class TestRunChain:
     def test_rejects_events_outside_region(self):
         data = [EventSet(np.array([[1.5]]))]
         with pytest.raises(ValidationError):
-            run_chain(data, UNIT, _small_config())
+            run_chain_with_info(data, UNIT, _small_config())
 
     def test_kernel_errors_carry_iteration_and_process(self, monkeypatch):
         data, _ = _toy_data()
@@ -153,7 +152,7 @@ class TestRunChain:
 
         monkeypatch.setattr(depcox.engine, "move_step", boom)
         with pytest.raises(ValidationError, match=r"iteration 0, process 0"):
-            run_chain(data, UNIT, _small_config())
+            run_chain_with_info(data, UNIT, _small_config())
 
     def test_hmc_acceptance_in_healthy_window(self):
         # 1000 post-adaptation transitions; the sharp hyper conditional
@@ -175,7 +174,7 @@ class TestRunChain:
         monkeypatch.setattr(depcox.convolution, "gauss_gram", recording)
         data, _ = _toy_data(seed=4, n_proc=3, lam=(15.0, 20.0))
         cfg = _small_config(n_iters=8, burn_in=2, grid_per_axis=10)
-        samples = run_chain(data, UNIT, cfg)
+        samples = run_chain_with_info(data, UNIT, cfg)[0]
         n_max = max(
             max(len(s.g_values[d]) for s in samples) for d in range(3)
         )
@@ -196,8 +195,8 @@ class TestRunChain:
         priors.kappa_log_sd = 0.05
         cfg_dep = _small_config(n_iters=400, burn_in=100, priors=priors, seed=11)
         cfg_ind = _small_config(n_iters=400, burn_in=100, priors=priors, seed=12, independent=True)
-        s_dep = run_chain(data, UNIT, cfg_dep)
-        s_ind = run_chain(data, UNIT, cfg_ind)
+        s_dep = run_chain_with_info(data, UNIT, cfg_dep)[0]
+        s_ind = run_chain_with_info(data, UNIT, cfg_ind)[0]
         m_dep = np.array([s.thinned[0].shape[0] for s in s_dep])[::5]
         m_ind = np.array([s.thinned[0].shape[0] for s in s_ind])[::5]
         lam_dep = np.array([s.lambda_stars[0] for s in s_dep])[::5]
@@ -350,7 +349,7 @@ class TestDiagnostics:
 
     def test_diagnostics_rows(self):
         data, _ = _toy_data()
-        samples = run_chain(data, UNIT, _small_config(n_iters=10, burn_in=2))
+        samples = run_chain_with_info(data, UNIT, _small_config(n_iters=10, burn_in=2))[0]
         report = diagnostics(samples)
         assert len(report["processes"]) == 2
         for row in report["processes"]:
@@ -359,6 +358,6 @@ class TestDiagnostics:
 
     def test_diagnostics_need_two_samples(self):
         data, _ = _toy_data()
-        samples = run_chain(data, UNIT, _small_config(n_iters=4, burn_in=3))
+        samples = run_chain_with_info(data, UNIT, _small_config(n_iters=4, burn_in=3))[0]
         with pytest.raises(ValidationError):
             diagnostics(samples)

@@ -8,7 +8,6 @@ from scipy.integrate import quad
 from scipy.special import expit, logit
 
 from depcox.errors import ValidationError
-from depcox.gaussian import gauss_density
 from depcox.generate import (
     GroundTruth,
     bump_intensity,
@@ -19,6 +18,7 @@ from depcox.generate import (
     thin_events,
 )
 from depcox.sgcp import Region
+from oracles import gauss_density
 
 UNIT = Region([0.0], [1.0])
 

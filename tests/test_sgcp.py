@@ -8,14 +8,13 @@ from scipy.stats import kstest, norm
 import depcox.sgcp
 from depcox.convolution import (
     ConvolutionPrior,
-    FixedFunctionPrior,
     IndependentPrior,
     LatentFactor,
     LatentState,
     latent_grid,
 )
 from depcox.errors import ValidationError
-from depcox.gaussian import Mvn, conditional_mvn
+from depcox.gaussian import Mvn
 from depcox.sgcp import (
     AugmentedState,
     EventSet,
@@ -35,6 +34,7 @@ from depcox.sgcp import (
     point_loglik,
 )
 from depcox.thinning import RateLadder
+from oracles import FixedFunctionPrior, conditional_mvn
 
 UNIT = Region([0.0], [1.0])
 SINGLE = RateLadder((1.0,))

@@ -2,6 +2,7 @@
 
 import filecmp
 import json
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -11,9 +12,24 @@ import depcox.convolution
 import depcox.gaussian
 from depcox import io
 from depcox.cli import main
-from depcox.engine import intensity_samples
+from depcox.engine import RunConfig, intensity_samples, run_chain_with_info
+from depcox.generate import sample_events, sample_ground_truth
 from depcox.metrics import Quadrature, poisson_loglik, sample_logliks
-from depcox.sgcp import EventSet, Region
+from depcox.sgcp import EventSet, PriorConfig, Region
+from depcox.thinning import RateLadder
+
+# The keys of an archive's config.json and of each samples.jsonl record.
+# Archives written earlier hold exactly these, so they are the file format.
+CONFIG_KEYS = {
+    "region", "ladder", "slack", "n_iters", "burn_in", "thin_every", "seed", "n_latent",
+    "grid_per_axis", "grid_pad", "priors", "insert_prob", "hmc_steps", "hmc_step_size",
+    "phi_step_size", "adapt", "independent", "quadrature_resolution", "train_fraction",
+    "generate",
+}
+SAMPLE_KEYS = {
+    "iteration", "lambda_stars", "kappas", "thetas", "phis", "latent_values", "thinned",
+    "rate_idx", "g_values",
+}
 
 
 def _write_config(path: Path, **overrides) -> Path:
@@ -79,6 +95,122 @@ class TestEventFiles:
         (tmp_path / "ev.csv").write_text("process_id,x1\n0,0.5\n0,abc\n")
         with pytest.raises(io.ValidationError, match="3"):
             io.read_event_files([tmp_path / "ev.csv"])
+
+    def test_files_of_different_dimension_exit_2_naming_the_file(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path)
+        one = tmp_path / "one.csv"
+        one.write_text("process_id,x1\n0,0.5\n")
+        two = tmp_path / "two.csv"
+        two.write_text("process_id,x1,x2\n0,0.5,0.5\n")
+        assert main(["fit", str(one), str(two), "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        assert "two.csv" in capsys.readouterr().err
+        with pytest.raises(io.ValidationError, match="one.csv"):
+            io.read_event_files([two, one])
+
+    def test_file_of_other_dimension_than_region_exits_2_naming_the_file(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, region={"lower": [0.0, 0.0], "upper": [1.0, 1.0]})
+        one = tmp_path / "one.csv"
+        one.write_text("process_id,x1\n0,0.5\n0,0.25\n")
+        assert main(["fit", str(one), "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        assert "one.csv" in capsys.readouterr().err
+
+
+def _assert_same_array(a, b):
+    assert isinstance(b, np.ndarray) and b.dtype == a.dtype and b.shape == a.shape
+    np.testing.assert_array_equal(a, b)
+
+
+def _assert_same_fields(a, b):
+    """Dataclasses ``a`` and ``b`` hold equal fields: arrays (also in
+    lists and regions) of the same dtype and shape, other values equal."""
+    for f in fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, Region):
+            _assert_same_fields(x, y)
+        elif isinstance(x, np.ndarray):
+            _assert_same_array(x, y)
+        elif isinstance(x, list):
+            assert len(x) == len(y)
+            for u, v in zip(x, y):
+                _assert_same_array(u, v)
+        else:
+            assert type(x) is type(y) and x == y, f.name
+
+
+class TestSerializers:
+    def _config_off_defaults(self):
+        run = RunConfig(
+            n_iters=7, burn_in=2, thin_every=3, seed=5, ladder=RateLadder((0.25, 0.5, 1.0), 0.8),
+            n_latent=2, grid_per_axis=6, grid_pad=0.2,
+            priors=PriorConfig(2.0, 0.5, 0.1, 0.6, -3.0, 0.4, -4.0, 0.3),
+            insert_prob=0.3, hmc_steps=4, hmc_step_size=0.05, phi_step_size=0.2,
+            adapt=False, independent=True,
+        )
+        return io.ShellConfig(
+            Region([0.0, -1.0], [2.0, 1.0]), run, quadrature_resolution=32, train_fraction=0.5,
+            generate={"n_processes": 3, "lambda_star_range": [5.0, 9.0]},
+        )
+
+    def test_config_round_trips_with_every_field_off_its_default(self):
+        cfg = self._config_off_defaults()
+        default_run = RunConfig()
+        for obj, default in [(cfg.run, default_run), (cfg.run.priors, PriorConfig()),
+                             (cfg.run.ladder, RateLadder())]:
+            for f in fields(obj):
+                assert getattr(obj, f.name) != getattr(default, f.name), f.name
+        default_shell = io.ShellConfig(Region([0.0], [1.0]), default_run)
+        for name in ("quadrature_resolution", "train_fraction", "generate"):
+            assert getattr(cfg, name) != getattr(default_shell, name)
+        back = io.config_from_dict(json.loads(json.dumps(io.config_to_dict(cfg))))
+        assert back.run == cfg.run
+        _assert_same_fields(cfg.region, back.region)
+        for name in ("quadrature_resolution", "train_fraction", "generate"):
+            assert getattr(back, name) == getattr(cfg, name)
+
+    def test_config_keys_are_the_file_format(self, tmp_path):
+        cfg = io.load_config(_write_config(tmp_path))
+        assert set(io.config_to_dict(cfg)) == CONFIG_KEYS
+        assert set(io.config_to_dict(self._config_off_defaults())) == CONFIG_KEYS
+
+    def test_config_without_optional_keys_takes_the_defaults(self):
+        cfg = io.config_from_dict({"region": {"lower": [0.0], "upper": [1.0]}})
+        assert cfg.run == RunConfig()
+        assert (cfg.quadrature_resolution, cfg.train_fraction, cfg.generate) == (0, 0.75, {})
+
+    @pytest.mark.parametrize("independent", [False, True])
+    def test_archive_samples_round_trip_exactly(self, tmp_path, independent):
+        square = Region([0.0, 0.0], [1.0, 1.0])
+        rng = np.random.default_rng(4)
+        truth = sample_ground_truth(square, 2, 1, rng, lambda_star_range=(20.0, 25.0), grid_per_axis=4)
+        data = sample_events(truth, rng)
+        run = RunConfig(n_iters=3, grid_per_axis=4, seed=2, independent=independent)
+        samples = run_chain_with_info(data, square, run)[0]
+        # a draw in which process 0 holds no thinned points
+        last = samples[-1]
+        n0 = len(data[0])
+        samples.append(replace(
+            last, iteration=last.iteration + 1,
+            thinned=[last.thinned[0][:0], *last.thinned[1:]],
+            rate_idx=[last.rate_idx[0][:0], *last.rate_idx[1:]],
+            g_values=[last.g_values[0][:n0], *last.g_values[1:]],
+        ))
+        cfg = io.ShellConfig(square, run)
+        split = [{"process": d, "train": [], "test": []} for d in range(len(data))]
+        io.save_archive(tmp_path / "arch", cfg, data, data, split, samples, {}, {})
+        loaded = io.load_archive(tmp_path / "arch")
+        assert len(loaded.samples) == len(samples)
+        for a, b in zip(samples, loaded.samples):
+            _assert_same_fields(a, b)
+        for line in (tmp_path / "arch" / "samples.jsonl").read_text().splitlines():
+            assert set(json.loads(line)) == SAMPLE_KEYS
+
+    @pytest.mark.parametrize("low_fraction", [None, 0.375])
+    def test_truth_manifest_round_trips_exactly(self, tmp_path, low_fraction):
+        square = Region([0.0, 0.0], [1.0, 2.0])
+        truth = sample_ground_truth(square, 2, 2, np.random.default_rng(6), grid_per_axis=4)
+        truth.low_fraction = low_fraction
+        io.save_truth(tmp_path / "truth.json", truth)
+        _assert_same_fields(truth, io.load_truth(tmp_path / "truth.json"))
 
 
 class TestGenerate:
@@ -278,6 +410,20 @@ class TestEval:
         assert main(["eval", str(arch), "--truth", truth, "--out", str(tmp_path / "r.csv")]) == 0
         assert main(["export-grid", str(arch), "--out", str(tmp_path / "g"), "--resolution", "100"]) == 0
         assert shapes and not any(n in shape for shape in shapes for n in (128, 100))
+
+    def test_test_file_of_other_dimension_exits_2_naming_the_file(self, tmp_path, capsys):
+        cfg = _write_config(
+            tmp_path, region={"lower": [0.0, 0.0], "upper": [1.0, 1.0]}, grid_per_axis=4,
+            n_iters=3, burn_in=1, train_fraction=1.0,
+        )
+        ev = tmp_path / "ev.csv"
+        ev.write_text("process_id,x1,x2\n0,0.5,0.5\n0,0.25,0.75\n")
+        arch = tmp_path / "arch"
+        assert main(["fit", str(ev), "--config", str(cfg), "--out", str(arch)]) == 0
+        one = tmp_path / "one.csv"
+        one.write_text("process_id,x1\n0,0.5\n")
+        assert main(["eval", str(arch), str(one)]) == 2
+        assert "one.csv" in capsys.readouterr().err
 
     def test_process_count_mismatch_exits_2(self, fitted):
         tmp_path, cfg, gen, arch = fitted
