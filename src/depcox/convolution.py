@@ -11,11 +11,34 @@ dense while cross-process covariance is never materialized.
 
 Each latent Gram matrix ``K_q = K(grid, grid; phi_q)`` is factored once
 per distinct ``phi_q`` (``LatentFactor``) and shared by every prior at
-that variance. A point set enters through its projection
-``W = [L_q^{-1} K(grid, X; theta + phi_q)]_q``; residual covariances are
-Gram matrices minus ``W_A^T W_B``. Callers that keep ``W`` for a point set
-must keep it in step with the set (the per-process workspace in ``sgcp``
-does), so that a new point costs the projection of that point alone.
+that variance. The grid is a product of axes and the kernel separable,
+so ``K_q`` is a Kronecker product of per-axis Gram matrices, and the
+factor holds one eigendecomposition per axis: ``K_q = Q_q diag(lam_q)
+Q_q^T``. Everything that whitens against ``K_q + jI`` goes through it,
+with ``s_q = (lam_q + j)^{-1/2}``:
+
+* a point set's projection ``W = [s_q * Q_q^T K(grid, X; theta + phi_q)]_q``
+  (``project``, ``site``), O(J) per point and latent function from the
+  per-axis cross-covariances;
+* the coupling matrix, ``extend`` and the latent mean coefficients, which
+  apply ``Q_q (s_q * .)`` axis by axis;
+* the log density of the latent values in ``phi_mh_update``, so a
+  proposal costs D eigendecompositions of one axis's size.
+
+Residual covariances are Gram matrices minus ``W_A^T W_B``. Callers that
+keep ``W`` for a point set must keep it in step with the set (the
+per-process workspace in ``sgcp`` does), so that a new point costs the
+projection of that point alone.
+
+The dense Cholesky factor ``L_q`` of ``K_q + jI`` is formed only where a
+draw is made through it, the initial latent draw and the latent slice
+move in ``engine``, and for the latent prior precision ``L_q^{-T}
+L_q^{-1}`` that ``latent_posterior`` adds to; it is formed once per
+accepted ``phi_q``. The latent posterior itself is dense: its precision
+couples the grid through every process's points, and its draw goes
+through the Cholesky factor of its covariance, as it did before the
+per-axis factors. Drawing in precision form instead would change the
+draws, and waits for a distribution test of the latent stage.
 
 Predictions (``extend``, ``latent_interpolant``) take either scattered
 points or a ``ProductGrid``; on a grid every Gram-vector product runs
@@ -27,20 +50,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .gaussian import (
+    JITTER_SCALE,
     Mvn,
     ProductGrid,
     _as_points,
+    axis_gram,
+    axis_gram_dv,
     chol_inverse,
     chol_solve,
     cholesky,
     cholesky_with_jitter,
+    eigh,
     gauss_gram,
     gauss_gram_dv,
     gram_matvec,
     mvn_sample,
-    tri_solve,
 )
 
 
@@ -103,23 +129,121 @@ def latent_grid(region, per_axis: int, pad: float = 0.1) -> np.ndarray:
     return ProductGrid(axes).nodes
 
 
-class LatentFactor:
-    """One latent function's grid covariance ``K = K(grid, grid; phi)`` and
-    its Cholesky factor ``L``.
+def _grid_axes(grid: np.ndarray) -> tuple:
+    """The axes of a product grid given by its nodes in ``ij`` order (as
+    ``ProductGrid.nodes`` lays them out); raises ``ValidationError`` for any
+    other node set. A 1-D grid is its own axis, in its given order."""
+    if grid.shape[1] == 1:
+        return (grid[:, 0],)
+    axes = []
+    for column in grid.T:
+        _, first = np.unique(column, return_index=True)
+        axes.append(column[np.sort(first)])
+    product = ProductGrid(axes)
+    if product.size != grid.shape[0] or not np.array_equal(product.nodes, grid):
+        raise ValidationError("the latent grid must be a product grid with nodes in ij order")
+    return tuple(axes)
 
-    Built once per distinct ``phi`` and shared by every prior at that
-    ``phi``; its inverse, the latent prior precision, is formed on first use.
+
+def _khatri_rao(F: list) -> np.ndarray:
+    """Column-wise Kronecker product of per-axis factors ``F_a`` of shape
+    (n_a, n): shape (prod n_a, n), rows in ``ij`` order."""
+    out = F[0]
+    for f in F[1:]:
+        out = (out[:, None, :] * f[None, :, :]).reshape(out.shape[0] * f.shape[0], f.shape[1])
+    return out
+
+
+def _kron_apply(mats: list, v: np.ndarray) -> np.ndarray:
+    """``(mats[0] kron mats[1] kron ...) @ v`` for square per-axis
+    ``mats`` and ``v`` of shape (J,) or (J, n), rows in ``ij`` order."""
+    if len(mats) == 1:
+        return mats[0] @ v
+    t, before = v, 1
+    for m in mats:  # axis by axis, as one matrix product per slab of the others
+        t = m @ t.reshape(before, m.shape[0], -1)
+        before *= m.shape[0]
+    return t.reshape(v.shape)
+
+
+class LatentFactor:
+    """One latent function's grid covariance ``K = K(grid, grid; phi)``,
+    diagonalized through its per-axis factors.
+
+    The isotropic Gaussian kernel is separable and the grid a product of
+    axes, so ``K`` is the Kronecker product of one small Gram matrix per
+    axis, ``K^(a) = Q_a diag(lam_a) Q_a^T``. Then ``K = Q diag(lam) Q^T``
+    with ``Q = kron_a Q_a`` and ``lam = kron_a lam_a``. Whitening is against
+    ``K + jI``, with ``j`` the jitter ``cholesky_with_jitter`` adds to ``K``
+    (``JITTER_SCALE`` times its mean diagonal), through the scale
+    ``s = (lam + j)^{-1/2}``: ``s * Q^T k`` has the inner products of
+    ``L^{-1} k``, and ``Q (s^2 * Q^T k)`` is ``(K + jI)^{-1} k``. A
+    proposal at a new ``phi`` costs one eigendecomposition per axis.
+
+    The dense Cholesky factor ``L`` of ``K + jI`` is formed on first use
+    of ``L`` only: draws go through it (the initial latent draw and the
+    latent slice move), as does ``inverse()``, the latent prior precision
+    of the latent posterior. Each accepted ``phi`` forms it once.
     """
 
-    def __init__(self, grid: np.ndarray, phi: float):
+    def __init__(self, grid: np.ndarray, phi: float, axes: tuple | None = None):
+        """``axes``: the grid's axes, if the caller holds them already."""
         self.grid = grid
         self.phi = float(phi)
-        self.K = gauss_gram(grid, grid, self.phi)
-        self.L, _ = cholesky_with_jitter(self.K)
+        self.axes = _grid_axes(grid) if axes is None else axes
+        grams = [axis_gram(a, a, self.phi) for a in self.axes]
+        eigs = [eigh(g) for g in grams]
+        self.Q = [v for _, v in eigs]
+        lam = eigs[0][0]
+        for w, _ in eigs[1:]:
+            lam = np.multiply.outer(lam, w).ravel()
+        # K's diagonal is the kernel's scale, (2 pi phi)^{-D/2}
+        shifted = lam + JITTER_SCALE * (2.0 * np.pi * self.phi) ** (-0.5 * len(self.axes))
+        if not np.all(shifted > 0):
+            raise NumericalError(f"latent Gram matrix at phi={self.phi:.3g} is not positive definite")
+        self.s = shifted**-0.5
+        self._L = None
         self._inverse = None
 
     def matches(self, grid: np.ndarray, phi: float) -> bool:
         return phi == self.phi and (grid is self.grid or np.array_equal(grid, self.grid))
+
+    def to_eigen(self, v: np.ndarray) -> np.ndarray:
+        """``Q^T v`` for ``v`` of shape (J,) or (J, n)."""
+        return _kron_apply([q.T for q in self.Q], v)
+
+    def from_eigen(self, v: np.ndarray) -> np.ndarray:
+        """``Q v`` for ``v`` of shape (J,) or (J, n)."""
+        return _kron_apply(self.Q, v)
+
+    def whiten(self, X: np.ndarray, variance: float) -> np.ndarray:
+        """``s * Q^T K(grid, X; variance)``, shape (J, n), from the per-axis
+        factors ``Q_a^T E_a`` of the cross-covariance: O(J) per point."""
+        if X.shape[1] != len(self.axes):
+            raise ValidationError("point sets have different dimension")
+        F = [q.T @ axis_gram(a, x, variance) for q, a, x in zip(self.Q, self.axes, X.T)]
+        return self.s[:, None] * _khatri_rao(F)
+
+    def whiten_dv(self, X: np.ndarray, variance: float) -> tuple[np.ndarray, np.ndarray]:
+        """``whiten(X, variance)`` and its derivative in the variance: the
+        derivative of a Kronecker product is the sum over axes of the
+        products with that axis's factor differentiated."""
+        if X.shape[1] != len(self.axes):
+            raise ValidationError("point sets have different dimension")
+        F, dF = [], []
+        for q, a, x in zip(self.Q, self.axes, X.T):
+            E, dE = axis_gram_dv(a, x, variance)
+            F.append(q.T @ E)
+            dF.append(q.T @ dE)
+        dW = sum(_khatri_rao(F[:a] + [dF[a]] + F[a + 1 :]) for a in range(len(F)))
+        return self.s[:, None] * _khatri_rao(F), self.s[:, None] * dW
+
+    @property
+    def L(self) -> np.ndarray:
+        """Dense lower Cholesky factor of ``K + jI``, formed on first use."""
+        if self._L is None:
+            self._L, _ = cholesky_with_jitter(gauss_gram(self.grid, self.grid, self.phi))
+        return self._L
 
     def inverse(self) -> np.ndarray:
         if self._inverse is None:
@@ -136,12 +260,12 @@ class ConvolutionPrior:
     of the sampled state.
 
     Covariances are computed from projections: ``project(X, theta)`` is the
-    stacked ``W = L_q^{-1} K(grid, X; theta + phi_q)``, and the residual
-    covariance between two point sets is ``kappa^2 (G - W_A^T W_B)`` with
-    ``G`` the summed output Gram matrices. A caller that keeps ``W`` for its
-    points (the per-process workspace does) pays only for the projection of
-    a new point, one J-vector solve per latent function, not for the whole
-    point set again.
+    stacked ``W = s_q * Q_q^T K(grid, X; theta + phi_q)`` (see
+    ``LatentFactor``), and the residual covariance between two point sets
+    is ``kappa^2 (G - W_A^T W_B)`` with ``G`` the summed output Gram
+    matrices. A caller that keeps ``W`` for its points (the per-process
+    workspace does) pays only for the projection of a new point, O(J) per
+    latent function, not for the whole point set again.
     """
 
     def __init__(self, latent: LatentState, factors=()):
@@ -153,20 +277,21 @@ class ConvolutionPrior:
             or LatentFactor(latent.grid, phi)
             for phi in latent.phis
         ]
-        # K_q^{-1} u_q, independent of kappa/theta
-        self._alphas = [chol_solve(f.L, u) for f, u in zip(self.factors, latent.values)]
+        # s_q * Q_q^T u_q, whose inner product with a projection column is
+        # the mean's K(x, grid) K_q^{-1} u_q, and K_q^{-1} u_q itself; both
+        # independent of kappa/theta
+        self._betas = [f.s * f.to_eigen(u) for f, u in zip(self.factors, latent.values)]
+        self._alphas = [f.from_eigen(f.s * b) for f, b in zip(self.factors, self._betas)]
 
     @property
     def dim(self) -> int:
         return self.latent.grid.shape[1]
 
     def project(self, X, theta: float) -> np.ndarray:
-        """Stacked whitened cross-covariances ``L_q^{-1} K(grid, X; theta + phi_q)``,
+        """Stacked whitened cross-covariances ``s_q * Q_q^T K(grid, X; theta + phi_q)``,
         shape (Q*J, n)."""
-        X = np.asarray(X, dtype=float)
-        return np.concatenate(
-            [tri_solve(f.L, gauss_gram(self.latent.grid, X, theta + f.phi)) for f in self.factors]
-        )
+        X = _as_points(X)
+        return np.concatenate([f.whiten(X, theta + f.phi) for f in self.factors])
 
     def mean(self, X, kappa: float, theta: float) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -215,16 +340,12 @@ class ConvolutionPrior:
     def site(self, x, kappa: float, theta: float) -> tuple[np.ndarray, float, float]:
         """Projection, prior mean and residual variance at one site ``x`` (1, d).
 
-        The mean reads the same ``K(grid, x)`` column that the projection
-        whitens, and the variance is the closed-form marginal less the
+        The mean is the projection's inner product with ``s_q * Q_q^T u_q``,
+        and the variance is the closed-form marginal less the
         projected part, floored as in ``mean_cov``.
         """
-        ws = []
-        m = 0.0
-        for f, alpha in zip(self.factors, self._alphas):
-            k = gauss_gram(self.latent.grid, x, theta + f.phi)
-            m += float(k[:, 0] @ alpha)
-            ws.append(tri_solve(f.L, k))
+        ws = [f.whiten(x, theta + f.phi) for f in self.factors]
+        m = sum(float(w[:, 0] @ beta) for w, beta in zip(ws, self._betas))
         w = np.concatenate(ws)
         marginal = self._marginal_var(kappa, theta)
         var = marginal - kappa**2 * float(w[:, 0] @ w[:, 0]) + 1e-12 * marginal
@@ -242,13 +363,11 @@ class ConvolutionPrior:
         dm_t = np.zeros(n)
         C = np.zeros((n, n))
         dC_t = np.zeros((n, n))
-        for q, (f, phi) in enumerate(zip(self.factors, self.latent.phis)):
-            U, dU = gauss_gram_dv(X, self.latent.grid, theta + phi)
+        for f, phi, beta in zip(self.factors, self.latent.phis, self._betas):
+            W, dW = f.whiten_dv(X, theta + phi)
             G, dG = gauss_gram_dv(X, X, 2.0 * theta + phi)
-            m += U @ self._alphas[q]
-            dm_t += dU @ self._alphas[q]
-            W = tri_solve(f.L, U.T)
-            dW = tri_solve(f.L, dU.T)
+            m += W.T @ beta
+            dm_t += dW.T @ beta
             C += G - W.T @ W
             dC_t += 2.0 * dG - dW.T @ W - W.T @ dW
         m *= kappa
@@ -263,7 +382,7 @@ class ConvolutionPrior:
         J = self.latent.n_grid
         return np.concatenate(
             [
-                kappa * tri_solve(f.L, W[q * J : (q + 1) * J], trans="T").T
+                kappa * f.from_eigen(f.s[:, None] * W[q * J : (q + 1) * J]).T
                 for q, f in enumerate(self.factors)
             ],
             axis=1,
@@ -276,13 +395,13 @@ class ConvolutionPrior:
         projection of ``pts``. Each latent function's ``K(X, grid)``
         serves both the mean and the projected part of the
         cross-covariance, applied to the grid vector
-        ``kappa alpha_q - kappa^2 L_q^{-T} W_q a``.
+        ``kappa alpha_q - kappa^2 Q_q (s_q * W_q a)``.
         """
         J = self.latent.n_grid
         Wa = W @ a
         out = 0.0
         for q, (f, phi) in enumerate(zip(self.factors, self.latent.phis)):
-            r = tri_solve(f.L, Wa[q * J : (q + 1) * J], trans="T")
+            r = f.from_eigen(f.s * Wa[q * J : (q + 1) * J])
             c = kappa * self._alphas[q] - kappa**2 * r
             out += gram_matvec(X, self.latent.grid, theta + phi, c)
             out += kappa**2 * gram_matvec(X, pts, 2.0 * theta + phi, a)
@@ -400,11 +519,11 @@ def sample_latent_posterior(
 def latent_logpost(factor: LatentFactor, values_q: np.ndarray,
                    log_mean: float, log_sd: float) -> float:
     """Log conditional posterior of one latent variance, ``factor.phi``,
-    given that latent function's grid values."""
-    L = factor.L
-    w = tri_solve(L, values_q)
+    given that latent function's grid values, through the factor's
+    eigenvalues: no dense factor is formed."""
+    w = factor.s * factor.to_eigen(values_q)
     quad = -0.5 * float(np.dot(w, w))
-    logdet = -float(np.sum(np.log(np.diag(L))))
+    logdet = float(np.sum(np.log(factor.s)))
     z = (np.log(factor.phi) - log_mean) / log_sd
     return quad + logdet - 0.5 * z * z
 
@@ -420,7 +539,9 @@ def phi_mh_update(
 
     Returns the prior at the updated variances, which keeps the current
     factor of each rejected proposal and the proposal's factor of each
-    accepted one, and a boolean acceptance flag per latent function.
+    accepted one, and a boolean acceptance flag per latent function. A
+    proposal costs one eigendecomposition per grid axis; only an accepted
+    one forms its dense factor, which the next sweep's draws go through.
     """
     latent = prior.latent
     phis = latent.phis.copy()
@@ -428,11 +549,16 @@ def phi_mh_update(
     accepted = np.zeros(latent.n_latent, dtype=bool)
     for q in range(latent.n_latent):
         cur = factors[q]
-        prop = LatentFactor(latent.grid, np.exp(np.log(cur.phi) + step * rng.standard_normal()))
+        prop = LatentFactor(
+            latent.grid, np.exp(np.log(cur.phi) + step * rng.standard_normal()), cur.axes
+        )
         lp_cur = latent_logpost(cur, latent.values[q], log_mean, log_sd)
         lp_prop = latent_logpost(prop, latent.values[q], log_mean, log_sd)
         if np.isfinite(lp_prop) and np.log(rng.random()) < lp_prop - lp_cur:
             phis[q] = prop.phi
             factors[q] = prop
             accepted[q] = True
+            # the next sweep's draws go through L; formed here, outside the
+            # slice move, it adds nothing to that move's peak memory
+            _ = prop.L
     return ConvolutionPrior(LatentState(latent.grid, latent.values, phis), factors), accepted

@@ -3,8 +3,10 @@
 Each iteration runs the five per-process kernels, each process with its
 own keyed random stream, then draws the latent grid values from their
 joint posterior and updates the latent variances. The latent stage
-factors each latent Gram matrix once per distinct variance and passes
-that factor to every step that needs it.
+factors each latent Gram matrix once per distinct variance, per axis
+(``convolution.LatentFactor``), and passes that factor to every step
+that needs it. Only the initial latent draw and the latent slice move's
+prior draw go through its dense Cholesky factor.
 
 Each process's conditional prior lives in the workspace its ``GpContext``
 owns (``sgcp._Workspace``): the point-set projection ``W``, mean ``m`` and
@@ -28,6 +30,7 @@ from .convolution import (
     ConvolutionPrior,
     CouplingParams,
     IndependentPrior,
+    LatentFactor,
     LatentState,
     latent_grid,
     phi_mh_update,
@@ -128,7 +131,9 @@ def _latent_ess_move(states, A_list, prior: ConvolutionPrior, ladder, rng):
     residuals are tiny and the centered alternation alone would move the
     latent only by hairline steps per sweep. Only the function values are
     kept: the exact resample that follows redraws the latent values.
-    ``A_list`` holds each process's coupling matrix.
+    ``A_list`` holds each process's coupling matrix. The slice's prior
+    draw goes through each latent function's dense factor in turn; the
+    block-diagonal prior is never assembled.
     """
     from .sgcp import elliptical_slice, point_loglik
 
@@ -136,13 +141,8 @@ def _latent_ess_move(states, A_list, prior: ConvolutionPrior, ladder, rng):
     u_flat = latent.values.ravel()
     residuals = [states[d].g_values - A_list[d] @ u_flat for d in range(len(states))]
     J = latent.n_grid
-    cov = np.zeros((u_flat.size, u_flat.size))
-    chol = np.zeros((u_flat.size, u_flat.size), order="F")
-    for q, f in enumerate(prior.factors):
-        sl = slice(q * J, (q + 1) * J)
-        cov[sl, sl] = f.K
-        chol[sl, sl] = f.L
-    prior_dist = Mvn(np.zeros(u_flat.size), cov, chol)
+    z = rng.standard_normal(u_flat.size)
+    nu = np.concatenate([f.L @ z[q * J : (q + 1) * J] for q, f in enumerate(prior.factors)])
 
     def loglik(u):
         total = 0.0
@@ -153,7 +153,7 @@ def _latent_ess_move(states, A_list, prior: ConvolutionPrior, ladder, rng):
                 return -np.inf
         return total
 
-    u_new = elliptical_slice(u_flat, prior_dist, loglik, rng)
+    u_new = elliptical_slice(u_flat, None, loglik, rng, nu=nu)
     for d, state in enumerate(states):
         state.g_values = A_list[d] @ u_new + residuals[d]
 
@@ -183,12 +183,11 @@ def run_chain_with_info(data, region: Region, config: RunConfig):
         prior = IndependentPrior(np.exp(priors.phi_log_mean), region.dim)
     else:
         phis = np.full(config.n_latent, np.exp(priors.phi_log_mean))
-        prior = ConvolutionPrior(LatentState(grid, np.zeros((config.n_latent, grid.shape[0])), phis))
-        values = np.stack(
-            [f.L @ latent_rng.standard_normal(grid.shape[0]) for f in prior.factors]
-        )
+        factors = [LatentFactor(grid, phi) for phi in phis]
+        values = np.stack([f.L @ latent_rng.standard_normal(grid.shape[0]) for f in factors])
         latent = LatentState(grid, values, phis)
-        prior = ConvolutionPrior(latent, prior.factors)
+        prior = ConvolutionPrior(latent, factors)
+        del factors  # held here, the first factors would outlive their last use
 
     states = []
     contexts = []

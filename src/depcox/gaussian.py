@@ -2,25 +2,28 @@
 
 Everything downstream (covariance assembly, conditioning, slice and
 Hamiltonian updates, prediction) funnels through the handful of routines
-here. All factorizations are Cholesky-based with a small diagonal jitter.
-Explicit inverses are formed from a Cholesky factor (``chol_inverse``)
-only where the whole matrix is needed: the latent prior precision, the
-latent posterior covariance and the trace terms of the Hamiltonian
-gradient.
+here. Factorizations of point-set covariances are Cholesky-based with a
+small diagonal jitter. Explicit inverses are formed from a Cholesky
+factor (``chol_inverse``) only where the whole matrix is needed: the
+latent prior precision, the latent posterior covariance and the trace
+terms of the Hamiltonian gradient.
 
-The isotropic Gaussian kernel factorizes over axes, so on a product grid
-(``ProductGrid``) a Gram-vector product needs only one small factor per
-axis (``gram_matvec``).
+The isotropic Gaussian kernel factorizes over axes: its Gram matrix on a
+product grid (``ProductGrid``) is the Kronecker product of one small
+``axis_gram`` per axis. A Gram-vector product then needs only those
+factors (``gram_matvec``), and the latent grid's Gram matrix is
+diagonalized through one symmetric eigendecomposition per axis (``eigh``;
+see ``convolution.LatentFactor``).
 
 The hot factorizations and solves call LAPACK directly, through routines
 resolved once at import: ``cholesky`` (``dpotrf``, which
-``cholesky_with_jitter`` wraps), ``tri_solve`` (``dtrtrs``) and
-``chol_inverse`` (``dpotri``).
+``cholesky_with_jitter`` wraps), ``tri_solve`` (``dtrtrs``),
+``chol_inverse`` (``dpotri``) and ``eigh`` (``dsyevd``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lapack
@@ -40,6 +43,7 @@ MAX_JITTER_DOUBLINGS = 4
 _TRTRS = lapack.dtrtrs
 _POTRI = lapack.dpotri
 _POTRF = lapack.dpotrf
+_SYEVD = lapack.dsyevd
 
 
 class ProductGrid:
@@ -96,6 +100,28 @@ def gauss_gram_dv(X, Z, variance: float) -> tuple[np.ndarray, np.ndarray]:
     return G, dG
 
 
+def axis_gram(x: np.ndarray, z: np.ndarray, variance: float) -> np.ndarray:
+    """One axis's factor of the isotropic Gaussian kernel between the
+    coordinates ``x`` and ``z``: ``(2 pi v)^{-1/2} exp(-(x_i - z_j)^2 / 2v)``,
+    shape (x.size, z.size)."""
+    # scale * exp(-0.5 * d**2 / variance), operation for operation (scaling
+    # by -0.5 is exact), in place: this runs once per axis and new point
+    E = x[:, None] - z[None, :]
+    E *= E
+    E *= -0.5
+    E /= variance
+    np.exp(E, out=E)
+    E *= (2.0 * np.pi * variance) ** -0.5
+    return E
+
+
+def axis_gram_dv(x: np.ndarray, z: np.ndarray, variance: float) -> tuple[np.ndarray, np.ndarray]:
+    """``axis_gram`` together with its elementwise derivative in the variance."""
+    E = axis_gram(x, z, variance)
+    sq = (x[:, None] - z[None, :]) ** 2
+    return E, E * (0.5 * sq / variance**2 - 0.5 / variance)
+
+
 def gram_matvec(X, Z, variance: float, c) -> np.ndarray:
     """``gauss_gram(X, Z, variance) @ c`` for points ``X`` or a ``ProductGrid``.
 
@@ -112,11 +138,7 @@ def gram_matvec(X, Z, variance: float, c) -> np.ndarray:
     if Z.shape[1] != X.dim:
         raise ValidationError("point sets have different dimension")
     c = np.asarray(c, dtype=float)
-    scale = (2.0 * np.pi * variance) ** -0.5
-    E = [
-        scale * np.exp(-0.5 * (x[:, None] - z[None, :]) ** 2 / variance)
-        for x, z in zip(X.axes, Z.T)
-    ]
+    E = [axis_gram(x, z, variance) for x, z in zip(X.axes, Z.T)]
     if X.dim == 1:
         return E[0] @ c
     if X.dim == 2:
@@ -217,18 +239,26 @@ def chol_inverse(L: np.ndarray) -> np.ndarray:
     return inv
 
 
+def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues, ascending, and orthonormal eigenvectors (as columns) of
+    a symmetric ``a``, read from its lower triangle.
+
+    One LAPACK ``dsyevd`` call; ``a`` is not overwritten.
+    """
+    w, v, info = _SYEVD(a, compute_v=1, lower=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"eigendecomposition did not converge ({info})")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dsyevd")
+    return w, v
+
+
 @dataclass
 class Mvn:
-    """A multivariate normal given by its mean vector and covariance matrix.
-
-    ``chol`` is the covariance's lower Cholesky factor when the caller
-    holds it already; ``mvn_sample`` then draws through it instead of
-    factoring ``cov`` again.
-    """
+    """A multivariate normal given by its mean vector and covariance matrix."""
 
     mean: np.ndarray
     cov: np.ndarray
-    chol: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
@@ -249,5 +279,4 @@ def mvn_sample(dist: Mvn, rng: np.random.Generator) -> np.ndarray:
         return np.zeros(0)
     if not dist.cov.any():
         return dist.mean.copy()
-    L = dist.chol if dist.chol is not None else cholesky_with_jitter(dist.cov)[0]
-    return dist.mean + L @ rng.standard_normal(dist.dim)
+    return dist.mean + cholesky_with_jitter(dist.cov)[0] @ rng.standard_normal(dist.dim)

@@ -13,6 +13,7 @@ per-process lists are spelled out.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
@@ -51,9 +52,36 @@ def _to_json(value):
     return value
 
 
-def _given(cls, raw: dict) -> dict:
-    """The entries of ``raw`` that name fields of the dataclass ``cls``."""
-    return {f.name: raw[f.name] for f in fields(cls) if f.name in raw}
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)  # a bool is an int
+
+
+# What the value of a field must be, by its annotation (a string: the
+# dataclasses' modules use postponed annotations).
+_KINDS = {
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "int": ("an integer", lambda v: _is_number(v) and isinstance(v, int)),
+    "float": ("a number", _is_number),
+    "dict": ("an object", lambda v: isinstance(v, dict)),
+}
+
+
+def _given(cls, raw: dict, where: str = "") -> dict:
+    """The entries of ``raw`` that name fields of the dataclass ``cls``.
+
+    A field annotated as a flag, a number or an object must be given one;
+    otherwise ``ValidationError`` names the key (``where`` is its
+    enclosing key).
+    """
+    out = {}
+    for f in fields(cls):
+        if f.name not in raw:
+            continue
+        kind = _KINDS.get(f.type)
+        if kind is not None and not kind[1](raw[f.name]):
+            raise ValidationError(f"config key {where}{f.name} must be {kind[0]}, got {raw[f.name]!r}")
+        out[f.name] = raw[f.name]
+    return out
 
 
 def _region(raw: dict) -> Region:
@@ -61,6 +89,8 @@ def _region(raw: dict) -> Region:
         return Region(raw["region"]["lower"], raw["region"]["upper"])
     except KeyError as exc:
         raise ValidationError(f"missing region bounds: {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"config key region: malformed bounds ({exc})") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -168,10 +198,37 @@ def load_config(path) -> ShellConfig:
     return config_from_dict(raw)
 
 
+# Keys that configs and archives written by earlier versions may hold;
+# they are ignored without a warning.
+RETIRED_KEYS = {"parallel_workers"}
+_CONFIG_KEYS = {"region", "ladder", "slack", "priors"} | {
+    f.name for cls in (RunConfig, ShellConfig) for f in fields(cls)
+}
+_PRIOR_KEYS = {f.name for f in fields(PriorConfig)}
+
+
 def config_from_dict(raw: dict) -> ShellConfig:
+    """A validated ``ShellConfig``. A malformed value or an unknown prior
+    raises ``ValidationError`` naming its key; an unknown top-level key is
+    ignored with a warning unless it is a retired one."""
+    if not isinstance(raw, dict):
+        raise ValidationError("a config must be a JSON object")
+    unknown = sorted(set(raw) - _CONFIG_KEYS - RETIRED_KEYS)
+    if unknown:
+        warnings.warn(f"unknown config keys ignored: {', '.join(unknown)}", stacklevel=2)
     region = _region(raw)
-    ladder = RateLadder(tuple(raw.get("ladder", RateLadder.levels)), raw.get("slack", RateLadder.slack))
-    priors = PriorConfig(**raw.get("priors", {}))
+    levels, slack = raw.get("ladder", list(RateLadder.levels)), raw.get("slack", RateLadder.slack)
+    if not (isinstance(levels, list) and all(map(_is_number, levels)) and _is_number(slack)):
+        raise ValidationError(f"config keys ladder and slack must be a list of numbers and a number, "
+                              f"got {levels!r} and {slack!r}")
+    ladder = RateLadder(tuple(levels), slack)
+    priors = raw.get("priors", {})
+    if not isinstance(priors, dict):
+        raise ValidationError(f"config key priors must be an object, got {priors!r}")
+    bad = sorted(set(priors) - _PRIOR_KEYS)
+    if bad:
+        raise ValidationError(f"unknown prior keys: {', '.join(f'priors.{k}' for k in bad)}")
+    priors = PriorConfig(**_given(PriorConfig, priors, "priors."))
     run = RunConfig(**_given(RunConfig, raw) | {"ladder": ladder, "priors": priors})
     return ShellConfig(**_given(ShellConfig, raw) | {"region": region, "run": run})
 

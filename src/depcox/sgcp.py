@@ -295,6 +295,7 @@ class _Workspace:
         self._v = None
         self._jitter = 0.0
         self._last_site = None
+        self._last_cross = None
 
     def holds_for(self, prior, state: AugmentedState) -> bool:
         """Whether ``W`` and ``C`` hold for ``prior`` and ``state``'s points
@@ -317,6 +318,7 @@ class _Workspace:
         self.g = state.g_values.copy()
         self._L = None
         self._v = None
+        self._last_cross = None
 
     def _factor(self):
         if self._L is None:
@@ -328,7 +330,10 @@ class _Workspace:
         """A new site with its projection, prior mean and prior variance.
 
         The last site is kept: the kernels propose at a site and then append
-        or move a point to that same site.
+        or move a point to that same site. So is the last full conditional's
+        cross-covariance ``ks`` with the points and its solve ``L^{-1} ks``,
+        which ``append`` at that site reuses; any change to the points or
+        the factor drops them.
         """
         x = np.atleast_1d(np.asarray(x, dtype=float))[None, :]
         if self._last_site is None or not np.array_equal(x, self._last_site[0]):
@@ -350,6 +355,7 @@ class _Workspace:
             L, v = self._factor()
             w = tri_solve(L, ks)
             mu = mstar + float(w @ v)
+            self._last_cross = (x, ks, w)
         else:
             keep = np.arange(n) != exclude
             Ls, _ = cholesky_with_jitter(self.C[np.ix_(keep, keep)])
@@ -361,7 +367,11 @@ class _Workspace:
     def append(self, x, g_value: float) -> None:
         x, w_x, mstar, cstar = self._site(x)
         n = self.pts.shape[0]
-        ks = self._cross(x, w_x)
+        if self._last_cross is not None and self._last_cross[0] is x:
+            _, ks, w = self._last_cross
+        else:
+            ks, w = self._cross(x, w_x), None
+        self._last_cross = None
         self.pts = np.vstack([self.pts, x])
         self.W = np.hstack([self.W, w_x])
         self.m = np.append(self.m, mstar)
@@ -377,7 +387,8 @@ class _Workspace:
         if self.degenerate:
             return
         if self._L is not None:
-            w = tri_solve(self._L, ks)
+            if w is None:
+                w = tri_solve(self._L, ks)
             d2 = cstar + self._jitter - float(w @ w)
             if d2 > 1e-12 * max(cstar, 1e-12):
                 L_new = np.zeros((n + 1, n + 1), order="F")
@@ -398,6 +409,7 @@ class _Workspace:
         self.g = np.delete(self.g, i)
         self.C = np.delete(np.delete(self.C, i, axis=0), i, axis=1)
         self._L = None
+        self._last_cross = None
 
     def update_point(self, i: int, x, g_value: float) -> None:
         x, w_x, mstar, _ = self._site(x)
@@ -409,6 +421,7 @@ class _Workspace:
         self.C[i, :] = row
         self.C[:, i] = row
         self._L = None
+        self._last_cross = None
 
     def prior_dist(self) -> Mvn:
         return Mvn(self.m.copy(), self.C.copy())
@@ -510,22 +523,29 @@ def elliptical_slice(
     loglik,
     rng: np.random.Generator,
     max_shrink: int = 256,
+    nu: np.ndarray | None = None,
 ) -> np.ndarray:
     """One elliptical slice transition for a Gaussian-prior vector.
 
     The prior may have a nonzero mean; the ellipse is drawn in centered
     coordinates. Terminates by bracket shrinkage toward the current state.
+    ``nu`` is the ellipse's draw from the zero-mean prior if the caller
+    makes it (the latent slice move draws through per-function factors);
+    ``prior_dist`` is then read for its mean only, and ``None`` stands for
+    a zero mean.
     """
     ll_cur = loglik(current)
     if not np.isfinite(ll_cur):
         raise ValidationError("current state has zero likelihood; invariants violated")
-    nu = mvn_sample(Mvn(np.zeros(current.size), prior_dist.cov, prior_dist.chol), rng)
+    if nu is None:
+        nu = mvn_sample(Mvn(np.zeros(current.size), prior_dist.cov), rng)
+    mean = 0.0 if prior_dist is None else prior_dist.mean
     log_y = ll_cur + np.log(rng.random())
     angle = rng.uniform(0.0, 2.0 * np.pi)
     lo, hi = angle - 2.0 * np.pi, angle
-    centered = current - prior_dist.mean
+    centered = current - mean
     for _ in range(max_shrink):
-        proposal = prior_dist.mean + centered * np.cos(angle) + nu * np.sin(angle)
+        proposal = mean + centered * np.cos(angle) + nu * np.sin(angle)
         if loglik(proposal) > log_y:
             return proposal
         if angle < 0.0:

@@ -15,10 +15,18 @@ from depcox.convolution import (
     latent_posterior,
     phi_mh_update,
 )
+import depcox.convolution
 from depcox.errors import ValidationError
-from depcox.gaussian import JITTER_SCALE, cholesky_with_jitter, gauss_gram
+from depcox.gaussian import (
+    JITTER_SCALE,
+    Mvn,
+    ProductGrid,
+    cholesky_with_jitter,
+    gauss_gram,
+    gauss_gram_dv,
+)
 from depcox.sgcp import Region
-from oracles import FixedFunctionPrior, cross_cov, gauss_density, output_cov
+from oracles import FixedFunctionPrior, cross_cov, gauss_density, mvn_logpdf, output_cov
 
 
 def _jittered(K):
@@ -208,6 +216,144 @@ class TestConditionalPrior:
         _, C_m = prior.mean_cov(X, kappa, theta * np.exp(-h))
         np.testing.assert_allclose(dC[1], (C_p - C_m) / (2 * h), atol=1e-5)
         np.testing.assert_allclose(dC[0], 2 * C, atol=1e-12)
+
+
+class TestPerAxisFactor:
+    """The per-axis eigenfactors give what the dense factor of the same
+    ``K + jI`` gives, to 1e-10 relative."""
+
+    KAPPA, THETA = 0.9, 0.015
+    GRIDS = {
+        "1d-unsorted": np.random.default_rng(30).permutation(np.linspace(-0.1, 1.1, 7))[:, None],
+        "2d-4x5": ProductGrid([np.linspace(-0.1, 1.1, 4), np.linspace(0.0, 1.0, 5)]).nodes,
+        "3d-3x4x2": ProductGrid(
+            [np.linspace(0.0, 1.0, 3), np.linspace(-0.1, 1.1, 4), np.array([0.2, 0.7])]
+        ).nodes,
+    }
+
+    @staticmethod
+    def _close(got, want, rel=1e-10):
+        got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want), initial=0.0) <= rel * np.max(np.abs(want), initial=0.0)
+
+    def _setup(self, name, phis):
+        grid = self.GRIDS[name]
+        rng = np.random.default_rng(31)
+        latent = LatentState(grid, rng.standard_normal((len(phis), grid.shape[0])), phis)
+        dim = grid.shape[1]
+        lo, hi = grid.min(axis=0), grid.max(axis=0)
+        X = rng.uniform(lo, hi, size=(6, dim))
+        # dense oracle: K_q + jI with the jitter cholesky_with_jitter adds
+        Ks = [_jittered(gauss_gram(grid, grid, phi)) for phi in phis]
+        return ConvolutionPrior(latent), latent, X, Ks, rng
+
+    def _dense_project(self, latent, Ks, X, theta):
+        return np.concatenate(
+            [np.linalg.solve(np.linalg.cholesky(K), gauss_gram(latent.grid, X, theta + phi))
+             for K, phi in zip(Ks, latent.phis)]
+        )
+
+    CASES = [("1d-unsorted", (0.04,)), ("2d-4x5", (0.05,)), ("3d-3x4x2", (0.06,)),
+             ("2d-4x5", (0.03, 0.08))]
+
+    @pytest.mark.parametrize("name,phis", CASES)
+    def test_projection_site_coupling_and_extend(self, name, phis):
+        prior, latent, X, Ks, rng = self._setup(name, phis)
+        kappa, theta = self.KAPPA, self.THETA
+        W = prior.project(X, theta)
+        Wd = self._dense_project(latent, Ks, X, theta)
+        self._close(W.T @ W, Wd.T @ Wd)
+        alphas = [np.linalg.solve(K, u) for K, u in zip(Ks, latent.values)]
+        for a, want in zip(prior._alphas, alphas):
+            self._close(a, want)
+        mean = kappa * sum(gauss_gram(X, latent.grid, theta + phi) @ a
+                           for phi, a in zip(latent.phis, alphas))
+        x = X[:1]
+        w, m, var = prior.site(x, kappa, theta)
+        marginal = prior._marginal_var(kappa, theta)
+        self._close(w.T @ W, Wd[:, :1].T @ Wd)
+        self._close(m, mean[0])
+        self._close(var, marginal - kappa**2 * float(Wd[:, 0] @ Wd[:, 0]) + 1e-12 * marginal)
+        A = np.hstack([kappa * gauss_gram(X, latent.grid, theta + phi) @ np.linalg.inv(K)
+                       for K, phi in zip(Ks, latent.phis)])
+        self._close(prior.coupling_matrix(W, kappa), A)
+        a = rng.standard_normal(X.shape[0])
+        T = rng.uniform(X.min(axis=0), X.max(axis=0), size=(5, X.shape[1]))
+        G = sum(gauss_gram(T, X, 2 * theta + phi) for phi in latent.phis)
+        Wt = self._dense_project(latent, Ks, T, theta)
+        want = kappa * sum(gauss_gram(T, latent.grid, theta + phi) @ al
+                           for phi, al in zip(latent.phis, alphas))
+        want = want + kappa**2 * (G - Wt.T @ Wd) @ a
+        self._close(prior.extend(T, X, W, a, kappa, theta), want)
+
+    @pytest.mark.parametrize("name,phis", CASES)
+    def test_latent_logpost_matches_dense_density(self, name, phis):
+        prior, latent, _, _, _ = self._setup(name, phis)
+        J = latent.n_grid
+        for f, u in zip(prior.factors, latent.values):
+            K = gauss_gram(latent.grid, latent.grid, f.phi)
+            z = (np.log(f.phi) - 0.1) / 0.7
+            want = mvn_logpdf(u, Mvn(np.zeros(J), K)) + 0.5 * J * np.log(2 * np.pi) - 0.5 * z * z
+            self._close(latent_logpost(f, u, 0.1, 0.7), want)
+
+    @pytest.mark.parametrize("name,phis", CASES)
+    def test_mean_cov_grads_match_dense_formulas(self, name, phis):
+        prior, latent, X, Ks, _ = self._setup(name, phis)
+        kappa, theta = self.KAPPA, self.THETA
+        m, C, dm, dC = prior.mean_cov_grads(X, kappa, theta)
+        n = X.shape[0]
+        m_w, dm_t, C_w, dC_t = np.zeros(n), np.zeros(n), np.zeros((n, n)), np.zeros((n, n))
+        for K, phi, u in zip(Ks, latent.phis, latent.values):
+            U, dU = gauss_gram_dv(X, latent.grid, theta + phi)
+            G, dG = gauss_gram_dv(X, X, 2 * theta + phi)
+            alpha = np.linalg.solve(K, u)
+            m_w += U @ alpha
+            dm_t += dU @ alpha
+            C_w += G - U @ np.linalg.solve(K, U.T)
+            dC_t += 2 * dG - dU @ np.linalg.solve(K, U.T) - U @ np.linalg.solve(K, dU.T)
+        self._close(m, kappa * m_w)
+        self._close(dm, np.stack([kappa * m_w, kappa * theta * dm_t]))
+        # C is a difference of same-sized terms: compare on the scale of G
+        G_scale = prior._marginal_var(kappa, theta)
+        assert np.max(np.abs(C - prior._floored(kappa**2 * C_w, kappa, theta))) <= 1e-10 * G_scale
+        want = kappa**2 * theta * dC_t
+        assert np.max(np.abs(dC[1] - want)) <= 1e-10 * (np.max(np.abs(want)) + G_scale)
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            np.random.default_rng(32).uniform(size=(12, 2)),
+            np.stack([m.ravel() for m in np.meshgrid(np.linspace(0, 1, 3), np.linspace(0, 1, 4))], -1),
+        ],
+        ids=["scattered", "xy-order"],
+    )
+    def test_non_product_grid_is_rejected(self, grid):
+        with pytest.raises(ValidationError, match="product grid"):
+            ConvolutionPrior(LatentState(grid, np.zeros((1, grid.shape[0])), [0.05]))
+
+    def test_rejected_phi_proposal_forms_no_dense_gram_or_factor(self, monkeypatch):
+        grid = latent_grid(Region([0.0, 0.0], [1.0, 1.0]), 40)
+        J = grid.shape[0]
+        # white noise on a 40x40 grid: far too rough for any larger phi
+        u = np.random.default_rng(33).standard_normal((1, J))
+        prior = ConvolutionPrior(LatentState(grid, u, [0.01]))
+        formed = []
+        for name in ("gauss_gram", "cholesky_with_jitter"):
+            original = getattr(depcox.convolution, name)
+
+            def recording(*args, _original=original, **kwargs):
+                out = _original(*args, **kwargs)
+                shape = np.shape(out[0] if isinstance(out, tuple) else out)
+                formed.extend([shape] if shape == (J, J) else [])
+                return out
+
+            monkeypatch.setattr(depcox.convolution, name, recording)
+        rng = np.random.default_rng(1)
+        assert rng.standard_normal() > 0  # the seed's proposal raises phi
+        new, accepted = phi_mh_update(prior, np.random.default_rng(1), step=1.0)
+        assert not accepted[0] and new.factors[0] is prior.factors[0]
+        assert formed == []
 
 
 class TestImpliedJointPsd:

@@ -139,6 +139,35 @@ class TestRunChain:
             ]:
                 assert np.max(np.abs(x - y), initial=0.0) <= 1e-4 * np.max(np.abs(y), initial=0.0)
 
+    def test_latent_gram_is_factored_densely_once_per_accepted_phi(self, monkeypatch):
+        # draws go through a dense factor of each latent Gram, formed at the
+        # start and at each accepted phi; proposals, workspaces and the
+        # eval go through the per-axis factors
+        square = Region([0.0, 0.0], [1.0, 1.0])
+        rng = np.random.default_rng(34)
+        truth = sample_ground_truth(square, 2, 1, rng, lambda_star_range=(20.0, 25.0), grid_per_axis=6)
+        data = sample_events(truth, rng)
+        cfg = _small_config(n_iters=12, burn_in=0, grid_per_axis=5, seed=6, phi_step_size=0.5)
+        grid = depcox.convolution.latent_grid(square, 5, cfg.grid_pad)
+        grams, accepted = [], []
+        gram, update = depcox.convolution.gauss_gram, depcox.engine.phi_mh_update
+
+        def recording_gram(X, Z, variance):
+            grams.extend([variance] if X is Z and np.array_equal(X, grid) else [])
+            return gram(X, Z, variance)
+
+        def recording_update(*args, **kwargs):
+            prior, acc = update(*args, **kwargs)
+            accepted.append(int(acc.sum()))
+            return prior, acc
+
+        monkeypatch.setattr(depcox.convolution, "gauss_gram", recording_gram)
+        monkeypatch.setattr(depcox.engine, "phi_mh_update", recording_update)
+        samples = run_chain_with_info(data, square, cfg)[0]
+        intensity_samples(samples, rng.uniform(size=(7, 2)), data, square, cfg)
+        assert 0 < sum(accepted) < len(accepted)
+        assert len(grams) == 1 + sum(accepted)
+
     def test_rejects_events_outside_region(self):
         data = [EventSet(np.array([[1.5]]))]
         with pytest.raises(ValidationError):

@@ -252,6 +252,35 @@ class TestWorkspaceCache:
         assert var < 0.1 * var_before
         assert (mu, var) == pytest.approx(want, rel=1e-8)
 
+    def test_append_at_the_conditioned_site_reuses_its_solve(self, monkeypatch):
+        rng = np.random.default_rng(24)
+        prior = self._prior()
+        ctx = GpContext(rng.uniform(size=(5, 2)), prior)
+        state = _empty_state(n_data=5, kappa=self.KAPPA, theta=self.THETA)
+        state.thinned = np.zeros((0, 2))
+        state.g_values = rng.standard_normal(5)
+        cached, recomputed = _Workspace(ctx, state), _Workspace(ctx, state)
+        for step in range(6):
+            x, g = rng.uniform(size=2), rng.standard_normal()
+            cached.conditional(x)
+            recomputed.conditional(x)
+            recomputed._last_cross = None
+            with monkeypatch.context() as patched:
+                patched.setattr(_Workspace, "_cross", lambda *a: pytest.fail("recomputed ks"))
+                patched.setattr(depcox.sgcp, "tri_solve", lambda *a, **k: pytest.fail("re-solved"))
+                cached.append(x, g)
+            recomputed.append(x, g)
+            for name in ("C", "_L", "_v", "W", "m", "g"):
+                np.testing.assert_array_equal(getattr(cached, name), getattr(recomputed, name))
+        # a change to the points drops the kept solve: the append recomputes
+        cached.conditional(x)
+        cached.remove(0)
+        calls = []
+        cross = _Workspace._cross
+        monkeypatch.setattr(_Workspace, "_cross", lambda self, *a: calls.append(1) or cross(self, *a))
+        cached.append(x, g)
+        assert calls
+
     def test_factor_is_reused_only_at_its_phi(self):
         prior = self._prior()
         moved = LatentState(prior.latent.grid, prior.latent.values, [0.02, 0.06])

@@ -2,6 +2,10 @@
 
 import filecmp
 import json
+import os
+import subprocess
+import sys
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -283,6 +287,45 @@ class TestFit:
         cfg = io.load_config(_write_config(tmp_path, parallel_workers=3))
         assert cfg.run.n_iters == 40
         assert "parallel_workers" not in io.config_to_dict(cfg)
+
+    @pytest.mark.parametrize(
+        "override,key",
+        [
+            ({"priors": {"lambda_alfa": 2.0}}, "lambda_alfa"),
+            ({"n_iters": "20"}, "n_iters"),
+            ({"adapt": "no"}, "adapt"),
+            ({"slack": "0.9"}, "slack"),
+        ],
+    )
+    def test_malformed_config_exits_2_naming_the_key(self, tmp_path, capsys, override, key):
+        cfg = _write_config(tmp_path, **override)
+        ev = tmp_path / "ev.csv"
+        ev.write_text("process_id,x1\n0,0.5\n")
+        assert main(["fit", str(ev), "--config", str(cfg), "--out", str(tmp_path / "a")]) == 2
+        assert key in capsys.readouterr().err
+
+    def test_unknown_config_key_warns_but_a_retired_one_does_not(self, tmp_path):
+        with pytest.warns(UserWarning, match="n_iter"):
+            cfg = io.load_config(_write_config(tmp_path, n_iter=5))
+        assert cfg.run.n_iters == 40
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            io.load_config(_write_config(tmp_path, parallel_workers=3))
+
+    def test_python_m_depcox_fits_and_warns_on_stderr(self, tmp_path):
+        cfg = _write_config(tmp_path, n_iters=2, burn_in=0, n_iter=5)
+        ev = tmp_path / "ev.csv"
+        ev.write_text("process_id,x1\n0,0.5\n0,0.25\n")
+        src = str(Path(depcox.gaussian.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run(
+            [sys.executable, "-m", "depcox", "fit", str(ev), "--config", str(cfg),
+             "--out", str(tmp_path / "a")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert "unknown config keys ignored: n_iter" in out.stderr
+        assert (tmp_path / "a" / "samples.jsonl").is_file()
 
     def test_fit_reads_each_event_file_once(self, tmp_path, monkeypatch):
         cfg = _write_config(tmp_path, n_iters=2, burn_in=0)

@@ -1,0 +1,74 @@
+"""Sweeps per second of the sampler on larger latent grids (ungated probe).
+
+    python3 tools/grid_probe.py [--sweeps 10] [--seed 0]
+
+Run from the root of a checkout; the program is imported from ``src/``.
+Each case fits a seeded data set with BLAS pinned to one thread and prints
+the sampler's own sweeps/s (``RunInfo``):
+
+* ``2d-20x20``: two coupled processes on the unit square, J = 400, the
+  latent grid of the benchmark's ``2d-grid400``;
+* ``2d-40x40``: the same data on a 40x40 grid, J = 1600;
+* ``3d-10x10x10``: one process on the unit cube, J = 1000.
+
+No bound is checked. The probe shows how the latent stage scales with the
+grid size and the dimension, which the benchmark's workloads do not.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import sys
+from pathlib import Path
+
+for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[var] = "1"
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import numpy as np  # noqa: E402
+
+from depcox.engine import RunConfig, run_chain_with_info  # noqa: E402
+from depcox.generate import sample_events, sample_ground_truth  # noqa: E402
+from depcox.sgcp import PriorConfig, Region  # noqa: E402
+
+# priors scaled to a unit region, as in the benchmark's workloads
+PRIORS = PriorConfig(
+    lambda_beta=0.1,
+    kappa_log_sd=0.7,
+    theta_log_mean=float(np.log(0.005)),
+    theta_log_sd=0.7,
+    phi_log_mean=float(np.log(0.01)),
+    phi_log_sd=0.7,
+)
+# (name, dimension, processes, latent grid points per axis)
+CASES = [("2d-20x20", 2, 2, 20), ("2d-40x40", 2, 2, 40), ("3d-10x10x10", 3, 1, 10)]
+
+
+def probe(dim: int, n_processes: int, per_axis: int, sweeps: int, seed: int) -> float:
+    region = Region([0.0] * dim, [1.0] * dim)
+    rng = np.random.default_rng([seed, dim])
+    truth = sample_ground_truth(
+        region, n_processes, 1, rng, grid_per_axis=8, lambda_star_range=(60.0, 60.0)
+    )
+    events = sample_events(truth, rng)
+    config = RunConfig(
+        n_iters=sweeps, burn_in=0, seed=seed, grid_per_axis=per_axis, priors=PRIORS
+    )
+    _, info = run_chain_with_info(events, region, config)
+    return info.iterations_per_second
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--sweeps", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args(argv)
+    for name, dim, n_processes, per_axis in CASES:
+        rate = probe(dim, n_processes, per_axis, args.sweeps, args.seed)
+        print(f"{name:12s} J={per_axis ** dim:5d}  {rate:7.2f} sweeps/s")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
