@@ -41,7 +41,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="score an archive on held-out events")
     p_eval.add_argument("archive")
     p_eval.add_argument("events", nargs="*", help="test event CSV files (archive split if omitted)")
-    p_eval.add_argument("--config", default=None, help="config override for baselines")
     p_eval.add_argument("--out", default=None, help="report CSV path (stdout if omitted)")
     p_eval.add_argument("--baselines", action="store_true")
     p_eval.add_argument("--truth", default=None, help="ground-truth manifest for L2 rows")
@@ -51,7 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("archive")
     p_exp.add_argument("--out", required=True)
     p_exp.add_argument("--resolution", type=int, default=100)
-    p_exp.add_argument("--seed", type=int, default=None)
     return parser
 
 
@@ -63,7 +61,7 @@ def cmd_generate(args) -> int:
     n_proc = int(gen.pop("n_processes", 4))
     gen.setdefault("grid_per_axis", cfg.run.grid_per_axis)
     gen.setdefault("grid_pad", cfg.run.grid_pad)
-    truth = sample_ground_truth(cfg.region, n_proc, cfg.run.n_latent, rng, **_tupled(gen))
+    truth = sample_ground_truth(cfg.region, n_proc, cfg.run.n_latent, rng, **gen)
     events = sample_events(truth, rng)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -72,13 +70,6 @@ def cmd_generate(args) -> int:
     io.save_truth(out / "truth_manifest.json", truth)
     print(f"wrote {n_proc} event files and truth_manifest.json to {out}")
     return 0
-
-
-def _tupled(gen: dict) -> dict:
-    out = {}
-    for key, value in gen.items():
-        out[key] = tuple(value) if isinstance(value, list) else value
-    return out
 
 
 def cmd_fit(args) -> int:
@@ -122,40 +113,33 @@ def _split(events, fraction, rng):
 
 def cmd_eval(args) -> int:
     archive = io.load_archive(args.archive)
-    cfg = io.load_config(args.config) if args.config else archive.config
-    if cfg.region.dim != archive.config.region.dim:
-        raise ValidationError("config region dimension does not match archive")
-    test = io.read_event_files(args.events, cfg.region) if args.events else archive.test
+    region = archive.config.region
+    test = io.read_event_files(args.events, region) if args.events else archive.test
     if len(test) != len(archive.train):
         raise ValidationError(
             f"archive has {len(archive.train)} processes but test data has {len(test)}"
         )
-    quad = Quadrature.for_region(cfg.region, cfg.quad_resolution())
-    rows = []
-    rows += _model_rows("ours", archive.samples, archive.config.run, archive, test, quad)
+    quad = Quadrature.for_region(region, archive.config.quad_resolution())
     truth = io.load_truth(args.truth) if args.truth else None
-    if truth is not None:
-        rows += _l2_rows("ours", archive.samples, archive.config.run, archive, truth, quad)
+    rows = _model_rows("ours", archive.samples, archive.config.run, archive, test, quad, truth)
     if args.baselines:
         ind_cfg = replace(archive.config.run, independent=True)
         if args.seed is not None:
             ind_cfg = replace(ind_cfg, seed=args.seed)
-        ind_samples, _ = run_chain_with_info(archive.train, cfg.region, ind_cfg)
-        rows += _model_rows("independent", ind_samples, ind_cfg, archive, test, quad)
-        if truth is not None:
-            rows += _l2_rows("independent", ind_samples, ind_cfg, archive, truth, quad)
+        ind_samples, _ = run_chain_with_info(archive.train, region, ind_cfg)
+        rows += _model_rows("independent", ind_samples, ind_cfg, archive, test, quad, truth)
         rows += _kde_rows(archive, test, quad, truth)
     if args.out:
         io.write_report(args.out, rows)
         print(f"report written to {args.out}")
     else:
-        print("dataset,model,metric,value")
-        for dataset, model, metric, value in rows:
-            print(f"{dataset},{model},{metric},{value}")
+        io.write_report(sys.stdout, rows)
     return 0
 
 
-def _model_rows(model, samples, run, archive, test, quad):
+def _model_rows(model, samples, run, archive, test, quad, truth):
+    """Predictive rows of every process, then, given a ``truth``, the L2
+    error of each process's posterior mean intensity at the nodes."""
     region = archive.config.region
     rows = []
     # one pass over the samples: every process at the quadrature nodes and
@@ -173,15 +157,11 @@ def _model_rows(model, samples, run, archive, test, quad):
         rows.append(
             (f"process_{d}", model, "mean_sample_loglik", float(np.mean(finite)) if finite.size else -np.inf)
         )
-    return rows
-
-
-def _l2_rows(model, samples, run, archive, truth, quad):
-    lam = summarize(samples, quad.grid, archive.train, archive.config.region, run).intensity_mean
-    rows = []
-    for d in range(len(archive.train)):
-        true_lam = truth.intensity(d, quad.nodes)
-        rows.append((f"process_{d}", model, "l2_error", l2_error(lam[d], true_lam, quad)))
+    if truth is not None:
+        lam_mean = lams[:, :, :n_nodes].sum(axis=0) / len(samples)
+        for d in range(len(test)):
+            true_lam = truth.intensity(d, quad.nodes)
+            rows.append((f"process_{d}", model, "l2_error", l2_error(lam_mean[d], true_lam, quad)))
     return rows
 
 

@@ -51,7 +51,6 @@ from .sgcp import (
     GpContext,
     PriorConfig,
     Region,
-    assign_rate,
     birth_death_step,
     ess_function_update,
     gibbs_lambda_star,
@@ -61,9 +60,22 @@ from .sgcp import (
 from .thinning import RateLadder
 
 
+# Starting step sizes of the Hamiltonian hyperparameter update and of the
+# latent-variance random walk. Both adapt during burn-in and are then frozen.
+HMC_STEP_SIZE = 0.1
+PHI_STEP_SIZE = 0.1
+
+
 @dataclass
 class RunConfig:
-    """Everything a chain run needs besides the data and the region."""
+    """Everything a chain run needs besides the data and the region.
+
+    The sampler's own settings are fixed, not configured: birth/death
+    proposes an insertion with probability ``b`` and the Hamiltonian update
+    takes ``n_steps`` leapfrog steps, at those kernels' defaults in
+    ``sgcp``; the starting step sizes are ``HMC_STEP_SIZE`` and
+    ``PHI_STEP_SIZE`` here, and both steps always adapt during burn-in.
+    """
 
     n_iters: int = 1000
     burn_in: int = 0
@@ -74,11 +86,6 @@ class RunConfig:
     grid_per_axis: int = 20
     grid_pad: float = 0.1
     priors: PriorConfig = field(default_factory=PriorConfig)
-    insert_prob: float = 0.5
-    hmc_steps: int = 10
-    hmc_step_size: float = 0.1
-    phi_step_size: float = 0.1
-    adapt: bool = True
     independent: bool = False
 
     def __post_init__(self):
@@ -88,8 +95,6 @@ class RunConfig:
             raise ValidationError("thin_every must be at least 1")
         if self.n_latent < 1 or self.grid_per_axis < 2:
             raise ValidationError("need at least one latent function and two grid points")
-        if not 0.0 < self.insert_prob < 1.0:
-            raise ValidationError("insert_prob must lie in (0, 1)")
 
 
 @dataclass
@@ -205,13 +210,12 @@ def run_chain_with_info(data, region: Region, config: RunConfig):
             lambda_star=lam0,
             kappa=kappa,
             theta=theta,
-            data_rate_idx=np.asarray(assign_rate(expit(g0), ladder), dtype=int).reshape(-1),
         )
         states.append(state)
         contexts.append(ctx)
 
-    hmc_step = np.full(n_proc, config.hmc_step_size)
-    phi_step = config.phi_step_size
+    hmc_step = np.full(n_proc, HMC_STEP_SIZE)
+    phi_step = PHI_STEP_SIZE
     hmc_accepts = np.zeros(n_proc)
     hmc_tries = 0
     phi_accepts = 0.0
@@ -230,11 +234,11 @@ def run_chain_with_info(data, region: Region, config: RunConfig):
             state = states[d]
             rng = streams[d]
             ctx = contexts[d]
-            state = birth_death_step(state, region, ladder, ctx, rng, b=config.insert_prob)
+            state = birth_death_step(state, region, ladder, ctx, rng)
             state = move_step(state, region, ladder, ctx, rng)
             state = ess_function_update(state, ctx.workspace(state).prior_dist(), ladder, rng)
             state, accepted, accept_prob = hmc_hyper_update(
-                state, ctx, priors, rng, float(hmc_step[d]), config.hmc_steps
+                state, ctx, priors, rng, float(hmc_step[d])
             )
             state = gibbs_lambda_star(state, region, priors, ladder, rng)
             state.validate(ladder)
@@ -250,17 +254,16 @@ def run_chain_with_info(data, region: Region, config: RunConfig):
         t0 = time.perf_counter()
         results = [sweep_one(d) for d in range(n_proc)]
         in_burn = it < config.burn_in
-        for d, (state, accepted, _) in enumerate(results):
+        for d, (state, accepted, accept_prob) in enumerate(results):
             states[d] = state
-            if not in_burn:  # acceptance reported for the post-adaptation phase
+            if in_burn:
+                hmc_step[d] *= np.exp(0.05 * (accept_prob - 0.65))
+            else:  # acceptance reported for the post-adaptation phase
                 hmc_accepts[d] += accepted
         hmc_tries += 0 if in_burn else 1
-        if config.adapt and in_burn:
-            for d, (_, _, accept_prob) in enumerate(results):
-                hmc_step[d] *= np.exp(0.05 * (accept_prob - 0.65))
-            if it >= avg_from:
-                log_step_sum += np.log(hmc_step)
-                avg_count += 1
+        if in_burn and it >= avg_from:
+            log_step_sum += np.log(hmc_step)
+            avg_count += 1
         t1 = time.perf_counter()
         timings["process_updates"] += t1 - t0
 
@@ -289,18 +292,18 @@ def run_chain_with_info(data, region: Region, config: RunConfig):
                 log_sd=priors.phi_log_sd,
             )
             latent = prior.latent
-            if not in_burn:
-                phi_accepts += float(np.mean(acc))
-                phi_tries += 1
-            if config.adapt and in_burn:
+            if in_burn:
                 phi_step *= float(np.exp(0.05 * (np.mean(acc) - 0.3)))
                 if it >= avg_from:
                     log_phi_sum += np.log(phi_step)
+            else:
+                phi_accepts += float(np.mean(acc))
+                phi_tries += 1
             for ctx in contexts:
                 ctx.prior = prior
         timings["latent_updates"] += time.perf_counter() - t1
 
-        if config.adapt and it == config.burn_in - 1 and avg_count > 0:
+        if it == config.burn_in - 1 and avg_count > 0:
             hmc_step = np.exp(log_step_sum / avg_count)
             phi_step = float(np.exp(log_phi_sum / avg_count)) if latent is not None else phi_step
 
@@ -370,7 +373,7 @@ def _extensions(samples, targets, data, region: Region, config: RunConfig):
     for s, prior in zip(samples, _sample_priors(samples, region, config)):
         g = []
         for d, ev in enumerate(data):
-            pts = np.vstack([ev.points, s.thinned[d]]) if s.thinned[d].shape[0] else ev.points
+            pts = np.vstack([ev.points, s.thinned[d]])
             kappa, theta = s.kappas[d], s.thetas[d]
             W = prior.project(pts, theta)
             m_pts, C = prior.mean_cov(pts, kappa, theta, W)

@@ -30,10 +30,15 @@ EVENT_HEADER = "process_id"
 
 def _write_csv(path, header: list[str], rows) -> None:
     """A header line, then one line per row: strings as they are, numbers
-    as ``repr(float)`` so that they read back exactly."""
+    as ``repr(float)`` so that they read back exactly. ``path`` may also be
+    an open text stream."""
     lines = [",".join(header)]
     lines += [",".join(v if isinstance(v, str) else repr(float(v)) for v in row) for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n")
+    text = "\n".join(lines) + "\n"
+    if hasattr(path, "write"):
+        path.write(text)
+    else:
+        Path(path).write_text(text)
 
 
 def _coordinates(dim: int) -> list[str]:
@@ -198,9 +203,16 @@ def load_config(path) -> ShellConfig:
     return config_from_dict(raw)
 
 
-# Keys that configs and archives written by earlier versions may hold;
-# they are ignored without a warning.
-RETIRED_KEYS = {"parallel_workers"}
+# Keys that configs and archives written by earlier versions may hold:
+# settings that are now fixed (the insertion probability, the leapfrog
+# steps, the starting step sizes and whether they adapt; see ``RunConfig``)
+# or gone (the worker count). Their values are not read. They load without
+# a warning because every archive written before holds them in its
+# config.json, and a warning on each eval of such an archive would flag
+# nothing wrong.
+RETIRED_KEYS = {
+    "parallel_workers", "insert_prob", "hmc_steps", "hmc_step_size", "phi_step_size", "adapt",
+}
 _CONFIG_KEYS = {"region", "ladder", "slack", "priors"} | {
     f.name for cls in (RunConfig, ShellConfig) for f in fields(cls)
 }
@@ -362,5 +374,6 @@ def write_grid_file(path, grid: np.ndarray, mean: np.ndarray, sd: np.ndarray) ->
 
 
 def write_report(path, rows: list[tuple]) -> None:
-    """Metric report rows of (dataset, model, metric, value)."""
+    """Metric report rows of (dataset, model, metric, value), to a file
+    path or an open text stream."""
     _write_csv(path, ["dataset", "model", "metric", "value"], rows)

@@ -124,13 +124,11 @@ class AugmentedState:
     lambda_star: float
     kappa: float
     theta: float
-    data_rate_idx: np.ndarray  # (K,) int notional levels of the observed points
 
     def __post_init__(self):
         self.thinned = _as_points(self.thinned)
         self.rate_idx = np.asarray(self.rate_idx, dtype=int)
         self.g_values = np.asarray(self.g_values, dtype=float)
-        self.data_rate_idx = np.asarray(self.data_rate_idx, dtype=int)
 
     @property
     def n_thinned(self) -> int:
@@ -156,13 +154,12 @@ class AugmentedState:
             self.lambda_star,
             self.kappa,
             self.theta,
-            self.data_rate_idx.copy(),
         )
 
     def validate(self, ladder: RateLadder) -> None:
         if self.rate_idx.size != self.n_thinned:
             raise ValidationError("one rate index per thinned point required")
-        if self.n_data < 0 or self.data_rate_idx.size != self.n_data:
+        if self.n_data < 0:
             raise ValidationError("g_values inconsistent with thinned/data counts")
         if self.lambda_star <= 0 or self.kappa <= 0 or self.theta <= 0:
             raise ValidationError("lambda_star, kappa and theta must be positive")
@@ -201,10 +198,6 @@ class GpContext:
         self.data = _as_points(self.data)
 
     def points(self, state: AugmentedState) -> np.ndarray:
-        if state.n_thinned == 0:
-            return self.data.copy()
-        if self.data.shape[0] == 0:
-            return state.thinned.copy()
         return np.vstack([self.data, state.thinned])
 
     def workspace(self, state: AugmentedState) -> "_Workspace":
@@ -678,17 +671,16 @@ def hmc_hyper_update(
 
 def lambda_posterior(
     state: AugmentedState, region: Region, priors: PriorConfig, ladder: RateLadder
-) -> tuple[float, float, np.ndarray]:
+) -> tuple[float, float]:
     """Gamma shape and rate of the bound's conditional posterior.
 
     The shape uses the level-weighted point total, with the observed
-    points' notional levels refreshed from their current sigmoids; with a
-    one-level ladder the total is exactly K + M. Returns the refreshed
-    data levels as well.
+    points' notional levels assigned from their current sigmoids; with a
+    one-level ladder the total is exactly K + M.
     """
-    data_levels = np.asarray(assign_rate(expit(state.g_data), ladder), dtype=int).reshape(-1)
+    data_levels = assign_rate(expit(state.g_data), ladder)
     total = estimate_total(data_levels, state.rate_idx, ladder)
-    return priors.lambda_alpha + total, priors.lambda_beta + region.volume, data_levels
+    return priors.lambda_alpha + total, priors.lambda_beta + region.volume
 
 
 def gibbs_lambda_star(
@@ -700,7 +692,6 @@ def gibbs_lambda_star(
 ) -> AugmentedState:
     """Conjugate Gamma resample of the intensity bound."""
     state = state.copy()
-    shape, rate, data_levels = lambda_posterior(state, region, priors, ladder)
-    state.data_rate_idx = data_levels
+    shape, rate = lambda_posterior(state, region, priors, ladder)
     state.lambda_star = float(rng.gamma(shape, 1.0 / rate))
     return state

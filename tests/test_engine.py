@@ -114,9 +114,10 @@ class TestRunChain:
         truth = sample_ground_truth(region, 2, 2, rng, lambda_star_range=(20.0, 25.0), grid_per_axis=6)
         data = sample_events(truth, rng)
         cfg = _small_config(
-            n_iters=10, burn_in=0, n_latent=2, grid_per_axis=6, seed=5, independent=independent,
-            hmc_step_size=0.3, phi_step_size=3.0,
+            n_iters=10, burn_in=0, n_latent=2, grid_per_axis=6, seed=5, independent=independent
         )
+        monkeypatch.setattr(depcox.engine, "HMC_STEP_SIZE", 0.3)
+        monkeypatch.setattr(depcox.engine, "PHI_STEP_SIZE", 3.0)
         kept = run_chain_with_info(data, region, cfg)[0]
         monkeypatch.setattr(
             depcox.sgcp.GpContext, "workspace", lambda ctx, state: depcox.sgcp._Workspace(ctx, state)
@@ -147,7 +148,8 @@ class TestRunChain:
         rng = np.random.default_rng(34)
         truth = sample_ground_truth(square, 2, 1, rng, lambda_star_range=(20.0, 25.0), grid_per_axis=6)
         data = sample_events(truth, rng)
-        cfg = _small_config(n_iters=12, burn_in=0, grid_per_axis=5, seed=6, phi_step_size=0.5)
+        cfg = _small_config(n_iters=12, burn_in=0, grid_per_axis=5, seed=6)
+        monkeypatch.setattr(depcox.engine, "PHI_STEP_SIZE", 0.5)
         grid = depcox.convolution.latent_grid(square, 5, cfg.grid_pad)
         grams, accepted = [], []
         gram, update = depcox.convolution.gauss_gram, depcox.engine.phi_mh_update
@@ -208,7 +210,6 @@ class TestRunChain:
             max(len(s.g_values[d]) for s in samples) for d in range(3)
         )
         cap = max(n_max + 25, cfg.grid_per_axis * cfg.n_latent)
-        total = sum(len(s.g_values[d]) for s in samples[-1:][0].g_values for d in [0]) if False else None
         biggest = max(max(shape) for shape in recorded)
         assert biggest <= cap
         # and in particular never the all-process joint

@@ -49,7 +49,6 @@ def _empty_state(lam=2.0, kappa=1.0, theta=0.05, n_data=0):
         lambda_star=lam,
         kappa=kappa,
         theta=theta,
-        data_rate_idx=np.zeros(n_data, dtype=int),
     )
 
 
@@ -588,7 +587,7 @@ class TestGibbsLambda:
         state.g_values = np.zeros(3)
         state.append_thinned([0.1], -1.0, 0)
         state.append_thinned([0.2], -1.0, 0)
-        shape, rate, _ = lambda_posterior(state, UNIT, PriorConfig(lambda_alpha=1.0, lambda_beta=1.0), SINGLE)
+        shape, rate = lambda_posterior(state, UNIT, PriorConfig(lambda_alpha=1.0, lambda_beta=1.0), SINGLE)
         assert shape == pytest.approx(6.0)
         assert rate == pytest.approx(2.0)
 
@@ -598,7 +597,7 @@ class TestGibbsLambda:
         state.g_values = np.array([logit(0.6), logit(0.7)])
         for _ in range(4):
             state.append_thinned([0.3], logit(0.2), 0)
-        shape, rate, _ = lambda_posterior(
+        shape, rate = lambda_posterior(
             state, UNIT, PriorConfig(lambda_alpha=1.0, lambda_beta=0.1), TWO_LEVEL
         )
         assert shape == pytest.approx(11.0)
@@ -606,7 +605,7 @@ class TestGibbsLambda:
 
     def test_no_events_shifts_only_rate(self):
         state = _empty_state()
-        shape, rate, _ = lambda_posterior(state, UNIT, PriorConfig(lambda_alpha=1.3, lambda_beta=0.2), SINGLE)
+        shape, rate = lambda_posterior(state, UNIT, PriorConfig(lambda_alpha=1.3, lambda_beta=0.2), SINGLE)
         assert shape == pytest.approx(1.3)
         assert rate == pytest.approx(1.2)
 

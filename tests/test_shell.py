@@ -16,9 +16,9 @@ import depcox.convolution
 import depcox.gaussian
 from depcox import io
 from depcox.cli import main
-from depcox.engine import RunConfig, intensity_samples, run_chain_with_info
+from depcox.engine import RunConfig, intensity_samples, run_chain_with_info, summarize
 from depcox.generate import sample_events, sample_ground_truth
-from depcox.metrics import Quadrature, poisson_loglik, sample_logliks
+from depcox.metrics import Quadrature, l2_error, poisson_loglik, sample_logliks
 from depcox.sgcp import EventSet, PriorConfig, Region
 from depcox.thinning import RateLadder
 
@@ -26,9 +26,13 @@ from depcox.thinning import RateLadder
 # Archives written earlier hold exactly these, so they are the file format.
 CONFIG_KEYS = {
     "region", "ladder", "slack", "n_iters", "burn_in", "thin_every", "seed", "n_latent",
-    "grid_per_axis", "grid_pad", "priors", "insert_prob", "hmc_steps", "hmc_step_size",
-    "phi_step_size", "adapt", "independent", "quadrature_resolution", "train_fraction",
-    "generate",
+    "grid_per_axis", "grid_pad", "priors", "independent", "quadrature_resolution",
+    "train_fraction", "generate",
+}
+# Sampler settings that configs and archives written earlier hold, each off
+# the value the sampler now fixes.
+RETIRED_SETTINGS = {
+    "insert_prob": 0.3, "hmc_steps": 4, "hmc_step_size": 0.3, "phi_step_size": 3.0, "adapt": False,
 }
 SAMPLE_KEYS = {
     "iteration", "lambda_stars", "kappas", "thetas", "phis", "latent_values", "thinned",
@@ -146,9 +150,7 @@ class TestSerializers:
         run = RunConfig(
             n_iters=7, burn_in=2, thin_every=3, seed=5, ladder=RateLadder((0.25, 0.5, 1.0), 0.8),
             n_latent=2, grid_per_axis=6, grid_pad=0.2,
-            priors=PriorConfig(2.0, 0.5, 0.1, 0.6, -3.0, 0.4, -4.0, 0.3),
-            insert_prob=0.3, hmc_steps=4, hmc_step_size=0.05, phi_step_size=0.2,
-            adapt=False, independent=True,
+            priors=PriorConfig(2.0, 0.5, 0.1, 0.6, -3.0, 0.4, -4.0, 0.3), independent=True,
         )
         return io.ShellConfig(
             Region([0.0, -1.0], [2.0, 1.0]), run, quadrature_resolution=32, train_fraction=0.5,
@@ -288,12 +290,26 @@ class TestFit:
         assert cfg.run.n_iters == 40
         assert "parallel_workers" not in io.config_to_dict(cfg)
 
+    def test_config_with_retired_sampler_settings_fits_as_one_without_them(self, tmp_path):
+        # the settings are fixed now: set off their values, they change nothing
+        gen, plain, old = tmp_path / "gen", tmp_path / "plain", tmp_path / "old"
+        plain.mkdir()
+        old.mkdir()
+        main(["generate", "--config", str(_write_config(tmp_path)), "--out", str(gen)])
+        events = [str(gen / "events_0.csv"), str(gen / "events_1.csv")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for cfg in (_write_config(plain), _write_config(old, **RETIRED_SETTINGS)):
+                assert main(["fit", *events, "--config", str(cfg), "--out", str(cfg.parent / "a")]) == 0
+        assert not set(RETIRED_SETTINGS) & set(io.config_to_dict(io.load_config(old / "config.json")))
+        assert _archive_files_equal(plain / "a", old / "a")
+
     @pytest.mark.parametrize(
         "override,key",
         [
             ({"priors": {"lambda_alfa": 2.0}}, "lambda_alfa"),
             ({"n_iters": "20"}, "n_iters"),
-            ({"adapt": "no"}, "adapt"),
+            ({"independent": "no"}, "independent"),
             ({"slack": "0.9"}, "slack"),
         ],
     )
@@ -311,6 +327,7 @@ class TestFit:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             io.load_config(_write_config(tmp_path, parallel_workers=3))
+            io.load_config(_write_config(tmp_path, **RETIRED_SETTINGS))
 
     def test_python_m_depcox_fits_and_warns_on_stderr(self, tmp_path):
         cfg = _write_config(tmp_path, n_iters=2, burn_in=0, n_iter=5)
@@ -385,6 +402,28 @@ class TestEval:
         report2 = tmp_path / "report2.csv"
         main(["eval", str(arch), "--truth", str(gen / "truth_manifest.json"), "--out", str(report2)])
         assert "l2_error" in report2.read_text()
+
+    def test_report_on_stdout_is_the_report_file(self, fitted, capsys):
+        tmp_path, cfg, gen, arch = fitted
+        truth = str(gen / "truth_manifest.json")
+        assert main(["eval", str(arch), "--truth", truth]) == 0
+        printed = capsys.readouterr().out
+        assert main(["eval", str(arch), "--truth", truth, "--out", str(tmp_path / "r.csv")]) == 0
+        assert printed == (tmp_path / "r.csv").read_text()
+
+    def test_l2_rows_score_the_posterior_mean_intensity(self, fitted):
+        tmp_path, cfg, gen, arch = fitted
+        main(["eval", str(arch), "--truth", str(gen / "truth_manifest.json"),
+              "--out", str(tmp_path / "r.csv")])
+        rows = [r.split(",") for r in (tmp_path / "r.csv").read_text().splitlines()[1:]]
+        got = [float(r[3]) for r in rows if r[2] == "l2_error"]
+        loaded, truth = io.load_archive(arch), io.load_truth(gen / "truth_manifest.json")
+        quad = Quadrature.for_region(loaded.config.region, loaded.config.quad_resolution())
+        lam = summarize(
+            loaded.samples, quad.grid, loaded.train, loaded.config.region, loaded.config.run
+        ).intensity_mean
+        want = [l2_error(lam[d], truth.intensity(d, quad.nodes), quad) for d in range(2)]
+        assert got == want  # the same sums in the same order
 
     def test_baseline_rows_present_when_flagged(self, fitted):
         tmp_path, cfg, gen, arch = fitted
