@@ -460,7 +460,7 @@ class IndependentPrior:
 
 
 def latent_posterior(
-    g_list, X_list, prior: ConvolutionPrior, params: CouplingParams, W_list=None, A_list=None
+    g_list, X_list, prior: ConvolutionPrior, params: CouplingParams, W_list, A_list
 ) -> Mvn:
     """Joint Gaussian posterior over the stacked latent grid values.
 
@@ -469,8 +469,8 @@ def latent_posterior(
     that process's coupling matrix and dense residual covariance. No
     cross-process covariance is ever assembled. Only the prior's latent
     factors enter, not its current grid values. ``W_list`` holds each
-    process's projection and ``A_list`` its coupling matrix if the caller
-    has them already.
+    process's projection (its workspace's ``W``) and ``A_list`` its
+    coupling matrix.
     """
     if len(g_list) != params.n_processes or len(X_list) != params.n_processes:
         raise ValidationError("one g vector and one point set per process required")
@@ -488,8 +488,7 @@ def latent_posterior(
             raise ValidationError(f"g values and locations disagree for process {d}")
         if g_d.size == 0:
             continue
-        W = prior.project(X_d, params.thetas[d]) if W_list is None else W_list[d]
-        A = prior.coupling_matrix(W, params.kappas[d]) if A_list is None else A_list[d]
+        W, A = W_list[d], A_list[d]
         D = prior._floored(prior.cov(X_d, W, X_d, W, params.kappas[d], params.thetas[d]),
                            params.kappas[d], params.thetas[d])
         L_D, _ = cholesky_with_jitter(D)
@@ -508,7 +507,7 @@ def latent_posterior(
 
 def sample_latent_posterior(
     g_list, X_list, prior: ConvolutionPrior, params: CouplingParams, rng: np.random.Generator,
-    W_list=None, A_list=None,
+    W_list, A_list,
 ) -> np.ndarray:
     """Draw new latent grid values from their joint posterior, shaped (Q, J)."""
     post = latent_posterior(g_list, X_list, prior, params, W_list, A_list)

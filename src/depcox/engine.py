@@ -10,12 +10,11 @@ prior draw go through its dense Cholesky factor.
 
 Each process's conditional prior lives in the workspace its ``GpContext``
 owns (``sgcp._Workspace``): the point-set projection ``W``, mean ``m`` and
-residual covariance ``C``, kept in step by the kernels that move points.
-The function slice update draws from its ``m`` and ``C``, and the latent
-stage takes each process's ``W`` from it; the engine never projects a
-point set itself. Installing the end-of-sweep prior, at the same latent
-factors, refreshes only ``m``; a Hamiltonian or latent-variance accept
-makes the next use rebuild the workspace.
+residual covariance ``C``. The initial draw, whose workspace the first
+birth/death reuses, the function slice update, the latent stage (each
+``W``) and prediction (one workspace per retained sample) all go through
+it: the engine never projects a point set or factors a ``C`` itself, at
+start-up, in the sweep or in prediction.
 """
 
 from __future__ import annotations
@@ -37,14 +36,7 @@ from .convolution import (
     sample_latent_posterior,
 )
 from .errors import NumericalError, ValidationError
-from .gaussian import (
-    Mvn,
-    ProductGrid,
-    _as_points,
-    chol_solve,
-    cholesky_with_jitter,
-    mvn_sample,
-)
+from .gaussian import ProductGrid, _as_points
 from .sgcp import (
     AugmentedState,
     EventSet,
@@ -158,7 +150,7 @@ def _latent_ess_move(states, A_list, prior: ConvolutionPrior, ladder, rng):
                 return -np.inf
         return total
 
-    u_new = elliptical_slice(u_flat, None, loglik, rng, nu=nu)
+    u_new = elliptical_slice(u_flat, 0.0, loglik, rng, nu)
     for d, state in enumerate(states):
         state.g_values = A_list[d] @ u_new + residuals[d]
 
@@ -194,25 +186,22 @@ def run_chain_with_info(data, region: Region, config: RunConfig):
         prior = ConvolutionPrior(latent, factors)
         del factors  # held here, the first factors would outlive their last use
 
-    states = []
-    contexts = []
+    states, contexts = [], []
     for d, ev in enumerate(data):
         ctx = GpContext(ev.points, prior)
-        kappa = float(np.exp(priors.kappa_log_mean))
-        theta = float(np.exp(priors.theta_log_mean))
-        m, C = prior.mean_cov(ctx.data, kappa, theta)
-        g0 = mvn_sample(Mvn(m, C), streams[d])
-        lam0 = (priors.lambda_alpha + len(ev)) / (priors.lambda_beta + region.volume)
         state = AugmentedState(
             thinned=np.zeros((0, region.dim)),
             rate_idx=np.zeros(0, dtype=int),
-            g_values=g0,
-            lambda_star=lam0,
-            kappa=kappa,
-            theta=theta,
+            g_values=np.zeros(len(ev)),
+            lambda_star=(priors.lambda_alpha + len(ev)) / (priors.lambda_beta + region.volume),
+            kappa=float(np.exp(priors.kappa_log_mean)),
+            theta=float(np.exp(priors.theta_log_mean)),
         )
+        ws = ctx.workspace(state)
+        state.g_values = ws.m + ws.prior_draw(streams[d])
         states.append(state)
         contexts.append(ctx)
+    del ws  # held here, a rebuilt workspace's first prior would outlive its last use
 
     hmc_step = np.full(n_proc, HMC_STEP_SIZE)
     phi_step = PHI_STEP_SIZE
@@ -236,7 +225,7 @@ def run_chain_with_info(data, region: Region, config: RunConfig):
             ctx = contexts[d]
             state = birth_death_step(state, region, ladder, ctx, rng)
             state = move_step(state, region, ladder, ctx, rng)
-            state = ess_function_update(state, ctx.workspace(state).prior_dist(), ladder, rng)
+            state = ess_function_update(state, ctx, ladder, rng)
             state, accepted, accept_prob = hmc_hyper_update(
                 state, ctx, priors, rng, float(hmc_step[d])
             )
@@ -363,9 +352,9 @@ def _extensions(samples, targets, data, region: Region, config: RunConfig):
 
     Yields ``(sample, prior, g)`` with ``g[d][t]`` the conditional mean of
     process ``d``'s function at target ``t`` (a point array or a
-    ``ProductGrid``): ``m(X) + cov(X, pts) C^{-1} (g - m(pts))``. The
-    conditional (projection, factor and ``a = C^{-1} (g - m(pts))``) is
-    formed once per sample and process and extended to every target.
+    ``ProductGrid``): ``m(X) + cov(X, pts) C^{-1} (g - m(pts))``. Each
+    sample and process gets one workspace, whose weights
+    ``C^{-1} (g - m(pts))`` extend to every target.
     """
     if len(samples) == 0:
         raise ValidationError("at least one posterior sample required")
@@ -373,12 +362,11 @@ def _extensions(samples, targets, data, region: Region, config: RunConfig):
     for s, prior in zip(samples, _sample_priors(samples, region, config)):
         g = []
         for d, ev in enumerate(data):
-            pts = np.vstack([ev.points, s.thinned[d]])
-            kappa, theta = s.kappas[d], s.thetas[d]
-            W = prior.project(pts, theta)
-            m_pts, C = prior.mean_cov(pts, kappa, theta, W)
-            a = chol_solve(cholesky_with_jitter(C)[0], s.g_values[d] - m_pts)
-            g.append([prior.extend(X, pts, W, a, kappa, theta) for X in targets])
+            state = AugmentedState(s.thinned[d], s.rate_idx[d], s.g_values[d],
+                                   s.lambda_stars[d], s.kappas[d], s.thetas[d])
+            ws = GpContext(ev.points, prior).workspace(state)
+            a = ws.weights()
+            g.append([prior.extend(X, ws.pts, ws.W, a, ws.kappa, ws.theta) for X in targets])
         yield s, prior, g
 
 

@@ -41,6 +41,26 @@ def _write_csv(path, header: list[str], rows) -> None:
         Path(path).write_text(text)
 
 
+def _read_text(path) -> str:
+    """The text of ``path``; an unreadable file raises ``ValidationError`` naming it."""
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"{path}: cannot read ({getattr(exc, 'strerror', None) or exc})") from exc
+
+
+def _json(text: str, where):
+    """``text`` parsed as JSON; malformed JSON raises ``ValidationError`` naming ``where``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{where}: invalid JSON ({exc})") from exc
+
+
+def _read_json(path):
+    return _json(_read_text(path), path)
+
+
 def _coordinates(dim: int) -> list[str]:
     return [f"x{a + 1}" for a in range(dim)]
 
@@ -117,26 +137,31 @@ def read_event_files(paths, region: Region | None = None) -> list[EventSet]:
     if one is given; an event outside the ``region`` raises
     ``ValidationError`` naming its file and row.
     """
-    raw: dict[int, list] = {}
+    rows = []
     dim = None if region is None else region.dim
     for path in paths:
-        file_dim, rows = _event_table(path)
+        file_dim, file_rows = _event_table(path)
         if dim is not None and file_dim != dim:
             raise ValidationError(f"{path}: events have {file_dim} coordinates, expected {dim}")
         dim = file_dim
-        for row_no, pid, point in rows:
+        for row_no, pid, point in file_rows:
             if region is not None and not region.contains_point(point):
                 raise ValidationError(
                     f"{path}:{row_no}: event for process {pid} lies outside the region"
                 )
-            raw.setdefault(pid, []).append(point)
-    if not raw:
-        # header-only inputs define a single process with no events
-        return [EventSet(np.zeros((0, dim or 1)), 0)]
-    out = []
-    for new_id, pid in enumerate(sorted(raw)):
-        out.append(EventSet(np.asarray(raw[pid], dtype=float), new_id))
-    return out
+        rows += file_rows
+    # header-only inputs define a single process with no events
+    sets = _event_sets(rows, dim or 1, () if rows else (0,))
+    return [EventSet(ev.points, new_id) for new_id, ev in enumerate(sets)]
+
+
+def _event_sets(rows, dim: int, pids=()) -> list[EventSet]:
+    """One ``EventSet`` per process id of the event ``rows``, in sorted order
+    of the ids; each id in ``pids`` gets one even if no row names it."""
+    groups: dict[int, list] = {pid: [] for pid in pids}
+    for _, pid, point in rows:
+        groups.setdefault(pid, []).append(point)
+    return [EventSet(np.reshape(groups[pid], (-1, dim)), pid) for pid in sorted(groups)]
 
 
 def iter_event_rows(path):
@@ -147,7 +172,7 @@ def iter_event_rows(path):
 def _event_table(path) -> tuple[int, list]:
     """One event file's dimension, from its header, and its rows
     (row_number, process_id, point)."""
-    text = Path(path).read_text().strip().splitlines()
+    text = _read_text(path).strip().splitlines()
     if not text:
         raise ValidationError(f"{path}: empty event file")
     header = [h.strip() for h in text[0].split(",")]
@@ -196,11 +221,7 @@ class ShellConfig:
 
 
 def load_config(path) -> ShellConfig:
-    try:
-        raw = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
-    return config_from_dict(raw)
+    return config_from_dict(_read_json(path))
 
 
 # Keys that configs and archives written by earlier versions may hold:
@@ -269,7 +290,7 @@ def save_truth(path, truth: GroundTruth) -> None:
 
 
 def load_truth(path) -> GroundTruth:
-    return truth_from_manifest(json.loads(Path(path).read_text()))
+    return truth_from_manifest(_read_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -335,32 +356,20 @@ def save_archive(
     return out
 
 
-def _read_combined_events(path, n_processes: int, dim: int) -> list[EventSet]:
-    groups: dict[int, list] = {pid: [] for pid in range(n_processes)}
-    for _, pid, point in iter_event_rows(path):
-        groups.setdefault(pid, []).append(point)
-    return [
-        EventSet(np.asarray(groups[pid], dtype=float).reshape(-1, dim), pid)
-        for pid in sorted(groups)
-    ]
-
-
 def load_archive(path) -> Archive:
     path = Path(path)
-    if not (path / "config.json").is_file():
-        raise ValidationError(f"{path} is not a chain archive (config.json missing)")
-    cfg = config_from_dict(json.loads((path / "config.json").read_text()))
+    cfg = config_from_dict(_read_json(path / "config.json"))
     dim = cfg.region.dim
-    split = json.loads((path / "split_indices.json").read_text())
-    n_proc = len(split)
-    train = _read_combined_events(path / "train_events.csv", n_proc, dim)
-    test = _read_combined_events(path / "test_events.csv", n_proc, dim)
-    samples = []
-    with (path / "samples.jsonl").open() as fh:
-        for line in fh:
-            if line.strip():
-                samples.append(sample_from_record(json.loads(line), dim))
-    diag = json.loads((path / "diagnostics.json").read_text())
+    n_proc = len(_read_json(path / "split_indices.json"))
+    train = _event_sets(iter_event_rows(path / "train_events.csv"), dim, range(n_proc))
+    test = _event_sets(iter_event_rows(path / "test_events.csv"), dim, range(n_proc))
+    records = path / "samples.jsonl"
+    samples = [
+        sample_from_record(_json(line, f"{records}:{line_no}"), dim)
+        for line_no, line in enumerate(_read_text(records).splitlines(), start=1)
+        if line.strip()
+    ]
+    diag = _read_json(path / "diagnostics.json")
     return Archive(path, cfg, train, test, samples, diag)
 
 

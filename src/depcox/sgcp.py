@@ -11,12 +11,10 @@ invariant on its own, so they can be composed in any order.
 
 The conditional prior over a process's current points (projection ``W``,
 mean ``m``, residual covariance ``C``) lives in one ``_Workspace`` per
-process, owned by its ``GpContext`` for the whole chain. Birth/death and
-move take it from the context and keep it in step as they add, remove and
-move points. It is rebuilt only when ``W`` or ``C`` no longer hold: a new
-``kappa`` or ``theta``, new latent factors, or a different point set. A
-new prior at the same factors refreshes ``m`` alone. The Cholesky factor
-of ``C`` is formed afresh by each kernel.
+process, owned by its ``GpContext`` for the whole chain; nothing else
+forms or factors it. Birth/death and move keep it in step as they add,
+remove and move points; the function slice update, the engine's initial
+draw and prediction read it. ``_Workspace`` says when it is rebuilt.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import NumericalError, ValidationError
-from .gaussian import Mvn, _as_points, chol_inverse, cholesky_with_jitter, mvn_sample, tri_solve
+from .gaussian import _as_points, chol_inverse, chol_solve, cholesky_with_jitter, tri_solve
 from .thinning import (
     RateLadder,
     accept_delete,
@@ -252,7 +250,8 @@ def _same_factors(a, b) -> bool:
 
 class _Workspace:
     """Dense conditional prior over the current point set with a cached
-    Cholesky factor; supports cheap appends and drop-one conditionals.
+    Cholesky factor; supports cheap appends, drop-one conditionals, prior
+    draws (``prior_draw``) and prediction weights (``weights``).
 
     Invariant: ``W == prior.project(pts, theta)``, each point's
     cross-covariance with the latent grid whitened by the latent factors,
@@ -416,8 +415,17 @@ class _Workspace:
         self._L = None
         self._last_cross = None
 
-    def prior_dist(self) -> Mvn:
-        return Mvn(self.m.copy(), self.C.copy())
+    def prior_draw(self, rng: np.random.Generator) -> np.ndarray:
+        """A draw ``L z`` from the zero-mean prior, or zeros, drawing no random
+        numbers, if ``C`` has no spread. Like ``weights``, it does not keep its
+        factor of ``C``: kept, it would add n x n to the next kernel's memory."""
+        if self.degenerate:
+            return np.zeros(self.pts.shape[0])
+        return cholesky_with_jitter(self.C)[0] @ rng.standard_normal(self.pts.shape[0])
+
+    def weights(self) -> np.ndarray:
+        """``C^{-1} (g - m)``, which extends the conditional mean to new sites."""
+        return chol_solve(cholesky_with_jitter(self.C)[0], self.g - self.m)
 
 
 def birth_death_step(
@@ -512,27 +520,21 @@ def move_step(
 
 def elliptical_slice(
     current: np.ndarray,
-    prior_dist: Mvn,
+    mean,
     loglik,
     rng: np.random.Generator,
+    nu: np.ndarray,
     max_shrink: int = 256,
-    nu: np.ndarray | None = None,
 ) -> np.ndarray:
-    """One elliptical slice transition for a Gaussian-prior vector.
-
-    The prior may have a nonzero mean; the ellipse is drawn in centered
-    coordinates. Terminates by bracket shrinkage toward the current state.
-    ``nu`` is the ellipse's draw from the zero-mean prior if the caller
-    makes it (the latent slice move draws through per-function factors);
-    ``prior_dist`` is then read for its mean only, and ``None`` stands for
-    a zero mean.
+    """One elliptical slice transition (Murray, Adams & MacKay, 2010) for a
+    vector with a Gaussian prior of mean ``mean``, an array or a scalar.
+    ``nu`` is the ellipse's draw from the zero-mean prior, which the caller
+    makes through its own factor of the covariance. The ellipse is drawn in
+    centered coordinates; its bracket shrinks toward the current state.
     """
     ll_cur = loglik(current)
     if not np.isfinite(ll_cur):
         raise ValidationError("current state has zero likelihood; invariants violated")
-    if nu is None:
-        nu = mvn_sample(Mvn(np.zeros(current.size), prior_dist.cov), rng)
-    mean = 0.0 if prior_dist is None else prior_dist.mean
     log_y = ll_cur + np.log(rng.random())
     angle = rng.uniform(0.0, 2.0 * np.pi)
     lo, hi = angle - 2.0 * np.pi, angle
@@ -551,21 +553,22 @@ def elliptical_slice(
 
 def ess_function_update(
     state: AugmentedState,
-    prior_dist: Mvn,
+    ctx: GpContext,
     ladder: RateLadder,
     rng: np.random.Generator,
 ) -> AugmentedState:
-    """One elliptical slice transition of the function values."""
+    """One elliptical slice transition of the function values under the
+    conditional prior of ``ctx``'s workspace."""
     if state.g_values.size == 0:
         return state.copy()
-    n_data = state.n_data
-    rate_idx = state.rate_idx
+    ws = ctx.workspace(state)
+    nu = ws.prior_draw(rng)
 
     def loglik(g):
-        return point_loglik(g, n_data, rate_idx, ladder)
+        return point_loglik(g, state.n_data, state.rate_idx, ladder)
 
     new = state.copy()
-    new.g_values = elliptical_slice(state.g_values, prior_dist, loglik, rng)
+    new.g_values = elliptical_slice(state.g_values, ws.m, loglik, rng, nu)
     return new
 
 

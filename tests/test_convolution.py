@@ -384,6 +384,13 @@ class TestImpliedJointPsd:
             cholesky_with_jitter(joint)  # raises if not PSD
 
 
+def _projections(prior, X_list, params):
+    """Each process's projection and coupling matrix, as the engine passes
+    them to ``latent_posterior`` from the workspaces."""
+    W_list = [prior.project(X, t) for X, t in zip(X_list, params.thetas)]
+    return W_list, [prior.coupling_matrix(W, k) for W, k in zip(W_list, params.kappas)]
+
+
 class TestLatentPosterior:
     def test_no_coupling_returns_prior(self):
         grid = np.linspace(0, 1, 4)[:, None]
@@ -391,7 +398,8 @@ class TestLatentPosterior:
         params = CouplingParams([0.0, 0.0], [0.05, 0.05])
         X = [np.array([[0.2], [0.6]]), np.array([[0.4]])]
         g = [np.array([1.0, -1.0]), np.array([0.5])]
-        post = latent_posterior(g, X, ConvolutionPrior(latent), params)
+        prior = ConvolutionPrior(latent)
+        post = latent_posterior(g, X, prior, params, *_projections(prior, X, params))
         K = _jittered(gauss_gram(grid, grid, 0.1))
         np.testing.assert_allclose(post.mean, np.zeros(4), atol=1e-9)
         np.testing.assert_allclose(post.cov, K, atol=1e-6)
@@ -405,7 +413,8 @@ class TestLatentPosterior:
             params = CouplingParams(rng.uniform(0.5, 1.5, size=2), rng.uniform(0.02, 0.2, size=2))
             X_list = [rng.uniform(0, 1, size=(3, 1)) for _ in range(2)]
             g_list = [rng.standard_normal(3) for _ in range(2)]
-            post = latent_posterior(g_list, X_list, ConvolutionPrior(latent), params)
+            prior = ConvolutionPrior(latent)
+            post = latent_posterior(g_list, X_list, prior, params, *_projections(prior, X_list, params))
 
             K_uu, A_list, D_list = _joint_blocks(X_list, latent, params)
             A = np.vstack(A_list)
@@ -428,10 +437,9 @@ class TestLatentPosterior:
         X = rng.uniform(0, 1, size=(4, 1))
         g = rng.standard_normal(4)
         prior = ConvolutionPrior(latent)
-        single = latent_posterior([g], [X], prior, CouplingParams([1.0], [0.05]))
-        double = latent_posterior(
-            [g, g], [X, X], prior, CouplingParams([1.0, 1.0], [0.05, 0.05])
-        )
+        one, two = CouplingParams([1.0], [0.05]), CouplingParams([1.0, 1.0], [0.05, 0.05])
+        single = latent_posterior([g], [X], prior, one, *_projections(prior, [X], one))
+        double = latent_posterior([g, g], [X, X], prior, two, *_projections(prior, [X, X], two))
         eigs = np.linalg.eigvalsh(single.cov - double.cov)
         assert eigs.min() > -1e-10
         assert eigs.max() > 1e-8

@@ -170,6 +170,30 @@ class TestRunChain:
         assert 0 < sum(accepted) < len(accepted)
         assert len(grams) == 1 + sum(accepted)
 
+    def test_first_birth_death_reuses_the_initial_draws_workspace(self, monkeypatch):
+        # each process's initial draw builds its workspace, and the first
+        # birth/death takes that one over instead of projecting the points again
+        data, _ = _toy_data()
+        project, birth_death = depcox.convolution.ConvolutionPrior.project, depcox.engine.birth_death_step
+        inside, calls = [], []
+
+        def recording_project(prior, X, theta):
+            calls.append(bool(inside))
+            return project(prior, X, theta)
+
+        def recording_birth_death(*args, **kwargs):
+            inside.append(1)
+            try:
+                return birth_death(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(depcox.convolution.ConvolutionPrior, "project", recording_project)
+        monkeypatch.setattr(depcox.engine, "birth_death_step", recording_birth_death)
+        run_chain_with_info(data, UNIT, _small_config(n_iters=1, burn_in=0))
+        assert calls[: len(data)] == [False] * len(data)
+        assert True not in calls
+
     def test_rejects_events_outside_region(self):
         data = [EventSet(np.array([[1.5]]))]
         with pytest.raises(ValidationError):

@@ -14,7 +14,7 @@ from depcox.convolution import (
     latent_grid,
 )
 from depcox.errors import ValidationError
-from depcox.gaussian import Mvn
+from depcox.gaussian import Mvn, cholesky_with_jitter
 from depcox.sgcp import (
     AugmentedState,
     EventSet,
@@ -124,6 +124,14 @@ class TestWorkspace:
         state = _empty_state(n_data=n, kappa=1.2, theta=0.04)
         state.g_values = rng.standard_normal(n)
         return ctx, state, rng
+
+    def test_weights_solve_c_against_the_residual(self):
+        # up to the jitter of 1e-8 of C's mean diagonal
+        ctx, state, _ = self._setup()
+        ws = _Workspace(ctx, state)
+        w = ws.weights()
+        atol = 1e-7 * np.mean(np.diag(ws.C)) * np.abs(w).max()
+        np.testing.assert_allclose(ws.C @ w, state.g_values - ws.m, rtol=0, atol=atol)
 
     def test_conditional_matches_mvn_oracle(self):
         ctx, state, rng = self._setup()
@@ -448,27 +456,28 @@ class TestMoveStep:
 class TestEllipticalSlice:
     def test_empty_state_is_noop(self):
         state = _empty_state()
-        out = ess_function_update(state, Mvn(np.zeros(0), np.zeros((0, 0))), SINGLE, np.random.default_rng(0))
+        ctx = GpContext(np.zeros((0, 1)), IndependentPrior(0.05))
+        out = ess_function_update(state, ctx, SINGLE, np.random.default_rng(0))
         assert out.g_values.size == 0
 
     def test_fixed_seed_is_deterministic(self):
         state = _empty_state(n_data=4)
         state.g_values = np.array([0.1, -0.2, 0.3, 0.0])
-        prior = Mvn(np.zeros(4), 0.5 * np.eye(4) + 0.5)
-        a = ess_function_update(state, prior, SINGLE, np.random.default_rng(11))
-        b = ess_function_update(state, prior, SINGLE, np.random.default_rng(11))
+        ctx = GpContext(np.array([[0.1], [0.4], [0.5], [0.9]]), IndependentPrior(0.05))
+        a = ess_function_update(state, ctx, SINGLE, np.random.default_rng(11))
+        b = ess_function_update(state, ctx, SINGLE, np.random.default_rng(11))
         np.testing.assert_array_equal(a.g_values, b.g_values)
 
     def test_flat_likelihood_leaves_prior_invariant(self):
         # with a constant likelihood the transition is a prior sampler
         mean = np.array([1.0, -1.0])
         cov = np.array([[1.0, 0.5], [0.5, 1.0]])
-        prior = Mvn(mean, cov)
+        L = np.linalg.cholesky(cov)
         rng = np.random.default_rng(12)
         x = mean.copy()
         draws = np.empty((5000, 2))
         for i in range(5000):
-            x = elliptical_slice(x, prior, lambda g: 0.0, rng)
+            x = elliptical_slice(x, mean, lambda g: 0.0, rng, L @ rng.standard_normal(2))
             draws[i] = x
         for j in range(2):
             p = kstest(draws[:, j], norm(mean[j], 1.0).cdf).pvalue
@@ -477,8 +486,40 @@ class TestEllipticalSlice:
     def test_raises_on_invalid_state(self):
         state = _empty_state()
         state.append_thinned([0.5], 3.0, 0)  # violates the half level
+        ctx = GpContext(np.zeros((0, 1)), IndependentPrior(0.05))
         with pytest.raises(ValidationError):
-            ess_function_update(state, Mvn(np.zeros(1), np.eye(1)), TWO_LEVEL, np.random.default_rng(0))
+            ess_function_update(state, ctx, TWO_LEVEL, np.random.default_rng(0))
+
+    def test_update_is_the_slice_through_the_workspace_draw(self):
+        # the kernel draws its ellipse through the workspace's factor of C
+        # and slices around the workspace's mean, with one random stream
+        rng = np.random.default_rng(16)
+        ctx = GpContext(rng.uniform(size=(5, 1)), IndependentPrior(0.05))
+        state = _empty_state(n_data=5, kappa=1.2, theta=0.04)
+        state.g_values = rng.standard_normal(5)
+        state.append_thinned([0.3], -1.0, 0)
+        ws = _Workspace(ctx, state)
+        L, _ = cholesky_with_jitter(ws.C)
+
+        def loglik(g):
+            return point_loglik(g, state.n_data, state.rate_idx, SINGLE)
+
+        by_hand = np.random.default_rng(17)
+        want = elliptical_slice(
+            state.g_values, ws.m, loglik, by_hand, L @ by_hand.standard_normal(6)
+        )
+        got = ess_function_update(state, ctx, SINGLE, np.random.default_rng(17))
+        np.testing.assert_array_equal(got.g_values, want)
+
+    def test_degenerate_prior_draws_zeros_without_random_numbers(self):
+        ctx = _fixed_ctx(lambda x: np.full(len(x), -0.5), n_data=3)
+        state = _empty_state(n_data=3)
+        ws = _Workspace(ctx, state)
+        assert ws.degenerate
+        rng = np.random.default_rng(18)
+        before = rng.bit_generator.state
+        np.testing.assert_array_equal(ws.prior_draw(rng), np.zeros(3))
+        assert rng.bit_generator.state == before
 
 
 class TestLeapfrog:
@@ -637,8 +678,7 @@ class TestFullSweepInvariants:
             state.validate(ladder)
             state = move_step(state, UNIT, ladder, ctx, rng)
             state.validate(ladder)
-            m, C = ctx.prior.mean_cov(ctx.points(state), state.kappa, state.theta)
-            state = ess_function_update(state, Mvn(m, C), ladder, rng)
+            state = ess_function_update(state, ctx, ladder, rng)
             state.validate(ladder)
             state, _, _ = hmc_hyper_update(state, ctx, priors, rng, 0.1)
             state.validate(ladder)

@@ -145,6 +145,52 @@ def _assert_same_fields(a, b):
             assert type(x) is type(y) and x == y, f.name
 
 
+class TestUnreadableInputs:
+    """A missing or damaged input file exits 2 with a message naming it."""
+
+    @pytest.fixture()
+    def archive(self, tmp_path):
+        cfg = _write_config(tmp_path, n_iters=3, burn_in=0)
+        ev = tmp_path / "ev.csv"
+        ev.write_text("process_id,x1\n0,0.5\n0,0.25\n0,0.75\n")
+        arch = tmp_path / "arch"
+        assert main(["fit", str(ev), "--config", str(cfg), "--out", str(arch)]) == 0
+        return arch
+
+    def test_missing_event_file_exits_2_naming_it(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path)
+        missing = tmp_path / "absent.csv"
+        assert main(["fit", str(missing), "--config", str(cfg), "--out", str(tmp_path / "a")]) == 2
+        assert str(missing) in capsys.readouterr().err
+
+    def test_undecodable_event_file_exits_2_naming_it(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path)
+        binary = tmp_path / "binary.csv"
+        binary.write_bytes(b"process_id,x1\n0,\xff\xfe\n")
+        assert main(["fit", str(binary), "--config", str(cfg), "--out", str(tmp_path / "a")]) == 2
+        assert str(binary) in capsys.readouterr().err
+
+    def test_missing_config_file_exits_2_naming_it(self, tmp_path, capsys):
+        ev = tmp_path / "ev.csv"
+        ev.write_text("process_id,x1\n0,0.5\n")
+        missing = tmp_path / "absent.json"
+        assert main(["fit", str(ev), "--config", str(missing), "--out", str(tmp_path / "a")]) == 2
+        assert str(missing) in capsys.readouterr().err
+
+    def test_archive_without_split_indices_exits_2_naming_it(self, archive, capsys):
+        (archive / "split_indices.json").unlink()
+        assert main(["eval", str(archive)]) == 2
+        assert str(archive / "split_indices.json") in capsys.readouterr().err
+
+    def test_truncated_sample_record_exits_2_naming_file_and_line(self, archive, capsys):
+        records = archive / "samples.jsonl"
+        lines = records.read_text().splitlines()
+        lines[1] = lines[1][: len(lines[1]) // 2]
+        records.write_text("\n".join(lines) + "\n")
+        assert main(["eval", str(archive)]) == 2
+        assert f"{records}:2:" in capsys.readouterr().err
+
+
 class TestSerializers:
     def _config_off_defaults(self):
         run = RunConfig(
