@@ -8,7 +8,6 @@ multi-level thinning.
 
 from .convolution import (
     ConvolutionPrior,
-    CouplingParams,
     IndependentPrior,
     LatentFactor,
     LatentState,

@@ -20,6 +20,9 @@ with ``s_q = (lam_q + j)^{-1/2}``:
 * a point set's projection ``W = [s_q * Q_q^T K(grid, X; theta + phi_q)]_q``
   (``project``, ``site``), O(J) per point and latent function from the
   per-axis cross-covariances;
+* the prior mean ``kappa sum_q W_q^T beta_q`` with ``beta_q = s_q * Q_q^T
+  u_q`` (``mean``), the one formula behind ``mean_cov``, ``site``,
+  ``mean_cov_grads`` and the per-process workspace's refreshed mean;
 * the coupling matrix, ``extend`` and the latent mean coefficients, which
   apply ``Q_q (s_q * .)`` axis by axis;
 * the log density of the latent values in ``phi_mh_update``, so a
@@ -28,7 +31,9 @@ with ``s_q = (lam_q + j)^{-1/2}``:
 Residual covariances are Gram matrices minus ``W_A^T W_B``. Callers that
 keep ``W`` for a point set must keep it in step with the set (the
 per-process workspace in ``sgcp`` does), so that a new point costs the
-projection of that point alone.
+projection of that point alone. That workspace holds each process's one
+residual covariance ``C_d`` and its Cholesky factor; ``latent_posterior``
+reads them there and forms no covariance of its own.
 
 The dense Cholesky factor ``L_q`` of ``K_q + jI`` is formed only where a
 draw is made through it, the initial latent draw and the latent slice
@@ -36,9 +41,9 @@ move in ``engine``, and for the latent prior precision ``L_q^{-T}
 L_q^{-1}`` that ``latent_posterior`` adds to; it is formed once per
 accepted ``phi_q``. The latent posterior itself is dense: its precision
 couples the grid through every process's points, and its draw goes
-through the Cholesky factor of its covariance, as it did before the
-per-axis factors. Drawing in precision form instead would change the
-draws, and waits for a distribution test of the latent stage.
+through the Cholesky factor of its covariance. Drawing in precision form
+instead would change the draws, and waits for a distribution test of the
+latent stage.
 
 Predictions (``extend``, ``latent_interpolant``) take either scattered
 points or a ``ProductGrid``; on a grid every Gram-vector product runs
@@ -69,25 +74,9 @@ from .gaussian import (
     mvn_sample,
 )
 
-
-@dataclass
-class CouplingParams:
-    """Per-process smoothing kernels: scale ``kappa_d``, variance ``theta_d``."""
-
-    kappas: np.ndarray
-    thetas: np.ndarray
-
-    def __post_init__(self):
-        self.kappas = np.atleast_1d(np.asarray(self.kappas, dtype=float))
-        self.thetas = np.atleast_1d(np.asarray(self.thetas, dtype=float))
-        if self.kappas.shape != self.thetas.shape:
-            raise ValidationError("kappas and thetas must have matching length")
-        if np.any(self.kappas < 0) or np.any(self.thetas <= 0):
-            raise ValidationError("kappas must be nonnegative and thetas positive")
-
-    @property
-    def n_processes(self) -> int:
-        return self.kappas.size
+# The residual covariance's diagonal is raised by this share of the
+# marginal variance (see ``ConvolutionPrior._floored``).
+MARGINAL_FLOOR = 1e-12
 
 
 @dataclass
@@ -293,13 +282,11 @@ class ConvolutionPrior:
         X = _as_points(X)
         return np.concatenate([f.whiten(X, theta + f.phi) for f in self.factors])
 
-    def mean(self, X, kappa: float, theta: float) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        m = np.zeros(X.shape[0])
-        for q in range(self.latent.n_latent):
-            U = gauss_gram(X, self.latent.grid, theta + self.latent.phis[q])
-            m += U @ self._alphas[q]
-        return kappa * m
+    def mean(self, X, W, kappa: float) -> np.ndarray:
+        """Prior mean at the points ``X`` whose projection is ``W``:
+        ``kappa sum_q W_q^T beta_q``, the smoothed latent interpolant."""
+        J = self.latent.n_grid
+        return kappa * sum(W[q * J : (q + 1) * J].T @ beta for q, beta in enumerate(self._betas))
 
     def cov(self, A, WA, B, WB, kappa: float, theta: float) -> np.ndarray:
         """Residual cross-covariance between point sets ``A`` and ``B``, given
@@ -315,7 +302,7 @@ class ConvolutionPrior:
 
     def _floored(self, C: np.ndarray, kappa: float, theta: float) -> np.ndarray:
         """A residual covariance ``C`` symmetrised, with its diagonal raised
-        by 1e-12 of the marginal variance.
+        by ``MARGINAL_FLOOR`` of the marginal variance.
 
         The residual is a difference of same-sized terms; when the grid
         resolves the kernels it collapses into cancellation noise, so the
@@ -323,33 +310,26 @@ class ConvolutionPrior:
         than the residual's own scale.
         """
         C = 0.5 * (C + C.T)
-        floor = 1e-12 * self._marginal_var(kappa, theta)
+        floor = MARGINAL_FLOOR * self._marginal_var(kappa, theta)
         if floor > 0 and C.shape[0]:
             C[np.diag_indices_from(C)] += floor
         return C
 
-    def mean_cov(self, X, kappa: float, theta: float, W=None) -> tuple[np.ndarray, np.ndarray]:
-        """Mean and residual covariance at ``X``; ``W`` is ``X``'s projection
-        if the caller holds it already."""
-        X = np.asarray(X, dtype=float)
-        if W is None:
-            W = self.project(X, theta)
+    def mean_cov(self, X, kappa: float, theta: float, W) -> tuple[np.ndarray, np.ndarray]:
+        """Mean and floored residual covariance at ``X``, whose projection is ``W``."""
         C = self.cov(X, W, X, W, kappa, theta)
-        return self.mean(X, kappa, theta), self._floored(C, kappa, theta)
+        return self.mean(X, W, kappa), self._floored(C, kappa, theta)
 
     def site(self, x, kappa: float, theta: float) -> tuple[np.ndarray, float, float]:
         """Projection, prior mean and residual variance at one site ``x`` (1, d).
 
-        The mean is the projection's inner product with ``s_q * Q_q^T u_q``,
-        and the variance is the closed-form marginal less the
-        projected part, floored as in ``mean_cov``.
+        The variance is the closed-form marginal less the projected part,
+        floored as in ``mean_cov``.
         """
-        ws = [f.whiten(x, theta + f.phi) for f in self.factors]
-        m = sum(float(w[:, 0] @ beta) for w, beta in zip(ws, self._betas))
-        w = np.concatenate(ws)
+        w = np.concatenate([f.whiten(x, theta + f.phi) for f in self.factors])
         marginal = self._marginal_var(kappa, theta)
-        var = marginal - kappa**2 * float(w[:, 0] @ w[:, 0]) + 1e-12 * marginal
-        return w, kappa * m, var
+        var = marginal - kappa**2 * float(w[:, 0] @ w[:, 0]) + MARGINAL_FLOOR * marginal
+        return w, float(self.mean(x, w, kappa)[0]), var
 
     def mean_cov_grads(self, X, kappa: float, theta: float):
         """Mean, covariance and their gradients in (log kappa, log theta).
@@ -359,20 +339,20 @@ class ConvolutionPrior:
         """
         X = np.asarray(X, dtype=float)
         n = X.shape[0]
-        m = np.zeros(n)
-        dm_t = np.zeros(n)
         C = np.zeros((n, n))
         dC_t = np.zeros((n, n))
-        for f, phi, beta in zip(self.factors, self.latent.phis, self._betas):
+        Ws, dWs = [], []
+        for f, phi in zip(self.factors, self.latent.phis):
             W, dW = f.whiten_dv(X, theta + phi)
             G, dG = gauss_gram_dv(X, X, 2.0 * theta + phi)
-            m += W.T @ beta
-            dm_t += dW.T @ beta
             C += G - W.T @ W
             dC_t += 2.0 * dG - dW.T @ W - W.T @ dW
-        m *= kappa
+            Ws.append(W)
+            dWs.append(dW)
+        m = self.mean(X, np.concatenate(Ws), kappa)
+        # d/dlog kappa, d/dlog theta
+        dm = np.stack([m, self.mean(X, np.concatenate(dWs), kappa * theta)])
         C *= kappa**2
-        dm = np.stack([m, kappa * theta * dm_t])  # d/dlog kappa, d/dlog theta
         dC = np.stack([2.0 * C, kappa**2 * theta * dC_t])
         return m, self._floored(C, kappa, theta), dm, dC
 
@@ -432,14 +412,14 @@ class IndependentPrior:
         """No latent grid: an empty (0, n) projection."""
         return np.zeros((0, np.asarray(X).shape[0]))
 
-    def mean(self, X, kappa: float, theta: float) -> np.ndarray:
+    def mean(self, X, W, kappa: float) -> np.ndarray:
         return np.zeros(np.asarray(X).shape[0])
 
     def cov(self, A, WA, B, WB, kappa: float, theta: float) -> np.ndarray:
         return kappa**2 * gauss_gram(A, B, 2.0 * theta + self.phi0)
 
-    def mean_cov(self, X, kappa: float, theta: float, W=None):
-        return self.mean(X, kappa, theta), self.cov(X, W, X, W, kappa, theta)
+    def mean_cov(self, X, kappa: float, theta: float, W):
+        return self.mean(X, W, kappa), self.cov(X, W, X, W, kappa, theta)
 
     def site(self, x, kappa: float, theta: float) -> tuple[np.ndarray, float, float]:
         """Empty projection, zero mean and the marginal variance at one site."""
@@ -459,21 +439,18 @@ class IndependentPrior:
         return np.zeros(n), C, np.zeros((2, n)), dC
 
 
-def latent_posterior(
-    g_list, X_list, prior: ConvolutionPrior, params: CouplingParams, W_list, A_list
-) -> Mvn:
+def latent_posterior(spaces, prior: ConvolutionPrior, A_list) -> Mvn:
     """Joint Gaussian posterior over the stacked latent grid values.
 
     Works in precision form: the bracketed precision is the latent prior
-    precision plus one quadratic contribution per process, each built from
-    that process's coupling matrix and dense residual covariance. No
-    cross-process covariance is ever assembled. Only the prior's latent
-    factors enter, not its current grid values. ``W_list`` holds each
-    process's projection (its workspace's ``W``) and ``A_list`` its
-    coupling matrix.
+    precision plus one quadratic contribution ``A_d^T C_d^{-1} A_d`` per
+    process, from its coupling matrix ``A_list[d]`` and the residual
+    covariance ``C_d`` of its workspace ``spaces[d]`` (``sgcp._Workspace``),
+    whose Cholesky factor and function values ``g`` it reads: no process
+    covariance is formed or factored here, and no cross-process covariance
+    is ever assembled. Only the prior's latent factors enter, not its
+    current grid values.
     """
-    if len(g_list) != params.n_processes or len(X_list) != params.n_processes:
-        raise ValidationError("one g vector and one point set per process required")
     J = prior.latent.n_grid
     Q = prior.latent.n_latent
     # Latent prior precision, block diagonal over latent functions.
@@ -481,20 +458,12 @@ def latent_posterior(
     for q, f in enumerate(prior.factors):
         P[q * J : (q + 1) * J, q * J : (q + 1) * J] = f.inverse()
     b = np.zeros(Q * J)
-    for d in range(params.n_processes):
-        X_d = _as_points(X_list[d])
-        g_d = np.asarray(g_list[d], dtype=float)
-        if g_d.size != X_d.shape[0]:
-            raise ValidationError(f"g values and locations disagree for process {d}")
-        if g_d.size == 0:
+    for ws, A in zip(spaces, A_list):
+        if ws.g.size == 0:
             continue
-        W, A = W_list[d], A_list[d]
-        D = prior._floored(prior.cov(X_d, W, X_d, W, params.kappas[d], params.thetas[d]),
-                           params.kappas[d], params.thetas[d])
-        L_D, _ = cholesky_with_jitter(D)
-        DiA = chol_solve(L_D, A)
-        P += A.T @ DiA
-        b += DiA.T @ g_d
+        CiA = chol_solve(ws.L, A)
+        P += A.T @ CiA
+        b += CiA.T @ ws.g
     P = 0.5 * (P + P.T)
     # P is positive definite by construction; jitter only as a fallback
     try:
@@ -505,13 +474,10 @@ def latent_posterior(
     return Mvn(chol_solve(L_P, b), chol_inverse(L_P))
 
 
-def sample_latent_posterior(
-    g_list, X_list, prior: ConvolutionPrior, params: CouplingParams, rng: np.random.Generator,
-    W_list, A_list,
-) -> np.ndarray:
+def sample_latent_posterior(spaces, prior: ConvolutionPrior, rng: np.random.Generator,
+                            A_list) -> np.ndarray:
     """Draw new latent grid values from their joint posterior, shaped (Q, J)."""
-    post = latent_posterior(g_list, X_list, prior, params, W_list, A_list)
-    flat = mvn_sample(post, rng)
+    flat = mvn_sample(latent_posterior(spaces, prior, A_list), rng)
     return flat.reshape(prior.latent.n_latent, prior.latent.n_grid)
 
 

@@ -9,12 +9,13 @@ that needs it. Only the initial latent draw and the latent slice move's
 prior draw go through its dense Cholesky factor.
 
 Each process's conditional prior lives in the workspace its ``GpContext``
-owns (``sgcp._Workspace``): the point-set projection ``W``, mean ``m`` and
-residual covariance ``C``. The initial draw, whose workspace the first
-birth/death reuses, the function slice update, the latent stage (each
-``W``) and prediction (one workspace per retained sample) all go through
-it: the engine never projects a point set or factors a ``C`` itself, at
-start-up, in the sweep or in prediction.
+owns (``sgcp._Workspace``): the point-set projection ``W``, mean ``m``,
+residual covariance ``C`` and the factor of ``C``. The initial draw, whose
+workspace the first birth/death reuses, the function slice update, the
+latent stage (each ``W``, and each ``C``'s factor and function values in
+the latent posterior) and prediction (one workspace per retained sample)
+all go through it: the engine never projects a point set or forms or
+factors a ``C`` itself, at start-up, in the sweep or in prediction.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from scipy.special import expit
 
 from .convolution import (
     ConvolutionPrior,
-    CouplingParams,
     IndependentPrior,
     LatentFactor,
     LatentState,
@@ -257,21 +257,15 @@ def run_chain_with_info(data, region: Region, config: RunConfig):
         timings["process_updates"] += t1 - t0
 
         if latent is not None:
-            params = CouplingParams(
-                np.array([s.kappa for s in states]),
-                np.array([s.theta for s in states]),
-            )
-            # each process's kept projection and one coupling matrix serve
-            # both latent moves: the slice move changes function values, not
-            # points or theta
+            # each process's workspace and one coupling matrix serve both
+            # latent moves: the slice move changes function values, not
+            # points, kappa or theta, so the workspaces fetched again after
+            # it hold the moved values and keep their factors of C
             spaces = [ctx.workspace(s) for ctx, s in zip(contexts, states)]
-            W_list = [ws.W for ws in spaces]
-            A_list = [prior.coupling_matrix(W, k) for W, k in zip(W_list, params.kappas)]
+            A_list = [prior.coupling_matrix(ws.W, ws.kappa) for ws in spaces]
             _latent_ess_move(states, A_list, prior, ladder, latent_rng)
-            g_list = [s.g_values for s in states]
-            new_values = sample_latent_posterior(
-                g_list, [ws.pts for ws in spaces], prior, params, latent_rng, W_list, A_list
-            )
+            spaces = [ctx.workspace(s) for ctx, s in zip(contexts, states)]
+            new_values = sample_latent_posterior(spaces, prior, latent_rng, A_list)
             prior = ConvolutionPrior(LatentState(grid, new_values, latent.phis), prior.factors)
             prior, acc = phi_mh_update(
                 prior,

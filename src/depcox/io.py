@@ -296,27 +296,81 @@ def load_truth(path) -> GroundTruth:
 # ---------------------------------------------------------------------------
 # chain archives
 
-# the per-process lists of a sample and the dtype of their arrays; every
-# other field but the iteration is a float array
-_PER_PROCESS = {"thinned": float, "rate_idx": int, "g_values": float}
+# the per-process lists of a sample, with the dimensions and the dtype of
+# each process's array; every other field but the iteration is a float array
+_PER_PROCESS = {"thinned": (2, float), "rate_idx": (1, int), "g_values": (1, float)}
 
 
 def sample_to_record(s: PosteriorSample) -> dict:
     return _to_json(s)
 
 
-def sample_from_record(raw: dict, dim: int) -> PosteriorSample:
-    def load(name, value):
-        if name in _PER_PROCESS:
-            return [np.asarray(v, dtype=_PER_PROCESS[name]) for v in value]
-        return value if name == "iteration" else np.asarray(value, dtype=float)
+def _numbers(value, ndim: int, dtype=float) -> np.ndarray | None:
+    """``value``, lists nested ``ndim`` deep around numbers (integers if
+    ``dtype`` is ``int``), as an array of ``dtype``; None if it is not
+    that. An empty list is an empty array, whatever ``ndim``."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # lists of unequal lengths
+        return None
+    empty = isinstance(value, list) and arr.size == 0 and arr.ndim <= ndim
+    if not empty and (arr.ndim != ndim or arr.dtype.kind not in ("iu" if dtype is int else "iuf")):
+        return None
+    return arr.astype(dtype, copy=False)
 
-    s = PosteriorSample(**{f.name: load(f.name, raw[f.name]) for f in fields(PosteriorSample)})
-    # JSON keeps no shape for an empty array: no thinned points is (0, dim),
-    # and an independent run's latent values, with no phis, are (0, 0)
-    s.thinned = [t.reshape(-1, dim) for t in s.thinned]
-    if not s.phis.size:
+
+def sample_from_record(raw, dim: int, n_data: list[int], where: str) -> PosteriorSample:
+    """The sample that the ``samples.jsonl`` record ``raw`` holds, for
+    ``len(n_data)`` processes with ``n_data[d]`` training events each.
+
+    A record that is not an object, lacks a field, holds anything but
+    numbers, or whose sizes disagree raises ``ValidationError`` naming
+    ``where`` and the field. Each process needs its entry in every
+    per-process field, one level per thinned point, and one function value
+    per training event and thinned point.
+    """
+    if not isinstance(raw, dict):
+        raise ValidationError(f"{where}: a sample record must be a JSON object, got {type(raw).__name__}")
+
+    def bad(name, why):
+        return ValidationError(f"{where}: field {name} {why}")
+
+    values = {}
+    for f in fields(PosteriorSample):
+        if f.name not in raw:
+            raise bad(f.name, "is missing")
+        value = raw[f.name]
+        if f.name == "iteration":
+            values[f.name] = value if _KINDS["int"][1](value) else None
+        elif f.name in _PER_PROCESS:
+            ndim, dtype = _PER_PROCESS[f.name]
+            arrays = [_numbers(v, ndim, dtype) for v in value] if isinstance(value, list) else [None]
+            values[f.name] = None if any(a is None for a in arrays) else arrays
+        else:
+            values[f.name] = _numbers(value, 2 if f.name == "latent_values" else 1)
+        if values[f.name] is None:
+            raise bad(f.name, "must hold numbers" + (" per process" if f.name in _PER_PROCESS else ""))
+        per_process = f.name in ("lambda_stars", "kappas", "thetas", *_PER_PROCESS)
+        if per_process and len(values[f.name]) != len(n_data):
+            raise bad(f.name, f"has {len(values[f.name])} entries for {len(n_data)} processes")
+    s = PosteriorSample(**values)
+    for d, (points, levels, g) in enumerate(zip(s.thinned, s.rate_idx, s.g_values)):
+        # JSON keeps no shape for an empty array: no thinned points is (0, dim)
+        if points.size and points.shape[1] != dim:
+            raise bad("thinned", f"of process {d} holds points of {points.shape[1]} coordinates, "
+                                 f"not {dim}")
+        s.thinned[d] = points.reshape(-1, dim)
+        count = s.thinned[d].shape[0]
+        if levels.size != count:
+            raise bad("rate_idx", f"of process {d} has {levels.size} levels for {count} thinned points")
+        if g.size != n_data[d] + count:
+            raise bad("g_values", f"of process {d} has {g.size} values for {n_data[d]} training "
+                                  f"events and {count} thinned points")
+    # an independent run's latent values, with no phis, are (0, 0)
+    if not s.phis.size and not s.latent_values.size:
         s.latent_values = s.latent_values.reshape(0, 0)
+    if s.latent_values.ndim != 2 or s.latent_values.shape[0] != s.phis.size:
+        raise bad("latent_values", f"must hold one row per latent variance in phis ({s.phis.size})")
     return s
 
 
@@ -364,11 +418,12 @@ def load_archive(path) -> Archive:
     train = _event_sets(iter_event_rows(path / "train_events.csv"), dim, range(n_proc))
     test = _event_sets(iter_event_rows(path / "test_events.csv"), dim, range(n_proc))
     records = path / "samples.jsonl"
-    samples = [
-        sample_from_record(_json(line, f"{records}:{line_no}"), dim)
-        for line_no, line in enumerate(_read_text(records).splitlines(), start=1)
-        if line.strip()
-    ]
+    n_data = [len(ev) for ev in train]
+    samples = []
+    for line_no, line in enumerate(_read_text(records).splitlines(), start=1):
+        if line.strip():
+            where = f"{records}:{line_no}"
+            samples.append(sample_from_record(_json(line, where), dim, n_data, where))
     diag = _read_json(path / "diagnostics.json")
     return Archive(path, cfg, train, test, samples, diag)
 

@@ -11,10 +11,12 @@ invariant on its own, so they can be composed in any order.
 
 The conditional prior over a process's current points (projection ``W``,
 mean ``m``, residual covariance ``C``) lives in one ``_Workspace`` per
-process, owned by its ``GpContext`` for the whole chain; nothing else
-forms or factors it. Birth/death and move keep it in step as they add,
-remove and move points; the function slice update, the engine's initial
-draw and prediction read it. ``_Workspace`` says when it is rebuilt.
+process, owned by its ``GpContext`` for the whole chain, together with
+the Cholesky factor of ``C``; nothing else forms or factors it. Birth/death
+and move keep it in step as they add, remove and move points; the function
+slice update, the engine's initial draw, the latent posterior
+(``convolution.latent_posterior``) and prediction read it. ``_Workspace``
+says when it is rebuilt and when its factor is.
 """
 
 from __future__ import annotations
@@ -203,9 +205,9 @@ class GpContext:
 
         The kept workspace is reused while its latent factors, ``kappa``,
         ``theta`` and point set still hold, and built afresh otherwise. A
-        reused one takes ``state``'s function values, refreshes its mean if
-        the prior changed at the same factors, and drops its Cholesky
-        factor, so each kernel factors ``C`` afresh at its first conditional.
+        reused one takes ``state``'s function values and refreshes its mean
+        if the prior changed at the same factors; it keeps ``C`` and the
+        factor of ``C``.
         """
         ws = self._ws
         if ws is None or not ws.holds_for(self.prior, state):
@@ -255,12 +257,14 @@ class _Workspace:
 
     Invariant: ``W == prior.project(pts, theta)``, each point's
     cross-covariance with the latent grid whitened by the latent factors,
-    and ``m``, ``C`` are the prior mean and residual covariance at ``pts``.
-    ``append``, ``remove`` and ``update_point`` keep ``W``, ``m``, ``C``,
-    ``g`` and (when formed) the factor of ``C`` in step with ``pts``, so a
-    conditional at a new site projects only that site: one J-vector solve
-    per latent function plus ``W_x^T W``. Priors without a latent grid
-    project to an empty (0, n) ``W``.
+    and ``m``, ``C`` are ``prior.mean_cov(pts, kappa, theta, W)``: the prior
+    mean and the residual covariance, its diagonal floored as the prior's
+    ``site`` floors a new site's variance. ``append``, ``remove`` and
+    ``update_point`` keep ``W``, ``m``, ``C``, ``g`` and (when formed) the
+    factor of ``C`` in step with ``pts``, so a conditional at a new site
+    projects only that site: one J-vector solve per latent function plus
+    ``W_x^T W``. Priors without a latent grid project to an empty (0, n)
+    ``W``.
 
     Lifetime: one workspace per process lives for the whole chain, owned
     by the process's ``GpContext``. ``W`` and ``C`` depend only on the
@@ -269,9 +273,12 @@ class _Workspace:
     factors, which refreshes ``m`` only (``refresh``), and is rebuilt when
     ``kappa`` or ``theta`` changes (a Hamiltonian accept), when a factor
     changes (a latent-variance accept) or when the point set no longer
-    matches (``holds_for``). The factor of ``C`` lives for one kernel: a
-    kept ``C`` carries the rounding of its updates, and a fresh factor
-    takes a fresh jitter, as a freshly built ``C`` would.
+    matches (``holds_for``). The factor ``L`` of ``C`` lives as long as
+    ``C``: an ``append`` extends it where it can, ``remove``,
+    ``update_point`` and an ``append`` that cannot extend it drop it, and
+    the next use factors ``C`` afresh. So the factor the function slice
+    update draws through also serves the latent posterior and the next
+    sweep's birth/death. ``L^{-1} (g - m)`` lives as long as ``g``.
     """
 
     def __init__(self, ctx: GpContext, state: AugmentedState):
@@ -301,21 +308,26 @@ class _Workspace:
         )
 
     def refresh(self, prior, state: AugmentedState) -> None:
-        """Take ``state``'s function values and drop the factor of ``C``; a
-        new ``prior`` at the same factors also refreshes the mean."""
+        """Take ``state``'s function values, dropping ``L^{-1} (g - m)``; a
+        new ``prior`` at the same factors also refreshes the mean. The
+        factor of ``C`` stays."""
         if prior is not self.prior:
             self.prior = prior
-            self.m = prior.mean(self.pts, self.kappa, self.theta)
+            self.m = prior.mean(self.pts, self.W, self.kappa)
             self._last_site = None
         self.g = state.g_values.copy()
-        self._L = None
         self._v = None
-        self._last_cross = None
 
-    def _factor(self):
+    @property
+    def L(self) -> np.ndarray:
+        """Cholesky factor of ``C``, formed on first use and kept as long as ``C``."""
         if self._L is None:
             self._L, self._jitter = cholesky_with_jitter(self.C)
-            self._v = tri_solve(self._L, self.g - self.m)
+        return self._L
+
+    def _factor(self):
+        if self._v is None:
+            self._v = tri_solve(self.L, self.g - self.m)
         return self._L, self._v
 
     def _site(self, x):
@@ -388,11 +400,12 @@ class _Workspace:
                 L_new[n, :n] = w
                 L_new[n, n] = np.sqrt(d2)
                 self._L = L_new
-                self._v = np.append(
-                    self._v, (g_value - mstar - float(w @ self._v)) / L_new[n, n]
-                )
+                if self._v is not None:
+                    self._v = np.append(
+                        self._v, (g_value - mstar - float(w @ self._v)) / L_new[n, n]
+                    )
                 return
-        self._L = None
+        self._L = self._v = None
 
     def remove(self, i: int) -> None:
         self.W = np.delete(self.W, i, axis=1)
@@ -400,32 +413,32 @@ class _Workspace:
         self.m = np.delete(self.m, i)
         self.g = np.delete(self.g, i)
         self.C = np.delete(np.delete(self.C, i, axis=0), i, axis=1)
-        self._L = None
+        self._L = self._v = None
         self._last_cross = None
 
     def update_point(self, i: int, x, g_value: float) -> None:
-        x, w_x, mstar, _ = self._site(x)
+        x, w_x, mstar, cstar = self._site(x)
         self.pts[i] = x[0]
         self.W[:, i] = w_x[:, 0]
         self.m[i] = mstar
         self.g[i] = g_value
         row = self._cross(x, w_x)
+        row[i] = cstar
         self.C[i, :] = row
         self.C[:, i] = row
-        self._L = None
+        self._L = self._v = None
         self._last_cross = None
 
     def prior_draw(self, rng: np.random.Generator) -> np.ndarray:
         """A draw ``L z`` from the zero-mean prior, or zeros, drawing no random
-        numbers, if ``C`` has no spread. Like ``weights``, it does not keep its
-        factor of ``C``: kept, it would add n x n to the next kernel's memory."""
+        numbers, if ``C`` has no spread."""
         if self.degenerate:
             return np.zeros(self.pts.shape[0])
-        return cholesky_with_jitter(self.C)[0] @ rng.standard_normal(self.pts.shape[0])
+        return self.L @ rng.standard_normal(self.pts.shape[0])
 
     def weights(self) -> np.ndarray:
         """``C^{-1} (g - m)``, which extends the conditional mean to new sites."""
-        return chol_solve(cholesky_with_jitter(self.C)[0], self.g - self.m)
+        return chol_solve(self.L, self.g - self.m)
 
 
 def birth_death_step(

@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from depcox.convolution import CouplingParams
 from depcox.errors import ValidationError
 from depcox.gaussian import Mvn, cholesky_with_jitter
 
@@ -85,16 +84,14 @@ def cross_cov(x, z, kappa: float, theta: float, phi: float) -> float:
     return kappa * gauss_density(x, z, theta + phi)
 
 
-def output_cov(x, x2, d: int, d2: int, params: CouplingParams, phis) -> float:
-    """Covariance between process values (latent functions summed out)."""
+def output_cov(x, x2, d: int, d2: int, kappas, thetas, phis) -> float:
+    """Covariance between the values of processes ``d`` at ``x`` and ``d2``
+    at ``x2`` (latent functions summed out); process ``d``'s smoothing
+    kernel has scale ``kappas[d]`` and variance ``thetas[d]``."""
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
     total = 0.0
     for phi in phis:
-        total += (
-            params.kappas[d]
-            * params.kappas[d2]
-            * gauss_density(x, x2, params.thetas[d] + params.thetas[d2] + phi)
-        )
+        total += kappas[d] * kappas[d2] * gauss_density(x, x2, thetas[d] + thetas[d2] + phi)
     return total
 
 
@@ -112,15 +109,16 @@ class FixedFunctionPrior:
     def project(self, X, theta: float) -> np.ndarray:
         return np.zeros((0, np.asarray(X).shape[0]))
 
-    def mean(self, X, kappa: float, theta: float) -> np.ndarray:
+    def mean(self, X, W, kappa: float) -> np.ndarray:
         return np.asarray(self.func(np.asarray(X, dtype=float)), dtype=float)
 
     def cov(self, A, WA, B, WB, kappa: float, theta: float) -> np.ndarray:
         return np.zeros((np.asarray(A).shape[0], np.asarray(B).shape[0]))
 
-    def mean_cov(self, X, kappa: float, theta: float, W=None):
-        return self.mean(X, kappa, theta), self.cov(X, W, X, W, kappa, theta)
+    def mean_cov(self, X, kappa: float, theta: float, W):
+        return self.mean(X, W, kappa), self.cov(X, W, X, W, kappa, theta)
 
     def site(self, x, kappa: float, theta: float) -> tuple[np.ndarray, float, float]:
         """Empty projection, the known value and zero variance at one site."""
-        return np.zeros((0, 1)), float(self.mean(x, kappa, theta)[0]), 0.0
+        w = self.project(x, theta)
+        return w, float(self.mean(x, w, kappa)[0]), 0.0

@@ -6,7 +6,6 @@ from scipy.integrate import quad
 
 from depcox.convolution import (
     ConvolutionPrior,
-    CouplingParams,
     IndependentPrior,
     LatentFactor,
     LatentState,
@@ -25,7 +24,7 @@ from depcox.gaussian import (
     gauss_gram,
     gauss_gram_dv,
 )
-from depcox.sgcp import Region
+from depcox.sgcp import AugmentedState, GpContext, Region
 from oracles import FixedFunctionPrior, cross_cov, gauss_density, mvn_logpdf, output_cov
 
 
@@ -39,7 +38,7 @@ def _floored(D, kappa, theta, phis, dim=1):
     return D + 1e-12 * marginal * np.eye(len(D))
 
 
-def _joint_blocks(X_list, latent, params):
+def _joint_blocks(X_list, latent, kappas, thetas):
     """Dense joint covariance over (g_1 ... g_D, u) for small oracles.
 
     Built exactly as the model implies: g_d = A_d u + residual with the
@@ -56,16 +55,14 @@ def _joint_blocks(X_list, latent, params):
     for d, X in enumerate(X_list):
         K_gu = np.hstack(
             [
-                params.kappas[d] * gauss_gram(X, latent.grid, params.thetas[d] + latent.phis[q])
+                kappas[d] * gauss_gram(X, latent.grid, thetas[d] + latent.phis[q])
                 for q in range(Q)
             ]
         )
         A = K_gu @ np.linalg.inv(K_uu)
         K_gg = np.zeros((len(X), len(X)))
         for q in range(Q):
-            K_gg += params.kappas[d] ** 2 * gauss_gram(
-                X, X, 2 * params.thetas[d] + latent.phis[q]
-            )
+            K_gg += kappas[d] ** 2 * gauss_gram(X, X, 2 * thetas[d] + latent.phis[q])
         D = K_gg - A @ K_gu.T
         A_list.append(A)
         D_list.append(D)
@@ -90,20 +87,18 @@ class TestCrossCov:
 
 class TestOutputCov:
     def test_hand_value(self):
-        params = CouplingParams([1.0], [0.5])
-        got = output_cov(0.0, 0.0, 0, 0, params, [1.0])
+        got = output_cov(0.0, 0.0, 0, 0, [1.0], [0.5], [1.0])
         assert got == pytest.approx(gauss_density(0.0, 0.0, 2.0), rel=1e-12)
 
     def test_symmetry(self):
-        params = CouplingParams([1.3, 0.7], [0.2, 0.4])
-        a = output_cov(0.3, -0.5, 0, 1, params, [0.5, 1.1])
-        b = output_cov(-0.5, 0.3, 1, 0, params, [0.5, 1.1])
+        kappas, thetas = [1.3, 0.7], [0.2, 0.4]
+        a = output_cov(0.3, -0.5, 0, 1, kappas, thetas, [0.5, 1.1])
+        b = output_cov(-0.5, 0.3, 1, 0, kappas, thetas, [0.5, 1.1])
         assert a == pytest.approx(b, rel=1e-14)
 
     def test_duplicate_latents_double_the_value(self):
-        params = CouplingParams([1.0], [0.5])
-        one = output_cov(0.1, 0.4, 0, 0, params, [0.8])
-        two = output_cov(0.1, 0.4, 0, 0, params, [0.8, 0.8])
+        one = output_cov(0.1, 0.4, 0, 0, [1.0], [0.5], [0.8])
+        two = output_cov(0.1, 0.4, 0, 0, [1.0], [0.5], [0.8, 0.8])
         assert two == pytest.approx(2 * one, rel=1e-14)
 
 
@@ -127,7 +122,7 @@ class TestConditionalPrior:
         latent = LatentState(grid, np.zeros((1, 5)), [0.05])
         prior = ConvolutionPrior(latent)
         X = np.linspace(0.1, 0.9, 7)[:, None]
-        np.testing.assert_array_equal(prior.mean(X, 1.3, 0.02), np.zeros(7))
+        np.testing.assert_array_equal(prior.mean(X, prior.project(X, 0.02), 1.3), np.zeros(7))
 
     def test_matches_dense_joint_conditioning(self):
         rng = np.random.default_rng(0)
@@ -139,10 +134,9 @@ class TestConditionalPrior:
             kappa, theta = rng.uniform(0.5, 2.0), rng.uniform(0.02, 0.2)
             X = rng.uniform(0, 1, size=(4, 1))
             prior = ConvolutionPrior(latent)
-            m, C = prior.mean_cov(X, kappa, theta)
+            m, C = prior.mean_cov(X, kappa, theta, prior.project(X, theta))
 
-            params = CouplingParams([kappa], [theta])
-            K_uu, A_list, D_list = _joint_blocks([X], latent, params)
+            K_uu, A_list, D_list = _joint_blocks([X], latent, [kappa], [theta])
             np.testing.assert_allclose(m, A_list[0] @ u, atol=1e-8)
             np.testing.assert_allclose(C, D_list[0], atol=1e-8)
 
@@ -152,7 +146,7 @@ class TestConditionalPrior:
         u = rng.standard_normal(3)
         latent = LatentState(grid, u[None, :], [0.05])
         prior = ConvolutionPrior(latent)
-        m = prior.mean(grid, 1.0, 1e-6)
+        m = prior.mean(grid, prior.project(grid, 1e-6), 1.0)
         assert np.max(np.abs(m - u)) < 1e-2
 
     def test_grad_matches_finite_differences(self):
@@ -167,8 +161,8 @@ class TestConditionalPrior:
         for i, (dk, dt) in enumerate([(h, 0.0), (0.0, h)]):
             kp, tp = kappa * np.exp(dk), theta * np.exp(dt)
             km, tm = kappa * np.exp(-dk), theta * np.exp(-dt)
-            m_p, C_p = prior.mean_cov(X, kp, tp)
-            m_m, C_m = prior.mean_cov(X, km, tm)
+            m_p, C_p = prior.mean_cov(X, kp, tp, prior.project(X, tp))
+            m_m, C_m = prior.mean_cov(X, km, tm, prior.project(X, tm))
             np.testing.assert_allclose(dm[i], (m_p - m_m) / (2 * h), atol=1e-5)
             np.testing.assert_allclose(dC[i], (C_p - C_m) / (2 * h), atol=1e-5)
 
@@ -181,9 +175,8 @@ class TestConditionalPrior:
         a = rng.standard_normal(6)
         for prior in (ConvolutionPrior(latent), IndependentPrior(0.02, dim=2)):
             W = prior.project(pts, theta)
-            want = prior.mean(X, kappa, theta) + prior.cov(
-                X, prior.project(X, theta), pts, W, kappa, theta
-            ) @ a
+            WX = prior.project(X, theta)
+            want = prior.mean(X, WX, kappa) + prior.cov(X, WX, pts, W, kappa, theta) @ a
             np.testing.assert_allclose(prior.extend(X, pts, W, a, kappa, theta), want, rtol=1e-9, atol=1e-12)
 
     def test_site_matches_projection_and_mean_cov(self):
@@ -212,8 +205,9 @@ class TestConditionalPrior:
         kappa, theta = 0.8, 0.03
         _, C, _, dC = prior.mean_cov_grads(X, kappa, theta)
         h = 1e-6
-        _, C_p = prior.mean_cov(X, kappa, theta * np.exp(h))
-        _, C_m = prior.mean_cov(X, kappa, theta * np.exp(-h))
+        W = prior.project(X, theta)  # empty: an independent prior has no latent grid
+        _, C_p = prior.mean_cov(X, kappa, theta * np.exp(h), W)
+        _, C_m = prior.mean_cov(X, kappa, theta * np.exp(-h), W)
         np.testing.assert_allclose(dC[1], (C_p - C_m) / (2 * h), atol=1e-5)
         np.testing.assert_allclose(dC[0], 2 * C, atol=1e-12)
 
@@ -364,11 +358,9 @@ class TestImpliedJointPsd:
             J = int(rng.integers(2, 5))
             grid = np.sort(rng.uniform(0, 1, size=J))[:, None]
             latent = LatentState(grid, rng.standard_normal((1, J)), [rng.uniform(0.05, 0.4)])
-            params = CouplingParams(
-                rng.uniform(0.3, 2.0, size=D), rng.uniform(0.02, 0.3, size=D)
-            )
+            kappas, thetas = rng.uniform(0.3, 2.0, size=D), rng.uniform(0.02, 0.3, size=D)
             X_list = [rng.uniform(0, 1, size=(int(rng.integers(1, 5)), 1)) for _ in range(D)]
-            K_uu, A_list, D_list = _joint_blocks(X_list, latent, params)
+            K_uu, A_list, D_list = _joint_blocks(X_list, latent, kappas, thetas)
             n_tot = sum(len(X) for X in X_list) + J
             joint = np.zeros((n_tot, n_tot))
             offs = np.cumsum([0] + [len(X) for X in X_list])
@@ -384,22 +376,28 @@ class TestImpliedJointPsd:
             cholesky_with_jitter(joint)  # raises if not PSD
 
 
-def _projections(prior, X_list, params):
-    """Each process's projection and coupling matrix, as the engine passes
-    them to ``latent_posterior`` from the workspaces."""
-    W_list = [prior.project(X, t) for X, t in zip(X_list, params.thetas)]
-    return W_list, [prior.coupling_matrix(W, k) for W, k in zip(W_list, params.kappas)]
+def _spaces(prior, X_list, g_list, kappas, thetas):
+    """Each process's workspace at the points ``X_list[d]`` with values
+    ``g_list[d]``, and its coupling matrix, as the engine passes them to
+    ``latent_posterior``."""
+    spaces = [
+        GpContext(X, prior).workspace(
+            AugmentedState(np.zeros((0, X.shape[1])), np.zeros(0, dtype=int), g, 1.0, k, t)
+        )
+        for X, g, k, t in zip(X_list, g_list, kappas, thetas)
+    ]
+    return spaces, [prior.coupling_matrix(ws.W, ws.kappa) for ws in spaces]
 
 
 class TestLatentPosterior:
     def test_no_coupling_returns_prior(self):
         grid = np.linspace(0, 1, 4)[:, None]
         latent = LatentState(grid, np.zeros((1, 4)), [0.1])
-        params = CouplingParams([0.0, 0.0], [0.05, 0.05])
         X = [np.array([[0.2], [0.6]]), np.array([[0.4]])]
         g = [np.array([1.0, -1.0]), np.array([0.5])]
         prior = ConvolutionPrior(latent)
-        post = latent_posterior(g, X, prior, params, *_projections(prior, X, params))
+        spaces, A_list = _spaces(prior, X, g, [0.0, 0.0], [0.05, 0.05])
+        post = latent_posterior(spaces, prior, A_list)
         K = _jittered(gauss_gram(grid, grid, 0.1))
         np.testing.assert_allclose(post.mean, np.zeros(4), atol=1e-9)
         np.testing.assert_allclose(post.cov, K, atol=1e-6)
@@ -410,17 +408,18 @@ class TestLatentPosterior:
             J = 3
             grid = np.sort(rng.uniform(0, 1, size=J))[:, None]
             latent = LatentState(grid, rng.standard_normal((1, J)), [rng.uniform(0.05, 0.3)])
-            params = CouplingParams(rng.uniform(0.5, 1.5, size=2), rng.uniform(0.02, 0.2, size=2))
+            kappas, thetas = rng.uniform(0.5, 1.5, size=2), rng.uniform(0.02, 0.2, size=2)
             X_list = [rng.uniform(0, 1, size=(3, 1)) for _ in range(2)]
             g_list = [rng.standard_normal(3) for _ in range(2)]
             prior = ConvolutionPrior(latent)
-            post = latent_posterior(g_list, X_list, prior, params, *_projections(prior, X_list, params))
+            spaces, A_ws = _spaces(prior, X_list, g_list, kappas, thetas)
+            post = latent_posterior(spaces, prior, A_ws)
 
-            K_uu, A_list, D_list = _joint_blocks(X_list, latent, params)
+            K_uu, A_list, D_list = _joint_blocks(X_list, latent, kappas, thetas)
             A = np.vstack(A_list)
             Dblk = np.zeros((6, 6))
-            Dblk[:3, :3] = _jittered(_floored(D_list[0], params.kappas[0], params.thetas[0], latent.phis))
-            Dblk[3:, 3:] = _jittered(_floored(D_list[1], params.kappas[1], params.thetas[1], latent.phis))
+            Dblk[:3, :3] = _jittered(_floored(D_list[0], kappas[0], thetas[0], latent.phis))
+            Dblk[3:, 3:] = _jittered(_floored(D_list[1], kappas[1], thetas[1], latent.phis))
             S_gg = A @ K_uu @ A.T + Dblk
             S_gu = A @ K_uu
             g = np.concatenate(g_list)
@@ -437,9 +436,10 @@ class TestLatentPosterior:
         X = rng.uniform(0, 1, size=(4, 1))
         g = rng.standard_normal(4)
         prior = ConvolutionPrior(latent)
-        one, two = CouplingParams([1.0], [0.05]), CouplingParams([1.0, 1.0], [0.05, 0.05])
-        single = latent_posterior([g], [X], prior, one, *_projections(prior, [X], one))
-        double = latent_posterior([g, g], [X, X], prior, two, *_projections(prior, [X, X], two))
+        spaces, A_list = _spaces(prior, [X], [g], [1.0], [0.05])
+        single = latent_posterior(spaces, prior, A_list)
+        spaces, A_list = _spaces(prior, [X, X], [g, g], [1.0, 1.0], [0.05, 0.05])
+        double = latent_posterior(spaces, prior, A_list)
         eigs = np.linalg.eigvalsh(single.cov - double.cov)
         assert eigs.min() > -1e-10
         assert eigs.max() > 1e-8

@@ -194,6 +194,35 @@ class TestRunChain:
         assert calls[: len(data)] == [False] * len(data)
         assert True not in calls
 
+    def test_latent_stage_factors_no_process_covariance(self, monkeypatch):
+        # the latent posterior reads each workspace's factor of C, which the
+        # function slice update's prior draw formed; with every Hamiltonian
+        # proposal rejected, no workspace is rebuilt before the latent stage
+        data, _ = _toy_data()
+        inside, stages, factored = [], [], []
+        monkeypatch.setattr(
+            depcox.engine, "hmc_hyper_update", lambda state, *a, **k: (state.copy(), False, 0.0)
+        )
+        for module in (depcox.sgcp, depcox.convolution):
+            def recording(cov, _original=module.cholesky_with_jitter):
+                factored.extend([np.shape(cov)] if inside else [])
+                return _original(cov)
+
+            monkeypatch.setattr(module, "cholesky_with_jitter", recording)
+        for name in ("_latent_ess_move", "sample_latent_posterior"):
+            def staged(*args, _original=getattr(depcox.engine, name), **kwargs):
+                inside.append(1)
+                stages.append(1)
+                try:
+                    return _original(*args, **kwargs)
+                finally:
+                    inside.pop()
+
+            monkeypatch.setattr(depcox.engine, name, staged)
+        run_chain_with_info(data, UNIT, _small_config(n_iters=5, burn_in=0))
+        assert len(stages) == 2 * 5
+        assert factored == []
+
     def test_rejects_events_outside_region(self):
         data = [EventSet(np.array([[1.5]]))]
         with pytest.raises(ValidationError):

@@ -5,6 +5,7 @@ import pytest
 from scipy.special import expit, logit
 from scipy.stats import kstest, norm
 
+import depcox.convolution
 import depcox.sgcp
 from depcox.convolution import (
     ConvolutionPrior,
@@ -138,7 +139,7 @@ class TestWorkspace:
         ws = _Workspace(ctx, state)
         x = np.array([0.37])
         pts = np.vstack([ctx.data, x[None, :]])
-        m, C = ctx.prior.mean_cov(pts, state.kappa, state.theta)
+        m, C = ctx.prior.mean_cov(pts, state.kappa, state.theta, ctx.prior.project(pts, state.theta))
         joint = Mvn(m, C)
         cond = conditional_mvn(joint, np.arange(6), state.g_values)
         mu, var = ws.conditional(x)
@@ -151,7 +152,7 @@ class TestWorkspace:
         x = np.array([0.61])
         keep = [0, 1, 2, 4, 5]  # drop index 3
         pts = np.vstack([ctx.data[keep], x[None, :]])
-        m, C = ctx.prior.mean_cov(pts, state.kappa, state.theta)
+        m, C = ctx.prior.mean_cov(pts, state.kappa, state.theta, ctx.prior.project(pts, state.theta))
         cond = conditional_mvn(Mvn(m, C), np.arange(5), state.g_values[keep])
         mu, var = ws.conditional(x, exclude=3)
         assert mu == pytest.approx(cond.mean[0], abs=1e-6)
@@ -230,7 +231,7 @@ class TestWorkspaceCache:
             else:
                 ws.update_point(int(rng.integers(n)), rng.uniform(size=2), rng.standard_normal())
             self._assert_rel(ws.W, prior.project(ws.pts, self.THETA), 1e-10)
-            m, C = prior.mean_cov(ws.pts, self.KAPPA, self.THETA)
+            m, C = prior.mean_cov(ws.pts, self.KAPPA, self.THETA, prior.project(ws.pts, self.THETA))
             self._assert_rel(ws.m, m, 1e-10)
             self._assert_rel(ws.C, C, 1e-10)
             fresh = self._fresh(prior, ws)
@@ -244,6 +245,28 @@ class TestWorkspaceCache:
                 # a fresh one takes its own, which moves conditionals by ~1e-7
                 assert got[0] == pytest.approx(want[0], rel=1e-6, abs=1e-9)
                 assert got[1] == pytest.approx(want[1], rel=1e-6, abs=1e-9)
+
+    def test_updates_keep_c_the_floored_residual_covariance(self):
+        # a moved point's variance carries the floor, as a new point's does:
+        # C stays what mean_cov gives at the points, to a tenth of the floor
+        rng = np.random.default_rng(25)
+        prior = self._prior()
+        ctx = GpContext(rng.uniform(size=(5, 2)), prior)
+        state = _empty_state(n_data=5, kappa=self.KAPPA, theta=self.THETA)
+        state.thinned = np.zeros((0, 2))
+        state.g_values = rng.standard_normal(5)
+        ws = _Workspace(ctx, state)
+        floor = depcox.convolution.MARGINAL_FLOOR * prior._marginal_var(self.KAPPA, self.THETA)
+        for op in ["append", "update", "append", "remove", "update", "append", "update", "remove"]:
+            n = ws.pts.shape[0]
+            if op == "append":
+                ws.append(rng.uniform(size=2), rng.standard_normal())
+            elif op == "remove":
+                ws.remove(int(rng.integers(n)))
+            else:
+                ws.update_point(int(rng.integers(n)), rng.uniform(size=2), rng.standard_normal())
+            _, C = prior.mean_cov(ws.pts, self.KAPPA, self.THETA, ws.W)
+            assert np.max(np.abs(ws.C - C)) <= 0.1 * floor, op
 
     def test_first_append_to_empty_set_conditions(self):
         prior = self._prior()
@@ -324,6 +347,7 @@ class TestWorkspaceLifetime:
         ws = ctx.workspace(state)
         W, C = ws.W.copy(), ws.C.copy()
         ws.conditional(rng.uniform(size=2))  # forms the factor
+        L = ws.L
         old = ctx.prior
         ctx.prior = ConvolutionPrior(
             LatentState(old.latent.grid, rng.standard_normal((2, 16)), old.latent.phis), old.factors
@@ -332,15 +356,36 @@ class TestWorkspaceLifetime:
         with monkeypatch.context() as patched:
             patched.setattr(ConvolutionPrior, "project", lambda *a: pytest.fail("re-projected"))
             assert ctx.workspace(state) is ws
-        assert ws.prior is ctx.prior and ws._L is None
+        assert ws.prior is ctx.prior and ws.L is L and ws._v is None
         np.testing.assert_array_equal(ws.W, W)
         np.testing.assert_array_equal(ws.C, C)
         np.testing.assert_array_equal(ws.g, state.g_values)
-        m = ctx.prior.mean(ctx.points(state), self.KAPPA, self.THETA)
+        pts = ctx.points(state)
+        m = ctx.prior.mean(pts, ctx.prior.project(pts, self.THETA), self.KAPPA)
         assert np.max(np.abs(ws.m - m)) <= 1e-10 * np.max(np.abs(m))
         x = rng.uniform(size=2)
         want = _Workspace(ctx, state).conditional(x)
         assert ws.conditional(x) == pytest.approx(want, rel=1e-8)
+
+    def test_refresh_after_a_prior_draw_keeps_its_factor(self, monkeypatch):
+        # the factor the slice update draws through serves the next kernel:
+        # its conditional factors nothing and gives a fresh workspace's
+        # result bit for bit, also after a new prior at the same factors
+        ctx, state, rng = self._setup()
+        ws = ctx.workspace(state)
+        ws.prior_draw(rng)
+        L = ws.L
+        old = ctx.prior
+        ctx.prior = ConvolutionPrior(
+            LatentState(old.latent.grid, rng.standard_normal((2, 16)), old.latent.phis), old.factors
+        )
+        state.g_values = rng.standard_normal(6)
+        x = rng.uniform(size=2)
+        with monkeypatch.context() as patched:
+            patched.setattr(depcox.sgcp, "cholesky_with_jitter", lambda *a: pytest.fail("refactored"))
+            assert ctx.workspace(state) is ws and ws.L is L
+            got = ws.conditional(x)
+        assert got == _Workspace(ctx, state).conditional(x)
 
     @pytest.mark.parametrize("change", ["kappa", "theta", "phi", "points"])
     def test_changes_to_w_or_c_rebuild(self, change):
@@ -361,7 +406,7 @@ class TestWorkspaceLifetime:
         assert rebuilt is not ws
         pts = ctx.points(state)
         np.testing.assert_array_equal(rebuilt.W, ctx.prior.project(pts, state.theta))
-        m, C = ctx.prior.mean_cov(pts, state.kappa, state.theta)
+        m, C = ctx.prior.mean_cov(pts, state.kappa, state.theta, ctx.prior.project(pts, state.theta))
         np.testing.assert_array_equal(rebuilt.m, m)
         np.testing.assert_array_equal(rebuilt.C, C)
 

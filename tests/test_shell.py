@@ -191,6 +191,27 @@ class TestUnreadableInputs:
         assert f"{records}:2:" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "edit,named",
+        [
+            (lambda rec: {k: v for k, v in rec.items() if k != "lambda_stars"}, "field lambda_stars"),
+            (lambda rec: 3, "JSON object"),
+            (lambda rec: rec | {"g_values": [rec["g_values"][0][:-1]]}, "field g_values"),
+            (lambda rec: rec | {"lambda_stars": []}, "field lambda_stars"),
+        ],
+        ids=["missing-field", "not-an-object", "short-g-values", "empty-lambda-stars"],
+    )
+    def test_malformed_sample_record_exits_2_naming_file_line_and_field(self, archive, capsys,
+                                                                       edit, named):
+        records = archive / "samples.jsonl"
+        lines = records.read_text().splitlines()
+        lines[1] = json.dumps(edit(json.loads(lines[1])))
+        records.write_text("\n".join(lines) + "\n")
+        assert main(["eval", str(archive)]) == 2
+        err = capsys.readouterr().err
+        assert f"{records}:2:" in err and named in err
+
+
 class TestSerializers:
     def _config_off_defaults(self):
         run = RunConfig(

@@ -1,0 +1,128 @@
+"""Compare two trees of reference-chain archives, workload by workload.
+
+    python3 tools/compare_archives.py A B
+
+Run from the root of a checkout; the program is imported from ``src/`` and
+the ESS from ``perfbench/run.py``. ``A`` and ``B`` are trees written by
+``tools/ref_archives.py`` (say, one from each of two checkouts). For every
+workload, ``<tree>/<workload>/archive/``, it prints:
+
+* whether the two ``samples.jsonl`` are byte-identical;
+* whether every draw's discrete parts and bounds are identical: its
+  iteration, thinned points, levels, ``lambda_stars``, ``kappas``,
+  ``thetas`` and ``phis``;
+* the largest absolute change in the function values and in the latent
+  values, over the draws whose sizes agree;
+* each ``eval.csv`` value of both sides and its change;
+* each side's ESS of the bound, of the mean function value and of the
+  latent values, as the benchmark computes them (``ess_metrics``).
+
+Exits 1 if a workload is missing from one tree or a discrete draw differs,
+0 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+from depcox import io  # noqa: E402
+from run import ess_metrics  # noqa: E402
+
+DISCRETE = ("iteration", "thinned", "rate_idx", "lambda_stars", "kappas", "thetas", "phis")
+
+
+def _parts(value) -> list:
+    """A sample field as a list of arrays: a per-process list as it is,
+    anything else as one array."""
+    return [np.asarray(v) for v in value] if isinstance(value, list) else [np.asarray(value)]
+
+
+def _same(a, b) -> bool:
+    pa, pb = _parts(a), _parts(b)
+    return len(pa) == len(pb) and all(np.array_equal(x, y) for x, y in zip(pa, pb))
+
+
+def _largest_change(sa, sb, name: str) -> float:
+    """The largest absolute change of field ``name`` over the draws whose
+    arrays agree in shape; nan if there are none."""
+    diffs = [
+        float(np.max(np.abs(x - y), initial=0.0))
+        for a, b in zip(sa, sb)
+        for x, y in zip(_parts(getattr(a, name)), _parts(getattr(b, name)))
+        if x.shape == y.shape
+    ]
+    return max(diffs, default=float("nan"))
+
+
+def _eval_rows(path: Path) -> dict:
+    with path.open() as fh:
+        return {tuple(row[:3]): float(row[3]) for row in list(csv.reader(fh))[1:]}
+
+
+def compare(a: Path, b: Path) -> tuple[list[str], bool]:
+    """Report lines for one workload's archives ``a`` and ``b``, and
+    whether their discrete draws and bounds are identical."""
+    lines = []
+    same_bytes = (a / "samples.jsonl").read_bytes() == (b / "samples.jsonl").read_bytes()
+    lines.append(f"  samples.jsonl byte-identical: {'yes' if same_bytes else 'no'}")
+    arch_a, arch_b = io.load_archive(a), io.load_archive(b)
+    sa, sb = arch_a.samples, arch_b.samples
+    differing = {}
+    for i, (x, y) in enumerate(zip(sa, sb)):
+        for name in DISCRETE:
+            if not _same(getattr(x, name), getattr(y, name)):
+                differing.setdefault(name, i)
+    if len(sa) != len(sb):
+        lines.append(f"  discrete draws and bounds identical: no ({len(sa)} draws against {len(sb)})")
+    elif differing:
+        first = ", ".join(f"{name} from draw {i}" for name, i in differing.items())
+        lines.append(f"  discrete draws and bounds identical: no ({first})")
+    else:
+        lines.append(f"  discrete draws and bounds identical: yes ({len(sa)} draws)")
+    lines.append(
+        f"  largest change: g_values {_largest_change(sa, sb, 'g_values'):.3g}, "
+        f"latent_values {_largest_change(sa, sb, 'latent_values'):.3g}"
+    )
+    rows_a, rows_b = _eval_rows(a / "eval.csv"), _eval_rows(b / "eval.csv")
+    for key in sorted(rows_a.keys() | rows_b.keys()):
+        va, vb = rows_a.get(key, float("nan")), rows_b.get(key, float("nan"))
+        lines.append(f"  eval {','.join(key)}: {va:.6g} -> {vb:.6g} ({vb - va:+.3g})")
+    for side, arch in (("A", arch_a), ("B", arch_b)):
+        ess = ess_metrics(arch.samples, len(arch.train))
+        lines.append(f"  ESS {side}: " + ", ".join(f"{k} {v:.3f}" for k, v in ess.items()))
+    return lines, len(sa) == len(sb) and not differing
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("a", type=Path, help="a tree written by tools/ref_archives.py")
+    parser.add_argument("b", type=Path, help="the tree to compare it with")
+    args = parser.parse_args(argv)
+    names = sorted(
+        {p.parent.parent.name for tree in (args.a, args.b) for p in tree.glob("*/archive/samples.jsonl")}
+    )
+    identical = bool(names)
+    for name in names:
+        print(name)
+        a, b = args.a / name / "archive", args.b / name / "archive"
+        missing = [str(p) for p in (a, b) if not (p / "samples.jsonl").is_file()]
+        if missing:
+            print(f"  missing: {', '.join(missing)}")
+            identical = False
+            continue
+        lines, same = compare(a, b)
+        print("\n".join(lines))
+        identical &= same
+    return 0 if identical else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
