@@ -16,9 +16,10 @@ diagonalized through one symmetric eigendecomposition per axis (``eigh``;
 see ``convolution.LatentFactor``).
 
 The hot factorizations and solves call LAPACK directly, through routines
-resolved once at import: ``cholesky`` (``dpotrf``, which
-``cholesky_with_jitter`` wraps), ``tri_solve`` (``dtrtrs``),
-``chol_inverse`` (``dpotri``) and ``eigh`` (``dsyevd``).
+resolved once at import: ``cholesky`` and ``cholesky_with_jitter``
+(``dpotrf``; the latter factors its one working buffer in place),
+``tri_solve`` (``dtrtrs``), ``chol_inverse`` (``dpotri``) and ``eigh``
+(``dsyevd``).
 """
 
 from __future__ import annotations
@@ -84,9 +85,13 @@ def gauss_gram(X, Z, variance: float) -> np.ndarray:
     if X.shape[1] != Z.shape[1]:
         raise ValidationError("point sets have different dimension")
     sq = (X * X).sum(axis=1)[:, None] + (Z * Z).sum(axis=1)[None, :] - 2.0 * (X @ Z.T)
+    # scale * exp(-0.5 * sq / variance) as axis_gram evaluates it, in place
     np.maximum(sq, 0.0, out=sq)
-    d = X.shape[1]
-    return (2.0 * np.pi * variance) ** (-0.5 * d) * np.exp(-0.5 * sq / variance)
+    sq *= -0.5
+    sq /= variance
+    np.exp(sq, out=sq)
+    sq *= (2.0 * np.pi * variance) ** (-0.5 * X.shape[1])
+    return sq
 
 
 def gauss_gram_dv(X, Z, variance: float) -> tuple[np.ndarray, np.ndarray]:
@@ -175,25 +180,31 @@ def cholesky(a: np.ndarray) -> np.ndarray:
 def cholesky_with_jitter(cov: np.ndarray) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of ``cov`` plus jitter; returns (L, jitter used).
 
-    The factor is Fortran-ordered (see ``cholesky``).
+    The factor is Fortran-ordered (see ``cholesky``). One n x n buffer
+    serves every attempt: it is filled with ``(cov + cov^T) / 2``, which is
+    exactly symmetric, so its transpose is the same matrix in Fortran
+    order, and ``dpotrf`` factors that in place, with no copy, after the
+    jitter is added to the diagonal. The symmetrised diagonal is ``cov``'s
+    own, so the jitter scales with ``cov``'s trace.
     """
     cov = np.asarray(cov, dtype=float)
     n = cov.shape[0]
     if n == 0:
         return np.zeros((0, 0), order="F"), 0.0
-    sym = cov + cov.T
-    sym *= 0.5
-    mean_diag = float(np.trace(sym)) / n
+    mean_diag = float(np.trace(cov)) / n
     jitter = JITTER_SCALE * mean_diag if mean_diag > 0 else JITTER_SCALE
+    sym = np.empty((n, n))
+    diag = sym.reshape(-1)[:: n + 1]  # a view: sym is C-contiguous
     for _ in range(MAX_JITTER_DOUBLINGS + 1):
-        # sym + jitter * I without building I and jitter * I: at J = 400
-        # the latent stage's factorizations set the chain's peak memory
-        shifted = sym.copy()
-        shifted.flat[:: n + 1] += jitter
-        try:
-            return cholesky(shifted), jitter
-        except np.linalg.LinAlgError:
-            jitter *= 2.0
+        np.add(cov, cov.T, out=sym)  # a failed attempt has overwritten it
+        sym *= 0.5
+        diag += jitter
+        L, info = _POTRF(sym.T, lower=1, clean=1, overwrite_a=1)
+        if info == 0:
+            return L, jitter
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of dpotrf")
+        jitter *= 2.0
     raise NumericalError(
         f"covariance ({n}x{n}) not positive definite after jitter {jitter / 2:.3g}"
     )

@@ -17,11 +17,20 @@ and move keep it in step as they add, remove and move points; the function
 slice update, the engine's initial draw, the latent posterior
 (``convolution.latent_posterior``) and prediction read it. ``_Workspace``
 says when it is rebuilt and when its factor is.
+
+Birth/death and move run thousands of times a sweep on arrays of tens of
+entries, so their cost is mostly numpy calls and copies. A proposal's
+conditional returns the site with its covariance row and solve, which the
+kernel passes on to ``append`` or ``update_point``; the workspace caches
+nothing about a site. ``C`` stays exactly symmetric and ``W``
+C-contiguous, the layouts that fixed-seed draws rest on.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import expit
@@ -40,7 +49,12 @@ from .thinning import (
 
 @dataclass
 class Region:
-    """Axis-aligned bounded observation window."""
+    """Axis-aligned bounded observation window.
+
+    ``lower`` and ``upper`` are float arrays. The bounds are also kept as
+    Python floats, which ``contains_point`` compares one point against
+    without a numpy call: the move kernel tests every proposal.
+    """
 
     lower: np.ndarray
     upper: np.ndarray
@@ -52,6 +66,7 @@ class Region:
             raise ValidationError("lower and upper bounds must have the same length")
         if np.any(self.upper <= self.lower):
             raise ValidationError("upper bounds must strictly dominate lower bounds")
+        self._bounds = tuple(zip(self.lower.tolist(), self.upper.tolist()))
 
     @property
     def dim(self) -> int:
@@ -70,11 +85,17 @@ class Region:
         return np.all((X >= self.lower) & (X <= self.upper), axis=1)
 
     def contains_point(self, x) -> bool:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
+        """Whether the point ``x`` lies in the closed window; False for NaN,
+        ``ValidationError`` for a point of another dimension."""
+        x = np.asarray(x, dtype=float).ravel().tolist()
+        if len(x) != len(self._bounds):
+            raise ValidationError(f"a point of dimension {len(x)} in a {self.dim}-D region")
+        return all(lo <= v <= hi for v, (lo, hi) in zip(x, self._bounds))
 
     def uniform(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.uniform(self.lower, self.upper, size=(n, self.dim))
+        """``n`` uniform points, (n, dim): the numbers ``rng.uniform(lower,
+        upper, (n, dim))`` gives, from the same draws, in a third of its time."""
+        return self.lower + self.axis_lengths * rng.random((n, self.dim))
 
 
 @dataclass
@@ -169,15 +190,14 @@ class AugmentedState:
                 raise ValidationError("a thinned point's sigmoid exceeds its level")
 
     def append_thinned(self, x, g_value: float, rate: int) -> None:
-        self.thinned = np.vstack([self.thinned, np.atleast_1d(x)[None, :]])
-        self.rate_idx = np.append(self.rate_idx, rate)
-        self.g_values = np.append(self.g_values, g_value)
+        self.thinned = np.concatenate((self.thinned, np.reshape(x, (1, -1))))
+        self.rate_idx = np.concatenate((self.rate_idx, (rate,)))
+        self.g_values = np.concatenate((self.g_values, (g_value,)))
 
     def remove_thinned(self, i: int) -> None:
-        j = self.n_data + i
-        self.thinned = np.delete(self.thinned, i, axis=0)
-        self.rate_idx = np.delete(self.rate_idx, i)
-        self.g_values = np.delete(self.g_values, j)
+        self.g_values = _without(self.g_values, self.n_data + i)
+        self.thinned = _without(self.thinned, i)
+        self.rate_idx = _without(self.rate_idx, i)
 
 
 @dataclass
@@ -250,6 +270,40 @@ def _same_factors(a, b) -> bool:
     )
 
 
+def _without(a: np.ndarray, i: int) -> np.ndarray:
+    """``a`` without its ``i``-th entry (row, for 2-D ``a``): a new
+    C-contiguous array, as ``np.delete(a, i, axis=0)`` gives, in one call."""
+    return np.concatenate((a[:i], a[i + 1 :]))
+
+
+def _drop(C: np.ndarray, i: int) -> np.ndarray:
+    """Square ``C`` without its ``i``-th row and column, C-contiguous, copied
+    block by block (``C[np.ix_(keep, keep)]`` built index arrays and took
+    five times as long on the kernels' 50-point covariances)."""
+    n = C.shape[0] - 1
+    out = np.empty((n, n))
+    out[:i, :i] = C[:i, :i]
+    out[:i, i:] = C[:i, i + 1 :]
+    out[i:, :i] = C[i + 1 :, :i]
+    out[i:, i:] = C[i + 1 :, i + 1 :]
+    return out
+
+
+class _Proposal(NamedTuple):
+    """The conditional of the function at a new site given a workspace's
+    points, with what ``_Workspace.append`` and ``update_point`` take from
+    it. It holds for the points, and the factor of ``C``, it was made at."""
+
+    x: np.ndarray  # the site, (1, dim)
+    w: np.ndarray  # its projection, (Q*J, 1)
+    prior_mean: float
+    prior_var: float  # floored residual variance
+    ks: np.ndarray  # residual covariance with the points, (n,)
+    lks: np.ndarray | None  # L^{-1} ks for a full conditional of a C with spread
+    mean: float  # given the function values at the points
+    var: float
+
+
 class _Workspace:
     """Dense conditional prior over the current point set with a cached
     Cholesky factor; supports cheap appends, drop-one conditionals, prior
@@ -259,12 +313,21 @@ class _Workspace:
     cross-covariance with the latent grid whitened by the latent factors,
     and ``m``, ``C`` are ``prior.mean_cov(pts, kappa, theta, W)``: the prior
     mean and the residual covariance, its diagonal floored as the prior's
-    ``site`` floors a new site's variance. ``append``, ``remove`` and
-    ``update_point`` keep ``W``, ``m``, ``C``, ``g`` and (when formed) the
-    factor of ``C`` in step with ``pts``, so a conditional at a new site
-    projects only that site: one J-vector solve per latent function plus
-    ``W_x^T W``. Priors without a latent grid project to an empty (0, n)
-    ``W``.
+    ``site`` floors a new site's variance. ``C`` is exactly symmetric and
+    ``W`` C-contiguous, as a fresh ``mean_cov`` and ``project`` give them:
+    the products ``W^T W`` and the factorizations read them in that layout,
+    so a kept ``W`` in another layout would round differently. ``append``,
+    ``remove`` and ``update_point`` keep ``W``, ``m``, ``C``, ``g`` and
+    (when formed) the factor of ``C`` in step with ``pts``.
+
+    A new site goes through ``conditional``, which projects only that site
+    (one J-vector solve per latent function plus ``W_x^T W``) and returns
+    it as a ``_Proposal``: the site, its projection, prior mean and
+    variance, its covariance ``ks`` with the points and, for a full
+    conditional, ``L^{-1} ks``. The kernels pass the proposal to ``append``
+    or ``update_point``, which read the new row of ``C`` and the new row of
+    the factor from it; nothing about a site is cached between calls.
+    Priors without a latent grid project to an empty (0, n) ``W``.
 
     Lifetime: one workspace per process lives for the whole chain, owned
     by the process's ``GpContext``. ``W`` and ``C`` depend only on the
@@ -293,8 +356,6 @@ class _Workspace:
         self._L = None
         self._v = None
         self._jitter = 0.0
-        self._last_site = None
-        self._last_cross = None
 
     def holds_for(self, prior, state: AugmentedState) -> bool:
         """Whether ``W`` and ``C`` hold for ``prior`` and ``state``'s points
@@ -314,7 +375,6 @@ class _Workspace:
         if prior is not self.prior:
             self.prior = prior
             self.m = prior.mean(self.pts, self.W, self.kappa)
-            self._last_site = None
         self.g = state.g_values.copy()
         self._v = None
 
@@ -330,104 +390,86 @@ class _Workspace:
             self._v = tri_solve(self.L, self.g - self.m)
         return self._L, self._v
 
-    def _site(self, x):
-        """A new site with its projection, prior mean and prior variance.
-
-        The last site is kept: the kernels propose at a site and then append
-        or move a point to that same site. So is the last full conditional's
-        cross-covariance ``ks`` with the points and its solve ``L^{-1} ks``,
-        which ``append`` at that site reuses; any change to the points or
-        the factor drops them.
-        """
-        x = np.atleast_1d(np.asarray(x, dtype=float))[None, :]
-        if self._last_site is None or not np.array_equal(x, self._last_site[0]):
-            self._last_site = (x, *self.prior.site(x, self.kappa, self.theta))
-        return self._last_site
-
     def _cross(self, x, w) -> np.ndarray:
         return self.prior.cov(x, w, self.pts, self.W, self.kappa, self.theta).ravel()
 
-    def conditional(self, x, exclude: int | None = None) -> tuple[float, float]:
-        """Mean and variance of the function at ``x`` given the current
-        values, optionally leaving one point out."""
-        x, w_x, mstar, cstar = self._site(x)
-        n = self.pts.shape[0]
-        if self.degenerate or n == 0 or (exclude is not None and n == 1):
-            return mstar, max(cstar, 0.0)
+    def conditional(self, x, exclude: int | None = None) -> _Proposal:
+        """The function at ``x`` given the current values, optionally
+        leaving point ``exclude`` out: its ``mean`` and ``var``, and the
+        site for ``append`` or, with ``exclude``, ``update_point``."""
+        x = np.asarray(x, dtype=float).reshape(1, -1)
+        w_x, mstar, cstar = self.prior.site(x, self.kappa, self.theta)
         ks = self._cross(x, w_x)
-        if exclude is None:
+        n = ks.size
+        lks = None
+        if n == 0:  # no points: L^{-1} of the empty row is itself
+            lks, mu, var = ks, mstar, cstar
+        elif self.degenerate or (exclude is not None and n == 1):
+            mu, var = mstar, cstar
+        elif exclude is None:
             L, v = self._factor()
-            w = tri_solve(L, ks)
-            mu = mstar + float(w @ v)
-            self._last_cross = (x, ks, w)
+            lks = tri_solve(L, ks)
+            mu, var = mstar + float(lks @ v), cstar - float(lks @ lks)
         else:
-            keep = np.arange(n) != exclude
-            Ls, _ = cholesky_with_jitter(self.C[np.ix_(keep, keep)])
-            w = tri_solve(Ls, ks[keep])
-            vs = tri_solve(Ls, (self.g - self.m)[keep])
-            mu = mstar + float(w @ vs)
-        return mu, max(cstar - float(w @ w), 0.0)
+            Ls, _ = cholesky_with_jitter(_drop(self.C, exclude))
+            w = tri_solve(Ls, _without(ks, exclude))
+            vs = tri_solve(Ls, _without(self.g - self.m, exclude))
+            mu, var = mstar + float(w @ vs), cstar - float(w @ w)
+        return _Proposal(x, w_x, mstar, cstar, ks, lks, mu, max(var, 0.0))
 
-    def append(self, x, g_value: float) -> None:
-        x, w_x, mstar, cstar = self._site(x)
+    def append(self, p: _Proposal, g_value: float) -> None:
+        """Add the site of the proposal ``p`` with function value ``g_value``."""
         n = self.pts.shape[0]
-        if self._last_cross is not None and self._last_cross[0] is x:
-            _, ks, w = self._last_cross
-        else:
-            ks, w = self._cross(x, w_x), None
-        self._last_cross = None
-        self.pts = np.vstack([self.pts, x])
-        self.W = np.hstack([self.W, w_x])
-        self.m = np.append(self.m, mstar)
-        self.g = np.append(self.g, g_value)
+        self.pts = np.concatenate((self.pts, p.x))
+        self.W = np.concatenate((self.W, p.w), axis=1)
+        self.m = np.concatenate((self.m, (p.prior_mean,)))
+        self.g = np.concatenate((self.g, (g_value,)))
         C_new = np.empty((n + 1, n + 1))
         C_new[:n, :n] = self.C
-        C_new[n, :n] = ks
-        C_new[:n, n] = ks
-        C_new[n, n] = cstar
+        C_new[n, :n] = p.ks
+        C_new[:n, n] = p.ks
+        C_new[n, n] = p.prior_var
         self.C = C_new
         if n == 0:  # the first point decides whether the prior has any spread
             self.degenerate = not self.C.any()
         if self.degenerate:
             return
         if self._L is not None:
-            if w is None:
-                w = tri_solve(self._L, ks)
-            d2 = cstar + self._jitter - float(w @ w)
-            if d2 > 1e-12 * max(cstar, 1e-12):
+            w = p.lks
+            d2 = p.prior_var + self._jitter - float(w @ w)
+            if d2 > 1e-12 * max(p.prior_var, 1e-12):
                 L_new = np.zeros((n + 1, n + 1), order="F")
                 L_new[:n, :n] = self._L
                 L_new[n, :n] = w
                 L_new[n, n] = np.sqrt(d2)
                 self._L = L_new
                 if self._v is not None:
-                    self._v = np.append(
-                        self._v, (g_value - mstar - float(w @ self._v)) / L_new[n, n]
+                    self._v = np.concatenate(
+                        (self._v, ((g_value - p.prior_mean - float(w @ self._v)) / L_new[n, n],))
                     )
                 return
         self._L = self._v = None
 
     def remove(self, i: int) -> None:
-        self.W = np.delete(self.W, i, axis=1)
-        self.pts = np.delete(self.pts, i, axis=0)
-        self.m = np.delete(self.m, i)
-        self.g = np.delete(self.g, i)
-        self.C = np.delete(np.delete(self.C, i, axis=0), i, axis=1)
+        # C-contiguous, as np.delete(W, i, axis=1) gives it; W[:, mask] would not be
+        self.W = np.concatenate((self.W[:, :i], self.W[:, i + 1 :]), axis=1)
+        self.pts = _without(self.pts, i)
+        self.m = _without(self.m, i)
+        self.g = _without(self.g, i)
+        self.C = _drop(self.C, i)
         self._L = self._v = None
-        self._last_cross = None
 
-    def update_point(self, i: int, x, g_value: float) -> None:
-        x, w_x, mstar, cstar = self._site(x)
-        self.pts[i] = x[0]
-        self.W[:, i] = w_x[:, 0]
-        self.m[i] = mstar
+    def update_point(self, i: int, p: _Proposal, g_value: float) -> None:
+        """Move point ``i`` to the site of the proposal ``p``, made with
+        ``exclude=i``, with function value ``g_value``."""
+        self.pts[i] = p.x[0]
+        self.W[:, i] = p.w[:, 0]
+        self.m[i] = p.prior_mean
         self.g[i] = g_value
-        row = self._cross(x, w_x)
-        row[i] = cstar
-        self.C[i, :] = row
-        self.C[:, i] = row
+        self.C[i, :] = p.ks
+        self.C[:, i] = p.ks
+        self.C[i, i] = p.prior_var
         self._L = self._v = None
-        self._last_cross = None
 
     def prior_draw(self, rng: np.random.Generator) -> np.ndarray:
         """A draw ``L z`` from the zero-mean prior, or zeros, drawing no random
@@ -463,20 +505,20 @@ def birth_death_step(
     ws = ctx.workspace(state)
     if attempts is None:
         attempts = ctx.data.shape[0] + 1
-    levels = ladder.as_array()
+    levels = ladder.levels
     vol = region.volume
     for _ in range(attempts):
         M = state.n_thinned
         if rng.random() < b:
             x = region.uniform(1, rng)[0]
-            mu, var = ws.conditional(x)
-            g_star = mu + np.sqrt(var) * rng.standard_normal()
+            p = ws.conditional(x)
+            g_star = p.mean + math.sqrt(p.var) * rng.standard_normal()
             sig = float(expit(g_star))
             r = assign_rate(sig, ladder)
             a = accept_insert(M, vol, state.lambda_star, levels[r], sig, b)
             if rng.random() < a:
                 state.append_thinned(x, g_star, r)
-                ws.append(x, g_star)
+                ws.append(p, g_star)
         else:
             if M == 0:
                 continue
@@ -511,14 +553,14 @@ def move_step(
     if scale is None:
         scale = region.axis_lengths / 10.0
     ws = ctx.workspace(state)
-    levels = ladder.as_array()
+    levels = ladder.levels
     for i in range(M):
         x_new = state.thinned[i] + scale * rng.standard_normal(region.dim)
         if not region.contains_point(x_new):
             continue
         j = state.n_data + i
-        mu, var = ws.conditional(x_new, exclude=j)
-        g_new = mu + np.sqrt(var) * rng.standard_normal()
+        p = ws.conditional(x_new, exclude=j)
+        g_new = p.mean + math.sqrt(p.var) * rng.standard_normal()
         sig_new = float(expit(g_new))
         r_new = assign_rate(sig_new, ladder)
         sig_old = float(expit(state.g_values[j]))
@@ -527,7 +569,7 @@ def move_step(
             state.thinned[i] = x_new
             state.g_values[j] = g_new
             state.rate_idx[i] = r_new
-            ws.update_point(j, x_new, g_new)
+            ws.update_point(j, p, g_new)
     return state
 
 

@@ -10,6 +10,7 @@ single-bound scheme.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,9 @@ class RateLadder:
             raise ValidationError(f"last level must be exactly 1: {levels}")
         if not 0.0 < self.slack < 1.0:
             raise ValidationError(f"slack must lie in (0, 1): {self.slack}")
+        # the slack-scaled levels ``assign_rate`` searches, each rounded as
+        # ``as_array() * slack`` rounds it
+        object.__setattr__(self, "_scaled", tuple(v * self.slack for v in levels))
 
     @property
     def n_levels(self) -> int:
@@ -61,15 +65,18 @@ def assign_rate(sigmoid_value, ladder: RateLadder):
     """Index of the smallest level whose slack-scaled value covers ``sigmoid_value``.
 
     Falls back to the top level when even the slack-scaled top is exceeded,
-    so the returned level always upper-bounds the sigmoid. Accepts scalars
-    or arrays; indices are 0-based.
+    so the returned level always upper-bounds the sigmoid; NaN, which
+    ``searchsorted`` places above every level, gets the top level too.
+    Accepts scalars or arrays; indices are 0-based. A scalar is searched in
+    the ladder's scaled levels with ``bisect_left``, the per-point case of
+    the birth and move kernels.
     """
-    scaled = ladder.as_array() * ladder.slack
-    idx = np.searchsorted(scaled, sigmoid_value, side="left")
-    idx = np.minimum(idx, ladder.n_levels - 1)
+    top = ladder.n_levels - 1
     if np.ndim(sigmoid_value) == 0:
-        return int(idx)
-    return idx.astype(int)
+        s = float(sigmoid_value)
+        return top if s != s else min(bisect_left(ladder._scaled, s), top)
+    idx = np.searchsorted(ladder._scaled, sigmoid_value, side="left")
+    return np.minimum(idx, top).astype(int)
 
 
 def thinned_prob(sigmoid_value: float, level: float) -> float:

@@ -3,7 +3,10 @@
 Each is the plain textbook form of something the library computes in a
 faster or more structured way: single-pair kernel densities and
 covariances, dense Gaussian conditioning and log densities, and a prior
-that pins the function to a known surface.
+that pins the function to a known surface. The last group keeps the
+earlier formulas of per-point primitives the kernels call thousands of
+times a sweep, which the library now evaluates with fewer numpy calls and
+must match bit for bit.
 """
 
 from __future__ import annotations
@@ -11,8 +14,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from depcox.errors import ValidationError
-from depcox.gaussian import Mvn, cholesky_with_jitter
+from depcox.errors import NumericalError, ValidationError
+from depcox.gaussian import JITTER_SCALE, MAX_JITTER_DOUBLINGS, Mvn, cholesky, cholesky_with_jitter
 
 
 def gauss_density(x, z, variance: float) -> float:
@@ -122,3 +125,36 @@ class FixedFunctionPrior:
         """Empty projection, the known value and zero variance at one site."""
         w = self.project(x, theta)
         return w, float(self.mean(x, w, kappa)[0]), 0.0
+
+
+def cholesky_with_jitter_copies(cov) -> tuple[np.ndarray, float]:
+    """``cholesky_with_jitter`` as it was first written: a symmetrised copy,
+    a shifted copy per attempt and LAPACK's own Fortran-order copy."""
+    cov = np.asarray(cov, dtype=float)
+    n = cov.shape[0]
+    sym = cov + cov.T
+    sym *= 0.5
+    mean_diag = float(np.trace(sym)) / n
+    jitter = JITTER_SCALE * mean_diag if mean_diag > 0 else JITTER_SCALE
+    for _ in range(MAX_JITTER_DOUBLINGS + 1):
+        shifted = sym.copy()
+        shifted.flat[:: n + 1] += jitter
+        try:
+            return cholesky(shifted), jitter
+        except np.linalg.LinAlgError:
+            jitter *= 2.0
+    raise NumericalError("not positive definite")
+
+
+def assign_rate_searchsorted(sigmoid_value, ladder) -> int:
+    """A scalar's level index by ``searchsorted`` on the slack-scaled
+    levels, as ``thinning.assign_rate`` once computed it for every call."""
+    scaled = ladder.as_array() * ladder.slack
+    idx = np.searchsorted(scaled, sigmoid_value, side="left")
+    return int(np.minimum(idx, ladder.n_levels - 1))
+
+
+def contains_point_numpy(region, x) -> bool:
+    """``Region.contains_point`` with numpy comparisons against the arrays."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    return bool(np.all(x >= region.lower) and np.all(x <= region.upper))

@@ -16,7 +16,7 @@ from depcox.gaussian import (
     mvn_sample,
     tri_solve,
 )
-from oracles import conditional_mvn, gauss_density, mvn_logpdf
+from oracles import cholesky_with_jitter_copies, conditional_mvn, gauss_density, mvn_logpdf
 
 
 class TestGaussDensity:
@@ -141,6 +141,37 @@ class TestCholeskyJitter:
     def test_raises_on_indefinite_matrix(self):
         with pytest.raises(NumericalError, match=r"\(2x2\) not positive definite"):
             cholesky_with_jitter(np.diag([1.0, -1.0]))
+
+    @staticmethod
+    def _needs_one_doubling(n=12):
+        # smallest eigenvalue -1.5 base jitters: the first attempt fails,
+        # the doubled jitter leaves it +0.5 base jitters
+        rng = np.random.default_rng(5)
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        lam = np.linspace(1.0, 2.0, n)
+        lam[0] = 0.0
+        lam[0] = -1.5 * JITTER_SCALE * lam.sum() / n
+        return (Q * lam) @ Q.T
+
+    @pytest.mark.parametrize("kind", ["symmetric", "asymmetric", "escalating"])
+    def test_one_buffer_gives_the_copies_factor_bit_for_bit(self, kind):
+        rng = np.random.default_rng(6)
+        A = rng.standard_normal((40, 40))
+        cov = {
+            "symmetric": 0.5 * (A @ A.T + (A @ A.T).T) + np.eye(40),
+            "asymmetric": A @ A.T + np.eye(40) + 1e-9 * rng.standard_normal((40, 40)),
+            "escalating": self._needs_one_doubling(),
+        }[kind]
+        before = cov.copy()
+        L, jit = cholesky_with_jitter(cov)
+        want, want_jit = cholesky_with_jitter_copies(cov)
+        assert jit == want_jit
+        assert L.flags.f_contiguous
+        assert L.tobytes(order="A") == want.tobytes(order="A")
+        np.testing.assert_array_equal(cov, before)  # the input is not written to
+        if kind == "escalating":
+            base = JITTER_SCALE * np.trace(cov) / cov.shape[0]
+            assert jit == pytest.approx(2.0 * base, rel=1e-12)
 
 
 class TestTriSolve:

@@ -15,7 +15,7 @@ from depcox.convolution import (
     latent_grid,
 )
 from depcox.errors import ValidationError
-from depcox.gaussian import Mvn, cholesky_with_jitter
+from depcox.gaussian import Mvn, cholesky_with_jitter, tri_solve
 from depcox.sgcp import (
     AugmentedState,
     EventSet,
@@ -23,7 +23,9 @@ from depcox.sgcp import (
     PriorConfig,
     Region,
     _Workspace,
+    _drop,
     _hyper_energy,
+    _without,
     birth_death_step,
     elliptical_slice,
     ess_function_update,
@@ -35,7 +37,7 @@ from depcox.sgcp import (
     point_loglik,
 )
 from depcox.thinning import RateLadder
-from oracles import FixedFunctionPrior, conditional_mvn
+from oracles import FixedFunctionPrior, conditional_mvn, contains_point_numpy
 
 UNIT = Region([0.0], [1.0])
 SINGLE = RateLadder((1.0,))
@@ -51,6 +53,11 @@ def _empty_state(lam=2.0, kappa=1.0, theta=0.05, n_data=0):
         kappa=kappa,
         theta=theta,
     )
+
+
+def _moments(p):
+    """A workspace proposal's conditional mean and variance."""
+    return p.mean, p.var
 
 
 def _fixed_ctx(func, n_data=0, rng=None):
@@ -74,6 +81,28 @@ class TestRegion:
         r = Region([0.0], [1.0])
         assert r.contains(np.array([[0.0], [1.0], [0.5]])).all()
         assert not r.contains_point([1.0001])
+
+    def test_contains_point_matches_the_array_comparison(self):
+        r = Region([0.0, -1.0], [1.0, 2.0])
+        for x in ([0.0, -1.0], [1.0, 2.0], [0.5, 2.0], [np.nextafter(1.0, 2.0), 0.0],
+                  [0.5, np.nextafter(-1.0, -2.0)], [np.nan, 0.0], [0.5, np.nan]):
+            assert r.contains_point(np.array(x)) is contains_point_numpy(r, x), x
+        assert Region([0.0], [1.0]).contains_point(0.5)
+
+    @pytest.mark.parametrize("x", [[0.5], [0.5, 0.5, 9.0]])
+    def test_contains_point_of_another_dimension_raises(self, x):
+        # a zip over the coordinates would quietly drop or ignore some
+        with pytest.raises(ValidationError, match="dimension"):
+            Region([0.0, 0.0], [1.0, 1.0]).contains_point(np.array(x))
+
+    @pytest.mark.parametrize("lower, upper", [([0.0], [1.0]), ([-1.0, 0.5], [2.0, 0.75]),
+                                              ([0.0, 1.0, -3.0], [0.1, 4.0, 3.0])])
+    def test_uniform_matches_generator_uniform_bit_for_bit(self, lower, upper):
+        a, b = np.random.default_rng(9), np.random.default_rng(9)
+        got = Region(lower, upper).uniform(7, a)
+        want = b.uniform(np.array(lower), np.array(upper), size=(7, len(lower)))
+        assert got.tobytes() == want.tobytes()
+        assert a.random() == b.random()  # the same draws taken
 
 
 class TestStateInvariants:
@@ -118,6 +147,18 @@ class TestPointLoglik:
 
 
 class TestWorkspace:
+    @pytest.mark.parametrize("i", [0, 3, 6])
+    def test_drop_and_without_match_np_delete_bit_for_bit(self, i):
+        A = np.random.default_rng(3).standard_normal((7, 7))
+        C = A + A.T
+        for got, want in [
+            (_drop(C, i), np.delete(np.delete(C, i, axis=0), i, axis=1)),
+            (_without(C, i), np.delete(C, i, axis=0)),
+            (_without(C[0], i), np.delete(C[0], i)),
+        ]:
+            assert got.flags.c_contiguous
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def _setup(self, n=6, seed=1):
         rng = np.random.default_rng(seed)
         data = rng.uniform(size=(n, 1))
@@ -142,7 +183,7 @@ class TestWorkspace:
         m, C = ctx.prior.mean_cov(pts, state.kappa, state.theta, ctx.prior.project(pts, state.theta))
         joint = Mvn(m, C)
         cond = conditional_mvn(joint, np.arange(6), state.g_values)
-        mu, var = ws.conditional(x)
+        mu, var = _moments(ws.conditional(x))
         assert mu == pytest.approx(cond.mean[0], abs=1e-6)
         assert var == pytest.approx(cond.cov[0, 0], abs=1e-6)
 
@@ -154,7 +195,7 @@ class TestWorkspace:
         pts = np.vstack([ctx.data[keep], x[None, :]])
         m, C = ctx.prior.mean_cov(pts, state.kappa, state.theta, ctx.prior.project(pts, state.theta))
         cond = conditional_mvn(Mvn(m, C), np.arange(5), state.g_values[keep])
-        mu, var = ws.conditional(x, exclude=3)
+        mu, var = _moments(ws.conditional(x, exclude=3))
         assert mu == pytest.approx(cond.mean[0], abs=1e-6)
         assert var == pytest.approx(cond.cov[0, 0], abs=1e-6)
 
@@ -162,12 +203,12 @@ class TestWorkspace:
         ctx, state, _ = self._setup()
         ws = _Workspace(ctx, state)
         ws.conditional(np.array([0.5]))  # force factorization before append
-        ws.append(np.array([0.8]), -0.3)
+        ws.append(ws.conditional(np.array([0.8])), -0.3)
         state2 = state.copy()
         state2.append_thinned([0.8], -0.3, 0)
         ws_fresh = _Workspace(ctx, state2)
-        mu_a, var_a = ws.conditional(np.array([0.15]))
-        mu_b, var_b = ws_fresh.conditional(np.array([0.15]))
+        mu_a, var_a = _moments(ws.conditional(np.array([0.15])))
+        mu_b, var_b = _moments(ws_fresh.conditional(np.array([0.15])))
         assert mu_a == pytest.approx(mu_b, abs=1e-8)
         assert var_a == pytest.approx(var_b, abs=1e-8)
 
@@ -175,13 +216,13 @@ class TestWorkspace:
         ctx, state, _ = self._setup()
         state.append_thinned([0.3], 0.2, 0)
         ws = _Workspace(ctx, state)
-        ws.update_point(6, np.array([0.9]), -0.1)
+        ws.update_point(6, ws.conditional(np.array([0.9]), exclude=6), -0.1)
         state2 = state.copy()
         state2.thinned[0] = 0.9
         state2.g_values[6] = -0.1
         ws_fresh = _Workspace(ctx, state2)
-        mu_a, var_a = ws.conditional(np.array([0.45]))
-        mu_b, var_b = ws_fresh.conditional(np.array([0.45]))
+        mu_a, var_a = _moments(ws.conditional(np.array([0.45])))
+        mu_b, var_b = _moments(ws_fresh.conditional(np.array([0.45])))
         assert mu_a == pytest.approx(mu_b, abs=1e-8)
         assert var_a == pytest.approx(var_b, abs=1e-8)
 
@@ -223,13 +264,17 @@ class TestWorkspaceCache:
             n = ws.pts.shape[0]
             op = rng.choice(["append", "remove", "update"]) if n > 2 else "append"
             if rng.random() < 0.5:
-                ws.conditional(rng.uniform(size=2))  # forms the factor that appends extend
+                ws.conditional(rng.uniform(size=2))  # a proposal not taken, as most are
             if op == "append":
-                ws.append(rng.uniform(size=2), rng.standard_normal())
+                ws.append(ws.conditional(rng.uniform(size=2)), rng.standard_normal())
             elif op == "remove":
                 ws.remove(int(rng.integers(n)))
             else:
-                ws.update_point(int(rng.integers(n)), rng.uniform(size=2), rng.standard_normal())
+                i = int(rng.integers(n))
+                ws.update_point(i, ws.conditional(rng.uniform(size=2), exclude=i), rng.standard_normal())
+            # the layouts byte-identical draws rest on: fresh ones have them
+            assert np.array_equal(ws.C, ws.C.T)
+            assert ws.W.flags.c_contiguous
             self._assert_rel(ws.W, prior.project(ws.pts, self.THETA), 1e-10)
             m, C = prior.mean_cov(ws.pts, self.KAPPA, self.THETA, prior.project(ws.pts, self.THETA))
             self._assert_rel(ws.m, m, 1e-10)
@@ -238,8 +283,8 @@ class TestWorkspaceCache:
             x = rng.uniform(size=2)
             j = int(rng.integers(ws.pts.shape[0]))
             for got, want in [
-                (ws.conditional(x), fresh.conditional(x)),
-                (ws.conditional(x, exclude=j), fresh.conditional(x, exclude=j)),
+                (_moments(ws.conditional(x)), _moments(fresh.conditional(x))),
+                (_moments(ws.conditional(x, exclude=j)), _moments(fresh.conditional(x, exclude=j))),
             ]:
                 # an extended factor keeps the jitter it was formed with and
                 # a fresh one takes its own, which moves conditionals by ~1e-7
@@ -260,11 +305,12 @@ class TestWorkspaceCache:
         for op in ["append", "update", "append", "remove", "update", "append", "update", "remove"]:
             n = ws.pts.shape[0]
             if op == "append":
-                ws.append(rng.uniform(size=2), rng.standard_normal())
+                ws.append(ws.conditional(rng.uniform(size=2)), rng.standard_normal())
             elif op == "remove":
                 ws.remove(int(rng.integers(n)))
             else:
-                ws.update_point(int(rng.integers(n)), rng.uniform(size=2), rng.standard_normal())
+                i = int(rng.integers(n))
+                ws.update_point(i, ws.conditional(rng.uniform(size=2), exclude=i), rng.standard_normal())
             _, C = prior.mean_cov(ws.pts, self.KAPPA, self.THETA, ws.W)
             assert np.max(np.abs(ws.C - C)) <= 0.1 * floor, op
 
@@ -275,14 +321,19 @@ class TestWorkspaceCache:
         state.thinned = np.zeros((0, 2))
         ws = _Workspace(ctx, state)
         x = np.array([0.4, 0.6])
-        _, var_before = ws.conditional(x)
-        ws.append(x, 0.3)
-        mu, var = ws.conditional(x + 1e-3)
-        want = self._fresh(prior, ws).conditional(x + 1e-3)
+        p = ws.conditional(x)
+        var_before = p.var
+        ws.append(p, 0.3)
+        mu, var = _moments(ws.conditional(x + 1e-3))
+        want = _moments(self._fresh(prior, ws).conditional(x + 1e-3))
         assert var < 0.1 * var_before
         assert (mu, var) == pytest.approx(want, rel=1e-8)
 
     def test_append_at_the_conditioned_site_reuses_its_solve(self, monkeypatch):
+        # the proposal carries the site's ks and L^{-1} ks: appending it
+        # computes no cross-covariance and no solve, and gives what an
+        # append of a proposal whose ks is solved against the factor again
+        # gives
         rng = np.random.default_rng(24)
         prior = self._prior()
         ctx = GpContext(rng.uniform(size=(5, 2)), prior)
@@ -292,23 +343,23 @@ class TestWorkspaceCache:
         cached, recomputed = _Workspace(ctx, state), _Workspace(ctx, state)
         for step in range(6):
             x, g = rng.uniform(size=2), rng.standard_normal()
-            cached.conditional(x)
-            recomputed.conditional(x)
-            recomputed._last_cross = None
+            p = cached.conditional(x)
+            q = recomputed.conditional(x)
+            q = q._replace(lks=tri_solve(recomputed.L, q.ks))
             with monkeypatch.context() as patched:
                 patched.setattr(_Workspace, "_cross", lambda *a: pytest.fail("recomputed ks"))
                 patched.setattr(depcox.sgcp, "tri_solve", lambda *a, **k: pytest.fail("re-solved"))
-                cached.append(x, g)
-            recomputed.append(x, g)
+                cached.append(p, g)
+            recomputed.append(q, g)
             for name in ("C", "_L", "_v", "W", "m", "g"):
                 np.testing.assert_array_equal(getattr(cached, name), getattr(recomputed, name))
-        # a change to the points drops the kept solve: the append recomputes
-        cached.conditional(x)
+        # a change to the points needs a new proposal, whose conditional
+        # computes ks at the new points
         cached.remove(0)
         calls = []
         cross = _Workspace._cross
         monkeypatch.setattr(_Workspace, "_cross", lambda self, *a: calls.append(1) or cross(self, *a))
-        cached.append(x, g)
+        cached.append(cached.conditional(x), g)
         assert calls
 
     def test_factor_is_reused_only_at_its_phi(self):
@@ -364,8 +415,8 @@ class TestWorkspaceLifetime:
         m = ctx.prior.mean(pts, ctx.prior.project(pts, self.THETA), self.KAPPA)
         assert np.max(np.abs(ws.m - m)) <= 1e-10 * np.max(np.abs(m))
         x = rng.uniform(size=2)
-        want = _Workspace(ctx, state).conditional(x)
-        assert ws.conditional(x) == pytest.approx(want, rel=1e-8)
+        want = _moments(_Workspace(ctx, state).conditional(x))
+        assert _moments(ws.conditional(x)) == pytest.approx(want, rel=1e-8)
 
     def test_refresh_after_a_prior_draw_keeps_its_factor(self, monkeypatch):
         # the factor the slice update draws through serves the next kernel:
@@ -384,8 +435,8 @@ class TestWorkspaceLifetime:
         with monkeypatch.context() as patched:
             patched.setattr(depcox.sgcp, "cholesky_with_jitter", lambda *a: pytest.fail("refactored"))
             assert ctx.workspace(state) is ws and ws.L is L
-            got = ws.conditional(x)
-        assert got == _Workspace(ctx, state).conditional(x)
+            got = _moments(ws.conditional(x))
+        assert got == _moments(_Workspace(ctx, state).conditional(x))
 
     @pytest.mark.parametrize("change", ["kappa", "theta", "phi", "points"])
     def test_changes_to_w_or_c_rebuild(self, change):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from depcox.errors import ValidationError
+from oracles import assign_rate_searchsorted
 from depcox.thinning import (
     RateLadder,
     accept_delete,
@@ -79,6 +80,21 @@ class TestAssignRate:
         sig = np.sort(np.random.default_rng(1).uniform(0.001, 0.999, size=500))
         idx = assign_rate(sig, ladder)
         assert np.all(np.diff(idx) >= 0)
+
+    @pytest.mark.parametrize("ladder", [RateLadder((1.0,)), TWO_LEVEL, default_ladder(3, 0.8)])
+    def test_scalar_search_matches_the_array_path(self, ladder):
+        # at each scaled level, the floats either side of it, 0, 1 and NaN:
+        # bisect gives NaN index 0, searchsorted the top, as assign_rate must
+        scaled = ladder.as_array() * ladder.slack
+        values = [0.0, 1.0, float("nan")] + [
+            float(v) for s in scaled for v in (np.nextafter(s, 0.0), s, np.nextafter(s, 1.0))
+        ]
+        array_idx = assign_rate(np.array(values), ladder)
+        for v, want in zip(values, array_idx):
+            got = assign_rate(v, ladder)
+            assert type(got) is int
+            assert got == want == assign_rate_searchsorted(v, ladder), v
+        assert assign_rate(float("nan"), ladder) == ladder.n_levels - 1
 
 
 class TestThinnedProb:

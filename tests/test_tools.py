@@ -85,3 +85,38 @@ def test_compare_archives_reports_draws_values_and_ess(tmp_path):
     bound = _compare(base, _reference_tree(tmp_path / "bound", lambda_star=3.0))
     assert bound.returncode == 1
     assert "discrete draws and bounds identical: no (lambda_stars from draw 0)" in bound.stdout
+
+
+def _ab_bench():
+    import importlib.util
+
+    path = Path(__file__).resolve().parent.parent / "tools" / "ab_bench.py"
+    spec = importlib.util.spec_from_file_location("ab_bench", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_ab_bench_summary_of_hand_written_runs():
+    declared = [{"name": "sweeps_per_s", "better": "higher"}, {"name": "eval_s", "better": "lower"}]
+    parent = [(10.0, 1.0), (12.0, 1.1), (11.0, 0.9), (13.0, 1.0), (9.0, 1.2)]
+    change = [(15.0, 1.1), (14.0, 1.0), (16.0, 0.8), (12.0, 1.0), (17.0, 1.2)]
+    runs = [
+        {"workload": "w", "pair": k, "side": side, "metrics": {"sweeps_per_s": s, "eval_s": e}}
+        for k, (p, c) in enumerate(zip(parent, change))
+        for side, (s, e) in (("parent", p), ("change", c))
+    ]
+    # a pair with one side missing the metric does not count
+    runs.append({"workload": "w", "pair": 5, "side": "parent", "metrics": {"sweeps_per_s": 1.0}})
+    summary = _ab_bench().summarize(runs, declared)["w"]
+    sweeps = summary["sweeps_per_s"]
+    assert sweeps["pairs"] == 5
+    assert sweeps["parent"] == {"q1": 10.0, "median": 11.0, "q3": 12.0}
+    assert sweeps["change"] == {"q1": 14.0, "median": 15.0, "q3": 16.0}
+    assert sweeps["median_ratio"] == 15.0 / 11.0
+    assert sweeps["change_wins"] == 4  # 12 against 13 loses
+    assert sweeps["gap_exceeds_parent_iqr"]  # 4 > 12 - 10
+    evals = summary["eval_s"]
+    assert evals["change_wins"] == 2  # lower is better; ties do not win
+    assert evals["parent"]["median"] == evals["change"]["median"] == 1.0
+    assert not evals["gap_exceeds_parent_iqr"]
