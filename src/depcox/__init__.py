@@ -30,9 +30,9 @@ from .engine import (
 )
 from .errors import NumericalError, ValidationError
 from .gaussian import (
-    Mvn,
     ProductGrid,
     cholesky_with_jitter,
+    from_precision,
     gauss_gram,
     mvn_sample,
 )

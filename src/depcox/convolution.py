@@ -40,10 +40,11 @@ draw is made through it, the initial latent draw and the latent slice
 move in ``engine``, and for the latent prior precision ``L_q^{-T}
 L_q^{-1}`` that ``latent_posterior`` adds to; it is formed once per
 accepted ``phi_q``. The latent posterior itself is dense: its precision
-couples the grid through every process's points, and its draw goes
-through the Cholesky factor of its covariance. Drawing in precision form
-instead would change the draws, and waits for a distribution test of the
-latent stage.
+couples the grid through every process's points. It is drawn in
+precision form (``gaussian.from_precision``, ``gaussian.mvn_sample``):
+one Cholesky factor of the precision, with rows and columns reversed,
+gives the mean and, by one triangular solve, the draw; its covariance is
+never formed.
 
 Predictions (``extend``, ``latent_interpolant``) take either scattered
 points or a ``ProductGrid``; on a grid every Gram-vector product runs
@@ -58,16 +59,15 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .gaussian import (
     JITTER_SCALE,
-    Mvn,
     ProductGrid,
     _as_points,
     axis_gram,
     axis_gram_dv,
     chol_inverse,
     chol_solve,
-    cholesky,
     cholesky_with_jitter,
     eigh,
+    from_precision,
     gauss_gram,
     gauss_gram_dv,
     gram_matvec,
@@ -172,7 +172,9 @@ class LatentFactor:
     The dense Cholesky factor ``L`` of ``K + jI`` is formed on first use
     of ``L`` only: draws go through it (the initial latent draw and the
     latent slice move), as does ``inverse()``, the latent prior precision
-    of the latent posterior. Each accepted ``phi`` forms it once.
+    that ``latent_posterior`` adds to. That is the only explicit inverse
+    of the latent stage: the posterior is drawn from its precision. Each
+    accepted ``phi`` forms ``L`` once.
     """
 
     def __init__(self, grid: np.ndarray, phi: float, axes: tuple | None = None):
@@ -439,17 +441,20 @@ class IndependentPrior:
         return np.zeros(n), C, np.zeros((2, n)), dC
 
 
-def latent_posterior(spaces, prior: ConvolutionPrior, A_list) -> Mvn:
-    """Joint Gaussian posterior over the stacked latent grid values.
+def latent_posterior(spaces, prior: ConvolutionPrior, A_list) -> tuple[np.ndarray, np.ndarray]:
+    """Joint Gaussian posterior over the stacked latent grid values: its
+    mean and the precision-form factor of its precision
+    (``gaussian.from_precision``), which ``gaussian.mvn_sample`` draws
+    through.
 
-    Works in precision form: the bracketed precision is the latent prior
-    precision plus one quadratic contribution ``A_d^T C_d^{-1} A_d`` per
-    process, from its coupling matrix ``A_list[d]`` and the residual
-    covariance ``C_d`` of its workspace ``spaces[d]`` (``sgcp._Workspace``),
-    whose Cholesky factor and function values ``g`` it reads: no process
-    covariance is formed or factored here, and no cross-process covariance
-    is ever assembled. Only the prior's latent factors enter, not its
-    current grid values.
+    The precision is the latent prior precision plus one quadratic
+    contribution ``A_d^T C_d^{-1} A_d`` per process, from its coupling
+    matrix ``A_list[d]`` and the residual covariance ``C_d`` of its
+    workspace ``spaces[d]`` (``sgcp._Workspace``), whose Cholesky factor
+    and function values ``g`` it reads: no process covariance is formed or
+    factored here, no cross-process covariance is ever assembled, and the
+    posterior covariance is never formed. Only the prior's latent factors
+    enter, not its current grid values.
     """
     J = prior.latent.n_grid
     Q = prior.latent.n_latent
@@ -464,20 +469,15 @@ def latent_posterior(spaces, prior: ConvolutionPrior, A_list) -> Mvn:
         CiA = chol_solve(ws.L, A)
         P += A.T @ CiA
         b += CiA.T @ ws.g
+    # exactly symmetric: the reversed factor reads P's upper triangle
     P = 0.5 * (P + P.T)
-    # P is positive definite by construction; jitter only as a fallback
-    try:
-        L_P = cholesky(P)
-    except np.linalg.LinAlgError:
-        L_P, _ = cholesky_with_jitter(P)
-    del P  # before the inverse: at J = 400 this stage sets the chain's peak memory
-    return Mvn(chol_solve(L_P, b), chol_inverse(L_P))
+    return from_precision(P, b)
 
 
 def sample_latent_posterior(spaces, prior: ConvolutionPrior, rng: np.random.Generator,
                             A_list) -> np.ndarray:
     """Draw new latent grid values from their joint posterior, shaped (Q, J)."""
-    flat = mvn_sample(latent_posterior(spaces, prior, A_list), rng)
+    flat = mvn_sample(*latent_posterior(spaces, prior, A_list), rng)
     return flat.reshape(prior.latent.n_latent, prior.latent.n_grid)
 
 

@@ -5,8 +5,11 @@ Hamiltonian updates, prediction) funnels through the handful of routines
 here. Factorizations of point-set covariances are Cholesky-based with a
 small diagonal jitter. Explicit inverses are formed from a Cholesky
 factor (``chol_inverse``) only where the whole matrix is needed: the
-latent prior precision, the latent posterior covariance and the trace
-terms of the Hamiltonian gradient.
+latent prior precision and the trace terms of the Hamiltonian gradient.
+A Gaussian given by its precision is drawn in precision form
+(``from_precision``, ``mvn_sample``): one Cholesky factor of the
+precision, with rows and columns reversed, gives both the mean and the
+draw, and no covariance is formed.
 
 The isotropic Gaussian kernel factorizes over axes: its Gram matrix on a
 product grid (``ProductGrid``) is the Kronecker product of one small
@@ -23,8 +26,6 @@ resolved once at import: ``cholesky`` and ``cholesky_with_jitter``
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lapack
@@ -233,10 +234,13 @@ def chol_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def chol_inverse(L: np.ndarray) -> np.ndarray:
-    """``(L L^T)^{-1}`` from its lower Cholesky factor, symmetric.
+    """``(L L^T)^{-1}`` from its lower Cholesky factor, symmetric. ``L``'s
+    upper triangle is zero, as ``cholesky`` and ``cholesky_with_jitter``
+    return it.
 
     One LAPACK ``dpotri`` call (n^3 * 2/3 flops, against 2 n^3 for
-    ``chol_solve(L, eye)``) fills the lower triangle, which is mirrored.
+    ``chol_solve(L, eye)``) fills the lower triangle, which is mirrored in
+    place; the result is C-ordered.
     """
     if L.shape[0] == 0:
         return np.zeros((0, 0))
@@ -245,8 +249,13 @@ def chol_inverse(L: np.ndarray) -> np.ndarray:
         raise np.linalg.LinAlgError(f"singular matrix: zero diagonal at {info - 1}")
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dpotri")
-    inv = np.tril(inv)
-    inv += np.tril(inv, -1).T
+    # dpotri fills one triangle and leaves L's zero one as it is, so adding
+    # the transpose mirrors it in place (numpy buffers the overlapping
+    # operand); halving the doubled diagonal is exact. The transpose of the
+    # Fortran-ordered result is C-ordered.
+    inv = inv.T
+    inv += inv.T
+    inv.reshape(-1)[:: inv.shape[0] + 1] *= 0.5
     return inv
 
 
@@ -264,30 +273,32 @@ def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-@dataclass
-class Mvn:
-    """A multivariate normal given by its mean vector and covariance matrix."""
+def from_precision(P: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean ``P^{-1} b`` and precision-form factor of the Gaussian with
+    symmetric positive definite precision ``P`` and linear term ``b``.
 
-    mean: np.ndarray
-    cov: np.ndarray
+    The factor is the lower Cholesky factor ``F`` of ``R = E P E``, ``P``
+    with its rows and columns in reverse order (``E`` the reversal, its
+    own inverse); ``dpotrf`` reads ``R``'s lower triangle, which is
+    ``P``'s upper one. Then ``E F^{-T} E`` is lower triangular with a
+    positive diagonal and ``(E F^{-T} E)(E F^{-T} E)^T = P^{-1}``: it is
+    the lower Cholesky factor of the covariance, which ``mvn_sample``
+    applies with one triangular solve. An ``R`` that is not numerically
+    positive definite is factored with jitter (``cholesky_with_jitter``).
+    """
+    R = P[::-1, ::-1]
+    try:
+        factor = cholesky(R)
+    except np.linalg.LinAlgError:
+        factor, _ = cholesky_with_jitter(R)
+    return chol_solve(factor, b[::-1])[::-1], factor
 
-    def __post_init__(self):
-        self.mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
-        self.cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
-        if self.cov.shape != (self.mean.size, self.mean.size):
-            raise ValidationError(
-                f"mean of size {self.mean.size} does not match covariance {self.cov.shape}"
-            )
 
-    @property
-    def dim(self) -> int:
-        return self.mean.size
-
-
-def mvn_sample(dist: Mvn, rng: np.random.Generator) -> np.ndarray:
-    """One draw from ``dist``. A zero covariance returns the mean exactly."""
-    if dist.dim == 0:
-        return np.zeros(0)
-    if not dist.cov.any():
-        return dist.mean.copy()
-    return dist.mean + cholesky_with_jitter(dist.cov)[0] @ rng.standard_normal(dist.dim)
+def mvn_sample(mean: np.ndarray, factor: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One draw from the Gaussian with mean ``mean`` whose precision has
+    the precision-form factor ``factor`` (see ``from_precision``):
+    ``mean + E F^{-T} E z`` for ``z ~ N(0, I)``, which is ``mean`` plus
+    the lower Cholesky factor of the covariance times ``z``, with no
+    covariance formed. Draws ``mean.size`` standard normals."""
+    z = rng.standard_normal(mean.size)
+    return mean + tri_solve(factor, z[::-1], trans="T")[::-1]

@@ -2,20 +2,22 @@
 
 Each is the plain textbook form of something the library computes in a
 faster or more structured way: single-pair kernel densities and
-covariances, dense Gaussian conditioning and log densities, and a prior
-that pins the function to a known surface. The last group keeps the
-earlier formulas of per-point primitives the kernels call thousands of
-times a sweep, which the library now evaluates with fewer numpy calls and
-must match bit for bit.
+covariances, a Gaussian given by its mean and covariance with dense
+conditioning, log densities and draws, and a prior that pins the function
+to a known surface. The last group keeps the earlier formulas of
+primitives the kernels call thousands of times a sweep, which the library
+now evaluates with fewer numpy calls or copies and must match bit for bit.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import lapack, solve_triangular
 
 from depcox.errors import NumericalError, ValidationError
-from depcox.gaussian import JITTER_SCALE, MAX_JITTER_DOUBLINGS, Mvn, cholesky, cholesky_with_jitter
+from depcox.gaussian import JITTER_SCALE, MAX_JITTER_DOUBLINGS, cholesky, cholesky_with_jitter
 
 
 def gauss_density(x, z, variance: float) -> float:
@@ -33,6 +35,26 @@ def gauss_density(x, z, variance: float) -> float:
     sq = float(np.sum((x - z) ** 2))
     d = x.size
     return float((2.0 * np.pi * variance) ** (-0.5 * d) * np.exp(-0.5 * sq / variance))
+
+
+@dataclass
+class Mvn:
+    """A multivariate normal given by its mean vector and covariance matrix."""
+
+    mean: np.ndarray
+    cov: np.ndarray
+
+    def __post_init__(self):
+        self.mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
+        self.cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
+        if self.cov.shape != (self.mean.size, self.mean.size):
+            raise ValidationError(
+                f"mean of size {self.mean.size} does not match covariance {self.cov.shape}"
+            )
+
+    @property
+    def dim(self) -> int:
+        return self.mean.size
 
 
 def conditional_mvn(joint: Mvn, observed_indices, observed_values) -> Mvn:
@@ -78,6 +100,19 @@ def mvn_logpdf(x, dist: Mvn) -> float:
         - np.sum(np.log(np.diag(L)))
         - 0.5 * np.dot(w, w)
     )
+
+
+def precision_draw_dense(P, b, z) -> np.ndarray:
+    """A draw from ``N(P^{-1} b, P^{-1})`` through the covariance: the
+    inverse of ``P``, its Cholesky factor without jitter and ``z``."""
+    cov = np.linalg.inv(P)
+    return cov @ b + np.linalg.cholesky(0.5 * (cov + cov.T)) @ z
+
+
+def reversed_factor_cov(factor) -> np.ndarray:
+    """The covariance ``P^{-1}`` whose precision-form factor (see
+    ``gaussian.from_precision``) is ``factor``, formed densely."""
+    return np.linalg.inv(factor @ factor.T)[::-1, ::-1]
 
 
 def cross_cov(x, z, kappa: float, theta: float, phi: float) -> float:
@@ -158,3 +193,13 @@ def contains_point_numpy(region, x) -> bool:
     """``Region.contains_point`` with numpy comparisons against the arrays."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     return bool(np.all(x >= region.lower) and np.all(x <= region.upper))
+
+
+def chol_inverse_tril(L) -> np.ndarray:
+    """``gaussian.chol_inverse`` as it once mirrored ``dpotri``'s lower
+    triangle, through two ``np.tril`` copies."""
+    inv, _ = lapack.dpotri(L, lower=1)
+    inv = np.tril(inv)
+    inv += np.tril(inv, -1).T
+    return inv
+

@@ -13,19 +13,27 @@ from depcox.convolution import (
     latent_logpost,
     latent_posterior,
     phi_mh_update,
+    sample_latent_posterior,
 )
 import depcox.convolution
 from depcox.errors import ValidationError
 from depcox.gaussian import (
     JITTER_SCALE,
-    Mvn,
     ProductGrid,
     cholesky_with_jitter,
     gauss_gram,
     gauss_gram_dv,
 )
 from depcox.sgcp import AugmentedState, GpContext, Region
-from oracles import FixedFunctionPrior, cross_cov, gauss_density, mvn_logpdf, output_cov
+from oracles import (
+    FixedFunctionPrior,
+    Mvn,
+    cross_cov,
+    gauss_density,
+    mvn_logpdf,
+    output_cov,
+    reversed_factor_cov,
+)
 
 
 def _jittered(K):
@@ -389,6 +397,33 @@ def _spaces(prior, X_list, g_list, kappas, thetas):
     return spaces, [prior.coupling_matrix(ws.W, ws.kappa) for ws in spaces]
 
 
+def _dense_oracle_case(rng):
+    """Two processes of three points each on a three-node 1-D grid: their
+    workspaces, coupling matrices and prior, and the latent posterior's
+    mean and covariance by dense conditioning of the joint Gaussian."""
+    J = 3
+    grid = np.sort(rng.uniform(0, 1, size=J))[:, None]
+    latent = LatentState(grid, rng.standard_normal((1, J)), [rng.uniform(0.05, 0.3)])
+    kappas, thetas = rng.uniform(0.5, 1.5, size=2), rng.uniform(0.02, 0.2, size=2)
+    X_list = [rng.uniform(0, 1, size=(3, 1)) for _ in range(2)]
+    g_list = [rng.standard_normal(3) for _ in range(2)]
+    prior = ConvolutionPrior(latent)
+    spaces, A_ws = _spaces(prior, X_list, g_list, kappas, thetas)
+
+    K_uu, A_list, D_list = _joint_blocks(X_list, latent, kappas, thetas)
+    A = np.vstack(A_list)
+    Dblk = np.zeros((6, 6))
+    Dblk[:3, :3] = _jittered(_floored(D_list[0], kappas[0], thetas[0], latent.phis))
+    Dblk[3:, 3:] = _jittered(_floored(D_list[1], kappas[1], thetas[1], latent.phis))
+    S_gg = A @ K_uu @ A.T + Dblk
+    S_gu = A @ K_uu
+    g = np.concatenate(g_list)
+    inv = np.linalg.inv(S_gg)
+    mean_o = S_gu.T @ inv @ g
+    cov_o = K_uu - S_gu.T @ inv @ S_gu
+    return spaces, A_ws, prior, mean_o, cov_o
+
+
 class TestLatentPosterior:
     def test_no_coupling_returns_prior(self):
         grid = np.linspace(0, 1, 4)[:, None]
@@ -397,37 +432,32 @@ class TestLatentPosterior:
         g = [np.array([1.0, -1.0]), np.array([0.5])]
         prior = ConvolutionPrior(latent)
         spaces, A_list = _spaces(prior, X, g, [0.0, 0.0], [0.05, 0.05])
-        post = latent_posterior(spaces, prior, A_list)
+        mean, factor = latent_posterior(spaces, prior, A_list)
         K = _jittered(gauss_gram(grid, grid, 0.1))
-        np.testing.assert_allclose(post.mean, np.zeros(4), atol=1e-9)
-        np.testing.assert_allclose(post.cov, K, atol=1e-6)
+        np.testing.assert_allclose(mean, np.zeros(4), atol=1e-9)
+        np.testing.assert_allclose(reversed_factor_cov(factor), K, atol=1e-6)
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
-            J = 3
-            grid = np.sort(rng.uniform(0, 1, size=J))[:, None]
-            latent = LatentState(grid, rng.standard_normal((1, J)), [rng.uniform(0.05, 0.3)])
-            kappas, thetas = rng.uniform(0.5, 1.5, size=2), rng.uniform(0.02, 0.2, size=2)
-            X_list = [rng.uniform(0, 1, size=(3, 1)) for _ in range(2)]
-            g_list = [rng.standard_normal(3) for _ in range(2)]
-            prior = ConvolutionPrior(latent)
-            spaces, A_ws = _spaces(prior, X_list, g_list, kappas, thetas)
-            post = latent_posterior(spaces, prior, A_ws)
+            spaces, A_ws, prior, mean_o, cov_o = _dense_oracle_case(rng)
+            mean, factor = latent_posterior(spaces, prior, A_ws)
+            np.testing.assert_allclose(mean, mean_o, atol=1e-7)
+            np.testing.assert_allclose(reversed_factor_cov(factor), cov_o, atol=1e-7)
 
-            K_uu, A_list, D_list = _joint_blocks(X_list, latent, kappas, thetas)
-            A = np.vstack(A_list)
-            Dblk = np.zeros((6, 6))
-            Dblk[:3, :3] = _jittered(_floored(D_list[0], kappas[0], thetas[0], latent.phis))
-            Dblk[3:, 3:] = _jittered(_floored(D_list[1], kappas[1], thetas[1], latent.phis))
-            S_gg = A @ K_uu @ A.T + Dblk
-            S_gu = A @ K_uu
-            g = np.concatenate(g_list)
-            inv = np.linalg.inv(S_gg)
-            mean_o = S_gu.T @ inv @ g
-            cov_o = K_uu - S_gu.T @ inv @ S_gu
-            np.testing.assert_allclose(post.mean, mean_o, atol=1e-7)
-            np.testing.assert_allclose(post.cov, cov_o, atol=1e-7)
+    def test_draws_follow_the_dense_oracle(self):
+        """20 000 draws of the latent stage: their mean and covariance lie
+        within 4 standard errors of the dense oracle's."""
+        spaces, A_ws, prior, mean_o, cov_o = _dense_oracle_case(np.random.default_rng(5))
+        rng = np.random.default_rng(11)
+        n = 20_000
+        draws = np.array([sample_latent_posterior(spaces, prior, rng, A_ws)[0] for _ in range(n)])
+        se_mean = np.sqrt(np.diag(cov_o) / n)
+        assert np.all(np.abs(draws.mean(axis=0) - mean_o) < 4 * se_mean)
+        # the variance of a Gaussian sample covariance entry is (S_ii S_jj + S_ij^2) / n
+        var = np.diag(cov_o)
+        se_cov = np.sqrt((np.outer(var, var) + cov_o**2) / n)
+        assert np.all(np.abs(np.cov(draws.T) - cov_o) < 4 * se_cov)
 
     def test_duplicated_data_tightens_posterior(self):
         rng = np.random.default_rng(6)
@@ -437,10 +467,10 @@ class TestLatentPosterior:
         g = rng.standard_normal(4)
         prior = ConvolutionPrior(latent)
         spaces, A_list = _spaces(prior, [X], [g], [1.0], [0.05])
-        single = latent_posterior(spaces, prior, A_list)
+        _, single = latent_posterior(spaces, prior, A_list)
         spaces, A_list = _spaces(prior, [X, X], [g, g], [1.0, 1.0], [0.05, 0.05])
-        double = latent_posterior(spaces, prior, A_list)
-        eigs = np.linalg.eigvalsh(single.cov - double.cov)
+        _, double = latent_posterior(spaces, prior, A_list)
+        eigs = np.linalg.eigvalsh(reversed_factor_cov(single) - reversed_factor_cov(double))
         assert eigs.min() > -1e-10
         assert eigs.max() > 1e-8
 

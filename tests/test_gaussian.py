@@ -5,18 +5,26 @@ import pytest
 
 from depcox.errors import NumericalError, ValidationError
 from depcox.gaussian import (
-    Mvn,
     JITTER_SCALE,
     ProductGrid,
     chol_inverse,
     cholesky_with_jitter,
+    from_precision,
     gauss_gram,
     gauss_gram_dv,
     gram_matvec,
     mvn_sample,
     tri_solve,
 )
-from oracles import cholesky_with_jitter_copies, conditional_mvn, gauss_density, mvn_logpdf
+from oracles import (
+    Mvn,
+    chol_inverse_tril,
+    cholesky_with_jitter_copies,
+    conditional_mvn,
+    gauss_density,
+    mvn_logpdf,
+    precision_draw_dense,
+)
 
 
 class TestGaussDensity:
@@ -97,6 +105,15 @@ class TestCholInverse:
 
     def test_empty_factor(self):
         assert chol_inverse(np.zeros((0, 0), order="F")).shape == (0, 0)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 60])
+    def test_in_place_mirror_gives_the_tril_copies_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        A = rng.standard_normal((n, n))
+        L, _ = cholesky_with_jitter(A @ A.T + n * np.eye(n))
+        inv = chol_inverse(L)
+        assert inv.flags.c_contiguous
+        np.testing.assert_array_equal(inv, chol_inverse_tril(L))
 
 
 class TestCholeskyJitter:
@@ -293,20 +310,79 @@ class TestMvnLogpdf:
         assert integral == pytest.approx(1.0, abs=1e-4)
 
 
+def _data_precision(per_axis, n_points, seed):
+    """The precision of a Gaussian-kernel grid prior on a ``per_axis`` x
+    ``per_axis`` grid of the unit square plus a data term of ``n_points``
+    noisy observations of grid interpolants, as ``latent_posterior``
+    assembles it, and a linear term."""
+    rng = np.random.default_rng(seed)
+    axis = np.linspace(0.0, 1.0, per_axis)
+    grid = ProductGrid([axis, axis]).nodes
+    L, _ = cholesky_with_jitter(gauss_gram(grid, grid, 0.01))
+    A = gauss_gram(rng.uniform(size=(n_points, 2)), grid, 0.02)
+    P = chol_inverse(L) + A.T @ A / 0.1
+    P = 0.5 * (P + P.T)
+    return P, rng.standard_normal(P.shape[0])
+
+
+class _FixedNormals:
+    """A generator stand-in whose ``standard_normal`` returns given values."""
+
+    def __init__(self, z):
+        self.z = np.asarray(z, dtype=float)
+
+    def standard_normal(self, size):
+        assert size == self.z.size
+        return self.z.copy()
+
+
+class TestPrecisionForm:
+    def test_factor_is_the_cholesky_factor_of_the_reversed_precision(self):
+        P, b = _data_precision(3, 5, 0)
+        mean, factor = from_precision(P, b)
+        scale = np.abs(P).max()
+        np.testing.assert_allclose(factor @ factor.T, P[::-1, ::-1], rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(mean, np.linalg.solve(P, b), rtol=1e-10)
+
+    def test_draw_matches_dense_covariance_factor_on_a_well_conditioned_precision(self):
+        rng = np.random.default_rng(3)
+        A = rng.standard_normal((6, 6))
+        P, b, z = A @ A.T + 6 * np.eye(6), rng.standard_normal(6), rng.standard_normal(6)
+        P = 0.5 * (P + P.T)
+        draw = mvn_sample(*from_precision(P, b), _FixedNormals(z))
+        want = precision_draw_dense(P, b, z)
+        np.testing.assert_allclose(draw, want, rtol=1e-10, atol=0)
+
+    def test_draw_matches_dense_covariance_factor_on_an_ill_conditioned_gaussian_kernel(self):
+        P, b = _data_precision(20, 30, 1)
+        assert np.linalg.cond(P) > 1e8
+        z = np.random.default_rng(2).standard_normal(P.shape[0])
+        draw = mvn_sample(*from_precision(P, b), _FixedNormals(z))
+        assert np.max(np.abs(draw - precision_draw_dense(P, b, z))) <= 1e-6
+
+    def test_falls_back_to_jitter_when_not_positive_definite(self):
+        P = np.array([[1.0, 1.0], [1.0, 1.0]])  # singular: jitter makes it definite
+        mean, factor = from_precision(P, np.array([1.0, 1.0]))
+        assert np.all(np.isfinite(mean)) and np.all(np.diag(factor) > 0)
+
+
 class TestMvnSample:
     def test_zero_covariance_returns_mean_exactly(self):
-        dist = Mvn([1.5, -2.0], np.zeros((2, 2)))
-        out = mvn_sample(dist, np.random.default_rng(0))
+        # a zero covariance is an infinite precision, and so its factor
+        factor = np.diag([np.inf, np.inf])
+        out = mvn_sample(np.array([1.5, -2.0]), factor, np.random.default_rng(0))
         np.testing.assert_array_equal(out, [1.5, -2.0])
 
     def test_fixed_seed_is_deterministic(self):
-        dist = Mvn(np.zeros(3), np.eye(3))
-        a = mvn_sample(dist, np.random.default_rng(42))
-        b = mvn_sample(dist, np.random.default_rng(42))
+        mean, factor = from_precision(np.eye(3), np.zeros(3))
+        a = mvn_sample(mean, factor, np.random.default_rng(42))
+        b = mvn_sample(mean, factor, np.random.default_rng(42))
         np.testing.assert_array_equal(a, b)
 
     def test_law_of_large_numbers(self):
         rng = np.random.default_rng(8)
-        draws = np.array([mvn_sample(Mvn([0.0], [[1.0]]), rng)[0] for _ in range(10_000)])
+        mean, factor = from_precision(np.array([[1.0]]), np.zeros(1))
+        draws = np.array([mvn_sample(mean, factor, rng)[0] for _ in range(10_000)])
         assert abs(draws.mean()) < 0.05
         assert abs(draws.var() - 1.0) < 0.1
+

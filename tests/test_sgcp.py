@@ -15,7 +15,7 @@ from depcox.convolution import (
     latent_grid,
 )
 from depcox.errors import ValidationError
-from depcox.gaussian import Mvn, cholesky_with_jitter, tri_solve
+from depcox.gaussian import cholesky_with_jitter, tri_solve
 from depcox.sgcp import (
     AugmentedState,
     EventSet,
@@ -37,7 +37,7 @@ from depcox.sgcp import (
     point_loglik,
 )
 from depcox.thinning import RateLadder
-from oracles import FixedFunctionPrior, conditional_mvn, contains_point_numpy
+from oracles import FixedFunctionPrior, Mvn, conditional_mvn, contains_point_numpy
 
 UNIT = Region([0.0], [1.0])
 SINGLE = RateLadder((1.0,))

@@ -8,11 +8,15 @@ event seeds (``--first-seed``, ``--first-seed + 1``, ...) it runs
 ``BENCHMARK.json``, once in the parent checkout and once in this
 one, one run at a time, the parent first in even pairs and this checkout
 first in odd ones, so that a slow spell of the host does not favour one
-side. It writes ``BENCH_<name>.json``: every run's metrics, and per
-workload and end-to-end metric of ``BENCHMARK.json`` each side's median
-and quartiles, the ratio of the medians, how many pairs this checkout won
-and whether the gap between the medians exceeds the parent's
-interquartile spread.
+side. Pair k runs at ``--chain-seed k`` on both sides, so pair 0 is on the
+benchmark's own chain seed and the others on other realizations of its
+reference chain: a change that keeps every draw compares like with like
+in each pair, and for one that changes the draws the ESS/s medians span
+as many realizations as pairs. It writes ``BENCH_<name>.json``: every
+run's metrics and chain seed, and per workload and end-to-end metric of
+``BENCHMARK.json`` each side's median and quartiles, the ratio of the
+medians, how many pairs this checkout won and whether the gap between the
+medians exceeds the parent's interquartile spread.
 """
 
 from __future__ import annotations
@@ -28,12 +32,12 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, chain_seed: int, seconds: float) -> dict:
     """One ``perfbench/run.py`` run in ``checkout``: its result object, or
     ``{"correct": False, "error": ...}`` if it printed none."""
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--chain-seed", str(chain_seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True,
     )
     lines = out.stdout.strip().splitlines()
@@ -114,13 +118,14 @@ def main(argv=None) -> int:
             seed = args.first_seed + pair
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
             for position, side in enumerate(order):
-                result = run_once(checkouts[side], workload, seed, seconds)
+                result = run_once(checkouts[side], workload, seed, pair, seconds)
                 metrics = {k: v["value"] for k, v in result.get("metrics", {}).items()}
-                runs.append({"workload": workload, "pair": pair, "seed": seed, "side": side,
+                runs.append({"workload": workload, "pair": pair, "seed": seed,
+                             "chain_seed": pair, "side": side,
                              "position": position, "correct": result.get("correct", False),
                              "failed": result.get("failed"), "error": result.get("error"),
                              "metrics": metrics})
-                print(f"{workload} seed {seed} {side}: "
+                print(f"{workload} seed {seed} chain seed {pair} {side}: "
                       + ", ".join(f"{k} {v:.4g}" for k, v in metrics.items()), flush=True)
             out.write_text(json.dumps({
                 "seconds": seconds,
