@@ -18,11 +18,16 @@ Q_q^T``. Everything that whitens against ``K_q + jI`` goes through it,
 with ``s_q = (lam_q + j)^{-1/2}``:
 
 * a point set's projection ``W = [s_q * Q_q^T K(grid, X; theta + phi_q)]_q``
-  (``project``, ``site``), O(J) per point and latent function from the
-  per-axis cross-covariances;
+  (``project``), O(J) per point and latent function from the per-axis
+  cross-covariances;
 * the prior mean ``kappa sum_q W_q^T beta_q`` with ``beta_q = s_q * Q_q^T
   u_q`` (``mean``), the one formula behind ``mean_cov``, ``site``,
   ``mean_cov_grads`` and the per-process workspace's refreshed mean;
+* one new site against a point set whose projection and squared norms the
+  caller keeps (``site``, the proposal kernels' per-site call): the site's
+  projection, prior mean, floored variance and residual covariance row in
+  one call, each operation the one ``project``, ``mean``, ``mean_cov`` and
+  ``cov`` make, in the same order, so it matches them bit for bit;
 * the coupling matrix, ``extend`` and the latent mean coefficients, which
   apply ``Q_q (s_q * .)`` axis by axis;
 * the log density of the latent values in ``phi_mh_update``, so a
@@ -70,6 +75,7 @@ from .gaussian import (
     from_precision,
     gauss_gram,
     gauss_gram_dv,
+    gauss_gram_sum,
     gram_matvec,
     mvn_sample,
 )
@@ -273,6 +279,8 @@ class ConvolutionPrior:
         # independent of kappa/theta
         self._betas = [f.s * f.to_eigen(u) for f, u in zip(self.factors, latent.values)]
         self._alphas = [f.from_eigen(f.s * b) for f, b in zip(self.factors, self._betas)]
+        # the latent variances as Python floats, for the per-site scalars
+        self._phis = latent.phis.tolist()
 
     @property
     def dim(self) -> int:
@@ -298,9 +306,10 @@ class ConvolutionPrior:
 
     def _marginal_var(self, kappa: float, theta: float) -> float:
         d = self.dim
-        return kappa**2 * sum(
-            (2.0 * np.pi * (2.0 * theta + phi)) ** (-0.5 * d) for phi in self.latent.phis
-        )
+        total = 0.0  # summed in order, as a sum of numpy scalars would be
+        for phi in self._phis:
+            total += (2.0 * np.pi * (2.0 * theta + phi)) ** (-0.5 * d)
+        return kappa**2 * total
 
     def _floored(self, C: np.ndarray, kappa: float, theta: float) -> np.ndarray:
         """A residual covariance ``C`` symmetrised, with its diagonal raised
@@ -314,7 +323,7 @@ class ConvolutionPrior:
         C = 0.5 * (C + C.T)
         floor = MARGINAL_FLOOR * self._marginal_var(kappa, theta)
         if floor > 0 and C.shape[0]:
-            C[np.diag_indices_from(C)] += floor
+            C.reshape(-1)[:: C.shape[0] + 1] += floor  # a view: C is new and C-contiguous
         return C
 
     def mean_cov(self, X, kappa: float, theta: float, W) -> tuple[np.ndarray, np.ndarray]:
@@ -322,16 +331,48 @@ class ConvolutionPrior:
         C = self.cov(X, W, X, W, kappa, theta)
         return self.mean(X, W, kappa), self._floored(C, kappa, theta)
 
-    def site(self, x, kappa: float, theta: float) -> tuple[np.ndarray, float, float]:
-        """Projection, prior mean and residual variance at one site ``x`` (1, d).
+    def site(self, x, xx: float, pts, zz, W, kappa: float, theta: float):
+        """One new site ``x`` (1, d) against the points ``pts``, whose
+        squared norms are ``zz`` and projection ``W``; ``xx`` is
+        ``sq_norm(x)``. Returns the site's projection ``w`` (Q*J, 1), its
+        prior mean, its residual variance, floored as in ``mean_cov``, and
+        its residual covariance row ``ks`` (n,) with the points.
 
-        The variance is the closed-form marginal less the projected part,
-        floored as in ``mean_cov``.
+        Each operation is the one ``project``, ``mean``, ``mean_cov`` and
+        ``cov`` make for the one-point set, in the same order, so the
+        results equal theirs bit for bit: ``whiten``'s per-axis factors,
+        one dot product for the variance and one per latent function for
+        the mean, ``gauss_gram_sum`` for the Gram row. Only the calls and
+        checks around them are left out; the proposal kernels make this
+        call thousands of times a sweep.
         """
-        w = np.concatenate([f.whiten(x, theta + f.phi) for f in self.factors])
+        ws = []
+        for f in self.factors:
+            variance = theta + f.phi
+            F = []
+            for q, a, c in zip(f.Q, f.axes, x.T):  # axis_gram, operation for operation
+                E = a[:, None] - c
+                E *= E
+                E *= -0.5
+                E /= variance
+                np.exp(E, out=E)
+                E *= (2.0 * np.pi * variance) ** -0.5
+                F.append(q.T @ E)
+            w_q = F[0] if len(F) == 1 else _khatri_rao(F)
+            w_q *= f.s[:, None]
+            ws.append(w_q)
+        w = ws[0] if len(ws) == 1 else np.concatenate(ws)
+        flat = w[:, 0]
         marginal = self._marginal_var(kappa, theta)
-        var = marginal - kappa**2 * float(w[:, 0] @ w[:, 0]) + MARGINAL_FLOOR * marginal
-        return w, float(self.mean(x, w, kappa)[0]), var
+        var = marginal - kappa**2 * float(flat @ flat) + MARGINAL_FLOOR * marginal
+        J = self.latent.n_grid
+        mean = 0.0
+        for q, beta in enumerate(self._betas):
+            mean += float(flat[q * J : (q + 1) * J] @ beta)
+        ks = gauss_gram_sum(x, xx, pts, zz, [2.0 * theta + phi for phi in self._phis])
+        ks -= w.T @ W
+        ks *= kappa**2
+        return w, kappa * mean, var, ks.ravel()
 
     def mean_cov_grads(self, X, kappa: float, theta: float):
         """Mean, covariance and their gradients in (log kappa, log theta).
@@ -423,10 +464,13 @@ class IndependentPrior:
     def mean_cov(self, X, kappa: float, theta: float, W):
         return self.mean(X, W, kappa), self.cov(X, W, X, W, kappa, theta)
 
-    def site(self, x, kappa: float, theta: float) -> tuple[np.ndarray, float, float]:
-        """Empty projection, zero mean and the marginal variance at one site."""
+    def site(self, x, xx: float, pts, zz, W, kappa: float, theta: float):
+        """Empty projection, zero mean, the marginal variance and the
+        covariance row at one new site (see ``ConvolutionPrior.site``)."""
         var = kappa**2 * (2.0 * np.pi * (2.0 * theta + self.phi0)) ** (-0.5 * self.dim)
-        return np.zeros((0, 1)), 0.0, var
+        ks = gauss_gram_sum(x, xx, pts, zz, (2.0 * theta + self.phi0,))
+        ks *= kappa**2
+        return np.zeros((0, 1)), 0.0, var, ks.ravel()
 
     def extend(self, X, pts, W, a, kappa: float, theta: float) -> np.ndarray:
         """``mean(X) + cov(X, pts) @ a``; ``X`` is a point array or a ``ProductGrid``."""

@@ -23,6 +23,12 @@ resolved once at import: ``cholesky`` and ``cholesky_with_jitter``
 (``dpotrf``; the latter factors its one working buffer in place),
 ``tri_solve`` (``dtrtrs``), ``chol_inverse`` (``dpotri``) and ``eigh``
 (``dsyevd``).
+
+The proposal kernels form one new site's covariance row against a point
+set they keep thousands of times a sweep: ``gauss_gram_sum``, the
+arithmetic of ``gauss_gram`` without its checks, forms it from the
+squared norms the caller keeps with the points (``sq_norm`` for the
+site).
 """
 
 from __future__ import annotations
@@ -85,25 +91,64 @@ def gauss_gram(X, Z, variance: float) -> np.ndarray:
     Z = _as_points(Z)
     if X.shape[1] != Z.shape[1]:
         raise ValidationError("point sets have different dimension")
-    sq = (X * X).sum(axis=1)[:, None] + (Z * Z).sum(axis=1)[None, :] - 2.0 * (X @ Z.T)
-    # scale * exp(-0.5 * sq / variance) as axis_gram evaluates it, in place
+    return gauss_gram_sum(X, (X * X).sum(axis=1)[:, None], Z, (Z * Z).sum(axis=1), (variance,))
+
+
+def gauss_gram_sum(X: np.ndarray, xx, Z: np.ndarray, zz: np.ndarray, variances) -> np.ndarray:
+    """``sum(gauss_gram(X, Z, v) for v in variances)``, from the squared
+    norms of the rows of ``X`` (``xx``, a column, or a float for one point)
+    and of ``Z`` (``zz``), with no checks: ``gauss_gram`` is its case of
+    one variance, so a covariance row formed here for a new site rounds as
+    the Gram matrix of its point set does. A caller that keeps ``Z`` keeps
+    ``zz`` with it (the proposal kernels' workspace), and the squared
+    distances are formed once for all variances.
+    """
+    sq = X @ Z.T
+    sq *= -2.0
+    sq += xx + zz  # (xx + zz) - 2 x.z
     np.maximum(sq, 0.0, out=sq)
-    sq *= -0.5
-    sq /= variance
-    np.exp(sq, out=sq)
-    sq *= (2.0 * np.pi * variance) ** (-0.5 * X.shape[1])
-    return sq
+    G = None
+    for k, variance in enumerate(variances):
+        # scale * exp(-0.5 * sq / variance) as axis_gram evaluates it, in
+        # place; the last variance takes sq itself
+        E = sq if k == len(variances) - 1 else sq.copy()
+        E *= -0.5
+        E /= variance
+        np.exp(E, out=E)
+        E *= (2.0 * np.pi * variance) ** (-0.5 * X.shape[1])
+        if G is None:
+            G = E
+        else:
+            G += E
+    return G
 
 
 def gauss_gram_dv(X, Z, variance: float) -> tuple[np.ndarray, np.ndarray]:
     """Gram matrix together with its elementwise derivative in the variance."""
     X = _as_points(X)
     Z = _as_points(Z)
-    sq = np.sum((X[:, None, :] - Z[None, :, :]) ** 2, axis=-1)
     d = X.shape[1]
+    # squared distances summed axis by axis, in the order a sum over the
+    # last axis of the (n, m, d) differences takes, without forming them
+    sq = np.subtract.outer(X[:, 0], Z[:, 0])
+    sq *= sq
+    for a in range(1, d):
+        e = np.subtract.outer(X[:, a], Z[:, a])
+        e *= e
+        sq += e
     G = (2.0 * np.pi * variance) ** (-0.5 * d) * np.exp(-0.5 * sq / variance)
     dG = G * (0.5 * sq / variance**2 - 0.5 * d / variance)
     return G, dG
+
+
+def sq_norm(x: np.ndarray) -> float:
+    """Squared norm of one point ``x`` (1, d), summed in Python floats in
+    the order ``(x * x).sum(1)`` sums it, first coordinate first: the
+    ``xx`` of ``gauss_gram_sum`` for a new site."""
+    total = 0.0
+    for c in x[0].tolist():
+        total += c * c
+    return total
 
 
 def axis_gram(x: np.ndarray, z: np.ndarray, variance: float) -> np.ndarray:
@@ -178,7 +223,7 @@ def cholesky(a: np.ndarray) -> np.ndarray:
     return L
 
 
-def cholesky_with_jitter(cov: np.ndarray) -> tuple[np.ndarray, float]:
+def cholesky_with_jitter(cov: np.ndarray, symmetric: bool = False) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of ``cov`` plus jitter; returns (L, jitter used).
 
     The factor is Fortran-ordered (see ``cholesky``). One n x n buffer
@@ -186,7 +231,10 @@ def cholesky_with_jitter(cov: np.ndarray) -> tuple[np.ndarray, float]:
     exactly symmetric, so its transpose is the same matrix in Fortran
     order, and ``dpotrf`` factors that in place, with no copy, after the
     jitter is added to the diagonal. The symmetrised diagonal is ``cov``'s
-    own, so the jitter scales with ``cov``'s trace.
+    own, so the jitter scales with ``cov``'s trace. ``symmetric``: ``cov``
+    is exactly symmetric (as a process's residual covariance is kept), on
+    which the symmetrisation is the identity, so the buffer is filled with
+    a plain copy and the factor is the same.
     """
     cov = np.asarray(cov, dtype=float)
     n = cov.shape[0]
@@ -197,8 +245,11 @@ def cholesky_with_jitter(cov: np.ndarray) -> tuple[np.ndarray, float]:
     sym = np.empty((n, n))
     diag = sym.reshape(-1)[:: n + 1]  # a view: sym is C-contiguous
     for _ in range(MAX_JITTER_DOUBLINGS + 1):
-        np.add(cov, cov.T, out=sym)  # a failed attempt has overwritten it
-        sym *= 0.5
+        if symmetric:  # a failed attempt has overwritten the buffer
+            np.copyto(sym, cov)
+        else:
+            np.add(cov, cov.T, out=sym)
+            sym *= 0.5
         diag += jitter
         L, info = _POTRF(sym.T, lower=1, clean=1, overwrite_a=1)
         if info == 0:

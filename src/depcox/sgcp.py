@@ -20,9 +20,11 @@ says when it is rebuilt and when its factor is.
 
 Birth/death and move run thousands of times a sweep on arrays of tens of
 entries, so their cost is mostly numpy calls and copies. A proposal's
-conditional returns the site with its covariance row and solve, which the
-kernel passes on to ``append`` or ``update_point``; the workspace caches
-nothing about a site. ``C`` stays exactly symmetric and ``W``
+conditional makes one call to the prior (``site``) for the site's
+projection, prior moments and covariance row with the points, reading the
+squared norms of the points that the workspace keeps beside them, and
+returns the site with its row and solve, which the kernel passes on to
+``append`` or ``update_point``. ``C`` stays exactly symmetric and ``W``
 C-contiguous, the layouts that fixed-seed draws rest on.
 """
 
@@ -36,7 +38,14 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import NumericalError, ValidationError
-from .gaussian import _as_points, chol_inverse, chol_solve, cholesky_with_jitter, tri_solve
+from .gaussian import (
+    _as_points,
+    chol_inverse,
+    chol_solve,
+    cholesky_with_jitter,
+    sq_norm,
+    tri_solve,
+)
 from .thinning import (
     RateLadder,
     accept_delete,
@@ -53,7 +62,9 @@ class Region:
 
     ``lower`` and ``upper`` are float arrays. The bounds are also kept as
     Python floats, which ``contains_point`` compares one point against
-    without a numpy call: the move kernel tests every proposal.
+    without a numpy call: the move kernel tests every proposal. The axis
+    lengths are kept too, for ``uniform``, which the birth kernel calls
+    for every insertion.
     """
 
     lower: np.ndarray
@@ -67,6 +78,7 @@ class Region:
         if np.any(self.upper <= self.lower):
             raise ValidationError("upper bounds must strictly dominate lower bounds")
         self._bounds = tuple(zip(self.lower.tolist(), self.upper.tolist()))
+        self._lengths = self.upper - self.lower
 
     @property
     def dim(self) -> int:
@@ -95,7 +107,7 @@ class Region:
     def uniform(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """``n`` uniform points, (n, dim): the numbers ``rng.uniform(lower,
         upper, (n, dim))`` gives, from the same draws, in a third of its time."""
-        return self.lower + self.axis_lengths * rng.random((n, self.dim))
+        return self.lower + self._lengths * rng.random((n, self._lengths.size))
 
 
 @dataclass
@@ -295,6 +307,7 @@ class _Proposal(NamedTuple):
     it. It holds for the points, and the factor of ``C``, it was made at."""
 
     x: np.ndarray  # the site, (1, dim)
+    xx: float  # its squared norm
     w: np.ndarray  # its projection, (Q*J, 1)
     prior_mean: float
     prior_var: float  # floored residual variance
@@ -311,23 +324,27 @@ class _Workspace:
 
     Invariant: ``W == prior.project(pts, theta)``, each point's
     cross-covariance with the latent grid whitened by the latent factors,
-    and ``m``, ``C`` are ``prior.mean_cov(pts, kappa, theta, W)``: the prior
-    mean and the residual covariance, its diagonal floored as the prior's
-    ``site`` floors a new site's variance. ``C`` is exactly symmetric and
-    ``W`` C-contiguous, as a fresh ``mean_cov`` and ``project`` give them:
-    the products ``W^T W`` and the factorizations read them in that layout,
-    so a kept ``W`` in another layout would round differently. ``append``,
-    ``remove`` and ``update_point`` keep ``W``, ``m``, ``C``, ``g`` and
-    (when formed) the factor of ``C`` in step with ``pts``.
+    ``zz == (pts * pts).sum(1)``, the points' squared norms, and ``m``,
+    ``C`` are ``prior.mean_cov(pts, kappa, theta, W)``: the prior mean and
+    the residual covariance, its diagonal floored as the prior's ``site``
+    floors a new site's variance. ``C`` is exactly symmetric and ``W``
+    C-contiguous, as a fresh ``mean_cov`` and ``project`` give them: the
+    products ``W^T W`` and the factorizations read them in that layout, so
+    a kept ``W`` in another layout would round differently. ``append``,
+    ``remove`` and ``update_point`` keep ``W``, ``zz``, ``m``, ``C``,
+    ``g`` and (when formed) the factor of ``C`` in step with ``pts``.
 
-    A new site goes through ``conditional``, which projects only that site
-    (one J-vector solve per latent function plus ``W_x^T W``) and returns
-    it as a ``_Proposal``: the site, its projection, prior mean and
-    variance, its covariance ``ks`` with the points and, for a full
-    conditional, ``L^{-1} ks``. The kernels pass the proposal to ``append``
-    or ``update_point``, which read the new row of ``C`` and the new row of
-    the factor from it; nothing about a site is cached between calls.
-    Priors without a latent grid project to an empty (0, n) ``W``.
+    A new site goes through ``conditional``, which makes one call to the
+    prior's ``site``: that projects only the site (O(J) per latent
+    function) and forms its covariance row with the points from ``W`` and
+    ``zz``, with no squared norm of a kept point recomputed. The
+    conditional returns it all as a ``_Proposal``: the site, its squared
+    norm, projection, prior mean and variance, its covariance ``ks`` with
+    the points and, for a full conditional, ``L^{-1} ks``. The kernels
+    pass the proposal to ``append`` or ``update_point``, which read the new
+    row of ``C`` and the new row of the factor from it; nothing about a
+    site is kept between calls, and nothing from the prior but the prior
+    itself. Priors without a latent grid project to an empty (0, n) ``W``.
 
     Lifetime: one workspace per process lives for the whole chain, owned
     by the process's ``GpContext``. ``W`` and ``C`` depend only on the
@@ -349,6 +366,7 @@ class _Workspace:
         self.kappa = state.kappa
         self.theta = state.theta
         self.pts = ctx.points(state)
+        self.zz = (self.pts * self.pts).sum(1)
         self.W = self.prior.project(self.pts, self.theta)
         self.m, self.C = self.prior.mean_cov(self.pts, self.kappa, self.theta, self.W)
         self.g = state.g_values.copy()
@@ -382,7 +400,7 @@ class _Workspace:
     def L(self) -> np.ndarray:
         """Cholesky factor of ``C``, formed on first use and kept as long as ``C``."""
         if self._L is None:
-            self._L, self._jitter = cholesky_with_jitter(self.C)
+            self._L, self._jitter = cholesky_with_jitter(self.C, symmetric=True)
         return self._L
 
     def _factor(self):
@@ -390,16 +408,15 @@ class _Workspace:
             self._v = tri_solve(self.L, self.g - self.m)
         return self._L, self._v
 
-    def _cross(self, x, w) -> np.ndarray:
-        return self.prior.cov(x, w, self.pts, self.W, self.kappa, self.theta).ravel()
-
     def conditional(self, x, exclude: int | None = None) -> _Proposal:
         """The function at ``x`` given the current values, optionally
         leaving point ``exclude`` out: its ``mean`` and ``var``, and the
         site for ``append`` or, with ``exclude``, ``update_point``."""
         x = np.asarray(x, dtype=float).reshape(1, -1)
-        w_x, mstar, cstar = self.prior.site(x, self.kappa, self.theta)
-        ks = self._cross(x, w_x)
+        xx = sq_norm(x)
+        w_x, mstar, cstar, ks = self.prior.site(
+            x, xx, self.pts, self.zz, self.W, self.kappa, self.theta
+        )
         n = ks.size
         lks = None
         if n == 0:  # no points: L^{-1} of the empty row is itself
@@ -411,16 +428,17 @@ class _Workspace:
             lks = tri_solve(L, ks)
             mu, var = mstar + float(lks @ v), cstar - float(lks @ lks)
         else:
-            Ls, _ = cholesky_with_jitter(_drop(self.C, exclude))
+            Ls, _ = cholesky_with_jitter(_drop(self.C, exclude), symmetric=True)
             w = tri_solve(Ls, _without(ks, exclude))
             vs = tri_solve(Ls, _without(self.g - self.m, exclude))
             mu, var = mstar + float(w @ vs), cstar - float(w @ w)
-        return _Proposal(x, w_x, mstar, cstar, ks, lks, mu, max(var, 0.0))
+        return _Proposal(x, xx, w_x, mstar, cstar, ks, lks, mu, max(var, 0.0))
 
     def append(self, p: _Proposal, g_value: float) -> None:
         """Add the site of the proposal ``p`` with function value ``g_value``."""
         n = self.pts.shape[0]
         self.pts = np.concatenate((self.pts, p.x))
+        self.zz = np.concatenate((self.zz, (p.xx,)))
         self.W = np.concatenate((self.W, p.w), axis=1)
         self.m = np.concatenate((self.m, (p.prior_mean,)))
         self.g = np.concatenate((self.g, (g_value,)))
@@ -454,6 +472,7 @@ class _Workspace:
         # C-contiguous, as np.delete(W, i, axis=1) gives it; W[:, mask] would not be
         self.W = np.concatenate((self.W[:, :i], self.W[:, i + 1 :]), axis=1)
         self.pts = _without(self.pts, i)
+        self.zz = _without(self.zz, i)
         self.m = _without(self.m, i)
         self.g = _without(self.g, i)
         self.C = _drop(self.C, i)
@@ -463,6 +482,7 @@ class _Workspace:
         """Move point ``i`` to the site of the proposal ``p``, made with
         ``exclude=i``, with function value ``g_value``."""
         self.pts[i] = p.x[0]
+        self.zz[i] = p.xx
         self.W[:, i] = p.w[:, 0]
         self.m[i] = p.prior_mean
         self.g[i] = g_value
@@ -514,7 +534,7 @@ def birth_death_step(
             p = ws.conditional(x)
             g_star = p.mean + math.sqrt(p.var) * rng.standard_normal()
             sig = float(expit(g_star))
-            r = assign_rate(sig, ladder)
+            r = ladder.assign(sig)
             a = accept_insert(M, vol, state.lambda_star, levels[r], sig, b)
             if rng.random() < a:
                 state.append_thinned(x, g_star, r)
@@ -562,7 +582,7 @@ def move_step(
         p = ws.conditional(x_new, exclude=j)
         g_new = p.mean + math.sqrt(p.var) * rng.standard_normal()
         sig_new = float(expit(g_new))
-        r_new = assign_rate(sig_new, ladder)
+        r_new = ladder.assign(sig_new)
         sig_old = float(expit(state.g_values[j]))
         a = accept_move(levels[state.rate_idx[i]], sig_old, levels[r_new], sig_new)
         if rng.random() < a:

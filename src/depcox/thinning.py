@@ -42,13 +42,22 @@ class RateLadder:
             raise ValidationError(f"last level must be exactly 1: {levels}")
         if not 0.0 < self.slack < 1.0:
             raise ValidationError(f"slack must lie in (0, 1): {self.slack}")
-        # the slack-scaled levels ``assign_rate`` searches, each rounded as
+        # the slack-scaled levels ``assign`` searches, each rounded as
         # ``as_array() * slack`` rounds it
         object.__setattr__(self, "_scaled", tuple(v * self.slack for v in levels))
 
     @property
     def n_levels(self) -> int:
         return len(self.levels)
+
+    def assign(self, sigmoid_value: float) -> int:
+        """``assign_rate`` of one float, searched in the scaled levels with
+        ``bisect_left`` and no numpy call: the per-point case of the birth
+        and move kernels."""
+        top = len(self._scaled) - 1
+        if sigmoid_value != sigmoid_value:  # NaN
+            return top
+        return min(bisect_left(self._scaled, sigmoid_value), top)
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.levels)
@@ -67,16 +76,13 @@ def assign_rate(sigmoid_value, ladder: RateLadder):
     Falls back to the top level when even the slack-scaled top is exceeded,
     so the returned level always upper-bounds the sigmoid; NaN, which
     ``searchsorted`` places above every level, gets the top level too.
-    Accepts scalars or arrays; indices are 0-based. A scalar is searched in
-    the ladder's scaled levels with ``bisect_left``, the per-point case of
-    the birth and move kernels.
+    Accepts scalars or arrays; indices are 0-based. A scalar goes through
+    ``RateLadder.assign``, which the birth and move kernels call directly.
     """
-    top = ladder.n_levels - 1
     if np.ndim(sigmoid_value) == 0:
-        s = float(sigmoid_value)
-        return top if s != s else min(bisect_left(ladder._scaled, s), top)
+        return ladder.assign(float(sigmoid_value))
     idx = np.searchsorted(ladder._scaled, sigmoid_value, side="left")
-    return np.minimum(idx, top).astype(int)
+    return np.minimum(idx, ladder.n_levels - 1).astype(int)
 
 
 def thinned_prob(sigmoid_value: float, level: float) -> float:

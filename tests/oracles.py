@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack, solve_triangular
 
+from depcox.convolution import MARGINAL_FLOOR, ConvolutionPrior
 from depcox.errors import NumericalError, ValidationError
 from depcox.gaussian import JITTER_SCALE, MAX_JITTER_DOUBLINGS, cholesky, cholesky_with_jitter
 
@@ -156,10 +157,11 @@ class FixedFunctionPrior:
     def mean_cov(self, X, kappa: float, theta: float, W):
         return self.mean(X, W, kappa), self.cov(X, W, X, W, kappa, theta)
 
-    def site(self, x, kappa: float, theta: float) -> tuple[np.ndarray, float, float]:
-        """Empty projection, the known value and zero variance at one site."""
+    def site(self, x, xx: float, pts, zz, W, kappa: float, theta: float):
+        """Empty projection, the known value, zero variance and a zero
+        covariance row at one new site."""
         w = self.project(x, theta)
-        return w, float(self.mean(x, w, kappa)[0]), 0.0
+        return w, float(self.mean(x, w, kappa)[0]), 0.0, np.zeros(np.asarray(pts).shape[0])
 
 
 def cholesky_with_jitter_copies(cov) -> tuple[np.ndarray, float]:
@@ -203,3 +205,63 @@ def chol_inverse_tril(L) -> np.ndarray:
     inv += np.tril(inv, -1).T
     return inv
 
+
+def _marginal_var_numpy(prior, kappa: float, theta: float) -> float:
+    """``ConvolutionPrior._marginal_var`` as it once summed the numpy
+    scalars of the latent variances."""
+    return kappa**2 * sum(
+        (2.0 * np.pi * (2.0 * theta + phi)) ** (-0.5 * prior.dim) for phi in prior.latent.phis
+    )
+
+
+def site_and_row(prior, x, pts, W, kappa: float, theta: float):
+    """A new site's projection, prior mean, floored variance and residual
+    covariance row with ``pts`` (projection ``W``), as ``prior.site``
+    once computed the first three and ``prior.cov`` the row: through
+    ``whiten``, ``mean``, ``_marginal_var_numpy`` and ``gauss_gram``."""
+    x = np.asarray(x, dtype=float).reshape(1, -1)
+    if isinstance(prior, ConvolutionPrior):
+        w = np.concatenate([f.whiten(x, theta + f.phi) for f in prior.factors])
+        marginal = _marginal_var_numpy(prior, kappa, theta)
+        var = marginal - kappa**2 * float(w[:, 0] @ w[:, 0]) + MARGINAL_FLOOR * marginal
+        mean = float(prior.mean(x, w, kappa)[0])
+    else:  # IndependentPrior
+        w, mean = np.zeros((0, 1)), 0.0
+        var = kappa**2 * (2.0 * np.pi * (2.0 * theta + prior.phi0)) ** (-0.5 * prior.dim)
+    return w, mean, var, prior.cov(x, w, pts, W, kappa, theta).ravel()
+
+
+def gauss_gram_broadcast(X, Z, variance: float) -> np.ndarray:
+    """``gaussian.gauss_gram`` as it once formed the squared distances, from
+    broadcast squared norms less twice the products."""
+    X, Z = (np.asarray(A, dtype=float) for A in (X, Z))
+    X, Z = (A[:, None] if A.ndim == 1 else A for A in (X, Z))
+    sq = (X * X).sum(axis=1)[:, None] + (Z * Z).sum(axis=1)[None, :] - 2.0 * (X @ Z.T)
+    np.maximum(sq, 0.0, out=sq)
+    sq *= -0.5
+    sq /= variance
+    np.exp(sq, out=sq)
+    sq *= (2.0 * np.pi * variance) ** (-0.5 * X.shape[1])
+    return sq
+
+
+def gauss_gram_dv_broadcast(X, Z, variance: float):
+    """``gaussian.gauss_gram_dv`` as it once summed the squared distances,
+    over the (n, m, d) array of the differences."""
+    X, Z = (np.asarray(A, dtype=float) for A in (X, Z))
+    X, Z = (A[:, None] if A.ndim == 1 else A for A in (X, Z))
+    sq = np.sum((X[:, None, :] - Z[None, :, :]) ** 2, axis=-1)
+    d = X.shape[1]
+    G = (2.0 * np.pi * variance) ** (-0.5 * d) * np.exp(-0.5 * sq / variance)
+    dG = G * (0.5 * sq / variance**2 - 0.5 * d / variance)
+    return G, dG
+
+
+def floored_diag_indices(prior, C, kappa: float, theta: float) -> np.ndarray:
+    """``ConvolutionPrior._floored`` as it once raised the diagonal, through
+    ``np.diag_indices_from``, by ``_marginal_var_numpy``."""
+    C = 0.5 * (C + C.T)
+    floor = MARGINAL_FLOOR * _marginal_var_numpy(prior, kappa, theta)
+    if floor > 0 and C.shape[0]:
+        C[np.diag_indices_from(C)] += floor
+    return C

@@ -23,16 +23,19 @@ from depcox.gaussian import (
     cholesky_with_jitter,
     gauss_gram,
     gauss_gram_dv,
+    sq_norm,
 )
 from depcox.sgcp import AugmentedState, GpContext, Region
 from oracles import (
     FixedFunctionPrior,
     Mvn,
     cross_cov,
+    floored_diag_indices,
     gauss_density,
     mvn_logpdf,
     output_cov,
     reversed_factor_cov,
+    site_and_row,
 )
 
 
@@ -197,9 +200,11 @@ class TestConditionalPrior:
             IndependentPrior(0.02, dim=2),
             FixedFunctionPrior(lambda X: X[:, 0] - X[:, 1], dim=2),
         )
+        pts = rng.uniform(size=(3, 2))
         for x in rng.uniform(size=(5, 1, 2)):
             for prior in priors:
-                w, m, var = prior.site(x, kappa, theta)
+                Wp = prior.project(pts, theta)
+                w, m, var, _ = prior.site(x, sq_norm(x), pts, (pts * pts).sum(1), Wp, kappa, theta)
                 W = prior.project(x, theta)
                 m1, C1 = prior.mean_cov(x, kappa, theta, W)
                 np.testing.assert_allclose(w, W, rtol=1e-12, atol=0)
@@ -218,6 +223,42 @@ class TestConditionalPrior:
         _, C_m = prior.mean_cov(X, kappa, theta * np.exp(-h), W)
         np.testing.assert_allclose(dC[1], (C_p - C_m) / (2 * h), atol=1e-5)
         np.testing.assert_allclose(dC[0], 2 * C, atol=1e-12)
+
+
+class TestSite:
+    """``site`` gives what the projection, mean and covariance route
+    (``oracles.site_and_row``) gives for a one-point set, byte for byte."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 50])
+    @pytest.mark.parametrize("n_latent", [1, 2])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_matches_the_projection_and_covariance_route(self, dim, n_latent, n):
+        rng = np.random.default_rng(100 * dim + 10 * n_latent + n)
+        grid = latent_grid(Region(np.zeros(dim), np.ones(dim)), 6 if dim < 3 else 3)
+        latent = LatentState(
+            grid, rng.standard_normal((n_latent, grid.shape[0])), rng.uniform(0.01, 0.05, n_latent)
+        )
+        kappa, theta = rng.uniform(0.5, 2.0), rng.uniform(0.005, 0.05)
+        pts = rng.uniform(-0.1, 1.1, size=(n, dim))
+        for prior in (ConvolutionPrior(latent), IndependentPrior(0.02, dim=dim)):
+            W = prior.project(pts, theta)
+            for x in rng.uniform(-0.1, 1.1, size=(4, 1, dim)):
+                got = prior.site(x, sq_norm(x), pts, (pts * pts).sum(1), W, kappa, theta)
+                want = site_and_row(prior, x, pts, W, kappa, theta)
+                for a, b in zip(got, want):
+                    assert np.shape(a) == np.shape(b)
+                    assert np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_floor_through_the_diagonal_view_matches_diag_indices(self, dim):
+        rng = np.random.default_rng(40 + dim)
+        grid = latent_grid(Region(np.zeros(dim), np.ones(dim)), 4)
+        prior = ConvolutionPrior(LatentState(grid, rng.standard_normal((2, grid.shape[0])), [0.02, 0.04]))
+        X = rng.uniform(size=(9, dim))
+        C = prior.cov(X, prior.project(X, 0.01), X, prior.project(X, 0.01), 1.3, 0.01)
+        C += 1e-13 * rng.standard_normal(C.shape)  # not exactly symmetric
+        want = floored_diag_indices(prior, C.copy(), 1.3, 0.01)
+        assert prior._floored(C.copy(), 1.3, 0.01).tobytes() == want.tobytes()
 
 
 class TestPerAxisFactor:
@@ -272,7 +313,7 @@ class TestPerAxisFactor:
         mean = kappa * sum(gauss_gram(X, latent.grid, theta + phi) @ a
                            for phi, a in zip(latent.phis, alphas))
         x = X[:1]
-        w, m, var = prior.site(x, kappa, theta)
+        w, m, var, _ = prior.site(x, sq_norm(x), X, (X * X).sum(1), W, kappa, theta)
         marginal = prior._marginal_var(kappa, theta)
         self._close(w.T @ W, Wd[:, :1].T @ Wd)
         self._close(m, mean[0])

@@ -22,6 +22,7 @@ from depcox.generate import sample_events, sample_ground_truth
 from depcox.metrics import Quadrature
 from depcox.sgcp import EventSet, PriorConfig, Region
 from depcox.thinning import RateLadder
+from oracles import site_and_row
 
 UNIT = Region([0.0], [1.0])
 
@@ -140,6 +141,38 @@ class TestRunChain:
             ]:
                 assert np.max(np.abs(x - y), initial=0.0) <= 1e-4 * np.max(np.abs(y), initial=0.0)
 
+    @pytest.mark.parametrize("independent", [False, True])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_per_site_call_keeps_every_draw(self, monkeypatch, dim, independent):
+        # the second chain computes each proposal's site through the
+        # projection, mean and covariance calls (oracles.site_and_row) and
+        # symmetrises every covariance it factors: the route the per-site
+        # call and the copied factor buffer replace, draw for draw
+        region = Region([0.0] * dim, [1.0] * dim)
+        rng = np.random.default_rng(40 + dim)
+        truth = sample_ground_truth(region, 2, 2, rng, lambda_star_range=(20.0, 25.0), grid_per_axis=6)
+        data = sample_events(truth, rng)
+        cfg = _small_config(
+            n_iters=8, burn_in=0, n_latent=2, grid_per_axis=6, seed=6, independent=independent
+        )
+        fast = run_chain_with_info(data, region, cfg)[0]
+        for cls in (depcox.convolution.ConvolutionPrior, depcox.convolution.IndependentPrior):
+            monkeypatch.setattr(
+                cls, "site", lambda prior, x, xx, pts, zz, W, kappa, theta:
+                site_and_row(prior, x, pts, W, kappa, theta)
+            )
+        chol = depcox.sgcp.cholesky_with_jitter
+        monkeypatch.setattr(depcox.sgcp, "cholesky_with_jitter", lambda cov, symmetric=False: chol(cov))
+        oracle = run_chain_with_info(data, region, cfg)[0]
+        assert len(fast) == len(oracle) == 8
+        assert sum(t.shape[0] for a in fast for t in a.thinned) > 0
+        for a, b in zip(fast, oracle):
+            for name in ("lambda_stars", "kappas", "thetas", "phis", "latent_values"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+            for name in ("thinned", "rate_idx", "g_values"):
+                for x, y in zip(getattr(a, name), getattr(b, name)):
+                    assert np.asarray(x).tobytes() == np.asarray(y).tobytes(), name
+
     def test_latent_gram_is_factored_densely_once_per_accepted_phi(self, monkeypatch):
         # draws go through a dense factor of each latent Gram, formed at the
         # start and at each accepted phi; proposals, workspaces and the
@@ -204,9 +237,9 @@ class TestRunChain:
             depcox.engine, "hmc_hyper_update", lambda state, *a, **k: (state.copy(), False, 0.0)
         )
         for module in (depcox.sgcp, depcox.convolution):
-            def recording(cov, _original=module.cholesky_with_jitter):
+            def recording(cov, *args, _original=module.cholesky_with_jitter, **kwargs):
                 factored.extend([np.shape(cov)] if inside else [])
-                return _original(cov)
+                return _original(cov, *args, **kwargs)
 
             monkeypatch.setattr(module, "cholesky_with_jitter", recording)
         for name in ("_latent_ess_move", "sample_latent_posterior"):

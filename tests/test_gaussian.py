@@ -12,8 +12,10 @@ from depcox.gaussian import (
     from_precision,
     gauss_gram,
     gauss_gram_dv,
+    gauss_gram_sum,
     gram_matvec,
     mvn_sample,
+    sq_norm,
     tri_solve,
 )
 from oracles import (
@@ -22,6 +24,8 @@ from oracles import (
     cholesky_with_jitter_copies,
     conditional_mvn,
     gauss_density,
+    gauss_gram_broadcast,
+    gauss_gram_dv_broadcast,
     mvn_logpdf,
     precision_draw_dense,
 )
@@ -67,6 +71,30 @@ class TestGaussDensity:
         _, dG = gauss_gram_dv(X, X, v)
         num = (gauss_gram(X, X, v + h) - gauss_gram(X, X, v - h)) / (2 * h)
         np.testing.assert_allclose(dG, num, atol=1e-6)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_gram_and_gram_dv_match_the_broadcast_formulas_bit_for_bit(self, dim):
+        rng = np.random.default_rng(10 + dim)
+        X, Z = rng.uniform(size=(7, dim)), rng.uniform(size=(5, dim))
+        for got, want in [
+            *zip(gauss_gram_dv(X, Z, 0.03), gauss_gram_dv_broadcast(X, Z, 0.03)),
+            (gauss_gram(X, Z, 0.03), gauss_gram_broadcast(X, Z, 0.03)),
+            (gauss_gram(X, X, 0.03), gauss_gram_broadcast(X, X, 0.03)),
+        ]:
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("m", [0, 1, 40])
+    def test_row_matches_the_summed_grams_bit_for_bit(self, dim, m):
+        rng = np.random.default_rng(20 + dim + m)
+        Z = rng.uniform(size=(m, dim))
+        variances = [0.02, np.float64(0.05), 0.11]
+        for x in rng.uniform(size=(5, 1, dim)):
+            assert sq_norm(x) == (x * x).sum(1)[0]
+            for k in (1, 2, 3):
+                want = sum(gauss_gram_broadcast(x, Z, v) for v in variances[:k])
+                got = gauss_gram_sum(x, sq_norm(x), Z, (Z * Z).sum(1), variances[:k])
+                assert got.shape == want.shape == (1, m) and got.tobytes() == want.tobytes()
 
 
 class TestGramMatvec:
@@ -189,6 +217,29 @@ class TestCholeskyJitter:
         if kind == "escalating":
             base = JITTER_SCALE * np.trace(cov) / cov.shape[0]
             assert jit == pytest.approx(2.0 * base, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", ["spread", "escalating", "near-singular"])
+    def test_symmetric_input_skips_the_symmetrisation_bit_for_bit(self, kind):
+        # on an exactly symmetric cov the symmetrisation is the identity:
+        # the copied buffer gives the same factor and jitter, escalations too
+        rng = np.random.default_rng(7)
+        A = rng.standard_normal((30, 30))
+        cov = {
+            "spread": A @ A.T + np.eye(30),
+            "escalating": self._needs_one_doubling(),
+            "near-singular": gauss_gram(*[rng.uniform(size=(30, 1))] * 2, 0.05),
+        }[kind]
+        cov = 0.5 * (cov + cov.T)
+        assert np.array_equal(cov, cov.T)
+        before = cov.copy()
+        L, jit = cholesky_with_jitter(cov, symmetric=True)
+        want, want_jit = cholesky_with_jitter(cov)
+        assert jit == want_jit
+        assert L.flags.f_contiguous
+        assert L.tobytes(order="A") == want.tobytes(order="A")
+        np.testing.assert_array_equal(cov, before)  # the input is not written to
+        if kind == "escalating":
+            assert jit == pytest.approx(2.0 * JITTER_SCALE * np.trace(cov) / cov.shape[0], rel=1e-12)
 
 
 class TestTriSolve:

@@ -275,6 +275,8 @@ class TestWorkspaceCache:
             # the layouts byte-identical draws rest on: fresh ones have them
             assert np.array_equal(ws.C, ws.C.T)
             assert ws.W.flags.c_contiguous
+            # the kept squared norms are the ones of the points, bit for bit
+            assert ws.zz.tobytes() == (ws.pts * ws.pts).sum(1).tobytes()
             self._assert_rel(ws.W, prior.project(ws.pts, self.THETA), 1e-10)
             m, C = prior.mean_cov(ws.pts, self.KAPPA, self.THETA, prior.project(ws.pts, self.THETA))
             self._assert_rel(ws.m, m, 1e-10)
@@ -331,9 +333,9 @@ class TestWorkspaceCache:
 
     def test_append_at_the_conditioned_site_reuses_its_solve(self, monkeypatch):
         # the proposal carries the site's ks and L^{-1} ks: appending it
-        # computes no cross-covariance and no solve, and gives what an
-        # append of a proposal whose ks is solved against the factor again
-        # gives
+        # makes no site call (so computes no cross-covariance) and no
+        # solve, and gives what an append of a proposal whose ks is solved
+        # against the factor again gives
         rng = np.random.default_rng(24)
         prior = self._prior()
         ctx = GpContext(rng.uniform(size=(5, 2)), prior)
@@ -347,18 +349,18 @@ class TestWorkspaceCache:
             q = recomputed.conditional(x)
             q = q._replace(lks=tri_solve(recomputed.L, q.ks))
             with monkeypatch.context() as patched:
-                patched.setattr(_Workspace, "_cross", lambda *a: pytest.fail("recomputed ks"))
+                patched.setattr(ConvolutionPrior, "site", lambda *a: pytest.fail("recomputed ks"))
                 patched.setattr(depcox.sgcp, "tri_solve", lambda *a, **k: pytest.fail("re-solved"))
                 cached.append(p, g)
             recomputed.append(q, g)
-            for name in ("C", "_L", "_v", "W", "m", "g"):
+            for name in ("C", "_L", "_v", "W", "zz", "m", "g"):
                 np.testing.assert_array_equal(getattr(cached, name), getattr(recomputed, name))
         # a change to the points needs a new proposal, whose conditional
         # computes ks at the new points
         cached.remove(0)
         calls = []
-        cross = _Workspace._cross
-        monkeypatch.setattr(_Workspace, "_cross", lambda self, *a: calls.append(1) or cross(self, *a))
+        site = ConvolutionPrior.site
+        monkeypatch.setattr(ConvolutionPrior, "site", lambda self, *a: calls.append(1) or site(self, *a))
         cached.append(cached.conditional(x), g)
         assert calls
 
@@ -437,6 +439,27 @@ class TestWorkspaceLifetime:
             assert ctx.workspace(state) is ws and ws.L is L
             got = _moments(ws.conditional(x))
         assert got == _moments(_Workspace(ctx, state).conditional(x))
+
+    def test_refreshed_proposals_match_a_fresh_workspace(self):
+        # nothing the site call reads from the prior (its latent values,
+        # betas, marginal variance) outlives a refresh with a new prior
+        ctx, state, rng = self._setup()
+        ws = ctx.workspace(state)
+        ws.conditional(rng.uniform(size=2))  # forms the factor
+        old = ctx.prior
+        ctx.prior = ConvolutionPrior(
+            LatentState(old.latent.grid, rng.standard_normal((2, 16)), old.latent.phis), old.factors
+        )
+        state.g_values = rng.standard_normal(6)
+        assert ctx.workspace(state) is ws and ws.prior is ctx.prior
+        fresh = _Workspace(ctx, state)
+        for exclude in (None, 5, 0):
+            x = rng.uniform(size=2)
+            got, want = ws.conditional(x, exclude), fresh.conditional(x, exclude)
+            for name, a, b in zip(got._fields, got, want):
+                assert (a is None) == (b is None), name
+                if a is not None:
+                    assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), name
 
     @pytest.mark.parametrize("change", ["kappa", "theta", "phi", "points"])
     def test_changes_to_w_or_c_rebuild(self, change):

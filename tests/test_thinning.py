@@ -91,10 +91,10 @@ class TestAssignRate:
         ]
         array_idx = assign_rate(np.array(values), ladder)
         for v, want in zip(values, array_idx):
-            got = assign_rate(v, ladder)
+            got = ladder.assign(v)
             assert type(got) is int
-            assert got == want == assign_rate_searchsorted(v, ladder), v
-        assert assign_rate(float("nan"), ladder) == ladder.n_levels - 1
+            assert got == want == assign_rate(v, ladder) == assign_rate_searchsorted(v, ladder), v
+        assert ladder.assign(float("nan")) == assign_rate(float("nan"), ladder) == ladder.n_levels - 1
 
 
 class TestThinnedProb:
