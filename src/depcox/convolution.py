@@ -7,7 +7,9 @@ covariance ``theta_d + phi_q`` and the output covariance
 ``theta_d + theta_d' + phi_q``. The latent functions are summarized by
 their values on a fixed inducing grid; conditioned on those values the
 processes decouple, and the residual covariance of each process is kept
-dense while cross-process covariance is never materialized.
+dense. Cross-process covariance is never materialized, but for the
+latent draw's data-space system, which spans all processes' points and
+is formed only while it is smaller than the latent precision.
 
 Each latent Gram matrix ``K_q = K(grid, grid; phi_q)`` is factored once
 per distinct ``phi_q`` (``LatentFactor``) and shared by every prior at
@@ -43,13 +45,19 @@ reads them there and forms no covariance of its own.
 The dense Cholesky factor ``L_q`` of ``K_q + jI`` is formed only where a
 draw is made through it, the initial latent draw and the latent slice
 move in ``engine``, and for the latent prior precision ``L_q^{-T}
-L_q^{-1}`` that ``latent_posterior`` adds to; it is formed once per
-accepted ``phi_q``. The latent posterior itself is dense: its precision
-couples the grid through every process's points. It is drawn in
-precision form (``gaussian.from_precision``, ``gaussian.mvn_sample``):
-one Cholesky factor of the precision, with rows and columns reversed,
-gives the mean and, by one triangular solve, the draw; its covariance is
-never formed.
+L_q^{-1}`` of the precision form below; it is formed once per accepted
+``phi_q``. The latent posterior itself is dense: it couples the grid
+through every process's points. ``sample_latent_posterior`` draws it
+through the smaller of two exact systems. With at least as many points
+``N``, over all processes, as latent values ``Q*J``, it is drawn in
+precision form (``latent_posterior``, ``gaussian.from_precision``,
+``gaussian.mvn_sample``): one Cholesky factor of the (Q*J)^2 precision,
+with rows and columns reversed, gives the mean and, by one triangular
+solve, the draw; its covariance is never formed. With fewer points it
+is drawn in whitened coordinates ``s_q * Q_q^T u_q``, in which process
+``d``'s coupling is ``kappa_d W_d^T``, through an ``N x N`` system in
+data space (Matheron's rule), and mapped back through the eigenfactors:
+neither the precision nor ``L_q`` is formed for it.
 
 Predictions (``extend``, ``latent_interpolant``) take either scattered
 points or a ``ProductGrid``; on a grid every Gram-vector product runs
@@ -70,6 +78,7 @@ from .gaussian import (
     axis_gram_dv,
     chol_inverse,
     chol_solve,
+    cholesky,
     cholesky_with_jitter,
     eigh,
     from_precision,
@@ -78,6 +87,7 @@ from .gaussian import (
     gauss_gram_sum,
     gram_matvec,
     mvn_sample,
+    tri_solve,
 )
 
 # The residual covariance's diagonal is raised by this share of the
@@ -178,9 +188,8 @@ class LatentFactor:
     The dense Cholesky factor ``L`` of ``K + jI`` is formed on first use
     of ``L`` only: draws go through it (the initial latent draw and the
     latent slice move), as does ``inverse()``, the latent prior precision
-    that ``latent_posterior`` adds to. That is the only explicit inverse
-    of the latent stage: the posterior is drawn from its precision. Each
-    accepted ``phi`` forms ``L`` once.
+    of the precision-form posterior. Each accepted ``phi`` forms ``L``
+    once.
     """
 
     def __init__(self, grid: np.ndarray, phi: float, axes: tuple | None = None):
@@ -243,6 +252,10 @@ class LatentFactor:
         return self._L
 
     def inverse(self) -> np.ndarray:
+        """``(K + jI)^{-1}`` from ``L``, formed on first use: the latent
+        prior precision that ``latent_posterior`` adds to, and the only
+        explicit inverse of the latent stage. A draw with fewer points than
+        latent values never reads it."""
         if self._inverse is None:
             self._inverse = chol_inverse(self.L)
         return self._inverse
@@ -498,7 +511,8 @@ def latent_posterior(spaces, prior: ConvolutionPrior, A_list) -> tuple[np.ndarra
     and function values ``g`` it reads: no process covariance is formed or
     factored here, no cross-process covariance is ever assembled, and the
     posterior covariance is never formed. Only the prior's latent factors
-    enter, not its current grid values.
+    enter, not its current grid values. ``sample_latent_posterior`` draws
+    through it when the points are at least as many as the latent values.
     """
     J = prior.latent.n_grid
     Q = prior.latent.n_latent
@@ -520,9 +534,56 @@ def latent_posterior(spaces, prior: ConvolutionPrior, A_list) -> tuple[np.ndarra
 
 def sample_latent_posterior(spaces, prior: ConvolutionPrior, rng: np.random.Generator,
                             A_list) -> np.ndarray:
-    """Draw new latent grid values from their joint posterior, shaped (Q, J)."""
+    """Draw new latent grid values from their joint posterior, shaped (Q, J).
+
+    Of the two exact systems the smaller is solved. With ``N`` points over
+    all processes and ``N >= Q*J``, the draw is made in precision form
+    from ``latent_posterior``, through the coupling matrices ``A_list``.
+    With fewer points it is made in whitened coordinates
+    (``_whitened_draw``) through an ``N x N`` system, and mapped back
+    through the latent factors; ``A_list`` is not read then, and neither
+    the precision nor a latent factor's inverse is formed for it.
+    """
+    Q, J = prior.latent.n_latent, prior.latent.n_grid
+    live = [ws for ws in spaces if ws.g.size]
+    if sum(ws.g.size for ws in live) < Q * J:
+        v = _whitened_draw(live, Q * J, rng)
+        if v is not None:
+            return np.stack([f.from_eigen(v[q * J : (q + 1) * J] / f.s)
+                             for q, f in enumerate(prior.factors)])
     flat = mvn_sample(*latent_posterior(spaces, prior, A_list), rng)
-    return flat.reshape(prior.latent.n_latent, prior.latent.n_grid)
+    return flat.reshape(Q, J)
+
+
+def _whitened_draw(live, n: int, rng: np.random.Generator) -> np.ndarray | None:
+    """One posterior draw of the whitened latent values ``v = s * Q^T u``,
+    shape (n,), given the function values of the workspaces ``live``, each
+    with at least one point; ``None``, before any normal is drawn, if the
+    data-space system is not numerically positive definite.
+
+    A priori ``v ~ N(0, I)``, and process ``d``'s values are ``g_d =
+    kappa_d W_d^T v + e_d`` with ``e_d ~ N(0, C_d)``, so whitened by the
+    factor ``L_d`` of ``C_d`` they read ``y = V v + eta`` with ``V_d =
+    L_d^{-1} kappa_d W_d^T`` and ``eta ~ N(0, I)``. The posterior draw is
+    a prior draw ``z`` corrected through the data (Matheron's rule):
+    ``z + V^T (I + V V^T)^{-1} (y - V z - eta')`` with ``eta' ~ N(0, I)``.
+    ``I + V V^T`` is factored without jitter: jitter would inflate the
+    noise, whose whitened covariance is that ``I``. No point at all gives
+    the prior draw ``z``.
+    """
+    if not live:
+        return rng.standard_normal(n)
+    V = np.concatenate([tri_solve(ws.L, ws.kappa * ws.W.T) for ws in live])
+    y = np.concatenate([tri_solve(ws.L, ws.g) for ws in live])
+    M = V @ V.T
+    M.reshape(-1)[:: M.shape[0] + 1] += 1.0  # a view: M is new and C-contiguous
+    try:
+        F = cholesky(M)
+    except np.linalg.LinAlgError:
+        return None
+    v = rng.standard_normal(n)
+    v += V.T @ chol_solve(F, y - V @ v - rng.standard_normal(V.shape[0]))
+    return v
 
 
 def latent_logpost(factor: LatentFactor, values_q: np.ndarray,

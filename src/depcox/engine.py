@@ -5,8 +5,12 @@ own keyed random stream, then draws the latent grid values from their
 joint posterior and updates the latent variances. The latent stage
 factors each latent Gram matrix once per distinct variance, per axis
 (``convolution.LatentFactor``), and passes that factor to every step
-that needs it. Only the initial latent draw and the latent slice move's
-prior draw go through its dense Cholesky factor.
+that needs it. Only the initial latent draw, the latent slice move's
+prior draw and the latent prior precision go through its dense Cholesky
+factor. The precision is formed only when the points, over all
+processes, are at least as many as the latent values; with fewer, the
+latent posterior is drawn through a data-space system of the points
+(``convolution.sample_latent_posterior``).
 
 Each process's conditional prior lives in the workspace its ``GpContext``
 owns (``sgcp._Workspace``): the point-set projection ``W``, mean ``m``,

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import block_diag
 
 from depcox.convolution import (
     ConvolutionPrior,
@@ -23,6 +24,7 @@ from depcox.gaussian import (
     cholesky_with_jitter,
     gauss_gram,
     gauss_gram_dv,
+    mvn_sample,
     sq_norm,
 )
 from depcox.sgcp import AugmentedState, GpContext, Region
@@ -438,24 +440,29 @@ def _spaces(prior, X_list, g_list, kappas, thetas):
     return spaces, [prior.coupling_matrix(ws.W, ws.kappa) for ws in spaces]
 
 
-def _dense_oracle_case(rng):
-    """Two processes of three points each on a three-node 1-D grid: their
-    workspaces, coupling matrices and prior, and the latent posterior's
-    mean and covariance by dense conditioning of the joint Gaussian."""
-    J = 3
-    grid = np.sort(rng.uniform(0, 1, size=J))[:, None]
-    latent = LatentState(grid, rng.standard_normal((1, J)), [rng.uniform(0.05, 0.3)])
-    kappas, thetas = rng.uniform(0.5, 1.5, size=2), rng.uniform(0.02, 0.2, size=2)
-    X_list = [rng.uniform(0, 1, size=(3, 1)) for _ in range(2)]
-    g_list = [rng.standard_normal(3) for _ in range(2)]
+def _dense_oracle_case(rng, n_grid=3, n_latent=1, sizes=(3, 3)):
+    """Processes with ``sizes`` points each on an ``n_grid``-node 1-D grid
+    with ``n_latent`` latent functions: their workspaces, coupling
+    matrices and prior, and the latent posterior's mean and covariance by
+    dense conditioning of the joint Gaussian."""
+    grid = np.sort(rng.uniform(0, 1, size=n_grid))[:, None]
+    latent = LatentState(
+        grid, rng.standard_normal((n_latent, n_grid)), rng.uniform(0.05, 0.3, size=n_latent)
+    )
+    kappas = rng.uniform(0.5, 1.5, size=len(sizes))
+    thetas = rng.uniform(0.02, 0.2, size=len(sizes))
+    X_list = [rng.uniform(0, 1, size=(n, 1)) for n in sizes]
+    g_list = [rng.standard_normal(n) for n in sizes]
     prior = ConvolutionPrior(latent)
     spaces, A_ws = _spaces(prior, X_list, g_list, kappas, thetas)
 
     K_uu, A_list, D_list = _joint_blocks(X_list, latent, kappas, thetas)
     A = np.vstack(A_list)
-    Dblk = np.zeros((6, 6))
-    Dblk[:3, :3] = _jittered(_floored(D_list[0], kappas[0], thetas[0], latent.phis))
-    Dblk[3:, 3:] = _jittered(_floored(D_list[1], kappas[1], thetas[1], latent.phis))
+    Dblk = block_diag(*[
+        _jittered(_floored(D, kappa, theta, latent.phis))
+        for D, kappa, theta in zip(D_list, kappas, thetas)
+        if len(D)
+    ])
     S_gg = A @ K_uu @ A.T + Dblk
     S_gu = A @ K_uu
     g = np.concatenate(g_list)
@@ -463,6 +470,18 @@ def _dense_oracle_case(rng):
     mean_o = S_gu.T @ inv @ g
     cov_o = K_uu - S_gu.T @ inv @ S_gu
     return spaces, A_ws, prior, mean_o, cov_o
+
+
+def _assert_draws_follow(draws, mean_o, cov_o):
+    """The mean and covariance of ``draws`` (n, dim) lie within 4 standard
+    errors of ``mean_o`` and ``cov_o``."""
+    n = draws.shape[0]
+    se_mean = np.sqrt(np.diag(cov_o) / n)
+    assert np.all(np.abs(draws.mean(axis=0) - mean_o) < 4 * se_mean)
+    # the variance of a Gaussian sample covariance entry is (S_ii S_jj + S_ij^2) / n
+    var = np.diag(cov_o)
+    se_cov = np.sqrt((np.outer(var, var) + cov_o**2) / n)
+    assert np.all(np.abs(np.cov(draws.T) - cov_o) < 4 * se_cov)
 
 
 class TestLatentPosterior:
@@ -491,14 +510,64 @@ class TestLatentPosterior:
         within 4 standard errors of the dense oracle's."""
         spaces, A_ws, prior, mean_o, cov_o = _dense_oracle_case(np.random.default_rng(5))
         rng = np.random.default_rng(11)
-        n = 20_000
-        draws = np.array([sample_latent_posterior(spaces, prior, rng, A_ws)[0] for _ in range(n)])
-        se_mean = np.sqrt(np.diag(cov_o) / n)
-        assert np.all(np.abs(draws.mean(axis=0) - mean_o) < 4 * se_mean)
-        # the variance of a Gaussian sample covariance entry is (S_ii S_jj + S_ij^2) / n
-        var = np.diag(cov_o)
-        se_cov = np.sqrt((np.outer(var, var) + cov_o**2) / n)
-        assert np.all(np.abs(np.cov(draws.T) - cov_o) < 4 * se_cov)
+        draws = np.array([sample_latent_posterior(spaces, prior, rng, A_ws)[0] for _ in range(20_000)])
+        _assert_draws_follow(draws, mean_o, cov_o)
+
+    @pytest.mark.parametrize("n_latent", [1, 2])
+    def test_data_space_draws_follow_the_dense_oracle(self, n_latent):
+        """Five points over three processes, one without points, on an
+        eight-node grid: fewer points than latent values, so the draw goes
+        through the data-space system. 20 000 draws lie within 4 standard
+        errors of the dense oracle's mean and covariance. With one latent
+        function the residual covariances are large and a draw without the
+        noise term is too narrow; with two the smallest residual variance
+        is 1.5e-8 and a jittered data-space system is off in the mean."""
+        spaces, A_ws, prior, mean_o, cov_o = _dense_oracle_case(
+            np.random.default_rng(5), n_grid=8, n_latent=n_latent, sizes=(3, 0, 2)
+        )
+        rng = np.random.default_rng(11)
+        draws = np.array(
+            [sample_latent_posterior(spaces, prior, rng, A_ws).ravel() for _ in range(20_000)]
+        )
+        _assert_draws_follow(draws, mean_o, cov_o)
+
+    def test_many_points_draw_in_precision_form(self):
+        # at least as many points as latent values: the precision-form draw,
+        # byte for byte, from the same generator state
+        rng = np.random.default_rng(8)
+        for n_latent, sizes in [(1, (3, 3)), (2, (4, 0, 2))]:
+            spaces, A_ws, prior, _, _ = _dense_oracle_case(rng, n_latent=n_latent, sizes=sizes)
+            got = sample_latent_posterior(spaces, prior, np.random.default_rng(3), A_ws)
+            want = mvn_sample(*latent_posterior(spaces, prior, A_ws), np.random.default_rng(3))
+            assert got.tobytes() == want.tobytes()
+
+    def test_failed_data_space_factor_falls_back_to_precision_form(self, monkeypatch):
+        spaces, A_ws, prior, _, _ = _dense_oracle_case(
+            np.random.default_rng(9), n_grid=8, sizes=(3, 0, 2)
+        )
+
+        def failing(a):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(depcox.convolution, "cholesky", failing)
+        rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+        got = sample_latent_posterior(spaces, prior, rng, A_ws)
+        want = mvn_sample(*latent_posterior(spaces, prior, A_ws), ref)
+        assert got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_no_points_draw_the_prior(self):
+        grid = np.linspace(0, 1, 6)[:, None]
+        prior = ConvolutionPrior(LatentState(grid, np.zeros((2, 6)), [0.05, 0.2]))
+        empty = np.zeros((0, 1))
+        spaces, A_ws = _spaces(prior, [empty, empty], [np.zeros(0)] * 2, [1.0, 1.0], [0.05, 0.05])
+        got = sample_latent_posterior(spaces, prior, np.random.default_rng(4), A_ws)
+        z = np.random.default_rng(4).standard_normal(12)
+        want = [f.from_eigen(z[q * 6 : (q + 1) * 6] / f.s) for q, f in enumerate(prior.factors)]
+        assert got.tobytes() == np.stack(want).tobytes()
+        rng = np.random.default_rng(12)
+        draws = np.array([sample_latent_posterior(spaces, prior, rng, A_ws)[1] for _ in range(20_000)])
+        _assert_draws_follow(draws, np.zeros(6), _jittered(gauss_gram(grid, grid, 0.2)))
 
     def test_duplicated_data_tightens_posterior(self):
         rng = np.random.default_rng(6)

@@ -256,6 +256,35 @@ class TestRunChain:
         assert len(stages) == 2 * 5
         assert factored == []
 
+    @pytest.mark.parametrize("dim, per_axis, precision_form", [(2, 8, False), (1, 5, True)])
+    def test_latent_precision_only_with_more_points_than_latent_values(
+        self, monkeypatch, dim, per_axis, precision_form
+    ):
+        # a 2D run on an 8x8 grid holds fewer points than its 64 latent
+        # values, so the latent draw never forms the (Q*J)^2 precision; a 1D
+        # run on a 5-node grid holds more and forms it once per sweep
+        region = Region([0.0] * dim, [1.0] * dim)
+        rng = np.random.default_rng(50 + dim)
+        truth = sample_ground_truth(region, 2, 1, rng, lambda_star_range=(20.0, 25.0), grid_per_axis=6)
+        data = sample_events(truth, rng)
+        points, posteriors = [], []
+        posterior, sample = depcox.convolution.latent_posterior, depcox.engine.sample_latent_posterior
+
+        def recording_posterior(*args):
+            posteriors.append(1)
+            return posterior(*args)
+
+        def recording_sample(spaces, *args):
+            points.append(sum(ws.g.size for ws in spaces))
+            return sample(spaces, *args)
+
+        monkeypatch.setattr(depcox.convolution, "latent_posterior", recording_posterior)
+        monkeypatch.setattr(depcox.engine, "sample_latent_posterior", recording_sample)
+        run_chain_with_info(data, region, _small_config(n_iters=6, burn_in=0, grid_per_axis=per_axis))
+        assert len(points) == 6
+        assert all((n >= per_axis**dim) == precision_form for n in points)
+        assert len(posteriors) == (6 if precision_form else 0)
+
     def test_rejects_events_outside_region(self):
         data = [EventSet(np.array([[1.5]]))]
         with pytest.raises(ValidationError):

@@ -4,7 +4,11 @@
 
 Run from the root of a checkout; the program is imported from ``src/``.
 Each case fits a seeded data set with BLAS pinned to one thread and prints
-the sampler's own sweeps/s (``RunInfo``):
+the sampler's own sweeps/s (``RunInfo``), beside the number of latent
+values Q*J and the range of N, the points over all processes, across the
+retained sweeps. The latent posterior is drawn through an N x N system
+when N < Q*J and through the (Q*J)^2 precision otherwise, so the two
+columns show which form each sweep used:
 
 * ``2d-20x20``: two coupled processes on the unit square, J = 400, the
   latent grid of the benchmark's ``2d-grid400``;
@@ -45,7 +49,9 @@ PRIORS = PriorConfig(
 CASES = [("2d-20x20", 2, 2, 20), ("2d-40x40", 2, 2, 40), ("3d-10x10x10", 3, 1, 10)]
 
 
-def probe(dim: int, n_processes: int, per_axis: int, sweeps: int, seed: int) -> float:
+def probe(dim: int, n_processes: int, per_axis: int, sweeps: int, seed: int) -> tuple:
+    """The sampler's sweeps/s and the fewest and most points, over all
+    processes, of its sweeps."""
     region = Region([0.0] * dim, [1.0] * dim)
     rng = np.random.default_rng([seed, dim])
     truth = sample_ground_truth(
@@ -55,8 +61,9 @@ def probe(dim: int, n_processes: int, per_axis: int, sweeps: int, seed: int) -> 
     config = RunConfig(
         n_iters=sweeps, burn_in=0, seed=seed, grid_per_axis=per_axis, priors=PRIORS
     )
-    _, info = run_chain_with_info(events, region, config)
-    return info.iterations_per_second
+    samples, info = run_chain_with_info(events, region, config)
+    points = [sum(g.size for g in s.g_values) for s in samples]
+    return info.iterations_per_second, min(points), max(points)
 
 
 def main(argv=None) -> int:
@@ -65,8 +72,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     for name, dim, n_processes, per_axis in CASES:
-        rate = probe(dim, n_processes, per_axis, args.sweeps, args.seed)
-        print(f"{name:12s} J={per_axis ** dim:5d}  {rate:7.2f} sweeps/s")
+        rate, n_min, n_max = probe(dim, n_processes, per_axis, args.sweeps, args.seed)
+        print(f"{name:12s} Q*J={per_axis ** dim:5d}  N={n_min:4d}-{n_max:<4d} {rate:7.2f} sweeps/s")
     return 0
 
 
