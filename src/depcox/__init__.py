@@ -38,7 +38,6 @@ from .gaussian import (
 )
 from .generate import (
     GroundTruth,
-    bump_intensity,
     low_intensity_fraction,
     make_benchmark_bank,
     sample_events,
@@ -76,7 +75,6 @@ from .thinning import (
     accept_insert,
     accept_move,
     assign_rate,
-    default_ladder,
     estimate_total,
     thinned_prob,
 )

@@ -57,18 +57,15 @@ def cmd_generate(args) -> int:
     cfg = io.load_config(args.config)
     seed = cfg.run.seed if args.seed is None else args.seed
     rng = np.random.default_rng(seed)
-    gen = dict(cfg.generate)
-    n_proc = int(gen.pop("n_processes", 4))
-    gen.setdefault("grid_per_axis", cfg.run.grid_per_axis)
-    gen.setdefault("grid_pad", cfg.run.grid_pad)
-    truth = sample_ground_truth(cfg.region, n_proc, cfg.run.n_latent, rng, **gen)
+    gen = io.generate_args(cfg)
+    truth = sample_ground_truth(cfg.region, n_latent=cfg.run.n_latent, rng=rng, **gen)
     events = sample_events(truth, rng)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for ev in events:
         io.write_event_file(out / f"events_{ev.process_id}.csv", ev, cfg.region.dim)
     io.save_truth(out / "truth_manifest.json", truth)
-    print(f"wrote {n_proc} event files and truth_manifest.json to {out}")
+    print(f"wrote {len(events)} event files and truth_manifest.json to {out}")
     return 0
 
 
@@ -119,7 +116,7 @@ def cmd_eval(args) -> int:
         raise ValidationError(
             f"archive has {len(archive.train)} processes but test data has {len(test)}"
         )
-    quad = Quadrature.for_region(region, archive.config.quad_resolution())
+    quad = Quadrature.for_region(region)
     truth = io.load_truth(args.truth) if args.truth else None
     rows = _model_rows("ours", archive.samples, archive.config.run, archive, test, quad, truth)
     if args.baselines:

@@ -123,13 +123,16 @@ class LatentState:
         return self.grid.shape[0]
 
 
-def latent_grid(region, per_axis: int, pad: float = 0.1) -> np.ndarray:
-    """Evenly spaced inducing grid spanning the region extended by ``pad`` per side."""
+GRID_PAD = 0.1  # the latent grid's extension past each side of the region, per axis length
+
+
+def latent_grid(region, per_axis: int) -> np.ndarray:
+    """Evenly spaced inducing grid spanning the region extended by ``GRID_PAD`` per side."""
     if per_axis < 2:
         raise ValidationError("need at least 2 grid points per axis")
     axes = []
     for lo, hi in zip(region.lower, region.upper):
-        ext = pad * (hi - lo)
+        ext = GRID_PAD * (hi - lo)
         axes.append(np.linspace(lo - ext, hi + ext, per_axis))
     return ProductGrid(axes).nodes
 

@@ -71,6 +71,9 @@ class RunConfig:
     takes ``n_steps`` leapfrog steps, at those kernels' defaults in
     ``sgcp``; the starting step sizes are ``HMC_STEP_SIZE`` and
     ``PHI_STEP_SIZE`` here, and both steps always adapt during burn-in.
+    The latent grid extends past the region by ``convolution.GRID_PAD``
+    of its length per side, and a point takes the lowest ladder level
+    whose ``thinning.SLACK`` fraction covers its sigmoid.
     """
 
     n_iters: int = 1000
@@ -80,7 +83,6 @@ class RunConfig:
     ladder: RateLadder = field(default_factory=RateLadder)
     n_latent: int = 1
     grid_per_axis: int = 20
-    grid_pad: float = 0.1
     priors: PriorConfig = field(default_factory=PriorConfig)
     independent: bool = False
 
@@ -178,7 +180,7 @@ def run_chain_with_info(data, region: Region, config: RunConfig):
     ]
     latent_rng = streams[n_proc]
 
-    grid = latent_grid(region, config.grid_per_axis, config.grid_pad)
+    grid = latent_grid(region, config.grid_per_axis)
     if config.independent:
         latent = None
         prior = IndependentPrior(np.exp(priors.phi_log_mean), region.dim)
@@ -337,7 +339,7 @@ def _sample_priors(samples, region: Region, config: RunConfig):
         for _ in samples:
             yield prior
         return
-    inducing = latent_grid(region, config.grid_per_axis, config.grid_pad)
+    inducing = latent_grid(region, config.grid_per_axis)
     factors = ()
     for s in samples:
         prior = ConvolutionPrior(LatentState(inducing, s.latent_values, s.phis), factors)
@@ -412,7 +414,8 @@ def intensity_samples(samples, X, data, region: Region, config: RunConfig, grid=
 
 def effective_sample_size(trace) -> float:
     """Autocorrelation-time estimate with pairwise-positive truncation,
-    capped at the trace length."""
+    capped at the trace length. The benchmark's ``ess_per_s`` metrics
+    (``perfbench/run.py``) are this over seconds: changing it changes them."""
     x = np.asarray(trace, dtype=float)
     n = x.size
     if n < 2:

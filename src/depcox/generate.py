@@ -66,7 +66,6 @@ def sample_ground_truth(
     n_latent: int,
     rng: np.random.Generator,
     grid_per_axis: int = 20,
-    grid_pad: float = 0.1,
     phi_range: tuple[float, float] = (0.004, 0.02),
     theta_range: tuple[float, float] = (0.002, 0.01),
     kappa_range: tuple[float, float] = (0.7, 1.6),
@@ -77,7 +76,7 @@ def sample_ground_truth(
     Defaults are scaled for a unit region; pass ranges explicitly for
     anything else.
     """
-    grid = latent_grid(region, grid_per_axis, grid_pad)
+    grid = latent_grid(region, grid_per_axis)
     phis = _log_uniform(rng, phi_range, n_latent)
     weights = np.zeros((n_latent, grid.shape[0]))
     for q in range(n_latent):
@@ -170,28 +169,3 @@ def make_benchmark_bank(
         bank.append(truth)
     return bank
 
-
-def bump_intensity(
-    region: Region,
-    rng: np.random.Generator,
-    lambda_star: float = 60.0,
-    n_bumps: int = 4,
-    width_range: tuple[float, float] = (0.02, 0.08),
-):
-    """A mismatched test intensity: sigmoid of off-grid random bumps.
-
-    Not expressible on the model's basis; used for robustness checks.
-    Returns (intensity callable, lambda_star).
-    """
-    centers = region.uniform(n_bumps, rng)
-    widths = _log_uniform(rng, width_range, n_bumps) * float(np.mean(region.axis_lengths))
-    heights = rng.uniform(-3.0, 3.0, size=n_bumps)
-
-    def intensity(X):
-        X = _as_points(X)
-        g = np.full(X.shape[0], -1.0)
-        for c, w, h in zip(centers, widths, heights):
-            g = g + h * np.exp(-0.5 * np.sum((X - c) ** 2, axis=1) / w**2)
-        return lambda_star * expit(g)
-
-    return intensity, lambda_star

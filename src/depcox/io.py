@@ -15,13 +15,14 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field, fields, is_dataclass
+from inspect import signature
 from pathlib import Path
 
 import numpy as np
 
 from .engine import PosteriorSample, RunConfig
 from .errors import ValidationError
-from .generate import GroundTruth
+from .generate import GroundTruth, sample_ground_truth
 from .sgcp import EventSet, PriorConfig, Region
 from .thinning import RateLadder
 
@@ -203,21 +204,23 @@ def _event_table(path) -> tuple[int, list]:
 @dataclass
 class ShellConfig:
     """Fully validated run configuration loaded from a JSON config file,
-    which holds the ``RunConfig`` fields at its top level, the ladder as
-    ``ladder`` (its levels) and ``slack``."""
+    which holds the ``RunConfig`` fields at its top level and the ladder as
+    ``ladder`` (its levels).
+
+    Fixed, not configured: ``eval`` integrates on the quadrature of
+    ``Quadrature.for_region``'s dimension default, the ladder's levels are
+    scaled by ``thinning.SLACK`` and the latent grid is padded by
+    ``convolution.GRID_PAD`` (see ``RunConfig`` for the sampler's own).
+    """
 
     region: Region
     run: RunConfig
-    quadrature_resolution: int = 0  # 0 means the dimension default
     train_fraction: float = 0.75
     generate: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not 0.0 < self.train_fraction <= 1.0:
             raise ValidationError("train_fraction must lie in (0, 1]")
-
-    def quad_resolution(self) -> int | None:
-        return self.quadrature_resolution or None
 
 
 def load_config(path) -> ShellConfig:
@@ -226,15 +229,17 @@ def load_config(path) -> ShellConfig:
 
 # Keys that configs and archives written by earlier versions may hold:
 # settings that are now fixed (the insertion probability, the leapfrog
-# steps, the starting step sizes and whether they adapt; see ``RunConfig``)
-# or gone (the worker count). Their values are not read. They load without
-# a warning because every archive written before holds them in its
-# config.json, and a warning on each eval of such an archive would flag
-# nothing wrong.
+# steps, the starting step sizes and whether they adapt, the ladder's
+# slack, the latent grid's padding and the quadrature resolution; see
+# ``RunConfig`` and ``ShellConfig``) or gone (the worker count). Their
+# values are not read. They load without a warning because every archive
+# written before holds them in its config.json, and a warning on each eval
+# of such an archive would flag nothing wrong.
 RETIRED_KEYS = {
     "parallel_workers", "insert_prob", "hmc_steps", "hmc_step_size", "phi_step_size", "adapt",
+    "slack", "grid_pad", "quadrature_resolution",
 }
-_CONFIG_KEYS = {"region", "ladder", "slack", "priors"} | {
+_CONFIG_KEYS = {"region", "ladder", "priors"} | {
     f.name for cls in (RunConfig, ShellConfig) for f in fields(cls)
 }
 _PRIOR_KEYS = {f.name for f in fields(PriorConfig)}
@@ -250,11 +255,10 @@ def config_from_dict(raw: dict) -> ShellConfig:
     if unknown:
         warnings.warn(f"unknown config keys ignored: {', '.join(unknown)}", stacklevel=2)
     region = _region(raw)
-    levels, slack = raw.get("ladder", list(RateLadder.levels)), raw.get("slack", RateLadder.slack)
-    if not (isinstance(levels, list) and all(map(_is_number, levels)) and _is_number(slack)):
-        raise ValidationError(f"config keys ladder and slack must be a list of numbers and a number, "
-                              f"got {levels!r} and {slack!r}")
-    ladder = RateLadder(tuple(levels), slack)
+    levels = raw.get("ladder", list(RateLadder.levels))
+    if not (isinstance(levels, list) and all(map(_is_number, levels))):
+        raise ValidationError(f"config key ladder must be a list of numbers, got {levels!r}")
+    ladder = RateLadder(tuple(levels))
     priors = raw.get("priors", {})
     if not isinstance(priors, dict):
         raise ValidationError(f"config key priors must be an object, got {priors!r}")
@@ -266,12 +270,37 @@ def config_from_dict(raw: dict) -> ShellConfig:
     return ShellConfig(**_given(ShellConfig, raw) | {"region": region, "run": run})
 
 
+def generate_args(cfg: ShellConfig) -> dict:
+    """The arguments but the region, the latent count and the stream with
+    which ``depcox generate`` calls ``sample_ground_truth``: 4 processes,
+    the run's grid size and the ranges' defaults, each replaced by the
+    config's ``generate`` entry of its name. An entry that names no such
+    argument, or is not of its default's kind (a positive integer, or a list
+    of as many numbers), raises ``ValidationError`` naming ``generate.<key>``."""
+    params = signature(sample_ground_truth).parameters
+    out = {"n_processes": 4} | {k: p.default for k, p in params.items() if p.default is not p.empty}
+    out["grid_per_axis"] = cfg.run.grid_per_axis
+    for key, value in cfg.generate.items():
+        if key not in out:
+            raise ValidationError(f"unknown config key generate.{key}")
+        default = out[key]
+        if isinstance(default, int):
+            ok, kind = _KINDS["int"][1](value) and value > 0, "a positive integer"
+        else:
+            numbers = _numbers(value, 1)
+            ok, kind = numbers is not None and numbers.size == len(default), f"{len(default)} numbers"
+        if not ok:
+            raise ValidationError(f"config key generate.{key} must be {kind}, got {value!r}")
+        out[key] = value
+    return out
+
+
 def config_to_dict(cfg: ShellConfig) -> dict:
     shell = _to_json(cfg)
     run = shell.pop("run")
     ladder = run.pop("ladder")
     region = shell.pop("region")
-    return {"region": region, "ladder": list(ladder["levels"]), "slack": ladder["slack"], **run, **shell}
+    return {"region": region, "ladder": list(ladder["levels"]), **run, **shell}
 
 
 # ---------------------------------------------------------------------------

@@ -17,17 +17,17 @@ import numpy as np
 
 from .errors import ValidationError
 
+# Newly assigned sigmoid values stay below SLACK times their level, so the
+# function can move without immediately hitting the bound.
+SLACK = 0.9
+
 
 @dataclass(frozen=True)
 class RateLadder:
-    """Ordered bound fractions ``levels`` (last one exactly 1) with slack.
-
-    ``slack`` keeps newly assigned function values strictly below their
-    level so the function can move without immediately hitting the bound.
-    """
+    """Ordered bound fractions ``levels`` (last one exactly 1); a value is
+    assigned against each level scaled by ``SLACK``."""
 
     levels: tuple[float, ...] = (1.0,)
-    slack: float = 0.9
 
     def __post_init__(self):
         levels = tuple(float(v) for v in self.levels)
@@ -40,11 +40,9 @@ class RateLadder:
             raise ValidationError(f"levels must be strictly increasing: {levels}")
         if levels[-1] != 1.0:
             raise ValidationError(f"last level must be exactly 1: {levels}")
-        if not 0.0 < self.slack < 1.0:
-            raise ValidationError(f"slack must lie in (0, 1): {self.slack}")
         # the slack-scaled levels ``assign`` searches, each rounded as
-        # ``as_array() * slack`` rounds it
-        object.__setattr__(self, "_scaled", tuple(v * self.slack for v in levels))
+        # ``as_array() * SLACK`` rounds it
+        object.__setattr__(self, "_scaled", tuple(v * SLACK for v in levels))
 
     @property
     def n_levels(self) -> int:
@@ -61,13 +59,6 @@ class RateLadder:
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.levels)
-
-
-def default_ladder(n_levels: int, slack: float = 0.9) -> RateLadder:
-    """Halving ladder with ``n_levels`` entries, e.g. 3 -> (1/4, 1/2, 1)."""
-    if n_levels < 1:
-        raise ValidationError("n_levels must be at least 1")
-    return RateLadder(tuple(2.0 ** -(n_levels - 1 - i) for i in range(n_levels)), slack)
 
 
 def assign_rate(sigmoid_value, ladder: RateLadder):

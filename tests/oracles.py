@@ -3,10 +3,12 @@
 Each is the plain textbook form of something the library computes in a
 faster or more structured way: single-pair kernel densities and
 covariances, a Gaussian given by its mean and covariance with dense
-conditioning, log densities and draws, and a prior that pins the function
-to a known surface. The last group keeps the earlier formulas of
-primitives the kernels call thousands of times a sweep, which the library
-now evaluates with fewer numpy calls or copies and must match bit for bit.
+conditioning, log densities and draws, a prior that pins the function
+to a known surface, and two test inputs: a halving rate ladder and an
+intensity off the model's basis. The last group keeps the earlier
+formulas of primitives the kernels call thousands of times a sweep, which
+the library now evaluates with fewer numpy calls or copies and must match
+bit for bit.
 """
 
 from __future__ import annotations
@@ -15,10 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lapack, solve_triangular
+from scipy.special import expit
 
 from depcox.convolution import MARGINAL_FLOOR, ConvolutionPrior
 from depcox.errors import NumericalError, ValidationError
-from depcox.gaussian import JITTER_SCALE, MAX_JITTER_DOUBLINGS, cholesky, cholesky_with_jitter
+from depcox.gaussian import JITTER_SCALE, MAX_JITTER_DOUBLINGS, _as_points, cholesky, cholesky_with_jitter
+from depcox.thinning import SLACK, RateLadder
 
 
 def gauss_density(x, z, variance: float) -> float:
@@ -164,6 +168,41 @@ class FixedFunctionPrior:
         return w, float(self.mean(x, w, kappa)[0]), 0.0, np.zeros(np.asarray(pts).shape[0])
 
 
+def default_ladder(n_levels: int) -> RateLadder:
+    """Halving ladder with ``n_levels`` entries, e.g. 3 -> (1/4, 1/2, 1)."""
+    if n_levels < 1:
+        raise ValidationError("n_levels must be at least 1")
+    return RateLadder(tuple(2.0 ** -(n_levels - 1 - i) for i in range(n_levels)))
+
+
+def bump_intensity(
+    region,
+    rng: np.random.Generator,
+    lambda_star: float = 60.0,
+    n_bumps: int = 4,
+    width_range: tuple[float, float] = (0.02, 0.08),
+):
+    """A mismatched test intensity: sigmoid of off-grid random bumps.
+
+    Not expressible on the model's basis; used for robustness checks.
+    Returns (intensity callable, lambda_star).
+    """
+    centers = region.uniform(n_bumps, rng)
+    lo, hi = width_range
+    widths = np.exp(rng.uniform(np.log(lo), np.log(hi), size=n_bumps))  # log-uniform
+    widths *= float(np.mean(region.axis_lengths))
+    heights = rng.uniform(-3.0, 3.0, size=n_bumps)
+
+    def intensity(X):
+        X = _as_points(X)
+        g = np.full(X.shape[0], -1.0)
+        for c, w, h in zip(centers, widths, heights):
+            g = g + h * np.exp(-0.5 * np.sum((X - c) ** 2, axis=1) / w**2)
+        return lambda_star * expit(g)
+
+    return intensity, lambda_star
+
+
 def cholesky_with_jitter_copies(cov) -> tuple[np.ndarray, float]:
     """``cholesky_with_jitter`` as it was first written: a symmetrised copy,
     a shifted copy per attempt and LAPACK's own Fortran-order copy."""
@@ -186,7 +225,7 @@ def cholesky_with_jitter_copies(cov) -> tuple[np.ndarray, float]:
 def assign_rate_searchsorted(sigmoid_value, ladder) -> int:
     """A scalar's level index by ``searchsorted`` on the slack-scaled
     levels, as ``thinning.assign_rate`` once computed it for every call."""
-    scaled = ladder.as_array() * ladder.slack
+    scaled = ladder.as_array() * SLACK
     idx = np.searchsorted(scaled, sigmoid_value, side="left")
     return int(np.minimum(idx, ladder.n_levels - 1))
 

@@ -118,7 +118,7 @@ class TestOutputCov:
 class TestLatentGrid:
     def test_1d_span_and_count(self):
         region = Region([0.0], [1.0])
-        grid = latent_grid(region, 20, pad=0.1)
+        grid = latent_grid(region, 20)
         assert grid.shape == (20, 1)
         assert grid[0, 0] == pytest.approx(-0.1)
         assert grid[-1, 0] == pytest.approx(1.1)

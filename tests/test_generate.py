@@ -10,7 +10,6 @@ from scipy.special import expit, logit
 from depcox.errors import ValidationError
 from depcox.generate import (
     GroundTruth,
-    bump_intensity,
     low_intensity_fraction,
     make_benchmark_bank,
     sample_events,
@@ -18,7 +17,7 @@ from depcox.generate import (
     thin_events,
 )
 from depcox.sgcp import Region
-from oracles import gauss_density
+from oracles import bump_intensity, gauss_density
 
 UNIT = Region([0.0], [1.0])
 

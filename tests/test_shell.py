@@ -25,14 +25,14 @@ from depcox.thinning import RateLadder
 # The keys of an archive's config.json and of each samples.jsonl record.
 # Archives written earlier hold exactly these, so they are the file format.
 CONFIG_KEYS = {
-    "region", "ladder", "slack", "n_iters", "burn_in", "thin_every", "seed", "n_latent",
-    "grid_per_axis", "grid_pad", "priors", "independent", "quadrature_resolution",
-    "train_fraction", "generate",
+    "region", "ladder", "n_iters", "burn_in", "thin_every", "seed", "n_latent",
+    "grid_per_axis", "priors", "independent", "train_fraction", "generate",
 }
-# Sampler settings that configs and archives written earlier hold, each off
-# the value the sampler now fixes.
+# Settings that configs and archives written earlier hold, each off the
+# value the program now fixes.
 RETIRED_SETTINGS = {
     "insert_prob": 0.3, "hmc_steps": 4, "hmc_step_size": 0.3, "phi_step_size": 3.0, "adapt": False,
+    "slack": 0.8, "grid_pad": 0.2, "quadrature_resolution": 128,
 }
 SAMPLE_KEYS = {
     "iteration", "lambda_stars", "kappas", "thetas", "phis", "latent_values", "thinned",
@@ -44,7 +44,6 @@ def _write_config(path: Path, **overrides) -> Path:
     cfg = {
         "region": {"lower": [0.0], "upper": [1.0]},
         "ladder": [1.0],
-        "slack": 0.9,
         "n_iters": 40,
         "burn_in": 10,
         "thin_every": 1,
@@ -60,7 +59,6 @@ def _write_config(path: Path, **overrides) -> Path:
             "phi_log_mean": float(np.log(0.01)),
             "phi_log_sd": 0.7,
         },
-        "quadrature_resolution": 128,
         "train_fraction": 0.75,
         "generate": {
             "n_processes": 2,
@@ -215,12 +213,12 @@ class TestUnreadableInputs:
 class TestSerializers:
     def _config_off_defaults(self):
         run = RunConfig(
-            n_iters=7, burn_in=2, thin_every=3, seed=5, ladder=RateLadder((0.25, 0.5, 1.0), 0.8),
-            n_latent=2, grid_per_axis=6, grid_pad=0.2,
+            n_iters=7, burn_in=2, thin_every=3, seed=5, ladder=RateLadder((0.25, 0.5, 1.0)),
+            n_latent=2, grid_per_axis=6,
             priors=PriorConfig(2.0, 0.5, 0.1, 0.6, -3.0, 0.4, -4.0, 0.3), independent=True,
         )
         return io.ShellConfig(
-            Region([0.0, -1.0], [2.0, 1.0]), run, quadrature_resolution=32, train_fraction=0.5,
+            Region([0.0, -1.0], [2.0, 1.0]), run, train_fraction=0.5,
             generate={"n_processes": 3, "lambda_star_range": [5.0, 9.0]},
         )
 
@@ -232,12 +230,12 @@ class TestSerializers:
             for f in fields(obj):
                 assert getattr(obj, f.name) != getattr(default, f.name), f.name
         default_shell = io.ShellConfig(Region([0.0], [1.0]), default_run)
-        for name in ("quadrature_resolution", "train_fraction", "generate"):
+        for name in ("train_fraction", "generate"):
             assert getattr(cfg, name) != getattr(default_shell, name)
         back = io.config_from_dict(json.loads(json.dumps(io.config_to_dict(cfg))))
         assert back.run == cfg.run
         _assert_same_fields(cfg.region, back.region)
-        for name in ("quadrature_resolution", "train_fraction", "generate"):
+        for name in ("train_fraction", "generate"):
             assert getattr(back, name) == getattr(cfg, name)
 
     def test_config_keys_are_the_file_format(self, tmp_path):
@@ -248,7 +246,7 @@ class TestSerializers:
     def test_config_without_optional_keys_takes_the_defaults(self):
         cfg = io.config_from_dict({"region": {"lower": [0.0], "upper": [1.0]}})
         assert cfg.run == RunConfig()
-        assert (cfg.quadrature_resolution, cfg.train_fraction, cfg.generate) == (0, 0.75, {})
+        assert (cfg.train_fraction, cfg.generate) == (0.75, {})
 
     @pytest.mark.parametrize("independent", [False, True])
     def test_archive_samples_round_trip_exactly(self, tmp_path, independent):
@@ -315,6 +313,26 @@ class TestGenerate:
         for d in range(2):
             assert (out / f"events_{d}.csv").read_text() == "process_id,x1\n"
 
+    @pytest.mark.parametrize(
+        "entry,key",
+        [
+            ({"bogus": 1}, "generate.bogus"),
+            ({"grid_pad": 0.1}, "generate.grid_pad"),
+            ({"n_processes": "2"}, "generate.n_processes"),
+            ({"n_processes": -1}, "generate.n_processes"),
+            ({"grid_per_axis": 6.0}, "generate.grid_per_axis"),
+            ({"lambda_star_range": 20.0}, "generate.lambda_star_range"),
+            ({"kappa_range": [0.7, 1.6, 2.0]}, "generate.kappa_range"),
+        ],
+    )
+    def test_unknown_or_malformed_entry_exits_2_naming_it(self, tmp_path, capsys, entry, key):
+        cfg = _write_config(tmp_path, generate=entry)
+        out = tmp_path / "gen"
+        assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+        io.load_config(cfg)  # only generate reads the entries: fit and eval load it
+
     def test_truth_manifest_round_trip(self, tmp_path):
         cfg = _write_config(tmp_path)
         out = tmp_path / "gen"
@@ -377,7 +395,7 @@ class TestFit:
             ({"priors": {"lambda_alfa": 2.0}}, "lambda_alfa"),
             ({"n_iters": "20"}, "n_iters"),
             ({"independent": "no"}, "independent"),
-            ({"slack": "0.9"}, "slack"),
+            ({"ladder": [0.5, "1"]}, "ladder"),
         ],
     )
     def test_malformed_config_exits_2_naming_the_key(self, tmp_path, capsys, override, key):
@@ -485,7 +503,7 @@ class TestEval:
         rows = [r.split(",") for r in (tmp_path / "r.csv").read_text().splitlines()[1:]]
         got = [float(r[3]) for r in rows if r[2] == "l2_error"]
         loaded, truth = io.load_archive(arch), io.load_truth(gen / "truth_manifest.json")
-        quad = Quadrature.for_region(loaded.config.region, loaded.config.quad_resolution())
+        quad = Quadrature.for_region(loaded.config.region)
         lam = summarize(
             loaded.samples, quad.grid, loaded.train, loaded.config.region, loaded.config.run
         ).intensity_mean
@@ -510,7 +528,7 @@ class TestEval:
         main(["eval", str(arch), "--out", str(report)])
         loaded = io.load_archive(arch)
         assert len(loaded.samples) == 1
-        quad = Quadrature.for_region(loaded.config.region, 128)
+        quad = Quadrature.for_region(loaded.config.region)
         lam_grid = intensity_samples(
             loaded.samples, quad.nodes, loaded.train, loaded.config.region, loaded.config.run
         )
@@ -558,7 +576,8 @@ class TestEval:
         truth = str(gen / "truth_manifest.json")
         assert main(["eval", str(arch), "--truth", truth, "--out", str(tmp_path / "r.csv")]) == 0
         assert main(["export-grid", str(arch), "--out", str(tmp_path / "g"), "--resolution", "100"]) == 0
-        assert shapes and not any(n in shape for shape in shapes for n in (128, 100))
+        n_nodes = Quadrature.for_region(io.load_archive(arch).config.region).nodes.shape[0]
+        assert shapes and not any(n in shape for shape in shapes for n in (n_nodes, 100))
 
     def test_test_file_of_other_dimension_exits_2_naming_the_file(self, tmp_path, capsys):
         cfg = _write_config(

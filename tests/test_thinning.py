@@ -4,19 +4,19 @@ import numpy as np
 import pytest
 
 from depcox.errors import ValidationError
-from oracles import assign_rate_searchsorted
+from oracles import assign_rate_searchsorted, default_ladder
 from depcox.thinning import (
+    SLACK,
     RateLadder,
     accept_delete,
     accept_insert,
     accept_move,
     assign_rate,
-    default_ladder,
     estimate_total,
     thinned_prob,
 )
 
-TWO_LEVEL = RateLadder((0.5, 1.0), slack=0.9)
+TWO_LEVEL = RateLadder((0.5, 1.0))
 
 
 # single-bound oracles, written straight from the unmodified acceptance ratios
@@ -42,8 +42,6 @@ class TestRateLadder:
             RateLadder((0.5, 0.9))  # last not 1
         with pytest.raises(ValidationError):
             RateLadder((1.0, 0.5, 1.0))
-        with pytest.raises(ValidationError):
-            RateLadder((0.5, 1.0), slack=1.0)
         with pytest.raises(ValidationError):
             RateLadder((0.0, 1.0))
 
@@ -81,11 +79,11 @@ class TestAssignRate:
         idx = assign_rate(sig, ladder)
         assert np.all(np.diff(idx) >= 0)
 
-    @pytest.mark.parametrize("ladder", [RateLadder((1.0,)), TWO_LEVEL, default_ladder(3, 0.8)])
+    @pytest.mark.parametrize("ladder", [RateLadder((1.0,)), TWO_LEVEL, default_ladder(3)])
     def test_scalar_search_matches_the_array_path(self, ladder):
         # at each scaled level, the floats either side of it, 0, 1 and NaN:
         # bisect gives NaN index 0, searchsorted the top, as assign_rate must
-        scaled = ladder.as_array() * ladder.slack
+        scaled = ladder.as_array() * SLACK
         values = [0.0, 1.0, float("nan")] + [
             float(v) for s in scaled for v in (np.nextafter(s, 0.0), s, np.nextafter(s, 1.0))
         ]

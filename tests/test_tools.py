@@ -7,6 +7,7 @@ they import that a change renames or deletes fails here, not only at the
 next run of the script.
 """
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -34,9 +35,10 @@ def test_help_exits_0(script):
     assert "usage:" in out.stdout
 
 
-def _reference_tree(root: Path, g_step: float = 0.0, lambda_star: float = 2.0) -> Path:
+def _reference_tree(root: Path, g_step: float = 0.0, lambda_star: float = 2.0, config_edit=None) -> Path:
     """A ``tools/ref_archives.py`` tree of one hand-written workload: four
-    draws of one process whose function values move by ``g_step`` a draw."""
+    draws of one process whose function values move by ``g_step`` a draw.
+    ``config_edit``, if given, rewrites the dict of its ``config.json``."""
     cfg = io.config_from_dict({"region": {"lower": [0.0], "upper": [1.0]}, "grid_per_axis": 2})
     train, test = [EventSet(np.array([[0.25], [0.5]]))], [EventSet(np.array([[0.75]]))]
     samples = [
@@ -57,6 +59,9 @@ def _reference_tree(root: Path, g_step: float = 0.0, lambda_star: float = 2.0) -
     split = [{"process": 0, "train": [0, 1], "test": [2]}]
     io.save_archive(archive, cfg, train, test, split, samples, {}, {})
     io.write_report(archive / "eval.csv", [("process_0", "ours", "predictive_loglik", 1.0 + g_step)])
+    if config_edit is not None:
+        path = archive / "config.json"
+        path.write_text(json.dumps(config_edit(json.loads(path.read_text()))))
     return root
 
 
@@ -73,6 +78,7 @@ def test_compare_archives_reports_draws_values_and_ess(tmp_path):
     assert same.returncode == 0, same.stderr
     assert "samples.jsonl byte-identical: yes" in same.stdout
     assert "discrete draws and bounds identical: yes (4 draws)" in same.stdout
+    assert "config.json keys and values identical" in same.stdout
 
     moved = _compare(base, _reference_tree(tmp_path / "moved", g_step=0.25))
     assert moved.returncode == 0, moved.stderr
@@ -85,6 +91,15 @@ def test_compare_archives_reports_draws_values_and_ess(tmp_path):
     bound = _compare(base, _reference_tree(tmp_path / "bound", lambda_star=3.0))
     assert bound.returncode == 1
     assert "discrete draws and bounds identical: no (lambda_stars from draw 0)" in bound.stdout
+
+    # an older archive holding a retired setting and another grid size
+    older = _reference_tree(tmp_path / "old", config_edit=lambda cfg: {**cfg, "slack": 0.9, "grid_per_axis": 3})
+    old = _compare(base, older)
+    assert old.returncode == 0, old.stderr
+    assert "samples.jsonl byte-identical: yes" in old.stdout
+    assert "config slack: only in B (0.9)" in old.stdout
+    assert "config grid_per_axis: 2 -> 3" in old.stdout
+    assert "config.json keys and values identical" not in old.stdout
 
 
 def _ab_bench():

@@ -8,6 +8,8 @@ the ESS from ``perfbench/run.py``. ``A`` and ``B`` are trees written by
 workload, ``<tree>/<workload>/archive/``, it prints:
 
 * whether the two ``samples.jsonl`` are byte-identical;
+* each top-level ``config.json`` key that one side lacks or whose value
+  differs (a retired setting shows here), or that the two agree;
 * whether every draw's discrete parts and bounds are identical: its
   iteration, thinned points, levels, ``lambda_stars``, ``kappas``,
   ``thetas`` and ``phis``;
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import json
 import sys
 from pathlib import Path
 
@@ -62,6 +65,21 @@ def _largest_change(sa, sb, name: str) -> float:
     return max(diffs, default=float("nan"))
 
 
+def _config_lines(a: Path, b: Path) -> list[str]:
+    """One line per top-level ``config.json`` key on one side only or of
+    different values; one line saying they agree if there is none."""
+    ca, cb = (json.loads((p / "config.json").read_text()) for p in (a, b))
+    lines = []
+    for key in sorted(ca.keys() | cb.keys()):
+        if key not in cb:
+            lines.append(f"  config {key}: only in A ({json.dumps(ca[key])})")
+        elif key not in ca:
+            lines.append(f"  config {key}: only in B ({json.dumps(cb[key])})")
+        elif ca[key] != cb[key]:
+            lines.append(f"  config {key}: {json.dumps(ca[key])} -> {json.dumps(cb[key])}")
+    return lines or ["  config.json keys and values identical"]
+
+
 def _eval_rows(path: Path) -> dict:
     with path.open() as fh:
         return {tuple(row[:3]): float(row[3]) for row in list(csv.reader(fh))[1:]}
@@ -73,6 +91,7 @@ def compare(a: Path, b: Path) -> tuple[list[str], bool]:
     lines = []
     same_bytes = (a / "samples.jsonl").read_bytes() == (b / "samples.jsonl").read_bytes()
     lines.append(f"  samples.jsonl byte-identical: {'yes' if same_bytes else 'no'}")
+    lines += _config_lines(a, b)
     arch_a, arch_b = io.load_archive(a), io.load_archive(b)
     sa, sb = arch_a.samples, arch_b.samples
     differing = {}
