@@ -170,7 +170,7 @@ def _kde_rows(archive, test, quad, truth):
         lam_grid = kde_intensity(train_ev.points, archive.config.region, quad)
         if len(test_ev):
             # nearest-node lookup keeps the baseline on the same grid as its integral
-            idx = _nearest_nodes(quad.nodes, test_ev.points)
+            idx = _nearest_nodes(quad.grid, test_ev.points)
             lam_ev = lam_grid[idx]
         else:
             lam_ev = np.zeros(0)
@@ -182,9 +182,18 @@ def _kde_rows(archive, test, quad, truth):
     return rows
 
 
-def _nearest_nodes(nodes, points):
-    d2 = np.sum((points[:, None, :] - nodes[None, :, :]) ** 2, axis=-1)
-    return np.argmin(d2, axis=1)
+def _nearest_nodes(grid, points):
+    """Index, in ``ij`` order, of the node of the ``ProductGrid`` ``grid``
+    nearest to each point, the lower index on a tie, as an ``argmin`` over
+    all nodes picks it. The squared distance is a sum over axes, so each
+    axis's nearest coordinate, of the two around the point on the sorted
+    axis, gives it."""
+    idx = []
+    for axis, p in zip(grid.axes, points.T):
+        hi = np.clip(np.searchsorted(axis, p), 1, axis.size - 1)
+        lo = hi - 1
+        idx.append(np.where((p - axis[hi]) ** 2 < (p - axis[lo]) ** 2, hi, lo))
+    return np.ravel_multi_index(idx, [a.size for a in grid.axes])
 
 
 def cmd_export_grid(args) -> int:

@@ -60,8 +60,11 @@ data space (Matheron's rule), and mapped back through the eigenfactors:
 neither the precision nor ``L_q`` is formed for it.
 
 Predictions (``extend``, ``latent_interpolant``) take either scattered
-points or a ``ProductGrid``; on a grid every Gram-vector product runs
-through per-axis factors (``gaussian.gram_matvec``).
+points or a ``ProductGrid``. The latent grid enters them as its axes, a
+``ProductGrid`` of the factor's ``axes``, not as J scattered nodes, so
+its Gram-vector products contract one per-axis factor at a time
+(``gaussian.gram_matvec``) against a target grid and against scattered
+targets alike; only the process's own points enter as scattered nodes.
 """
 
 from __future__ import annotations
@@ -74,6 +77,8 @@ from .gaussian import (
     JITTER_SCALE,
     ProductGrid,
     _as_points,
+    _khatri_rao,
+    _kron_apply,
     axis_gram,
     axis_gram_dv,
     chol_inverse,
@@ -151,27 +156,6 @@ def _grid_axes(grid: np.ndarray) -> tuple:
     if product.size != grid.shape[0] or not np.array_equal(product.nodes, grid):
         raise ValidationError("the latent grid must be a product grid with nodes in ij order")
     return tuple(axes)
-
-
-def _khatri_rao(F: list) -> np.ndarray:
-    """Column-wise Kronecker product of per-axis factors ``F_a`` of shape
-    (n_a, n): shape (prod n_a, n), rows in ``ij`` order."""
-    out = F[0]
-    for f in F[1:]:
-        out = (out[:, None, :] * f[None, :, :]).reshape(out.shape[0] * f.shape[0], f.shape[1])
-    return out
-
-
-def _kron_apply(mats: list, v: np.ndarray) -> np.ndarray:
-    """``(mats[0] kron mats[1] kron ...) @ v`` for square per-axis
-    ``mats`` and ``v`` of shape (J,) or (J, n), rows in ``ij`` order."""
-    if len(mats) == 1:
-        return mats[0] @ v
-    t, before = v, 1
-    for m in mats:  # axis by axis, as one matrix product per slab of the others
-        t = m @ t.reshape(before, m.shape[0], -1)
-        before *= m.shape[0]
-    return t.reshape(v.shape)
 
 
 class LatentFactor:
@@ -434,7 +418,8 @@ class ConvolutionPrior:
         projection of ``pts``. Each latent function's ``K(X, grid)``
         serves both the mean and the projected part of the
         cross-covariance, applied to the grid vector
-        ``kappa alpha_q - kappa^2 Q_q (s_q * W_q a)``.
+        ``kappa alpha_q - kappa^2 Q_q (s_q * W_q a)`` through the grid's
+        axes.
         """
         J = self.latent.n_grid
         Wa = W @ a
@@ -442,15 +427,15 @@ class ConvolutionPrior:
         for q, (f, phi) in enumerate(zip(self.factors, self.latent.phis)):
             r = f.from_eigen(f.s * Wa[q * J : (q + 1) * J])
             c = kappa * self._alphas[q] - kappa**2 * r
-            out += gram_matvec(X, self.latent.grid, theta + phi, c)
+            out += gram_matvec(X, ProductGrid(f.axes), theta + phi, c)
             out += kappa**2 * gram_matvec(X, pts, 2.0 * theta + phi, a)
         return out
 
     def latent_interpolant(self, X) -> np.ndarray:
         """Conditional mean of each latent function at a point array or a
         ``ProductGrid``, (Q, n)."""
-        grid = self.latent.grid
-        return np.stack([gram_matvec(X, grid, phi, a) for phi, a in zip(self.latent.phis, self._alphas)])
+        return np.stack([gram_matvec(X, ProductGrid(f.axes), f.phi, a)
+                         for f, a in zip(self.factors, self._alphas)])
 
 
 class IndependentPrior:

@@ -14,9 +14,11 @@ draw, and no covariance is formed.
 The isotropic Gaussian kernel factorizes over axes: its Gram matrix on a
 product grid (``ProductGrid``) is the Kronecker product of one small
 ``axis_gram`` per axis. A Gram-vector product then needs only those
-factors (``gram_matvec``), and the latent grid's Gram matrix is
-diagonalized through one symmetric eigendecomposition per axis (``eigh``;
-see ``convolution.LatentFactor``).
+factors (``gram_matvec``), in each of four pairings: points x points
+(dense), grid x points, points x grid and grid x grid, contracted one
+axis at a time. The latent grid's Gram matrix is diagonalized through
+one symmetric eigendecomposition per axis (``eigh``; see
+``convolution.LatentFactor``).
 
 The hot factorizations and solves call LAPACK directly, through routines
 resolved once at import: ``cholesky`` and ``cholesky_with_jitter``
@@ -174,28 +176,72 @@ def axis_gram_dv(x: np.ndarray, z: np.ndarray, variance: float) -> tuple[np.ndar
 
 
 def gram_matvec(X, Z, variance: float, c) -> np.ndarray:
-    """``gauss_gram(X, Z, variance) @ c`` for points ``X`` or a ``ProductGrid``.
+    """``gauss_gram(X, Z, variance) @ c`` where each of ``X`` and ``Z`` is a
+    point array or a ``ProductGrid``.
 
-    On a grid the kernel factorizes over axes: each axis gives a factor
-    ``E_a = (2 pi v)^{-1/2} exp(-(x_a - z_a)^2 / 2v)`` of shape
-    (axis length, m), and the product contracts them with ``c`` (in 2D,
-    ``(E_1 * c) @ E_2^T``), never forming the (nodes x m) matrix.
+    Unless both are points, the kernel factorizes over axes: axis ``a``
+    gives ``E_a = axis_gram(x_a, z_a, v)`` between ``X``'s axis (a grid)
+    or coordinates (points) and ``Z``'s, and the product contracts the
+    ``E_a`` with ``c`` one axis at a time, never forming the (X x Z)
+    matrix. With ``C`` the vector ``c`` shaped as ``Z``'s grid:
+
+    * points x points: ``gauss_gram(X, Z, v) @ c``, dense;
+    * grid x points: ``(E_1 * c) @ E_2^T`` in 2D; in more dimensions the
+      leading and trailing halves of the axes each give one column-wise
+      Kronecker product of their ``E_a``, and one matrix product joins
+      them;
+    * points x grid: ``((E_1 C) * E_2)`` summed per row in 2D; in more
+      dimensions the halves give row-wise Kronecker products;
+    * grid x grid: ``E_1 C E_2^T`` in 2D, ``C`` multiplied by ``E_a``
+      along each axis in turn in any dimension.
+
+    A grid's result runs in ``ij`` order, as its ``nodes`` do.
     """
-    if not isinstance(X, ProductGrid):
+    x_grid, z_grid = isinstance(X, ProductGrid), isinstance(Z, ProductGrid)
+    if not (x_grid or z_grid):
         return gauss_gram(X, Z, variance) @ c
     if variance <= 0:
         raise ValidationError(f"variance must be positive, got {variance}")
-    Z = _as_points(Z)
-    if Z.shape[1] != X.dim:
+    xs = X.axes if x_grid else _as_points(X).T
+    zs = Z.axes if z_grid else _as_points(Z).T
+    if len(xs) != len(zs):
         raise ValidationError("point sets have different dimension")
     c = np.asarray(c, dtype=float)
-    E = [axis_gram(x, z, variance) for x, z in zip(X.axes, Z.T)]
-    if X.dim == 1:
+    E = [axis_gram(x, z, variance) for x, z in zip(xs, zs)]
+    if x_grid and z_grid:
+        return _kron_apply(E, c)
+    if len(E) == 1:
         return E[0] @ c
-    if X.dim == 2:
-        return ((E[0] * c) @ E[1].T).ravel()
-    axes = "abcdefghijklmnopqrstuvwxy"[: X.dim]
-    return np.einsum(",".join(a + "z" for a in axes) + ",z->" + axes, *E, c).ravel()
+    h = len(E) // 2
+    if x_grid:
+        return ((_khatri_rao(E[:h]) * c) @ _khatri_rao(E[h:]).T).ravel()
+    # the row-wise Kronecker product of the (n, m_a) factors, shape
+    # (n, prod m_a), is the transpose of their transposes' column-wise one
+    left = _khatri_rao([e.T for e in E[:h]]).T
+    right = _khatri_rao([e.T for e in E[h:]]).T
+    return ((left @ c.reshape(left.shape[1], right.shape[1])) * right).sum(axis=1)
+
+
+def _khatri_rao(F: list) -> np.ndarray:
+    """Column-wise Kronecker product of per-axis factors ``F_a`` of shape
+    (n_a, n): shape (prod n_a, n), rows in ``ij`` order."""
+    out = F[0]
+    for f in F[1:]:
+        out = (out[:, None, :] * f[None, :, :]).reshape(out.shape[0] * f.shape[0], f.shape[1])
+    return out
+
+
+def _kron_apply(mats: list, v: np.ndarray) -> np.ndarray:
+    """``(mats[0] kron mats[1] kron ...) @ v`` for per-axis ``mats`` of
+    shape (n_a, m_a) and ``v`` of shape (prod m_a,) or (prod m_a, k), rows
+    in ``ij`` order: shape (prod n_a,) or (prod n_a, k)."""
+    if len(mats) == 1:
+        return mats[0] @ v
+    t, before = v, 1
+    for m in mats:  # axis by axis, as one matrix product per slab of the others
+        t = m @ t.reshape(before, m.shape[1], -1)
+        before *= m.shape[0]
+    return t.reshape(before, *v.shape[1:])
 
 
 def _as_points(X) -> np.ndarray:

@@ -343,6 +343,22 @@ class TestPerAxisFactor:
             self._close(latent_logpost(f, u, 0.1, 0.7), want)
 
     @pytest.mark.parametrize("name,phis", CASES)
+    def test_prediction_on_a_product_grid_is_prediction_at_its_nodes(self, name, phis):
+        prior, latent, X, Ks, rng = self._setup(name, phis)
+        kappa, theta = self.KAPPA, self.THETA
+        W = prior.project(X, theta)
+        a = rng.standard_normal(X.shape[0])
+        lo, hi = latent.grid.min(axis=0), latent.grid.max(axis=0)
+        T = ProductGrid([np.linspace(l, h, n) for l, h, n in zip(lo, hi, (9, 4, 6))])
+        self._close(prior.extend(T, X, W, a, kappa, theta),
+                    prior.extend(T.nodes, X, W, a, kappa, theta), rel=1e-12)
+        self._close(prior.latent_interpolant(T), prior.latent_interpolant(T.nodes), rel=1e-12)
+        alphas = [np.linalg.solve(K, u) for K, u in zip(Ks, latent.values)]
+        want = np.stack([gauss_gram(T.nodes, latent.grid, phi) @ al
+                         for phi, al in zip(latent.phis, alphas)])
+        self._close(prior.latent_interpolant(T), want)
+
+    @pytest.mark.parametrize("name,phis", CASES)
     def test_mean_cov_grads_match_dense_formulas(self, name, phis):
         prior, latent, X, Ks, _ = self._setup(name, phis)
         kappa, theta = self.KAPPA, self.THETA

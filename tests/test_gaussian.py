@@ -111,6 +111,24 @@ class TestGramMatvec:
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
         np.testing.assert_array_equal(grid.nodes, nodes)
 
+    @pytest.mark.parametrize("z_grid", [False, True], ids=["z-points", "z-grid"])
+    @pytest.mark.parametrize("x_grid", [False, True], ids=["x-points", "x-grid"])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_every_pairing_matches_dense_gram(self, dim, x_grid, z_grid):
+        rng = np.random.default_rng([dim, x_grid, z_grid])
+        x_lengths, z_lengths = (5, 3, 4)[:dim], (2, 6, 3)[:dim]
+        X = ProductGrid([np.sort(rng.uniform(-1, 1, n)) for n in x_lengths]) if x_grid \
+            else rng.uniform(-1, 1, size=(7, dim))
+        Z = ProductGrid([np.sort(rng.uniform(-1, 1, n)) for n in z_lengths]) if z_grid \
+            else rng.uniform(-1, 1, size=(6, dim))
+        x_nodes = X.nodes if x_grid else X
+        z_nodes = Z.nodes if z_grid else Z
+        c = rng.standard_normal(len(z_nodes))
+        want = gauss_gram(x_nodes, z_nodes, 0.3) @ c
+        got = gram_matvec(X, Z, 0.3, c)
+        assert got.shape == (len(x_nodes),)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+
     def test_points_take_the_dense_product(self):
         rng = np.random.default_rng(4)
         X, Z, c = rng.uniform(size=(5, 2)), rng.uniform(size=(3, 2)), rng.standard_normal(3)
@@ -119,6 +137,15 @@ class TestGramMatvec:
     def test_empty_point_set_gives_zeros(self):
         grid = ProductGrid([np.linspace(0, 1, 4), np.linspace(0, 1, 3)])
         np.testing.assert_array_equal(gram_matvec(grid, np.zeros((0, 2)), 0.1, np.zeros(0)), np.zeros(12))
+        assert gram_matvec(np.zeros((0, 2)), grid, 0.1, np.ones(12)).shape == (0,)
+
+    def test_grids_of_different_dimension_are_rejected(self):
+        two = ProductGrid([np.linspace(0, 1, 4), np.linspace(0, 1, 3)])
+        three = ProductGrid([np.linspace(0, 1, 2)] * 3)
+        with pytest.raises(ValidationError):
+            gram_matvec(two, three, 0.1, np.ones(8))
+        with pytest.raises(ValidationError):
+            gram_matvec(np.zeros((5, 3)), two, 0.1, np.ones(12))
 
 
 class TestCholInverse:

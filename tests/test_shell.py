@@ -15,7 +15,7 @@ import pytest
 import depcox.convolution
 import depcox.gaussian
 from depcox import io
-from depcox.cli import main
+from depcox.cli import _nearest_nodes, main
 from depcox.engine import RunConfig, intensity_samples, run_chain_with_info, summarize
 from depcox.generate import sample_events, sample_ground_truth
 from depcox.metrics import Quadrature, l2_error, poisson_loglik, sample_logliks
@@ -598,6 +598,73 @@ class TestEval:
         solo = tmp_path / "solo.csv"
         solo.write_text("process_id,x1\n0,0.5\n")
         assert main(["eval", str(arch), str(solo)]) == 2
+
+
+class TestNearestNodes:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_matches_brute_force_argmin_with_ties_and_boundary(self, dim):
+        # unequal axes of dyadic spacing, so a point halfway between two
+        # nodes is an exact tie of squared distances
+        region = Region([0.0, -1.0, 0.5][:dim], [1.0, 1.0, 2.5][:dim])
+        quad = Quadrature.for_region(region, 5)
+        axes = quad.grid.axes
+        rng = np.random.default_rng(dim)
+        mids = [0.5 * (a[:-1] + a[1:]) for a in axes]
+        points = np.concatenate([
+            region.uniform(40, rng),
+            np.stack([rng.choice(m, 12) for m in mids], axis=1),  # ties on every axis
+            np.stack([rng.choice(np.concatenate([m, a]), 12) for m, a in zip(mids, axes)], axis=1),
+            np.stack([rng.choice([a[0], a[-1]], 8) for a in axes], axis=1),  # region corners
+            np.array([region.lower]), np.array([region.upper]),
+        ])
+        d2 = np.sum((points[:, None, :] - quad.nodes[None, :, :]) ** 2, axis=-1)
+        np.testing.assert_array_equal(_nearest_nodes(quad.grid, points), np.argmin(d2, axis=1))
+
+
+class TestBlasThreads:
+    VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+    def _threads_after_import(self, preset: dict, numpy_first: bool = False) -> list:
+        env = {k: v for k, v in os.environ.items() if k not in self.VARS}
+        env.update(preset)
+        env["PYTHONPATH"] = str(Path(depcox.gaussian.__file__).parents[1])
+        code = ("import os\n" + ("import numpy\n" if numpy_first else "") + "import depcox\n"
+                f"print(*(os.environ.get(v, '-') for v in {self.VARS!r}))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                             check=True)
+        return out.stdout.split()
+
+    def test_import_defaults_blas_to_one_thread(self):
+        assert self._threads_after_import({}) == ["1", "1", "1"]
+
+    def test_a_user_value_is_kept(self):
+        assert self._threads_after_import({"OPENBLAS_NUM_THREADS": "2"}) == ["2", "1", "1"]
+
+    def test_nothing_is_set_once_numpy_is_loaded(self):
+        assert self._threads_after_import({}, numpy_first=True) == ["-", "-", "-"]
+
+
+class Test3dEndToEnd:
+    def test_fit_eval_and_export_give_finite_rows(self, tmp_path):
+        cfg = _write_config(
+            tmp_path, region={"lower": [0.0] * 3, "upper": [1.0] * 3}, grid_per_axis=4,
+            n_iters=6, burn_in=2,
+            generate={"n_processes": 1, "grid_per_axis": 4, "lambda_star_range": [40.0, 40.0]},
+        )
+        gen, arch = tmp_path / "gen", tmp_path / "arch"
+        assert main(["generate", "--config", str(cfg), "--out", str(gen)]) == 0
+        assert main(["fit", str(gen / "events_0.csv"), "--config", str(cfg), "--out", str(arch)]) == 0
+        assert len(io.load_archive(arch).samples) == 4
+        report = tmp_path / "r.csv"
+        assert main(["eval", str(arch), "--baselines", "--out", str(report)]) == 0
+        rows = [r.split(",") for r in report.read_text().splitlines()[1:]]
+        assert {r[1] for r in rows} == {"ours", "independent", "kde"}
+        assert all(np.isfinite(float(r[3])) for r in rows)
+        out = tmp_path / "grids"
+        assert main(["export-grid", str(arch), "--out", str(out), "--resolution", "12"]) == 0
+        for name in ("intensity_process_0.csv", "latent_0.csv"):
+            vals = np.loadtxt(out / name, delimiter=",", skiprows=1)
+            assert vals.shape == (12**3, 5) and np.all(np.isfinite(vals))
 
 
 class TestExportGrid:

@@ -15,8 +15,13 @@ columns show which form each sweep used:
 * ``2d-40x40``: the same data on a 40x40 grid, J = 1600;
 * ``3d-10x10x10``: one process on the unit cube, J = 1000.
 
-No bound is checked. The probe shows how the latent stage scales with the
-grid size and the dimension, which the benchmark's workloads do not.
+Each case also prints the prediction cost: the seconds per retained
+sample of ``engine.intensity_samples`` on ``Quadrature.for_region``'s
+grid (64 nodes per axis), on which ``depcox eval`` integrates.
+
+No bound is checked. The probe shows how the latent stage and prediction
+scale with the grid size and the dimension, which the benchmark's
+workloads do not.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 from pathlib import Path
 
 for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -32,8 +38,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 
-from depcox.engine import RunConfig, run_chain_with_info  # noqa: E402
+from depcox.engine import RunConfig, intensity_samples, run_chain_with_info  # noqa: E402
 from depcox.generate import sample_events, sample_ground_truth  # noqa: E402
+from depcox.metrics import Quadrature  # noqa: E402
 from depcox.sgcp import PriorConfig, Region  # noqa: E402
 
 # priors scaled to a unit region, as in the benchmark's workloads
@@ -50,8 +57,9 @@ CASES = [("2d-20x20", 2, 2, 20), ("2d-40x40", 2, 2, 40), ("3d-10x10x10", 3, 1, 1
 
 
 def probe(dim: int, n_processes: int, per_axis: int, sweeps: int, seed: int) -> tuple:
-    """The sampler's sweeps/s and the fewest and most points, over all
-    processes, of its sweeps."""
+    """The sampler's sweeps/s, the fewest and most points, over all
+    processes, of its sweeps, and the seconds per retained sample of the
+    prediction on the quadrature grid."""
     region = Region([0.0] * dim, [1.0] * dim)
     rng = np.random.default_rng([seed, dim])
     truth = sample_ground_truth(
@@ -63,7 +71,11 @@ def probe(dim: int, n_processes: int, per_axis: int, sweeps: int, seed: int) -> 
     )
     samples, info = run_chain_with_info(events, region, config)
     points = [sum(g.size for g in s.g_values) for s in samples]
-    return info.iterations_per_second, min(points), max(points)
+    grid = Quadrature.for_region(region).grid
+    start = time.perf_counter()
+    intensity_samples(samples, np.zeros((0, dim)), events, region, config, grid)
+    predict = (time.perf_counter() - start) / len(samples)
+    return info.iterations_per_second, min(points), max(points), predict
 
 
 def main(argv=None) -> int:
@@ -72,8 +84,9 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     for name, dim, n_processes, per_axis in CASES:
-        rate, n_min, n_max = probe(dim, n_processes, per_axis, args.sweeps, args.seed)
-        print(f"{name:12s} Q*J={per_axis ** dim:5d}  N={n_min:4d}-{n_max:<4d} {rate:7.2f} sweeps/s")
+        rate, n_min, n_max, predict = probe(dim, n_processes, per_axis, args.sweeps, args.seed)
+        print(f"{name:12s} Q*J={per_axis ** dim:5d}  N={n_min:4d}-{n_max:<4d} {rate:7.2f} sweeps/s"
+              f"  {predict:8.4f} s/sample predict")
     return 0
 
 
