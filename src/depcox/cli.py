@@ -157,7 +157,7 @@ def _model_rows(model, samples, run, archive, test, quad, truth):
     if truth is not None:
         lam_mean = lams[:, :, :n_nodes].sum(axis=0) / len(samples)
         for d in range(len(test)):
-            true_lam = truth.intensity(d, quad.nodes)
+            true_lam = truth.intensity(d, quad.grid)
             rows.append((f"process_{d}", model, "l2_error", l2_error(lam_mean[d], true_lam, quad)))
     return rows
 
@@ -177,7 +177,7 @@ def _kde_rows(archive, test, quad, truth):
         rows.append((f"process_{d}", "kde", "predictive_loglik", poisson_loglik(lam_ev, lam_grid, quad)))
         if truth is not None:
             rows.append(
-                (f"process_{d}", "kde", "l2_error", l2_error(lam_grid, truth.intensity(d, quad.nodes), quad))
+                (f"process_{d}", "kde", "l2_error", l2_error(lam_grid, truth.intensity(d, quad.grid), quad))
             )
     return rows
 

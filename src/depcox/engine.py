@@ -1,25 +1,21 @@
 """Full MCMC orchestration over all observed processes.
 
-Each iteration runs the five per-process kernels, each process with its
-own keyed random stream, then draws the latent grid values from their
-joint posterior and updates the latent variances. The latent stage
-factors each latent Gram matrix once per distinct variance, per axis
-(``convolution.LatentFactor``), and passes that factor to every step
-that needs it. Only the initial latent draw, the latent slice move's
-prior draw and the latent prior precision go through its dense Cholesky
-factor. The precision is formed only when the points, over all
-processes, are at least as many as the latent values; with fewer, the
-latent posterior is drawn through a data-space system of the points
-(``convolution.sample_latent_posterior``).
+``start_chain`` draws a chain's starting ``ChainState`` and ``sweep``
+moves it by one sweep: the five kernels of each process, each with its
+own keyed stream, then the latent stage, which draws the latent grid
+values from their joint posterior and updates the latent variances.
+``run_chain_with_info`` loops over ``sweep`` and keeps the retained
+draws; a copy of a chain continues exactly as the chain would.
 
-Each process's conditional prior lives in the workspace its ``GpContext``
-owns (``sgcp._Workspace``): the point-set projection ``W``, mean ``m``,
-residual covariance ``C`` and the factor of ``C``. The initial draw, whose
-workspace the first birth/death reuses, the function slice update, the
-latent stage (each ``W``, and each ``C``'s factor and function values in
-the latent posterior) and prediction (one workspace per retained sample)
-all go through it: the engine never projects a point set or forms or
-factors a ``C`` itself, at start-up, in the sweep or in prediction.
+The latent stage factors each latent Gram matrix once per distinct
+variance, per axis (``convolution.LatentFactor``). Only the initial latent
+draw, the slice move's prior draw and the latent prior precision go
+through its dense Cholesky factor; the precision is formed only when the
+points, over all processes, are at least as many as the latent values
+(``convolution.sample_latent_posterior``). Each process's conditional
+prior lives in the workspace its ``GpContext`` owns (``sgcp._Workspace``):
+the engine never projects a point set or forms or factors a residual
+covariance itself, at start-up, in the sweep or in prediction.
 """
 
 from __future__ import annotations
@@ -161,9 +157,71 @@ def _latent_ess_move(states, A_list, prior: ConvolutionPrior, ladder, rng):
         state.g_values = A_list[d] @ u_new + residuals[d]
 
 
-def run_chain_with_info(data, region: Region, config: RunConfig):
-    """Run the full sampler; returns the retained posterior samples and a
-    ``RunInfo``."""
+@dataclass
+class _StepSize:
+    """A proposal step adapted in burn-in, by ``exp(0.05 (signal -
+    target))`` a sweep, then frozen at its geometric mean over the second
+    half of burn-in rather than at the (noisy) last value; the sweeps after
+    burn-in count acceptances."""
+
+    value: object  # a float, or one step per process
+    target: float
+    log_sum: float = 0.0
+    accepts: object = 0.0
+    tries: int = 0
+
+    def update(self, it: int, burn_in: int, signal, accepted) -> None:
+        if it >= burn_in:
+            self.accepts += accepted
+            self.tries += 1
+            return
+        self.value = self.value * np.exp(0.05 * (signal - self.target))
+        if it >= burn_in // 2:
+            self.log_sum += np.log(self.value)
+        if it == burn_in - 1:
+            self.value = np.exp(self.log_sum / (burn_in - burn_in // 2))
+
+    @property
+    def accept_rate(self):
+        return self.accepts / max(self.tries, 1)
+
+
+@dataclass
+class ChainState:
+    """Everything a sweep reads and moves: each process's augmented state
+    and ``GpContext``, the shared prior, the keyed streams (one per process,
+    then the latent stage's), the two adapted steps, the number of sweeps
+    done and the seconds spent in each stage."""
+
+    states: list
+    contexts: list
+    prior: ConvolutionPrior | IndependentPrior
+    streams: list
+    hmc_step: _StepSize
+    phi_step: _StepSize
+    sweeps: int = 0
+    timings: dict = field(default_factory=lambda: {"process_updates": 0.0, "latent_updates": 0.0})
+
+    def sample(self) -> PosteriorSample:
+        """The current state as the draw of the last sweep."""
+        latent = getattr(self.prior, "latent", None)  # None for the independent model
+        return PosteriorSample(
+            iteration=self.sweeps - 1,
+            thinned=[s.thinned.copy() for s in self.states],
+            rate_idx=[s.rate_idx.copy() for s in self.states],
+            g_values=[s.g_values.copy() for s in self.states],
+            lambda_stars=np.array([s.lambda_star for s in self.states]),
+            kappas=np.array([s.kappa for s in self.states]),
+            thetas=np.array([s.theta for s in self.states]),
+            latent_values=np.zeros((0, 0)) if latent is None else latent.values.copy(),
+            phis=np.zeros(0) if latent is None else latent.phis.copy(),
+        )
+
+
+def start_chain(data, region: Region, config: RunConfig) -> ChainState:
+    """Check the data and draw the chain's starting state: the latent grid
+    values from their prior, then each process's function values from its
+    conditional prior, each from its own stream."""
     data = [d if isinstance(d, EventSet) else EventSet(d) for d in data]
     n_proc = len(data)
     if n_proc == 0:
@@ -173,24 +231,18 @@ def run_chain_with_info(data, region: Region, config: RunConfig):
             raise ValidationError(f"events of process {d} fall outside the region")
 
     priors = config.priors
-    ladder = config.ladder
     streams = [
         np.random.default_rng(s)
         for s in np.random.SeedSequence(config.seed).spawn(n_proc + 1)
     ]
-    latent_rng = streams[n_proc]
-
-    grid = latent_grid(region, config.grid_per_axis)
     if config.independent:
-        latent = None
         prior = IndependentPrior(np.exp(priors.phi_log_mean), region.dim)
     else:
+        grid = latent_grid(region, config.grid_per_axis)
         phis = np.full(config.n_latent, np.exp(priors.phi_log_mean))
         factors = [LatentFactor(grid, phi) for phi in phis]
-        values = np.stack([f.L @ latent_rng.standard_normal(grid.shape[0]) for f in factors])
-        latent = LatentState(grid, values, phis)
-        prior = ConvolutionPrior(latent, factors)
-        del factors  # held here, the first factors would outlive their last use
+        values = np.stack([f.L @ streams[n_proc].standard_normal(grid.shape[0]) for f in factors])
+        prior = ConvolutionPrior(LatentState(grid, values, phis), factors)
 
     states, contexts = [], []
     for d, ev in enumerate(data):
@@ -207,119 +259,78 @@ def run_chain_with_info(data, region: Region, config: RunConfig):
         state.g_values = ws.m + ws.prior_draw(streams[d])
         states.append(state)
         contexts.append(ctx)
-    del ws  # held here, a rebuilt workspace's first prior would outlive its last use
+    return ChainState(states, contexts, prior, streams,
+                      _StepSize(np.full(n_proc, HMC_STEP_SIZE), 0.65), _StepSize(PHI_STEP_SIZE, 0.3))
 
-    hmc_step = np.full(n_proc, HMC_STEP_SIZE)
-    phi_step = PHI_STEP_SIZE
-    hmc_accepts = np.zeros(n_proc)
-    hmc_tries = 0
-    phi_accepts = 0.0
-    phi_tries = 0
-    # freeze adapted steps at their average over the late burn-in rather
-    # than at the (noisy) last value
-    avg_from = config.burn_in // 2
-    log_step_sum = np.zeros(n_proc)
-    log_phi_sum = 0.0
-    avg_count = 0
 
-    current_iter = 0
-
-    def sweep_one(d):
+def sweep(chain: ChainState, region: Region, config: RunConfig) -> None:
+    """One sweep: the five kernels of each process with its own stream,
+    then, for a coupled prior, the latent stage with the latent stream.
+    The steps adapt while fewer than ``config.burn_in`` sweeps are done."""
+    it, ladder, priors = chain.sweeps, config.ladder, config.priors
+    t0 = time.perf_counter()
+    accepted, accept_prob = np.zeros((2, len(chain.states)))
+    for d, (ctx, rng) in enumerate(zip(chain.contexts, chain.streams)):
         try:
-            state = states[d]
-            rng = streams[d]
-            ctx = contexts[d]
-            state = birth_death_step(state, region, ladder, ctx, rng)
+            state = birth_death_step(chain.states[d], region, ladder, ctx, rng)
             state = move_step(state, region, ladder, ctx, rng)
             state = ess_function_update(state, ctx, ladder, rng)
-            state, accepted, accept_prob = hmc_hyper_update(
-                state, ctx, priors, rng, float(hmc_step[d])
+            state, accepted[d], accept_prob[d] = hmc_hyper_update(
+                state, ctx, priors, rng, float(chain.hmc_step.value[d])
             )
             state = gibbs_lambda_star(state, region, priors, ladder, rng)
             state.validate(ladder)
-            return state, accepted, accept_prob
         except (ValidationError, NumericalError) as exc:
-            raise type(exc)(f"iteration {current_iter}, process {d}: {exc}") from exc
+            raise type(exc)(f"iteration {it}, process {d}: {exc}") from exc
+        chain.states[d] = state
+    chain.hmc_step.update(it, config.burn_in, accept_prob, accepted)
+    t1 = time.perf_counter()
+    chain.timings["process_updates"] += t1 - t0
 
-    samples = []
-    timings = {"process_updates": 0.0, "latent_updates": 0.0}
-    t_start = time.perf_counter()
-    for it in range(config.n_iters):
-        current_iter = it
-        t0 = time.perf_counter()
-        results = [sweep_one(d) for d in range(n_proc)]
-        in_burn = it < config.burn_in
-        for d, (state, accepted, accept_prob) in enumerate(results):
-            states[d] = state
-            if in_burn:
-                hmc_step[d] *= np.exp(0.05 * (accept_prob - 0.65))
-            else:  # acceptance reported for the post-adaptation phase
-                hmc_accepts[d] += accepted
-        hmc_tries += 0 if in_burn else 1
-        if in_burn and it >= avg_from:
-            log_step_sum += np.log(hmc_step)
-            avg_count += 1
-        t1 = time.perf_counter()
-        timings["process_updates"] += t1 - t0
-
-        if latent is not None:
+    prior = chain.prior
+    if isinstance(prior, ConvolutionPrior):
+        states, contexts, rng = chain.states, chain.contexts, chain.streams[-1]
+        try:
             # each process's workspace and one coupling matrix serve both
             # latent moves: the slice move changes function values, not
             # points, kappa or theta, so the workspaces fetched again after
             # it hold the moved values and keep their factors of C
             spaces = [ctx.workspace(s) for ctx, s in zip(contexts, states)]
             A_list = [prior.coupling_matrix(ws.W, ws.kappa) for ws in spaces]
-            _latent_ess_move(states, A_list, prior, ladder, latent_rng)
+            _latent_ess_move(states, A_list, prior, ladder, rng)
             spaces = [ctx.workspace(s) for ctx, s in zip(contexts, states)]
-            new_values = sample_latent_posterior(spaces, prior, latent_rng, A_list)
-            prior = ConvolutionPrior(LatentState(grid, new_values, latent.phis), prior.factors)
-            prior, acc = phi_mh_update(
-                prior,
-                latent_rng,
-                step=phi_step,
-                log_mean=priors.phi_log_mean,
-                log_sd=priors.phi_log_sd,
-            )
-            latent = prior.latent
-            if in_burn:
-                phi_step *= float(np.exp(0.05 * (np.mean(acc) - 0.3)))
-                if it >= avg_from:
-                    log_phi_sum += np.log(phi_step)
-            else:
-                phi_accepts += float(np.mean(acc))
-                phi_tries += 1
-            for ctx in contexts:
-                ctx.prior = prior
-        timings["latent_updates"] += time.perf_counter() - t1
+            new_values = sample_latent_posterior(spaces, prior, rng, A_list)
+            latent = LatentState(prior.latent.grid, new_values, prior.latent.phis)
+            prior, acc = phi_mh_update(ConvolutionPrior(latent, prior.factors), rng, step=chain.phi_step.value,
+                                       log_mean=priors.phi_log_mean, log_sd=priors.phi_log_sd)
+        except (ValidationError, NumericalError) as exc:
+            raise type(exc)(f"iteration {it}, latent stage: {exc}") from exc
+        rate = np.mean(acc)
+        chain.phi_step.update(it, config.burn_in, rate, rate)
+        chain.prior = prior
+        for ctx in contexts:
+            ctx.prior = prior
+    chain.timings["latent_updates"] += time.perf_counter() - t1
+    chain.sweeps += 1
 
-        if it == config.burn_in - 1 and avg_count > 0:
-            hmc_step = np.exp(log_step_sum / avg_count)
-            phi_step = float(np.exp(log_phi_sum / avg_count)) if latent is not None else phi_step
 
+def run_chain_with_info(data, region: Region, config: RunConfig):
+    """Run the full sampler; returns the retained posterior samples and a
+    ``RunInfo``. Its sweeps per second leave out ``start_chain``."""
+    chain = start_chain(data, region, config)
+    samples = []
+    t_start = time.perf_counter()
+    for it in range(config.n_iters):
+        sweep(chain, region, config)
         if it >= config.burn_in and (it - config.burn_in) % config.thin_every == 0:
-            samples.append(
-                PosteriorSample(
-                    iteration=it,
-                    thinned=[s.thinned.copy() for s in states],
-                    rate_idx=[s.rate_idx.copy() for s in states],
-                    g_values=[s.g_values.copy() for s in states],
-                    lambda_stars=np.array([s.lambda_star for s in states]),
-                    kappas=np.array([s.kappa for s in states]),
-                    thetas=np.array([s.theta for s in states]),
-                    latent_values=(
-                        latent.values.copy() if latent is not None else np.zeros((0, 0))
-                    ),
-                    phis=(latent.phis.copy() if latent is not None else np.zeros(0)),
-                )
-            )
+            samples.append(chain.sample())
     elapsed = time.perf_counter() - t_start
-    info = RunInfo(
-        timings=timings,
+    return samples, RunInfo(
+        timings=chain.timings,
         iterations_per_second=config.n_iters / elapsed if elapsed > 0 else float("inf"),
-        hmc_accept_rate=hmc_accepts / max(hmc_tries, 1),
-        phi_accept_rate=phi_accepts / max(phi_tries, 1),
+        hmc_accept_rate=chain.hmc_step.accept_rate,
+        phi_accept_rate=float(chain.phi_step.accept_rate),
     )
-    return samples, info
 
 
 @dataclass

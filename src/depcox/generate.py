@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .convolution import latent_grid
+from .convolution import _grid_axes, latent_grid
 from .errors import ValidationError
-from .gaussian import ProductGrid, _as_points, chol_solve, cholesky_with_jitter, gauss_gram
+from .gaussian import ProductGrid, _as_points, chol_solve, cholesky_with_jitter, gauss_gram, gram_matvec
 from .sgcp import EventSet, Region
 
 
@@ -49,11 +49,12 @@ class GroundTruth:
         return self.phis.size
 
     def g(self, d: int, X) -> np.ndarray:
-        """Process function: each basis kernel smoothed into variance theta_d."""
-        X = _as_points(X)
-        out = np.zeros(X.shape[0])
+        """Process function: each basis kernel smoothed into variance
+        theta_d, at points or, axis by axis, at a ``ProductGrid``'s nodes."""
+        Z = ProductGrid(_grid_axes(self.grid)) if isinstance(X, ProductGrid) else self.grid
+        out = 0.0
         for q in range(self.n_latent):
-            out = out + gauss_gram(X, self.grid, self.thetas[d] + self.phis[q]) @ self.weights[q]
+            out = out + gram_matvec(X, Z, self.thetas[d] + self.phis[q], self.weights[q])
         return self.kappas[d] * out
 
     def intensity(self, d: int, X) -> np.ndarray:

@@ -16,7 +16,7 @@ from scipy.fft import dct
 from scipy.optimize import brentq
 
 from .errors import ValidationError
-from .gaussian import ProductGrid, _as_points
+from .gaussian import ProductGrid, _as_points, _khatri_rao, axis_gram
 from .sgcp import Region
 
 
@@ -196,11 +196,10 @@ def kde_intensity(
         bandwidths = np.array([diffusion_bandwidth(X[:, a]) for a in range(dim)])
     else:
         bandwidths = np.atleast_1d(np.asarray(bandwidths, dtype=float))
-    log_dens = np.zeros((quad.nodes.shape[0], n))
-    for a in range(dim):
-        h = bandwidths[a]
-        diff = (quad.nodes[:, a : a + 1] - X[None, :, a]) / h
-        log_dens += -0.5 * diff**2 - 0.5 * np.log(2.0 * np.pi) - np.log(h)
-    m = log_dens.max(axis=1, keepdims=True)
-    dens = np.exp(m).ravel() * np.exp(log_dens - m).sum(axis=1)
-    return dens  # sums kernels over events, i.e. count-scaled density
+    # one (nodes per axis x events) kernel factor per axis, contracted as
+    # gaussian.gram_matvec contracts a grid against points
+    E = [axis_gram(axis, x, h * h) for axis, x, h in zip(quad.grid.axes, X.T, bandwidths)]
+    if dim == 1:
+        return E[0].sum(axis=1)  # sums kernels over events, i.e. count-scaled density
+    half = dim // 2
+    return (_khatri_rao(E[:half]) @ _khatri_rao(E[half:]).T).ravel()

@@ -1,5 +1,7 @@
 """Engine orchestration tests: counting, determinism, summaries, diagnostics."""
 
+import copy
+
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
@@ -7,6 +9,7 @@ from scipy.stats import ks_2samp
 import depcox.convolution
 import depcox.engine
 import depcox.sgcp
+from depcox.convolution import phi_mh_update
 from depcox.engine import (
     PosteriorSample,
     RunConfig,
@@ -15,9 +18,11 @@ from depcox.engine import (
     intensity_samples,
     run_chain_with_info,
     split_psrf,
+    start_chain,
     summarize,
+    sweep,
 )
-from depcox.errors import ValidationError
+from depcox.errors import NumericalError, ValidationError
 from depcox.generate import sample_events, sample_ground_truth
 from depcox.metrics import Quadrature
 from depcox.sgcp import EventSet, PriorConfig, Region
@@ -299,6 +304,67 @@ class TestRunChain:
         monkeypatch.setattr(depcox.engine, "move_step", boom)
         with pytest.raises(ValidationError, match=r"iteration 0, process 0"):
             run_chain_with_info(data, UNIT, _small_config())
+        monkeypatch.undo()
+
+        calls = []
+
+        def fails_at_the_third_sweep(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise NumericalError("synthetic failure")
+            return phi_mh_update(*args, **kwargs)
+
+        monkeypatch.setattr(depcox.engine, "phi_mh_update", fails_at_the_third_sweep)
+        with pytest.raises(NumericalError, match=r"^iteration 2, latent stage: synthetic failure$"):
+            run_chain_with_info(data, UNIT, _small_config())
+
+    @staticmethod
+    def _resumable_case(dim, independent):
+        region = Region([0.0] * dim, [1.0] * dim)
+        rng = np.random.default_rng(60 + dim)
+        truth = sample_ground_truth(region, 2, 1, rng, lambda_star_range=(20.0, 25.0), grid_per_axis=6)
+        cfg = _small_config(n_iters=30, burn_in=16, grid_per_axis=6, seed=7, independent=independent)
+        return sample_events(truth, rng), region, cfg
+
+    @staticmethod
+    def _continue(chain, region, cfg, info, whole):
+        # sweeps the chain to the end of the run, keeping the draws
+        # run_chain_with_info keeps, and requires them and the acceptance
+        # rates to be the uninterrupted run's
+        draws = []
+        for it in range(chain.sweeps, cfg.n_iters):
+            sweep(chain, region, cfg)
+            draws += [chain.sample()] if it >= cfg.burn_in else []
+        np.testing.assert_array_equal(chain.hmc_step.accept_rate, info.hmc_accept_rate)
+        assert float(chain.phi_step.accept_rate) == info.phi_accept_rate
+        assert len(draws) == len(whole) == cfg.n_iters - cfg.burn_in
+        for a, b in zip(whole, draws):
+            assert a.iteration == b.iteration
+            for name in ("lambda_stars", "kappas", "thetas", "phis", "latent_values"):
+                np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
+            for name in ("thinned", "rate_idx", "g_values"):
+                for x, y in zip(getattr(a, name), getattr(b, name)):
+                    np.testing.assert_array_equal(x, y, err_msg=name)
+
+    @pytest.mark.parametrize("dim, independent", [(1, False), (2, False), (1, True)])
+    def test_a_loop_over_sweep_is_the_run(self, dim, independent):
+        data, region, cfg = self._resumable_case(dim, independent)
+        whole, info = run_chain_with_info(data, region, cfg)
+        self._continue(start_chain(data, region, cfg), region, cfg, info, whole)
+
+    @pytest.mark.parametrize("dim, independent", [(1, False), (2, False), (1, True)])
+    def test_a_copied_chain_continues_as_the_uninterrupted_run(self, dim, independent):
+        # the chain state is all a sweep reads: a deep copy taken in burn-in,
+        # with the steps still adapting, continues draw for draw
+        data, region, cfg = self._resumable_case(dim, independent)
+        whole, info = run_chain_with_info(data, region, cfg)
+        chain = start_chain(data, region, cfg)
+        for _ in range(12):
+            sweep(chain, region, cfg)
+        copied = copy.deepcopy(chain)
+        for _ in range(3):  # moving the original leaves the copy where it was
+            sweep(chain, region, cfg)
+        self._continue(copied, region, cfg, info, whole)
 
     def test_hmc_acceptance_in_healthy_window(self, monkeypatch):
         # The adapted Hamiltonian kernel on a fixed target: every other move

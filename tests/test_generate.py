@@ -8,6 +8,7 @@ from scipy.integrate import quad
 from scipy.special import expit, logit
 
 from depcox.errors import ValidationError
+from depcox.gaussian import ProductGrid
 from depcox.generate import (
     GroundTruth,
     low_intensity_fraction,
@@ -61,6 +62,16 @@ class TestGroundTruth:
                 lambda s: kappa * gauss_density(x, s, theta) * interp(s), -10, 10, limit=200
             )
             assert truth.g(0, np.array([[x]]))[0] == pytest.approx(numeric, abs=1e-6)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_intensity_on_a_grid_matches_its_nodes(self, dim):
+        # a ProductGrid is contracted axis by axis, its nodes through the
+        # dense (nodes x basis) Gram matrix: the same sums in another order
+        region = Region([0.0] * dim, [1.0] * dim)
+        truth = sample_ground_truth(region, 2, 2, np.random.default_rng(dim), grid_per_axis=4)
+        grid = ProductGrid([np.linspace(0.0, 1.0, n) for n in (7, 5, 6)[:dim]])
+        for d in range(2):
+            np.testing.assert_allclose(truth.intensity(d, grid), truth.intensity(d, grid.nodes), rtol=1e-12)
 
     def test_sampled_truth_is_reproducible(self):
         a = sample_ground_truth(UNIT, 3, 1, np.random.default_rng(5))

@@ -102,6 +102,23 @@ def test_compare_archives_reports_draws_values_and_ess(tmp_path):
     assert "config.json keys and values identical" not in old.stdout
 
 
+def test_reference_archives_of_one_checkout_compare_identical(tmp_path):
+    # the check a byte-identical change is judged by, on the real workloads:
+    # two runs of the same checkout agree draw for draw and row for row
+    root = Path(__file__).resolve().parent.parent
+    for name in ("a", "b"):
+        out = subprocess.run(
+            [sys.executable, str(root / "tools" / "ref_archives.py"), str(tmp_path / name)],
+            capture_output=True, text=True, timeout=600,
+        )
+        assert out.returncode == 0, out.stderr
+    same = _compare(tmp_path / "a", tmp_path / "b")
+    assert same.returncode == 0, same.stdout + same.stderr
+    workloads = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert workloads
+    assert same.stdout.count("samples.jsonl byte-identical: yes") == len(workloads)
+
+
 def _ab_bench():
     import importlib.util
 
