@@ -141,7 +141,7 @@ def _model_rows(model, samples, run, archive, test, quad, truth):
     rows = []
     # one pass over the samples: every process at the quadrature nodes and
     # at all test points, each process then reading its own test points
-    n_nodes = quad.nodes.shape[0]
+    n_nodes = quad.weights.size
     X = np.vstack([np.zeros((0, region.dim)), *(ev.points for ev in test if len(ev))])
     lams = intensity_samples(samples, X, archive.train, region, run, quad.grid)
     ends = n_nodes + np.cumsum([len(ev) for ev in test])
@@ -149,7 +149,7 @@ def _model_rows(model, samples, run, archive, test, quad, truth):
         grid_lams = lams[:, d, :n_nodes]
         ev_lams = lams[:, d, ends[d] - len(ev) : ends[d]]
         lls = sample_logliks(ev_lams, grid_lams, quad)
-        rows.append((f"process_{d}", model, "predictive_loglik", predictive_loglik(ev_lams, grid_lams, quad)))
+        rows.append((f"process_{d}", model, "predictive_loglik", predictive_loglik(lls)))
         finite = lls[np.isfinite(lls)]
         rows.append(
             (f"process_{d}", model, "mean_sample_loglik", float(np.mean(finite)) if finite.size else -np.inf)

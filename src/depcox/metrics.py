@@ -4,16 +4,19 @@ The integral in the point-process log likelihood is discretized on a
 tensor-product trapezoid rule over the region; held-out scores average the
 per-sample likelihoods in probability space (log-mean-exp) so they are a
 Monte Carlo posterior predictive.
+
+The baseline's bandwidth solvers (``scipy.fft``, ``scipy.optimize``) load in
+``diffusion_bandwidth``, on first use: only ``depcox eval --baselines`` needs
+them, and loaded at import they cost every fit and eval about 17 MB.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
-from scipy.fft import dct
-from scipy.optimize import brentq
 
 from .errors import ValidationError
 from .gaussian import ProductGrid, _as_points, _khatri_rao, axis_gram
@@ -22,12 +25,8 @@ from .sgcp import Region
 
 @dataclass
 class Quadrature:
-    """Tensor-product trapezoid nodes and weights over a region.
+    """Trapezoid weights over a region, one per node of ``grid`` in ``ij`` order."""
 
-    ``grid`` holds the axes; ``nodes`` are its nodes in the same order.
-    """
-
-    nodes: np.ndarray  # (n, dim)
     weights: np.ndarray  # (n,)
     grid: ProductGrid
 
@@ -45,9 +44,8 @@ class Quadrature:
             w[-1] *= 0.5
             axes.append(x)
             axis_w.append(w)
-        grid = ProductGrid(axes)
         # each node's weight is the product of its axes' weights
-        return cls(grid.nodes, ProductGrid(axis_w).nodes.prod(axis=1), grid)
+        return cls(reduce(np.multiply.outer, axis_w).ravel(), ProductGrid(axes))
 
     @property
     def volume(self) -> float:
@@ -91,11 +89,11 @@ def log_mean_exp(values) -> float:
     return float(m + np.log(np.mean(np.exp(values - m))))
 
 
-def predictive_loglik(per_sample_at_events, per_sample_on_grid, quad: Quadrature) -> float:
-    """Log of the posterior-sample average likelihood (max-shifted)."""
-    if len(per_sample_on_grid) == 0:
+def predictive_loglik(lls) -> float:
+    """Log of the posterior-sample average likelihood (max-shifted), from
+    the per-sample log likelihoods ``sample_logliks`` gives."""
+    if len(lls) == 0:
         raise ValidationError("at least one posterior sample required")
-    lls = sample_logliks(per_sample_at_events, per_sample_on_grid, quad)
     if np.all(np.isneginf(lls)):
         warnings.warn("all posterior samples give zero likelihood")
         return -np.inf
@@ -142,6 +140,8 @@ def diffusion_bandwidth(x, n_grid: int = 2**14) -> float:
     Falls back to Silverman's rule when the fixed point cannot be
     bracketed (tiny or degenerate samples).
     """
+    from scipy.fft import dct
+    from scipy.optimize import brentq
     x = np.asarray(x, dtype=float).ravel()
     if x.size < 2:
         raise ValidationError("bandwidth needs at least 2 points")

@@ -548,9 +548,9 @@ class TestProductGridPrediction:
         samples, data, region, cfg = _grid_case(dim, independent)
         quad = Quadrature.for_region(region, 9 if dim == 2 else 33)
         X = np.random.default_rng(1).uniform(size=(5, dim))
-        dense = intensity_samples(samples, np.vstack([quad.nodes, X]), data, region, cfg)
+        dense = intensity_samples(samples, np.vstack([quad.grid.nodes, X]), data, region, cfg)
         product = intensity_samples(samples, X, data, region, cfg, quad.grid)
-        assert product.shape == dense.shape == (3, 2, quad.nodes.shape[0] + 5)
+        assert product.shape == dense.shape == (3, 2, quad.weights.size + 5)
         np.testing.assert_allclose(product, dense, rtol=1e-10, atol=0)
 
     @pytest.mark.parametrize("dim,independent", CASES)
@@ -558,13 +558,13 @@ class TestProductGridPrediction:
         samples, data, region, cfg = _grid_case(dim, independent, seed=2)
         quad = Quadrature.for_region(region, 9 if dim == 2 else 33)
         summary = summarize(samples, quad.grid, data, region, cfg)
-        lams = intensity_samples(samples, quad.nodes, data, region, cfg)
-        np.testing.assert_array_equal(summary.grid, quad.nodes)
+        lams = intensity_samples(samples, quad.grid.nodes, data, region, cfg)
+        np.testing.assert_array_equal(summary.grid, quad.grid.nodes)
         np.testing.assert_allclose(summary.intensity_mean, lams.mean(axis=0), rtol=1e-10)
         np.testing.assert_allclose(
             summary.intensity_sd, lams.std(axis=0), rtol=1e-6, atol=1e-9 * lams.max()
         )
-        assert summary.latent_mean.shape == (0 if independent else 2, quad.nodes.shape[0])
+        assert summary.latent_mean.shape == (0 if independent else 2, quad.weights.size)
 
 
 class TestDiagnostics:

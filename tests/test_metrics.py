@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from depcox.errors import ValidationError
+from depcox.gaussian import ProductGrid
 from depcox.metrics import (
     Quadrature,
     diffusion_bandwidth,
@@ -30,30 +31,43 @@ class TestQuadrature:
         assert quad.volume == pytest.approx(4.0, rel=1e-9)
 
     def test_default_resolutions(self):
-        assert Quadrature.for_region(UNIT).nodes.shape[0] == 512
-        assert Quadrature.for_region(Region([0, 0], [1, 1])).nodes.shape[0] == 64 * 64
+        assert Quadrature.for_region(UNIT).weights.size == 512
+        assert Quadrature.for_region(Region([0, 0], [1, 1])).weights.size == 64 * 64
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_weights_are_the_row_products_of_the_axis_weight_grid(self, dim):
+        # bit for bit the row products of the (n, dim) grid of axis weights
+        region = Region([0.0, -1.0, 0.5][:dim], [2.0, 1.0, 0.8][:dim])
+        quad = Quadrature.for_region(region, 7)
+        axis_w = []
+        for lo, hi in zip(region.lower, region.upper):
+            w = np.full(7, (hi - lo) / 6)
+            w[[0, -1]] *= 0.5
+            axis_w.append(w)
+        np.testing.assert_array_equal(quad.weights, ProductGrid(axis_w).nodes.prod(axis=1))
+        assert quad.weights.size == quad.grid.nodes.shape[0]
 
 
 class TestPoissonLoglik:
     def test_constant_intensity_hand_value(self):
         quad = Quadrature.for_region(UNIT, 256)
-        ll = poisson_loglik([2.0, 2.0], np.full(quad.nodes.shape[0], 2.0), quad)
+        ll = poisson_loglik([2.0, 2.0], np.full(quad.weights.size, 2.0), quad)
         assert ll == pytest.approx(-2.0 + 2.0 * np.log(2.0), abs=1e-9)
 
     def test_no_events_is_negative_integral(self):
         quad = Quadrature.for_region(UNIT, 128)
-        ll = poisson_loglik(np.zeros(0), np.full(quad.nodes.shape[0], 3.0), quad)
+        ll = poisson_loglik(np.zeros(0), np.full(quad.weights.size, 3.0), quad)
         assert ll == pytest.approx(-3.0, abs=1e-9)
 
     def test_zero_intensity_at_event_flags_minus_inf(self):
         quad = Quadrature.for_region(UNIT, 64)
         with pytest.warns(UserWarning):
-            ll = poisson_loglik([0.0], np.ones(quad.nodes.shape[0]), quad)
+            ll = poisson_loglik([0.0], np.ones(quad.weights.size), quad)
         assert ll == -np.inf
 
     def test_invariant_under_event_reordering(self):
         quad = Quadrature.for_region(UNIT, 128)
-        grid = 1.0 + quad.nodes[:, 0]
+        grid = 1.0 + quad.grid.nodes[:, 0]
         a = poisson_loglik([1.2, 1.7, 1.05], grid, quad)
         b = poisson_loglik([1.05, 1.2, 1.7], grid, quad)
         assert a == pytest.approx(b, rel=1e-14)
@@ -63,30 +77,30 @@ class TestPoissonLoglik:
         lls = []
         for res in (256, 512):
             quad = Quadrature.for_region(UNIT, res)
-            lls.append(poisson_loglik([lam(0.3)], lam(quad.nodes[:, 0]), quad))
+            lls.append(poisson_loglik([lam(0.3)], lam(quad.grid.nodes[:, 0]), quad))
         assert abs(lls[1] - lls[0]) < 1e-3 * abs(lls[0])
 
     def test_rejects_negative_intensity(self):
         quad = Quadrature.for_region(UNIT, 64)
         with pytest.raises(ValidationError):
-            poisson_loglik([1.0], np.full(quad.nodes.shape[0], -0.5), quad)
+            poisson_loglik([1.0], np.full(quad.weights.size, -0.5), quad)
 
 
 class TestPredictiveLoglik:
     def _const_sample(self, quad, c):
-        return np.array([c]), np.full(quad.nodes.shape[0], c)
+        return np.array([c]), np.full(quad.weights.size, c)
 
     def test_single_sample_equals_poisson_loglik(self):
         quad = Quadrature.for_region(UNIT, 128)
         ev, grid = self._const_sample(quad, 2.0)
-        assert predictive_loglik([ev], [grid], quad) == pytest.approx(
+        assert predictive_loglik(sample_logliks([ev], [grid], quad)) == pytest.approx(
             poisson_loglik(ev, grid, quad), rel=1e-12
         )
 
     def test_identical_samples_equal_common_value(self):
         quad = Quadrature.for_region(UNIT, 128)
         ev, grid = self._const_sample(quad, 1.5)
-        got = predictive_loglik([ev, ev, ev], [grid, grid, grid], quad)
+        got = predictive_loglik(sample_logliks([ev, ev, ev], [grid, grid, grid], quad))
         assert got == pytest.approx(poisson_loglik(ev, grid, quad), rel=1e-12)
 
     def test_log_mean_exp_hand_value(self):
@@ -94,9 +108,9 @@ class TestPredictiveLoglik:
         quad = Quadrature.for_region(UNIT, 128)
         c1 = 2.0
         c2 = c1 - np.log(3.0)  # no events: loglik = -c
-        grids = [np.full(quad.nodes.shape[0], c) for c in (c1, c2)]
+        grids = [np.full(quad.weights.size, c) for c in (c1, c2)]
         evs = [np.zeros(0), np.zeros(0)]
-        got = predictive_loglik(evs, grids, quad)
+        got = predictive_loglik(sample_logliks(evs, grids, quad))
         assert got == pytest.approx(-c1 + np.log(2.0), abs=1e-9)
 
     def test_bounded_by_sample_extremes(self):
@@ -106,32 +120,32 @@ class TestPredictiveLoglik:
         for _ in range(6):
             c = rng.uniform(0.5, 4.0)
             evs.append(np.array([c, c]))
-            grids.append(np.full(quad.nodes.shape[0], c))
+            grids.append(np.full(quad.weights.size, c))
         lls = sample_logliks(evs, grids, quad)
-        pred = predictive_loglik(evs, grids, quad)
+        pred = predictive_loglik(lls)
         assert lls.min() <= pred <= lls.max()
 
     def test_all_impossible_flags_minus_inf(self):
         quad = Quadrature.for_region(UNIT, 64)
         with pytest.warns(UserWarning):
-            got = predictive_loglik([np.zeros(1)], [np.ones(quad.nodes.shape[0])], quad)
+            got = predictive_loglik(sample_logliks([np.zeros(1)], [np.ones(quad.weights.size)], quad))
         assert got == -np.inf
 
 
 class TestL2Error:
     def test_identical_is_zero(self):
         quad = Quadrature.for_region(UNIT, 256)
-        lam = 1.0 + quad.nodes[:, 0] ** 2
+        lam = 1.0 + quad.grid.nodes[:, 0] ** 2
         assert l2_error(lam, lam, quad) == 0.0
 
     def test_unit_offset_on_unit_interval(self):
         quad = Quadrature.for_region(UNIT, 256)
-        lam = 1.0 + np.sin(quad.nodes[:, 0])
+        lam = 1.0 + np.sin(quad.grid.nodes[:, 0])
         assert l2_error(lam + 1.0, lam, quad) == pytest.approx(1.0, rel=1e-9)
 
     def test_offset_scales_linearly(self):
         quad = Quadrature.for_region(UNIT, 256)
-        lam = np.ones(quad.nodes.shape[0])
+        lam = np.ones(quad.weights.size)
         assert l2_error(lam + 2.0, lam, quad) == pytest.approx(2.0, rel=1e-9)
 
     def test_shape_mismatch_raises(self):
@@ -158,7 +172,7 @@ class TestKdeIntensity:
         quad = Quadrature.for_region(UNIT, 512)
         lam = kde_intensity(X, UNIT, quad)
         cell = 1.0 / 511
-        assert abs(quad.nodes[np.argmax(lam), 0] - X.mean()) <= cell
+        assert abs(quad.grid.nodes[np.argmax(lam), 0] - X.mean()) <= cell
 
     def test_duplicated_events_double_output_at_fixed_bandwidth(self):
         rng = np.random.default_rng(3)

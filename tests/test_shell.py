@@ -531,7 +531,7 @@ class TestEval:
         assert len(loaded.samples) == 1
         quad = Quadrature.for_region(loaded.config.region)
         lam_grid = intensity_samples(
-            loaded.samples, quad.nodes, loaded.train, loaded.config.region, loaded.config.run
+            loaded.samples, quad.grid.nodes, loaded.train, loaded.config.region, loaded.config.run
         )
         test_ev = loaded.test[0]
         lam_ev = intensity_samples(
@@ -577,7 +577,7 @@ class TestEval:
         truth = str(gen / "truth_manifest.json")
         assert main(["eval", str(arch), "--truth", truth, "--out", str(tmp_path / "r.csv")]) == 0
         assert main(["export-grid", str(arch), "--out", str(tmp_path / "g"), "--resolution", "100"]) == 0
-        n_nodes = Quadrature.for_region(io.load_archive(arch).config.region).nodes.shape[0]
+        n_nodes = Quadrature.for_region(io.load_archive(arch).config.region).weights.size
         assert shapes and not any(n in shape for shape in shapes for n in (n_nodes, 100))
 
     def test_test_file_of_other_dimension_exits_2_naming_the_file(self, tmp_path, capsys):
@@ -618,7 +618,7 @@ class TestNearestNodes:
             np.stack([rng.choice([a[0], a[-1]], 8) for a in axes], axis=1),  # region corners
             np.array([region.lower]), np.array([region.upper]),
         ])
-        d2 = np.sum((points[:, None, :] - quad.nodes[None, :, :]) ** 2, axis=-1)
+        d2 = np.sum((points[:, None, :] - quad.grid.nodes[None, :, :]) ** 2, axis=-1)
         np.testing.assert_array_equal(_nearest_nodes(quad.grid, points), np.argmin(d2, axis=1))
 
 
@@ -643,6 +643,39 @@ class TestBlasThreads:
 
     def test_nothing_is_set_once_numpy_is_loaded(self):
         assert self._threads_after_import({}, numpy_first=True) == ["-", "-", "-"]
+
+
+class TestImportFootprint:
+    # after import, fit, eval and eval --baselines: the KDE's solvers loaded
+    SCRIPT = """
+import sys
+import depcox
+from depcox.cli import main
+
+events, config, archive, out = sys.argv[1:]
+solvers = lambda: print(*(m for m in ("scipy.optimize", "scipy.fft") if m in sys.modules))
+solvers()
+assert main(["fit", events, "--config", config, "--out", archive]) == 0
+solvers()
+assert main(["eval", archive, "--out", out + "/plain.csv"]) == 0
+solvers()
+assert main(["eval", archive, "--baselines", "--out", out + "/baselines.csv"]) == 0
+solvers()
+"""
+
+    def test_only_eval_with_baselines_loads_the_kde_solvers(self, tmp_path):
+        # a fresh interpreter: other tests load the KDE in this one
+        cfg = _write_config(tmp_path, n_iters=6, burn_in=2)
+        gen = tmp_path / "gen"
+        assert main(["generate", "--config", str(cfg), "--out", str(gen)]) == 0
+        env = dict(os.environ, PYTHONPATH=str(Path(depcox.gaussian.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, str(gen / "events_0.csv"), str(cfg),
+             str(tmp_path / "arch"), str(tmp_path)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        printed = [line for line in out.stdout.splitlines() if "written" not in line]
+        assert printed == ["", "", "", "scipy.optimize scipy.fft"]
 
 
 class Test3dEndToEnd:
@@ -701,7 +734,7 @@ class TestExportGrid:
         out = tmp_path / "grids"
         assert main(["export-grid", str(arch), "--out", str(out), "--resolution", "12"]) == 0
         loaded = io.load_archive(arch)
-        nodes = Quadrature.for_region(loaded.config.region, 12).nodes
+        nodes = Quadrature.for_region(loaded.config.region, 12).grid.nodes
         lams = intensity_samples(
             loaded.samples, nodes, loaded.train, loaded.config.region, loaded.config.run
         )

@@ -17,7 +17,10 @@ columns show which form each sweep used:
 
 Each case also prints the prediction cost: the seconds per retained
 sample of ``engine.intensity_samples`` on ``Quadrature.for_region``'s
-grid (64 nodes per axis), on which ``depcox eval`` integrates.
+grid (64 nodes per axis), on which ``depcox eval`` integrates, and how
+far that call raised the peak resident set (``ru_maxrss``) of the fresh
+process each case runs in. It reads 0 when the call stayed below the peak
+of the fit before it.
 
 No bound is checked. The probe shows how the latent stage and prediction
 scale with the grid size and the dimension, which the benchmark's
@@ -27,9 +30,12 @@ workloads do not.
 from __future__ import annotations
 
 import argparse
+import multiprocessing
 import os
+import resource
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -58,8 +64,8 @@ CASES = [("2d-20x20", 2, 2, 20), ("2d-40x40", 2, 2, 40), ("3d-10x10x10", 3, 1, 1
 
 def probe(dim: int, n_processes: int, per_axis: int, sweeps: int, seed: int) -> tuple:
     """The sampler's sweeps/s, the fewest and most points, over all
-    processes, of its sweeps, and the seconds per retained sample of the
-    prediction on the quadrature grid."""
+    processes, of its sweeps, the seconds per retained sample of the
+    prediction on the quadrature grid and the MB it added to the peak RSS."""
     region = Region([0.0] * dim, [1.0] * dim)
     rng = np.random.default_rng([seed, dim])
     truth = sample_ground_truth(
@@ -72,10 +78,12 @@ def probe(dim: int, n_processes: int, per_axis: int, sweeps: int, seed: int) -> 
     samples, info = run_chain_with_info(events, region, config)
     points = [sum(g.size for g in s.g_values) for s in samples]
     grid = Quadrature.for_region(region).grid
+    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     start = time.perf_counter()
     intensity_samples(samples, np.zeros((0, dim)), events, region, config, grid)
     predict = (time.perf_counter() - start) / len(samples)
-    return info.iterations_per_second, min(points), max(points), predict
+    grown_mb = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - peak_kb) / 1024.0
+    return info.iterations_per_second, min(points), max(points), predict, grown_mb
 
 
 def main(argv=None) -> int:
@@ -84,9 +92,11 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     for name, dim, n_processes, per_axis in CASES:
-        rate, n_min, n_max, predict = probe(dim, n_processes, per_axis, args.sweeps, args.seed)
+        with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
+            result = pool.submit(probe, dim, n_processes, per_axis, args.sweeps, args.seed).result()
+        rate, n_min, n_max, predict, grown = result
         print(f"{name:12s} Q*J={per_axis ** dim:5d}  N={n_min:4d}-{n_max:<4d} {rate:7.2f} sweeps/s"
-              f"  {predict:8.4f} s/sample predict")
+              f"  {predict:8.4f} s/sample predict  +{grown:6.1f} MB peak RSS")
     return 0
 
 
