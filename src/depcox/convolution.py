@@ -29,7 +29,10 @@ with ``s_q = (lam_q + j)^{-1/2}``:
   caller keeps (``site``, the proposal kernels' per-site call): the site's
   projection, prior mean, floored variance and residual covariance row in
   one call, each operation the one ``project``, ``mean``, ``mean_cov`` and
-  ``cov`` make, in the same order, so it matches them bit for bit;
+  ``cov`` make, in the same order, so it matches them bit for bit; the
+  scalars it needs of ``kappa``, ``theta`` and the latent variances come
+  from ``site_scalars``, which the caller forms once per ``kappa`` and
+  ``theta``;
 * the coupling matrix, ``extend`` and the latent mean coefficients, which
   apply ``Q_q (s_q * .)`` axis by axis;
 * the log density of the latent values in ``phi_mh_update``, so a
@@ -70,6 +73,7 @@ targets alike; only the process's own points enter as scattered nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from .errors import NumericalError, ValidationError
@@ -195,6 +199,10 @@ class LatentFactor:
         if not np.all(shifted > 0):
             raise NumericalError(f"latent Gram matrix at phi={self.phi:.3g} is not positive definite")
         self.s = shifted**-0.5
+        # the transposed axis factors and the scale as a column, which
+        # every new site's projection reads
+        self.QT = [q.T for q in self.Q]
+        self.s_col = self.s[:, None]
         self._L = None
         self._inverse = None
 
@@ -203,7 +211,7 @@ class LatentFactor:
 
     def to_eigen(self, v: np.ndarray) -> np.ndarray:
         """``Q^T v`` for ``v`` of shape (J,) or (J, n)."""
-        return _kron_apply([q.T for q in self.Q], v)
+        return _kron_apply(self.QT, v)
 
     def from_eigen(self, v: np.ndarray) -> np.ndarray:
         """``Q v`` for ``v`` of shape (J,) or (J, n)."""
@@ -214,8 +222,8 @@ class LatentFactor:
         factors ``Q_a^T E_a`` of the cross-covariance: O(J) per point."""
         if X.shape[1] != len(self.axes):
             raise ValidationError("point sets have different dimension")
-        F = [q.T @ axis_gram(a, x, variance) for q, a, x in zip(self.Q, self.axes, X.T)]
-        return self.s[:, None] * _khatri_rao(F)
+        F = [qt @ axis_gram(a, x, variance) for qt, a, x in zip(self.QT, self.axes, X.T)]
+        return self.s_col * _khatri_rao(F)
 
     def whiten_dv(self, X: np.ndarray, variance: float) -> tuple[np.ndarray, np.ndarray]:
         """``whiten(X, variance)`` and its derivative in the variance: the
@@ -224,12 +232,12 @@ class LatentFactor:
         if X.shape[1] != len(self.axes):
             raise ValidationError("point sets have different dimension")
         F, dF = [], []
-        for q, a, x in zip(self.Q, self.axes, X.T):
+        for qt, a, x in zip(self.QT, self.axes, X.T):
             E, dE = axis_gram_dv(a, x, variance)
-            F.append(q.T @ E)
-            dF.append(q.T @ dE)
+            F.append(qt @ E)
+            dF.append(qt @ dE)
         dW = sum(_khatri_rao(F[:a] + [dF[a]] + F[a + 1 :]) for a in range(len(F)))
-        return self.s[:, None] * _khatri_rao(F), self.s[:, None] * dW
+        return self.s_col * _khatri_rao(F), self.s_col * dW
 
     @property
     def L(self) -> np.ndarray:
@@ -246,6 +254,22 @@ class LatentFactor:
         if self._inverse is None:
             self._inverse = chol_inverse(self.L)
         return self._inverse
+
+
+class SiteScalars(NamedTuple):
+    """The scalars of ``site`` that depend only on ``kappa``, ``theta`` and
+    the latent variances (``site_scalars``): a process's workspace forms
+    them once, with the expressions ``site`` once evaluated per call, so
+    they have the same bits."""
+
+    kappa: float
+    theta: float
+    kappa2: float  # kappa**2
+    variances: tuple  # theta + phi_q, one per latent function
+    scales: tuple  # (2 pi (theta + phi_q))^{-1/2}, the axis factors' scale
+    gram_variances: list  # 2 theta + phi_q, the output Gram variances
+    marginal: float  # the marginal variance (unfloored for an independent prior)
+    floor: float  # MARGINAL_FLOOR * marginal
 
 
 class ConvolutionPrior:
@@ -331,48 +355,60 @@ class ConvolutionPrior:
         C = self.cov(X, W, X, W, kappa, theta)
         return self.mean(X, W, kappa), self._floored(C, kappa, theta)
 
-    def site(self, x, xx: float, pts, zz, W, kappa: float, theta: float):
+    def site_scalars(self, kappa: float, theta: float) -> SiteScalars:
+        """What ``site`` reads of ``kappa``, ``theta`` and the latent
+        variances."""
+        variances = tuple(theta + f.phi for f in self.factors)
+        marginal = self._marginal_var(kappa, theta)
+        return SiteScalars(
+            kappa, theta, kappa**2, variances,
+            tuple((2.0 * np.pi * v) ** -0.5 for v in variances),
+            [2.0 * theta + phi for phi in self._phis],
+            marginal, MARGINAL_FLOOR * marginal,
+        )
+
+    def site(self, x, xx: float, pts, zz, W, s: SiteScalars):
         """One new site ``x`` (1, d) against the points ``pts``, whose
         squared norms are ``zz`` and projection ``W``; ``xx`` is
-        ``sq_norm(x)``. Returns the site's projection ``w`` (Q*J, 1), its
-        prior mean, its residual variance, floored as in ``mean_cov``, and
-        its residual covariance row ``ks`` (n,) with the points.
+        ``sq_norm(x)`` and ``s`` is ``site_scalars(kappa, theta)``. Returns
+        the site's projection ``w`` (Q*J, 1), its prior mean, its residual
+        variance, floored as in ``mean_cov``, and its residual covariance
+        row ``ks`` (n,) with the points.
 
         Each operation is the one ``project``, ``mean``, ``mean_cov`` and
         ``cov`` make for the one-point set, in the same order, so the
         results equal theirs bit for bit: ``whiten``'s per-axis factors,
         one dot product for the variance and one per latent function for
         the mean, ``gauss_gram_sum`` for the Gram row. Only the calls and
-        checks around them are left out; the proposal kernels make this
-        call thousands of times a sweep.
+        checks around them are left out, and the scalars are read from
+        ``s``: the proposal kernels make this call thousands of times a
+        sweep.
         """
         ws = []
-        for f in self.factors:
-            variance = theta + f.phi
+        for f, variance, scale in zip(self.factors, s.variances, s.scales):
             F = []
-            for q, a, c in zip(f.Q, f.axes, x.T):  # axis_gram, operation for operation
+            for qt, a, c in zip(f.QT, f.axes, x.T):  # axis_gram, operation for operation
                 E = a[:, None] - c
                 E *= E
                 E *= -0.5
                 E /= variance
                 np.exp(E, out=E)
-                E *= (2.0 * np.pi * variance) ** -0.5
-                F.append(q.T @ E)
+                E *= scale
+                F.append(qt @ E)
             w_q = F[0] if len(F) == 1 else _khatri_rao(F)
-            w_q *= f.s[:, None]
+            w_q *= f.s_col
             ws.append(w_q)
         w = ws[0] if len(ws) == 1 else np.concatenate(ws)
         flat = w[:, 0]
-        marginal = self._marginal_var(kappa, theta)
-        var = marginal - kappa**2 * float(flat @ flat) + MARGINAL_FLOOR * marginal
+        var = s.marginal - s.kappa2 * float(flat @ flat) + s.floor
         J = self.latent.n_grid
         mean = 0.0
         for q, beta in enumerate(self._betas):
             mean += float(flat[q * J : (q + 1) * J] @ beta)
-        ks = gauss_gram_sum(x, xx, pts, zz, [2.0 * theta + phi for phi in self._phis])
+        ks = gauss_gram_sum(x, xx, pts, zz, s.gram_variances)
         ks -= w.T @ W
-        ks *= kappa**2
-        return w, kappa * mean, var, ks.ravel()
+        ks *= s.kappa2
+        return w, s.kappa * mean, var, ks.ravel()
 
     def mean_cov_grads(self, X, kappa: float, theta: float):
         """Mean, covariance and their gradients in (log kappa, log theta).
@@ -465,13 +501,17 @@ class IndependentPrior:
     def mean_cov(self, X, kappa: float, theta: float, W):
         return self.mean(X, W, kappa), self.cov(X, W, X, W, kappa, theta)
 
-    def site(self, x, xx: float, pts, zz, W, kappa: float, theta: float):
+    def site_scalars(self, kappa: float, theta: float) -> SiteScalars:
+        """What ``site`` reads of ``kappa`` and ``theta``."""
+        var = kappa**2 * (2.0 * np.pi * (2.0 * theta + self.phi0)) ** (-0.5 * self.dim)
+        return SiteScalars(kappa, theta, kappa**2, (), (), (2.0 * theta + self.phi0,), var, 0.0)
+
+    def site(self, x, xx: float, pts, zz, W, s: SiteScalars):
         """Empty projection, zero mean, the marginal variance and the
         covariance row at one new site (see ``ConvolutionPrior.site``)."""
-        var = kappa**2 * (2.0 * np.pi * (2.0 * theta + self.phi0)) ** (-0.5 * self.dim)
-        ks = gauss_gram_sum(x, xx, pts, zz, (2.0 * theta + self.phi0,))
-        ks *= kappa**2
-        return np.zeros((0, 1)), 0.0, var, ks.ravel()
+        ks = gauss_gram_sum(x, xx, pts, zz, s.gram_variances)
+        ks *= s.kappa2
+        return np.zeros((0, 1)), 0.0, s.marginal, ks.ravel()
 
     def extend(self, X, pts, W, a, kappa: float, theta: float) -> np.ndarray:
         """``mean(X) + cov(X, pts) @ a``; ``X`` is a point array or a ``ProductGrid``."""

@@ -134,7 +134,7 @@ def _latent_ess_move(states, A_list, prior: ConvolutionPrior, ladder, rng):
     draw goes through each latent function's dense factor in turn; the
     block-diagonal prior is never assembled.
     """
-    from .sgcp import elliptical_slice, point_loglik
+    from .sgcp import elliptical_slice, point_loglik, thinned_levels
 
     latent = prior.latent
     u_flat = latent.values.ravel()
@@ -142,12 +142,13 @@ def _latent_ess_move(states, A_list, prior: ConvolutionPrior, ladder, rng):
     J = latent.n_grid
     z = rng.standard_normal(u_flat.size)
     nu = np.concatenate([f.L @ z[q * J : (q + 1) * J] for q, f in enumerate(prior.factors)])
+    levels = [thinned_levels(state.rate_idx, ladder) for state in states]
 
     def loglik(u):
         total = 0.0
         for d, state in enumerate(states):
             g = A_list[d] @ u + residuals[d]
-            total += point_loglik(g, state.n_data, state.rate_idx, ladder)
+            total += point_loglik(g, state.n_data, state.rate_idx, ladder, levels[d])
             if not np.isfinite(total):
                 return -np.inf
         return total

@@ -7,25 +7,36 @@ hyperparameters. Five transition kernels act on it: birth/death of thinned
 points, relocation moves, an elliptical slice update of the function
 values, a Hamiltonian update of the hyperparameters, and a conjugate Gamma
 resample of the bound. Each kernel leaves the augmented posterior
-invariant on its own, so they can be composed in any order.
+invariant on its own, so they can be composed in any order. Each returns
+a new state that shares no memory with the state it was given or with the
+workspace below.
 
 The conditional prior over a process's current points (projection ``W``,
 mean ``m``, residual covariance ``C``) lives in one ``_Workspace`` per
 process, owned by its ``GpContext`` for the whole chain, together with
-the Cholesky factor of ``C``; nothing else forms or factors it. Birth/death
-and move keep it in step as they add, remove and move points; the function
-slice update, the engine's initial draw, the latent posterior
+the Cholesky factor of ``C``; nothing else forms or factors it. The
+function slice update, the engine's initial draw, the latent posterior
 (``convolution.latent_posterior``) and prediction read it. ``_Workspace``
 says when it is rebuilt and when its factor is.
 
 Birth/death and move run thousands of times a sweep on arrays of tens of
-entries, so their cost is mostly numpy calls and copies. A proposal's
+entries, so their cost is mostly numpy calls and copies. The workspace
+keeps the points, their squared norms, ``W``, ``m``, the function values
+and ``C`` in capacity buffers, of which its arrays are views: an accepted
+birth writes one entry past the end, a death shifts the entries after it
+down one place, a move writes its entry, all in place, so no event copies
+``W`` or ``C``. While either kernel runs, the thinned points and their
+function values live only in the workspace and the levels in a list; the
+kernel writes its state once, at the end, as copies. A proposal's
 conditional makes one call to the prior (``site``) for the site's
 projection, prior moments and covariance row with the points, reading the
-squared norms of the points that the workspace keeps beside them, and
-returns the site with its row and solve, which the kernel passes on to
-``append`` or ``update_point``. ``C`` stays exactly symmetric and ``W``
-C-contiguous, the layouts that fixed-seed draws rest on.
+squared norms the workspace keeps and the scalars of ``kappa`` and
+``theta`` it forms once, and returns the site with its row and solve,
+which the kernel passes on to ``append`` or ``update_point``. ``C`` stays
+exactly symmetric and each row of ``W`` contiguous: ``W`` is a row-major
+(Q*J, capacity) buffer read through its first n columns, on which the
+products with ``W`` round as on a fresh projection, so every draw is the
+one a new array per event would give.
 """
 
 from __future__ import annotations
@@ -201,16 +212,6 @@ class AugmentedState:
             if np.any(expit(self.g_thinned) > levels):
                 raise ValidationError("a thinned point's sigmoid exceeds its level")
 
-    def append_thinned(self, x, g_value: float, rate: int) -> None:
-        self.thinned = np.concatenate((self.thinned, np.reshape(x, (1, -1))))
-        self.rate_idx = np.concatenate((self.rate_idx, (rate,)))
-        self.g_values = np.concatenate((self.g_values, (g_value,)))
-
-    def remove_thinned(self, i: int) -> None:
-        self.g_values = _without(self.g_values, self.n_data + i)
-        self.thinned = _without(self.thinned, i)
-        self.rate_idx = _without(self.rate_idx, i)
-
 
 @dataclass
 class GpContext:
@@ -249,25 +250,34 @@ class GpContext:
         return ws
 
 
-def point_loglik(g_values, n_data: int, rate_idx, ladder: RateLadder) -> float:
+def thinned_levels(rate_idx, ladder: RateLadder) -> tuple:
+    """What ``point_loglik`` reads of the thinned points' level indices and
+    the ladder: their levels, the logs of those and which are the top
+    level 1. A slice move forms them once for all its shrinks."""
+    levels = ladder.as_array()[np.asarray(rate_idx, dtype=int)]
+    return levels, np.log(levels), levels == 1.0
+
+
+def point_loglik(g_values, n_data: int, rate_idx, ladder: RateLadder, levels=None) -> float:
     """Log likelihood of the point pattern in the function values.
 
     Observed points contribute log sigmoid terms; thinned points contribute
     the log probability of being thinned at their assigned level, which
-    acts as a barrier keeping each sigmoid below its level.
+    acts as a barrier keeping each sigmoid below its level. ``levels`` is
+    ``thinned_levels(rate_idx, ladder)``, if the caller holds it.
     """
     g = np.asarray(g_values, dtype=float)
     gd = g[:n_data]
     gt = g[n_data:]
     ll = -float(np.sum(np.logaddexp(0.0, -gd)))
     if gt.size:
-        levels = ladder.as_array()[np.asarray(rate_idx, dtype=int)]
+        levels, log_levels, top = thinned_levels(rate_idx, ladder) if levels is None else levels
         sig = expit(gt)
         # level 1 margins computed as sigmoid(-g) to stay exact for large g
-        margins = np.where(levels == 1.0, expit(-gt), levels - sig)
+        margins = np.where(top, expit(-gt), levels - sig)
         if np.any(margins <= 0.0):
             return -np.inf
-        ll += float(np.sum(np.log(margins) - np.log(levels)))
+        ll += float(np.sum(np.log(margins) - log_levels))
     return ll
 
 
@@ -301,6 +311,22 @@ def _drop(C: np.ndarray, i: int) -> np.ndarray:
     return out
 
 
+# Fewer points than this are held in buffers of exactly their number: for
+# a W of one to three columns, BLAS rounds ``w^T W`` and ``W^T beta``
+# differently when the buffer's row stride exceeds the column count, so a
+# view of a larger buffer would move draws. From four columns on they
+# rounded alike in each of 8120 random trials (Q*J from 1 to 3200, 4 to 88
+# columns, spare capacity from 1 to 296 columns, one BLAS thread).
+_EXACT_BELOW = 4
+
+
+def _moved(old: np.ndarray, shape, block) -> np.ndarray:
+    """A new C-ordered buffer of ``shape`` holding ``old[block]`` at ``block``."""
+    new = np.empty(shape)
+    new[block] = old[block]
+    return new
+
+
 class _Proposal(NamedTuple):
     """The conditional of the function at a new site given a workspace's
     points, with what ``_Workspace.append`` and ``update_point`` take from
@@ -319,32 +345,49 @@ class _Proposal(NamedTuple):
 
 class _Workspace:
     """Dense conditional prior over the current point set with a cached
-    Cholesky factor; supports cheap appends, drop-one conditionals, prior
-    draws (``prior_draw``) and prediction weights (``weights``).
+    Cholesky factor; supports appends, removals and moves of points in
+    place, drop-one conditionals, prior draws (``prior_draw``) and
+    prediction weights (``weights``).
 
     Invariant: ``W == prior.project(pts, theta)``, each point's
     cross-covariance with the latent grid whitened by the latent factors,
     ``zz == (pts * pts).sum(1)``, the points' squared norms, and ``m``,
     ``C`` are ``prior.mean_cov(pts, kappa, theta, W)``: the prior mean and
     the residual covariance, its diagonal floored as the prior's ``site``
-    floors a new site's variance. ``C`` is exactly symmetric and ``W``
-    C-contiguous, as a fresh ``mean_cov`` and ``project`` give them: the
-    products ``W^T W`` and the factorizations read them in that layout, so
-    a kept ``W`` in another layout would round differently. ``append``,
+    floors a new site's variance. ``C`` is exactly symmetric. ``append``,
     ``remove`` and ``update_point`` keep ``W``, ``zz``, ``m``, ``C``,
     ``g`` and (when formed) the factor of ``C`` in step with ``pts``.
+
+    Buffers: ``pts``, ``zz``, ``W``, ``m``, ``g`` and ``C`` are views of
+    the first ``n`` entries of capacity buffers, ``W`` of a C-ordered
+    (Q*J, cap) buffer read through ``W[:, :n]`` and ``C`` of a (cap, cap)
+    one read through ``C[:n, :n]``. ``append`` writes one row of each (one
+    column of ``W``, a row and a column of ``C``) past the end, ``remove``
+    shifts the trailing entries down one place in place, keeping the
+    points' order, and ``update_point`` writes its row: none copies what it
+    keeps. A full buffer moves to one of twice the size. The build
+    allocates exact sizes, so a workspace that is never appended to (the
+    prediction's) holds no spare capacity, and sets of fewer than
+    ``_EXACT_BELOW`` points are held at exact size too. ``W`` holds the points as columns of a
+    row-major buffer, so each of its rows stays contiguous and ``w^T W``
+    and ``W^T beta`` reach the BLAS kernel a fresh ``project`` reaches, with
+    the same rounding: draws through a kept ``W`` are byte-identical to
+    draws through a fresh one. A buffer with the points as rows would give
+    an F-ordered ``W``, which rounds these products differently.
 
     A new site goes through ``conditional``, which makes one call to the
     prior's ``site``: that projects only the site (O(J) per latent
     function) and forms its covariance row with the points from ``W`` and
-    ``zz``, with no squared norm of a kept point recomputed. The
+    ``zz``, with no squared norm of a kept point recomputed; the scalars it
+    needs of ``kappa``, ``theta`` and the latent variances are formed once
+    per workspace, on its first conditional (``site_scalars``). The
     conditional returns it all as a ``_Proposal``: the site, its squared
     norm, projection, prior mean and variance, its covariance ``ks`` with
     the points and, for a full conditional, ``L^{-1} ks``. The kernels
     pass the proposal to ``append`` or ``update_point``, which read the new
     row of ``C`` and the new row of the factor from it; nothing about a
-    site is kept between calls, and nothing from the prior but the prior
-    itself. Priors without a latent grid project to an empty (0, n) ``W``.
+    site is kept between calls. Priors without a latent grid project to an
+    empty (0, n) ``W``.
 
     Lifetime: one workspace per process lives for the whole chain, owned
     by the process's ``GpContext``. ``W`` and ``C`` depend only on the
@@ -353,27 +396,56 @@ class _Workspace:
     factors, which refreshes ``m`` only (``refresh``), and is rebuilt when
     ``kappa`` or ``theta`` changes (a Hamiltonian accept), when a factor
     changes (a latent-variance accept) or when the point set no longer
-    matches (``holds_for``). The factor ``L`` of ``C`` lives as long as
-    ``C``: an ``append`` extends it where it can, ``remove``,
-    ``update_point`` and an ``append`` that cannot extend it drop it, and
-    the next use factors ``C`` afresh. So the factor the function slice
-    update draws through also serves the latent posterior and the next
-    sweep's birth/death. ``L^{-1} (g - m)`` lives as long as ``g``.
+    matches (``holds_for``). The buffers live as long as the workspace.
+    The factor ``L`` of ``C`` lives as long as ``C``: an ``append`` extends
+    it where it can, into a fresh Fortran-ordered array (``dtrtrs`` would
+    copy a strided view of a larger buffer on every solve), and
+    ``remove``, ``update_point`` and an ``append`` that cannot extend it
+    drop it, and the next use factors ``C`` afresh. So the factor the
+    function slice update draws through also serves the latent posterior
+    and the next sweep's birth/death. ``L^{-1} (g - m)`` lives as long as
+    ``g``.
     """
 
     def __init__(self, ctx: GpContext, state: AugmentedState):
         self.prior = ctx.prior
         self.kappa = state.kappa
         self.theta = state.theta
-        self.pts = ctx.points(state)
-        self.zz = (self.pts * self.pts).sum(1)
-        self.W = self.prior.project(self.pts, self.theta)
-        self.m, self.C = self.prior.mean_cov(self.pts, self.kappa, self.theta, self.W)
-        self.g = state.g_values.copy()
+        # the build's arrays are the buffers, at exactly the points' number
+        self._pts = ctx.points(state)
+        self._zz = (self._pts * self._pts).sum(1)
+        self._W = self.prior.project(self._pts, self.theta)
+        self._m, self._C = self.prior.mean_cov(self._pts, self.kappa, self.theta, self._W)
+        self._g = state.g_values.copy()
+        self.n = self._zz.size
+        self._resize(self.n)
+        self._site = None  # formed on the first conditional: prediction makes none
         self.degenerate = self.C.size == 0 or not self.C.any()
         self._L = None
         self._v = None
         self._jitter = 0.0
+
+    def _resize(self, n: int) -> None:
+        """Make the views hold ``n`` points, moving the buffers first if
+        they are too small (to twice ``n``) or ``n`` is below
+        ``_EXACT_BELOW`` (to exactly ``n``)."""
+        cap = self._zz.size
+        if n > cap or (n < _EXACT_BELOW and n != cap):
+            new_cap = n if n < _EXACT_BELOW else 2 * n
+            head = slice(min(n, self.n))
+            self._pts = _moved(self._pts, (new_cap, self._pts.shape[1]), head)
+            self._zz = _moved(self._zz, new_cap, head)
+            self._m = _moved(self._m, new_cap, head)
+            self._g = _moved(self._g, new_cap, head)
+            self._W = _moved(self._W, (self._W.shape[0], new_cap), (slice(None), head))
+            self._C = _moved(self._C, (new_cap, new_cap), (head, head))
+        self.n = n
+        self.pts = self._pts[:n]
+        self.zz = self._zz[:n]
+        self.W = self._W[:, :n]
+        self.m = self._m[:n]
+        self.g = self._g[:n]
+        self.C = self._C[:n, :n]
 
     def holds_for(self, prior, state: AugmentedState) -> bool:
         """Whether ``W`` and ``C`` hold for ``prior`` and ``state``'s points
@@ -382,18 +454,18 @@ class _Workspace:
             state.kappa == self.kappa
             and state.theta == self.theta
             and _same_factors(prior, self.prior)
-            and self.pts.shape[0] == state.g_values.size
+            and self.n == state.g_values.size
             and np.array_equal(self.pts[state.n_data :], state.thinned)
         )
 
     def refresh(self, prior, state: AugmentedState) -> None:
         """Take ``state``'s function values, dropping ``L^{-1} (g - m)``; a
         new ``prior`` at the same factors also refreshes the mean. The
-        factor of ``C`` stays."""
+        factor of ``C`` and the site scalars stay."""
         if prior is not self.prior:
             self.prior = prior
-            self.m = prior.mean(self.pts, self.W, self.kappa)
-        self.g = state.g_values.copy()
+            self._m[: self.n] = prior.mean(self.pts, self.W, self.kappa)
+        self._g[: self.n] = state.g_values
         self._v = None
 
     @property
@@ -409,14 +481,14 @@ class _Workspace:
         return self._L, self._v
 
     def conditional(self, x, exclude: int | None = None) -> _Proposal:
-        """The function at ``x`` given the current values, optionally
-        leaving point ``exclude`` out: its ``mean`` and ``var``, and the
-        site for ``append`` or, with ``exclude``, ``update_point``."""
+        """The function at the site ``x`` (1, dim) given the current values,
+        optionally leaving point ``exclude`` out: its ``mean`` and ``var``,
+        and the site for ``append`` or, with ``exclude``, ``update_point``."""
         x = np.asarray(x, dtype=float).reshape(1, -1)
         xx = sq_norm(x)
-        w_x, mstar, cstar, ks = self.prior.site(
-            x, xx, self.pts, self.zz, self.W, self.kappa, self.theta
-        )
+        if self._site is None:
+            self._site = self.prior.site_scalars(self.kappa, self.theta)
+        w_x, mstar, cstar, ks = self.prior.site(x, xx, self.pts, self.zz, self.W, self._site)
         n = ks.size
         lks = None
         if n == 0:  # no points: L^{-1} of the empty row is itself
@@ -436,18 +508,17 @@ class _Workspace:
 
     def append(self, p: _Proposal, g_value: float) -> None:
         """Add the site of the proposal ``p`` with function value ``g_value``."""
-        n = self.pts.shape[0]
-        self.pts = np.concatenate((self.pts, p.x))
-        self.zz = np.concatenate((self.zz, (p.xx,)))
-        self.W = np.concatenate((self.W, p.w), axis=1)
-        self.m = np.concatenate((self.m, (p.prior_mean,)))
-        self.g = np.concatenate((self.g, (g_value,)))
-        C_new = np.empty((n + 1, n + 1))
-        C_new[:n, :n] = self.C
-        C_new[n, :n] = p.ks
-        C_new[:n, n] = p.ks
-        C_new[n, n] = p.prior_var
-        self.C = C_new
+        n = self.n
+        self._resize(n + 1)
+        self._pts[n] = p.x[0]
+        self._zz[n] = p.xx
+        self._W[:, n] = p.w[:, 0]
+        self._m[n] = p.prior_mean
+        self._g[n] = g_value
+        C = self._C
+        C[n, :n] = p.ks
+        C[:n, n] = p.ks
+        C[n, n] = p.prior_var
         if n == 0:  # the first point decides whether the prior has any spread
             self.degenerate = not self.C.any()
         if self.degenerate:
@@ -469,38 +540,56 @@ class _Workspace:
         self._L = self._v = None
 
     def remove(self, i: int) -> None:
-        # C-contiguous, as np.delete(W, i, axis=1) gives it; W[:, mask] would not be
-        self.W = np.concatenate((self.W[:, :i], self.W[:, i + 1 :]), axis=1)
-        self.pts = _without(self.pts, i)
-        self.zz = _without(self.zz, i)
-        self.m = _without(self.m, i)
-        self.g = _without(self.g, i)
-        self.C = _drop(self.C, i)
+        """Drop point ``i``: the points after it move down one place, in place."""
+        n = self.n
+        for buf in (self._pts, self._zz, self._m, self._g):
+            buf[i : n - 1] = buf[i + 1 : n]
+        self._W[:, i : n - 1] = self._W[:, i + 1 : n]
+        C = self._C
+        C[i : n - 1, :n] = C[i + 1 : n, :n]
+        C[: n - 1, i : n - 1] = C[: n - 1, i + 1 : n]
+        self._resize(n - 1)
         self._L = self._v = None
 
     def update_point(self, i: int, p: _Proposal, g_value: float) -> None:
         """Move point ``i`` to the site of the proposal ``p``, made with
         ``exclude=i``, with function value ``g_value``."""
-        self.pts[i] = p.x[0]
-        self.zz[i] = p.xx
-        self.W[:, i] = p.w[:, 0]
-        self.m[i] = p.prior_mean
-        self.g[i] = g_value
-        self.C[i, :] = p.ks
-        self.C[:, i] = p.ks
-        self.C[i, i] = p.prior_var
+        n = self.n
+        self._pts[i] = p.x[0]
+        self._zz[i] = p.xx
+        self._W[:, i] = p.w[:, 0]
+        self._m[i] = p.prior_mean
+        self._g[i] = g_value
+        C = self._C
+        C[i, :n] = p.ks
+        C[:n, i] = p.ks
+        C[i, i] = p.prior_var
         self._L = self._v = None
 
     def prior_draw(self, rng: np.random.Generator) -> np.ndarray:
         """A draw ``L z`` from the zero-mean prior, or zeros, drawing no random
         numbers, if ``C`` has no spread."""
         if self.degenerate:
-            return np.zeros(self.pts.shape[0])
-        return self.L @ rng.standard_normal(self.pts.shape[0])
+            return np.zeros(self.n)
+        return self.L @ rng.standard_normal(self.n)
 
     def weights(self) -> np.ndarray:
         """``C^{-1} (g - m)``, which extends the conditional mean to new sites."""
         return chol_solve(self.L, self.g - self.m)
+
+
+def _state_of(ws: _Workspace, state: AugmentedState, rate_idx: list) -> AugmentedState:
+    """``state`` with the workspace's thinned points and function values and
+    the level indices ``rate_idx``, each copied: the new state shares no
+    memory with the workspace."""
+    return AugmentedState(
+        ws.pts[state.n_data :].copy(),
+        np.array(rate_idx, dtype=int),
+        ws.g.copy(),
+        state.lambda_star,
+        state.kappa,
+        state.theta,
+    )
 
 
 def birth_death_step(
@@ -520,35 +609,42 @@ def birth_death_step(
     point. The attempt count must not depend on the thinned state itself
     (a state-dependent repetition count biases the stationary law), so the
     default is one attempt per observed event plus one.
+
+    While the kernel runs the thinned points and their function values live
+    only in ``ctx``'s workspace, which an accepted insertion or deletion
+    updates in place, and the level indices in a list; the returned state
+    copies them once, at the end.
     """
-    state = state.copy()
     ws = ctx.workspace(state)
     if attempts is None:
         attempts = ctx.data.shape[0] + 1
+    n_data = state.n_data
+    rate_idx = state.rate_idx.tolist()
     levels = ladder.levels
     vol = region.volume
+    lam = state.lambda_star
     for _ in range(attempts):
-        M = state.n_thinned
+        M = len(rate_idx)
         if rng.random() < b:
-            x = region.uniform(1, rng)[0]
+            x = region.uniform(1, rng)
             p = ws.conditional(x)
             g_star = p.mean + math.sqrt(p.var) * rng.standard_normal()
             sig = float(expit(g_star))
             r = ladder.assign(sig)
-            a = accept_insert(M, vol, state.lambda_star, levels[r], sig, b)
+            a = accept_insert(M, vol, lam, levels[r], sig, b)
             if rng.random() < a:
-                state.append_thinned(x, g_star, r)
                 ws.append(p, g_star)
+                rate_idx.append(r)
         else:
             if M == 0:
                 continue
             i = int(rng.integers(M))
-            sig = float(expit(state.g_thinned[i]))
-            a = accept_delete(M, vol, state.lambda_star, levels[state.rate_idx[i]], sig, b)
+            sig = float(expit(ws.g[n_data + i]))
+            a = accept_delete(M, vol, lam, levels[rate_idx[i]], sig, b)
             if rng.random() < a:
-                ws.remove(state.n_data + i)
-                state.remove_thinned(i)
-    return state
+                ws.remove(n_data + i)
+                del rate_idx[i]
+    return _state_of(ws, state, rate_idx)
 
 
 def move_step(
@@ -564,33 +660,35 @@ def move_step(
     The function value at the proposed site is drawn conditioned on the
     state with the moving point's value left out; proposals landing outside
     the region are rejected outright. Accepted points get a freshly
-    assigned level.
+    assigned level. As in ``birth_death_step``, the points and values live
+    in the workspace, which an accepted move updates in place, until the
+    state is written at the end.
     """
-    state = state.copy()
     M = state.n_thinned
     if M == 0:
-        return state
+        return state.copy()
     if scale is None:
         scale = region.axis_lengths / 10.0
     ws = ctx.workspace(state)
+    n_data = state.n_data
+    rate_idx = state.rate_idx.tolist()
     levels = ladder.levels
+    shape = (1, region.dim)
     for i in range(M):
-        x_new = state.thinned[i] + scale * rng.standard_normal(region.dim)
+        j = n_data + i
+        x_new = ws.pts[j : j + 1] + scale * rng.standard_normal(shape)
         if not region.contains_point(x_new):
             continue
-        j = state.n_data + i
         p = ws.conditional(x_new, exclude=j)
         g_new = p.mean + math.sqrt(p.var) * rng.standard_normal()
         sig_new = float(expit(g_new))
         r_new = ladder.assign(sig_new)
-        sig_old = float(expit(state.g_values[j]))
-        a = accept_move(levels[state.rate_idx[i]], sig_old, levels[r_new], sig_new)
+        sig_old = float(expit(ws.g[j]))
+        a = accept_move(levels[rate_idx[i]], sig_old, levels[r_new], sig_new)
         if rng.random() < a:
-            state.thinned[i] = x_new
-            state.g_values[j] = g_new
-            state.rate_idx[i] = r_new
             ws.update_point(j, p, g_new)
-    return state
+            rate_idx[i] = r_new
+    return _state_of(ws, state, rate_idx)
 
 
 def elliptical_slice(
@@ -638,9 +736,10 @@ def ess_function_update(
         return state.copy()
     ws = ctx.workspace(state)
     nu = ws.prior_draw(rng)
+    levels = thinned_levels(state.rate_idx, ladder)
 
     def loglik(g):
-        return point_loglik(g, state.n_data, state.rate_idx, ladder)
+        return point_loglik(g, state.n_data, state.rate_idx, ladder, levels)
 
     new = state.copy()
     new.g_values = elliptical_slice(state.g_values, ws.m, loglik, rng, nu)

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg import lapack, solve_triangular
 from scipy.special import expit
 
-from depcox.convolution import MARGINAL_FLOOR, ConvolutionPrior
+from depcox.convolution import MARGINAL_FLOOR, ConvolutionPrior, SiteScalars
 from depcox.errors import NumericalError, ValidationError
 from depcox.gaussian import JITTER_SCALE, MAX_JITTER_DOUBLINGS, _as_points, cholesky, cholesky_with_jitter
 from depcox.thinning import SLACK, RateLadder
@@ -161,11 +161,23 @@ class FixedFunctionPrior:
     def mean_cov(self, X, kappa: float, theta: float, W):
         return self.mean(X, W, kappa), self.cov(X, W, X, W, kappa, theta)
 
-    def site(self, x, xx: float, pts, zz, W, kappa: float, theta: float):
+    def site_scalars(self, kappa: float, theta: float) -> SiteScalars:
+        return SiteScalars(kappa, theta, kappa**2, (), (), [], 0.0, 0.0)
+
+    def site(self, x, xx: float, pts, zz, W, s: SiteScalars):
         """Empty projection, the known value, zero variance and a zero
         covariance row at one new site."""
-        w = self.project(x, theta)
-        return w, float(self.mean(x, w, kappa)[0]), 0.0, np.zeros(np.asarray(pts).shape[0])
+        w = self.project(x, s.theta)
+        return w, float(self.mean(x, w, s.kappa)[0]), 0.0, np.zeros(np.asarray(pts).shape[0])
+
+
+def append_thinned(state, x, g_value: float, rate: int) -> None:
+    """Add one thinned point with its function value and level index to
+    ``state``, as ``AugmentedState.append_thinned`` did before the kernels
+    kept the thinned set in the workspace."""
+    state.thinned = np.concatenate((state.thinned, np.reshape(x, (1, -1))))
+    state.rate_idx = np.concatenate((state.rate_idx, (rate,)))
+    state.g_values = np.concatenate((state.g_values, (g_value,)))
 
 
 def default_ladder(n_levels: int) -> RateLadder:
@@ -304,3 +316,47 @@ def floored_diag_indices(prior, C, kappa: float, theta: float) -> np.ndarray:
     if floor > 0 and C.shape[0]:
         C[np.diag_indices_from(C)] += floor
     return C
+
+
+class CopyingPointSet:
+    """The point-set arrays of ``sgcp._Workspace`` (``pts``, ``zz``, ``W``,
+    ``m``, ``g`` and ``C``) as it once kept them, each a new array after
+    every change: an append concatenated one entry to each and copied
+    ``C`` into a larger array, a removal deleted one entry (row and column
+    of ``C``) by copying the rest, and a move wrote one row."""
+
+    NAMES = ("pts", "zz", "W", "m", "g", "C")
+
+    def __init__(self, ws):
+        for name in self.NAMES:
+            setattr(self, name, getattr(ws, name).copy())
+
+    def append(self, p, g_value: float) -> None:
+        n = self.g.size
+        self.pts = np.concatenate((self.pts, p.x))
+        self.zz = np.concatenate((self.zz, (p.xx,)))
+        self.W = np.concatenate((self.W, p.w), axis=1)
+        self.m = np.concatenate((self.m, (p.prior_mean,)))
+        self.g = np.concatenate((self.g, (g_value,)))
+        C = np.empty((n + 1, n + 1))
+        C[:n, :n] = self.C
+        C[n, :n] = p.ks
+        C[:n, n] = p.ks
+        C[n, n] = p.prior_var
+        self.C = C
+
+    def remove(self, i: int) -> None:
+        for name in ("pts", "zz", "m", "g"):
+            setattr(self, name, np.delete(getattr(self, name), i, axis=0))
+        self.W = np.delete(self.W, i, axis=1)
+        self.C = np.delete(np.delete(self.C, i, axis=0), i, axis=1)
+
+    def update_point(self, i: int, p, g_value: float) -> None:
+        self.pts[i] = p.x[0]
+        self.zz[i] = p.xx
+        self.W[:, i] = p.w[:, 0]
+        self.m[i] = p.prior_mean
+        self.g[i] = g_value
+        self.C[i, :] = p.ks
+        self.C[:, i] = p.ks
+        self.C[i, i] = p.prior_var

@@ -206,7 +206,7 @@ class TestConditionalPrior:
         for x in rng.uniform(size=(5, 1, 2)):
             for prior in priors:
                 Wp = prior.project(pts, theta)
-                w, m, var, _ = prior.site(x, sq_norm(x), pts, (pts * pts).sum(1), Wp, kappa, theta)
+                w, m, var, _ = prior.site(x, sq_norm(x), pts, (pts * pts).sum(1), Wp, prior.site_scalars(kappa, theta))
                 W = prior.project(x, theta)
                 m1, C1 = prior.mean_cov(x, kappa, theta, W)
                 np.testing.assert_allclose(w, W, rtol=1e-12, atol=0)
@@ -245,7 +245,7 @@ class TestSite:
         for prior in (ConvolutionPrior(latent), IndependentPrior(0.02, dim=dim)):
             W = prior.project(pts, theta)
             for x in rng.uniform(-0.1, 1.1, size=(4, 1, dim)):
-                got = prior.site(x, sq_norm(x), pts, (pts * pts).sum(1), W, kappa, theta)
+                got = prior.site(x, sq_norm(x), pts, (pts * pts).sum(1), W, prior.site_scalars(kappa, theta))
                 want = site_and_row(prior, x, pts, W, kappa, theta)
                 for a, b in zip(got, want):
                     assert np.shape(a) == np.shape(b)
@@ -315,7 +315,7 @@ class TestPerAxisFactor:
         mean = kappa * sum(gauss_gram(X, latent.grid, theta + phi) @ a
                            for phi, a in zip(latent.phis, alphas))
         x = X[:1]
-        w, m, var, _ = prior.site(x, sq_norm(x), X, (X * X).sum(1), W, kappa, theta)
+        w, m, var, _ = prior.site(x, sq_norm(x), X, (X * X).sum(1), W, prior.site_scalars(kappa, theta))
         marginal = prior._marginal_var(kappa, theta)
         self._close(w.T @ W, Wd[:, :1].T @ Wd)
         self._close(m, mean[0])

@@ -163,8 +163,8 @@ class TestRunChain:
         fast = run_chain_with_info(data, region, cfg)[0]
         for cls in (depcox.convolution.ConvolutionPrior, depcox.convolution.IndependentPrior):
             monkeypatch.setattr(
-                cls, "site", lambda prior, x, xx, pts, zz, W, kappa, theta:
-                site_and_row(prior, x, pts, W, kappa, theta)
+                cls, "site", lambda prior, x, xx, pts, zz, W, s:
+                site_and_row(prior, x, pts, W, s.kappa, s.theta)
             )
         chol = depcox.sgcp.cholesky_with_jitter
         monkeypatch.setattr(depcox.sgcp, "cholesky_with_jitter", lambda cov, symmetric=False: chol(cov))
@@ -365,6 +365,25 @@ class TestRunChain:
         for _ in range(3):  # moving the original leaves the copy where it was
             sweep(chain, region, cfg)
         self._continue(copied, region, cfg, info, whole)
+
+    @pytest.mark.parametrize("dim, independent", [(1, False), (2, False), (1, True)])
+    def test_samples_share_no_memory_with_the_workspaces(self, dim, independent):
+        # the kernels update each process's workspace buffers in place, so a
+        # retained sample must hold copies: sweeps after it leave it as taken
+        data, region, cfg = self._resumable_case(dim, independent)
+        chain = start_chain(data, region, cfg)
+        taken = []
+        for _ in range(6):
+            sweep(chain, region, cfg)
+            sample = chain.sample()
+            arrays = [*sample.thinned, *sample.rate_idx, *sample.g_values]
+            buffers = [getattr(ctx._ws, name) for ctx in chain.contexts
+                       for name in ("_pts", "_zz", "_W", "_m", "_g", "_C")]
+            assert not any(np.shares_memory(a, b) for a in arrays for b in buffers)
+            taken.append((arrays, [a.tobytes() for a in arrays]))
+        assert sum(a.size for a in taken[-1][0]) > 0
+        for arrays, before in taken:
+            assert [a.tobytes() for a in arrays] == before
 
     def test_hmc_acceptance_in_healthy_window(self, monkeypatch):
         # The adapted Hamiltonian kernel on a fixed target: every other move

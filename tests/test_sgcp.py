@@ -35,9 +35,17 @@ from depcox.sgcp import (
     leapfrog,
     move_step,
     point_loglik,
+    thinned_levels,
 )
 from depcox.thinning import RateLadder
-from oracles import FixedFunctionPrior, Mvn, conditional_mvn, contains_point_numpy
+from oracles import (
+    CopyingPointSet,
+    FixedFunctionPrior,
+    Mvn,
+    append_thinned,
+    conditional_mvn,
+    contains_point_numpy,
+)
 
 UNIT = Region([0.0], [1.0])
 SINGLE = RateLadder((1.0,))
@@ -108,23 +116,35 @@ class TestRegion:
 class TestStateInvariants:
     def test_validate_catches_level_violation(self):
         state = _empty_state()
-        state.append_thinned([0.5], 2.0, 0)  # sigmoid(2) = 0.88 > 0.5
+        append_thinned(state, [0.5], 2.0, 0)  # sigmoid(2) = 0.88 > 0.5
         with pytest.raises(ValidationError):
             state.validate(TWO_LEVEL)
 
     def test_validate_passes_consistent_state(self):
         state = _empty_state()
-        state.append_thinned([0.5], -1.0, 0)  # sigmoid(-1) = 0.27 <= 0.5
+        append_thinned(state, [0.5], -1.0, 0)  # sigmoid(-1) = 0.27 <= 0.5
         state.validate(TWO_LEVEL)
 
-    def test_remove_thinned_keeps_alignment(self):
-        state = _empty_state(n_data=2)
+    def test_kernels_keep_points_values_and_levels_aligned(self):
+        # deaths at any index, births and moves keep each thinned point with
+        # its own function value and level: on a known surface every value
+        # is the surface at its point, its level the one its sigmoid takes,
+        # and the observed values stay first and unchanged
+        g_fn = lambda x: np.sin(6 * x) - 0.5
+        rng = np.random.default_rng(19)
+        ctx = _fixed_ctx(g_fn, n_data=2, rng=rng)
+        state = _empty_state(lam=15.0, n_data=2)
         state.g_values = np.array([5.0, 6.0])
-        state.append_thinned([0.1], -1.0, 0)
-        state.append_thinned([0.2], -2.0, 0)
-        state.remove_thinned(0)
-        np.testing.assert_array_equal(state.g_values, [5.0, 6.0, -2.0])
-        np.testing.assert_allclose(state.thinned, [[0.2]])
+        deaths = 0
+        for _ in range(100):
+            before = state.n_thinned
+            state = birth_death_step(state, UNIT, TWO_LEVEL, ctx, rng, attempts=10)
+            deaths += state.n_thinned < before
+            state = move_step(state, UNIT, TWO_LEVEL, ctx, rng)
+            np.testing.assert_array_equal(state.g_data, [5.0, 6.0])
+            np.testing.assert_allclose(state.g_thinned, g_fn(state.thinned[:, 0]), rtol=0, atol=1e-12)
+            assert state.rate_idx.tolist() == [TWO_LEVEL.assign(float(expit(g))) for g in state.g_thinned]
+        assert deaths > 10 and state.n_thinned > 3
 
 
 class TestPointLoglik:
@@ -138,6 +158,20 @@ class TestPointLoglik:
     def test_level_barrier_is_minus_inf(self):
         g = np.array([1.0])  # sigmoid 0.73 above level 0.5
         assert point_loglik(g, 0, [0], TWO_LEVEL) == -np.inf
+
+    def test_levels_formed_once_give_the_same_bits(self):
+        # a slice move forms the thinned points' levels once for all its
+        # shrinks; each evaluation then gives what forming them again gives
+        ladder = RateLadder((0.25, 0.5, 1.0))
+        rng = np.random.default_rng(20)
+        idx = np.array([0, 1, 2, 2, 0, 1, 2, 0, 1])
+        levels = thinned_levels(idx, ladder)
+        for _ in range(20):
+            g = np.concatenate((rng.normal(0, 2, size=4), logit(rng.uniform(0, 0.2, size=9))))
+            want = point_loglik(g, 4, idx, ladder)
+            assert np.isfinite(want) and point_loglik(g, 4, idx, ladder, levels) == want
+        g[4] = logit(0.9)  # above its level 0.25: the barrier
+        assert point_loglik(g, 4, idx, ladder, levels) == point_loglik(g, 4, idx, ladder) == -np.inf
 
     def test_stable_for_extreme_values(self):
         g = np.array([800.0, -800.0])
@@ -205,7 +239,7 @@ class TestWorkspace:
         ws.conditional(np.array([0.5]))  # force factorization before append
         ws.append(ws.conditional(np.array([0.8])), -0.3)
         state2 = state.copy()
-        state2.append_thinned([0.8], -0.3, 0)
+        append_thinned(state2, [0.8], -0.3, 0)
         ws_fresh = _Workspace(ctx, state2)
         mu_a, var_a = _moments(ws.conditional(np.array([0.15])))
         mu_b, var_b = _moments(ws_fresh.conditional(np.array([0.15])))
@@ -214,7 +248,7 @@ class TestWorkspace:
 
     def test_update_point_matches_fresh_workspace(self):
         ctx, state, _ = self._setup()
-        state.append_thinned([0.3], 0.2, 0)
+        append_thinned(state, [0.3], 0.2, 0)
         ws = _Workspace(ctx, state)
         ws.update_point(6, ws.conditional(np.array([0.9]), exclude=6), -0.1)
         state2 = state.copy()
@@ -272,9 +306,12 @@ class TestWorkspaceCache:
             else:
                 i = int(rng.integers(n))
                 ws.update_point(i, ws.conditional(rng.uniform(size=2), exclude=i), rng.standard_normal())
-            # the layouts byte-identical draws rest on: fresh ones have them
+            # the layouts byte-identical draws rest on, which fresh ones
+            # have: C exactly symmetric, each row of W contiguous (W a view
+            # of a row-major buffer), and W exactly sized below four points
             assert np.array_equal(ws.C, ws.C.T)
-            assert ws.W.flags.c_contiguous
+            assert ws.W.strides[1] == 8
+            assert ws.W.shape[1] >= depcox.sgcp._EXACT_BELOW or ws.W.flags.c_contiguous
             # the kept squared norms are the ones of the points, bit for bit
             assert ws.zz.tobytes() == (ws.pts * ws.pts).sum(1).tobytes()
             self._assert_rel(ws.W, prior.project(ws.pts, self.THETA), 1e-10)
@@ -376,6 +413,121 @@ class TestWorkspaceCache:
         )
 
 
+class TestWorkspaceBuffers:
+    """The workspace keeps its point set in capacity buffers, updated in
+    place, and shows it through views of their first n entries, bit for
+    bit the arrays a new array per change gave (``oracles.CopyingPointSet``)."""
+
+    THETA = 0.01
+    KAPPA = 1.1
+    BUFFERS = ("_pts", "_zz", "_W", "_m", "_g", "_C")
+
+    def _setup(self, seed, n_data=5):
+        rng = np.random.default_rng(seed)
+        grid = latent_grid(Region([0.0, 0.0], [1.0, 1.0]), 4)
+        prior = ConvolutionPrior(LatentState(grid, rng.standard_normal((2, 16)), [0.02, 0.05]))
+        ctx = GpContext(rng.uniform(size=(n_data, 2)), prior)
+        state = _empty_state(n_data=n_data, kappa=self.KAPPA, theta=self.THETA)
+        state.thinned = np.zeros((0, 2))
+        state.g_values = rng.standard_normal(n_data)
+        return _Workspace(ctx, state), rng
+
+    def _assert_same(self, ws, oracle):
+        for name in CopyingPointSet.NAMES:
+            got, want = getattr(ws, name), getattr(oracle, name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+        assert ws.n == ws.g.size
+        for name, view in zip(self.BUFFERS, (ws.pts, ws.zz, ws.W, ws.m, ws.g, ws.C)):
+            assert view.base is getattr(ws, name) or view is getattr(ws, name), name
+        assert ws.W.strides[1] == 8
+
+    def test_random_updates_match_a_new_array_per_change(self):
+        ws, rng = self._setup(26)
+        oracle = CopyingPointSet(ws)
+        built = ws._zz.size
+        assert built == 5  # the build allocates exactly
+        removed_at, capacities = set(), [built]
+
+        def append():
+            p = ws.conditional(rng.uniform(size=2))
+            g = rng.standard_normal()
+            ws.append(p, g)
+            oracle.append(p, g)
+
+        def remove(i):
+            removed_at.add("first" if i == 0 else "last" if i == ws.n - 1 else "middle")
+            ws.remove(i)
+            oracle.remove(i)
+
+        def update(i):
+            p = ws.conditional(rng.uniform(size=2), exclude=i)
+            g = rng.standard_normal()
+            ws.update_point(i, p, g)
+            oracle.update_point(i, p, g)
+
+        ops = ["append"] * 12 + list(rng.choice(["append", "remove", "update"], 60, p=[0.5, 0.25, 0.25]))
+        for k, op in enumerate(ops):
+            n = ws.n
+            i = (0, n // 2, n - 1)[k % 3]
+            if op == "append":
+                append()
+            elif op == "remove":
+                remove(i)
+            else:
+                update(i)
+            self._assert_same(ws, oracle)
+            if ws._zz.size != capacities[-1]:
+                capacities.append(ws._zz.size)
+        # down to one point and up again: fewer than four points are held
+        # at exactly their number
+        while ws.n > 1:
+            remove((0, ws.n // 2, ws.n - 1)[ws.n % 3])
+            self._assert_same(ws, oracle)
+            if ws.n < depcox.sgcp._EXACT_BELOW:
+                assert ws._zz.size == ws.n and ws.W.flags.c_contiguous
+        for _ in range(6):
+            append()
+            self._assert_same(ws, oracle)
+        grown = [b for a, b in zip(capacities, capacities[1:]) if b > a]
+        assert len(grown) >= 2 and max(capacities) > 2 * built
+        assert removed_at == {"first", "middle", "last"}
+
+    def test_empty_set_grows_from_nothing(self):
+        ws, rng = self._setup(27, n_data=0)
+        oracle = CopyingPointSet(ws)
+        for _ in range(10):
+            p = ws.conditional(rng.uniform(size=2))
+            g = rng.standard_normal()
+            ws.append(p, g)
+            oracle.append(p, g)
+            self._assert_same(ws, oracle)
+
+    def test_kernel_states_share_no_memory_with_the_workspace(self):
+        ws, rng = self._setup(28)
+        ctx = GpContext(ws.pts[:5].copy(), ws.prior)
+        region = Region([0.0, 0.0], [1.0, 1.0])
+        state = _empty_state(lam=30.0, n_data=5, kappa=self.KAPPA, theta=self.THETA)
+        state.thinned = np.zeros((0, 2))
+        state.g_values = ws.g.copy()
+        kept = []
+        for _ in range(4):
+            for kernel in (
+                lambda s: birth_death_step(s, region, SINGLE, ctx, rng),
+                lambda s: move_step(s, region, SINGLE, ctx, rng),
+                lambda s: ess_function_update(s, ctx, SINGLE, rng),
+            ):
+                state = kernel(state)
+                kept.append((state, [a.copy() for a in (state.thinned, state.rate_idx, state.g_values)]))
+                buffers = [getattr(ctx._ws, name) for name in self.BUFFERS]
+                for a in (state.thinned, state.rate_idx, state.g_values):
+                    assert not any(np.shares_memory(a, b) for b in buffers)
+        assert state.n_thinned > 1
+        # the kernels after each state leave it as it was returned
+        for s, arrays in kept:
+            for a, b in zip((s.thinned, s.rate_idx, s.g_values), arrays):
+                assert a.tobytes() == b.tobytes()
+
+
 class TestWorkspaceLifetime:
     """The context's workspace lives across kernels: a new prior at the same
     latent factors refreshes only the mean; anything that changes ``W`` or
@@ -391,7 +543,7 @@ class TestWorkspaceLifetime:
         ctx = GpContext(rng.uniform(size=(5, 2)), prior)
         state = _empty_state(n_data=5, kappa=self.KAPPA, theta=self.THETA)
         state.thinned = np.zeros((0, 2))
-        state.append_thinned(rng.uniform(size=2), -0.5, 0)
+        append_thinned(state, rng.uniform(size=2), -0.5, 0)
         state.g_values = rng.standard_normal(6)
         return ctx, state, rng
 
@@ -555,7 +707,7 @@ class TestBirthDeath:
 class TestMoveStep:
     def test_out_of_region_proposals_reject(self):
         state = _empty_state()
-        state.append_thinned([0.5], -1.0, 0)
+        append_thinned(state, [0.5], -1.0, 0)
         ctx = _fixed_ctx(lambda x: np.full_like(x, -1.0))
         out = move_step(state, UNIT, SINGLE, ctx, np.random.default_rng(0), scale=np.array([1e6]))
         np.testing.assert_array_equal(out.thinned, state.thinned)
@@ -604,7 +756,7 @@ class TestEllipticalSlice:
 
     def test_raises_on_invalid_state(self):
         state = _empty_state()
-        state.append_thinned([0.5], 3.0, 0)  # violates the half level
+        append_thinned(state, [0.5], 3.0, 0)  # violates the half level
         ctx = GpContext(np.zeros((0, 1)), IndependentPrior(0.05))
         with pytest.raises(ValidationError):
             ess_function_update(state, ctx, TWO_LEVEL, np.random.default_rng(0))
@@ -616,7 +768,7 @@ class TestEllipticalSlice:
         ctx = GpContext(rng.uniform(size=(5, 1)), IndependentPrior(0.05))
         state = _empty_state(n_data=5, kappa=1.2, theta=0.04)
         state.g_values = rng.standard_normal(5)
-        state.append_thinned([0.3], -1.0, 0)
+        append_thinned(state, [0.3], -1.0, 0)
         ws = _Workspace(ctx, state)
         L, _ = cholesky_with_jitter(ws.C)
 
@@ -745,8 +897,8 @@ class TestGibbsLambda:
     def test_posterior_parameters_single_level(self):
         state = _empty_state(n_data=3)
         state.g_values = np.zeros(3)
-        state.append_thinned([0.1], -1.0, 0)
-        state.append_thinned([0.2], -1.0, 0)
+        append_thinned(state, [0.1], -1.0, 0)
+        append_thinned(state, [0.2], -1.0, 0)
         shape, rate = lambda_posterior(state, UNIT, PriorConfig(lambda_alpha=1.0, lambda_beta=1.0), SINGLE)
         assert shape == pytest.approx(6.0)
         assert rate == pytest.approx(2.0)
@@ -756,7 +908,7 @@ class TestGibbsLambda:
         state = _empty_state(n_data=2)
         state.g_values = np.array([logit(0.6), logit(0.7)])
         for _ in range(4):
-            state.append_thinned([0.3], logit(0.2), 0)
+            append_thinned(state, [0.3], logit(0.2), 0)
         shape, rate = lambda_posterior(
             state, UNIT, PriorConfig(lambda_alpha=1.0, lambda_beta=0.1), TWO_LEVEL
         )
@@ -772,8 +924,8 @@ class TestGibbsLambda:
     def test_draws_match_gamma_moments(self):
         state = _empty_state(n_data=3)
         state.g_values = np.zeros(3)
-        state.append_thinned([0.1], -1.0, 0)
-        state.append_thinned([0.2], -1.0, 0)
+        append_thinned(state, [0.1], -1.0, 0)
+        append_thinned(state, [0.2], -1.0, 0)
         priors = PriorConfig(lambda_alpha=1.0, lambda_beta=1.0)
         rng = np.random.default_rng(14)
         draws = np.array(

@@ -152,3 +152,20 @@ def test_ab_bench_summary_of_hand_written_runs():
     assert evals["change_wins"] == 2  # lower is better; ties do not win
     assert evals["parent"]["median"] == evals["change"]["median"] == 1.0
     assert not evals["gap_exceeds_parent_iqr"]
+
+
+def test_ab_bench_prints_each_workload_and_metric():
+    declared = [{"name": "sweeps_per_s", "better": "higher"}]
+    runs = [
+        {"workload": w, "pair": k, "side": side, "metrics": {"sweeps_per_s": v}}
+        for w in ("a", "b")
+        for k, (p, c) in enumerate([(10.0, 12.0), (11.0, 13.0), (12.0, 11.5)])
+        for side, v in (("parent", p), ("change", c))
+    ]
+    bench = _ab_bench()
+    lines = bench.summary_lines(bench.summarize(runs, declared))
+    assert lines == [
+        f"{w} sweeps_per_s (higher is better): parent 11, change 12, ratio {12 / 11:.4f}, "
+        "change wins 2/3, gap within parent IQR"
+        for w in ("a", "b")
+    ]

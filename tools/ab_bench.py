@@ -16,7 +16,8 @@ as many realizations as pairs. It writes ``BENCH_<name>.json``: every
 run's metrics and chain seed, and per workload and end-to-end metric of
 ``BENCHMARK.json`` each side's median and quartiles, the ratio of the
 medians, how many pairs this checkout won and whether the gap between the
-medians exceeds the parent's interquartile spread.
+medians exceeds the parent's interquartile spread. When the runs are
+done it prints that summary too, one line per workload and metric.
 """
 
 from __future__ import annotations
@@ -98,6 +99,25 @@ def summarize(runs: list, declared: list) -> dict:
     return summary
 
 
+def summary_lines(summary: dict) -> list:
+    """``summarize``'s result as text, one line per workload and metric:
+    each side's median, the change's median over the parent's, the pairs
+    the change won and whether the gap exceeds the parent's interquartile
+    spread."""
+    lines = []
+    for workload, per_metric in summary.items():
+        for name, m in per_metric.items():
+            ratio = m["median_ratio"]
+            lines.append(
+                f"{workload} {name} ({m['better']} is better): "
+                f"parent {m['parent']['median']:.4g}, change {m['change']['median']:.4g}, "
+                f"ratio {'n/a' if ratio is None else format(ratio, '.4f')}, "
+                f"change wins {m['change_wins']}/{m['pairs']}, "
+                f"gap {'exceeds' if m['gap_exceeds_parent_iqr'] else 'within'} parent IQR"
+            )
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="root of the parent checkout")
@@ -131,6 +151,7 @@ def main(argv=None) -> int:
                 "seconds": seconds,
                 "runs": runs, "summary": summarize(runs, bench["end_to_end"]),
             }, indent=1) + "\n")
+    print("\n".join(summary_lines(summarize(runs, bench["end_to_end"]))))
     print(f"wrote {out}")
     return 0 if all(r["correct"] for r in runs) else 1
 
