@@ -199,9 +199,10 @@ class LatentFactor:
         if not np.all(shifted > 0):
             raise NumericalError(f"latent Gram matrix at phi={self.phi:.3g} is not positive definite")
         self.s = shifted**-0.5
-        # the transposed axis factors and the scale as a column, which
-        # every new site's projection reads
+        # the transposed axis factors, the axes as columns and the scale as
+        # a column, which every new site's projection reads
         self.QT = [q.T for q in self.Q]
+        self.axis_cols = [a[:, None] for a in self.axes]
         self.s_col = self.s[:, None]
         self._L = None
         self._inverse = None
@@ -384,27 +385,28 @@ class ConvolutionPrior:
         ``s``: the proposal kernels make this call thousands of times a
         sweep.
         """
+        coords = x[0].tolist()
         ws = []
         for f, variance, scale in zip(self.factors, s.variances, s.scales):
             F = []
-            for qt, a, c in zip(f.QT, f.axes, x.T):  # axis_gram, operation for operation
-                E = a[:, None] - c
+            for qt, a, c in zip(f.QT, f.axis_cols, coords):  # axis_gram, operation for operation
+                E = a - c
                 E *= E
                 E *= -0.5
                 E /= variance
                 np.exp(E, out=E)
                 E *= scale
-                F.append(qt @ E)
+                F.append(qt.dot(E))
             w_q = F[0] if len(F) == 1 else _khatri_rao(F)
             w_q *= f.s_col
             ws.append(w_q)
         w = ws[0] if len(ws) == 1 else np.concatenate(ws)
         flat = w[:, 0]
-        var = s.marginal - s.kappa2 * float(flat @ flat) + s.floor
+        var = s.marginal - s.kappa2 * float(flat.dot(flat)) + s.floor
         J = self.latent.n_grid
         mean = 0.0
         for q, beta in enumerate(self._betas):
-            mean += float(flat[q * J : (q + 1) * J] @ beta)
+            mean += float(flat[q * J : (q + 1) * J].dot(beta))
         ks = gauss_gram_sum(x, xx, pts, zz, s.gram_variances)
         ks -= w.T @ W
         ks *= s.kappa2
@@ -413,26 +415,43 @@ class ConvolutionPrior:
     def mean_cov_grads(self, X, kappa: float, theta: float):
         """Mean, covariance and their gradients in (log kappa, log theta).
 
-        Returns ``(m, C, dm, dC)`` with ``dm`` of shape (2, n) and ``dC`` of
-        shape (2, n, n); used by the Hamiltonian hyperparameter update.
+        Returns ``(m, C, dm, dC)``; ``dm`` is the pair of the mean's
+        derivatives (n,) and ``dC`` that of the covariance's (n, n), used
+        by the Hamiltonian hyperparameter update.
+
+        ``C`` is floored as in ``mean_cov``, and exactly symmetric. Each
+        latent function's ``dW^T W`` is formed once, its transpose serving
+        for ``W^T dW`` (the same products, summed in the same order); the
+        first latent function's terms start the sums, where a zero matrix
+        plus them gave the same bits (none of their entries is -0.0), and
+        one latent function's blocks are read as they are, not
+        concatenated.
         """
         X = np.asarray(X, dtype=float)
-        n = X.shape[0]
-        C = np.zeros((n, n))
-        dC_t = np.zeros((n, n))
+        C = dC_t = None
         Ws, dWs = [], []
         for f, phi in zip(self.factors, self.latent.phis):
-            W, dW = f.whiten_dv(X, theta + phi)
+            Wq, dWq = f.whiten_dv(X, theta + phi)
             G, dG = gauss_gram_dv(X, X, 2.0 * theta + phi)
-            C += G - W.T @ W
-            dC_t += 2.0 * dG - dW.T @ W - W.T @ dW
-            Ws.append(W)
-            dWs.append(dW)
-        m = self.mean(X, np.concatenate(Ws), kappa)
+            G -= Wq.T @ Wq
+            T = dWq.T @ Wq
+            dG *= 2.0
+            dG -= T
+            dG -= T.T
+            if C is None:
+                C, dC_t = G, dG
+            else:
+                C += G
+                dC_t += dG
+            Ws.append(Wq)
+            dWs.append(dWq)
+        W = Ws[0] if len(Ws) == 1 else np.concatenate(Ws)
+        dW = dWs[0] if len(dWs) == 1 else np.concatenate(dWs)
+        m = self.mean(X, W, kappa)
         # d/dlog kappa, d/dlog theta
-        dm = np.stack([m, self.mean(X, np.concatenate(dWs), kappa * theta)])
+        dm = (m, self.mean(X, dW, kappa * theta))
         C *= kappa**2
-        dC = np.stack([2.0 * C, kappa**2 * theta * dC_t])
+        dC = (2.0 * C, kappa**2 * theta * dC_t)
         return m, self._floored(C, kappa, theta), dm, dC
 
     def coupling_matrix(self, W, kappa: float) -> np.ndarray:
@@ -518,12 +537,13 @@ class IndependentPrior:
         return kappa**2 * gram_matvec(X, pts, 2.0 * theta + self.phi0, a)
 
     def mean_cov_grads(self, X, kappa: float, theta: float):
+        """See ``ConvolutionPrior.mean_cov_grads``; the mean and its
+        derivatives are one zero array."""
         X = np.asarray(X, dtype=float)
-        n = X.shape[0]
         G, dG = gauss_gram_dv(X, X, 2.0 * theta + self.phi0)
         C = kappa**2 * G
-        dC = np.stack([2.0 * C, kappa**2 * theta * 2.0 * dG])
-        return np.zeros(n), C, np.zeros((2, n)), dC
+        zero = np.zeros(X.shape[0])
+        return zero, C, (zero, zero), (2.0 * C, kappa**2 * theta * 2.0 * dG)
 
 
 def latent_posterior(spaces, prior: ConvolutionPrior, A_list) -> tuple[np.ndarray, np.ndarray]:

@@ -138,9 +138,17 @@ def gauss_gram_dv(X, Z, variance: float) -> tuple[np.ndarray, np.ndarray]:
         e = np.subtract.outer(X[:, a], Z[:, a])
         e *= e
         sq += e
-    G = (2.0 * np.pi * variance) ** (-0.5 * d) * np.exp(-0.5 * sq / variance)
-    dG = G * (0.5 * sq / variance**2 - 0.5 * d / variance)
-    return G, dG
+    # scale * exp(-0.5 * sq / variance) and G * (0.5 * sq / variance**2 -
+    # 0.5 * d / variance), operation for operation, in place
+    G = sq * -0.5
+    G /= variance
+    np.exp(G, out=G)
+    G *= (2.0 * np.pi * variance) ** (-0.5 * d)
+    sq *= 0.5
+    sq /= variance**2
+    sq -= 0.5 * d / variance
+    sq *= G
+    return G, sq
 
 
 def sq_norm(x: np.ndarray) -> float:
@@ -169,10 +177,20 @@ def axis_gram(x: np.ndarray, z: np.ndarray, variance: float) -> np.ndarray:
 
 
 def axis_gram_dv(x: np.ndarray, z: np.ndarray, variance: float) -> tuple[np.ndarray, np.ndarray]:
-    """``axis_gram`` together with its elementwise derivative in the variance."""
-    E = axis_gram(x, z, variance)
-    sq = (x[:, None] - z[None, :]) ** 2
-    return E, E * (0.5 * sq / variance**2 - 0.5 / variance)
+    """``axis_gram`` together with its elementwise derivative in the variance,
+    ``E * (0.5 * d**2 / variance**2 - 0.5 / variance)``: each operation
+    ``axis_gram``'s or that formula's, the squared offsets formed once."""
+    sq = x[:, None] - z[None, :]
+    sq *= sq
+    E = sq * -0.5
+    E /= variance
+    np.exp(E, out=E)
+    E *= (2.0 * np.pi * variance) ** -0.5
+    sq *= 0.5
+    sq /= variance**2
+    sq -= 0.5 / variance
+    sq *= E
+    return E, sq
 
 
 def gram_matvec(X, Z, variance: float, c) -> np.ndarray:
@@ -286,7 +304,7 @@ def cholesky_with_jitter(cov: np.ndarray, symmetric: bool = False) -> tuple[np.n
     n = cov.shape[0]
     if n == 0:
         return np.zeros((0, 0), order="F"), 0.0
-    mean_diag = float(np.trace(cov)) / n
+    mean_diag = float(cov.trace()) / n
     jitter = JITTER_SCALE * mean_diag if mean_diag > 0 else JITTER_SCALE
     sym = np.empty((n, n))
     diag = sym.reshape(-1)[:: n + 1]  # a view: sym is C-contiguous

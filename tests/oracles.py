@@ -6,9 +6,9 @@ covariances, a Gaussian given by its mean and covariance with dense
 conditioning, log densities and draws, a prior that pins the function
 to a known surface, and two test inputs: a halving rate ladder and an
 intensity off the model's basis. The last group keeps the earlier
-formulas of primitives the kernels call thousands of times a sweep, which
-the library now evaluates with fewer numpy calls or copies and must match
-bit for bit.
+formulas of primitives the kernels call thousands of times a sweep, and
+of the Hamiltonian energy, which the library now evaluates with fewer
+numpy calls or copies and must match bit for bit.
 """
 
 from __future__ import annotations
@@ -19,9 +19,19 @@ import numpy as np
 from scipy.linalg import lapack, solve_triangular
 from scipy.special import expit
 
-from depcox.convolution import MARGINAL_FLOOR, ConvolutionPrior, SiteScalars
+from depcox.convolution import MARGINAL_FLOOR, ConvolutionPrior, IndependentPrior, SiteScalars
 from depcox.errors import NumericalError, ValidationError
-from depcox.gaussian import JITTER_SCALE, MAX_JITTER_DOUBLINGS, _as_points, cholesky, cholesky_with_jitter
+from depcox.gaussian import (
+    JITTER_SCALE,
+    MAX_JITTER_DOUBLINGS,
+    _as_points,
+    _khatri_rao,
+    axis_gram,
+    chol_inverse,
+    cholesky,
+    cholesky_with_jitter,
+    tri_solve,
+)
 from depcox.thinning import SLACK, RateLadder
 
 
@@ -360,3 +370,103 @@ class CopyingPointSet:
         self.C[i, :] = p.ks
         self.C[:, i] = p.ks
         self.C[i, i] = p.prior_var
+
+
+def axis_gram_dv_again(x, z, variance: float):
+    """``gaussian.axis_gram_dv`` as it once formed the derivative: from
+    ``axis_gram``, with the squared offsets formed again and every step a
+    new array."""
+    E = axis_gram(x, z, variance)
+    sq = (x[:, None] - z[None, :]) ** 2
+    return E, E * (0.5 * sq / variance**2 - 0.5 / variance)
+
+
+def _whiten_dv_again(factor, X, variance: float):
+    """``LatentFactor.whiten_dv`` through ``axis_gram_dv_again``."""
+    F, dF = [], []
+    for qt, a, x in zip(factor.QT, factor.axes, X.T):
+        E, dE = axis_gram_dv_again(a, x, variance)
+        F.append(qt @ E)
+        dF.append(qt @ dE)
+    dW = sum(_khatri_rao(F[:a] + [dF[a]] + F[a + 1 :]) for a in range(len(F)))
+    return factor.s_col * _khatri_rao(F), factor.s_col * dW
+
+
+def mean_cov_grads_stacked(prior, X, kappa: float, theta: float):
+    """``mean_cov_grads`` of a ``ConvolutionPrior`` or an
+    ``IndependentPrior`` as it once was: sums started from zero matrices,
+    ``W^T dW`` formed beside ``dW^T W``, the blocks of the latent functions
+    concatenated and the derivatives stacked into (2, n) and (2, n, n)
+    arrays, through ``axis_gram_dv_again`` and ``gauss_gram_dv_broadcast``."""
+    X = np.asarray(X, dtype=float)
+    n = X.shape[0]
+    if isinstance(prior, IndependentPrior):
+        G, dG = gauss_gram_dv_broadcast(X, X, 2.0 * theta + prior.phi0)
+        C = kappa**2 * G
+        dC = np.stack([2.0 * C, kappa**2 * theta * 2.0 * dG])
+        return np.zeros(n), C, np.zeros((2, n)), dC
+    C = np.zeros((n, n))
+    dC_t = np.zeros((n, n))
+    Ws, dWs = [], []
+    for f, phi in zip(prior.factors, prior.latent.phis):
+        Wq, dWq = _whiten_dv_again(f, X, theta + phi)
+        G, dG = gauss_gram_dv_broadcast(X, X, 2.0 * theta + phi)
+        C += G - Wq.T @ Wq
+        dC_t += 2.0 * dG - dWq.T @ Wq - Wq.T @ dWq
+        Ws.append(Wq)
+        dWs.append(dWq)
+    m = prior.mean(X, np.concatenate(Ws), kappa)
+    dm = np.stack([m, prior.mean(X, np.concatenate(dWs), kappa * theta)])
+    C *= kappa**2
+    dC = np.stack([2.0 * C, kappa**2 * theta * dC_t])
+    return m, prior._floored(C, kappa, theta), dm, dC
+
+
+def hyper_energy_stacked(prior, pts, g, rho, priors):
+    """``sgcp._hyper_energy`` as it once was: through
+    ``mean_cov_grads_stacked``, a symmetrised copy of the covariance for
+    its factor and numpy's range checks."""
+    if not np.all(np.isfinite(rho)) or np.any(np.abs(rho) > 30.0):
+        raise NumericalError("hyperparameter position out of range")
+    kappa, theta = float(np.exp(rho[0])), float(np.exp(rho[1]))
+    mu0 = np.array([priors.kappa_log_mean, priors.theta_log_mean])
+    sd0 = np.array([priors.kappa_log_sd, priors.theta_log_sd])
+    z = (rho - mu0) / sd0
+    nlp = 0.5 * float(z @ z)
+    grad = z / sd0
+    n = g.size
+    if n == 0:
+        return nlp, grad
+    m, C, dm, dC = mean_cov_grads_stacked(prior, pts, kappa, theta)
+    L, _ = cholesky_with_jitter(C)
+    r = g - m
+    w = tri_solve(L, r)
+    alpha = tri_solve(L, w, trans="T")
+    nlp += 0.5 * float(w @ w) + float(np.sum(np.log(np.diag(L)))) + 0.5 * n * np.log(2.0 * np.pi)
+    Cinv = chol_inverse(L)
+    for i in range(2):
+        dloglik = (
+            float(alpha @ dm[i])
+            + 0.5 * float(alpha @ dC[i] @ alpha)
+            - 0.5 * float(np.sum(Cinv * dC[i].T))
+        )
+        grad[i] -= dloglik
+    return nlp, grad
+
+
+def point_loglik_where(g_values, n_data: int, rate_idx, ladder, levels=None) -> float:
+    """``sgcp.point_loglik`` as it once formed every thinned point's
+    margin, level 1 or not: ``np.where`` between ``sigmoid(-g)`` and
+    ``level - sigmoid(g)``, less the log of the level (``levels`` is not
+    read)."""
+    g = np.asarray(g_values, dtype=float)
+    gd, gt = g[:n_data], g[n_data:]
+    ll = -float(np.sum(np.logaddexp(0.0, -gd)))
+    if gt.size:
+        lv = ladder.as_array()[np.asarray(rate_idx, dtype=int)]
+        sig = expit(gt)
+        margins = np.where(lv == 1.0, expit(-gt), lv - sig)
+        if np.any(margins <= 0.0):
+            return -np.inf
+        ll += float(np.sum(np.log(margins) - np.log(lv)))
+    return ll

@@ -27,7 +27,7 @@ from depcox.generate import sample_events, sample_ground_truth
 from depcox.metrics import Quadrature
 from depcox.sgcp import EventSet, PriorConfig, Region
 from depcox.thinning import RateLadder
-from oracles import site_and_row
+from oracles import hyper_energy_stacked, mean_cov_grads_stacked, point_loglik_where, site_and_row
 
 UNIT = Region([0.0], [1.0])
 
@@ -171,6 +171,49 @@ class TestRunChain:
         oracle = run_chain_with_info(data, region, cfg)[0]
         assert len(fast) == len(oracle) == 8
         assert sum(t.shape[0] for a in fast for t in a.thinned) > 0
+        for a, b in zip(fast, oracle):
+            for name in ("lambda_stars", "kappas", "thetas", "phis", "latent_values"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+            for name in ("thinned", "rate_idx", "g_values"):
+                for x, y in zip(getattr(a, name), getattr(b, name)):
+                    assert np.asarray(x).tobytes() == np.asarray(y).tobytes(), name
+
+    @pytest.mark.parametrize("dim,levels", [(1, (0.5, 1.0)), (2, (1.0,))], ids=["1d-two-level", "2d"])
+    def test_stacked_energy_and_general_loglik_keep_every_draw(self, monkeypatch, dim, levels):
+        # the second chain evaluates the Hamiltonian energy and its
+        # derivatives as they once were (oracles.hyper_energy_stacked) and
+        # every point likelihood through the general formula
+        # (oracles.point_loglik_where): the route this sampler's fewer numpy
+        # calls replace, draw for draw
+        region = Region([0.0] * dim, [1.0] * dim)
+        rng = np.random.default_rng(50 + dim)
+        truth = sample_ground_truth(region, 2, 2, rng, lambda_star_range=(20.0, 25.0), grid_per_axis=6)
+        data = sample_events(truth, rng)
+        cfg = _small_config(
+            n_iters=8, burn_in=0, n_latent=2, grid_per_axis=6, seed=7, ladder=RateLadder(levels)
+        )
+        fast = run_chain_with_info(data, region, cfg)[0]
+        calls = {"energy": 0, "loglik": 0}
+
+        def energy(prior, pts, g, rho, priors):
+            out = hyper_energy_stacked(prior, pts, g, rho, priors)
+            calls["energy"] += 1
+            return out
+
+        def loglik(*args):
+            calls["loglik"] += 1
+            return point_loglik_where(*args)
+
+        monkeypatch.setattr(depcox.sgcp, "_hyper_energy", energy)
+        monkeypatch.setattr(depcox.sgcp, "point_loglik", loglik)
+        for cls in (depcox.convolution.ConvolutionPrior, depcox.convolution.IndependentPrior):
+            monkeypatch.setattr(cls, "mean_cov_grads", mean_cov_grads_stacked)
+        oracle = run_chain_with_info(data, region, cfg)[0]
+        assert calls["energy"] > 8 and calls["loglik"] > 8  # energies evaluated in range
+        assert len(fast) == len(oracle) == 8
+        assert sum(t.shape[0] for a in fast for t in a.thinned) > 0
+        if len(levels) > 1:  # both levels held thinned points
+            assert {int(r) for a in fast for idx in a.rate_idx for r in idx} == {0, 1}
         for a, b in zip(fast, oracle):
             for name in ("lambda_stars", "kappas", "thetas", "phis", "latent_values"):
                 assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name

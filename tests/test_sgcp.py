@@ -15,7 +15,7 @@ from depcox.convolution import (
     latent_grid,
 )
 from depcox.errors import ValidationError
-from depcox.gaussian import cholesky_with_jitter, tri_solve
+from depcox.gaussian import JITTER_SCALE, cholesky_with_jitter, tri_solve
 from depcox.sgcp import (
     AugmentedState,
     EventSet,
@@ -45,6 +45,9 @@ from oracles import (
     append_thinned,
     conditional_mvn,
     contains_point_numpy,
+    hyper_energy_stacked,
+    mean_cov_grads_stacked,
+    point_loglik_where,
 )
 
 UNIT = Region([0.0], [1.0])
@@ -172,6 +175,31 @@ class TestPointLoglik:
             assert np.isfinite(want) and point_loglik(g, 4, idx, ladder, levels) == want
         g[4] = logit(0.9)  # above its level 0.25: the barrier
         assert point_loglik(g, 4, idx, ladder, levels) == point_loglik(g, 4, idx, ladder) == -np.inf
+
+    @pytest.mark.parametrize("ladder", [SINGLE, TWO_LEVEL, RateLadder((0.25, 0.5, 1.0))])
+    def test_matches_the_general_formula_bit_for_bit(self, ladder):
+        # every thinned point at level 1 (as on a one-level ladder) takes
+        # the margins sigmoid(-g) alone; the general formula gives the same
+        # bits, and so do mixed levels
+        rng = np.random.default_rng(21)
+        top = ladder.n_levels - 1
+        for idx in (np.full(9, top), rng.integers(0, ladder.n_levels, 9)):
+            levels = thinned_levels(idx, ladder)
+            assert (levels[2] is None) == bool(np.all(idx == top))
+            for _ in range(20):
+                cap = ladder.as_array()[idx]
+                g = np.concatenate((rng.normal(0, 2, size=4), logit(rng.uniform(0, 1, size=9) * cap)))
+                want = point_loglik_where(g, 4, idx, ladder)
+                assert np.isfinite(want)
+                for got in (point_loglik(g, 4, idx, ladder), point_loglik(g, 4, idx, ladder, levels)):
+                    assert _same_bits(got, want)
+
+    def test_an_underflowing_level_one_margin_is_minus_inf(self):
+        # expit(-800) underflows to 0: log 0 is no likelihood at all
+        g = np.array([0.3, 800.0, -1.0])
+        assert float(expit(-800.0)) == 0.0
+        assert point_loglik(g, 1, [0, 0], SINGLE) == point_loglik_where(g, 1, [0, 0], SINGLE) == -np.inf
+        assert point_loglik(g, 1, [1, 1], TWO_LEVEL) == -np.inf
 
     def test_stable_for_extreme_values(self):
         g = np.array([800.0, -800.0])
@@ -491,6 +519,22 @@ class TestWorkspaceBuffers:
         grown = [b for a, b in zip(capacities, capacities[1:]) if b > a]
         assert len(grown) >= 2 and max(capacities) > 2 * built
         assert removed_at == {"first", "middle", "last"}
+
+    def test_removal_from_a_full_buffer_at_the_first_thinned_index(self):
+        # C's rows move up as one shift of the flat buffer, which at n ==
+        # capacity runs to the buffer's last entry
+        ws, rng = self._setup(29)
+        oracle = CopyingPointSet(ws)
+        while ws.n < ws._zz.size or ws.n == 5:
+            p = ws.conditional(rng.uniform(size=2))
+            g = rng.standard_normal()
+            ws.append(p, g)
+            oracle.append(p, g)
+        assert ws.n == ws._zz.size == ws._C.shape[0] == 12
+        for i in (5, ws.n - 2):  # the first thinned index, then the last
+            ws.remove(i)
+            oracle.remove(i)
+            self._assert_same(ws, oracle)
 
     def test_empty_set_grows_from_nothing(self):
         ws, rng = self._setup(27, n_data=0)
@@ -891,6 +935,65 @@ class TestHyperEnergy:
             up, _ = _hyper_energy(prior, pts, g, rho + h * e, priors)
             down, _ = _hyper_energy(prior, pts, g, rho - h * e, priors)
             assert grad[i] == pytest.approx((up - down) / (2 * h), rel=1e-5)
+
+
+def _same_bits(got, want) -> bool:
+    """Whether two floats, arrays or (nested) tuples of them agree bit for bit."""
+    if isinstance(got, tuple) or isinstance(want, tuple):
+        return len(got) == len(want) and all(_same_bits(a, b) for a, b in zip(got, want))
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestHyperEnergyBits:
+    """The energy and ``mean_cov_grads`` give, bit for bit, what their
+    stacked forms (``oracles.hyper_energy_stacked``,
+    ``oracles.mean_cov_grads_stacked``) give, so a Hamiltonian step moves
+    exactly as it did."""
+
+    PRIORS = PriorConfig(theta_log_mean=np.log(0.005), kappa_log_sd=0.7, theta_log_sd=0.7)
+
+    @staticmethod
+    def _prior(kind, dim, rng, per_axis=4, phis=(0.02, 0.05)):
+        if kind == "independent":
+            return IndependentPrior(0.02, dim=dim)
+        grid = latent_grid(Region([0.0] * dim, [1.0] * dim), per_axis)
+        phis = list(phis[: 1 if kind == "one" else 2])
+        return ConvolutionPrior(LatentState(grid, rng.standard_normal((len(phis), grid.shape[0])), phis))
+
+    def _assert_same(self, prior, pts, g, rho):
+        kappa, theta = float(np.exp(rho[0])), float(np.exp(rho[1]))
+        got = prior.mean_cov_grads(pts, kappa, theta)
+        want = mean_cov_grads_stacked(prior, pts, kappa, theta)
+        for a, b in zip((got[0], got[1], *got[2], *got[3]), (want[0], want[1], *want[2], *want[3])):
+            assert _same_bits(a, b)
+        assert _same_bits(_hyper_energy(prior, pts, g, rho, self.PRIORS),
+                          hyper_energy_stacked(prior, pts, g, rho, self.PRIORS))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("kind", ["one", "two", "independent"])
+    def test_energy_and_derivatives_match_the_stacked_forms(self, dim, kind):
+        rng = np.random.default_rng(40 + dim)
+        prior = self._prior(kind, dim, rng)
+        for n in (1, 5, 37):
+            pts, g = rng.uniform(size=(n, dim)), rng.standard_normal(n)
+            for rho in (np.log([1.1, 0.005]), rng.normal([0.0, np.log(0.005)], 1.0)):
+                self._assert_same(prior, pts, g, rho)
+
+    def test_a_near_singular_covariance_escalates_jitter_alike(self, monkeypatch):
+        # without the marginal floor the residual covariance of a grid that
+        # resolves the kernel is mostly cancellation noise, which the
+        # factor takes doubled jitters to absorb
+        monkeypatch.setattr(depcox.convolution, "MARGINAL_FLOOR", 0.0)
+        rng = np.random.default_rng(60)
+        prior = self._prior("one", 1, rng, per_axis=10, phis=(0.5,))
+        pts, g = rng.uniform(size=(40, 1)), rng.standard_normal(40)
+        rho = np.log([1.0, 0.0005])
+        kappa, theta = float(np.exp(rho[0])), float(np.exp(rho[1]))
+        _, C, _, _ = prior.mean_cov_grads(pts, kappa, theta)
+        _, jitter = cholesky_with_jitter(C, symmetric=True)
+        assert jitter > 1.5 * JITTER_SCALE * np.trace(C) / 40  # at least one doubling
+        self._assert_same(prior, pts, g, rho)
 
 
 class TestGibbsLambda:

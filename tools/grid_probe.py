@@ -3,24 +3,27 @@
     python3 tools/grid_probe.py [--sweeps 10] [--seed 0]
 
 Run from the root of a checkout; the program is imported from ``src/``.
-Each case fits a seeded data set with BLAS pinned to one thread and prints
-the sampler's own sweeps/s (``RunInfo``), beside the number of latent
-values Q*J and the range of N, the points over all processes, across the
-retained sweeps. The latent posterior is drawn through an N x N system
-when N < Q*J and through the (Q*J)^2 precision otherwise, so the two
-columns show which form each sweep used:
+Each case fits a seeded data set with BLAS pinned to one thread, ``REPEATS``
+times, each in a fresh process, and prints the median and the
+interquartile range of the sampler's own sweeps/s (``RunInfo``) over the
+repeats: one short fit is too noisy on a shared host to show a 10 %
+change. Beside them it prints the number of latent values Q*J and the
+range of N, the points over all processes, across the retained sweeps.
+The latent posterior is drawn through an N x N system when N < Q*J and
+through the (Q*J)^2 precision otherwise, so the two columns show which
+form each sweep used:
 
 * ``2d-20x20``: two coupled processes on the unit square, J = 400, the
   latent grid of the benchmark's ``2d-grid400``;
 * ``2d-40x40``: the same data on a 40x40 grid, J = 1600;
 * ``3d-10x10x10``: one process on the unit cube, J = 1000.
 
-Each case also prints the prediction cost: the seconds per retained
-sample of ``engine.intensity_samples`` on ``Quadrature.for_region``'s
-grid (64 nodes per axis), on which ``depcox eval`` integrates, and how
-far that call raised the peak resident set (``ru_maxrss``) of the fresh
-process each case runs in. It reads 0 when the call stayed below the peak
-of the fit before it.
+Each case also prints the prediction cost, the median over the repeats of:
+the seconds per retained sample of ``engine.intensity_samples`` on
+``Quadrature.for_region``'s grid (64 nodes per axis), on which ``depcox
+eval`` integrates, and how far that call raised the peak resident set
+(``ru_maxrss``) of the fresh process each repeat runs in. It reads 0 when
+the call stayed below the peak of the fit before it.
 
 No bound is checked. The probe shows how the latent stage and prediction
 scale with the grid size and the dimension, which the benchmark's
@@ -33,6 +36,7 @@ import argparse
 import multiprocessing
 import os
 import resource
+import statistics
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -60,6 +64,8 @@ PRIORS = PriorConfig(
 )
 # (name, dimension, processes, latent grid points per axis)
 CASES = [("2d-20x20", 2, 2, 20), ("2d-40x40", 2, 2, 40), ("3d-10x10x10", 3, 1, 10)]
+# fits per case, each in a fresh process
+REPEATS = 5
 
 
 def probe(dim: int, n_processes: int, per_axis: int, sweeps: int, seed: int) -> tuple:
@@ -86,17 +92,34 @@ def probe(dim: int, n_processes: int, per_axis: int, sweeps: int, seed: int) -> 
     return info.iterations_per_second, min(points), max(points), predict, grown_mb
 
 
+def summary_line(name: str, n_latent: int, results: list) -> str:
+    """One case's line from the ``probe`` results of its repeats: the
+    median sweeps/s and its interquartile range (inclusive quartiles), the
+    fewest and most points over all repeats and the medians of the
+    prediction's seconds per sample and peak-RSS growth."""
+    rates = [r[0] for r in results]
+    q1, median, q3 = statistics.quantiles(rates, n=4, method="inclusive")
+    n_min, n_max = min(r[1] for r in results), max(r[2] for r in results)
+    predict = statistics.median(r[3] for r in results)
+    grown = statistics.median(r[4] for r in results)
+    return (f"{name:12s} Q*J={n_latent:5d}  N={n_min:4d}-{n_max:<4d} {median:7.2f} sweeps/s"
+            f" (IQR {q1:.2f}-{q3:.2f}, {len(rates)} runs)"
+            f"  {predict:8.4f} s/sample predict  +{grown:6.1f} MB peak RSS")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sweeps", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     for name, dim, n_processes, per_axis in CASES:
-        with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
-            result = pool.submit(probe, dim, n_processes, per_axis, args.sweeps, args.seed).result()
-        rate, n_min, n_max, predict, grown = result
-        print(f"{name:12s} Q*J={per_axis ** dim:5d}  N={n_min:4d}-{n_max:<4d} {rate:7.2f} sweeps/s"
-              f"  {predict:8.4f} s/sample predict  +{grown:6.1f} MB peak RSS")
+        results = []
+        for _ in range(REPEATS):
+            with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
+                results.append(
+                    pool.submit(probe, dim, n_processes, per_axis, args.sweeps, args.seed).result()
+                )
+        print(summary_line(name, per_axis**dim, results), flush=True)
     return 0
 
 
