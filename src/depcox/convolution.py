@@ -420,12 +420,8 @@ class ConvolutionPrior:
         by the Hamiltonian hyperparameter update.
 
         ``C`` is floored as in ``mean_cov``, and exactly symmetric. Each
-        latent function's ``dW^T W`` is formed once, its transpose serving
-        for ``W^T dW`` (the same products, summed in the same order); the
-        first latent function's terms start the sums, where a zero matrix
-        plus them gave the same bits (none of their entries is -0.0), and
-        one latent function's blocks are read as they are, not
-        concatenated.
+        latent function's ``W^T dW`` is read as the transpose of its
+        ``dW^T W``, which holds the same products summed in the same order.
         """
         X = np.asarray(X, dtype=float)
         C = dC_t = None

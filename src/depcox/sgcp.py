@@ -40,14 +40,9 @@ exactly symmetric and each row of ``W`` contiguous: ``W`` is a row-major
 products with ``W`` round as on a fresh projection, so every draw is the
 one a new array per event would give.
 
-The same holds of the cheaper forms the per-event code takes, each of
-which keeps every arithmetic operation: vector products through
-``ndarray.dot``, at less dispatch than ``@`` (they agreed bit for bit in
-each of 23000 random trials of these shapes, OpenBLAS, one thread), the
-point likelihood's level-1 margins alone when every thinned point is at
-level 1 (``point_loglik``), the function slice update's new state built
-around its new values rather than copied and overwritten, and the
-Hamiltonian energy at fewer numpy calls and copies (``_hyper_energy``).
+The per-event vector products go through ``ndarray.dot``, which agrees
+bit for bit with ``@`` on these shapes (in each of 23000 random trials,
+OpenBLAS, one thread).
 """
 
 from __future__ import annotations
@@ -340,8 +335,6 @@ def _drop(C: np.ndarray, i: int) -> np.ndarray:
 # columns, spare capacity from 1 to 296 columns, one BLAS thread).
 _EXACT_BELOW = 4
 
-_FLOAT = np.dtype(float)
-
 
 def _moved(old: np.ndarray, shape, block) -> np.ndarray:
     """A new C-ordered buffer of ``shape`` holding ``old[block]`` at ``block``."""
@@ -444,7 +437,8 @@ class _Workspace:
         self._pts = ctx.points(state)
         self._zz = (self._pts * self._pts).sum(1)
         self._W = self.prior.project(self._pts, self.theta)
-        self._m, self._C = self.prior.mean_cov(self._pts, self.kappa, self.theta, self._W)
+        self._m, C = self.prior.mean_cov(self._pts, self.kappa, self.theta, self._W)
+        self._C = np.ascontiguousarray(C)  # ``remove`` shifts its rows through its flat view
         self._g = state.g_values.copy()
         self.n = self._zz.size
         self._resize(self.n)
@@ -510,12 +504,11 @@ class _Workspace:
         return self._L, self._v
 
     def conditional(self, x, exclude: int | None = None) -> _Proposal:
-        """The function at the site ``x`` (1, dim) given the current values,
-        optionally leaving point ``exclude`` out: its ``mean`` and ``var``,
-        and the site for ``append`` or, with ``exclude``, ``update_point``."""
-        # the kernels' sites are (1, dim) float arrays already
-        if not (type(x) is np.ndarray and x.dtype is _FLOAT and x.ndim == 2 and x.shape[0] == 1):
-            x = np.asarray(x, dtype=float).reshape(1, -1)
+        """The function at the site ``x``, a float array of ``dim`` entries,
+        given the current values, optionally leaving point ``exclude`` out:
+        its ``mean`` and ``var``, and the site for ``append`` or, with
+        ``exclude``, ``update_point``."""
+        x = x.reshape(1, -1)
         xx = sq_norm(x)
         if self._site is None:
             self._site = self.prior.site_scalars(self.kappa, self.theta)
@@ -792,16 +785,13 @@ def _hyper_energy(prior, pts, g, rho, priors: PriorConfig):
     """Negative log posterior over (log kappa, log theta) and its gradient.
 
     Each evaluation forms the prior's moments and derivatives at its
-    position (``mean_cov_grads``), one Cholesky factor of ``C`` and its
-    inverse, and makes the arithmetic it always made at fewer numpy calls:
-    the range is checked on Python floats, ``C`` (exactly symmetric, see
-    ``mean_cov_grads``) is factored without a symmetrised copy, the
-    derivatives come as pairs, not stacked arrays, and sums are taken by
-    the arrays' own methods. The trace term ``tr(C^{-1} dC_i)`` is an
-    elementwise sum, from the one inverse. The projection is formed afresh
-    even at the state's ``theta``: the workspace's ``W`` holds each
-    proposed site's column as ``site`` projected that site alone, which
-    rounds differently from a projection of the whole set.
+    position (``mean_cov_grads``), one Cholesky factor of ``C``, which is
+    exactly symmetric and so factored as it is, and its inverse. The trace
+    term ``tr(C^{-1} dC_i)`` is an elementwise sum, from the one inverse.
+    The projection is formed afresh even at the state's ``theta``: the
+    workspace's ``W`` holds each proposed site's column as ``site``
+    projected that site alone, which rounds differently from a projection
+    of the whole set.
     """
     r0, r1 = rho.tolist()
     if not (abs(r0) <= 30.0 and abs(r1) <= 30.0):  # also false for a NaN
