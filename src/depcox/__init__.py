@@ -23,7 +23,6 @@ from .convolution import (
     ConvolutionPrior,
     IndependentPrior,
     LatentFactor,
-    LatentState,
     latent_grid,
     latent_posterior,
     phi_mh_update,

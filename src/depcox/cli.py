@@ -118,6 +118,11 @@ def cmd_eval(args) -> int:
         )
     quad = Quadrature.for_region(region)
     truth = io.load_truth(args.truth) if args.truth else None
+    if truth is not None and (truth.n_processes, truth.region.dim) != (len(archive.train), region.dim):
+        raise ValidationError(
+            f"archive has {len(archive.train)} processes in {region.dim}-D but the truth manifest "
+            f"has {truth.n_processes} in {truth.region.dim}-D"
+        )
     rows = _model_rows("ours", archive.samples, archive.config.run, archive, test, quad, truth)
     if args.baselines:
         ind_cfg = replace(archive.config.run, independent=True)

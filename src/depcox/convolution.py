@@ -11,13 +11,16 @@ dense. Cross-process covariance is never materialized, but for the
 latent draw's data-space system, which spans all processes' points and
 is formed only while it is smaller than the latent precision.
 
-Each latent Gram matrix ``K_q = K(grid, grid; phi_q)`` is factored once
-per distinct ``phi_q`` (``LatentFactor``) and shared by every prior at
-that variance. The grid is a product of axes and the kernel separable,
-so ``K_q`` is a Kronecker product of per-axis Gram matrices, and the
-factor holds one eigendecomposition per axis: ``K_q = Q_q diag(lam_q)
-Q_q^T``. Everything that whitens against ``K_q + jI`` goes through it,
-with ``s_q = (lam_q + j)^{-1/2}``:
+Each latent function is its grid values and its ``LatentFactor``, which
+alone holds the function's variance ``phi_q`` and the grid, a
+``ProductGrid``. A ``ConvolutionPrior`` is the values (Q, J) with their
+factors, the only latent state, and ``phi_mh_update`` returns the factors
+at the moved variances. The grid is a product of axes and the kernel
+separable, so the latent Gram matrix ``K_q = K(grid, grid; phi_q)`` is a
+Kronecker product of per-axis Gram matrices, and the factor holds one
+eigendecomposition per axis: ``K_q = Q_q diag(lam_q) Q_q^T``. Everything
+that whitens against ``K_q + jI`` goes through it, with ``s_q = (lam_q +
+j)^{-1/2}``:
 
 * a point set's projection ``W = [s_q * Q_q^T K(grid, X; theta + phi_q)]_q``
   (``project``), O(J) per point and latent function from the per-axis
@@ -63,16 +66,15 @@ data space (Matheron's rule), and mapped back through the eigenfactors:
 neither the precision nor ``L_q`` is formed for it.
 
 Predictions (``extend``, ``latent_interpolant``) take either scattered
-points or a ``ProductGrid``. The latent grid enters them as its axes, a
-``ProductGrid`` of the factor's ``axes``, not as J scattered nodes, so
-its Gram-vector products contract one per-axis factor at a time
+points or a ``ProductGrid``. The latent grid enters them as the factor's
+``ProductGrid``, not as J scattered nodes, so its Gram-vector products
+contract one per-axis factor at a time
 (``gaussian.gram_matvec``) against a target grid and against scattered
 targets alike; only the process's own points enter as scattered nodes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -104,38 +106,10 @@ from .gaussian import (
 MARGINAL_FLOOR = 1e-12
 
 
-@dataclass
-class LatentState:
-    """Inducing grid, latent function values on it, and latent variances."""
-
-    grid: np.ndarray  # (J, dim)
-    values: np.ndarray  # (Q, J)
-    phis: np.ndarray  # (Q,)
-
-    def __post_init__(self):
-        self.grid = _as_points(self.grid)
-        self.values = np.atleast_2d(np.asarray(self.values, dtype=float))
-        self.phis = np.atleast_1d(np.asarray(self.phis, dtype=float))
-        if self.values.shape[1] != self.grid.shape[0]:
-            raise ValidationError("latent values do not match grid size")
-        if self.values.shape[0] != self.phis.size:
-            raise ValidationError("one phi per latent function required")
-        if np.any(self.phis <= 0):
-            raise ValidationError("phis must be positive")
-
-    @property
-    def n_latent(self) -> int:
-        return self.phis.size
-
-    @property
-    def n_grid(self) -> int:
-        return self.grid.shape[0]
-
-
 GRID_PAD = 0.1  # the latent grid's extension past each side of the region, per axis length
 
 
-def latent_grid(region, per_axis: int) -> np.ndarray:
+def latent_grid(region, per_axis: int) -> ProductGrid:
     """Evenly spaced inducing grid spanning the region extended by ``GRID_PAD`` per side."""
     if per_axis < 2:
         raise ValidationError("need at least 2 grid points per axis")
@@ -143,23 +117,7 @@ def latent_grid(region, per_axis: int) -> np.ndarray:
     for lo, hi in zip(region.lower, region.upper):
         ext = GRID_PAD * (hi - lo)
         axes.append(np.linspace(lo - ext, hi + ext, per_axis))
-    return ProductGrid(axes).nodes
-
-
-def _grid_axes(grid: np.ndarray) -> tuple:
-    """The axes of a product grid given by its nodes in ``ij`` order (as
-    ``ProductGrid.nodes`` lays them out); raises ``ValidationError`` for any
-    other node set. A 1-D grid is its own axis, in its given order."""
-    if grid.shape[1] == 1:
-        return (grid[:, 0],)
-    axes = []
-    for column in grid.T:
-        _, first = np.unique(column, return_index=True)
-        axes.append(column[np.sort(first)])
-    product = ProductGrid(axes)
-    if product.size != grid.shape[0] or not np.array_equal(product.nodes, grid):
-        raise ValidationError("the latent grid must be a product grid with nodes in ij order")
-    return tuple(axes)
+    return ProductGrid(axes)
 
 
 class LatentFactor:
@@ -181,34 +139,33 @@ class LatentFactor:
     latent slice move), as does ``inverse()``, the latent prior precision
     of the precision-form posterior. Each accepted ``phi`` forms ``L``
     once.
+
+    ``grid`` is the latent grid, a ``ProductGrid``; ``phi`` must be
+    positive.
     """
 
-    def __init__(self, grid: np.ndarray, phi: float, axes: tuple | None = None):
-        """``axes``: the grid's axes, if the caller holds them already."""
+    def __init__(self, grid: ProductGrid, phi: float):
         self.grid = grid
         self.phi = float(phi)
-        self.axes = _grid_axes(grid) if axes is None else axes
-        grams = [axis_gram(a, a, self.phi) for a in self.axes]
-        eigs = [eigh(g) for g in grams]
+        if not self.phi > 0:
+            raise ValidationError(f"latent variance phi must be positive, got {self.phi}")
+        eigs = [eigh(axis_gram(a, a, self.phi)) for a in grid.axes]
         self.Q = [v for _, v in eigs]
         lam = eigs[0][0]
         for w, _ in eigs[1:]:
             lam = np.multiply.outer(lam, w).ravel()
         # K's diagonal is the kernel's scale, (2 pi phi)^{-D/2}
-        shifted = lam + JITTER_SCALE * (2.0 * np.pi * self.phi) ** (-0.5 * len(self.axes))
+        shifted = lam + JITTER_SCALE * (2.0 * np.pi * self.phi) ** (-0.5 * grid.dim)
         if not np.all(shifted > 0):
             raise NumericalError(f"latent Gram matrix at phi={self.phi:.3g} is not positive definite")
         self.s = shifted**-0.5
         # the transposed axis factors, the axes as columns and the scale as
         # a column, which every new site's projection reads
         self.QT = [q.T for q in self.Q]
-        self.axis_cols = [a[:, None] for a in self.axes]
+        self.axis_cols = [a[:, None] for a in grid.axes]
         self.s_col = self.s[:, None]
         self._L = None
         self._inverse = None
-
-    def matches(self, grid: np.ndarray, phi: float) -> bool:
-        return phi == self.phi and (grid is self.grid or np.array_equal(grid, self.grid))
 
     def to_eigen(self, v: np.ndarray) -> np.ndarray:
         """``Q^T v`` for ``v`` of shape (J,) or (J, n)."""
@@ -221,19 +178,19 @@ class LatentFactor:
     def whiten(self, X: np.ndarray, variance: float) -> np.ndarray:
         """``s * Q^T K(grid, X; variance)``, shape (J, n), from the per-axis
         factors ``Q_a^T E_a`` of the cross-covariance: O(J) per point."""
-        if X.shape[1] != len(self.axes):
+        if X.shape[1] != self.grid.dim:
             raise ValidationError("point sets have different dimension")
-        F = [qt @ axis_gram(a, x, variance) for qt, a, x in zip(self.QT, self.axes, X.T)]
+        F = [qt @ axis_gram(a, x, variance) for qt, a, x in zip(self.QT, self.grid.axes, X.T)]
         return self.s_col * _khatri_rao(F)
 
     def whiten_dv(self, X: np.ndarray, variance: float) -> tuple[np.ndarray, np.ndarray]:
         """``whiten(X, variance)`` and its derivative in the variance: the
         derivative of a Kronecker product is the sum over axes of the
         products with that axis's factor differentiated."""
-        if X.shape[1] != len(self.axes):
+        if X.shape[1] != self.grid.dim:
             raise ValidationError("point sets have different dimension")
         F, dF = [], []
-        for qt, a, x in zip(self.QT, self.axes, X.T):
+        for qt, a, x in zip(self.QT, self.grid.axes, X.T):
             E, dE = axis_gram_dv(a, x, variance)
             F.append(qt @ E)
             dF.append(qt @ dE)
@@ -244,7 +201,8 @@ class LatentFactor:
     def L(self) -> np.ndarray:
         """Dense lower Cholesky factor of ``K + jI``, formed on first use."""
         if self._L is None:
-            self._L, _ = cholesky_with_jitter(gauss_gram(self.grid, self.grid, self.phi))
+            nodes = self.grid.nodes
+            self._L, _ = cholesky_with_jitter(gauss_gram(nodes, nodes, self.phi))
         return self._L
 
     def inverse(self) -> np.ndarray:
@@ -274,7 +232,8 @@ class SiteScalars(NamedTuple):
 
 
 class ConvolutionPrior:
-    """Conditional prior over one process's function values given the latent state.
+    """Conditional prior over one process's function values given the latent
+    functions: their grid values and their ``LatentFactor``s.
 
     The mean is the smoothed latent interpolant; the covariance is the
     residual left after conditioning the process on the grid values. The
@@ -290,26 +249,32 @@ class ConvolutionPrior:
     latent function, not for the whole point set again.
     """
 
-    def __init__(self, latent: LatentState, factors=()):
-        """``factors``: ``LatentFactor``s to reuse for each latent function
-        whose grid and variance they match; the others are factored here."""
-        self.latent = latent
-        self.factors = [
-            next((f for f in factors if f.matches(latent.grid, phi)), None)
-            or LatentFactor(latent.grid, phi)
-            for phi in latent.phis
-        ]
+    def __init__(self, values, factors):
+        """``values``: the latent grid values, (Q, J); ``factors``: one
+        ``LatentFactor`` per latent function, all on the one grid."""
+        self.values = np.atleast_2d(np.asarray(values, dtype=float))
+        self.factors = list(factors)
+        if not self.factors:
+            raise ValidationError("at least one latent function required")
+        self.grid = self.factors[0].grid
+        shape = (len(self.factors), self.grid.size)
+        if self.values.shape != shape:
+            raise ValidationError(f"latent values of shape {self.values.shape} do not match "
+                                  f"{shape[0]} latent functions on a grid of {shape[1]} nodes")
         # s_q * Q_q^T u_q, whose inner product with a projection column is
         # the mean's K(x, grid) K_q^{-1} u_q, and K_q^{-1} u_q itself; both
         # independent of kappa/theta
-        self._betas = [f.s * f.to_eigen(u) for f, u in zip(self.factors, latent.values)]
+        self._betas = [f.s * f.to_eigen(u) for f, u in zip(self.factors, self.values)]
         self._alphas = [f.from_eigen(f.s * b) for f, b in zip(self.factors, self._betas)]
-        # the latent variances as Python floats, for the per-site scalars
-        self._phis = latent.phis.tolist()
+
+    @property
+    def phis(self) -> np.ndarray:
+        """The latent variances, one per latent function, read from the factors."""
+        return np.array([f.phi for f in self.factors])
 
     @property
     def dim(self) -> int:
-        return self.latent.grid.shape[1]
+        return self.grid.dim
 
     def project(self, X, theta: float) -> np.ndarray:
         """Stacked whitened cross-covariances ``s_q * Q_q^T K(grid, X; theta + phi_q)``,
@@ -320,20 +285,20 @@ class ConvolutionPrior:
     def mean(self, X, W, kappa: float) -> np.ndarray:
         """Prior mean at the points ``X`` whose projection is ``W``:
         ``kappa sum_q W_q^T beta_q``, the smoothed latent interpolant."""
-        J = self.latent.n_grid
+        J = self.values.shape[1]
         return kappa * sum(W[q * J : (q + 1) * J].T @ beta for q, beta in enumerate(self._betas))
 
     def cov(self, A, WA, B, WB, kappa: float, theta: float) -> np.ndarray:
         """Residual cross-covariance between point sets ``A`` and ``B``, given
         their projections ``WA`` and ``WB``."""
-        G = sum(gauss_gram(A, B, 2.0 * theta + phi) for phi in self.latent.phis)
+        G = sum(gauss_gram(A, B, 2.0 * theta + f.phi) for f in self.factors)
         return kappa**2 * (G - WA.T @ WB)
 
     def _marginal_var(self, kappa: float, theta: float) -> float:
         d = self.dim
         total = 0.0  # summed in order, as a sum of numpy scalars would be
-        for phi in self._phis:
-            total += (2.0 * np.pi * (2.0 * theta + phi)) ** (-0.5 * d)
+        for f in self.factors:
+            total += (2.0 * np.pi * (2.0 * theta + f.phi)) ** (-0.5 * d)
         return kappa**2 * total
 
     def _floored(self, C: np.ndarray, kappa: float, theta: float) -> np.ndarray:
@@ -364,7 +329,7 @@ class ConvolutionPrior:
         return SiteScalars(
             kappa, theta, kappa**2, variances,
             tuple((2.0 * np.pi * v) ** -0.5 for v in variances),
-            [2.0 * theta + phi for phi in self._phis],
+            [2.0 * theta + f.phi for f in self.factors],
             marginal, MARGINAL_FLOOR * marginal,
         )
 
@@ -403,7 +368,7 @@ class ConvolutionPrior:
         w = ws[0] if len(ws) == 1 else np.concatenate(ws)
         flat = w[:, 0]
         var = s.marginal - s.kappa2 * float(flat.dot(flat)) + s.floor
-        J = self.latent.n_grid
+        J = self.values.shape[1]
         mean = 0.0
         for q, beta in enumerate(self._betas):
             mean += float(flat[q * J : (q + 1) * J].dot(beta))
@@ -426,9 +391,9 @@ class ConvolutionPrior:
         X = np.asarray(X, dtype=float)
         C = dC_t = None
         Ws, dWs = [], []
-        for f, phi in zip(self.factors, self.latent.phis):
-            Wq, dWq = f.whiten_dv(X, theta + phi)
-            G, dG = gauss_gram_dv(X, X, 2.0 * theta + phi)
+        for f in self.factors:
+            Wq, dWq = f.whiten_dv(X, theta + f.phi)
+            G, dG = gauss_gram_dv(X, X, 2.0 * theta + f.phi)
             G -= Wq.T @ Wq
             T = dWq.T @ Wq
             dG *= 2.0
@@ -453,7 +418,7 @@ class ConvolutionPrior:
     def coupling_matrix(self, W, kappa: float) -> np.ndarray:
         """Map from stacked latent grid values to the process mean at the
         points whose projection is ``W``: ``kappa [K(X, grid) K_q^{-1}]_q``."""
-        J = self.latent.n_grid
+        J = self.values.shape[1]
         return np.concatenate(
             [
                 kappa * f.from_eigen(f.s[:, None] * W[q * J : (q + 1) * J]).T
@@ -472,20 +437,20 @@ class ConvolutionPrior:
         ``kappa alpha_q - kappa^2 Q_q (s_q * W_q a)`` through the grid's
         axes.
         """
-        J = self.latent.n_grid
+        J = self.values.shape[1]
         Wa = W @ a
         out = 0.0
-        for q, (f, phi) in enumerate(zip(self.factors, self.latent.phis)):
+        for q, f in enumerate(self.factors):
             r = f.from_eigen(f.s * Wa[q * J : (q + 1) * J])
             c = kappa * self._alphas[q] - kappa**2 * r
-            out += gram_matvec(X, ProductGrid(f.axes), theta + phi, c)
-            out += kappa**2 * gram_matvec(X, pts, 2.0 * theta + phi, a)
+            out += gram_matvec(X, f.grid, theta + f.phi, c)
+            out += kappa**2 * gram_matvec(X, pts, 2.0 * theta + f.phi, a)
         return out
 
     def latent_interpolant(self, X) -> np.ndarray:
         """Conditional mean of each latent function at a point array or a
         ``ProductGrid``, (Q, n)."""
-        return np.stack([gram_matvec(X, ProductGrid(f.axes), f.phi, a)
+        return np.stack([gram_matvec(X, f.grid, f.phi, a)
                          for f, a in zip(self.factors, self._alphas)])
 
 
@@ -558,8 +523,7 @@ def latent_posterior(spaces, prior: ConvolutionPrior, A_list) -> tuple[np.ndarra
     enter, not its current grid values. ``sample_latent_posterior`` draws
     through it when the points are at least as many as the latent values.
     """
-    J = prior.latent.n_grid
-    Q = prior.latent.n_latent
+    Q, J = prior.values.shape
     # Latent prior precision, block diagonal over latent functions.
     P = np.zeros((Q * J, Q * J))
     for q, f in enumerate(prior.factors):
@@ -588,7 +552,7 @@ def sample_latent_posterior(spaces, prior: ConvolutionPrior, rng: np.random.Gene
     through the latent factors; ``A_list`` is not read then, and neither
     the precision nor a latent factor's inverse is formed for it.
     """
-    Q, J = prior.latent.n_latent, prior.latent.n_grid
+    Q, J = prior.values.shape
     live = [ws for ws in spaces if ws.g.size]
     if sum(ws.g.size for ws in live) < Q * J:
         v = _whitened_draw(live, Q * J, rng)
@@ -643,36 +607,32 @@ def latent_logpost(factor: LatentFactor, values_q: np.ndarray,
 
 
 def phi_mh_update(
-    prior: ConvolutionPrior,
+    values: np.ndarray,
+    factors,
     rng: np.random.Generator,
     step: float = 0.1,
     log_mean: float = 0.0,
     log_sd: float = 1.0,
-) -> tuple[ConvolutionPrior, np.ndarray]:
-    """One log-space random-walk Metropolis step per latent variance.
+) -> tuple[list, np.ndarray]:
+    """One log-space random-walk Metropolis step per latent variance, given
+    the latent grid values ``values`` (Q, J) and their ``factors``.
 
-    Returns the prior at the updated variances, which keeps the current
-    factor of each rejected proposal and the proposal's factor of each
-    accepted one, and a boolean acceptance flag per latent function. A
-    proposal costs one eigendecomposition per grid axis; only an accepted
-    one forms its dense factor, which the next sweep's draws go through.
+    Returns the factors at the updated variances, the current factor of each
+    rejected proposal and the proposal's factor of each accepted one, and a
+    boolean acceptance flag per latent function. A proposal costs one
+    eigendecomposition per grid axis; only an accepted one forms its dense
+    factor, which the next sweep's draws go through.
     """
-    latent = prior.latent
-    phis = latent.phis.copy()
-    factors = list(prior.factors)
-    accepted = np.zeros(latent.n_latent, dtype=bool)
-    for q in range(latent.n_latent):
-        cur = factors[q]
-        prop = LatentFactor(
-            latent.grid, np.exp(np.log(cur.phi) + step * rng.standard_normal()), cur.axes
-        )
-        lp_cur = latent_logpost(cur, latent.values[q], log_mean, log_sd)
-        lp_prop = latent_logpost(prop, latent.values[q], log_mean, log_sd)
+    updated = list(factors)
+    accepted = np.zeros(len(updated), dtype=bool)
+    for q, cur in enumerate(factors):
+        prop = LatentFactor(cur.grid, np.exp(np.log(cur.phi) + step * rng.standard_normal()))
+        lp_cur = latent_logpost(cur, values[q], log_mean, log_sd)
+        lp_prop = latent_logpost(prop, values[q], log_mean, log_sd)
         if np.isfinite(lp_prop) and np.log(rng.random()) < lp_prop - lp_cur:
-            phis[q] = prop.phi
-            factors[q] = prop
+            updated[q] = prop
             accepted[q] = True
             # the next sweep's draws go through L; formed here, outside the
             # slice move, it adds nothing to that move's peak memory
             _ = prop.L
-    return ConvolutionPrior(LatentState(latent.grid, latent.values, phis), factors), accepted
+    return updated, accepted

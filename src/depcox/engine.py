@@ -7,10 +7,13 @@ values from their joint posterior and updates the latent variances.
 ``run_chain_with_info`` loops over ``sweep`` and keeps the retained
 draws; a copy of a chain continues exactly as the chain would.
 
-The latent stage factors each latent Gram matrix once per distinct
-variance, per axis (``convolution.LatentFactor``). Only the initial latent
-draw, the slice move's prior draw and the latent prior precision go
-through its dense Cholesky factor; the precision is formed only when the
+Each latent function's variance and grid live only in its
+``convolution.LatentFactor``, which factors the latent Gram matrix per
+axis. The latent state is the ``ConvolutionPrior`` of the grid values and
+those factors, built once a sweep, after ``phi_mh_update`` has returned
+the factors at the moved variances. Only the initial latent draw, the
+slice move's prior draw and the latent prior precision go through a
+factor's dense Cholesky factor; the precision is formed only when the
 points, over all processes, are at least as many as the latent values
 (``convolution.sample_latent_posterior``). Each process's conditional
 prior lives in the workspace its ``GpContext`` owns (``sgcp._Workspace``):
@@ -30,7 +33,6 @@ from .convolution import (
     ConvolutionPrior,
     IndependentPrior,
     LatentFactor,
-    LatentState,
     latent_grid,
     phi_mh_update,
     sample_latent_posterior,
@@ -136,10 +138,9 @@ def _latent_ess_move(states, A_list, prior: ConvolutionPrior, ladder, rng):
     """
     from .sgcp import elliptical_slice, point_loglik, thinned_levels
 
-    latent = prior.latent
-    u_flat = latent.values.ravel()
+    u_flat = prior.values.ravel()
     residuals = [states[d].g_values - A_list[d] @ u_flat for d in range(len(states))]
-    J = latent.n_grid
+    J = prior.values.shape[1]
     z = rng.standard_normal(u_flat.size)
     nu = np.concatenate([f.L @ z[q * J : (q + 1) * J] for q, f in enumerate(prior.factors)])
     levels = [thinned_levels(state.rate_idx, ladder) for state in states]
@@ -205,7 +206,7 @@ class ChainState:
 
     def sample(self) -> PosteriorSample:
         """The current state as the draw of the last sweep."""
-        latent = getattr(self.prior, "latent", None)  # None for the independent model
+        coupled = isinstance(self.prior, ConvolutionPrior)
         return PosteriorSample(
             iteration=self.sweeps - 1,
             thinned=[s.thinned.copy() for s in self.states],
@@ -214,8 +215,8 @@ class ChainState:
             lambda_stars=np.array([s.lambda_star for s in self.states]),
             kappas=np.array([s.kappa for s in self.states]),
             thetas=np.array([s.theta for s in self.states]),
-            latent_values=np.zeros((0, 0)) if latent is None else latent.values.copy(),
-            phis=np.zeros(0) if latent is None else latent.phis.copy(),
+            latent_values=self.prior.values.copy() if coupled else np.zeros((0, 0)),
+            phis=self.prior.phis if coupled else np.zeros(0),
         )
 
 
@@ -240,10 +241,9 @@ def start_chain(data, region: Region, config: RunConfig) -> ChainState:
         prior = IndependentPrior(np.exp(priors.phi_log_mean), region.dim)
     else:
         grid = latent_grid(region, config.grid_per_axis)
-        phis = np.full(config.n_latent, np.exp(priors.phi_log_mean))
-        factors = [LatentFactor(grid, phi) for phi in phis]
-        values = np.stack([f.L @ streams[n_proc].standard_normal(grid.shape[0]) for f in factors])
-        prior = ConvolutionPrior(LatentState(grid, values, phis), factors)
+        factors = [LatentFactor(grid, np.exp(priors.phi_log_mean)) for _ in range(config.n_latent)]
+        values = np.stack([f.L @ streams[n_proc].standard_normal(grid.size) for f in factors])
+        prior = ConvolutionPrior(values, factors)
 
     states, contexts = [], []
     for d, ev in enumerate(data):
@@ -300,10 +300,10 @@ def sweep(chain: ChainState, region: Region, config: RunConfig) -> None:
             A_list = [prior.coupling_matrix(ws.W, ws.kappa) for ws in spaces]
             _latent_ess_move(states, A_list, prior, ladder, rng)
             spaces = [ctx.workspace(s) for ctx, s in zip(contexts, states)]
-            new_values = sample_latent_posterior(spaces, prior, rng, A_list)
-            latent = LatentState(prior.latent.grid, new_values, prior.latent.phis)
-            prior, acc = phi_mh_update(ConvolutionPrior(latent, prior.factors), rng, step=chain.phi_step.value,
-                                       log_mean=priors.phi_log_mean, log_sd=priors.phi_log_sd)
+            values = sample_latent_posterior(spaces, prior, rng, A_list)
+            factors, acc = phi_mh_update(values, prior.factors, rng, step=chain.phi_step.value,
+                                         log_mean=priors.phi_log_mean, log_sd=priors.phi_log_sd)
+            prior = ConvolutionPrior(values, factors)
         except (ValidationError, NumericalError) as exc:
             raise type(exc)(f"iteration {it}, latent stage: {exc}") from exc
         rate = np.mean(acc)
@@ -351,12 +351,12 @@ def _sample_priors(samples, region: Region, config: RunConfig):
         for _ in samples:
             yield prior
         return
-    inducing = latent_grid(region, config.grid_per_axis)
-    factors = ()
+    grid = latent_grid(region, config.grid_per_axis)
+    factors = []
     for s in samples:
-        prior = ConvolutionPrior(LatentState(inducing, s.latent_values, s.phis), factors)
-        factors = prior.factors
-        yield prior
+        factors = [next((f for f in factors if f.phi == phi), None) or LatentFactor(grid, phi)
+                   for phi in s.phis]
+        yield ConvolutionPrior(s.latent_values, factors)
 
 
 def _extensions(samples, targets, data, region: Region, config: RunConfig):

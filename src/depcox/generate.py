@@ -13,10 +13,27 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .convolution import _grid_axes, latent_grid
+from .convolution import latent_grid
 from .errors import ValidationError
 from .gaussian import ProductGrid, _as_points, chol_solve, cholesky_with_jitter, gauss_gram, gram_matvec
 from .sgcp import EventSet, Region
+
+
+def _grid_axes(grid: np.ndarray) -> tuple:
+    """The axes of a ground truth's latent grid, which a manifest holds as
+    its nodes in ``ij`` order (as ``ProductGrid.nodes`` lays them out);
+    raises ``ValidationError`` for any other node set. A 1-D grid is its
+    own axis, in its given order."""
+    if grid.shape[1] == 1:
+        return (grid[:, 0],)
+    axes = []
+    for column in grid.T:
+        _, first = np.unique(column, return_index=True)
+        axes.append(column[np.sort(first)])
+    product = ProductGrid(axes)
+    if product.size != grid.shape[0] or not np.array_equal(product.nodes, grid):
+        raise ValidationError("the latent grid must be a product grid with nodes in ij order")
+    return tuple(axes)
 
 
 @dataclass
@@ -39,6 +56,14 @@ class GroundTruth:
         self.kappas = np.atleast_1d(np.asarray(self.kappas, dtype=float))
         self.thetas = np.atleast_1d(np.asarray(self.thetas, dtype=float))
         self.lambda_stars = np.atleast_1d(np.asarray(self.lambda_stars, dtype=float))
+        n_k, n_t, n_l = self.kappas.size, self.thetas.size, self.lambda_stars.size
+        if not n_k == n_t == n_l:
+            raise ValidationError(f"a ground truth needs one kappa, theta and lambda_star per process, "
+                                  f"got {n_k}, {n_t} and {n_l}")
+        shape = (self.phis.size, self.grid.shape[0])
+        if self.weights.shape != shape:
+            raise ValidationError(f"ground-truth weights of shape {self.weights.shape} do not match "
+                                  f"{shape[0]} latent functions on a grid of {shape[1]} nodes")
 
     @property
     def n_processes(self) -> int:
@@ -77,7 +102,7 @@ def sample_ground_truth(
     Defaults are scaled for a unit region; pass ranges explicitly for
     anything else.
     """
-    grid = latent_grid(region, grid_per_axis)
+    grid = latent_grid(region, grid_per_axis).nodes
     phis = _log_uniform(rng, phi_range, n_latent)
     weights = np.zeros((n_latent, grid.shape[0]))
     for q in range(n_latent):

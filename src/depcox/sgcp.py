@@ -725,13 +725,16 @@ def move_step(
     return _state_of(ws, state, rate_idx)
 
 
+# Bracket shrinks an elliptical slice transition makes before it gives up.
+MAX_SHRINK = 256
+
+
 def elliptical_slice(
     current: np.ndarray,
     mean,
     loglik,
     rng: np.random.Generator,
     nu: np.ndarray,
-    max_shrink: int = 256,
 ) -> np.ndarray:
     """One elliptical slice transition (Murray, Adams & MacKay, 2010) for a
     vector with a Gaussian prior of mean ``mean``, an array or a scalar.
@@ -746,7 +749,7 @@ def elliptical_slice(
     angle = rng.uniform(0.0, 2.0 * np.pi)
     lo, hi = angle - 2.0 * np.pi, angle
     centered = current - mean
-    for _ in range(max_shrink):
+    for _ in range(MAX_SHRINK):
         proposal = mean + centered * np.cos(angle) + nu * np.sin(angle)
         if loglik(proposal) > log_y:
             return proposal

@@ -8,7 +8,8 @@ to a known surface, and two test inputs: a halving rate ladder and an
 intensity off the model's basis. The last group keeps the earlier
 formulas of primitives the kernels call thousands of times a sweep, and
 of the Hamiltonian energy, which the library now evaluates with fewer
-numpy calls or copies and must match bit for bit.
+numpy calls or copies and must match bit for bit. ``latent_prior``
+builds a coupled prior from a grid, its values and their variances.
 """
 
 from __future__ import annotations
@@ -19,11 +20,12 @@ import numpy as np
 from scipy.linalg import lapack, solve_triangular
 from scipy.special import expit
 
-from depcox.convolution import MARGINAL_FLOOR, ConvolutionPrior, IndependentPrior, SiteScalars
+from depcox.convolution import MARGINAL_FLOOR, ConvolutionPrior, IndependentPrior, LatentFactor, SiteScalars
 from depcox.errors import NumericalError, ValidationError
 from depcox.gaussian import (
     JITTER_SCALE,
     MAX_JITTER_DOUBLINGS,
+    ProductGrid,
     _as_points,
     _khatri_rao,
     axis_gram,
@@ -33,6 +35,16 @@ from depcox.gaussian import (
     tri_solve,
 )
 from depcox.thinning import SLACK, RateLadder
+
+
+def latent_prior(grid, values, phis) -> ConvolutionPrior:
+    """The ``ConvolutionPrior`` of the latent grid ``values`` (Q, J) with one
+    ``LatentFactor`` per variance in ``phis``, on ``grid``: a
+    ``ProductGrid``, or the (J, 1) nodes of a 1-D grid in their given order."""
+    if not isinstance(grid, ProductGrid):
+        assert grid.shape[1] == 1, "only a 1-D grid may be given by its nodes"
+        grid = ProductGrid([grid[:, 0]])
+    return ConvolutionPrior(values, [LatentFactor(grid, phi) for phi in np.atleast_1d(phis)])
 
 
 def gauss_density(x, z, variance: float) -> float:
@@ -271,7 +283,7 @@ def _marginal_var_numpy(prior, kappa: float, theta: float) -> float:
     """``ConvolutionPrior._marginal_var`` as it once summed the numpy
     scalars of the latent variances."""
     return kappa**2 * sum(
-        (2.0 * np.pi * (2.0 * theta + phi)) ** (-0.5 * prior.dim) for phi in prior.latent.phis
+        (2.0 * np.pi * (2.0 * theta + phi)) ** (-0.5 * prior.dim) for phi in prior.phis
     )
 
 
@@ -384,7 +396,7 @@ def axis_gram_dv_again(x, z, variance: float):
 def _whiten_dv_again(factor, X, variance: float):
     """``LatentFactor.whiten_dv`` through ``axis_gram_dv_again``."""
     F, dF = [], []
-    for qt, a, x in zip(factor.QT, factor.axes, X.T):
+    for qt, a, x in zip(factor.QT, factor.grid.axes, X.T):
         E, dE = axis_gram_dv_again(a, x, variance)
         F.append(qt @ E)
         dF.append(qt @ dE)
@@ -408,7 +420,7 @@ def mean_cov_grads_stacked(prior, X, kappa: float, theta: float):
     C = np.zeros((n, n))
     dC_t = np.zeros((n, n))
     Ws, dWs = [], []
-    for f, phi in zip(prior.factors, prior.latent.phis):
+    for f, phi in zip(prior.factors, prior.phis):
         Wq, dWq = _whiten_dv_again(f, X, theta + phi)
         G, dG = gauss_gram_dv_broadcast(X, X, 2.0 * theta + phi)
         C += G - Wq.T @ Wq

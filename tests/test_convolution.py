@@ -9,7 +9,6 @@ from depcox.convolution import (
     ConvolutionPrior,
     IndependentPrior,
     LatentFactor,
-    LatentState,
     latent_grid,
     latent_logpost,
     latent_posterior,
@@ -34,6 +33,7 @@ from oracles import (
     cross_cov,
     floored_diag_indices,
     gauss_density,
+    latent_prior,
     mvn_logpdf,
     output_cov,
     reversed_factor_cov,
@@ -51,31 +51,31 @@ def _floored(D, kappa, theta, phis, dim=1):
     return D + 1e-12 * marginal * np.eye(len(D))
 
 
-def _joint_blocks(X_list, latent, kappas, thetas):
+def _joint_blocks(X_list, prior, kappas, thetas):
     """Dense joint covariance over (g_1 ... g_D, u) for small oracles.
 
     Built exactly as the model implies: g_d = A_d u + residual with the
     residual independent across processes.
     """
-    J = latent.n_grid
-    Q = latent.n_latent
+    Q, J = prior.values.shape
+    grid, phis = prior.grid.nodes, prior.phis
     K_uu = np.zeros((Q * J, Q * J))
     for q in range(Q):
         K_uu[q * J : (q + 1) * J, q * J : (q + 1) * J] = _jittered(
-            gauss_gram(latent.grid, latent.grid, latent.phis[q])
+            gauss_gram(grid, grid, phis[q])
         )
     A_list, D_list = [], []
     for d, X in enumerate(X_list):
         K_gu = np.hstack(
             [
-                kappas[d] * gauss_gram(X, latent.grid, thetas[d] + latent.phis[q])
+                kappas[d] * gauss_gram(X, grid, thetas[d] + phis[q])
                 for q in range(Q)
             ]
         )
         A = K_gu @ np.linalg.inv(K_uu)
         K_gg = np.zeros((len(X), len(X)))
         for q in range(Q):
-            K_gg += kappas[d] ** 2 * gauss_gram(X, X, 2 * thetas[d] + latent.phis[q])
+            K_gg += kappas[d] ** 2 * gauss_gram(X, X, 2 * thetas[d] + phis[q])
         D = K_gg - A @ K_gu.T
         A_list.append(A)
         D_list.append(D)
@@ -118,22 +118,21 @@ class TestOutputCov:
 class TestLatentGrid:
     def test_1d_span_and_count(self):
         region = Region([0.0], [1.0])
-        grid = latent_grid(region, 20)
+        grid = latent_grid(region, 20).nodes
         assert grid.shape == (20, 1)
         assert grid[0, 0] == pytest.approx(-0.1)
         assert grid[-1, 0] == pytest.approx(1.1)
 
     def test_2d_size(self):
         region = Region([0.0, 0.0], [1.0, 2.0])
-        grid = latent_grid(region, 8)
+        grid = latent_grid(region, 8).nodes
         assert grid.shape == (64, 2)
 
 
 class TestConditionalPrior:
     def test_zero_latent_gives_zero_mean(self):
         grid = np.linspace(0, 1, 5)[:, None]
-        latent = LatentState(grid, np.zeros((1, 5)), [0.05])
-        prior = ConvolutionPrior(latent)
+        prior = latent_prior(grid, np.zeros((1, 5)), [0.05])
         X = np.linspace(0.1, 0.9, 7)[:, None]
         np.testing.assert_array_equal(prior.mean(X, prior.project(X, 0.02), 1.3), np.zeros(7))
 
@@ -143,13 +142,12 @@ class TestConditionalPrior:
             grid = np.sort(rng.uniform(0, 1, size=3))[:, None]
             phi = rng.uniform(0.05, 0.3)
             u = rng.standard_normal(3)
-            latent = LatentState(grid, u[None, :], [phi])
+            prior = latent_prior(grid, u[None, :], [phi])
             kappa, theta = rng.uniform(0.5, 2.0), rng.uniform(0.02, 0.2)
             X = rng.uniform(0, 1, size=(4, 1))
-            prior = ConvolutionPrior(latent)
             m, C = prior.mean_cov(X, kappa, theta, prior.project(X, theta))
 
-            K_uu, A_list, D_list = _joint_blocks([X], latent, [kappa], [theta])
+            K_uu, A_list, D_list = _joint_blocks([X], prior, [kappa], [theta])
             np.testing.assert_allclose(m, A_list[0] @ u, atol=1e-8)
             np.testing.assert_allclose(C, D_list[0], atol=1e-8)
 
@@ -157,16 +155,14 @@ class TestConditionalPrior:
         rng = np.random.default_rng(1)
         grid = np.linspace(0, 1, 3)[:, None]
         u = rng.standard_normal(3)
-        latent = LatentState(grid, u[None, :], [0.05])
-        prior = ConvolutionPrior(latent)
+        prior = latent_prior(grid, u[None, :], [0.05])
         m = prior.mean(grid, prior.project(grid, 1e-6), 1.0)
         assert np.max(np.abs(m - u)) < 1e-2
 
     def test_grad_matches_finite_differences(self):
         rng = np.random.default_rng(2)
         grid = np.linspace(0, 1, 4)[:, None]
-        latent = LatentState(grid, rng.standard_normal((1, 4)), [0.1])
-        prior = ConvolutionPrior(latent)
+        prior = latent_prior(grid, rng.standard_normal((1, 4)), [0.1])
         X = rng.uniform(0, 1, size=(5, 1))
         kappa, theta = 1.2, 0.07
         m, C, dm, dC = prior.mean_cov_grads(X, kappa, theta)
@@ -182,11 +178,11 @@ class TestConditionalPrior:
     def test_extend_matches_projected_cross_covariance(self):
         rng = np.random.default_rng(10)
         grid = latent_grid(Region([0.0, 0.0], [1.0, 1.0]), 4)
-        latent = LatentState(grid, rng.standard_normal((2, 16)), [0.02, 0.05])
+        coupled = latent_prior(grid, rng.standard_normal((2, 16)), [0.02, 0.05])
         kappa, theta = 0.9, 0.01
         pts, X = rng.uniform(size=(6, 2)), rng.uniform(size=(9, 2))
         a = rng.standard_normal(6)
-        for prior in (ConvolutionPrior(latent), IndependentPrior(0.02, dim=2)):
+        for prior in (coupled, IndependentPrior(0.02, dim=2)):
             W = prior.project(pts, theta)
             WX = prior.project(X, theta)
             want = prior.mean(X, WX, kappa) + prior.cov(X, WX, pts, W, kappa, theta) @ a
@@ -195,10 +191,10 @@ class TestConditionalPrior:
     def test_site_matches_projection_and_mean_cov(self):
         rng = np.random.default_rng(11)
         grid = latent_grid(Region([0.0, 0.0], [1.0, 1.0]), 4)
-        latent = LatentState(grid, rng.standard_normal((2, 16)), [0.02, 0.05])
+        coupled = latent_prior(grid, rng.standard_normal((2, 16)), [0.02, 0.05])
         kappa, theta = 0.9, 0.01
         priors = (
-            ConvolutionPrior(latent),
+            coupled,
             IndependentPrior(0.02, dim=2),
             FixedFunctionPrior(lambda X: X[:, 0] - X[:, 1], dim=2),
         )
@@ -237,12 +233,12 @@ class TestSite:
     def test_matches_the_projection_and_covariance_route(self, dim, n_latent, n):
         rng = np.random.default_rng(100 * dim + 10 * n_latent + n)
         grid = latent_grid(Region(np.zeros(dim), np.ones(dim)), 6 if dim < 3 else 3)
-        latent = LatentState(
-            grid, rng.standard_normal((n_latent, grid.shape[0])), rng.uniform(0.01, 0.05, n_latent)
+        coupled = latent_prior(
+            grid, rng.standard_normal((n_latent, grid.size)), rng.uniform(0.01, 0.05, n_latent)
         )
         kappa, theta = rng.uniform(0.5, 2.0), rng.uniform(0.005, 0.05)
         pts = rng.uniform(-0.1, 1.1, size=(n, dim))
-        for prior in (ConvolutionPrior(latent), IndependentPrior(0.02, dim=dim)):
+        for prior in (coupled, IndependentPrior(0.02, dim=dim)):
             W = prior.project(pts, theta)
             for x in rng.uniform(-0.1, 1.1, size=(4, 1, dim)):
                 got = prior.site(x, sq_norm(x), pts, (pts * pts).sum(1), W, prior.site_scalars(kappa, theta))
@@ -255,7 +251,7 @@ class TestSite:
     def test_floor_through_the_diagonal_view_matches_diag_indices(self, dim):
         rng = np.random.default_rng(40 + dim)
         grid = latent_grid(Region(np.zeros(dim), np.ones(dim)), 4)
-        prior = ConvolutionPrior(LatentState(grid, rng.standard_normal((2, grid.shape[0])), [0.02, 0.04]))
+        prior = latent_prior(grid, rng.standard_normal((2, grid.size)), [0.02, 0.04])
         X = rng.uniform(size=(9, dim))
         C = prior.cov(X, prior.project(X, 0.01), X, prior.project(X, 0.01), 1.3, 0.01)
         C += 1e-13 * rng.standard_normal(C.shape)  # not exactly symmetric
@@ -269,11 +265,11 @@ class TestPerAxisFactor:
 
     KAPPA, THETA = 0.9, 0.015
     GRIDS = {
-        "1d-unsorted": np.random.default_rng(30).permutation(np.linspace(-0.1, 1.1, 7))[:, None],
-        "2d-4x5": ProductGrid([np.linspace(-0.1, 1.1, 4), np.linspace(0.0, 1.0, 5)]).nodes,
+        "1d-unsorted": ProductGrid([np.random.default_rng(30).permutation(np.linspace(-0.1, 1.1, 7))]),
+        "2d-4x5": ProductGrid([np.linspace(-0.1, 1.1, 4), np.linspace(0.0, 1.0, 5)]),
         "3d-3x4x2": ProductGrid(
             [np.linspace(0.0, 1.0, 3), np.linspace(-0.1, 1.1, 4), np.array([0.2, 0.7])]
-        ).nodes,
+        ),
     }
 
     @staticmethod
@@ -285,18 +281,18 @@ class TestPerAxisFactor:
     def _setup(self, name, phis):
         grid = self.GRIDS[name]
         rng = np.random.default_rng(31)
-        latent = LatentState(grid, rng.standard_normal((len(phis), grid.shape[0])), phis)
-        dim = grid.shape[1]
-        lo, hi = grid.min(axis=0), grid.max(axis=0)
-        X = rng.uniform(lo, hi, size=(6, dim))
+        prior = latent_prior(grid, rng.standard_normal((len(phis), grid.size)), phis)
+        nodes = grid.nodes
+        lo, hi = nodes.min(axis=0), nodes.max(axis=0)
+        X = rng.uniform(lo, hi, size=(6, grid.dim))
         # dense oracle: K_q + jI with the jitter cholesky_with_jitter adds
-        Ks = [_jittered(gauss_gram(grid, grid, phi)) for phi in phis]
-        return ConvolutionPrior(latent), latent, X, Ks, rng
+        Ks = [_jittered(gauss_gram(nodes, nodes, phi)) for phi in phis]
+        return prior, nodes, X, Ks, rng
 
-    def _dense_project(self, latent, Ks, X, theta):
+    def _dense_project(self, prior, Ks, X, theta):
         return np.concatenate(
-            [np.linalg.solve(np.linalg.cholesky(K), gauss_gram(latent.grid, X, theta + phi))
-             for K, phi in zip(Ks, latent.phis)]
+            [np.linalg.solve(np.linalg.cholesky(K), gauss_gram(prior.grid.nodes, X, theta + phi))
+             for K, phi in zip(Ks, prior.phis)]
         )
 
     CASES = [("1d-unsorted", (0.04,)), ("2d-4x5", (0.05,)), ("3d-3x4x2", (0.06,)),
@@ -304,69 +300,69 @@ class TestPerAxisFactor:
 
     @pytest.mark.parametrize("name,phis", CASES)
     def test_projection_site_coupling_and_extend(self, name, phis):
-        prior, latent, X, Ks, rng = self._setup(name, phis)
+        prior, nodes, X, Ks, rng = self._setup(name, phis)
         kappa, theta = self.KAPPA, self.THETA
         W = prior.project(X, theta)
-        Wd = self._dense_project(latent, Ks, X, theta)
+        Wd = self._dense_project(prior, Ks, X, theta)
         self._close(W.T @ W, Wd.T @ Wd)
-        alphas = [np.linalg.solve(K, u) for K, u in zip(Ks, latent.values)]
+        alphas = [np.linalg.solve(K, u) for K, u in zip(Ks, prior.values)]
         for a, want in zip(prior._alphas, alphas):
             self._close(a, want)
-        mean = kappa * sum(gauss_gram(X, latent.grid, theta + phi) @ a
-                           for phi, a in zip(latent.phis, alphas))
+        mean = kappa * sum(gauss_gram(X, nodes, theta + phi) @ a
+                           for phi, a in zip(prior.phis, alphas))
         x = X[:1]
         w, m, var, _ = prior.site(x, sq_norm(x), X, (X * X).sum(1), W, prior.site_scalars(kappa, theta))
         marginal = prior._marginal_var(kappa, theta)
         self._close(w.T @ W, Wd[:, :1].T @ Wd)
         self._close(m, mean[0])
         self._close(var, marginal - kappa**2 * float(Wd[:, 0] @ Wd[:, 0]) + 1e-12 * marginal)
-        A = np.hstack([kappa * gauss_gram(X, latent.grid, theta + phi) @ np.linalg.inv(K)
-                       for K, phi in zip(Ks, latent.phis)])
+        A = np.hstack([kappa * gauss_gram(X, nodes, theta + phi) @ np.linalg.inv(K)
+                       for K, phi in zip(Ks, prior.phis)])
         self._close(prior.coupling_matrix(W, kappa), A)
         a = rng.standard_normal(X.shape[0])
         T = rng.uniform(X.min(axis=0), X.max(axis=0), size=(5, X.shape[1]))
-        G = sum(gauss_gram(T, X, 2 * theta + phi) for phi in latent.phis)
-        Wt = self._dense_project(latent, Ks, T, theta)
-        want = kappa * sum(gauss_gram(T, latent.grid, theta + phi) @ al
-                           for phi, al in zip(latent.phis, alphas))
+        G = sum(gauss_gram(T, X, 2 * theta + phi) for phi in prior.phis)
+        Wt = self._dense_project(prior, Ks, T, theta)
+        want = kappa * sum(gauss_gram(T, nodes, theta + phi) @ al
+                           for phi, al in zip(prior.phis, alphas))
         want = want + kappa**2 * (G - Wt.T @ Wd) @ a
         self._close(prior.extend(T, X, W, a, kappa, theta), want)
 
     @pytest.mark.parametrize("name,phis", CASES)
     def test_latent_logpost_matches_dense_density(self, name, phis):
-        prior, latent, _, _, _ = self._setup(name, phis)
-        J = latent.n_grid
-        for f, u in zip(prior.factors, latent.values):
-            K = gauss_gram(latent.grid, latent.grid, f.phi)
+        prior, nodes, _, _, _ = self._setup(name, phis)
+        J = nodes.shape[0]
+        for f, u in zip(prior.factors, prior.values):
+            K = gauss_gram(nodes, nodes, f.phi)
             z = (np.log(f.phi) - 0.1) / 0.7
             want = mvn_logpdf(u, Mvn(np.zeros(J), K)) + 0.5 * J * np.log(2 * np.pi) - 0.5 * z * z
             self._close(latent_logpost(f, u, 0.1, 0.7), want)
 
     @pytest.mark.parametrize("name,phis", CASES)
     def test_prediction_on_a_product_grid_is_prediction_at_its_nodes(self, name, phis):
-        prior, latent, X, Ks, rng = self._setup(name, phis)
+        prior, nodes, X, Ks, rng = self._setup(name, phis)
         kappa, theta = self.KAPPA, self.THETA
         W = prior.project(X, theta)
         a = rng.standard_normal(X.shape[0])
-        lo, hi = latent.grid.min(axis=0), latent.grid.max(axis=0)
+        lo, hi = nodes.min(axis=0), nodes.max(axis=0)
         T = ProductGrid([np.linspace(l, h, n) for l, h, n in zip(lo, hi, (9, 4, 6))])
         self._close(prior.extend(T, X, W, a, kappa, theta),
                     prior.extend(T.nodes, X, W, a, kappa, theta), rel=1e-12)
         self._close(prior.latent_interpolant(T), prior.latent_interpolant(T.nodes), rel=1e-12)
-        alphas = [np.linalg.solve(K, u) for K, u in zip(Ks, latent.values)]
-        want = np.stack([gauss_gram(T.nodes, latent.grid, phi) @ al
-                         for phi, al in zip(latent.phis, alphas)])
+        alphas = [np.linalg.solve(K, u) for K, u in zip(Ks, prior.values)]
+        want = np.stack([gauss_gram(T.nodes, nodes, phi) @ al
+                         for phi, al in zip(prior.phis, alphas)])
         self._close(prior.latent_interpolant(T), want)
 
     @pytest.mark.parametrize("name,phis", CASES)
     def test_mean_cov_grads_match_dense_formulas(self, name, phis):
-        prior, latent, X, Ks, _ = self._setup(name, phis)
+        prior, nodes, X, Ks, _ = self._setup(name, phis)
         kappa, theta = self.KAPPA, self.THETA
         m, C, dm, dC = prior.mean_cov_grads(X, kappa, theta)
         n = X.shape[0]
         m_w, dm_t, C_w, dC_t = np.zeros(n), np.zeros(n), np.zeros((n, n)), np.zeros((n, n))
-        for K, phi, u in zip(Ks, latent.phis, latent.values):
-            U, dU = gauss_gram_dv(X, latent.grid, theta + phi)
+        for K, phi, u in zip(Ks, prior.phis, prior.values):
+            U, dU = gauss_gram_dv(X, nodes, theta + phi)
             G, dG = gauss_gram_dv(X, X, 2 * theta + phi)
             alpha = np.linalg.solve(K, u)
             m_w += U @ alpha
@@ -381,24 +377,26 @@ class TestPerAxisFactor:
         want = kappa**2 * theta * dC_t
         assert np.max(np.abs(dC[1] - want)) <= 1e-10 * (np.max(np.abs(want)) + G_scale)
 
-    @pytest.mark.parametrize(
-        "grid",
-        [
-            np.random.default_rng(32).uniform(size=(12, 2)),
-            np.stack([m.ravel() for m in np.meshgrid(np.linspace(0, 1, 3), np.linspace(0, 1, 4))], -1),
-        ],
-        ids=["scattered", "xy-order"],
-    )
-    def test_non_product_grid_is_rejected(self, grid):
-        with pytest.raises(ValidationError, match="product grid"):
-            ConvolutionPrior(LatentState(grid, np.zeros((1, grid.shape[0])), [0.05]))
+    @pytest.mark.parametrize("shape", [(2, 20), (0, 20), (1, 19), (1, 21), (19,)])
+    def test_latent_values_must_match_the_factors_and_their_grid(self, shape):
+        with pytest.raises(ValidationError, match=r"latent values of shape .* 1 latent functions on a grid of 20"):
+            ConvolutionPrior(np.zeros(shape), [LatentFactor(self.GRIDS["2d-4x5"], 0.05)])
+
+    def test_a_prior_needs_a_latent_function(self):
+        with pytest.raises(ValidationError, match="at least one latent function"):
+            ConvolutionPrior(np.zeros((0, 20)), [])
+
+    @pytest.mark.parametrize("phi", [0.0, -0.05, np.nan])
+    def test_latent_variance_must_be_positive(self, phi):
+        with pytest.raises(ValidationError, match="phi must be positive"):
+            LatentFactor(self.GRIDS["2d-4x5"], phi)
 
     def test_rejected_phi_proposal_forms_no_dense_gram_or_factor(self, monkeypatch):
         grid = latent_grid(Region([0.0, 0.0], [1.0, 1.0]), 40)
-        J = grid.shape[0]
+        J = grid.size
         # white noise on a 40x40 grid: far too rough for any larger phi
         u = np.random.default_rng(33).standard_normal((1, J))
-        prior = ConvolutionPrior(LatentState(grid, u, [0.01]))
+        prior = latent_prior(grid, u, [0.01])
         formed = []
         for name in ("gauss_gram", "cholesky_with_jitter"):
             original = getattr(depcox.convolution, name)
@@ -412,8 +410,8 @@ class TestPerAxisFactor:
             monkeypatch.setattr(depcox.convolution, name, recording)
         rng = np.random.default_rng(1)
         assert rng.standard_normal() > 0  # the seed's proposal raises phi
-        new, accepted = phi_mh_update(prior, np.random.default_rng(1), step=1.0)
-        assert not accepted[0] and new.factors[0] is prior.factors[0]
+        factors, accepted = phi_mh_update(prior.values, prior.factors, np.random.default_rng(1), step=1.0)
+        assert not accepted[0] and factors[0] is prior.factors[0]
         assert formed == []
 
 
@@ -424,10 +422,10 @@ class TestImpliedJointPsd:
             D = int(rng.integers(1, 4))
             J = int(rng.integers(2, 5))
             grid = np.sort(rng.uniform(0, 1, size=J))[:, None]
-            latent = LatentState(grid, rng.standard_normal((1, J)), [rng.uniform(0.05, 0.4)])
+            prior = latent_prior(grid, rng.standard_normal((1, J)), [rng.uniform(0.05, 0.4)])
             kappas, thetas = rng.uniform(0.3, 2.0, size=D), rng.uniform(0.02, 0.3, size=D)
             X_list = [rng.uniform(0, 1, size=(int(rng.integers(1, 5)), 1)) for _ in range(D)]
-            K_uu, A_list, D_list = _joint_blocks(X_list, latent, kappas, thetas)
+            K_uu, A_list, D_list = _joint_blocks(X_list, prior, kappas, thetas)
             n_tot = sum(len(X) for X in X_list) + J
             joint = np.zeros((n_tot, n_tot))
             offs = np.cumsum([0] + [len(X) for X in X_list])
@@ -462,20 +460,19 @@ def _dense_oracle_case(rng, n_grid=3, n_latent=1, sizes=(3, 3)):
     matrices and prior, and the latent posterior's mean and covariance by
     dense conditioning of the joint Gaussian."""
     grid = np.sort(rng.uniform(0, 1, size=n_grid))[:, None]
-    latent = LatentState(
+    prior = latent_prior(
         grid, rng.standard_normal((n_latent, n_grid)), rng.uniform(0.05, 0.3, size=n_latent)
     )
     kappas = rng.uniform(0.5, 1.5, size=len(sizes))
     thetas = rng.uniform(0.02, 0.2, size=len(sizes))
     X_list = [rng.uniform(0, 1, size=(n, 1)) for n in sizes]
     g_list = [rng.standard_normal(n) for n in sizes]
-    prior = ConvolutionPrior(latent)
     spaces, A_ws = _spaces(prior, X_list, g_list, kappas, thetas)
 
-    K_uu, A_list, D_list = _joint_blocks(X_list, latent, kappas, thetas)
+    K_uu, A_list, D_list = _joint_blocks(X_list, prior, kappas, thetas)
     A = np.vstack(A_list)
     Dblk = block_diag(*[
-        _jittered(_floored(D, kappa, theta, latent.phis))
+        _jittered(_floored(D, kappa, theta, prior.phis))
         for D, kappa, theta in zip(D_list, kappas, thetas)
         if len(D)
     ])
@@ -503,10 +500,9 @@ def _assert_draws_follow(draws, mean_o, cov_o):
 class TestLatentPosterior:
     def test_no_coupling_returns_prior(self):
         grid = np.linspace(0, 1, 4)[:, None]
-        latent = LatentState(grid, np.zeros((1, 4)), [0.1])
+        prior = latent_prior(grid, np.zeros((1, 4)), [0.1])
         X = [np.array([[0.2], [0.6]]), np.array([[0.4]])]
         g = [np.array([1.0, -1.0]), np.array([0.5])]
-        prior = ConvolutionPrior(latent)
         spaces, A_list = _spaces(prior, X, g, [0.0, 0.0], [0.05, 0.05])
         mean, factor = latent_posterior(spaces, prior, A_list)
         K = _jittered(gauss_gram(grid, grid, 0.1))
@@ -574,7 +570,7 @@ class TestLatentPosterior:
 
     def test_no_points_draw_the_prior(self):
         grid = np.linspace(0, 1, 6)[:, None]
-        prior = ConvolutionPrior(LatentState(grid, np.zeros((2, 6)), [0.05, 0.2]))
+        prior = latent_prior(grid, np.zeros((2, 6)), [0.05, 0.2])
         empty = np.zeros((0, 1))
         spaces, A_ws = _spaces(prior, [empty, empty], [np.zeros(0)] * 2, [1.0, 1.0], [0.05, 0.05])
         got = sample_latent_posterior(spaces, prior, np.random.default_rng(4), A_ws)
@@ -588,10 +584,9 @@ class TestLatentPosterior:
     def test_duplicated_data_tightens_posterior(self):
         rng = np.random.default_rng(6)
         grid = np.linspace(0, 1, 4)[:, None]
-        latent = LatentState(grid, rng.standard_normal((1, 4)), [0.1])
+        prior = latent_prior(grid, rng.standard_normal((1, 4)), [0.1])
         X = rng.uniform(0, 1, size=(4, 1))
         g = rng.standard_normal(4)
-        prior = ConvolutionPrior(latent)
         spaces, A_list = _spaces(prior, [X], [g], [1.0], [0.05])
         _, single = latent_posterior(spaces, prior, A_list)
         spaces, A_list = _spaces(prior, [X, X], [g, g], [1.0, 1.0], [0.05, 0.05])
@@ -605,10 +600,10 @@ class TestPhiUpdate:
     def test_identity_proposal_always_accepts(self):
         rng = np.random.default_rng(7)
         grid = np.linspace(0, 1, 5)[:, None]
-        latent = LatentState(grid, rng.standard_normal((1, 5)), [0.2])
-        new, accepted = phi_mh_update(ConvolutionPrior(latent), np.random.default_rng(0), step=0.0)
+        prior = latent_prior(grid, rng.standard_normal((1, 5)), [0.2])
+        factors, accepted = phi_mh_update(prior.values, prior.factors, np.random.default_rng(0), step=0.0)
         assert accepted.all()
-        np.testing.assert_array_equal(new.latent.phis, latent.phis)
+        np.testing.assert_array_equal([f.phi for f in factors], prior.phis)
 
     def test_logpost_matches_2x2_determinant_oracle(self):
         grid = np.array([[0.0], [0.3]])
@@ -618,7 +613,7 @@ class TestPhiUpdate:
         det = K[0, 0] * K[1, 1] - K[0, 1] ** 2
         inv = np.array([[K[1, 1], -K[0, 1]], [-K[0, 1], K[0, 0]]]) / det
         expected = -0.5 * u @ inv @ u - 0.5 * np.log(det) - 0.5 * np.log(phi) ** 2
-        got = latent_logpost(LatentFactor(grid, phi), u, log_mean=0.0, log_sd=1.0)
+        got = latent_logpost(LatentFactor(ProductGrid(grid.T), phi), u, log_mean=0.0, log_sd=1.0)
         assert got == pytest.approx(expected, rel=1e-9)
 
     def test_zero_latent_prefers_smaller_determinant(self):
@@ -626,17 +621,17 @@ class TestPhiUpdate:
         # grid Gram toward singularity (small determinant) and wins
         grid = np.array([[0.0], [0.3]])
         u = np.zeros(2)
-        lp_small = latent_logpost(LatentFactor(grid, 0.05), u, 0.0, 1e6)
-        lp_large = latent_logpost(LatentFactor(grid, 0.5), u, 0.0, 1e6)
+        lp_small = latent_logpost(LatentFactor(ProductGrid(grid.T), 0.05), u, 0.0, 1e6)
+        lp_large = latent_logpost(LatentFactor(ProductGrid(grid.T), 0.5), u, 0.0, 1e6)
         assert lp_large > lp_small
 
     def test_fixed_seed_is_deterministic(self):
         rng = np.random.default_rng(8)
         grid = np.linspace(0, 1, 5)[:, None]
-        latent = LatentState(grid, rng.standard_normal((2, 5)), [0.2, 0.4])
-        a, acc_a = phi_mh_update(ConvolutionPrior(latent), np.random.default_rng(3), step=0.3)
-        b, acc_b = phi_mh_update(ConvolutionPrior(latent), np.random.default_rng(3), step=0.3)
-        np.testing.assert_array_equal(a.latent.phis, b.latent.phis)
+        prior = latent_prior(grid, rng.standard_normal((2, 5)), [0.2, 0.4])
+        a, acc_a = phi_mh_update(prior.values, prior.factors, np.random.default_rng(3), step=0.3)
+        b, acc_b = phi_mh_update(prior.values, prior.factors, np.random.default_rng(3), step=0.3)
+        np.testing.assert_array_equal([f.phi for f in a], [f.phi for f in b])
         np.testing.assert_array_equal(acc_a, acc_b)
 
 

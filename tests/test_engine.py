@@ -1,6 +1,7 @@
 """Engine orchestration tests: counting, determinism, summaries, diagnostics."""
 
 import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy.stats import ks_2samp
 import depcox.convolution
 import depcox.engine
 import depcox.sgcp
-from depcox.convolution import phi_mh_update
+from depcox.convolution import ConvolutionPrior, phi_mh_update
 from depcox.engine import (
     PosteriorSample,
     RunConfig,
@@ -231,7 +232,7 @@ class TestRunChain:
         data = sample_events(truth, rng)
         cfg = _small_config(n_iters=12, burn_in=0, grid_per_axis=5, seed=6)
         monkeypatch.setattr(depcox.engine, "PHI_STEP_SIZE", 0.5)
-        grid = depcox.convolution.latent_grid(square, 5)
+        grid = depcox.convolution.latent_grid(square, 5).nodes
         grams, accepted = [], []
         gram, update = depcox.convolution.gauss_gram, depcox.engine.phi_mh_update
 
@@ -442,9 +443,9 @@ class TestRunChain:
             monkeypatch.setattr(depcox.engine, name, held)
         monkeypatch.setattr(depcox.engine, "_latent_ess_move", lambda *args: None)
         monkeypatch.setattr(depcox.engine, "sample_latent_posterior",
-                            lambda spaces, prior, rng, A: prior.latent.values)
+                            lambda spaces, prior, rng, A: prior.values)
         monkeypatch.setattr(depcox.engine, "phi_mh_update",
-                            lambda prior, rng, **kw: (prior, np.zeros(prior.latent.phis.size)))
+                            lambda values, factors, rng, **kw: (factors, np.zeros(len(factors))))
         hypers = []
         hmc = depcox.engine.hmc_hyper_update
 
@@ -627,6 +628,49 @@ class TestProductGridPrediction:
             summary.intensity_sd, lams.std(axis=0), rtol=1e-6, atol=1e-9 * lams.max()
         )
         assert summary.latent_mean.shape == (0 if independent else 2, quad.weights.size)
+
+
+class TestLatentPriors:
+    def test_factor_is_reused_only_at_its_phi(self, monkeypatch):
+        # prediction builds each sample's prior and factors a latent
+        # function only at a variance the previous sample's factors lack
+        samples, _, region, cfg = _grid_case(2, False)
+        phis = [[0.02, 0.05], [0.02, 0.05], [0.02, 0.06], [0.06, 0.02]]
+        samples = [replace(samples[i % 3], phis=np.array(p)) for i, p in enumerate(phis)]
+        built = []
+        factor = depcox.engine.LatentFactor
+
+        def counting(grid, phi):
+            built.append(phi)
+            return factor(grid, phi)
+
+        monkeypatch.setattr(depcox.engine, "LatentFactor", counting)
+        first, same, moved, swapped = depcox.engine._sample_priors(samples, region, cfg)
+        assert built == [0.02, 0.05, 0.06]
+        assert all(a is b for a, b in zip(same.factors, first.factors))
+        assert moved.factors[0] is first.factors[0]
+        assert moved.factors[1] is not first.factors[1]
+        assert moved.factors[1].phi == 0.06
+        np.testing.assert_array_equal(moved.factors[1].L, factor(first.grid, 0.06).L)
+        assert swapped.factors == moved.factors[::-1]
+
+    def test_a_sweep_builds_one_prior(self, monkeypatch):
+        # the latent stage draws the values, moves the variances, and only
+        # then builds the next sweep's prior, once
+        data, _ = _toy_data()
+        cfg = _small_config()
+        chain = start_chain(data, UNIT, cfg)
+        built = []
+        init = ConvolutionPrior.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ConvolutionPrior, "__init__", counting)
+        for n in range(1, 4):
+            sweep(chain, UNIT, cfg)
+            assert len(built) == n
 
 
 class TestDiagnostics:

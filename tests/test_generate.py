@@ -73,6 +73,22 @@ class TestGroundTruth:
         for d in range(2):
             np.testing.assert_allclose(truth.intensity(d, grid), truth.intensity(d, grid.nodes), rtol=1e-12)
 
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            np.random.default_rng(32).uniform(size=(12, 2)),
+            np.stack([m.ravel() for m in np.meshgrid(np.linspace(0, 1, 3), np.linspace(0, 1, 4))], -1),
+        ],
+        ids=["scattered", "xy-order"],
+    )
+    def test_non_product_grid_is_rejected(self, grid):
+        # a manifest holds the latent grid as nodes; only those of a product
+        # grid in ij order give the axes a prediction on a grid runs over
+        truth = GroundTruth(Region([0.0, 0.0], [1.0, 1.0]), grid, np.zeros((1, grid.shape[0])),
+                            [0.05], [1.0], [0.01], [10.0])
+        with pytest.raises(ValidationError, match="product grid"):
+            truth.g(0, ProductGrid([np.linspace(0.0, 1.0, 3)] * 2))
+
     def test_sampled_truth_is_reproducible(self):
         a = sample_ground_truth(UNIT, 3, 1, np.random.default_rng(5))
         b = sample_ground_truth(UNIT, 3, 1, np.random.default_rng(5))

@@ -11,7 +11,6 @@ from depcox.convolution import (
     ConvolutionPrior,
     IndependentPrior,
     LatentFactor,
-    LatentState,
     latent_grid,
 )
 from depcox.errors import ValidationError
@@ -298,8 +297,8 @@ class TestWorkspaceCache:
 
     def _prior(self, phis=(0.02, 0.05)):
         grid = latent_grid(Region([0.0, 0.0], [1.0, 1.0]), 4)
-        values = np.random.default_rng(21).standard_normal((len(phis), grid.shape[0]))
-        return ConvolutionPrior(LatentState(grid, values, phis))
+        values = np.random.default_rng(21).standard_normal((len(phis), grid.size))
+        return ConvolutionPrior(values, [LatentFactor(grid, phi) for phi in phis])
 
     def _fresh(self, prior, ws):
         ctx = GpContext(ws.pts, prior)
@@ -429,16 +428,6 @@ class TestWorkspaceCache:
         cached.append(cached.conditional(x), g)
         assert calls
 
-    def test_factor_is_reused_only_at_its_phi(self):
-        prior = self._prior()
-        moved = LatentState(prior.latent.grid, prior.latent.values, [0.02, 0.06])
-        rebuilt = ConvolutionPrior(moved, prior.factors)
-        assert rebuilt.factors[0] is prior.factors[0]
-        assert rebuilt.factors[1] is not prior.factors[1]
-        assert rebuilt.factors[1].phi == 0.06
-        np.testing.assert_array_equal(
-            rebuilt.factors[1].L, LatentFactor(prior.latent.grid, 0.06).L
-        )
 
 
 class TestWorkspaceBuffers:
@@ -453,7 +442,7 @@ class TestWorkspaceBuffers:
     def _setup(self, seed, n_data=5):
         rng = np.random.default_rng(seed)
         grid = latent_grid(Region([0.0, 0.0], [1.0, 1.0]), 4)
-        prior = ConvolutionPrior(LatentState(grid, rng.standard_normal((2, 16)), [0.02, 0.05]))
+        prior = ConvolutionPrior(rng.standard_normal((2, 16)), [LatentFactor(grid, 0.02), LatentFactor(grid, 0.05)])
         ctx = GpContext(rng.uniform(size=(n_data, 2)), prior)
         state = _empty_state(n_data=n_data, kappa=self.KAPPA, theta=self.THETA)
         state.thinned = np.zeros((0, 2))
@@ -583,7 +572,7 @@ class TestWorkspaceLifetime:
     def _setup(self):
         rng = np.random.default_rng(23)
         grid = latent_grid(Region([0.0, 0.0], [1.0, 1.0]), 4)
-        prior = ConvolutionPrior(LatentState(grid, rng.standard_normal((2, 16)), [0.02, 0.05]))
+        prior = ConvolutionPrior(rng.standard_normal((2, 16)), [LatentFactor(grid, 0.02), LatentFactor(grid, 0.05)])
         ctx = GpContext(rng.uniform(size=(5, 2)), prior)
         state = _empty_state(n_data=5, kappa=self.KAPPA, theta=self.THETA)
         state.thinned = np.zeros((0, 2))
@@ -598,9 +587,7 @@ class TestWorkspaceLifetime:
         ws.conditional(rng.uniform(size=2))  # forms the factor
         L = ws.L
         old = ctx.prior
-        ctx.prior = ConvolutionPrior(
-            LatentState(old.latent.grid, rng.standard_normal((2, 16)), old.latent.phis), old.factors
-        )
+        ctx.prior = ConvolutionPrior(rng.standard_normal((2, 16)), old.factors)
         state.g_values = rng.standard_normal(6)
         with monkeypatch.context() as patched:
             patched.setattr(ConvolutionPrior, "project", lambda *a: pytest.fail("re-projected"))
@@ -625,9 +612,7 @@ class TestWorkspaceLifetime:
         ws.prior_draw(rng)
         L = ws.L
         old = ctx.prior
-        ctx.prior = ConvolutionPrior(
-            LatentState(old.latent.grid, rng.standard_normal((2, 16)), old.latent.phis), old.factors
-        )
+        ctx.prior = ConvolutionPrior(rng.standard_normal((2, 16)), old.factors)
         state.g_values = rng.standard_normal(6)
         x = rng.uniform(size=2)
         with monkeypatch.context() as patched:
@@ -643,9 +628,7 @@ class TestWorkspaceLifetime:
         ws = ctx.workspace(state)
         ws.conditional(rng.uniform(size=2))  # forms the factor
         old = ctx.prior
-        ctx.prior = ConvolutionPrior(
-            LatentState(old.latent.grid, rng.standard_normal((2, 16)), old.latent.phis), old.factors
-        )
+        ctx.prior = ConvolutionPrior(rng.standard_normal((2, 16)), old.factors)
         state.g_values = rng.standard_normal(6)
         assert ctx.workspace(state) is ws and ws.prior is ctx.prior
         fresh = _Workspace(ctx, state)
@@ -667,9 +650,7 @@ class TestWorkspaceLifetime:
             state.theta *= 1.5
         elif change == "phi":
             old = ctx.prior
-            ctx.prior = ConvolutionPrior(
-                LatentState(old.latent.grid, old.latent.values, [0.02, 0.07]), old.factors
-            )
+            ctx.prior = ConvolutionPrior(old.values, [old.factors[0], LatentFactor(old.grid, 0.07)])
         else:
             state.thinned[0] += 0.01
         rebuilt = ctx.workspace(state)
@@ -925,7 +906,7 @@ class TestHyperEnergy:
         priors = PriorConfig(theta_log_mean=np.log(0.01), kappa_log_sd=0.7, theta_log_sd=0.7)
         grid = latent_grid(UNIT, 4)
         prior = (
-            ConvolutionPrior(LatentState(grid, rng.standard_normal((1, 4)), [0.02]))
+            ConvolutionPrior(rng.standard_normal((1, 4)), [LatentFactor(grid, 0.02)])
             if coupled
             else IndependentPrior(0.02)
         )
@@ -959,7 +940,7 @@ class TestHyperEnergyBits:
             return IndependentPrior(0.02, dim=dim)
         grid = latent_grid(Region([0.0] * dim, [1.0] * dim), per_axis)
         phis = list(phis[: 1 if kind == "one" else 2])
-        return ConvolutionPrior(LatentState(grid, rng.standard_normal((len(phis), grid.shape[0])), phis))
+        return ConvolutionPrior(rng.standard_normal((len(phis), grid.size)), [LatentFactor(grid, phi) for phi in phis])
 
     def _assert_same(self, prior, pts, g, rho):
         kappa, theta = float(np.exp(rho[0])), float(np.exp(rho[1]))

@@ -210,6 +210,28 @@ class TestUnreadableInputs:
         assert f"{records}:2:" in err and named in err
 
 
+    @pytest.mark.parametrize(
+        "edit,named",
+        [
+            (lambda rec: rec | {"phis": [0.0]}, "phi must be positive"),
+            (lambda rec: rec | {"phis": [-rec["phis"][0]]}, "phi must be positive"),
+            (lambda rec: rec | {"latent_values": [row[:-1] for row in rec["latent_values"]]},
+             "latent values of shape (1, 9) do not match 1 latent functions on a grid of 10 nodes"),
+        ],
+        ids=["zero-phi", "negative-phi", "short-latent-row"],
+    )
+    @pytest.mark.parametrize("command", ["eval", "export-grid"])
+    def test_sample_record_off_its_latent_grid_exits_2_naming_the_problem(self, archive, tmp_path, capsys,
+                                                                          command, edit, named):
+        records = archive / "samples.jsonl"
+        lines = records.read_text().splitlines()
+        lines[1] = json.dumps(edit(json.loads(lines[1])))
+        records.write_text("\n".join(lines) + "\n")
+        argv = [command, str(archive)] + (["--out", str(tmp_path / "grid")] if command == "export-grid" else [])
+        assert main(argv) == 2
+        assert named in capsys.readouterr().err
+
+
 class TestSerializers:
     def _config_off_defaults(self):
         run = RunConfig(
@@ -599,6 +621,28 @@ class TestEval:
         solo = tmp_path / "solo.csv"
         solo.write_text("process_id,x1\n0,0.5\n")
         assert main(["eval", str(arch), str(solo)]) == 2
+
+
+    @pytest.mark.parametrize(
+        "edit,named",
+        [
+            (lambda m: m | {k: m[k][:1] for k in ("kappas", "thetas", "lambda_stars")},
+             "archive has 2 processes in 1-D but the truth manifest has 1 in 1-D"),
+            (lambda m: m | {"region": {"lower": [0.0, 0.0], "upper": [1.0, 1.0]}},
+             "archive has 2 processes in 1-D but the truth manifest has 2 in 2-D"),
+            (lambda m: m | {"thetas": m["thetas"][:1]},
+             "one kappa, theta and lambda_star per process, got 2, 1 and 2"),
+            (lambda m: m | {"weights": [w[:-1] for w in m["weights"]]},
+             "ground-truth weights of shape (1, 9) do not match 1 latent functions on a grid of 10 nodes"),
+        ],
+        ids=["one-process", "other-dimension", "cut-thetas", "short-weights"],
+    )
+    def test_truth_manifest_off_the_archive_exits_2_naming_the_problem(self, fitted, capsys, edit, named):
+        tmp_path, cfg, gen, arch = fitted
+        manifest = tmp_path / "edited_manifest.json"
+        manifest.write_text(json.dumps(edit(json.loads((gen / "truth_manifest.json").read_text()))))
+        assert main(["eval", str(arch), "--truth", str(manifest)]) == 2
+        assert named in capsys.readouterr().err
 
 
 class TestNearestNodes:

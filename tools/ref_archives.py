@@ -9,7 +9,12 @@ and the workloads from ``perfbench/workloads.py``. For every workload,
 ``workloads.REFERENCE_SEED``), the fit config with every draw after
 burn-in kept, and ``archive/``: the ``depcox fit`` archive at chain seed
 0 with its ``depcox eval`` report as ``eval.csv``. These are the chains
-whose draws the benchmark's ESS metrics come from.
+whose draws the benchmark's ESS metrics come from. Beside them, so that
+every command that reads an archive is covered, ``archive/eval_full.csv``
+holds the report of ``depcox eval --truth truth_manifest.json
+--baselines`` (the L2 rows, the independent baseline chain and the KDE
+rows) and ``grid/`` the surfaces of ``depcox export-grid`` at its default
+resolution.
 
 BLAS and OpenMP are pinned to one thread, as in ``perfbench/run.py``: a
 multi-threaded BLAS may round differently, and an eval of the same
@@ -40,7 +45,8 @@ CHAIN_SEED = 0
 
 
 def write_reference(workload: workloads.Workload, out: Path) -> None:
-    """Fit the workload's reference chain into ``out/archive`` and evaluate it."""
+    """Fit the workload's reference chain into ``out/archive``, evaluate it
+    and export its surfaces to ``out/grid``."""
     truth = workload.truth()
     events = workloads.write_inputs(workload, truth, workloads.REFERENCE_SEED, out / "events")
     io.save_truth(out / "truth_manifest.json", truth)
@@ -51,6 +57,9 @@ def write_reference(workload: workloads.Workload, out: Path) -> None:
     for argv in (
         ["fit", *events, "--config", config, "--out", str(archive), "--seed", str(CHAIN_SEED)],
         ["eval", str(archive), "--out", str(archive / "eval.csv")],
+        ["eval", str(archive), "--truth", str(out / "truth_manifest.json"), "--baselines",
+         "--out", str(archive / "eval_full.csv")],
+        ["export-grid", str(archive), "--out", str(out / "grid")],
     ):
         code = cli.main(argv)
         if code != 0:
