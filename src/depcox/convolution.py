@@ -181,7 +181,9 @@ class LatentFactor:
         if X.shape[1] != self.grid.dim:
             raise ValidationError("point sets have different dimension")
         F = [qt @ axis_gram(a, x, variance) for qt, a, x in zip(self.QT, self.grid.axes, X.T)]
-        return self.s_col * _khatri_rao(F)
+        W = _khatri_rao(F)  # a new array, F[0] itself in 1D
+        W *= self.s_col
+        return W
 
     def whiten_dv(self, X: np.ndarray, variance: float) -> tuple[np.ndarray, np.ndarray]:
         """``whiten(X, variance)`` and its derivative in the variance: the
@@ -194,8 +196,14 @@ class LatentFactor:
             E, dE = axis_gram_dv(a, x, variance)
             F.append(qt @ E)
             dF.append(qt @ dE)
-        dW = sum(_khatri_rao(F[:a] + [dF[a]] + F[a + 1 :]) for a in range(len(F)))
-        return self.s_col * _khatri_rao(F), self.s_col * dW
+        # summed and scaled in place, in the order sum() adds the terms
+        dW = _khatri_rao(dF[:1] + F[1:])
+        for a in range(1, len(F)):
+            dW += _khatri_rao(F[:a] + [dF[a]] + F[a + 1 :])
+        dW *= self.s_col
+        W = _khatri_rao(F)
+        W *= self.s_col
+        return W, dW
 
     @property
     def L(self) -> np.ndarray:
@@ -280,6 +288,8 @@ class ConvolutionPrior:
         """Stacked whitened cross-covariances ``s_q * Q_q^T K(grid, X; theta + phi_q)``,
         shape (Q*J, n)."""
         X = _as_points(X)
+        if len(self.factors) == 1:
+            return self.factors[0].whiten(X, theta + self.factors[0].phi)
         return np.concatenate([f.whiten(X, theta + f.phi) for f in self.factors])
 
     def mean(self, X, W, kappa: float) -> np.ndarray:
@@ -291,8 +301,12 @@ class ConvolutionPrior:
     def cov(self, A, WA, B, WB, kappa: float, theta: float) -> np.ndarray:
         """Residual cross-covariance between point sets ``A`` and ``B``, given
         their projections ``WA`` and ``WB``."""
-        G = sum(gauss_gram(A, B, 2.0 * theta + f.phi) for f in self.factors)
-        return kappa**2 * (G - WA.T @ WB)
+        G = gauss_gram(A, B, 2.0 * theta + self.factors[0].phi)
+        for f in self.factors[1:]:
+            G += gauss_gram(A, B, 2.0 * theta + f.phi)
+        G -= WA.T @ WB
+        G *= kappa**2
+        return G
 
     def _marginal_var(self, kappa: float, theta: float) -> float:
         d = self.dim

@@ -240,9 +240,11 @@ def start_chain(data, region: Region, config: RunConfig) -> ChainState:
     if config.independent:
         prior = IndependentPrior(np.exp(priors.phi_log_mean), region.dim)
     else:
-        grid = latent_grid(region, config.grid_per_axis)
-        factors = [LatentFactor(grid, np.exp(priors.phi_log_mean)) for _ in range(config.n_latent)]
-        values = np.stack([f.L @ streams[n_proc].standard_normal(grid.size) for f in factors])
+        # every latent function starts at the same variance: one factor serves all
+        factor = LatentFactor(latent_grid(region, config.grid_per_axis), np.exp(priors.phi_log_mean))
+        factors = [factor] * config.n_latent
+        values = np.stack([factor.L @ streams[n_proc].standard_normal(factor.grid.size)
+                           for _ in factors])
         prior = ConvolutionPrior(values, factors)
 
     states, contexts = [], []
@@ -416,11 +418,15 @@ def intensity_samples(samples, X, data, region: Region, config: RunConfig, grid=
     (S, D, N + n), from the same conditional as the points.
     """
     X = _as_points(X)
+    n_grid = 0 if grid is None else grid.size
     targets = [X] if grid is None else [grid, X]
-    out = np.zeros((len(samples), len(data), (0 if grid is None else grid.size) + X.shape[0]))
+    spans = [slice(0, None)] if grid is None else [slice(0, n_grid), slice(n_grid, None)]
+    out = np.empty((len(samples), len(data), n_grid + X.shape[0]))
     for i, (s, _, g) in enumerate(_extensions(samples, targets, data, region, config)):
         for d, g_d in enumerate(g):
-            out[i, d] = s.lambda_stars[d] * expit(np.concatenate(g_d))
+            for g_t, span in zip(g_d, spans):  # each target straight into its part of the row
+                row = expit(g_t, out=out[i, d, span])
+                row *= s.lambda_stars[d]
     return out
 
 

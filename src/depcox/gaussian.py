@@ -20,6 +20,14 @@ axis at a time. The latent grid's Gram matrix is diagonalized through
 one symmetric eigendecomposition per axis (``eigh``; see
 ``convolution.LatentFactor``).
 
+``gram_matvec`` serves only prediction and the ground truth. It builds
+its factors in fewer passes than ``axis_gram`` and applies the kernel's
+scale once, to the vector, so its results equal the dense product to
+rounding, not bit for bit: no draw reads them. The sampler's factors
+(``convolution.LatentFactor.whiten``, the proposal site, the latent
+eigenfactors) keep ``axis_gram``'s order of operations, on which the
+draws depend bit for bit.
+
 The hot factorizations and solves call LAPACK directly, through routines
 resolved once at import: ``cholesky`` and ``cholesky_with_jitter``
 (``dpotrf``; the latter factors its one working buffer in place),
@@ -50,6 +58,8 @@ MAX_JITTER_DOUBLINGS = 4
 # on every call, which cost ten times the solve itself for the small
 # single-right-hand-side systems of the per-point updates. np.linalg.cholesky
 # took three times as long as dpotrf on a 400x400 matrix, for the same factor.
+# Their flags go positionally: f2py's keyword parsing cost a fifth of a small
+# dtrtrs call.
 _TRTRS = lapack.dtrtrs
 _POTRI = lapack.dpotri
 _POTRF = lapack.dpotrf
@@ -198,10 +208,15 @@ def gram_matvec(X, Z, variance: float, c) -> np.ndarray:
     point array or a ``ProductGrid``.
 
     Unless both are points, the kernel factorizes over axes: axis ``a``
-    gives ``E_a = axis_gram(x_a, z_a, v)`` between ``X``'s axis (a grid)
-    or coordinates (points) and ``Z``'s, and the product contracts the
-    ``E_a`` with ``c`` one axis at a time, never forming the (X x Z)
-    matrix. With ``C`` the vector ``c`` shaped as ``Z``'s grid:
+    gives ``E_a = exp((x_a - z_a)^2 * (-0.5 / v))`` between ``X``'s axis
+    (a grid) or coordinates (points) and ``Z``'s, and the product
+    contracts the ``E_a`` with ``c`` one axis at a time, never forming the
+    (X x Z) matrix. The kernel's scale ``(2 pi v)^{-d/2}`` multiplies
+    ``c`` once. So each ``E_a`` takes four passes where ``axis_gram``'s
+    takes six, and the result equals ``gauss_gram(X, Z, v) @ c`` to
+    rounding, not bit for bit: only prediction and the ground truth call
+    this, and no draw reads what they give. With ``C`` the vector ``c``
+    shaped as ``Z``'s grid:
 
     * points x points: ``gauss_gram(X, Z, v) @ c``, dense;
     * grid x points: ``(E_1 * c) @ E_2^T`` in 2D; in more dimensions the
@@ -224,8 +239,14 @@ def gram_matvec(X, Z, variance: float, c) -> np.ndarray:
     zs = Z.axes if z_grid else _as_points(Z).T
     if len(xs) != len(zs):
         raise ValidationError("point sets have different dimension")
-    c = np.asarray(c, dtype=float)
-    E = [axis_gram(x, z, variance) for x, z in zip(xs, zs)]
+    c = np.asarray(c, dtype=float) * (2.0 * np.pi * variance) ** (-0.5 * len(xs))
+    factor = -0.5 / variance
+    E = []
+    for x, z in zip(xs, zs):
+        e = np.subtract.outer(x, z)
+        e *= e
+        e *= factor
+        E.append(np.exp(e, out=e))
     if x_grid and z_grid:
         return _kron_apply(E, c)
     if len(E) == 1:
@@ -279,7 +300,7 @@ def cholesky(a: np.ndarray) -> np.ndarray:
     ``tri_solve`` hands to LAPACK without a copy, with its upper triangle
     zeroed.
     """
-    L, info = _POTRF(a, lower=1, clean=1)
+    L, info = _POTRF(a, 1, 1)  # lower, clean
     if info > 0:
         raise np.linalg.LinAlgError(f"matrix not positive definite: pivot {info - 1}")
     if info < 0:
@@ -315,7 +336,7 @@ def cholesky_with_jitter(cov: np.ndarray, symmetric: bool = False) -> tuple[np.n
             np.add(cov, cov.T, out=sym)
             sym *= 0.5
         diag += jitter
-        L, info = _POTRF(sym.T, lower=1, clean=1, overwrite_a=1)
+        L, info = _POTRF(sym.T, 1, 1, 1)  # lower, clean, overwrite_a
         if info == 0:
             return L, jitter
         if info < 0:
@@ -335,7 +356,7 @@ def tri_solve(L: np.ndarray, b: np.ndarray, trans: str = "N") -> np.ndarray:
     """
     if L.shape[0] == 0:  # dtrtrs rejects an empty system as an illegal argument
         return np.zeros(np.shape(b))
-    x, info = _TRTRS(L, b, lower=1, trans=0 if trans == "N" else 1)
+    x, info = _TRTRS(L, b, 1, 0 if trans == "N" else 1)  # lower, trans
     if info > 0:
         raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
     if info < 0:
@@ -359,7 +380,7 @@ def chol_inverse(L: np.ndarray) -> np.ndarray:
     """
     if L.shape[0] == 0:
         return np.zeros((0, 0))
-    inv, info = _POTRI(L, lower=1)
+    inv, info = _POTRI(L, 1)  # lower
     if info > 0:
         raise np.linalg.LinAlgError(f"singular matrix: zero diagonal at {info - 1}")
     if info < 0:

@@ -654,6 +654,52 @@ class TestLatentPriors:
         np.testing.assert_array_equal(moved.factors[1].L, factor(first.grid, 0.06).L)
         assert swapped.factors == moved.factors[::-1]
 
+    def test_start_up_makes_one_dense_latent_factorization(self, monkeypatch):
+        # all latent functions start at exp(phi_log_mean): one factor of the
+        # 400x400 latent Gram matrix serves every first draw
+        region = Region([0.0, 0.0], [1.0, 1.0])
+        rng = np.random.default_rng(5)
+        data = [EventSet(rng.uniform(size=(6, 2))) for _ in range(2)]
+        cfg = _small_config(n_latent=3, grid_per_axis=20)
+        sizes = []
+        real = depcox.convolution.cholesky_with_jitter
+
+        def counting(cov, *args, **kwargs):
+            sizes.append(np.shape(cov)[0])
+            return real(cov, *args, **kwargs)
+
+        monkeypatch.setattr(depcox.convolution, "cholesky_with_jitter", counting)
+        chain = start_chain(data, region, cfg)
+        assert sizes == [400]
+        assert chain.prior.values.shape == (3, 400)
+
+    def test_shared_start_up_factor_gives_the_draws_of_one_factor_each(self):
+        data, _ = _toy_data()
+        cfg = _small_config(n_latent=3)
+        shared = start_chain(data, UNIT, cfg)
+        assert all(f is shared.prior.factors[0] for f in shared.prior.factors)
+        # the starting latent values, as three separate factors draw them
+        streams = np.random.SeedSequence(cfg.seed).spawn(len(data) + 1)
+        latent_rng = np.random.default_rng(streams[-1])
+        grid, phi = shared.prior.grid, np.exp(cfg.priors.phi_log_mean)
+        separate = [depcox.engine.LatentFactor(grid, phi) for _ in range(3)]
+        want = np.stack([f.L @ latent_rng.standard_normal(grid.size) for f in separate])
+        np.testing.assert_array_equal(shared.prior.values, want)
+        # and the chain moves on as one holding those separate factors
+        own = start_chain(data, UNIT, cfg)
+        own.prior = ConvolutionPrior(own.prior.values, separate)
+        for ctx in own.contexts:
+            ctx.prior = own.prior
+        for _ in range(3):
+            sweep(shared, UNIT, cfg)
+            sweep(own, UNIT, cfg)
+            a, b = shared.sample(), own.sample()
+            for name in ("lambda_stars", "kappas", "thetas", "phis", "latent_values"):
+                np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+            for name in ("thinned", "rate_idx", "g_values"):
+                for x, y in zip(getattr(a, name), getattr(b, name)):
+                    np.testing.assert_array_equal(x, y)
+
     def test_a_sweep_builds_one_prior(self, monkeypatch):
         # the latent stage draws the values, moves the variances, and only
         # then builds the next sweep's prior, once

@@ -1,5 +1,7 @@
 """Metric tests: quadrature, likelihoods, L2 and the density baseline."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,61 @@ class TestPoissonLoglik:
         quad = Quadrature.for_region(UNIT, 64)
         with pytest.raises(ValidationError):
             poisson_loglik([1.0], np.full(quad.weights.size, -0.5), quad)
+
+
+class TestSampleLogliks:
+    """The one-pass scorer against a loop of ``poisson_loglik``."""
+
+    @pytest.mark.parametrize("dim,n_events", [(1, 7), (2, 4), (1, 0)])
+    def test_equals_a_loop_of_poisson_loglik(self, dim, n_events):
+        rng = np.random.default_rng([dim, n_events])
+        quad = Quadrature.for_region(Region([0.0] * dim, [1.0] * dim), 33 if dim == 1 else 9)
+        on_grid = rng.uniform(0.1, 80.0, size=(6, quad.weights.size))
+        at_events = rng.uniform(0.1, 80.0, size=(6, n_events))
+        got = sample_logliks(at_events, on_grid, quad)
+        want = [poisson_loglik(ev, gr, quad) for ev, gr in zip(at_events, on_grid)]
+        assert got.shape == (6,)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_strided_rows_of_a_larger_array(self):
+        # as eval passes them: each process's columns of (S, D, nodes + events)
+        rng = np.random.default_rng(3)
+        quad = Quadrature.for_region(UNIT, 17)
+        lams = rng.uniform(0.5, 5.0, size=(4, 2, quad.weights.size + 3))
+        grid, events = lams[:, 1, : quad.weights.size], lams[:, 1, quad.weights.size :]
+        want = [poisson_loglik(ev, gr, quad) for ev, gr in zip(events, grid)]
+        np.testing.assert_allclose(sample_logliks(events, grid, quad), want, rtol=1e-12, atol=0)
+
+    def test_empty_event_set_scores_minus_the_integral(self):
+        quad = Quadrature.for_region(UNIT, 64)
+        on_grid = np.stack([np.full(quad.weights.size, c) for c in (1.0, 2.5)])
+        got = sample_logliks(np.zeros((2, 0)), on_grid, quad)
+        np.testing.assert_allclose(got, -(on_grid @ quad.weights), rtol=1e-15)
+        np.testing.assert_allclose(got, [-1.0, -2.5], rtol=1e-12)
+
+    @pytest.mark.parametrize("zero", [0.0, -1e-13], ids=["zero", "negative-rounding"])
+    def test_zero_event_intensity_scores_minus_inf_without_warning(self, zero):
+        quad = Quadrature.for_region(UNIT, 64)
+        on_grid = np.ones((3, quad.weights.size))
+        at_events = np.array([[1.0, 2.0], [zero, 2.0], [3.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sample_logliks(at_events, on_grid, quad)
+        assert got[1] == -np.inf
+        np.testing.assert_allclose(got[[0, 2]], [-1.0 + np.log(2.0), -1.0 + np.log(3.0)], rtol=1e-12)
+
+    @pytest.mark.parametrize("where", ["grid", "events"])
+    def test_negative_intensity_in_any_sample_raises(self, where):
+        quad = Quadrature.for_region(UNIT, 64)
+        on_grid, at_events = np.ones((3, quad.weights.size)), np.ones((3, 2))
+        (on_grid if where == "grid" else at_events)[2, 1] = -0.5
+        with pytest.raises(ValidationError, match="nonnegative"):
+            sample_logliks(at_events, on_grid, quad)
+
+    def test_grid_of_the_wrong_size_raises(self):
+        quad = Quadrature.for_region(UNIT, 64)
+        with pytest.raises(ValidationError, match="quadrature"):
+            sample_logliks(np.ones((2, 1)), np.ones((2, quad.weights.size + 1)), quad)
 
 
 class TestPredictiveLoglik:

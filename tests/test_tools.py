@@ -35,10 +35,13 @@ def test_help_exits_0(script):
     assert "usage:" in out.stdout
 
 
-def _reference_tree(root: Path, g_step: float = 0.0, lambda_star: float = 2.0, config_edit=None) -> Path:
+def _reference_tree(root: Path, g_step: float = 0.0, lambda_star: float = 2.0, config_edit=None,
+                    surfaces: bool = True) -> Path:
     """A ``tools/ref_archives.py`` tree of one hand-written workload: four
-    draws of one process whose function values move by ``g_step`` a draw.
-    ``config_edit``, if given, rewrites the dict of its ``config.json``."""
+    draws of one process whose function values move by ``g_step`` a draw,
+    its reports and, if ``surfaces``, one ``grid/`` surface whose means move
+    by ``g_step``. ``config_edit``, if given, rewrites the dict of its
+    ``config.json``."""
     cfg = io.config_from_dict({"region": {"lower": [0.0], "upper": [1.0]}, "grid_per_axis": 2})
     train, test = [EventSet(np.array([[0.25], [0.5]]))], [EventSet(np.array([[0.75]]))]
     samples = [
@@ -59,6 +62,15 @@ def _reference_tree(root: Path, g_step: float = 0.0, lambda_star: float = 2.0, c
     split = [{"process": 0, "train": [0, 1], "test": [2]}]
     io.save_archive(archive, cfg, train, test, split, samples, {}, {})
     io.write_report(archive / "eval.csv", [("process_0", "ours", "predictive_loglik", 1.0 + g_step)])
+    io.write_report(archive / "eval_full.csv", [
+        ("process_0", "ours", "predictive_loglik", 1.0 + g_step),
+        ("process_0", "ours", "l2_error", -np.inf),
+    ])
+    if surfaces:
+        nodes = np.array([[0.0], [0.5], [1.0]])
+        (root / "1d-toy" / "grid").mkdir()
+        io.write_grid_file(root / "1d-toy" / "grid" / "intensity_process_0.csv", nodes,
+                           np.array([2.0, 4.0, 8.0]) + g_step, np.array([0.5, 0.5, 0.5]))
     if config_edit is not None:
         path = archive / "config.json"
         path.write_text(json.dumps(config_edit(json.loads(path.read_text()))))
@@ -79,6 +91,9 @@ def test_compare_archives_reports_draws_values_and_ess(tmp_path):
     assert "samples.jsonl byte-identical: yes" in same.stdout
     assert "discrete draws and bounds identical: yes (4 draws)" in same.stdout
     assert "config.json keys and values identical" in same.stdout
+    assert "eval.csv largest relative change: 0 (1 values)" in same.stdout
+    assert "eval_full.csv largest relative change: 0 (2 values)" in same.stdout  # -inf on both sides
+    assert "grid/intensity_process_0.csv largest relative change: 0 (9 values)" in same.stdout
 
     moved = _compare(base, _reference_tree(tmp_path / "moved", g_step=0.25))
     assert moved.returncode == 0, moved.stderr
@@ -86,6 +101,9 @@ def test_compare_archives_reports_draws_values_and_ess(tmp_path):
     assert "discrete draws and bounds identical: yes (4 draws)" in moved.stdout
     assert "largest change: g_values 0.75, latent_values 0" in moved.stdout
     assert "eval process_0,ours,predictive_loglik: 1 -> 1.25 (+0.25)" in moved.stdout
+    assert "eval.csv largest relative change: 0.2 (1 values)" in moved.stdout  # 0.25 / 1.25
+    assert "eval_full.csv largest relative change: 0.2 (2 values)" in moved.stdout
+    assert "grid/intensity_process_0.csv largest relative change: 0.111 (9 values)" in moved.stdout
     assert moved.stdout.count("ESS A: lambda_star 4.000, g_mean ") == 1
 
     bound = _compare(base, _reference_tree(tmp_path / "bound", lambda_star=3.0))
@@ -93,8 +111,10 @@ def test_compare_archives_reports_draws_values_and_ess(tmp_path):
     assert "discrete draws and bounds identical: no (lambda_stars from draw 0)" in bound.stdout
 
     # an older archive holding a retired setting and another grid size
-    older = _reference_tree(tmp_path / "old", config_edit=lambda cfg: {**cfg, "slack": 0.9, "grid_per_axis": 3})
+    older = _reference_tree(tmp_path / "old", config_edit=lambda cfg: {**cfg, "slack": 0.9, "grid_per_axis": 3},
+                            surfaces=False)
     old = _compare(base, older)
+    assert "grid/intensity_process_0.csv: missing in B" in old.stdout
     assert old.returncode == 0, old.stderr
     assert "samples.jsonl byte-identical: yes" in old.stdout
     assert "config slack: only in B (0.9)" in old.stdout

@@ -16,8 +16,17 @@ workload, ``<tree>/<workload>/archive/``, it prints:
 * the largest absolute change in the function values and in the latent
   values, over the draws whose sizes agree;
 * each ``eval.csv`` value of both sides and its change;
+* the largest relative change of the values in ``eval.csv``, in
+  ``archive/eval_full.csv`` and in each surface file of ``grid/`` (the
+  ``--truth --baselines`` report and the ``export-grid`` surfaces that
+  ``tools/ref_archives.py`` writes beside the archive), so that a change
+  that moves the reports only by rounding states its tolerance here;
 * each side's ESS of the bound, of the mean function value and of the
   latent values, as the benchmark computes them (``ess_metrics``).
+
+A relative change is ``|b - a| / max(|a|, |b|)``: 0 where the two values
+are equal (equal infinities too) and inf where a change involves a value
+that is not finite.
 
 Exits 1 if a workload is missing from one tree or a discrete draw differs,
 0 otherwise.
@@ -85,6 +94,53 @@ def _eval_rows(path: Path) -> dict:
         return {tuple(row[:3]): float(row[3]) for row in list(csv.reader(fh))[1:]}
 
 
+def _grid_values(path: Path) -> np.ndarray:
+    """Every value of an ``export-grid`` surface file: its coordinates,
+    means and standard deviations, one row per node."""
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+
+
+def _largest_relative_change(va, vb) -> float:
+    """The largest relative change from the values ``va`` to ``vb`` (see
+    the module docstring); 0 for no values."""
+    va, vb = np.asarray(va, dtype=float), np.asarray(vb, dtype=float)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rel = np.abs(vb - va) / np.maximum(np.abs(va), np.abs(vb))
+    rel[~np.isfinite(rel)] = np.inf
+    rel[va == vb] = 0.0
+    return float(rel.max(initial=0.0))
+
+
+def _report_change_lines(a: Path, b: Path) -> list[str]:
+    """One line per report, ``eval.csv``, ``eval_full.csv`` and each
+    ``grid/`` surface file of either side, with the largest relative change
+    of its values, or why there is none."""
+    files = [("eval.csv", a / "eval.csv", b / "eval.csv", _eval_rows),
+             ("eval_full.csv", a / "eval_full.csv", b / "eval_full.csv", _eval_rows)]
+    surfaces = sorted({p.name for side in (a, b) for p in (side.parent / "grid").glob("*.csv")})
+    files += [(f"grid/{name}", a.parent / "grid" / name, b.parent / "grid" / name, _grid_values)
+              for name in surfaces]
+    lines = []
+    for label, pa, pb, read in files:
+        missing = [side for side, p in (("A", pa), ("B", pb)) if not p.is_file()]
+        if missing:
+            lines.append(f"  {label}: missing in {' and '.join(missing)}")
+            continue
+        va, vb = read(pa), read(pb)
+        if isinstance(va, dict):
+            if va.keys() != vb.keys():
+                lines.append(f"  {label}: rows differ ({len(va)} against {len(vb)})")
+                continue
+            keys = sorted(va)
+            va, vb = [va[k] for k in keys], [vb[k] for k in keys]
+        elif va.shape != vb.shape:
+            lines.append(f"  {label}: shapes differ ({va.shape} against {vb.shape})")
+            continue
+        change = _largest_relative_change(va, vb)
+        lines.append(f"  {label} largest relative change: {change:.3g} ({np.size(va)} values)")
+    return lines
+
+
 def compare(a: Path, b: Path) -> tuple[list[str], bool]:
     """Report lines for one workload's archives ``a`` and ``b``, and
     whether their discrete draws and bounds are identical."""
@@ -114,6 +170,7 @@ def compare(a: Path, b: Path) -> tuple[list[str], bool]:
     for key in sorted(rows_a.keys() | rows_b.keys()):
         va, vb = rows_a.get(key, float("nan")), rows_b.get(key, float("nan"))
         lines.append(f"  eval {','.join(key)}: {va:.6g} -> {vb:.6g} ({vb - va:+.3g})")
+    lines += _report_change_lines(a, b)
     for side, arch in (("A", arch_a), ("B", arch_b)):
         ess = ess_metrics(arch.samples, len(arch.train))
         lines.append(f"  ESS {side}: " + ", ".join(f"{k} {v:.3f}" for k, v in ess.items()))
