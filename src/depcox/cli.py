@@ -44,7 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--out", default=None, help="report CSV path (stdout if omitted)")
     p_eval.add_argument("--baselines", action="store_true")
     p_eval.add_argument("--truth", default=None, help="ground-truth manifest for L2 rows")
-    p_eval.add_argument("--seed", type=int, default=None)
 
     p_exp = sub.add_parser("export-grid", help="export intensity and latent surfaces")
     p_exp.add_argument("archive")
@@ -126,8 +125,6 @@ def cmd_eval(args) -> int:
     rows = _model_rows("ours", archive.samples, archive.config.run, archive, test, quad, truth)
     if args.baselines:
         ind_cfg = replace(archive.config.run, independent=True)
-        if args.seed is not None:
-            ind_cfg = replace(ind_cfg, seed=args.seed)
         ind_samples, _ = run_chain_with_info(archive.train, region, ind_cfg)
         rows += _model_rows("independent", ind_samples, ind_cfg, archive, test, quad, truth)
         rows += _kde_rows(archive, test, quad, truth)
@@ -206,8 +203,6 @@ def cmd_export_grid(args) -> int:
     if not archive.samples:
         raise ValidationError("archive holds no samples")
     region = archive.config.region
-    if args.resolution < 2:
-        raise ValidationError("resolution must be at least 2")
     quad = Quadrature.for_region(region, args.resolution)
     summary = summarize(archive.samples, quad.grid, archive.train, region, archive.config.run)
     out = Path(args.out)

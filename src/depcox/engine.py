@@ -205,17 +205,18 @@ class ChainState:
     timings: dict = field(default_factory=lambda: {"process_updates": 0.0, "latent_updates": 0.0})
 
     def sample(self) -> PosteriorSample:
-        """The current state as the draw of the last sweep."""
+        """The current state as the draw of the last sweep, holding arrays
+        that no sweep writes in place (see ``sgcp``), not copies."""
         coupled = isinstance(self.prior, ConvolutionPrior)
         return PosteriorSample(
             iteration=self.sweeps - 1,
-            thinned=[s.thinned.copy() for s in self.states],
-            rate_idx=[s.rate_idx.copy() for s in self.states],
-            g_values=[s.g_values.copy() for s in self.states],
+            thinned=[s.thinned for s in self.states],
+            rate_idx=[s.rate_idx for s in self.states],
+            g_values=[s.g_values for s in self.states],
             lambda_stars=np.array([s.lambda_star for s in self.states]),
             kappas=np.array([s.kappa for s in self.states]),
             thetas=np.array([s.theta for s in self.states]),
-            latent_values=self.prior.values.copy() if coupled else np.zeros((0, 0)),
+            latent_values=self.prior.values if coupled else np.zeros((0, 0)),
             phis=self.prior.phis if coupled else np.zeros(0),
         )
 
@@ -384,6 +385,17 @@ def _extensions(samples, targets, data, region: Region, config: RunConfig):
         yield s, prior, g
 
 
+def _accumulate(acc: np.ndarray, k: int, x: np.ndarray) -> None:
+    """Add the ``k``-th sample ``x`` (``k`` from 1) to ``acc``: its running
+    sum, running mean and sum of squared deviations from that mean, by
+    Welford's update, which keeps the digits that a sum of squares less
+    ``n mean^2`` cancels where the sd is small against the mean."""
+    acc[0] += x
+    delta = x - acc[1]
+    acc[1] += delta / k
+    acc[2] += delta * (x - acc[1])
+
+
 def summarize(samples, grid, data, region: Region, config: RunConfig) -> GridSummary:
     """Pointwise mean and standard deviation of the intensity of every
     process and of every latent function across posterior samples, at the
@@ -393,20 +405,15 @@ def summarize(samples, grid, data, region: Region, config: RunConfig) -> GridSum
     else:
         grid = nodes = _as_points(grid)
     n_latent = 0 if config.independent else config.n_latent
-    lam_acc = np.zeros((2, len(data), len(nodes)))  # running sum and sum of squares
-    lat_acc = np.zeros((2, n_latent, len(nodes)))
-    for s, prior, g in _extensions(samples, [grid], data, region, config):
-        lam = s.lambda_stars[:, None] * expit(np.stack([g_d[0] for g_d in g]))
-        lam_acc += [lam, lam**2]
+    lam_acc = np.zeros((3, len(data), len(nodes)))
+    lat_acc = np.zeros((3, n_latent, len(nodes)))
+    for k, (s, prior, g) in enumerate(_extensions(samples, [grid], data, region, config), 1):
+        _accumulate(lam_acc, k, s.lambda_stars[:, None] * expit(np.stack([g_d[0] for g_d in g])))
         if n_latent:
-            interp = prior.latent_interpolant(grid)
-            lat_acc += [interp, interp**2]
+            _accumulate(lat_acc, k, prior.latent_interpolant(grid))
     n = len(samples)
-    lam_mean = lam_acc[0] / n
-    lam_sd = np.sqrt(np.maximum(lam_acc[1] / n - lam_mean**2, 0.0))
-    lat_mean = lat_acc[0] / n
-    lat_sd = np.sqrt(np.maximum(lat_acc[1] / n - lat_mean**2, 0.0))
-    return GridSummary(nodes, lam_mean, lam_sd, lat_mean, lat_sd)
+    return GridSummary(nodes, lam_acc[0] / n, np.sqrt(lam_acc[2] / n),
+                       lat_acc[0] / n, np.sqrt(lat_acc[2] / n))
 
 
 def intensity_samples(samples, X, data, region: Region, config: RunConfig, grid=None) -> np.ndarray:

@@ -7,8 +7,12 @@ hyperparameters. Five transition kernels act on it: birth/death of thinned
 points, relocation moves, an elliptical slice update of the function
 values, a Hamiltonian update of the hyperparameters, and a conjugate Gamma
 resample of the bound. Each kernel leaves the augmented posterior
-invariant on its own, so they can be composed in any order. Each returns
-a new state that shares no memory with the state it was given or with the
+invariant on its own, so they can be composed in any order.
+
+No array of a state is written in place: whatever changes one of
+``thinned``, ``rate_idx`` or ``g_values`` binds a new array to the
+attribute. So each kernel returns a new state that shares the arrays it
+left unchanged with the state it was given, and no array with the
 workspace below.
 
 The conditional prior over a process's current points (projection ``W``,
@@ -48,7 +52,7 @@ OpenBLAS, one thread).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -165,7 +169,9 @@ class AugmentedState:
     """Per-process MCMC state.
 
     ``g_values`` stores function values at the observed points first, then
-    at the thinned points in the same order as ``thinned``.
+    at the thinned points in the same order as ``thinned``. The arrays are
+    never written in place (see the module docstring), so states may share
+    them.
     """
 
     thinned: np.ndarray  # (M, dim)
@@ -195,16 +201,6 @@ class AugmentedState:
     @property
     def g_thinned(self) -> np.ndarray:
         return self.g_values[self.n_data :]
-
-    def copy(self) -> "AugmentedState":
-        return AugmentedState(
-            self.thinned.copy(),
-            self.rate_idx.copy(),
-            self.g_values.copy(),
-            self.lambda_star,
-            self.kappa,
-            self.theta,
-        )
 
     def validate(self, ladder: RateLadder) -> None:
         if self.rate_idx.size != self.n_thinned:
@@ -700,7 +696,7 @@ def move_step(
     """
     M = state.n_thinned
     if M == 0:
-        return state.copy()
+        return replace(state)
     if scale is None:
         scale = region.axis_lengths / 10.0
     ws = ctx.workspace(state)
@@ -770,7 +766,7 @@ def ess_function_update(
     """One elliptical slice transition of the function values under the
     conditional prior of ``ctx``'s workspace."""
     if state.g_values.size == 0:
-        return state.copy()
+        return replace(state)
     ws = ctx.workspace(state)
     nu = ws.prior_draw(rng)
     levels = thinned_levels(state.rate_idx, ladder)
@@ -778,10 +774,7 @@ def ess_function_update(
     def loglik(g):
         return point_loglik(g, state.n_data, state.rate_idx, ladder, levels)
 
-    g_new = elliptical_slice(state.g_values, ws.m, loglik, rng, nu)
-    return AugmentedState(
-        state.thinned.copy(), state.rate_idx.copy(), g_new, state.lambda_star, state.kappa, state.theta
-    )
+    return replace(state, g_values=elliptical_slice(state.g_values, ws.m, loglik, rng, nu))
 
 
 def _hyper_energy(prior, pts, g, rho, priors: PriorConfig):
@@ -878,11 +871,11 @@ def hmc_hyper_update(
     try:
         start = energy_and_grad(rho)
     except NumericalError:
-        return state.copy(), False, 0.0
+        return replace(state), False, 0.0
     p0 = rng.standard_normal(2)
     h0 = start[0] + 0.5 * float(p0 @ p0)
     rho_new, p_new, u_new, ok = leapfrog(energy_and_grad, rho, p0, step_size, n_steps, start)
-    new = state.copy()
+    new = replace(state)
     if not ok:
         return new, False, 0.0
     h_new = u_new + 0.5 * float(p_new @ p_new)
@@ -916,7 +909,5 @@ def gibbs_lambda_star(
     rng: np.random.Generator,
 ) -> AugmentedState:
     """Conjugate Gamma resample of the intensity bound."""
-    state = state.copy()
     shape, rate = lambda_posterior(state, region, priors, ladder)
-    state.lambda_star = float(rng.gamma(shape, 1.0 / rate))
-    return state
+    return replace(state, lambda_star=float(rng.gamma(shape, 1.0 / rate)))

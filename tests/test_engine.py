@@ -283,7 +283,7 @@ class TestRunChain:
         data, _ = _toy_data()
         inside, stages, factored = [], [], []
         monkeypatch.setattr(
-            depcox.engine, "hmc_hyper_update", lambda state, *a, **k: (state.copy(), False, 0.0)
+            depcox.engine, "hmc_hyper_update", lambda state, *a, **k: (copy.deepcopy(state), False, 0.0)
         )
         for module in (depcox.sgcp, depcox.convolution):
             def recording(cov, *args, _original=module.cholesky_with_jitter, **kwargs):
@@ -563,6 +563,14 @@ class TestSummarize:
     def test_empty_samples_rejected(self):
         with pytest.raises(ValidationError):
             summarize([], np.zeros((3, 1)), [EventSet(np.zeros((0, 1)))], UNIT, _small_config())
+
+    def test_copies_of_one_sample_have_exactly_zero_sd(self):
+        # a sum of squares less n mean^2 leaves rounding residue at many nodes
+        samples, data, region, cfg = _grid_case(2, False)
+        grid = Quadrature.for_region(region).grid
+        summary = summarize([samples[1]] * 7, grid, data, region, cfg)
+        assert summary.intensity_sd.shape == summary.latent_sd.shape == (2, grid.size)
+        assert not summary.intensity_sd.any() and not summary.latent_sd.any()
 
 
 def _grid_case(dim, independent, seed=0):

@@ -1,5 +1,7 @@
 """Transition-kernel tests: hand values, stationary laws, invariants."""
 
+import copy
+
 import numpy as np
 import pytest
 from scipy.special import expit, logit
@@ -265,7 +267,7 @@ class TestWorkspace:
         ws = _Workspace(ctx, state)
         ws.conditional(np.array([0.5]))  # force factorization before append
         ws.append(ws.conditional(np.array([0.8])), -0.3)
-        state2 = state.copy()
+        state2 = copy.deepcopy(state)
         append_thinned(state2, [0.8], -0.3, 0)
         ws_fresh = _Workspace(ctx, state2)
         mu_a, var_a = _moments(ws.conditional(np.array([0.15])))
@@ -278,7 +280,7 @@ class TestWorkspace:
         append_thinned(state, [0.3], 0.2, 0)
         ws = _Workspace(ctx, state)
         ws.update_point(6, ws.conditional(np.array([0.9]), exclude=6), -0.1)
-        state2 = state.copy()
+        state2 = copy.deepcopy(state)
         state2.thinned[0] = 0.9
         state2.g_values[6] = -0.1
         ws_fresh = _Workspace(ctx, state2)
@@ -536,6 +538,8 @@ class TestWorkspaceBuffers:
             self._assert_same(ws, oracle)
 
     def test_kernel_states_share_no_memory_with_the_workspace(self):
+        # each kernel returns a new state, writes no array of the state it
+        # was given and shares none with the workspace's buffers
         ws, rng = self._setup(28)
         ctx = GpContext(ws.pts[:5].copy(), ws.prior)
         region = Region([0.0, 0.0], [1.0, 1.0])
@@ -548,8 +552,14 @@ class TestWorkspaceBuffers:
                 lambda s: birth_death_step(s, region, SINGLE, ctx, rng),
                 lambda s: move_step(s, region, SINGLE, ctx, rng),
                 lambda s: ess_function_update(s, ctx, SINGLE, rng),
+                lambda s: hmc_hyper_update(s, ctx, PriorConfig(), rng)[0],
+                lambda s: gibbs_lambda_star(s, region, PriorConfig(), SINGLE, rng),
             ):
-                state = kernel(state)
+                given = [a.tobytes() for a in (state.thinned, state.rate_idx, state.g_values)]
+                new = kernel(state)
+                assert new is not state
+                assert [a.tobytes() for a in (state.thinned, state.rate_idx, state.g_values)] == given
+                state = new
                 kept.append((state, [a.copy() for a in (state.thinned, state.rate_idx, state.g_values)]))
                 buffers = [getattr(ctx._ws, name) for name in self.BUFFERS]
                 for a in (state.thinned, state.rate_idx, state.g_values):

@@ -231,6 +231,12 @@ class TestUnreadableInputs:
         assert main(argv) == 2
         assert named in capsys.readouterr().err
 
+    def test_export_grid_at_one_node_per_axis_exits_2_naming_the_problem(self, archive, tmp_path, capsys):
+        out = tmp_path / "grid"
+        assert main(["export-grid", str(archive), "--out", str(out), "--resolution", "1"]) == 2
+        assert "at least 2 points per axis" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSerializers:
     def _config_off_defaults(self):
@@ -669,12 +675,14 @@ class TestNearestNodes:
 class TestBlasThreads:
     VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-    def _threads_after_import(self, preset: dict, numpy_first: bool = False) -> list:
+    def _threads_after_import(self, preset: dict, numpy_first: bool = False, also: str = "") -> list:
+        """The three variables after ``import depcox`` in a fresh
+        interpreter, then the value of the expression ``also``, if given."""
         env = {k: v for k, v in os.environ.items() if k not in self.VARS}
         env.update(preset)
         env["PYTHONPATH"] = str(Path(depcox.gaussian.__file__).parents[1])
-        code = ("import os\n" + ("import numpy\n" if numpy_first else "") + "import depcox\n"
-                f"print(*(os.environ.get(v, '-') for v in {self.VARS!r}))")
+        code = ("import os, sys\n" + ("import numpy\n" if numpy_first else "") + "import depcox\n"
+                f"print(*(os.environ.get(v, '-') for v in {self.VARS!r}){', ' + also if also else ''})")
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                              check=True)
         return out.stdout.split()
@@ -687,6 +695,10 @@ class TestBlasThreads:
 
     def test_nothing_is_set_once_numpy_is_loaded(self):
         assert self._threads_after_import({}, numpy_first=True) == ["-", "-", "-"]
+
+    def test_import_loads_no_numpy(self):
+        # the package re-exports no module's names, so it imports none
+        assert self._threads_after_import({}, also="'numpy' in sys.modules") == ["1", "1", "1", "False"]
 
 
 class TestImportFootprint:
