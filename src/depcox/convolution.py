@@ -207,10 +207,13 @@ class LatentFactor:
 
     @property
     def L(self) -> np.ndarray:
-        """Dense lower Cholesky factor of ``K + jI``, formed on first use."""
+        """Dense lower Cholesky factor of ``K + jI``, formed on first use.
+        ``gauss_gram`` of the nodes with themselves is exactly symmetric
+        (numpy forms ``X X^T`` of one array as one triangle mirrored), so
+        the factorization skips the symmetrisation."""
         if self._L is None:
             nodes = self.grid.nodes
-            self._L, _ = cholesky_with_jitter(gauss_gram(nodes, nodes, self.phi))
+            self._L, _ = cholesky_with_jitter(gauss_gram(nodes, nodes, self.phi), symmetric=True)
         return self._L
 
     def inverse(self) -> np.ndarray:

@@ -27,7 +27,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .convolution import (
     ConvolutionPrior,
@@ -50,6 +49,7 @@ from .sgcp import (
     gibbs_lambda_star,
     hmc_hyper_update,
     move_step,
+    sigmoid_array,
 )
 from .thinning import RateLadder
 
@@ -408,7 +408,7 @@ def summarize(samples, grid, data, region: Region, config: RunConfig) -> GridSum
     lam_acc = np.zeros((3, len(data), len(nodes)))
     lat_acc = np.zeros((3, n_latent, len(nodes)))
     for k, (s, prior, g) in enumerate(_extensions(samples, [grid], data, region, config), 1):
-        _accumulate(lam_acc, k, s.lambda_stars[:, None] * expit(np.stack([g_d[0] for g_d in g])))
+        _accumulate(lam_acc, k, s.lambda_stars[:, None] * sigmoid_array(np.stack([g_d[0] for g_d in g])))
         if n_latent:
             _accumulate(lat_acc, k, prior.latent_interpolant(grid))
     n = len(samples)
@@ -432,7 +432,7 @@ def intensity_samples(samples, X, data, region: Region, config: RunConfig, grid=
     for i, (s, _, g) in enumerate(_extensions(samples, targets, data, region, config)):
         for d, g_d in enumerate(g):
             for g_t, span in zip(g_d, spans):  # each target straight into its part of the row
-                row = expit(g_t, out=out[i, d, span])
+                row = sigmoid_array(g_t, out=out[i, d, span])
                 row *= s.lambda_stars[d]
     return out
 

@@ -11,12 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .convolution import latent_grid
 from .errors import ValidationError
 from .gaussian import ProductGrid, _as_points, chol_solve, cholesky_with_jitter, gauss_gram, gram_matvec
-from .sgcp import EventSet, Region
+from .sgcp import EventSet, Region, sigmoid_array
 
 
 def _grid_axes(grid: np.ndarray) -> tuple:
@@ -83,7 +82,7 @@ class GroundTruth:
         return self.kappas[d] * out
 
     def intensity(self, d: int, X) -> np.ndarray:
-        return self.lambda_stars[d] * expit(self.g(d, X))
+        return self.lambda_stars[d] * sigmoid_array(self.g(d, X))
 
 
 def sample_ground_truth(
@@ -106,8 +105,8 @@ def sample_ground_truth(
     phis = _log_uniform(rng, phi_range, n_latent)
     weights = np.zeros((n_latent, grid.shape[0]))
     for q in range(n_latent):
-        K = gauss_gram(grid, grid, phis[q])
-        L, _ = cholesky_with_jitter(K)
+        K = gauss_gram(grid, grid, phis[q])  # exactly symmetric, as in LatentFactor.L
+        L, _ = cholesky_with_jitter(K, symmetric=True)
         u = L @ rng.standard_normal(grid.shape[0])
         weights[q] = chol_solve(L, u)
     kappas = _log_uniform(rng, kappa_range, n_processes)

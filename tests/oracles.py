@@ -34,6 +34,7 @@ from depcox.gaussian import (
     cholesky_with_jitter,
     tri_solve,
 )
+from depcox.sgcp import sigmoid_array
 from depcox.thinning import SLACK, RateLadder
 
 
@@ -470,14 +471,15 @@ def point_loglik_where(g_values, n_data: int, rate_idx, ladder, levels=None) -> 
     """``sgcp.point_loglik`` as it once formed every thinned point's
     margin, level 1 or not: ``np.where`` between ``sigmoid(-g)`` and
     ``level - sigmoid(g)``, less the log of the level (``levels`` is not
-    read)."""
+    read). The sigmoid is the library's ``sigmoid_array``, so this checks
+    the formula and not the last bit of a sigmoid."""
     g = np.asarray(g_values, dtype=float)
     gd, gt = g[:n_data], g[n_data:]
     ll = -float(np.sum(np.logaddexp(0.0, -gd)))
     if gt.size:
         lv = ladder.as_array()[np.asarray(rate_idx, dtype=int)]
-        sig = expit(gt)
-        margins = np.where(lv == 1.0, expit(-gt), lv - sig)
+        sig = sigmoid_array(gt)
+        margins = np.where(lv == 1.0, sigmoid_array(-gt), lv - sig)
         if np.any(margins <= 0.0):
             return -np.inf
         ll += float(np.sum(np.log(margins) - np.log(lv)))

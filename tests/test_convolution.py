@@ -391,6 +391,20 @@ class TestPerAxisFactor:
         with pytest.raises(ValidationError, match="phi must be positive"):
             LatentFactor(self.GRIDS["2d-4x5"], phi)
 
+    @pytest.mark.parametrize("dim, per_axis", [(1, 10), (1, 40), (2, 20), (3, 4), (3, 10)])
+    def test_dense_factor_skips_the_symmetrisation_bit_for_bit(self, dim, per_axis):
+        # the Gram matrix of the nodes with themselves is exactly symmetric,
+        # so the unsymmetrised factor is the symmetrised one, jitter and all
+        grid = latent_grid(Region(np.zeros(dim), np.ones(dim)), per_axis)
+        nodes = grid.nodes
+        for phi in (0.004, 0.01, 0.05):
+            K = gauss_gram(nodes, nodes, phi)
+            assert np.array_equal(K, K.T)
+            want, _ = cholesky_with_jitter(K)
+            got = LatentFactor(grid, phi).L
+            assert got.flags.f_contiguous
+            assert got.tobytes(order="A") == want.tobytes(order="A")
+
     def test_rejected_phi_proposal_forms_no_dense_gram_or_factor(self, monkeypatch):
         grid = latent_grid(Region([0.0, 0.0], [1.0, 1.0]), 40)
         J = grid.size

@@ -412,8 +412,9 @@ class TestRunChain:
 
     @pytest.mark.parametrize("dim, independent", [(1, False), (2, False), (1, True)])
     def test_samples_share_no_memory_with_the_workspaces(self, dim, independent):
-        # the kernels update each process's workspace buffers in place, so a
-        # retained sample must hold copies: sweeps after it leave it as taken
+        # a retained sample holds the states' own arrays: no sweep writes a
+        # state array in place, and the kernels write only the workspace
+        # buffers, which no state shares, so sweeps after it leave it as taken
         data, region, cfg = self._resumable_case(dim, independent)
         chain = start_chain(data, region, cfg)
         taken = []

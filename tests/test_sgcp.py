@@ -1,6 +1,7 @@
 """Transition-kernel tests: hand values, stationary laws, invariants."""
 
 import copy
+import warnings
 
 import numpy as np
 import pytest
@@ -36,6 +37,8 @@ from depcox.sgcp import (
     leapfrog,
     move_step,
     point_loglik,
+    sigmoid,
+    sigmoid_array,
     thinned_levels,
 )
 from depcox.thinning import RateLadder
@@ -149,6 +152,47 @@ class TestStateInvariants:
             np.testing.assert_allclose(state.g_thinned, g_fn(state.thinned[:, 0]), rtol=0, atol=1e-12)
             assert state.rate_idx.tolist() == [TWO_LEVEL.assign(float(expit(g))) for g in state.g_thinned]
         assert deaths > 10 and state.n_thinned > 3
+
+
+# where exp overflows or underflows, at zero and the smallest subnormals,
+# infinities and NaN
+SIGMOID_EDGES = (0.0, -0.0, 5e-324, -5e-324, 36.7, -36.7, -709.78, -709.79, -745.2, 745.2,
+                 1e308, -1e308, np.inf, -np.inf, np.nan)
+
+
+class TestSigmoid:
+    @pytest.mark.parametrize("scale", [1.0, 30.0])
+    def test_float_form_is_expit_bit_for_bit(self, scale):
+        # the acceptance decisions read it: not one bit may move
+        x = np.random.default_rng(40).standard_normal(100_000) * scale
+        got = np.array([sigmoid(v) for v in x])
+        assert got.tobytes() == expit(x).tobytes()
+        assert all(type(sigmoid(v)) is float for v in x[:3])
+
+    @pytest.mark.parametrize("x", SIGMOID_EDGES)
+    def test_float_form_is_expit_at_the_edges(self, x):
+        assert np.float64(sigmoid(x)).tobytes() == expit(np.float64(x)).tobytes()
+
+    def test_array_form_saturates_exactly_and_warns_of_nothing(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sigmoid_array(np.array([-800.0, 800.0, -np.inf, np.inf, np.nan]))
+        assert got[:4].tolist() == [0.0, 1.0, 0.0, 1.0]
+        assert np.isnan(got[4])
+
+    def test_array_form_is_within_two_ulp_of_expit(self):
+        x = np.random.default_rng(41).standard_normal(1_000_000)
+        want = expit(x)
+        assert np.all(np.abs(sigmoid_array(x) - want) <= 2 * np.spacing(want))
+
+    def test_array_form_writes_into_out(self):
+        x = np.random.default_rng(42).standard_normal(7)
+        want = sigmoid_array(x)
+        out = np.empty(9)
+        assert sigmoid_array(x, out=out[1:8]).base is out
+        assert out[1:8].tobytes() == want.tobytes()
+        assert sigmoid_array(x, out=x) is x  # in place, as intensity_samples writes its rows
+        assert x.tobytes() == want.tobytes()
 
 
 class TestPointLoglik:

@@ -702,25 +702,32 @@ class TestBlasThreads:
 
 
 class TestImportFootprint:
-    # after import, fit, eval and eval --baselines: the KDE's solvers loaded
+    # what is loaded after import, fit, eval, export-grid and eval
+    # --baselines; only the last may load scipy.special (through the KDE's
+    # scipy.optimize), so it prints only the KDE's solvers
     SCRIPT = """
 import sys
 import depcox
 from depcox.cli import main
 
 events, config, archive, out = sys.argv[1:]
-solvers = lambda: print(*(m for m in ("scipy.optimize", "scipy.fft") if m in sys.modules))
-solvers()
+solvers = ("scipy.optimize", "scipy.fft")
+loaded = lambda names=("scipy.special",) + solvers: print(*(m for m in names if m in sys.modules))
+loaded()
 assert main(["fit", events, "--config", config, "--out", archive]) == 0
-solvers()
+loaded()
 assert main(["eval", archive, "--out", out + "/plain.csv"]) == 0
-solvers()
+loaded()
+assert main(["export-grid", archive, "--out", out + "/grid", "--resolution", "10"]) == 0
+loaded()
 assert main(["eval", archive, "--baselines", "--out", out + "/baselines.csv"]) == 0
-solvers()
+loaded(solvers)
 """
 
-    def test_only_eval_with_baselines_loads_the_kde_solvers(self, tmp_path):
+    @pytest.fixture(scope="class")
+    def printed(self, tmp_path_factory):
         # a fresh interpreter: other tests load the KDE in this one
+        tmp_path = tmp_path_factory.mktemp("footprint")
         cfg = _write_config(tmp_path, n_iters=6, burn_in=2)
         gen = tmp_path / "gen"
         assert main(["generate", "--config", str(cfg), "--out", str(gen)]) == 0
@@ -730,8 +737,14 @@ solvers()
              str(tmp_path / "arch"), str(tmp_path)],
             env=env, capture_output=True, text=True, check=True,
         )
-        printed = [line for line in out.stdout.splitlines() if "written" not in line]
-        assert printed == ["", "", "", "scipy.optimize scipy.fft"]
+        return [line for line in out.stdout.splitlines() if "written" not in line]
+
+    def test_only_eval_with_baselines_loads_the_kde_solvers(self, printed):
+        assert printed[-1] == "scipy.optimize scipy.fft"
+
+    def test_import_fit_eval_and_export_load_no_scipy_special(self, printed):
+        # the sigmoid is sgcp's own: nothing before the baselines needs scipy.special
+        assert printed == ["", "", "", "", "scipy.optimize scipy.fft"]
 
 
 class Test3dEndToEnd:
