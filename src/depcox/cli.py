@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .engine import diagnostics, intensity_samples, run_chain_with_info, summarize
+from .engine import diagnostics, intensity_rows, run_chain_with_info, summarize
 from .errors import NumericalError, ValidationError
 from .generate import sample_events, sample_ground_truth
 from .metrics import Quadrature, kde_intensity, l2_error, poisson_loglik, predictive_loglik, sample_logliks
@@ -122,11 +122,12 @@ def cmd_eval(args) -> int:
             f"archive has {len(archive.train)} processes in {region.dim}-D but the truth manifest "
             f"has {truth.n_processes} in {truth.region.dim}-D"
         )
-    rows = _model_rows("ours", archive.samples, archive.config.run, archive, test, quad, truth)
+    train = archive.train
+    rows = _model_rows("ours", archive.samples, archive.config.run, region, train, test, quad, truth)
     if args.baselines:
         ind_cfg = replace(archive.config.run, independent=True)
-        ind_samples, _ = run_chain_with_info(archive.train, region, ind_cfg)
-        rows += _model_rows("independent", ind_samples, ind_cfg, archive, test, quad, truth)
+        ind_samples, _ = run_chain_with_info(train, region, ind_cfg)
+        rows += _model_rows("independent", ind_samples, ind_cfg, region, train, test, quad, truth)
         rows += _kde_rows(archive, test, quad, truth)
     if args.out:
         io.write_report(args.out, rows)
@@ -136,28 +137,36 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _model_rows(model, samples, run, archive, test, quad, truth):
+def _model_rows(model, samples, run, region, train, test, quad, truth):
     """Predictive rows of every process, then, given a ``truth``, the L2
-    error of each process's posterior mean intensity at the nodes."""
-    region = archive.config.region
-    rows = []
-    # one pass over the samples: every process at the quadrature nodes and
-    # at all test points, each process then reading its own test points
+    error of each process's posterior mean intensity at the nodes.
+
+    One pass over the samples extends each to the quadrature nodes and all
+    test points at once (``intensity_rows``); of each sample it keeps only
+    every process's integral, its intensities at the test points and,
+    given a ``truth``, its part of a running sum at the nodes.
+    """
     n_nodes = quad.weights.size
     X = np.vstack([np.zeros((0, region.dim)), *(ev.points for ev in test if len(ev))])
-    lams = intensity_samples(samples, X, archive.train, region, run, quad.grid)
-    ends = n_nodes + np.cumsum([len(ev) for ev in test])
+    integrals = np.empty((len(samples), len(test)))
+    at_events = np.empty((len(samples), len(test), len(X)))
+    lam_sum = np.zeros((len(test), n_nodes))
+    for i, lam in enumerate(intensity_rows(samples, X, train, region, run, quad.grid)):
+        integrals[i] = quad.integrate(lam[:, :n_nodes])
+        at_events[i] = lam[:, n_nodes:]
+        if truth is not None:
+            lam_sum += lam[:, :n_nodes]
+    rows = []
+    ends = np.cumsum([len(ev) for ev in test])
     for d, ev in enumerate(test):
-        grid_lams = lams[:, d, :n_nodes]
-        ev_lams = lams[:, d, ends[d] - len(ev) : ends[d]]
-        lls = sample_logliks(ev_lams, grid_lams, quad)
+        lls = sample_logliks(at_events[:, d, ends[d] - len(ev) : ends[d]], integrals[:, d])
         rows.append((f"process_{d}", model, "predictive_loglik", predictive_loglik(lls)))
         finite = lls[np.isfinite(lls)]
         rows.append(
             (f"process_{d}", model, "mean_sample_loglik", float(np.mean(finite)) if finite.size else -np.inf)
         )
     if truth is not None:
-        lam_mean = lams[:, :, :n_nodes].sum(axis=0) / len(samples)
+        lam_mean = lam_sum / len(samples)
         for d in range(len(test)):
             true_lam = truth.intensity(d, quad.grid)
             rows.append((f"process_{d}", model, "l2_error", l2_error(lam_mean[d], true_lam, quad)))

@@ -7,6 +7,12 @@ values from their joint posterior and updates the latent variances.
 ``run_chain_with_info`` loops over ``sweep`` and keeps the retained
 draws; a copy of a chain continues exactly as the chain would.
 
+A chain's retained draws are columnar: ``Draws`` holds one set of arrays
+per chain, each field stacked over the draws, not a ``PosteriorSample``
+with its own arrays per draw. Each ``PosteriorSample`` taken from it is a
+read-only view of one draw. Plain sequences of ``PosteriorSample`` are
+valid input wherever draws are read.
+
 Each latent function's variance and grid live only in its
 ``convolution.LatentFactor``, which factors the latent Gram matrix per
 axis. The latent state is the ``ConvolutionPrior`` of the grid values and
@@ -23,7 +29,9 @@ covariance itself, at start-up, in the sweep or in prediction.
 
 from __future__ import annotations
 
+import operator
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,7 +105,8 @@ class RunConfig:
 class PosteriorSample:
     """One retained draw of the full augmented state.
 
-    Fields are in the key order of an archive's sample records.
+    Fields are in the key order of an archive's sample records. A draw
+    taken from ``Draws`` is a read-only view of one row of its columns.
     """
 
     iteration: int
@@ -109,6 +118,90 @@ class PosteriorSample:
     thinned: list
     rate_idx: list
     g_values: list
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+class Draws(Sequence):
+    """A chain's retained draws, stored by column.
+
+    ``iteration`` is (S,); ``lambda_stars``, ``kappas`` and ``thetas`` are
+    (S, D), ``phis`` (S, Q) and ``latent_values`` (S, Q, J). Each process
+    ``d``'s thinned points, levels and function values over all draws are
+    one flat array each, ``thinned_flat[d]``, ``rate_idx_flat[d]`` and
+    ``g_flat[d]``, draw ``i``'s part running from row ``i`` to row
+    ``i + 1`` of column ``d`` of ``thinned_offsets`` (points and levels)
+    or ``g_offsets`` (function values). So a chain holds a fixed number of
+    arrays however many draws it keeps, not a ``PosteriorSample`` with its
+    arrays per draw.
+
+    ``draws[i]`` and iteration give a ``PosteriorSample`` of views into
+    the columns, which are read-only; a slice gives a list of them.
+    """
+
+    def __init__(self, samples):
+        """The columns of the ``PosteriorSample`` sequence ``samples``, all
+        of one chain: the same processes, dimension and latent grid."""
+        n = len(samples)
+        # no draws: no processes and no latent functions
+        first = samples[0] if n else PosteriorSample(0, *[np.zeros(0)] * 4, np.zeros((0, 0)), [], [], [])
+        n_proc = len(first.lambda_stars)
+
+        def column(name, shape):
+            return _frozen(np.array([getattr(s, name) for s in samples], dtype=float).reshape(n, *shape))
+
+        def offsets(name):
+            """(S + 1, D): where each draw's part of each process's flat
+            array of the per-process field ``name`` starts."""
+            sizes = np.array([[len(a) for a in getattr(s, name)] for s in samples], dtype=int)
+            out = np.zeros((n + 1, n_proc), dtype=int)
+            np.cumsum(sizes.reshape(n, n_proc), axis=0, out=out[1:])
+            return _frozen(out)
+
+        self.iteration = _frozen(np.array([s.iteration for s in samples], dtype=int))
+        self.lambda_stars, self.kappas, self.thetas = (
+            column(name, (n_proc,)) for name in ("lambda_stars", "kappas", "thetas"))
+        self.phis = column("phis", first.phis.shape)
+        self.latent_values = column("latent_values", first.latent_values.shape)
+        self.thinned_flat, self.rate_idx_flat, self.g_flat = (
+            [_frozen(np.concatenate([getattr(s, name)[d] for s in samples])) for d in range(n_proc)]
+            for name in ("thinned", "rate_idx", "g_values")
+        )
+        self.thinned_offsets, self.g_offsets = offsets("rate_idx"), offsets("g_values")
+
+    def __len__(self) -> int:
+        return self.iteration.size
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return [self._draw(i) for i in range(*key.indices(len(self)))]
+        i = operator.index(key)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError(f"draw {key} of {len(self)}")
+        return self._draw(i)
+
+    def __iter__(self):
+        return map(self._draw, range(len(self)))
+
+    def _draw(self, i: int) -> PosteriorSample:
+        t0, t1 = self.thinned_offsets[i : i + 2].tolist()
+        g0, g1 = self.g_offsets[i : i + 2].tolist()
+        return PosteriorSample(
+            iteration=int(self.iteration[i]),
+            lambda_stars=self.lambda_stars[i],
+            kappas=self.kappas[i],
+            thetas=self.thetas[i],
+            phis=self.phis[i],
+            latent_values=self.latent_values[i],
+            thinned=[pts[a:b] for pts, a, b in zip(self.thinned_flat, t0, t1)],
+            rate_idx=[idx[a:b] for idx, a, b in zip(self.rate_idx_flat, t0, t1)],
+            g_values=[g[a:b] for g, a, b in zip(self.g_flat, g0, g1)],
+        )
 
 
 @dataclass
@@ -319,8 +412,9 @@ def sweep(chain: ChainState, region: Region, config: RunConfig) -> None:
 
 
 def run_chain_with_info(data, region: Region, config: RunConfig):
-    """Run the full sampler; returns the retained posterior samples and a
-    ``RunInfo``. Its sweeps per second leave out ``start_chain``."""
+    """Run the full sampler; returns the retained posterior samples, as
+    ``Draws``, and a ``RunInfo``. Its sweeps per second leave out
+    ``start_chain`` and count the columns' assembly."""
     chain = start_chain(data, region, config)
     samples = []
     t_start = time.perf_counter()
@@ -328,8 +422,9 @@ def run_chain_with_info(data, region: Region, config: RunConfig):
         sweep(chain, region, config)
         if it >= config.burn_in and (it - config.burn_in) % config.thin_every == 0:
             samples.append(chain.sample())
+    draws = Draws(samples)
     elapsed = time.perf_counter() - t_start
-    return samples, RunInfo(
+    return draws, RunInfo(
         timings=chain.timings,
         iterations_per_second=config.n_iters / elapsed if elapsed > 0 else float("inf"),
         hmc_accept_rate=chain.hmc_step.accept_rate,
@@ -347,19 +442,19 @@ class GridSummary:
 
 
 def _sample_priors(samples, region: Region, config: RunConfig):
-    """Yield the conditional prior of each sample in turn, reusing a latent
+    """Yield each sample with its conditional prior in turn, reusing a latent
     factor from one sample to the next while the latent variances stay put."""
     if config.independent:
         prior = IndependentPrior(np.exp(config.priors.phi_log_mean), region.dim)
-        for _ in samples:
-            yield prior
+        for s in samples:
+            yield s, prior
         return
     grid = latent_grid(region, config.grid_per_axis)
     factors = []
     for s in samples:
         factors = [next((f for f in factors if f.phi == phi), None) or LatentFactor(grid, phi)
                    for phi in s.phis]
-        yield ConvolutionPrior(s.latent_values, factors)
+        yield s, ConvolutionPrior(s.latent_values, factors)
 
 
 def _extensions(samples, targets, data, region: Region, config: RunConfig):
@@ -374,7 +469,7 @@ def _extensions(samples, targets, data, region: Region, config: RunConfig):
     if len(samples) == 0:
         raise ValidationError("at least one posterior sample required")
     data = [d if isinstance(d, EventSet) else EventSet(d) for d in data]
-    for s, prior in zip(samples, _sample_priors(samples, region, config)):
+    for s, prior in _sample_priors(samples, region, config):
         g = []
         for d, ev in enumerate(data):
             state = AugmentedState(s.thinned[d], s.rate_idx[d], s.g_values[d],
@@ -416,24 +511,36 @@ def summarize(samples, grid, data, region: Region, config: RunConfig) -> GridSum
                        lat_acc[0] / n, np.sqrt(lat_acc[2] / n))
 
 
-def intensity_samples(samples, X, data, region: Region, config: RunConfig, grid=None) -> np.ndarray:
-    """Per-sample intensity of every process at arbitrary points, (S, D, n).
+def intensity_rows(samples, X, data, region: Region, config: RunConfig, grid=None):
+    """Yield each sample's intensity of every process at arbitrary points,
+    (D, n), one sample at a time.
 
     The function value at a new point is the conditional mean given that
     sample's state, extending each retained draw to the requested
     locations. Given a ``ProductGrid`` ``grid``, its N nodes come first,
-    (S, D, N + n), from the same conditional as the points.
+    (D, N + n), from the same conditional as the points. A caller that
+    reduces over the samples holds one sample's intensities at a time.
     """
     X = _as_points(X)
     n_grid = 0 if grid is None else grid.size
     targets = [X] if grid is None else [grid, X]
     spans = [slice(0, None)] if grid is None else [slice(0, n_grid), slice(n_grid, None)]
-    out = np.empty((len(samples), len(data), n_grid + X.shape[0]))
-    for i, (s, _, g) in enumerate(_extensions(samples, targets, data, region, config)):
+    for s, _, g in _extensions(samples, targets, data, region, config):
+        lam = np.empty((len(data), n_grid + X.shape[0]))
         for d, g_d in enumerate(g):
             for g_t, span in zip(g_d, spans):  # each target straight into its part of the row
-                row = sigmoid_array(g_t, out=out[i, d, span])
+                row = sigmoid_array(g_t, out=lam[d, span])
                 row *= s.lambda_stars[d]
+        yield lam
+
+
+def intensity_samples(samples, X, data, region: Region, config: RunConfig, grid=None) -> np.ndarray:
+    """The rows of ``intensity_rows`` for all samples at once, (S, D, n), or
+    (S, D, N + n) given a ``grid``."""
+    n = _as_points(X).shape[0] + (0 if grid is None else grid.size)
+    out = np.empty((len(samples), len(data), n))
+    for i, lam in enumerate(intensity_rows(samples, X, data, region, config, grid)):
+        out[i] = lam
     return out
 
 

@@ -8,19 +8,25 @@ serializers derive from the dataclass fields: a key is a field's name
 and a missing key takes the field's default, so the field names are the
 file format. Only the region, the ladder, the priors and a sample's
 per-process lists are spelled out.
+
+An archive's ``samples.jsonl`` holds one record per retained draw, and
+``load_archive`` returns the draws as the columnar ``engine.Draws``, as
+the sampler returns them: each ``PosteriorSample`` read from it is a
+read-only view of one draw.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, is_dataclass
 from inspect import signature
 from pathlib import Path
 
 import numpy as np
 
-from .engine import PosteriorSample, RunConfig
+from .engine import Draws, PosteriorSample, RunConfig
 from .errors import ValidationError
 from .generate import GroundTruth, sample_ground_truth
 from .sgcp import EventSet, PriorConfig, Region
@@ -411,7 +417,7 @@ class Archive:
     config: ShellConfig
     train: list[EventSet]
     test: list[EventSet]
-    samples: list[PosteriorSample]
+    samples: Draws
     diagnostics: dict
 
 
@@ -421,7 +427,7 @@ def save_archive(
     train: list[EventSet],
     test: list[EventSet],
     split_indices: list[dict],
-    samples: list[PosteriorSample],
+    samples: Sequence[PosteriorSample],
     diag: dict,
     timings: dict,
 ) -> Path:
@@ -452,9 +458,17 @@ def load_archive(path) -> Archive:
     for line_no, line in enumerate(_read_text(records).splitlines(), start=1):
         if line.strip():
             where = f"{records}:{line_no}"
-            samples.append(sample_from_record(_json(line, where), dim, n_data, where))
+            s = sample_from_record(_json(line, where), dim, n_data, where)
+            # the draws are stored as columns: one latent shape for all
+            shape = samples[0].latent_values.shape if samples else s.latent_values.shape
+            if s.latent_values.shape != shape:
+                raise ValidationError(
+                    f"{where}: field latent_values: latent values of shape {s.latent_values.shape} "
+                    f"do not match {shape[0]} latent functions on a grid of {shape[1]} nodes, "
+                    f"as the first record holds")
+            samples.append(s)
     diag = _read_json(path / "diagnostics.json")
-    return Archive(path, cfg, train, test, samples, diag)
+    return Archive(path, cfg, train, test, Draws(samples), diag)
 
 
 # ---------------------------------------------------------------------------

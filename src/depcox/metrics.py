@@ -4,9 +4,11 @@ The integral in the point-process log likelihood is discretized on a
 tensor-product trapezoid rule over the region; held-out scores average the
 per-sample likelihoods in probability space (log-mean-exp) so they are a
 Monte Carlo posterior predictive. ``sample_logliks`` scores all of a
-process's posterior samples in one pass over their (S, nodes) and
-(S, events) intensities: one matrix-vector product for the S integrals and
-one row-wise sum of logs, under ``poisson_loglik``'s rules for each row.
+process's posterior samples in one pass over their (S, events)
+intensities and their S integrals (``Quadrature.integrate``): one
+row-wise sum of logs, under ``poisson_loglik``'s rules for each row. So a
+caller may integrate each sample as it comes and keep no (S, nodes)
+array.
 
 The baseline's bandwidth solvers (``scipy.fft``, ``scipy.optimize``) load in
 ``diffusion_bandwidth``, on first use: only ``depcox eval --baselines`` needs
@@ -54,6 +56,18 @@ class Quadrature:
     def volume(self) -> float:
         return float(self.weights.sum())
 
+    def integrate(self, on_grid) -> np.ndarray:
+        """The integral of each row of intensities on the grid, ``(..., n)``
+        with one value per node, as ``(...)``. Raises ``ValidationError`` if
+        the rows do not match the nodes or an intensity is negative (beyond
+        rounding)."""
+        on_grid = np.asarray(on_grid, dtype=float)
+        if on_grid.shape[-1:] != self.weights.shape:
+            raise ValidationError("grid intensity does not match quadrature")
+        if on_grid.min(initial=0.0) < -1e-12:
+            raise ValidationError("intensity must be nonnegative")
+        return on_grid @ self.weights
+
 
 def poisson_loglik(intensity_at_events, intensity_on_grid, quad: Quadrature) -> float:
     """Discretized inhomogeneous-Poisson log likelihood.
@@ -74,24 +88,21 @@ def poisson_loglik(intensity_at_events, intensity_on_grid, quad: Quadrature) -> 
     return -integral + float(np.sum(np.log(at_events)))
 
 
-def sample_logliks(per_sample_at_events, per_sample_on_grid, quad: Quadrature) -> np.ndarray:
+def sample_logliks(per_sample_at_events, integrals) -> np.ndarray:
     """Per-posterior-sample Poisson log likelihoods of one event set, (S,):
     ``poisson_loglik`` of each row of the (S, events) intensities at the
-    events and the (S, nodes) intensities on the grid, all rows at once
-    (to rounding: the integrals are one matrix-vector product).
+    events, less that sample's integral of its intensity over the region
+    (``integrals``, (S,), as ``Quadrature.integrate`` gives them), all rows
+    at once.
 
-    Raises ``ValidationError`` on a grid of the wrong size or a negative
-    intensity in any sample. A sample with a zero (or negative within
-    rounding) intensity at an event scores -inf, without a warning.
+    Raises ``ValidationError`` on a negative intensity at an event in any
+    sample. A sample with a zero (or negative within rounding) intensity at
+    an event scores -inf, without a warning.
     """
-    on_grid = np.asarray(per_sample_on_grid, dtype=float)
     at_events = np.asarray(per_sample_at_events, dtype=float)
-    if on_grid.shape[1:] != quad.weights.shape:
-        raise ValidationError("grid intensity does not match quadrature")
-    if on_grid.min(initial=0.0) < -1e-12 or at_events.min(initial=0.0) < -1e-12:
+    if at_events.min(initial=0.0) < -1e-12:
         raise ValidationError("intensity must be nonnegative")
-    out = on_grid @ quad.weights
-    np.negative(out, out=out)
+    out = np.negative(integrals, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         out += np.log(at_events).sum(axis=1)
     out[(at_events <= 0.0).any(axis=1)] = -np.inf

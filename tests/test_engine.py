@@ -12,6 +12,7 @@ import depcox.engine
 import depcox.sgcp
 from depcox.convolution import ConvolutionPrior, phi_mh_update
 from depcox.engine import (
+    Draws,
     PosteriorSample,
     RunConfig,
     diagnostics,
@@ -509,6 +510,152 @@ class TestRunChain:
         assert ks_2samp(lam_dep, lam_ind).pvalue > 0.01
 
 
+def _assert_same_draw(a, b):
+    """Two ``PosteriorSample`` hold the same iteration and arrays of the
+    same dtype, shape and values, field for field."""
+    assert type(b.iteration) is int and b.iteration == a.iteration
+    for name in ("lambda_stars", "kappas", "thetas", "phis", "latent_values", "thinned", "rate_idx",
+                 "g_values"):
+        x, y = getattr(a, name), getattr(b, name)
+        pairs = zip(x, y) if isinstance(x, list) else [(x, y)]
+        assert not isinstance(x, list) or len(x) == len(y), name
+        for u, v in pairs:
+            assert (v.dtype, v.shape) == (u.dtype, u.shape), name
+            np.testing.assert_array_equal(u, v, err_msg=name)
+
+
+def _arrays_held(obj) -> int:
+    """How many numpy arrays ``obj`` reaches through attributes, lists,
+    tuples and dicts."""
+    seen, stack, count = set(), [obj], 0
+    while stack:
+        o = stack.pop()
+        if id(o) in seen:
+            continue
+        seen.add(id(o))
+        if isinstance(o, np.ndarray):
+            count += 1
+        elif isinstance(o, (list, tuple)):
+            stack.extend(o)
+        elif isinstance(o, dict):
+            stack.extend(o.values())
+        elif hasattr(o, "__dict__"):
+            stack.extend(vars(o).values())
+    return count
+
+
+class TestDraws:
+    """The columnar store of a chain's draws against the draws it holds."""
+
+    @staticmethod
+    def _chain_samples(dim, independent):
+        # the draws of a short chain as the sampler takes them, and one more
+        # in which process 0 holds no thinned points
+        region = Region([0.0] * dim, [1.0] * dim)
+        rng = np.random.default_rng(80 + dim)
+        truth = sample_ground_truth(region, 2, 1, rng, lambda_star_range=(20.0, 25.0), grid_per_axis=5)
+        data = sample_events(truth, rng)
+        cfg = _small_config(n_iters=6, burn_in=0, grid_per_axis=5, seed=3, independent=independent)
+        chain = start_chain(data, region, cfg)
+        samples = []
+        for _ in range(cfg.n_iters):
+            sweep(chain, region, cfg)
+            samples.append(chain.sample())
+        last, n0 = samples[-1], len(data[0])
+        samples.append(replace(
+            last, iteration=last.iteration + 1,
+            thinned=[last.thinned[0][:0], *last.thinned[1:]],
+            rate_idx=[last.rate_idx[0][:0], *last.rate_idx[1:]],
+            g_values=[last.g_values[0][:n0], *last.g_values[1:]],
+        ))
+        assert all(any(s.rate_idx[d].size for s in samples) for d in range(2))
+        return samples, data, region, cfg
+
+    @pytest.mark.parametrize("dim, independent", [(1, False), (2, False), (2, True)])
+    def test_every_draw_matches_the_samples_it_was_built_from(self, dim, independent):
+        samples, *_ = self._chain_samples(dim, independent)
+        draws = Draws(samples)
+        assert len(draws) == len(samples)
+        for i, s in enumerate(samples):
+            _assert_same_draw(s, draws[i])
+            _assert_same_draw(s, draws[i - len(samples)])
+        for s, d in zip(samples, draws, strict=True):
+            _assert_same_draw(s, d)
+        for key in (slice(None), slice(1, -1), slice(None, None, -2), slice(5, 2), slice(-3, None)):
+            got = draws[key]
+            assert isinstance(got, list) and len(got) == len(samples[key])
+            for s, d in zip(samples[key], got):
+                _assert_same_draw(s, d)
+        assert draws[-1].thinned[0].shape == (0, dim) and draws[-1].rate_idx[0].shape == (0,)
+        assert draws[0].latent_values.shape == ((0, 0) if independent else (1, 5**dim))
+        for key in (len(samples), -len(samples) - 1):
+            with pytest.raises(IndexError):
+                draws[key]
+
+    def test_columns_are_stacked_per_draw(self):
+        samples, *_ = self._chain_samples(1, False)
+        draws = Draws(samples)
+        n = len(samples)
+        assert draws.lambda_stars.shape == draws.kappas.shape == draws.thetas.shape == (n, 2)
+        assert draws.phis.shape == (n, 1) and draws.latent_values.shape == (n, 1, 5)
+        np.testing.assert_array_equal(draws.iteration, [s.iteration for s in samples])
+        for d in range(2):
+            np.testing.assert_array_equal(draws.g_flat[d], np.concatenate([s.g_values[d] for s in samples]))
+            assert draws.thinned_offsets[-1, d] == len(draws.rate_idx_flat[d]) == len(draws.thinned_flat[d])
+
+    def test_an_empty_sequence_has_no_draws(self):
+        draws = Draws([])
+        assert len(draws) == 0 and not draws and list(draws) == []
+        with pytest.raises(IndexError):
+            draws[0]
+
+    def test_views_and_columns_are_read_only(self):
+        samples, *_ = self._chain_samples(2, False)
+        draws = Draws(samples)
+        written = set()
+        for d in draws:
+            for name in ("lambda_stars", "kappas", "thetas", "phis", "latent_values", "thinned",
+                         "rate_idx", "g_values"):
+                value = getattr(d, name)
+                for a in value if isinstance(value, list) else [value]:
+                    if a.size:
+                        with pytest.raises(ValueError, match="read-only"):
+                            a[(0,) * a.ndim] = 1
+                        written.add(name)
+        assert len(written) == 8
+        with pytest.raises(ValueError, match="read-only"):
+            draws.g_flat[0][0] = 1.0
+        for s, d in zip(samples, draws, strict=True):
+            _assert_same_draw(s, d)
+
+    @pytest.mark.parametrize("dim, independent", [(1, False), (2, True)])
+    def test_save_and_load_keep_the_records_byte_identical(self, tmp_path, dim, independent):
+        from depcox import io
+
+        samples, data, region, cfg = self._chain_samples(dim, independent)
+        shell = io.ShellConfig(region, cfg)
+        split = [{"process": d, "train": [], "test": []} for d in range(len(data))]
+        io.save_archive(tmp_path / "list", shell, data, data, split, samples, {}, {})
+        io.save_archive(tmp_path / "draws", shell, data, data, split, Draws(samples), {}, {})
+        loaded = io.load_archive(tmp_path / "draws")
+        assert isinstance(loaded.samples, Draws)
+        io.save_archive(tmp_path / "again", shell, data, data, split, loaded.samples, {}, {})
+        records = [(tmp_path / name / "samples.jsonl").read_bytes() for name in ("list", "draws", "again")]
+        assert records[0] == records[1] == records[2]
+        for s, d in zip(samples, loaded.samples, strict=True):
+            _assert_same_draw(s, d)
+
+    def test_a_fit_holds_as_many_arrays_for_40_draws_as_for_10(self):
+        # the draws are columns: keeping more of them adds no array
+        data, _ = _toy_data(seed=4, n_proc=2)
+        held = []
+        for n_iters in (10, 40):
+            draws = run_chain_with_info(data, UNIT, _small_config(n_iters=n_iters, burn_in=0))[0]
+            assert isinstance(draws, Draws) and len(draws) == n_iters
+            held.append(_arrays_held(draws))
+        assert held[0] == held[1]
+
+
 class TestSummarize:
     def _manual_samples(self, doubled=False):
         rng = np.random.default_rng(8)
@@ -654,7 +801,7 @@ class TestLatentPriors:
             return factor(grid, phi)
 
         monkeypatch.setattr(depcox.engine, "LatentFactor", counting)
-        first, same, moved, swapped = depcox.engine._sample_priors(samples, region, cfg)
+        first, same, moved, swapped = (p for _, p in depcox.engine._sample_priors(samples, region, cfg))
         assert built == [0.02, 0.05, 0.06]
         assert all(a is b for a, b in zip(same.factors, first.factors))
         assert moved.factors[0] is first.factors[0]

@@ -97,7 +97,7 @@ class TestSampleLogliks:
         quad = Quadrature.for_region(Region([0.0] * dim, [1.0] * dim), 33 if dim == 1 else 9)
         on_grid = rng.uniform(0.1, 80.0, size=(6, quad.weights.size))
         at_events = rng.uniform(0.1, 80.0, size=(6, n_events))
-        got = sample_logliks(at_events, on_grid, quad)
+        got = sample_logliks(at_events, quad.integrate(on_grid))
         want = [poisson_loglik(ev, gr, quad) for ev, gr in zip(at_events, on_grid)]
         assert got.shape == (6,)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
@@ -109,12 +109,12 @@ class TestSampleLogliks:
         lams = rng.uniform(0.5, 5.0, size=(4, 2, quad.weights.size + 3))
         grid, events = lams[:, 1, : quad.weights.size], lams[:, 1, quad.weights.size :]
         want = [poisson_loglik(ev, gr, quad) for ev, gr in zip(events, grid)]
-        np.testing.assert_allclose(sample_logliks(events, grid, quad), want, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(sample_logliks(events, quad.integrate(grid)), want, rtol=1e-12, atol=0)
 
     def test_empty_event_set_scores_minus_the_integral(self):
         quad = Quadrature.for_region(UNIT, 64)
         on_grid = np.stack([np.full(quad.weights.size, c) for c in (1.0, 2.5)])
-        got = sample_logliks(np.zeros((2, 0)), on_grid, quad)
+        got = sample_logliks(np.zeros((2, 0)), quad.integrate(on_grid))
         np.testing.assert_allclose(got, -(on_grid @ quad.weights), rtol=1e-15)
         np.testing.assert_allclose(got, [-1.0, -2.5], rtol=1e-12)
 
@@ -125,7 +125,7 @@ class TestSampleLogliks:
         at_events = np.array([[1.0, 2.0], [zero, 2.0], [3.0, 1.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = sample_logliks(at_events, on_grid, quad)
+            got = sample_logliks(at_events, quad.integrate(on_grid))
         assert got[1] == -np.inf
         np.testing.assert_allclose(got[[0, 2]], [-1.0 + np.log(2.0), -1.0 + np.log(3.0)], rtol=1e-12)
 
@@ -135,12 +135,12 @@ class TestSampleLogliks:
         on_grid, at_events = np.ones((3, quad.weights.size)), np.ones((3, 2))
         (on_grid if where == "grid" else at_events)[2, 1] = -0.5
         with pytest.raises(ValidationError, match="nonnegative"):
-            sample_logliks(at_events, on_grid, quad)
+            sample_logliks(at_events, quad.integrate(on_grid))
 
     def test_grid_of_the_wrong_size_raises(self):
         quad = Quadrature.for_region(UNIT, 64)
         with pytest.raises(ValidationError, match="quadrature"):
-            sample_logliks(np.ones((2, 1)), np.ones((2, quad.weights.size + 1)), quad)
+            sample_logliks(np.ones((2, 1)), quad.integrate(np.ones((2, quad.weights.size + 1))))
 
 
 class TestPredictiveLoglik:
@@ -150,14 +150,14 @@ class TestPredictiveLoglik:
     def test_single_sample_equals_poisson_loglik(self):
         quad = Quadrature.for_region(UNIT, 128)
         ev, grid = self._const_sample(quad, 2.0)
-        assert predictive_loglik(sample_logliks([ev], [grid], quad)) == pytest.approx(
+        assert predictive_loglik(sample_logliks([ev], quad.integrate([grid]))) == pytest.approx(
             poisson_loglik(ev, grid, quad), rel=1e-12
         )
 
     def test_identical_samples_equal_common_value(self):
         quad = Quadrature.for_region(UNIT, 128)
         ev, grid = self._const_sample(quad, 1.5)
-        got = predictive_loglik(sample_logliks([ev, ev, ev], [grid, grid, grid], quad))
+        got = predictive_loglik(sample_logliks([ev, ev, ev], quad.integrate([grid, grid, grid])))
         assert got == pytest.approx(poisson_loglik(ev, grid, quad), rel=1e-12)
 
     def test_log_mean_exp_hand_value(self):
@@ -167,7 +167,7 @@ class TestPredictiveLoglik:
         c2 = c1 - np.log(3.0)  # no events: loglik = -c
         grids = [np.full(quad.weights.size, c) for c in (c1, c2)]
         evs = [np.zeros(0), np.zeros(0)]
-        got = predictive_loglik(sample_logliks(evs, grids, quad))
+        got = predictive_loglik(sample_logliks(evs, quad.integrate(grids)))
         assert got == pytest.approx(-c1 + np.log(2.0), abs=1e-9)
 
     def test_bounded_by_sample_extremes(self):
@@ -178,14 +178,14 @@ class TestPredictiveLoglik:
             c = rng.uniform(0.5, 4.0)
             evs.append(np.array([c, c]))
             grids.append(np.full(quad.weights.size, c))
-        lls = sample_logliks(evs, grids, quad)
+        lls = sample_logliks(evs, quad.integrate(grids))
         pred = predictive_loglik(lls)
         assert lls.min() <= pred <= lls.max()
 
     def test_all_impossible_flags_minus_inf(self):
         quad = Quadrature.for_region(UNIT, 64)
         with pytest.warns(UserWarning):
-            got = predictive_loglik(sample_logliks([np.zeros(1)], [np.ones(quad.weights.size)], quad))
+            got = predictive_loglik(sample_logliks([np.zeros(1)], quad.integrate([np.ones(quad.weights.size)])))
         assert got == -np.inf
 
 

@@ -18,7 +18,7 @@ from depcox import io
 from depcox.cli import _nearest_nodes, main
 from depcox.engine import RunConfig, intensity_samples, run_chain_with_info, summarize
 from depcox.generate import sample_events, sample_ground_truth
-from depcox.metrics import Quadrature, l2_error, poisson_loglik, sample_logliks
+from depcox.metrics import Quadrature, l2_error, poisson_loglik, predictive_loglik, sample_logliks
 from depcox.sgcp import EventSet, PriorConfig, Region
 from depcox.thinning import RateLadder
 
@@ -231,6 +231,14 @@ class TestUnreadableInputs:
         assert main(argv) == 2
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, named", [("eval", "at least one posterior sample"),
+                                                ("export-grid", "holds no samples")])
+    def test_archive_without_samples_exits_2(self, archive, tmp_path, capsys, command, named):
+        (archive / "samples.jsonl").write_text("")
+        argv = [command, str(archive)] + (["--out", str(tmp_path / "grid")] if command == "export-grid" else [])
+        assert main(argv) == 2
+        assert named in capsys.readouterr().err
+
     def test_export_grid_at_one_node_per_axis_exits_2_naming_the_problem(self, archive, tmp_path, capsys):
         out = tmp_path / "grid"
         assert main(["export-grid", str(archive), "--out", str(out), "--resolution", "1"]) == 2
@@ -283,7 +291,7 @@ class TestSerializers:
         truth = sample_ground_truth(square, 2, 1, rng, lambda_star_range=(20.0, 25.0), grid_per_axis=4)
         data = sample_events(truth, rng)
         run = RunConfig(n_iters=3, grid_per_axis=4, seed=2, independent=independent)
-        samples = run_chain_with_info(data, square, run)[0]
+        samples = list(run_chain_with_info(data, square, run)[0])
         # a draw in which process 0 holds no thinned points
         last = samples[-1]
         n0 = len(data[0])
@@ -539,6 +547,28 @@ class TestEval:
         want = [l2_error(lam[d], truth.intensity(d, quad.grid), quad) for d in range(2)]
         assert got == want  # the same sums in the same order
 
+    def test_predictive_rows_score_every_sample_of_every_process(self, tmp_path):
+        # eval streams the samples; scored from all intensities at once
+        # instead, every process's rows agree to rounding (the test points
+        # of one process alone take other products, rounded otherwise)
+        cfg = _write_config(tmp_path, n_iters=12, burn_in=4,
+                            generate={"n_processes": 3, "lambda_star_range": [60.0, 90.0]})
+        gen, arch = tmp_path / "gen", tmp_path / "arch"
+        main(["generate", "--config", str(cfg), "--out", str(gen)])
+        main(["fit", *(str(gen / f"events_{d}.csv") for d in range(3)), "--config", str(cfg), "--out", str(arch)])
+        main(["eval", str(arch), "--out", str(tmp_path / "r.csv")])
+        rows = [r.split(",") for r in (tmp_path / "r.csv").read_text().splitlines()[1:]]
+        got = {(r[0], r[2]): float(r[3]) for r in rows}
+        loaded = io.load_archive(arch)
+        region, quad = loaded.config.region, Quadrature.for_region(loaded.config.region)
+        assert len(loaded.samples) > 1 and all(len(ev) for ev in loaded.test)
+        for d, ev in enumerate(loaded.test):
+            lam = intensity_samples(loaded.samples, ev.points, loaded.train, region, loaded.config.run,
+                                    quad.grid)[:, d]
+            lls = sample_logliks(lam[:, quad.weights.size :], quad.integrate(lam[:, : quad.weights.size]))
+            assert got[(f"process_{d}", "predictive_loglik")] == pytest.approx(predictive_loglik(lls), rel=1e-9)
+            assert got[(f"process_{d}", "mean_sample_loglik")] == pytest.approx(np.mean(lls), rel=1e-9)
+
     def test_baseline_rows_present_when_flagged(self, fitted):
         tmp_path, cfg, gen, arch = fitted
         report = tmp_path / "report.csv"
@@ -565,7 +595,7 @@ class TestEval:
         lam_ev = intensity_samples(
             loaded.samples, test_ev.points, loaded.train, loaded.config.region, loaded.config.run
         )[:, 0, :]
-        expected = sample_logliks(lam_ev, lam_grid[:, 0, :], quad)[0]
+        expected = sample_logliks(lam_ev, quad.integrate(lam_grid[:, 0, :]))[0]
         rows = [l.split(",") for l in (tmp_path / "report.csv").read_text().splitlines()[1:]]
         got = float([r[3] for r in rows if r[0] == "process_0" and r[2] == "predictive_loglik"][0])
         assert got == pytest.approx(expected, rel=1e-9)

@@ -202,9 +202,10 @@ def test_grid_probe_prints_the_median_and_iqr_of_its_repeats(monkeypatch):
     probe = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(probe)
     assert probe.REPEATS == 5
-    # (sweeps/s, fewest points, most points, s/sample predict, MB grown)
-    results = [(40.0, 90, 120, 0.02, 1.0), (10.0, 95, 118, 0.05, 0.0),
-               (30.0, 88, 121, 0.03, 2.0), (20.0, 91, 119, 0.01, 0.5), (50.0, 92, 125, 0.04, 0.0)]
+    # (sweeps/s, fewest points, most points, s/sample predict, MB grown, bytes per draw)
+    results = [(40.0, 90, 120, 0.02, 1.0, 3000.0), (10.0, 95, 118, 0.05, 0.0, 2900.0),
+               (30.0, 88, 121, 0.03, 2.0, 3100.0), (20.0, 91, 119, 0.01, 0.5, 2950.0),
+               (50.0, 92, 125, 0.04, 0.0, 3050.5)]
     line = probe.summary_line("2d-20x20", 400, results)
     assert line == ("2d-20x20     Q*J=  400  N=  88-125    30.00 sweeps/s (IQR 20.00-40.00, 5 runs)"
-                    "    0.0300 s/sample predict  +   0.5 MB peak RSS")
+                    "    0.0300 s/sample predict  +   0.5 MB peak RSS      3000 B/draw")

@@ -19,11 +19,17 @@ form each sweep used:
 * ``3d-10x10x10``: one process on the unit cube, J = 1000.
 
 Each case also prints the prediction cost, the median over the repeats of:
-the seconds per retained sample of ``engine.intensity_samples`` on
-``Quadrature.for_region``'s grid (64 nodes per axis), on which ``depcox
-eval`` integrates, and how far that call raised the peak resident set
-(``ru_maxrss``) of the fresh process each repeat runs in. It reads 0 when
-the call stayed below the peak of the fit before it.
+the seconds per retained sample of ``depcox eval``'s scoring of the fit's
+draws (``cli._model_rows``, with no test events), which streams each
+sample's intensities on ``Quadrature.for_region``'s grid (64 nodes per
+axis), and how far that call raised the peak resident set (``ru_maxrss``)
+of the fresh process each repeat runs in. It reads 0 when the call stayed
+below the peak of the fit before it.
+
+Last, it prints the bytes that the fit's returned draws hold per draw:
+the same fit again under ``tracemalloc``, after the timed parts, less what
+is still traced once its draws are deleted, over their count. Unlike the
+peak resident set, this does not depend on how fast the sampler runs.
 
 No bound is checked. The probe shows how the latent stage and prediction
 scale with the grid size and the dimension, which the benchmark's
@@ -33,12 +39,14 @@ workloads do not.
 from __future__ import annotations
 
 import argparse
+import gc
 import multiprocessing
 import os
 import resource
 import statistics
 import sys
 import time
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -48,10 +56,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 
-from depcox.engine import RunConfig, intensity_samples, run_chain_with_info  # noqa: E402
+from depcox.cli import _model_rows  # noqa: E402
+from depcox.engine import RunConfig, run_chain_with_info  # noqa: E402
 from depcox.generate import sample_events, sample_ground_truth  # noqa: E402
 from depcox.metrics import Quadrature  # noqa: E402
-from depcox.sgcp import PriorConfig, Region  # noqa: E402
+from depcox.sgcp import EventSet, PriorConfig, Region  # noqa: E402
 
 # priors scaled to a unit region, as in the benchmark's workloads
 PRIORS = PriorConfig(
@@ -70,8 +79,9 @@ REPEATS = 5
 
 def probe(dim: int, n_processes: int, per_axis: int, sweeps: int, seed: int) -> tuple:
     """The sampler's sweeps/s, the fewest and most points, over all
-    processes, of its sweeps, the seconds per retained sample of the
-    prediction on the quadrature grid and the MB it added to the peak RSS."""
+    processes, of its sweeps, the seconds per retained sample of eval's
+    scoring on the quadrature grid, the MB it added to the peak RSS and the
+    bytes the fit's draws hold per draw."""
     region = Region([0.0] * dim, [1.0] * dim)
     rng = np.random.default_rng([seed, dim])
     truth = sample_ground_truth(
@@ -83,28 +93,49 @@ def probe(dim: int, n_processes: int, per_axis: int, sweeps: int, seed: int) -> 
     )
     samples, info = run_chain_with_info(events, region, config)
     points = [sum(g.size for g in s.g_values) for s in samples]
-    grid = Quadrature.for_region(region).grid
+    quad = Quadrature.for_region(region)
+    no_test = [EventSet(np.zeros((0, dim)), d) for d in range(n_processes)]
     peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     start = time.perf_counter()
-    intensity_samples(samples, np.zeros((0, dim)), events, region, config, grid)
+    _model_rows("ours", samples, config, region, events, no_test, quad, None)
     predict = (time.perf_counter() - start) / len(samples)
     grown_mb = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - peak_kb) / 1024.0
-    return info.iterations_per_second, min(points), max(points), predict, grown_mb
+    return (info.iterations_per_second, min(points), max(points), predict, grown_mb,
+            bytes_per_draw(events, region, config))
+
+
+def bytes_per_draw(events, region: Region, config: RunConfig) -> float:
+    """The bytes that ``tracemalloc`` finds held by the draws of a fit of
+    ``events``, over their count: freed when they are deleted."""
+    tracemalloc.start()
+    try:
+        samples = run_chain_with_info(events, region, config)[0]
+        n = len(samples)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        del samples
+        gc.collect()
+        return (held - tracemalloc.get_traced_memory()[0]) / n
+    finally:
+        tracemalloc.stop()
 
 
 def summary_line(name: str, n_latent: int, results: list) -> str:
     """One case's line from the ``probe`` results of its repeats: the
     median sweeps/s and its interquartile range (inclusive quartiles), the
     fewest and most points over all repeats and the medians of the
-    prediction's seconds per sample and peak-RSS growth."""
+    prediction's seconds per sample, its peak-RSS growth and the bytes
+    held per draw."""
     rates = [r[0] for r in results]
     q1, median, q3 = statistics.quantiles(rates, n=4, method="inclusive")
     n_min, n_max = min(r[1] for r in results), max(r[2] for r in results)
     predict = statistics.median(r[3] for r in results)
     grown = statistics.median(r[4] for r in results)
+    held = statistics.median(r[5] for r in results)
     return (f"{name:12s} Q*J={n_latent:5d}  N={n_min:4d}-{n_max:<4d} {median:7.2f} sweeps/s"
             f" (IQR {q1:.2f}-{q3:.2f}, {len(rates)} runs)"
-            f"  {predict:8.4f} s/sample predict  +{grown:6.1f} MB peak RSS")
+            f"  {predict:8.4f} s/sample predict  +{grown:6.1f} MB peak RSS"
+            f"  {held:8.0f} B/draw")
 
 
 def main(argv=None) -> int:
