@@ -9,7 +9,10 @@ their values on a fixed inducing grid; conditioned on those values the
 processes decouple, and the residual covariance of each process is kept
 dense. Cross-process covariance is never materialized, but for the
 latent draw's data-space system, which spans all processes' points and
-is formed only while it is smaller than the latent precision.
+is formed only while it is smaller than the latent precision. The
+independent model is the same prior on an empty grid
+(``independent_prior``): with no values to condition on, each process
+keeps its marginal covariance.
 
 Each latent function is its grid values and its ``LatentFactor``, which
 alone holds the function's variance ``phi_q`` and the grid, a
@@ -140,8 +143,8 @@ class LatentFactor:
     of the precision-form posterior. Each accepted ``phi`` forms ``L``
     once.
 
-    ``grid`` is the latent grid, a ``ProductGrid``; ``phi`` must be
-    positive.
+    ``grid`` is the latent grid, a ``ProductGrid``, and may be empty (see
+    ``independent_prior``); ``phi`` must be positive.
     """
 
     def __init__(self, grid: ProductGrid, phi: float):
@@ -238,8 +241,8 @@ class SiteScalars(NamedTuple):
     variances: tuple  # theta + phi_q, one per latent function
     scales: tuple  # (2 pi (theta + phi_q))^{-1/2}, the axis factors' scale
     gram_variances: list  # 2 theta + phi_q, the output Gram variances
-    marginal: float  # the marginal variance (unfloored for an independent prior)
-    floor: float  # MARGINAL_FLOOR * marginal
+    marginal: float  # the marginal variance
+    floor: float  # MARGINAL_FLOOR * marginal, 0.0 with no latent grid
 
 
 class ConvolutionPrior:
@@ -258,6 +261,10 @@ class ConvolutionPrior:
     matrices. A caller that keeps ``W`` for its points (the per-process
     workspace does) pays only for the projection of a new point, O(J) per
     latent function, not for the whole point set again.
+
+    On an empty grid (J = 0, ``independent_prior``) the projections are
+    empty, the mean is zero and the covariance the unfloored sum of the
+    output Gram matrices: the independent model.
     """
 
     def __init__(self, values, factors):
@@ -325,10 +332,12 @@ class ConvolutionPrior:
         The residual is a difference of same-sized terms; when the grid
         resolves the kernels it collapses into cancellation noise, so the
         floor is relative to the marginal (pre-subtraction) variance rather
-        than the residual's own scale.
+        than the residual's own scale. With no latent grid nothing is
+        subtracted, and nothing is added.
         """
         C = 0.5 * (C + C.T)
-        floor = MARGINAL_FLOOR * self._marginal_var(kappa, theta)
+        # J read from the values: this runs on every Hamiltonian energy
+        floor = MARGINAL_FLOOR * self._marginal_var(kappa, theta) if self.values.shape[1] else 0.0
         if floor > 0 and C.shape[0]:
             C.reshape(-1)[:: C.shape[0] + 1] += floor  # a view: C is new and C-contiguous
         return C
@@ -347,7 +356,7 @@ class ConvolutionPrior:
             kappa, theta, kappa**2, variances,
             tuple((2.0 * np.pi * v) ** -0.5 for v in variances),
             [2.0 * theta + f.phi for f in self.factors],
-            marginal, MARGINAL_FLOOR * marginal,
+            marginal, MARGINAL_FLOOR * marginal if self.values.shape[1] else 0.0,
         )
 
     def site(self, x, xx: float, pts, zz, W, s: SiteScalars):
@@ -471,57 +480,14 @@ class ConvolutionPrior:
                          for f, a in zip(self.factors, self._alphas)])
 
 
-class IndependentPrior:
-    """Plain zero-mean GP prior for the uncoupled single-process model.
-
-    Squared-exponential covariance parameterized the same way as the
-    coupled model's marginal, ``kappa^2 N(x; x', 2*theta + phi0)``, with a
-    fixed smoothing variance ``phi0``.
-    """
-
-    def __init__(self, phi0: float = 0.01, dim: int = 1):
-        if phi0 <= 0:
-            raise ValidationError("phi0 must be positive")
-        self.phi0 = float(phi0)
-        self.dim = dim
-
-    def project(self, X, theta: float) -> np.ndarray:
-        """No latent grid: an empty (0, n) projection."""
-        return np.zeros((0, np.asarray(X).shape[0]))
-
-    def mean(self, X, W, kappa: float) -> np.ndarray:
-        return np.zeros(np.asarray(X).shape[0])
-
-    def cov(self, A, WA, B, WB, kappa: float, theta: float) -> np.ndarray:
-        return kappa**2 * gauss_gram(A, B, 2.0 * theta + self.phi0)
-
-    def mean_cov(self, X, kappa: float, theta: float, W):
-        return self.mean(X, W, kappa), self.cov(X, W, X, W, kappa, theta)
-
-    def site_scalars(self, kappa: float, theta: float) -> SiteScalars:
-        """What ``site`` reads of ``kappa`` and ``theta``."""
-        var = kappa**2 * (2.0 * np.pi * (2.0 * theta + self.phi0)) ** (-0.5 * self.dim)
-        return SiteScalars(kappa, theta, kappa**2, (), (), (2.0 * theta + self.phi0,), var, 0.0)
-
-    def site(self, x, xx: float, pts, zz, W, s: SiteScalars):
-        """Empty projection, zero mean, the marginal variance and the
-        covariance row at one new site (see ``ConvolutionPrior.site``)."""
-        ks = gauss_gram_sum(x, xx, pts, zz, s.gram_variances)
-        ks *= s.kappa2
-        return np.zeros((0, 1)), 0.0, s.marginal, ks.ravel()
-
-    def extend(self, X, pts, W, a, kappa: float, theta: float) -> np.ndarray:
-        """``mean(X) + cov(X, pts) @ a``; ``X`` is a point array or a ``ProductGrid``."""
-        return kappa**2 * gram_matvec(X, pts, 2.0 * theta + self.phi0, a)
-
-    def mean_cov_grads(self, X, kappa: float, theta: float):
-        """See ``ConvolutionPrior.mean_cov_grads``; the mean and its
-        derivatives are one zero array."""
-        X = np.asarray(X, dtype=float)
-        G, dG = gauss_gram_dv(X, X, 2.0 * theta + self.phi0)
-        C = kappa**2 * G
-        zero = np.zeros(X.shape[0])
-        return zero, C, (zero, zero), (2.0 * C, kappa**2 * theta * 2.0 * dG)
+def independent_prior(phi0: float, dim: int) -> ConvolutionPrior:
+    """The prior of the uncoupled model: one latent function of variance
+    ``phi0`` on an empty ``dim``-dimensional grid. Its projections are
+    empty, so each process's function is a zero-mean GP with the coupled
+    model's marginal covariance ``kappa^2 N(x; x', 2 theta + phi0)``,
+    unfloored."""
+    empty = ProductGrid([np.zeros(0)] * dim)
+    return ConvolutionPrior(np.zeros((1, 0)), [LatentFactor(empty, phi0)])
 
 
 def latent_posterior(spaces, prior: ConvolutionPrior, A_list) -> tuple[np.ndarray, np.ndarray]:

@@ -10,8 +10,9 @@ draws; a copy of a chain continues exactly as the chain would.
 A chain's retained draws are columnar: ``Draws`` holds one set of arrays
 per chain, each field stacked over the draws, not a ``PosteriorSample``
 with its own arrays per draw. Each ``PosteriorSample`` taken from it is a
-read-only view of one draw. Plain sequences of ``PosteriorSample`` are
-valid input wherever draws are read.
+read-only view of one draw. Prediction and the archive take any
+sequence of ``PosteriorSample``; ``diagnostics`` reads the traces from
+the columns of ``Draws``.
 
 Each latent function's variance and grid live only in its
 ``convolution.LatentFactor``, which factors the latent Gram matrix per
@@ -38,8 +39,8 @@ import numpy as np
 
 from .convolution import (
     ConvolutionPrior,
-    IndependentPrior,
     LatentFactor,
+    independent_prior,
     latent_grid,
     phi_mh_update,
     sample_latent_posterior,
@@ -80,6 +81,11 @@ class RunConfig:
     The latent grid extends past the region by ``convolution.GRID_PAD``
     of its length per side, and a point takes the lowest ladder level
     whose ``thinning.SLACK`` fraction covers its sigmoid.
+
+    ``independent`` fits each process on its own: the conditional prior on
+    an empty latent grid (``convolution.independent_prior``), its one
+    latent variance fixed at ``exp(priors.phi_log_mean)``; ``n_latent``
+    and ``grid_per_axis`` are then not read.
     """
 
     n_iters: int = 1000
@@ -290,7 +296,7 @@ class ChainState:
 
     states: list
     contexts: list
-    prior: ConvolutionPrior | IndependentPrior
+    prior: ConvolutionPrior
     streams: list
     hmc_step: _StepSize
     phi_step: _StepSize
@@ -300,7 +306,7 @@ class ChainState:
     def sample(self) -> PosteriorSample:
         """The current state as the draw of the last sweep, holding arrays
         that no sweep writes in place (see ``sgcp``), not copies."""
-        coupled = isinstance(self.prior, ConvolutionPrior)
+        coupled = self.prior.values.shape[1] > 0  # has a latent grid
         return PosteriorSample(
             iteration=self.sweeps - 1,
             thinned=[s.thinned for s in self.states],
@@ -332,7 +338,7 @@ def start_chain(data, region: Region, config: RunConfig) -> ChainState:
         for s in np.random.SeedSequence(config.seed).spawn(n_proc + 1)
     ]
     if config.independent:
-        prior = IndependentPrior(np.exp(priors.phi_log_mean), region.dim)
+        prior = independent_prior(np.exp(priors.phi_log_mean), region.dim)
     else:
         # every latent function starts at the same variance: one factor serves all
         factor = LatentFactor(latent_grid(region, config.grid_per_axis), np.exp(priors.phi_log_mean))
@@ -362,8 +368,9 @@ def start_chain(data, region: Region, config: RunConfig) -> ChainState:
 
 def sweep(chain: ChainState, region: Region, config: RunConfig) -> None:
     """One sweep: the five kernels of each process with its own stream,
-    then, for a coupled prior, the latent stage with the latent stream.
-    The steps adapt while fewer than ``config.burn_in`` sweeps are done."""
+    then, for a prior with a latent grid, the latent stage with the latent
+    stream. The steps adapt while fewer than ``config.burn_in`` sweeps are
+    done."""
     it, ladder, priors = chain.sweeps, config.ladder, config.priors
     t0 = time.perf_counter()
     accepted, accept_prob = np.zeros((2, len(chain.states)))
@@ -385,7 +392,7 @@ def sweep(chain: ChainState, region: Region, config: RunConfig) -> None:
     chain.timings["process_updates"] += t1 - t0
 
     prior = chain.prior
-    if isinstance(prior, ConvolutionPrior):
+    if prior.values.shape[1]:  # a latent grid: the latent stage
         states, contexts, rng = chain.states, chain.contexts, chain.streams[-1]
         try:
             # each process's workspace and one coupling matrix serve both
@@ -445,7 +452,7 @@ def _sample_priors(samples, region: Region, config: RunConfig):
     """Yield each sample with its conditional prior in turn, reusing a latent
     factor from one sample to the next while the latent variances stay put."""
     if config.independent:
-        prior = IndependentPrior(np.exp(config.priors.phi_log_mean), region.dim)
+        prior = independent_prior(np.exp(config.priors.phi_log_mean), region.dim)
         for s in samples:
             yield s, prior
         return
@@ -584,17 +591,16 @@ def split_psrf(trace) -> float:
     return float(max(1.0, np.sqrt(var_plus / w)))
 
 
-def diagnostics(samples) -> dict:
-    """Trace statistics per process for the bound and the mean function value."""
-    if len(samples) < 2:
+def diagnostics(draws: Draws) -> dict:
+    """Trace statistics per process for the bound and the mean function
+    value (0.0 for a draw with no points), read from the columns."""
+    if len(draws) < 2:
         raise ValidationError("diagnostics need at least two samples")
-    n_proc = samples[0].lambda_stars.size
     rows = []
-    for d in range(n_proc):
-        lam = np.array([s.lambda_stars[d] for s in samples])
-        gm = np.array(
-            [s.g_values[d].mean() if s.g_values[d].size else 0.0 for s in samples]
-        )
+    for d, g in enumerate(draws.g_flat):
+        lam = draws.lambda_stars[:, d]
+        cuts = draws.g_offsets[:, d].tolist()
+        gm = np.array([g[a:b].mean() if b > a else 0.0 for a, b in zip(cuts, cuts[1:])])
         rows.append(
             {
                 "process": d,
@@ -604,4 +610,4 @@ def diagnostics(samples) -> dict:
                 "psrf_g_mean": split_psrf(gm),
             }
         )
-    return {"processes": rows, "n_samples": len(samples)}
+    return {"processes": rows, "n_samples": len(draws)}

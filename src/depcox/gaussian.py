@@ -276,6 +276,8 @@ def _kron_apply(mats: list, v: np.ndarray) -> np.ndarray:
     in ``ij`` order: shape (prod n_a,) or (prod n_a, k)."""
     if len(mats) == 1:
         return mats[0] @ v
+    if v.size == 0:  # reshape cannot infer an axis of an empty array
+        return np.zeros((int(np.prod([m.shape[0] for m in mats])), *v.shape[1:]))
     t, before = v, 1
     for m in mats:  # axis by axis, as one matrix product per slab of the others
         t = m @ t.reshape(before, m.shape[1], -1)

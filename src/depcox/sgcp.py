@@ -339,11 +339,8 @@ def _same_factors(a, b) -> bool:
     """Whether two priors share their latent factors, object for object."""
     if a is b:
         return True
-    fa, fb = getattr(a, "factors", None), getattr(b, "factors", None)
-    return (
-        fa is not None and fb is not None and len(fa) == len(fb)
-        and all(x is y for x, y in zip(fa, fb))
-    )
+    fa, fb = a.factors, b.factors
+    return len(fa) == len(fb) and all(x is y for x, y in zip(fa, fb))
 
 
 def _without(a: np.ndarray, i: int) -> np.ndarray:
@@ -446,7 +443,8 @@ class _Workspace:
     the points and, for a full conditional, ``L^{-1} ks``. The kernels
     pass the proposal to ``append`` or ``update_point``, which read the new
     row of ``C`` and the new row of the factor from it; nothing about a
-    site is kept between calls. Priors without a latent grid project to an
+    site is kept between calls. A prior on an empty latent grid (the
+    independent model, ``convolution.independent_prior``) projects to an
     empty (0, n) ``W``.
 
     Lifetime: one workspace per process lives for the whole chain, owned

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg import lapack, solve_triangular
 from scipy.special import expit
 
-from depcox.convolution import MARGINAL_FLOOR, ConvolutionPrior, IndependentPrior, LatentFactor, SiteScalars
+from depcox.convolution import MARGINAL_FLOOR, ConvolutionPrior, LatentFactor, SiteScalars
 from depcox.errors import NumericalError, ValidationError
 from depcox.gaussian import (
     JITTER_SCALE,
@@ -292,16 +292,17 @@ def site_and_row(prior, x, pts, W, kappa: float, theta: float):
     """A new site's projection, prior mean, floored variance and residual
     covariance row with ``pts`` (projection ``W``), as ``prior.site``
     once computed the first three and ``prior.cov`` the row: through
-    ``whiten``, ``mean``, ``_marginal_var_numpy`` and ``gauss_gram``."""
+    ``whiten``, ``mean``, ``_marginal_var_numpy`` and ``gauss_gram``; on
+    an empty latent grid, as the independent prior once did."""
     x = np.asarray(x, dtype=float).reshape(1, -1)
-    if isinstance(prior, ConvolutionPrior):
+    if prior.grid.size:
         w = np.concatenate([f.whiten(x, theta + f.phi) for f in prior.factors])
         marginal = _marginal_var_numpy(prior, kappa, theta)
         var = marginal - kappa**2 * float(w[:, 0] @ w[:, 0]) + MARGINAL_FLOOR * marginal
         mean = float(prior.mean(x, w, kappa)[0])
-    else:  # IndependentPrior
+    else:  # an empty grid: no projection, zero mean, unfloored marginal
         w, mean = np.zeros((0, 1)), 0.0
-        var = kappa**2 * (2.0 * np.pi * (2.0 * theta + prior.phi0)) ** (-0.5 * prior.dim)
+        var = kappa**2 * (2.0 * np.pi * (2.0 * theta + prior.factors[0].phi)) ** (-0.5 * prior.dim)
     return w, mean, var, prior.cov(x, w, pts, W, kappa, theta).ravel()
 
 
@@ -406,15 +407,16 @@ def _whiten_dv_again(factor, X, variance: float):
 
 
 def mean_cov_grads_stacked(prior, X, kappa: float, theta: float):
-    """``mean_cov_grads`` of a ``ConvolutionPrior`` or an
-    ``IndependentPrior`` as it once was: sums started from zero matrices,
-    ``W^T dW`` formed beside ``dW^T W``, the blocks of the latent functions
-    concatenated and the derivatives stacked into (2, n) and (2, n, n)
-    arrays, through ``axis_gram_dv_again`` and ``gauss_gram_dv_broadcast``."""
+    """``mean_cov_grads`` of a ``ConvolutionPrior`` as it once was: sums
+    started from zero matrices, ``W^T dW`` formed beside ``dW^T W``, the
+    blocks of the latent functions concatenated and the derivatives
+    stacked into (2, n) and (2, n, n) arrays, through
+    ``axis_gram_dv_again`` and ``gauss_gram_dv_broadcast``; on an empty
+    latent grid, as the independent prior once formed them."""
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
-    if isinstance(prior, IndependentPrior):
-        G, dG = gauss_gram_dv_broadcast(X, X, 2.0 * theta + prior.phi0)
+    if prior.grid.size == 0:
+        G, dG = gauss_gram_dv_broadcast(X, X, 2.0 * theta + prior.factors[0].phi)
         C = kappa**2 * G
         dC = np.stack([2.0 * C, kappa**2 * theta * 2.0 * dG])
         return np.zeros(n), C, np.zeros((2, n)), dC

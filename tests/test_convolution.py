@@ -7,8 +7,8 @@ from scipy.linalg import block_diag
 
 from depcox.convolution import (
     ConvolutionPrior,
-    IndependentPrior,
     LatentFactor,
+    independent_prior,
     latent_grid,
     latent_logpost,
     latent_posterior,
@@ -23,6 +23,7 @@ from depcox.gaussian import (
     cholesky_with_jitter,
     gauss_gram,
     gauss_gram_dv,
+    gram_matvec,
     mvn_sample,
     sq_norm,
 )
@@ -182,7 +183,7 @@ class TestConditionalPrior:
         kappa, theta = 0.9, 0.01
         pts, X = rng.uniform(size=(6, 2)), rng.uniform(size=(9, 2))
         a = rng.standard_normal(6)
-        for prior in (coupled, IndependentPrior(0.02, dim=2)):
+        for prior in (coupled, independent_prior(0.02, 2)):
             W = prior.project(pts, theta)
             WX = prior.project(X, theta)
             want = prior.mean(X, WX, kappa) + prior.cov(X, WX, pts, W, kappa, theta) @ a
@@ -195,7 +196,7 @@ class TestConditionalPrior:
         kappa, theta = 0.9, 0.01
         priors = (
             coupled,
-            IndependentPrior(0.02, dim=2),
+            independent_prior(0.02, 2),
             FixedFunctionPrior(lambda X: X[:, 0] - X[:, 1], dim=2),
         )
         pts = rng.uniform(size=(3, 2))
@@ -211,7 +212,7 @@ class TestConditionalPrior:
 
     def test_independent_prior_grads(self):
         rng = np.random.default_rng(3)
-        prior = IndependentPrior(0.05)
+        prior = independent_prior(0.05, 1)
         X = rng.uniform(0, 1, size=(4, 1))
         kappa, theta = 0.8, 0.03
         _, C, _, dC = prior.mean_cov_grads(X, kappa, theta)
@@ -221,6 +222,46 @@ class TestConditionalPrior:
         _, C_m = prior.mean_cov(X, kappa, theta * np.exp(-h), W)
         np.testing.assert_allclose(dC[1], (C_p - C_m) / (2 * h), atol=1e-5)
         np.testing.assert_allclose(dC[0], 2 * C, atol=1e-12)
+
+
+class TestEmptyGrid:
+    """The prior on an empty latent grid gives the closed forms of the
+    independent model, a zero-mean GP with covariance ``kappa^2 N(x; x',
+    2 theta + phi0)``, bit for bit and with no floor."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_matches_the_independent_closed_forms(self, dim):
+        rng = np.random.default_rng(60 + dim)
+        phi0, kappa, theta = 0.03, 1.3, 0.02
+        v = 2.0 * theta + phi0
+        prior = independent_prior(phi0, dim)
+        X, pts, a = rng.uniform(size=(7, dim)), rng.uniform(size=(5, dim)), rng.standard_normal(5)
+        W, WX = prior.project(pts, theta), prior.project(X, theta)
+        assert W.shape == (0, 5) and WX.shape == (0, 7)
+
+        zeros = np.zeros(7).tobytes()
+        m, C = prior.mean_cov(X, kappa, theta, WX)
+        C0 = kappa**2 * gauss_gram(X, X, v)
+        assert m.tobytes() == zeros and C.tobytes() == C0.tobytes()
+
+        x = X[:1]
+        w, mean, var, ks = prior.site(x, sq_norm(x), pts, (pts * pts).sum(1), W, prior.site_scalars(kappa, theta))
+        assert w.shape == (0, 1) and np.float64(mean).tobytes() == np.float64(0.0).tobytes()
+        assert var == kappa**2 * (2.0 * np.pi * v) ** (-0.5 * dim)
+        assert ks.tobytes() == (kappa**2 * gauss_gram(x, pts, v)).ravel().tobytes()
+
+        m, C, dm, dC = prior.mean_cov_grads(X, kappa, theta)
+        G, dG = gauss_gram_dv(X, X, v)
+        C0 = kappa**2 * G
+        assert m.tobytes() == dm[0].tobytes() == dm[1].tobytes() == zeros
+        assert C.tobytes() == C0.tobytes()
+        assert dC[0].tobytes() == (2.0 * C0).tobytes()
+        assert dC[1].tobytes() == (kappa**2 * theta * 2.0 * dG).tobytes()
+
+        target = ProductGrid([np.linspace(0.0, 1.0, 3 + k) for k in range(dim)])
+        for T in (X, target):  # equal up to the sign of zero
+            np.testing.assert_array_equal(prior.extend(T, pts, W, a, kappa, theta),
+                                          kappa**2 * gram_matvec(T, pts, v, a))
 
 
 class TestSite:
@@ -238,7 +279,7 @@ class TestSite:
         )
         kappa, theta = rng.uniform(0.5, 2.0), rng.uniform(0.005, 0.05)
         pts = rng.uniform(-0.1, 1.1, size=(n, dim))
-        for prior in (coupled, IndependentPrior(0.02, dim=dim)):
+        for prior in (coupled, independent_prior(0.02, dim)):
             W = prior.project(pts, theta)
             for x in rng.uniform(-0.1, 1.1, size=(4, 1, dim)):
                 got = prior.site(x, sq_norm(x), pts, (pts * pts).sum(1), W, prior.site_scalars(kappa, theta))

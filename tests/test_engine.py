@@ -163,11 +163,10 @@ class TestRunChain:
             n_iters=8, burn_in=0, n_latent=2, grid_per_axis=6, seed=6, independent=independent
         )
         fast = run_chain_with_info(data, region, cfg)[0]
-        for cls in (depcox.convolution.ConvolutionPrior, depcox.convolution.IndependentPrior):
-            monkeypatch.setattr(
-                cls, "site", lambda prior, x, xx, pts, zz, W, s:
-                site_and_row(prior, x, pts, W, s.kappa, s.theta)
-            )
+        monkeypatch.setattr(
+            depcox.convolution.ConvolutionPrior, "site", lambda prior, x, xx, pts, zz, W, s:
+            site_and_row(prior, x, pts, W, s.kappa, s.theta)
+        )
         chol = depcox.sgcp.cholesky_with_jitter
         monkeypatch.setattr(depcox.sgcp, "cholesky_with_jitter", lambda cov, symmetric=False: chol(cov))
         oracle = run_chain_with_info(data, region, cfg)[0]
@@ -208,8 +207,7 @@ class TestRunChain:
 
         monkeypatch.setattr(depcox.sgcp, "_hyper_energy", energy)
         monkeypatch.setattr(depcox.sgcp, "point_loglik", loglik)
-        for cls in (depcox.convolution.ConvolutionPrior, depcox.convolution.IndependentPrior):
-            monkeypatch.setattr(cls, "mean_cov_grads", mean_cov_grads_stacked)
+        monkeypatch.setattr(depcox.convolution.ConvolutionPrior, "mean_cov_grads", mean_cov_grads_stacked)
         oracle = run_chain_with_info(data, region, cfg)[0]
         assert calls["energy"] > 8 and calls["loglik"] > 8  # energies evaluated in range
         assert len(fast) == len(oracle) == 8
@@ -914,6 +912,22 @@ class TestDiagnostics:
         for row in report["processes"]:
             assert np.isfinite(row["ess_lambda_star"])
             assert row["psrf_lambda_star"] >= 1.0 or row["psrf_lambda_star"] == 1.0
+
+    def test_diagnostics_read_the_columns_as_the_traces_of_the_draws(self):
+        # process 1 has no events, so some of its draws hold no points at
+        # all and their g mean is 0.0
+        data, _ = _toy_data()
+        draws = run_chain_with_info([data[0], np.zeros((0, 1))], UNIT,
+                                    _small_config(n_iters=30, burn_in=0, seed=0))[0]
+        assert 0 < sum(s.g_values[1].size > 0 for s in draws) < len(draws)
+        rows = []
+        for d in range(2):
+            lam = np.array([s.lambda_stars[d] for s in draws])
+            gm = np.array([s.g_values[d].mean() if s.g_values[d].size else 0.0 for s in draws])
+            rows.append({"process": d,
+                         "ess_lambda_star": effective_sample_size(lam), "psrf_lambda_star": split_psrf(lam),
+                         "ess_g_mean": effective_sample_size(gm), "psrf_g_mean": split_psrf(gm)})
+        assert diagnostics(draws) == {"processes": rows, "n_samples": 30}
 
     def test_diagnostics_need_two_samples(self):
         data, _ = _toy_data()

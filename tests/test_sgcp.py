@@ -12,8 +12,8 @@ import depcox.convolution
 import depcox.sgcp
 from depcox.convolution import (
     ConvolutionPrior,
-    IndependentPrior,
     LatentFactor,
+    independent_prior,
     latent_grid,
 )
 from depcox.errors import ValidationError
@@ -269,7 +269,7 @@ class TestWorkspace:
     def _setup(self, n=6, seed=1):
         rng = np.random.default_rng(seed)
         data = rng.uniform(size=(n, 1))
-        ctx = GpContext(data, IndependentPrior(0.05))
+        ctx = GpContext(data, independent_prior(0.05, 1))
         state = _empty_state(n_data=n, kappa=1.2, theta=0.04)
         state.g_values = rng.standard_normal(n)
         return ctx, state, rng
@@ -806,14 +806,14 @@ class TestMoveStep:
 class TestEllipticalSlice:
     def test_empty_state_is_noop(self):
         state = _empty_state()
-        ctx = GpContext(np.zeros((0, 1)), IndependentPrior(0.05))
+        ctx = GpContext(np.zeros((0, 1)), independent_prior(0.05, 1))
         out = ess_function_update(state, ctx, SINGLE, np.random.default_rng(0))
         assert out.g_values.size == 0
 
     def test_fixed_seed_is_deterministic(self):
         state = _empty_state(n_data=4)
         state.g_values = np.array([0.1, -0.2, 0.3, 0.0])
-        ctx = GpContext(np.array([[0.1], [0.4], [0.5], [0.9]]), IndependentPrior(0.05))
+        ctx = GpContext(np.array([[0.1], [0.4], [0.5], [0.9]]), independent_prior(0.05, 1))
         a = ess_function_update(state, ctx, SINGLE, np.random.default_rng(11))
         b = ess_function_update(state, ctx, SINGLE, np.random.default_rng(11))
         np.testing.assert_array_equal(a.g_values, b.g_values)
@@ -836,7 +836,7 @@ class TestEllipticalSlice:
     def test_raises_on_invalid_state(self):
         state = _empty_state()
         append_thinned(state, [0.5], 3.0, 0)  # violates the half level
-        ctx = GpContext(np.zeros((0, 1)), IndependentPrior(0.05))
+        ctx = GpContext(np.zeros((0, 1)), independent_prior(0.05, 1))
         with pytest.raises(ValidationError):
             ess_function_update(state, ctx, TWO_LEVEL, np.random.default_rng(0))
 
@@ -844,7 +844,7 @@ class TestEllipticalSlice:
         # the kernel draws its ellipse through the workspace's factor of C
         # and slices around the workspace's mean, with one random stream
         rng = np.random.default_rng(16)
-        ctx = GpContext(rng.uniform(size=(5, 1)), IndependentPrior(0.05))
+        ctx = GpContext(rng.uniform(size=(5, 1)), independent_prior(0.05, 1))
         state = _empty_state(n_data=5, kappa=1.2, theta=0.04)
         state.g_values = rng.standard_normal(5)
         append_thinned(state, [0.3], -1.0, 0)
@@ -899,7 +899,7 @@ class TestHmcHyperUpdate:
     def test_zero_step_size_keeps_hypers(self):
         state = _empty_state(n_data=3)
         state.g_values = np.array([0.5, -0.5, 0.2])
-        ctx = GpContext(np.random.default_rng(0).uniform(size=(3, 1)), IndependentPrior(0.05))
+        ctx = GpContext(np.random.default_rng(0).uniform(size=(3, 1)), independent_prior(0.05, 1))
         out, _, _ = hmc_hyper_update(state, ctx, PriorConfig(), np.random.default_rng(1), step_size=0.0)
         assert out.kappa == state.kappa
         assert out.theta == state.theta
@@ -907,7 +907,7 @@ class TestHmcHyperUpdate:
     def test_prior_target_with_no_points(self):
         # with no function values the target is the log-normal prior itself
         priors = PriorConfig(kappa_log_mean=0.3, kappa_log_sd=0.7)
-        ctx = GpContext(np.zeros((0, 1)), IndependentPrior(0.05))
+        ctx = GpContext(np.zeros((0, 1)), independent_prior(0.05, 1))
         state = _empty_state()
         rng = np.random.default_rng(13)
         draws = np.empty(3000)
@@ -920,7 +920,7 @@ class TestHmcHyperUpdate:
     def test_fixed_seed_is_deterministic(self):
         state = _empty_state(n_data=3)
         state.g_values = np.array([0.5, -0.5, 0.2])
-        ctx = GpContext(np.random.default_rng(0).uniform(size=(3, 1)), IndependentPrior(0.05))
+        ctx = GpContext(np.random.default_rng(0).uniform(size=(3, 1)), independent_prior(0.05, 1))
         a, _, _ = hmc_hyper_update(state, ctx, PriorConfig(), np.random.default_rng(2), 0.2)
         b, _, _ = hmc_hyper_update(state, ctx, PriorConfig(), np.random.default_rng(2), 0.2)
         assert a.kappa == b.kappa and a.theta == b.theta
@@ -930,7 +930,7 @@ class TestHmcHyperUpdate:
         # made to evaluate them again, it gives the same transition
         state = _empty_state(n_data=3)
         state.g_values = np.array([0.5, -0.5, 0.2])
-        ctx = GpContext(np.random.default_rng(0).uniform(size=(3, 1)), IndependentPrior(0.05))
+        ctx = GpContext(np.random.default_rng(0).uniform(size=(3, 1)), independent_prior(0.05, 1))
         calls = []
         energy = depcox.sgcp._hyper_energy
         monkeypatch.setattr(depcox.sgcp, "_hyper_energy", lambda *a: calls.append(1) or energy(*a))
@@ -962,7 +962,7 @@ class TestHyperEnergy:
         prior = (
             ConvolutionPrior(rng.standard_normal((1, 4)), [LatentFactor(grid, 0.02)])
             if coupled
-            else IndependentPrior(0.02)
+            else independent_prior(0.02, 1)
         )
         rho, h = np.log([0.8, 0.01]), 1e-5
         _, grad = _hyper_energy(prior, pts, g, rho, priors)
@@ -991,7 +991,7 @@ class TestHyperEnergyBits:
     @staticmethod
     def _prior(kind, dim, rng, per_axis=4, phis=(0.02, 0.05)):
         if kind == "independent":
-            return IndependentPrior(0.02, dim=dim)
+            return independent_prior(0.02, dim)
         grid = latent_grid(Region([0.0] * dim, [1.0] * dim), per_axis)
         phis = list(phis[: 1 if kind == "one" else 2])
         return ConvolutionPrior(rng.standard_normal((len(phis), grid.size)), [LatentFactor(grid, phi) for phi in phis])
@@ -1077,7 +1077,7 @@ class TestFullSweepInvariants:
     def test_levels_hold_after_every_kernel(self):
         rng = np.random.default_rng(15)
         data = rng.uniform(size=(12, 1))
-        ctx = GpContext(data, IndependentPrior(0.05))
+        ctx = GpContext(data, independent_prior(0.05, 1))
         priors = PriorConfig(theta_log_mean=np.log(0.05))
         state = _empty_state(lam=25.0, n_data=12, theta=0.05)
         state.g_values = rng.standard_normal(12) * 0.5
