@@ -151,7 +151,7 @@ def _model_rows(model, samples, run, region, train, test, quad, truth):
     integrals = np.empty((len(samples), len(test)))
     at_events = np.empty((len(samples), len(test), len(X)))
     lam_sum = np.zeros((len(test), n_nodes))
-    for i, lam in enumerate(intensity_rows(samples, X, train, region, run, quad.grid)):
+    for i, (_, lam) in enumerate(intensity_rows(samples, X, train, region, run, quad.grid)):
         integrals[i] = quad.integrate(lam[:, :n_nodes])
         at_events[i] = lam[:, n_nodes:]
         if truth is not None:

@@ -9,10 +9,11 @@ draws; a copy of a chain continues exactly as the chain would.
 
 A chain's retained draws are columnar: ``Draws`` holds one set of arrays
 per chain, each field stacked over the draws, not a ``PosteriorSample``
-with its own arrays per draw. Each ``PosteriorSample`` taken from it is a
-read-only view of one draw. Prediction and the archive take any
-sequence of ``PosteriorSample``; ``diagnostics`` reads the traces from
-the columns of ``Draws``.
+with its own arrays per draw, filled as the chain runs. Each
+``PosteriorSample`` taken from it is a read-only view of one draw;
+``diagnostics`` reads the traces from the columns. Prediction is one
+loop, ``intensity_rows``, which ``summarize``, ``intensity_samples`` and
+eval reduce.
 
 Each latent function's variance and grid live only in its
 ``convolution.LatentFactor``, which factors the latent Gram matrix per
@@ -131,59 +132,74 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _put(flat: np.ndarray, start: int, piece: np.ndarray) -> np.ndarray:
+    """``flat`` with ``piece`` at row ``start``: in a copy twice as long if it lacks room."""
+    end = start + len(piece)
+    if end > len(flat):
+        grown = np.empty((max(end, 2 * len(flat)), *flat.shape[1:]), flat.dtype)
+        grown[:start] = flat[:start]
+        flat = grown
+    flat[start:end] = piece
+    return flat
+
+
 class Draws(Sequence):
-    """A chain's retained draws, stored by column.
+    """A chain's retained draws, stored by column: ``Draws(n)`` is an
+    empty store for ``n`` draws, and ``append`` copies in the next. The
+    sampler appends each retained sweep's draw as the chain runs, and
+    ``io.load_archive`` each record as it reads it.
 
-    ``iteration`` is (S,); ``lambda_stars``, ``kappas`` and ``thetas`` are
-    (S, D), ``phis`` (S, Q) and ``latent_values`` (S, Q, J). Each process
-    ``d``'s thinned points, levels and function values over all draws are
-    one flat array each, ``thinned_flat[d]``, ``rate_idx_flat[d]`` and
-    ``g_flat[d]``, draw ``i``'s part running from row ``i`` to row
-    ``i + 1`` of column ``d`` of ``thinned_offsets`` (points and levels)
-    or ``g_offsets`` (function values). So a chain holds a fixed number of
-    arrays however many draws it keeps, not a ``PosteriorSample`` with its
-    arrays per draw.
-
-    ``draws[i]`` and iteration give a ``PosteriorSample`` of views into
-    the columns, which are read-only; a slice gives a list of them.
+    ``iteration`` is (n,); ``lambda_stars``, ``kappas`` and ``thetas`` are
+    (n, D), ``phis`` (n, Q) and ``latent_values`` (n, Q, J), at the first
+    draw's shapes. Each process ``d``'s thinned points, levels and
+    function values over all draws are one flat array each,
+    ``thinned_flat[d]``, ``rate_idx_flat[d]`` and ``g_flat[d]``, draw
+    ``i``'s part running from row ``i`` to row ``i + 1`` of column ``d``
+    of ``thinned_offsets`` (points and levels) or ``g_offsets`` (function
+    values). A flat array doubles when a draw does not fit and is cut to
+    its length at the ``n``-th draw, which makes every column read-only.
+    So a chain holds a fixed number of arrays however many draws it keeps;
+    ``draws[i]`` and iteration give a ``PosteriorSample`` of views.
     """
 
-    def __init__(self, samples):
-        """The columns of the ``PosteriorSample`` sequence ``samples``, all
-        of one chain: the same processes, dimension and latent grid."""
-        n = len(samples)
-        # no draws: no processes and no latent functions
-        first = samples[0] if n else PosteriorSample(0, *[np.zeros(0)] * 4, np.zeros((0, 0)), [], [], [])
-        n_proc = len(first.lambda_stars)
+    _COLUMNS = ("iteration", "lambda_stars", "kappas", "thetas", "phis", "latent_values")
 
-        def column(name, shape):
-            return _frozen(np.array([getattr(s, name) for s in samples], dtype=float).reshape(n, *shape))
+    def __init__(self, n: int):
+        self._size, self._count = n, 0
 
-        def offsets(name):
-            """(S + 1, D): where each draw's part of each process's flat
-            array of the per-process field ``name`` starts."""
-            sizes = np.array([[len(a) for a in getattr(s, name)] for s in samples], dtype=int)
-            out = np.zeros((n + 1, n_proc), dtype=int)
-            np.cumsum(sizes.reshape(n, n_proc), axis=0, out=out[1:])
-            return _frozen(out)
-
-        self.iteration = _frozen(np.array([s.iteration for s in samples], dtype=int))
-        self.lambda_stars, self.kappas, self.thetas = (
-            column(name, (n_proc,)) for name in ("lambda_stars", "kappas", "thetas"))
-        self.phis = column("phis", first.phis.shape)
-        self.latent_values = column("latent_values", first.latent_values.shape)
-        self.thinned_flat, self.rate_idx_flat, self.g_flat = (
-            [_frozen(np.concatenate([getattr(s, name)[d] for s in samples])) for d in range(n_proc)]
-            for name in ("thinned", "rate_idx", "g_values")
-        )
-        self.thinned_offsets, self.g_offsets = offsets("rate_idx"), offsets("g_values")
+    def append(self, s: PosteriorSample) -> None:
+        """Copy in ``s``, of the processes, dimension and latent grid of
+        the draws before it, as the next draw."""
+        i, n = self._count, self._size
+        if i == 0:
+            n_proc = len(s.lambda_stars)
+            self.iteration = np.empty(n, dtype=int)
+            self.lambda_stars, self.kappas, self.thetas = (np.empty((n, n_proc)) for _ in range(3))
+            self.phis, self.latent_values = (np.empty((n, *a.shape)) for a in (s.phis, s.latent_values))
+            self.thinned_offsets, self.g_offsets = (np.zeros((n + 1, n_proc), dtype=int) for _ in range(2))
+            self.thinned_flat, self.rate_idx_flat, self.g_flat = (
+                [np.empty((0, *a.shape[1:]), a.dtype) for a in pieces]
+                for pieces in (s.thinned, s.rate_idx, s.g_values))
+        for name in self._COLUMNS:
+            getattr(self, name)[i] = getattr(s, name)
+        t, g = self.thinned_offsets, self.g_offsets
+        t[i + 1] = t[i] + [len(a) for a in s.rate_idx]
+        g[i + 1] = g[i] + [len(a) for a in s.g_values]
+        for d in range(t.shape[1]):
+            self.thinned_flat[d] = _put(self.thinned_flat[d], t[i, d], s.thinned[d])
+            self.rate_idx_flat[d] = _put(self.rate_idx_flat[d], t[i, d], s.rate_idx[d])
+            self.g_flat[d] = _put(self.g_flat[d], g[i, d], s.g_values[d])
+        self._count = i + 1
+        if self._count == n:
+            for flat, ends in ((self.thinned_flat, t[n]), (self.rate_idx_flat, t[n]), (self.g_flat, g[n])):
+                flat[:] = [_frozen(a[:end].copy()) for a, end in zip(flat, ends)]
+            for name in (*self._COLUMNS, "thinned_offsets", "g_offsets"):
+                _frozen(getattr(self, name))
 
     def __len__(self) -> int:
-        return self.iteration.size
+        return self._count
 
     def __getitem__(self, key):
-        if isinstance(key, slice):
-            return [self._draw(i) for i in range(*key.indices(len(self)))]
         i = operator.index(key)
         if i < 0:
             i += len(self)
@@ -420,16 +436,17 @@ def sweep(chain: ChainState, region: Region, config: RunConfig) -> None:
 
 def run_chain_with_info(data, region: Region, config: RunConfig):
     """Run the full sampler; returns the retained posterior samples, as
-    ``Draws``, and a ``RunInfo``. Its sweeps per second leave out
-    ``start_chain`` and count the columns' assembly."""
+    ``Draws``, and a ``RunInfo``. Each retained sweep's draw is appended to
+    the store as the chain runs; the sweeps per second leave out
+    ``start_chain`` and count that fill."""
     chain = start_chain(data, region, config)
-    samples = []
+    kept = range(config.burn_in, config.n_iters, config.thin_every)
+    draws = Draws(len(kept))
     t_start = time.perf_counter()
     for it in range(config.n_iters):
         sweep(chain, region, config)
-        if it >= config.burn_in and (it - config.burn_in) % config.thin_every == 0:
-            samples.append(chain.sample())
-    draws = Draws(samples)
+        if it in kept:
+            draws.append(chain.sample())
     elapsed = time.perf_counter() - t_start
     return draws, RunInfo(
         timings=chain.timings,
@@ -464,29 +481,6 @@ def _sample_priors(samples, region: Region, config: RunConfig):
         yield s, ConvolutionPrior(s.latent_values, factors)
 
 
-def _extensions(samples, targets, data, region: Region, config: RunConfig):
-    """Each sample's conditional function values at the ``targets``.
-
-    Yields ``(sample, prior, g)`` with ``g[d][t]`` the conditional mean of
-    process ``d``'s function at target ``t`` (a point array or a
-    ``ProductGrid``): ``m(X) + cov(X, pts) C^{-1} (g - m(pts))``. Each
-    sample and process gets one workspace, whose weights
-    ``C^{-1} (g - m(pts))`` extend to every target.
-    """
-    if len(samples) == 0:
-        raise ValidationError("at least one posterior sample required")
-    data = [d if isinstance(d, EventSet) else EventSet(d) for d in data]
-    for s, prior in _sample_priors(samples, region, config):
-        g = []
-        for d, ev in enumerate(data):
-            state = AugmentedState(s.thinned[d], s.rate_idx[d], s.g_values[d],
-                                   s.lambda_stars[d], s.kappas[d], s.thetas[d])
-            ws = GpContext(ev.points, prior).workspace(state)
-            a = ws.weights()
-            g.append([prior.extend(X, ws.pts, ws.W, a, ws.kappa, ws.theta) for X in targets])
-        yield s, prior, g
-
-
 def _accumulate(acc: np.ndarray, k: int, x: np.ndarray) -> None:
     """Add the ``k``-th sample ``x`` (``k`` from 1) to ``acc``: its running
     sum, running mean and sum of squared deviations from that mean, by
@@ -501,16 +495,19 @@ def _accumulate(acc: np.ndarray, k: int, x: np.ndarray) -> None:
 def summarize(samples, grid, data, region: Region, config: RunConfig) -> GridSummary:
     """Pointwise mean and standard deviation of the intensity of every
     process and of every latent function across posterior samples, at the
-    nodes of a ``ProductGrid`` or at a point array ``grid``."""
+    nodes of a ``ProductGrid`` or at a point array ``grid``: a running
+    reduction of ``intensity_rows``."""
     if isinstance(grid, ProductGrid):
         nodes = grid.nodes
+        rows = intensity_rows(samples, nodes[:0], data, region, config, grid)
     else:
         grid = nodes = _as_points(grid)
+        rows = intensity_rows(samples, nodes, data, region, config)
     n_latent = 0 if config.independent else config.n_latent
     lam_acc = np.zeros((3, len(data), len(nodes)))
     lat_acc = np.zeros((3, n_latent, len(nodes)))
-    for k, (s, prior, g) in enumerate(_extensions(samples, [grid], data, region, config), 1):
-        _accumulate(lam_acc, k, s.lambda_stars[:, None] * sigmoid_array(np.stack([g_d[0] for g_d in g])))
+    for k, (prior, lam) in enumerate(rows, 1):
+        _accumulate(lam_acc, k, lam)
         if n_latent:
             _accumulate(lat_acc, k, prior.latent_interpolant(grid))
     n = len(samples)
@@ -519,34 +516,44 @@ def summarize(samples, grid, data, region: Region, config: RunConfig) -> GridSum
 
 
 def intensity_rows(samples, X, data, region: Region, config: RunConfig, grid=None):
-    """Yield each sample's intensity of every process at arbitrary points,
-    (D, n), one sample at a time.
+    """Yield each sample's conditional prior and its intensity of every
+    process at the points ``X``, (D, n): the one loop that extends draws
+    to targets, which ``summarize``, ``intensity_samples`` and eval
+    reduce. Given a ``ProductGrid`` ``grid``, its N nodes come first,
+    (D, N + n).
 
-    The function value at a new point is the conditional mean given that
-    sample's state, extending each retained draw to the requested
-    locations. Given a ``ProductGrid`` ``grid``, its N nodes come first,
-    (D, N + n), from the same conditional as the points. A caller that
-    reduces over the samples holds one sample's intensities at a time.
+    A target's function value is the conditional mean given the sample's
+    state, ``m(X) + cov(X, pts) C^{-1} (g - m(pts))``: each sample and
+    process gets one workspace, whose weights ``C^{-1} (g - m(pts))``
+    extend to every target. A caller that reduces over the samples holds
+    one sample's intensities at a time.
     """
+    if len(samples) == 0:
+        raise ValidationError("at least one posterior sample required")
     X = _as_points(X)
+    data = [d if isinstance(d, EventSet) else EventSet(d) for d in data]
     n_grid = 0 if grid is None else grid.size
-    targets = [X] if grid is None else [grid, X]
-    spans = [slice(0, None)] if grid is None else [slice(0, n_grid), slice(n_grid, None)]
-    for s, _, g in _extensions(samples, targets, data, region, config):
+    targets = ([] if grid is None else [(grid, slice(0, n_grid))]) + [(X, slice(n_grid, None))]
+    for s, prior in _sample_priors(samples, region, config):
         lam = np.empty((len(data), n_grid + X.shape[0]))
-        for d, g_d in enumerate(g):
-            for g_t, span in zip(g_d, spans):  # each target straight into its part of the row
-                row = sigmoid_array(g_t, out=lam[d, span])
+        for d, ev in enumerate(data):
+            state = AugmentedState(s.thinned[d], s.rate_idx[d], s.g_values[d],
+                                   s.lambda_stars[d], s.kappas[d], s.thetas[d])
+            ws = GpContext(ev.points, prior).workspace(state)
+            a = ws.weights()
+            for target, span in targets:  # each target straight into its part of the row
+                g = prior.extend(target, ws.pts, ws.W, a, ws.kappa, ws.theta)
+                row = sigmoid_array(g, out=lam[d, span])
                 row *= s.lambda_stars[d]
-        yield lam
+        yield prior, lam
 
 
 def intensity_samples(samples, X, data, region: Region, config: RunConfig, grid=None) -> np.ndarray:
-    """The rows of ``intensity_rows`` for all samples at once, (S, D, n), or
-    (S, D, N + n) given a ``grid``."""
+    """The intensities of ``intensity_rows`` for all samples at once,
+    (S, D, n), or (S, D, N + n) given a ``grid``."""
     n = _as_points(X).shape[0] + (0 if grid is None else grid.size)
     out = np.empty((len(samples), len(data), n))
-    for i, lam in enumerate(intensity_rows(samples, X, data, region, config, grid)):
+    for i, (_, lam) in enumerate(intensity_rows(samples, X, data, region, config, grid)):
         out[i] = lam
     return out
 

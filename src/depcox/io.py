@@ -9,9 +9,10 @@ and a missing key takes the field's default, so the field names are the
 file format. Only the region, the ladder, the priors and a sample's
 per-process lists are spelled out.
 
-An archive's ``samples.jsonl`` holds one record per retained draw, and
-``load_archive`` returns the draws as the columnar ``engine.Draws``, as
-the sampler returns them: each ``PosteriorSample`` read from it is a
+An archive's ``samples.jsonl`` holds one record per retained draw.
+``load_archive`` sizes an ``engine.Draws`` by its non-blank records and
+appends each record as it is read and checked, as the sampler appends
+each retained sweep: each ``PosteriorSample`` read from it is a
 read-only view of one draw.
 """
 
@@ -312,20 +313,13 @@ def config_to_dict(cfg: ShellConfig) -> dict:
 # ---------------------------------------------------------------------------
 # ground-truth manifests
 
-def truth_to_manifest(truth: GroundTruth) -> dict:
-    return _to_json(truth)
-
-
-def truth_from_manifest(raw: dict) -> GroundTruth:
-    return GroundTruth(**_given(GroundTruth, raw) | {"region": _region(raw)})
-
-
 def save_truth(path, truth: GroundTruth) -> None:
-    Path(path).write_text(json.dumps(truth_to_manifest(truth), indent=1) + "\n")
+    Path(path).write_text(json.dumps(_to_json(truth), indent=1) + "\n")
 
 
 def load_truth(path) -> GroundTruth:
-    return truth_from_manifest(_read_json(path))
+    raw = _read_json(path)
+    return GroundTruth(**_given(GroundTruth, raw) | {"region": _region(raw)})
 
 
 # ---------------------------------------------------------------------------
@@ -334,10 +328,6 @@ def load_truth(path) -> GroundTruth:
 # the per-process lists of a sample, with the dimensions and the dtype of
 # each process's array; every other field but the iteration is a float array
 _PER_PROCESS = {"thinned": (2, float), "rate_idx": (1, int), "g_values": (1, float)}
-
-
-def sample_to_record(s: PosteriorSample) -> dict:
-    return _to_json(s)
 
 
 def _numbers(value, ndim: int, dtype=float) -> np.ndarray | None:
@@ -439,7 +429,7 @@ def save_archive(
     (out / "split_indices.json").write_text(json.dumps(split_indices, indent=1) + "\n")
     with (out / "samples.jsonl").open("w") as fh:
         for s in samples:
-            fh.write(json.dumps(sample_to_record(s), separators=(",", ":")) + "\n")
+            fh.write(json.dumps(_to_json(s), separators=(",", ":")) + "\n")
     (out / "diagnostics.json").write_text(json.dumps(diag, indent=1) + "\n")
     (out / "timings.json").write_text(json.dumps(timings, indent=1) + "\n")
     return out
@@ -454,21 +444,22 @@ def load_archive(path) -> Archive:
     test = _event_sets(iter_event_rows(path / "test_events.csv"), dim, range(n_proc))
     records = path / "samples.jsonl"
     n_data = [len(ev) for ev in train]
-    samples = []
-    for line_no, line in enumerate(_read_text(records).splitlines(), start=1):
+    lines = _read_text(records).splitlines()
+    draws = Draws(sum(1 for line in lines if line.strip()))
+    for line_no, line in enumerate(lines, start=1):
         if line.strip():
             where = f"{records}:{line_no}"
             s = sample_from_record(_json(line, where), dim, n_data, where)
             # the draws are stored as columns: one latent shape for all
-            shape = samples[0].latent_values.shape if samples else s.latent_values.shape
+            shape = draws.latent_values.shape[1:] if draws else s.latent_values.shape
             if s.latent_values.shape != shape:
                 raise ValidationError(
                     f"{where}: field latent_values: latent values of shape {s.latent_values.shape} "
                     f"do not match {shape[0]} latent functions on a grid of {shape[1]} nodes, "
                     f"as the first record holds")
-            samples.append(s)
+            draws.append(s)
     diag = _read_json(path / "diagnostics.json")
-    return Archive(path, cfg, train, test, Draws(samples), diag)
+    return Archive(path, cfg, train, test, draws, diag)
 
 
 # ---------------------------------------------------------------------------

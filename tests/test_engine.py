@@ -77,10 +77,18 @@ class TestRunChain:
         assert len(samples) == 1
         assert samples[0].iteration == 3
 
-    def test_thinning_counts(self):
+    @pytest.mark.parametrize("n_iters, burn_in, thin_every, kept", [
+        (10, 4, 2, [4, 6, 8]),
+        (10, 3, 4, [3, 7]),  # the thinning does not divide the sweeps after burn-in
+        (10, 9, 3, [9]),  # one draw kept
+    ])
+    def test_thinning_counts(self, n_iters, burn_in, thin_every, kept):
+        # the store is sized from these three settings before the first sweep
         data, _ = _toy_data()
-        samples = run_chain_with_info(data, UNIT, _small_config(n_iters=10, burn_in=4, thin_every=2))[0]
-        assert [s.iteration for s in samples] == [4, 6, 8]
+        cfg = _small_config(n_iters=n_iters, burn_in=burn_in, thin_every=thin_every)
+        draws = run_chain_with_info(data, UNIT, cfg)[0]
+        assert len(draws) == len(kept)
+        assert draws.iteration.tolist() == [s.iteration for s in draws] == kept
 
     def test_cached_projections_match_fresh_ones(self, monkeypatch):
         # the second chain's workspaces recompute their projection from
@@ -522,6 +530,14 @@ def _assert_same_draw(a, b):
             np.testing.assert_array_equal(u, v, err_msg=name)
 
 
+def _draws(samples) -> Draws:
+    """A store of ``samples``, appended one by one, as the sampler fills it."""
+    draws = Draws(len(samples))
+    for s in samples:
+        draws.append(s)
+    return draws
+
+
 def _arrays_held(obj) -> int:
     """How many numpy arrays ``obj`` reaches through attributes, lists,
     tuples and dicts."""
@@ -572,18 +588,13 @@ class TestDraws:
     @pytest.mark.parametrize("dim, independent", [(1, False), (2, False), (2, True)])
     def test_every_draw_matches_the_samples_it_was_built_from(self, dim, independent):
         samples, *_ = self._chain_samples(dim, independent)
-        draws = Draws(samples)
+        draws = _draws(samples)
         assert len(draws) == len(samples)
         for i, s in enumerate(samples):
             _assert_same_draw(s, draws[i])
             _assert_same_draw(s, draws[i - len(samples)])
         for s, d in zip(samples, draws, strict=True):
             _assert_same_draw(s, d)
-        for key in (slice(None), slice(1, -1), slice(None, None, -2), slice(5, 2), slice(-3, None)):
-            got = draws[key]
-            assert isinstance(got, list) and len(got) == len(samples[key])
-            for s, d in zip(samples[key], got):
-                _assert_same_draw(s, d)
         assert draws[-1].thinned[0].shape == (0, dim) and draws[-1].rate_idx[0].shape == (0,)
         assert draws[0].latent_values.shape == ((0, 0) if independent else (1, 5**dim))
         for key in (len(samples), -len(samples) - 1):
@@ -592,7 +603,7 @@ class TestDraws:
 
     def test_columns_are_stacked_per_draw(self):
         samples, *_ = self._chain_samples(1, False)
-        draws = Draws(samples)
+        draws = _draws(samples)
         n = len(samples)
         assert draws.lambda_stars.shape == draws.kappas.shape == draws.thetas.shape == (n, 2)
         assert draws.phis.shape == (n, 1) and draws.latent_values.shape == (n, 1, 5)
@@ -602,14 +613,23 @@ class TestDraws:
             assert draws.thinned_offsets[-1, d] == len(draws.rate_idx_flat[d]) == len(draws.thinned_flat[d])
 
     def test_an_empty_sequence_has_no_draws(self):
-        draws = Draws([])
+        draws = Draws(0)
         assert len(draws) == 0 and not draws and list(draws) == []
         with pytest.raises(IndexError):
             draws[0]
 
+    def test_a_full_store_takes_no_further_draw(self):
+        samples, *_ = self._chain_samples(1, False)
+        draws = _draws(samples[:3])
+        with pytest.raises(ValueError, match="read-only"):  # the third draw froze the columns
+            draws.append(samples[3])
+        assert len(draws) == 3
+        for s, d in zip(samples, draws):
+            _assert_same_draw(s, d)
+
     def test_views_and_columns_are_read_only(self):
         samples, *_ = self._chain_samples(2, False)
-        draws = Draws(samples)
+        draws = _draws(samples)
         written = set()
         for d in draws:
             for name in ("lambda_stars", "kappas", "thetas", "phis", "latent_values", "thinned",
@@ -634,7 +654,7 @@ class TestDraws:
         shell = io.ShellConfig(region, cfg)
         split = [{"process": d, "train": [], "test": []} for d in range(len(data))]
         io.save_archive(tmp_path / "list", shell, data, data, split, samples, {}, {})
-        io.save_archive(tmp_path / "draws", shell, data, data, split, Draws(samples), {}, {})
+        io.save_archive(tmp_path / "draws", shell, data, data, split, _draws(samples), {}, {})
         loaded = io.load_archive(tmp_path / "draws")
         assert isinstance(loaded.samples, Draws)
         io.save_archive(tmp_path / "again", shell, data, data, split, loaded.samples, {}, {})

@@ -569,6 +569,25 @@ class TestEval:
             assert got[(f"process_{d}", "predictive_loglik")] == pytest.approx(predictive_loglik(lls), rel=1e-9)
             assert got[(f"process_{d}", "mean_sample_loglik")] == pytest.approx(np.mean(lls), rel=1e-9)
 
+    def test_blank_lines_in_the_records_change_neither_draws_nor_report(self, fitted):
+        # the reader sizes its store by the records, not by the lines
+        tmp_path, cfg, gen, arch = fitted
+        spaced = tmp_path / "spaced"
+        spaced.mkdir()
+        for path in arch.iterdir():
+            (spaced / path.name).write_bytes(path.read_bytes())
+        lines = (arch / "samples.jsonl").read_text().splitlines()
+        (spaced / "samples.jsonl").write_text(f"{lines[0]}\n\n" + "\n".join(lines[1:]) + "\n\n")
+        before, after = io.load_archive(arch).samples, io.load_archive(spaced).samples
+        assert len(after) == len(before) == len(lines) == 30
+        for a, b in zip(before, after, strict=True):
+            _assert_same_fields(a, b)
+        for name in ("iteration", "lambda_stars", "latent_values", "g_offsets"):  # no unfilled rows
+            _assert_same_array(getattr(before, name), getattr(after, name))
+        for name, archive in (("before", arch), ("after", spaced)):
+            assert main(["eval", str(archive), "--out", str(tmp_path / f"{name}.csv")]) == 0
+        assert (tmp_path / "before.csv").read_bytes() == (tmp_path / "after.csv").read_bytes()
+
     def test_baseline_rows_present_when_flagged(self, fitted):
         tmp_path, cfg, gen, arch = fitted
         report = tmp_path / "report.csv"
