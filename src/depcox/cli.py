@@ -16,7 +16,7 @@ from . import io
 from .engine import diagnostics, intensity_rows, run_chain_with_info, summarize
 from .errors import NumericalError, ValidationError
 from .generate import sample_events, sample_ground_truth
-from .metrics import Quadrature, kde_intensity, l2_error, poisson_loglik, predictive_loglik, sample_logliks
+from .metrics import Quadrature, diffusion_bandwidth, kde_intensity, l2_error, predictive_loglik, sample_logliks
 from .sgcp import EventSet
 
 
@@ -174,37 +174,26 @@ def _model_rows(model, samples, run, region, train, test, quad, truth):
 
 
 def _kde_rows(archive, test, quad, truth):
+    """Rows of the kernel density baseline of each process with at least
+    two training events, as ``_model_rows`` gives them for a posterior of
+    one sample: the estimate at the quadrature nodes gives the integral
+    (and, given a ``truth``, the L2 error) and the estimate at the test
+    events themselves the rest of the likelihood. Each process's
+    bandwidths are solved for once and serve both."""
     rows = []
     for d, (train_ev, test_ev) in enumerate(zip(archive.train, test)):
         if len(train_ev) < 2:
             continue
-        lam_grid = kde_intensity(train_ev.points, archive.config.region, quad)
-        if len(test_ev):
-            # nearest-node lookup keeps the baseline on the same grid as its integral
-            idx = _nearest_nodes(quad.grid, test_ev.points)
-            lam_ev = lam_grid[idx]
-        else:
-            lam_ev = np.zeros(0)
-        rows.append((f"process_{d}", "kde", "predictive_loglik", poisson_loglik(lam_ev, lam_grid, quad)))
+        h = [diffusion_bandwidth(x) for x in train_ev.points.T]
+        lam_grid = kde_intensity(train_ev.points, quad.grid, h)
+        lam_ev = kde_intensity(train_ev.points, test_ev.points, h)
+        lls = sample_logliks(lam_ev[None], quad.integrate(lam_grid)[None])
+        rows.append((f"process_{d}", "kde", "predictive_loglik", predictive_loglik(lls)))
         if truth is not None:
             rows.append(
                 (f"process_{d}", "kde", "l2_error", l2_error(lam_grid, truth.intensity(d, quad.grid), quad))
             )
     return rows
-
-
-def _nearest_nodes(grid, points):
-    """Index, in ``ij`` order, of the node of the ``ProductGrid`` ``grid``
-    nearest to each point, the lower index on a tie, as an ``argmin`` over
-    all nodes picks it. The squared distance is a sum over axes, so each
-    axis's nearest coordinate, of the two around the point on the sorted
-    axis, gives it."""
-    idx = []
-    for axis, p in zip(grid.axes, points.T):
-        hi = np.clip(np.searchsorted(axis, p), 1, axis.size - 1)
-        lo = hi - 1
-        idx.append(np.where((p - axis[hi]) ** 2 < (p - axis[lo]) ** 2, hi, lo))
-    return np.ravel_multi_index(idx, [a.size for a in grid.axes])
 
 
 def cmd_export_grid(args) -> int:

@@ -403,12 +403,10 @@ def sample_from_record(raw, dim: int, n_data: list[int], where: str) -> Posterio
 class Archive:
     """In-memory view of a fit archive directory."""
 
-    path: Path
     config: ShellConfig
     train: list[EventSet]
     test: list[EventSet]
     samples: Draws
-    diagnostics: dict
 
 
 def save_archive(
@@ -458,8 +456,7 @@ def load_archive(path) -> Archive:
                     f"do not match {shape[0]} latent functions on a grid of {shape[1]} nodes, "
                     f"as the first record holds")
             draws.append(s)
-    diag = _read_json(path / "diagnostics.json")
-    return Archive(path, cfg, train, test, draws, diag)
+    return Archive(cfg, train, test, draws)
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,15 @@ per-sample likelihoods in probability space (log-mean-exp) so they are a
 Monte Carlo posterior predictive. ``sample_logliks`` scores all of a
 process's posterior samples in one pass over their (S, events)
 intensities and their S integrals (``Quadrature.integrate``): one
-row-wise sum of logs, under ``poisson_loglik``'s rules for each row. So a
-caller may integrate each sample as it comes and keep no (S, nodes)
-array.
+row-wise sum of logs. So a caller may integrate each sample as it comes
+and keep no (S, nodes) array.
 
-The baseline's bandwidth solvers (``scipy.fft``, ``scipy.optimize``) load in
-``diffusion_bandwidth``, on first use: only ``depcox eval --baselines`` needs
-them, and loaded at import they cost every fit and eval about 17 MB.
+The kernel density baseline is scored the same way, as a posterior of one
+sample: ``kde_intensity`` evaluates it at the quadrature nodes and exactly
+at the events, with one ``gaussian.gram_matvec`` call each. Its bandwidth
+solvers (``scipy.fft``, ``scipy.optimize``) load in ``diffusion_bandwidth``,
+on first use: only ``depcox eval --baselines`` needs them, and loaded at
+import they cost every fit and eval about 17 MB.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import ValidationError
-from .gaussian import ProductGrid, _as_points, _khatri_rao, axis_gram
+from .gaussian import ProductGrid, _as_points, gram_matvec
 from .sgcp import Region
 
 
@@ -52,10 +54,6 @@ class Quadrature:
         # each node's weight is the product of its axes' weights
         return cls(reduce(np.multiply.outer, axis_w).ravel(), ProductGrid(axes))
 
-    @property
-    def volume(self) -> float:
-        return float(self.weights.sum())
-
     def integrate(self, on_grid) -> np.ndarray:
         """The integral of each row of intensities on the grid, ``(..., n)``
         with one value per node, as ``(...)``. Raises ``ValidationError`` if
@@ -69,28 +67,9 @@ class Quadrature:
         return on_grid @ self.weights
 
 
-def poisson_loglik(intensity_at_events, intensity_on_grid, quad: Quadrature) -> float:
-    """Discretized inhomogeneous-Poisson log likelihood.
-
-    A zero (or negative within rounding) intensity at an observed event
-    makes the data impossible: returns -inf and warns.
-    """
-    at_events = np.atleast_1d(np.asarray(intensity_at_events, dtype=float))
-    on_grid = np.asarray(intensity_on_grid, dtype=float)
-    if on_grid.shape != quad.weights.shape:
-        raise ValidationError("grid intensity does not match quadrature")
-    if np.any(on_grid < -1e-12) or np.any(at_events < -1e-12):
-        raise ValidationError("intensity must be nonnegative")
-    integral = float(quad.weights @ on_grid)
-    if np.any(at_events <= 0.0):
-        warnings.warn("zero intensity at an observed event; log likelihood is -inf")
-        return -np.inf
-    return -integral + float(np.sum(np.log(at_events)))
-
-
 def sample_logliks(per_sample_at_events, integrals) -> np.ndarray:
     """Per-posterior-sample Poisson log likelihoods of one event set, (S,):
-    ``poisson_loglik`` of each row of the (S, events) intensities at the
+    the sum of the logs of each row of the (S, events) intensities at the
     events, less that sample's integral of its intensity over the region
     (``integrals``, (S,), as ``Quadrature.integrate`` gives them), all rows
     at once.
@@ -205,29 +184,30 @@ def diffusion_bandwidth(x, n_grid: int = 2**14) -> float:
     return float(np.sqrt(t_star) * width)
 
 
-def kde_intensity(
-    train_points, region: Region, quad: Quadrature, bandwidths=None
-) -> np.ndarray:
-    """Gaussian product-kernel intensity estimate on the quadrature grid.
+def kde_intensity(train_points, targets, bandwidths=None) -> np.ndarray:
+    """Gaussian product-kernel intensity estimate at ``targets``, a
+    ``ProductGrid`` (its nodes in ``ij`` order) or a point array.
 
     The density is scaled by the training count so its integral over the
     region approaches the count (minus boundary leakage). Unless given,
-    bandwidths come from the 1D diffusion rule applied per axis.
+    bandwidths ``h`` come from the 1D diffusion rule applied per axis.
+    The kernel of bandwidths ``h`` is the unit-variance kernel between
+    coordinates divided by ``h``, over ``prod(h)``: one ``gram_matvec``
+    call, with a grid's axes scaled axis by axis.
     """
     X = _as_points(train_points)
     n, dim = X.shape
     if n < 2:
         raise ValidationError("kernel density estimate needs at least 2 events")
-    if dim != region.dim:
-        raise ValidationError("training points do not match region dimension")
+    grid = isinstance(targets, ProductGrid)
+    if not grid:
+        targets = _as_points(targets)
+    if dim != (targets.dim if grid else targets.shape[1]):
+        raise ValidationError("training points do not match the targets' dimension")
     if bandwidths is None:
-        bandwidths = np.array([diffusion_bandwidth(X[:, a]) for a in range(dim)])
-    else:
-        bandwidths = np.atleast_1d(np.asarray(bandwidths, dtype=float))
-    # one (nodes per axis x events) kernel factor per axis, contracted as
-    # gaussian.gram_matvec contracts a grid against points
-    E = [axis_gram(axis, x, h * h) for axis, x, h in zip(quad.grid.axes, X.T, bandwidths)]
-    if dim == 1:
-        return E[0].sum(axis=1)  # sums kernels over events, i.e. count-scaled density
-    half = dim // 2
-    return (_khatri_rao(E[:half]) @ _khatri_rao(E[half:]).T).ravel()
+        bandwidths = [diffusion_bandwidth(x) for x in X.T]
+    h = np.atleast_1d(np.asarray(bandwidths, dtype=float))
+    if h.shape != (dim,):
+        raise ValidationError(f"one bandwidth per axis needed: got {h.size} for {dim} axes")
+    scaled = ProductGrid([axis / s for axis, s in zip(targets.axes, h)]) if grid else targets / h
+    return gram_matvec(scaled, X / h, 1.0, np.ones(n)) / np.prod(h)

@@ -3,12 +3,13 @@
 Each is the plain textbook form of something the library computes in a
 faster or more structured way: single-pair kernel densities and
 covariances, a Gaussian given by its mean and covariance with dense
-conditioning, log densities and draws, a prior that pins the function
-to a known surface, and two test inputs: a halving rate ladder and an
-intensity off the model's basis. The last group keeps the earlier
-formulas of primitives the kernels call thousands of times a sweep, and
-of the Hamiltonian energy, which the library now evaluates with fewer
-numpy calls or copies and must match bit for bit. ``latent_prior``
+conditioning, log densities and draws, the Poisson log likelihood of one
+intensity sample, a prior that pins the function to a known surface, and
+two test inputs: a halving rate ladder and an intensity off the model's
+basis. The last group keeps the earlier formulas of primitives the
+kernels call thousands of times a sweep, and of the Hamiltonian energy,
+which the library now evaluates with fewer numpy calls or copies and
+must match bit for bit. ``latent_prior``
 builds a coupled prior from a grid, its values and their variances.
 """
 
@@ -63,6 +64,18 @@ def gauss_density(x, z, variance: float) -> float:
     sq = float(np.sum((x - z) ** 2))
     d = x.size
     return float((2.0 * np.pi * variance) ** (-0.5 * d) * np.exp(-0.5 * sq / variance))
+
+
+def poisson_loglik(at_events, on_grid, weights) -> float:
+    """The discretized inhomogeneous-Poisson log likelihood of one
+    intensity sample, term by term: the sum of the logs of the intensities
+    at the events, less the quadrature sum (``weights``) of the intensity
+    at the nodes; -inf if an event has intensity zero."""
+    at_events, on_grid = np.asarray(at_events, dtype=float), np.asarray(on_grid, dtype=float)
+    assert on_grid.shape == np.shape(weights)
+    if np.any(at_events == 0.0):
+        return -np.inf
+    return -float(np.dot(weights, on_grid)) + float(sum(np.log(at_events)))
 
 
 @dataclass

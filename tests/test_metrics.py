@@ -13,11 +13,11 @@ from depcox.metrics import (
     kde_intensity,
     l2_error,
     log_mean_exp,
-    poisson_loglik,
     predictive_loglik,
     sample_logliks,
 )
 from depcox.sgcp import Region
+from oracles import gauss_density, poisson_loglik
 
 UNIT = Region([0.0], [1.0])
 
@@ -25,12 +25,12 @@ UNIT = Region([0.0], [1.0])
 class TestQuadrature:
     def test_weights_sum_to_volume_1d(self):
         quad = Quadrature.for_region(UNIT, 512)
-        assert quad.volume == pytest.approx(1.0, rel=1e-9)
+        assert quad.weights.sum() == pytest.approx(1.0, rel=1e-9)
 
     def test_weights_sum_to_volume_2d(self):
         region = Region([0.0, -1.0], [2.0, 1.0])
         quad = Quadrature.for_region(region, 64)
-        assert quad.volume == pytest.approx(4.0, rel=1e-9)
+        assert quad.weights.sum() == pytest.approx(4.0, rel=1e-9)
 
     def test_default_resolutions(self):
         assert Quadrature.for_region(UNIT).weights.size == 512
@@ -50,28 +50,19 @@ class TestQuadrature:
         assert quad.weights.size == quad.grid.nodes.shape[0]
 
 
-class TestPoissonLoglik:
+class TestSampleLogliks:
+    """The one-pass scorer against a loop of ``oracles.poisson_loglik``,
+    and on hand values."""
+
     def test_constant_intensity_hand_value(self):
         quad = Quadrature.for_region(UNIT, 256)
-        ll = poisson_loglik([2.0, 2.0], np.full(quad.weights.size, 2.0), quad)
-        assert ll == pytest.approx(-2.0 + 2.0 * np.log(2.0), abs=1e-9)
-
-    def test_no_events_is_negative_integral(self):
-        quad = Quadrature.for_region(UNIT, 128)
-        ll = poisson_loglik(np.zeros(0), np.full(quad.weights.size, 3.0), quad)
-        assert ll == pytest.approx(-3.0, abs=1e-9)
-
-    def test_zero_intensity_at_event_flags_minus_inf(self):
-        quad = Quadrature.for_region(UNIT, 64)
-        with pytest.warns(UserWarning):
-            ll = poisson_loglik([0.0], np.ones(quad.weights.size), quad)
-        assert ll == -np.inf
+        ll = sample_logliks([[2.0, 2.0]], quad.integrate([np.full(quad.weights.size, 2.0)]))
+        assert ll[0] == pytest.approx(-2.0 + 2.0 * np.log(2.0), abs=1e-9)
 
     def test_invariant_under_event_reordering(self):
         quad = Quadrature.for_region(UNIT, 128)
-        grid = 1.0 + quad.grid.nodes[:, 0]
-        a = poisson_loglik([1.2, 1.7, 1.05], grid, quad)
-        b = poisson_loglik([1.05, 1.2, 1.7], grid, quad)
+        integrals = quad.integrate(np.stack([1.0 + quad.grid.nodes[:, 0]] * 2))
+        a, b = sample_logliks([[1.2, 1.7, 1.05], [1.05, 1.2, 1.7]], integrals)
         assert a == pytest.approx(b, rel=1e-14)
 
     def test_refinement_changes_little_for_smooth_intensity(self):
@@ -79,17 +70,8 @@ class TestPoissonLoglik:
         lls = []
         for res in (256, 512):
             quad = Quadrature.for_region(UNIT, res)
-            lls.append(poisson_loglik([lam(0.3)], lam(quad.grid.nodes[:, 0]), quad))
+            lls.append(sample_logliks([[lam(0.3)]], quad.integrate([lam(quad.grid.nodes[:, 0])]))[0])
         assert abs(lls[1] - lls[0]) < 1e-3 * abs(lls[0])
-
-    def test_rejects_negative_intensity(self):
-        quad = Quadrature.for_region(UNIT, 64)
-        with pytest.raises(ValidationError):
-            poisson_loglik([1.0], np.full(quad.weights.size, -0.5), quad)
-
-
-class TestSampleLogliks:
-    """The one-pass scorer against a loop of ``poisson_loglik``."""
 
     @pytest.mark.parametrize("dim,n_events", [(1, 7), (2, 4), (1, 0)])
     def test_equals_a_loop_of_poisson_loglik(self, dim, n_events):
@@ -98,7 +80,7 @@ class TestSampleLogliks:
         on_grid = rng.uniform(0.1, 80.0, size=(6, quad.weights.size))
         at_events = rng.uniform(0.1, 80.0, size=(6, n_events))
         got = sample_logliks(at_events, quad.integrate(on_grid))
-        want = [poisson_loglik(ev, gr, quad) for ev, gr in zip(at_events, on_grid)]
+        want = [poisson_loglik(ev, gr, quad.weights) for ev, gr in zip(at_events, on_grid)]
         assert got.shape == (6,)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
@@ -108,7 +90,7 @@ class TestSampleLogliks:
         quad = Quadrature.for_region(UNIT, 17)
         lams = rng.uniform(0.5, 5.0, size=(4, 2, quad.weights.size + 3))
         grid, events = lams[:, 1, : quad.weights.size], lams[:, 1, quad.weights.size :]
-        want = [poisson_loglik(ev, gr, quad) for ev, gr in zip(events, grid)]
+        want = [poisson_loglik(ev, gr, quad.weights) for ev, gr in zip(events, grid)]
         np.testing.assert_allclose(sample_logliks(events, quad.integrate(grid)), want, rtol=1e-12, atol=0)
 
     def test_empty_event_set_scores_minus_the_integral(self):
@@ -151,14 +133,14 @@ class TestPredictiveLoglik:
         quad = Quadrature.for_region(UNIT, 128)
         ev, grid = self._const_sample(quad, 2.0)
         assert predictive_loglik(sample_logliks([ev], quad.integrate([grid]))) == pytest.approx(
-            poisson_loglik(ev, grid, quad), rel=1e-12
+            poisson_loglik(ev, grid, quad.weights), rel=1e-12
         )
 
     def test_identical_samples_equal_common_value(self):
         quad = Quadrature.for_region(UNIT, 128)
         ev, grid = self._const_sample(quad, 1.5)
         got = predictive_loglik(sample_logliks([ev, ev, ev], quad.integrate([grid, grid, grid])))
-        assert got == pytest.approx(poisson_loglik(ev, grid, quad), rel=1e-12)
+        assert got == pytest.approx(poisson_loglik(ev, grid, quad.weights), rel=1e-12)
 
     def test_log_mean_exp_hand_value(self):
         # likelihoods a and a + ln 3 average to a + ln 2
@@ -220,14 +202,14 @@ class TestKdeIntensity:
         rng = np.random.default_rng(1)
         X = self._clustered(rng)
         quad = Quadrature.for_region(UNIT, 512)
-        lam = kde_intensity(X, UNIT, quad)
+        lam = kde_intensity(X, quad.grid)
         assert quad.weights @ lam == pytest.approx(len(X), rel=0.02)
 
     def test_mode_at_cluster_center(self):
         rng = np.random.default_rng(2)
         X = (0.37 + 0.01 * rng.standard_normal(200))[:, None]
         quad = Quadrature.for_region(UNIT, 512)
-        lam = kde_intensity(X, UNIT, quad)
+        lam = kde_intensity(X, quad.grid)
         cell = 1.0 / 511
         assert abs(quad.grid.nodes[np.argmax(lam), 0] - X.mean()) <= cell
 
@@ -235,14 +217,14 @@ class TestKdeIntensity:
         rng = np.random.default_rng(3)
         X = self._clustered(rng, n=100)
         quad = Quadrature.for_region(UNIT, 256)
-        lam1 = kde_intensity(X, UNIT, quad, bandwidths=[0.05])
-        lam2 = kde_intensity(np.vstack([X, X]), UNIT, quad, bandwidths=[0.05])
+        lam1 = kde_intensity(X, quad.grid, bandwidths=[0.05])
+        lam2 = kde_intensity(np.vstack([X, X]), quad.grid, bandwidths=[0.05])
         np.testing.assert_allclose(lam2, 2.0 * lam1, rtol=1e-10)
 
     def test_needs_two_events(self):
         quad = Quadrature.for_region(UNIT, 64)
         with pytest.raises(ValidationError):
-            kde_intensity(np.array([[0.5]]), UNIT, quad)
+            kde_intensity(np.array([[0.5]]), quad.grid)
 
     def test_2d_integral_close_to_count(self):
         rng = np.random.default_rng(4)
@@ -250,8 +232,38 @@ class TestKdeIntensity:
         pts = pts[np.all((pts > 0.05) & (pts < 0.95), axis=1)]
         region = Region([0.0, 0.0], [1.0, 1.0])
         quad = Quadrature.for_region(region, 64)
-        lam = kde_intensity(pts, region, quad)
+        lam = kde_intensity(pts, quad.grid)
         assert quad.weights @ lam == pytest.approx(len(pts), rel=0.02)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_at_points_is_the_sum_of_per_axis_densities_over_events(self, dim):
+        rng = np.random.default_rng(dim)
+        X, T = rng.uniform(size=(30, dim)), rng.uniform(size=(17, dim))
+        h = [0.07, 0.2, 0.12][:dim]
+        want = [sum(np.prod([gauss_density(t[a], x[a], h[a] ** 2) for a in range(dim)]) for x in X)
+                for t in T]
+        np.testing.assert_allclose(kde_intensity(X, T, h), want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_at_a_grid_is_its_value_at_the_grid_nodes(self, dim):
+        rng = np.random.default_rng(dim)
+        X = rng.uniform(size=(25, dim))
+        grid = ProductGrid([np.linspace(0.0, 1.0, n) for n in (9, 6, 4)[:dim]])
+        for h in ([0.05, 0.3, 0.1][:dim], None):
+            np.testing.assert_allclose(kde_intensity(X, grid, h), kde_intensity(X, grid.nodes, h),
+                                       rtol=1e-12, atol=0)
+
+    def test_targets_of_another_dimension_raise(self):
+        X = np.random.default_rng(0).uniform(size=(5, 2))
+        for targets in (Quadrature.for_region(UNIT, 8).grid, np.zeros((3, 1)), np.zeros((3, 3))):
+            with pytest.raises(ValidationError, match="dimension"):
+                kde_intensity(X, targets)
+
+    @pytest.mark.parametrize("bandwidths", [[0.1], [0.1, 0.2, 0.3]])
+    def test_one_bandwidth_per_axis(self, bandwidths):
+        X = np.random.default_rng(0).uniform(size=(5, 2))
+        with pytest.raises(ValidationError, match="one bandwidth per axis"):
+            kde_intensity(X, X, bandwidths)
 
 
 class TestDiffusionBandwidth:

@@ -15,10 +15,10 @@ import pytest
 import depcox.convolution
 import depcox.gaussian
 from depcox import io
-from depcox.cli import _nearest_nodes, main
+from depcox.cli import main
 from depcox.engine import RunConfig, intensity_samples, run_chain_with_info, summarize
 from depcox.generate import sample_events, sample_ground_truth
-from depcox.metrics import Quadrature, l2_error, poisson_loglik, predictive_loglik, sample_logliks
+from depcox.metrics import Quadrature, kde_intensity, l2_error, predictive_loglik, sample_logliks
 from depcox.sgcp import EventSet, PriorConfig, Region
 from depcox.thinning import RateLadder
 
@@ -392,8 +392,8 @@ class TestFit:
         assert code == 0
         loaded = io.load_archive(arch)
         assert len(loaded.samples) == 30  # 40 iters - 10 burn-in
-        diag_file = json.loads((arch / "diagnostics.json").read_text())
-        assert loaded.diagnostics == diag_file
+        diag = json.loads((arch / "diagnostics.json").read_text())
+        assert diag["n_samples"] == 30 and len(diag["processes"]) == 2
 
     def test_same_seed_byte_identical_modulo_timings(self, tmp_path):
         cfg = _write_config(tmp_path)
@@ -639,6 +639,28 @@ class TestEval:
         assert np.isfinite(kde_ll)
         assert kde_ll > uniform_ll
 
+    def test_kde_rows_score_the_estimate_at_the_events_and_skip_a_process_of_one_event(self, tmp_path):
+        # process 1 trains on one event: no KDE rows for it, but its model rows stay
+        rng = np.random.default_rng(1)
+        train = [EventSet(rng.uniform(size=(12, 1)), 0), EventSet(np.array([[0.4]]), 1)]
+        test = [EventSet(rng.uniform(size=(5, 1)), 0), EventSet(np.array([[0.6], [0.9]]), 1)]
+        train_file, test_file = tmp_path / "train.csv", tmp_path / "test.csv"
+        io.write_event_file(train_file, train)
+        io.write_event_file(test_file, test)
+        cfg = _write_config(tmp_path, train_fraction=1.0, n_iters=6, burn_in=2)
+        arch, report = tmp_path / "arch", tmp_path / "report.csv"
+        assert main(["fit", str(train_file), "--config", str(cfg), "--out", str(arch)]) == 0
+        assert main(["eval", str(arch), str(test_file), "--baselines", "--out", str(report)]) == 0
+        rows = {tuple(r[:3]): float(r[3]) for r in (l.split(",") for l in report.read_text().splitlines()[1:])}
+        assert {(d, m) for d, m, _ in rows} == {
+            ("process_0", "ours"), ("process_0", "independent"), ("process_0", "kde"),
+            ("process_1", "ours"), ("process_1", "independent"),
+        }
+        quad = Quadrature.for_region(Region([0.0], [1.0]))
+        lam_grid, lam_ev = (kde_intensity(train[0].points, t) for t in (quad.grid, test[0].points))
+        want = np.sum(np.log(lam_ev)) - quad.weights @ lam_grid
+        assert rows[("process_0", "kde", "predictive_loglik")] == pytest.approx(want, rel=1e-12)
+
     def test_quadrature_and_export_form_no_node_gram(self, fitted, monkeypatch):
         tmp_path, cfg, gen, arch = fitted
         shapes = []
@@ -698,27 +720,6 @@ class TestEval:
         manifest.write_text(json.dumps(edit(json.loads((gen / "truth_manifest.json").read_text()))))
         assert main(["eval", str(arch), "--truth", str(manifest)]) == 2
         assert named in capsys.readouterr().err
-
-
-class TestNearestNodes:
-    @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_matches_brute_force_argmin_with_ties_and_boundary(self, dim):
-        # unequal axes of dyadic spacing, so a point halfway between two
-        # nodes is an exact tie of squared distances
-        region = Region([0.0, -1.0, 0.5][:dim], [1.0, 1.0, 2.5][:dim])
-        quad = Quadrature.for_region(region, 5)
-        axes = quad.grid.axes
-        rng = np.random.default_rng(dim)
-        mids = [0.5 * (a[:-1] + a[1:]) for a in axes]
-        points = np.concatenate([
-            region.uniform(40, rng),
-            np.stack([rng.choice(m, 12) for m in mids], axis=1),  # ties on every axis
-            np.stack([rng.choice(np.concatenate([m, a]), 12) for m, a in zip(mids, axes)], axis=1),
-            np.stack([rng.choice([a[0], a[-1]], 8) for a in axes], axis=1),  # region corners
-            np.array([region.lower]), np.array([region.upper]),
-        ])
-        d2 = np.sum((points[:, None, :] - quad.grid.nodes[None, :, :]) ** 2, axis=-1)
-        np.testing.assert_array_equal(_nearest_nodes(quad.grid, points), np.argmin(d2, axis=1))
 
 
 class TestBlasThreads:

@@ -103,6 +103,7 @@ def test_compare_archives_reports_draws_values_and_ess(tmp_path):
     assert "eval process_0,ours,predictive_loglik: 1 -> 1.25 (+0.25)" in moved.stdout
     assert "eval.csv largest relative change: 0.2 (1 values)" in moved.stdout  # 0.25 / 1.25
     assert "eval_full.csv largest relative change: 0.2 (2 values)" in moved.stdout
+    assert "eval_full.csv ours largest relative change: 0.2 (2 values)" in moved.stdout
     assert "grid/intensity_process_0.csv largest relative change: 0.111 (9 values)" in moved.stdout
     assert moved.stdout.count("ESS A: lambda_star 4.000, g_mean ") == 1
 
@@ -121,6 +122,27 @@ def test_compare_archives_reports_draws_values_and_ess(tmp_path):
     assert "config grid_per_axis: 2 -> 3" in old.stdout
     assert "config.json keys and values identical" not in old.stdout
 
+
+
+def test_compare_archives_reports_each_models_report_change(tmp_path):
+    # a change meant to move the KDE rows shows that it moved only those
+    trees = []
+    for name, kde in (("a", 2.0), ("b", 2.5)):
+        root = _reference_tree(tmp_path / name)
+        io.write_report(root / "1d-toy" / "archive" / "eval_full.csv", [
+            ("process_0", "ours", "predictive_loglik", 1.0),
+            ("process_0", "independent", "predictive_loglik", 0.5),
+            ("process_0", "kde", "predictive_loglik", kde),
+            ("process_0", "kde", "l2_error", 3.0),
+        ])
+        trees.append(root)
+    out = _compare(*trees)
+    assert out.returncode == 0, out.stderr
+    assert "eval_full.csv largest relative change: 0.2 (4 values)" in out.stdout
+    assert "eval_full.csv independent largest relative change: 0 (1 values)" in out.stdout
+    assert "eval_full.csv kde largest relative change: 0.2 (2 values)" in out.stdout
+    assert "eval_full.csv ours largest relative change: 0 (1 values)" in out.stdout
+    assert "eval.csv ours largest relative change: 0 (1 values)" in out.stdout
 
 def test_reference_archives_of_one_checkout_compare_identical(tmp_path):
     # the check a byte-identical change is judged by, on the real workloads:

@@ -20,7 +20,10 @@ workload, ``<tree>/<workload>/archive/``, it prints:
   ``archive/eval_full.csv`` and in each surface file of ``grid/`` (the
   ``--truth --baselines`` report and the ``export-grid`` surfaces that
   ``tools/ref_archives.py`` writes beside the archive), so that a change
-  that moves the reports only by rounding states its tolerance here;
+  that moves the reports only by rounding states its tolerance here; and
+  of each report's rows model by model (``ours``, ``independent``,
+  ``kde``), so that a change meant to move one model's rows shows that it
+  moved only those;
 * each side's ESS of the bound, of the mean function value and of the
   latent values, as the benchmark computes them (``ess_metrics``).
 
@@ -114,7 +117,8 @@ def _largest_relative_change(va, vb) -> float:
 def _report_change_lines(a: Path, b: Path) -> list[str]:
     """One line per report, ``eval.csv``, ``eval_full.csv`` and each
     ``grid/`` surface file of either side, with the largest relative change
-    of its values, or why there is none."""
+    of its values, or why there is none; then, for a report, one such line
+    per model of its rows."""
     files = [("eval.csv", a / "eval.csv", b / "eval.csv", _eval_rows),
              ("eval_full.csv", a / "eval_full.csv", b / "eval_full.csv", _eval_rows)]
     surfaces = sorted({p.name for side in (a, b) for p in (side.parent / "grid").glob("*.csv")})
@@ -131,13 +135,18 @@ def _report_change_lines(a: Path, b: Path) -> list[str]:
             if va.keys() != vb.keys():
                 lines.append(f"  {label}: rows differ ({len(va)} against {len(vb)})")
                 continue
-            keys = sorted(va)
-            va, vb = [va[k] for k in keys], [vb[k] for k in keys]
-        elif va.shape != vb.shape:
+            groups = [(label, sorted(va))]
+            groups += [(f"{label} {model}", sorted(k for k in va if k[1] == model))
+                       for model in sorted({k[1] for k in va})]
+            for name, keys in groups:
+                change = _largest_relative_change([va[k] for k in keys], [vb[k] for k in keys])
+                lines.append(f"  {name} largest relative change: {change:.3g} ({len(keys)} values)")
+            continue
+        if va.shape != vb.shape:
             lines.append(f"  {label}: shapes differ ({va.shape} against {vb.shape})")
             continue
         change = _largest_relative_change(va, vb)
-        lines.append(f"  {label} largest relative change: {change:.3g} ({np.size(va)} values)")
+        lines.append(f"  {label} largest relative change: {change:.3g} ({va.size} values)")
     return lines
 
 
