@@ -34,8 +34,8 @@ j)^{-1/2}``:
 * one new site against a point set whose projection and squared norms the
   caller keeps (``site``, the proposal kernels' per-site call): the site's
   projection, prior mean, floored variance and residual covariance row in
-  one call, each operation the one ``project``, ``mean``, ``mean_cov`` and
-  ``cov`` make, in the same order, so it matches them bit for bit; the
+  one call, through ``gaussian.density`` and ``gaussian.gauss_gram_sum``
+  as ``project`` and ``cov`` go, so it matches them bit for bit; the
   scalars it needs of ``kappa``, ``theta`` and the latent variances come
   from ``site_scalars``, which the caller forms once per ``kappa`` and
   ``theta``;
@@ -94,6 +94,7 @@ from .gaussian import (
     chol_solve,
     cholesky,
     cholesky_with_jitter,
+    density,
     eigh,
     from_precision,
     gauss_gram,
@@ -212,11 +213,11 @@ class LatentFactor:
     def L(self) -> np.ndarray:
         """Dense lower Cholesky factor of ``K + jI``, formed on first use.
         ``gauss_gram`` of the nodes with themselves is exactly symmetric
-        (numpy forms ``X X^T`` of one array as one triangle mirrored), so
-        the factorization skips the symmetrisation."""
+        (numpy forms ``X X^T`` of one array as one triangle mirrored), as
+        ``cholesky_with_jitter`` requires."""
         if self._L is None:
             nodes = self.grid.nodes
-            self._L, _ = cholesky_with_jitter(gauss_gram(nodes, nodes, self.phi), symmetric=True)
+            self._L, _ = cholesky_with_jitter(gauss_gram(nodes, nodes, self.phi))
         return self._L
 
     def inverse(self) -> np.ndarray:
@@ -232,14 +233,13 @@ class LatentFactor:
 class SiteScalars(NamedTuple):
     """The scalars of ``site`` that depend only on ``kappa``, ``theta`` and
     the latent variances (``site_scalars``): a process's workspace forms
-    them once, with the expressions ``site`` once evaluated per call, so
-    they have the same bits."""
+    them once per ``kappa`` and ``theta``, with the expressions ``cov`` and
+    ``mean_cov`` evaluate, so they have the same bits."""
 
     kappa: float
     theta: float
     kappa2: float  # kappa**2
     variances: tuple  # theta + phi_q, one per latent function
-    scales: tuple  # (2 pi (theta + phi_q))^{-1/2}, the axis factors' scale
     gram_variances: list  # 2 theta + phi_q, the output Gram variances
     marginal: float  # the marginal variance
     floor: float  # MARGINAL_FLOOR * marginal, 0.0 with no latent grid
@@ -310,10 +310,12 @@ class ConvolutionPrior:
 
     def cov(self, A, WA, B, WB, kappa: float, theta: float) -> np.ndarray:
         """Residual cross-covariance between point sets ``A`` and ``B``, given
-        their projections ``WA`` and ``WB``."""
-        G = gauss_gram(A, B, 2.0 * theta + self.factors[0].phi)
-        for f in self.factors[1:]:
-            G += gauss_gram(A, B, 2.0 * theta + f.phi)
+        their projections ``WA`` and ``WB``: the output Gram matrices summed
+        over the latent variances in one ``gauss_gram_sum`` call, as
+        ``site`` forms its row."""
+        A, B = _as_points(A), _as_points(B)
+        G = gauss_gram_sum(A, (A * A).sum(axis=1)[:, None], B, (B * B).sum(axis=1),
+                           [2.0 * theta + f.phi for f in self.factors])
         G -= WA.T @ WB
         G *= kappa**2
         return G
@@ -354,7 +356,6 @@ class ConvolutionPrior:
         marginal = self._marginal_var(kappa, theta)
         return SiteScalars(
             kappa, theta, kappa**2, variances,
-            tuple((2.0 * np.pi * v) ** -0.5 for v in variances),
             [2.0 * theta + f.phi for f in self.factors],
             marginal, MARGINAL_FLOOR * marginal if self.values.shape[1] else 0.0,
         )
@@ -367,27 +368,23 @@ class ConvolutionPrior:
         variance, floored as in ``mean_cov``, and its residual covariance
         row ``ks`` (n,) with the points.
 
-        Each operation is the one ``project``, ``mean``, ``mean_cov`` and
-        ``cov`` make for the one-point set, in the same order, so the
-        results equal theirs bit for bit: ``whiten``'s per-axis factors,
-        one dot product for the variance and one per latent function for
-        the mean, ``gauss_gram_sum`` for the Gram row. Only the calls and
-        checks around them are left out, and the scalars are read from
-        ``s``: the proposal kernels make this call thousands of times a
-        sweep.
+        The results equal those of ``project``, ``mean``, ``mean_cov`` and
+        ``cov`` for the one-point set bit for bit: each axis's factor is
+        ``gaussian.density`` of the squared offsets, as ``axis_gram``'s
+        is, then one dot product for the variance and one per latent
+        function for the mean, and ``gauss_gram_sum`` for the Gram row.
+        Only the calls and checks around them are left out, and the
+        scalars are read from ``s``: the proposal kernels make this call
+        thousands of times a sweep.
         """
         coords = x[0].tolist()
         ws = []
-        for f, variance, scale in zip(self.factors, s.variances, s.scales):
+        for f, variance in zip(self.factors, s.variances):
             F = []
-            for qt, a, c in zip(f.QT, f.axis_cols, coords):  # axis_gram, operation for operation
+            for qt, a, c in zip(f.QT, f.axis_cols, coords):
                 E = a - c
                 E *= E
-                E *= -0.5
-                E /= variance
-                np.exp(E, out=E)
-                E *= scale
-                F.append(qt.dot(E))
+                F.append(qt.dot(density(E, variance, 1)))
             w_q = F[0] if len(F) == 1 else _khatri_rao(F)
             w_q *= f.s_col
             ws.append(w_q)

@@ -492,17 +492,13 @@ def _accumulate(acc: np.ndarray, k: int, x: np.ndarray) -> None:
     acc[2] += delta * (x - acc[1])
 
 
-def summarize(samples, grid, data, region: Region, config: RunConfig) -> GridSummary:
+def summarize(samples, grid: ProductGrid, data, region: Region, config: RunConfig) -> GridSummary:
     """Pointwise mean and standard deviation of the intensity of every
     process and of every latent function across posterior samples, at the
-    nodes of a ``ProductGrid`` or at a point array ``grid``: a running
-    reduction of ``intensity_rows``."""
-    if isinstance(grid, ProductGrid):
-        nodes = grid.nodes
-        rows = intensity_rows(samples, nodes[:0], data, region, config, grid)
-    else:
-        grid = nodes = _as_points(grid)
-        rows = intensity_rows(samples, nodes, data, region, config)
+    nodes of the ``ProductGrid`` ``grid``: a running reduction of
+    ``intensity_rows``."""
+    nodes = grid.nodes
+    rows = intensity_rows(samples, nodes[:0], data, region, config, grid)
     n_latent = 0 if config.independent else config.n_latent
     lam_acc = np.zeros((3, len(data), len(nodes)))
     lat_acc = np.zeros((3, n_latent, len(nodes)))

@@ -20,13 +20,18 @@ axis at a time. The latent grid's Gram matrix is diagonalized through
 one symmetric eigendecomposition per axis (``eigh``; see
 ``convolution.LatentFactor``).
 
-``gram_matvec`` serves only prediction and the ground truth. It builds
-its factors in fewer passes than ``axis_gram`` and applies the kernel's
-scale once, to the vector, so its results equal the dense product to
-rounding, not bit for bit: no draw reads them. The sampler's factors
-(``convolution.LatentFactor.whiten``, the proposal site, the latent
-eigenfactors) keep ``axis_gram``'s order of operations, on which the
-draws depend bit for bit.
+The kernel values the draws read are computed in one place: squared
+offsets or distances (``sq_offsets``, ``gauss_gram_sum``) go through
+``density``, in place, and their derivative in the variance through
+``density_dv``. ``axis_gram``, ``axis_gram_dv``, ``gauss_gram``,
+``gauss_gram_sum``, ``gauss_gram_dv`` and the proposal site
+(``convolution.ConvolutionPrior.site``, which forms its one point's
+offsets inline) all call them, so the draws depend bit for bit on one
+order of operations. The one deliberate exception is ``gram_matvec``,
+which serves only prediction and the ground truth's process functions:
+it builds its factors in fewer passes and applies the kernel's scale
+once, to the vector, so its results equal the dense product to rounding,
+not bit for bit, and no draw reads them.
 
 The hot factorizations and solves call LAPACK directly, through routines
 resolved once at import: ``cholesky`` and ``cholesky_with_jitter``
@@ -110,7 +115,8 @@ def gauss_gram_sum(X: np.ndarray, xx, Z: np.ndarray, zz: np.ndarray, variances) 
     """``sum(gauss_gram(X, Z, v) for v in variances)``, from the squared
     norms of the rows of ``X`` (``xx``, a column, or a float for one point)
     and of ``Z`` (``zz``), with no checks: ``gauss_gram`` is its case of
-    one variance, so a covariance row formed here for a new site rounds as
+    one variance, ``ConvolutionPrior.cov`` its sum over the latent
+    variances, and a covariance row formed here for a new site rounds as
     the Gram matrix of its point set does. A caller that keeps ``Z`` keeps
     ``zz`` with it (the proposal kernels' workspace), and the squared
     distances are formed once for all variances.
@@ -121,13 +127,8 @@ def gauss_gram_sum(X: np.ndarray, xx, Z: np.ndarray, zz: np.ndarray, variances) 
     np.maximum(sq, 0.0, out=sq)
     G = None
     for k, variance in enumerate(variances):
-        # scale * exp(-0.5 * sq / variance) as axis_gram evaluates it, in
-        # place; the last variance takes sq itself
-        E = sq if k == len(variances) - 1 else sq.copy()
-        E *= -0.5
-        E /= variance
-        np.exp(E, out=E)
-        E *= (2.0 * np.pi * variance) ** (-0.5 * X.shape[1])
+        # the last variance takes sq itself
+        E = density(sq if k == len(variances) - 1 else sq.copy(), variance, X.shape[1])
         if G is None:
             G = E
         else:
@@ -142,23 +143,11 @@ def gauss_gram_dv(X, Z, variance: float) -> tuple[np.ndarray, np.ndarray]:
     d = X.shape[1]
     # squared distances summed axis by axis, in the order a sum over the
     # last axis of the (n, m, d) differences takes, without forming them
-    sq = np.subtract.outer(X[:, 0], Z[:, 0])
-    sq *= sq
+    sq = sq_offsets(X[:, 0], Z[:, 0])
     for a in range(1, d):
-        e = np.subtract.outer(X[:, a], Z[:, a])
-        e *= e
-        sq += e
-    # scale * exp(-0.5 * sq / variance) and G * (0.5 * sq / variance**2 -
-    # 0.5 * d / variance), operation for operation, in place
-    G = sq * -0.5
-    G /= variance
-    np.exp(G, out=G)
-    G *= (2.0 * np.pi * variance) ** (-0.5 * d)
-    sq *= 0.5
-    sq /= variance**2
-    sq -= 0.5 * d / variance
-    sq *= G
-    return G, sq
+        sq += sq_offsets(X[:, a], Z[:, a])
+    G = density(sq.copy(), variance, d)
+    return G, density_dv(sq, G, variance, d)
 
 
 def sq_norm(x: np.ndarray) -> float:
@@ -171,36 +160,50 @@ def sq_norm(x: np.ndarray) -> float:
     return total
 
 
+def sq_offsets(x, z) -> np.ndarray:
+    """Squared offsets ``(x_i - z_j)^2`` between the coordinates ``x`` and
+    ``z``, a new array of shape ``x.shape + z.shape``."""
+    sq = np.subtract.outer(x, z)
+    sq *= sq
+    return sq
+
+
+def density(sq: np.ndarray, variance: float, dim: int) -> np.ndarray:
+    """The isotropic Gaussian density ``(2 pi v)^{-dim/2} exp(-sq / 2v)``
+    of the squared distances ``sq``, formed in ``sq`` and returned: the
+    one place the draws' kernel values are computed (scaling by -0.5 is
+    exact)."""
+    sq *= -0.5
+    sq /= variance
+    np.exp(sq, out=sq)
+    sq *= (2.0 * np.pi * variance) ** (-0.5 * dim)
+    return sq
+
+
+def density_dv(sq: np.ndarray, G: np.ndarray, variance: float, dim: int) -> np.ndarray:
+    """The derivative in the variance of the densities ``G`` of the
+    squared distances ``sq``, ``G * (0.5 * sq / v^2 - 0.5 * dim / v)``,
+    formed in ``sq`` and returned."""
+    sq *= 0.5
+    sq /= variance**2
+    sq -= 0.5 * dim / variance
+    sq *= G
+    return sq
+
+
 def axis_gram(x: np.ndarray, z: np.ndarray, variance: float) -> np.ndarray:
     """One axis's factor of the isotropic Gaussian kernel between the
     coordinates ``x`` and ``z``: ``(2 pi v)^{-1/2} exp(-(x_i - z_j)^2 / 2v)``,
     shape (x.size, z.size)."""
-    # scale * exp(-0.5 * d**2 / variance), operation for operation (scaling
-    # by -0.5 is exact), in place: this runs once per axis and new point
-    E = x[:, None] - z[None, :]
-    E *= E
-    E *= -0.5
-    E /= variance
-    np.exp(E, out=E)
-    E *= (2.0 * np.pi * variance) ** -0.5
-    return E
+    return density(sq_offsets(x, z), variance, 1)
 
 
 def axis_gram_dv(x: np.ndarray, z: np.ndarray, variance: float) -> tuple[np.ndarray, np.ndarray]:
-    """``axis_gram`` together with its elementwise derivative in the variance,
-    ``E * (0.5 * d**2 / variance**2 - 0.5 / variance)``: each operation
-    ``axis_gram``'s or that formula's, the squared offsets formed once."""
-    sq = x[:, None] - z[None, :]
-    sq *= sq
-    E = sq * -0.5
-    E /= variance
-    np.exp(E, out=E)
-    E *= (2.0 * np.pi * variance) ** -0.5
-    sq *= 0.5
-    sq /= variance**2
-    sq -= 0.5 / variance
-    sq *= E
-    return E, sq
+    """``axis_gram`` together with its elementwise derivative in the
+    variance, the squared offsets formed once."""
+    sq = sq_offsets(x, z)
+    E = density(sq.copy(), variance, 1)
+    return E, density_dv(sq, E, variance, 1)
 
 
 def gram_matvec(X, Z, variance: float, c) -> np.ndarray:
@@ -310,18 +313,17 @@ def cholesky(a: np.ndarray) -> np.ndarray:
     return L
 
 
-def cholesky_with_jitter(cov: np.ndarray, symmetric: bool = False) -> tuple[np.ndarray, float]:
+def cholesky_with_jitter(cov: np.ndarray) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of ``cov`` plus jitter; returns (L, jitter used).
 
-    The factor is Fortran-ordered (see ``cholesky``). One n x n buffer
-    serves every attempt: it is filled with ``(cov + cov^T) / 2``, which is
-    exactly symmetric, so its transpose is the same matrix in Fortran
-    order, and ``dpotrf`` factors that in place, with no copy, after the
-    jitter is added to the diagonal. The symmetrised diagonal is ``cov``'s
-    own, so the jitter scales with ``cov``'s trace. ``symmetric``: ``cov``
-    is exactly symmetric (as a process's residual covariance is kept), on
-    which the symmetrisation is the identity, so the buffer is filled with
-    a plain copy and the factor is the same.
+    ``cov`` must be exactly symmetric, as every caller's is: the Gram
+    matrix of one point set, a floored residual covariance, and in
+    ``from_precision`` the reversed precision, which ``latent_posterior``
+    symmetrises. The factor is Fortran-ordered (see ``cholesky``). One n x n buffer serves every
+    attempt: it is filled with a copy of ``cov``, whose transpose is, by
+    the symmetry, the same matrix in Fortran order, and ``dpotrf`` factors
+    that in place, with no copy, after the jitter is added to the
+    diagonal. The jitter scales with ``cov``'s trace.
     """
     cov = np.asarray(cov, dtype=float)
     n = cov.shape[0]
@@ -332,11 +334,7 @@ def cholesky_with_jitter(cov: np.ndarray, symmetric: bool = False) -> tuple[np.n
     sym = np.empty((n, n))
     diag = sym.reshape(-1)[:: n + 1]  # a view: sym is C-contiguous
     for _ in range(MAX_JITTER_DOUBLINGS + 1):
-        if symmetric:  # a failed attempt has overwritten the buffer
-            np.copyto(sym, cov)
-        else:
-            np.add(cov, cov.T, out=sym)
-            sym *= 0.5
+        np.copyto(sym, cov)  # a failed attempt has overwritten the buffer
         diag += jitter
         L, info = _POTRF(sym.T, 1, 1, 1)  # lower, clean, overwrite_a
         if info == 0:

@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convolution import latent_grid
+from .convolution import LatentFactor, latent_grid
 from .errors import ValidationError
-from .gaussian import ProductGrid, _as_points, chol_solve, cholesky_with_jitter, gauss_gram, gram_matvec
+from .gaussian import ProductGrid, _as_points, chol_solve, gram_matvec
 from .sgcp import EventSet, Region, sigmoid_array
 
 
@@ -101,18 +101,16 @@ def sample_ground_truth(
     Defaults are scaled for a unit region; pass ranges explicitly for
     anything else.
     """
-    grid = latent_grid(region, grid_per_axis).nodes
+    grid = latent_grid(region, grid_per_axis)
     phis = _log_uniform(rng, phi_range, n_latent)
-    weights = np.zeros((n_latent, grid.shape[0]))
+    weights = np.zeros((n_latent, grid.size))
     for q in range(n_latent):
-        K = gauss_gram(grid, grid, phis[q])  # exactly symmetric, as in LatentFactor.L
-        L, _ = cholesky_with_jitter(K, symmetric=True)
-        u = L @ rng.standard_normal(grid.shape[0])
-        weights[q] = chol_solve(L, u)
+        L = LatentFactor(grid, phis[q]).L  # the sampler's factor of the latent Gram matrix
+        weights[q] = chol_solve(L, L @ rng.standard_normal(grid.size))
     kappas = _log_uniform(rng, kappa_range, n_processes)
     thetas = _log_uniform(rng, theta_range, n_processes)
     lams = _log_uniform(rng, lambda_star_range, n_processes)
-    return GroundTruth(region, grid, weights, phis, kappas, thetas, lams)
+    return GroundTruth(region, grid.nodes, weights, phis, kappas, thetas, lams)
 
 
 def _log_uniform(rng, bounds, n):

@@ -129,37 +129,35 @@ def _region(raw: dict) -> Region:
 # ---------------------------------------------------------------------------
 # event files
 
-def write_event_file(path, events, dim: int | None = None) -> None:
-    """Write one ``EventSet``, or a list of them in order, as an event file."""
+def write_event_file(path, events, dim: int) -> None:
+    """Write one ``EventSet``, or a list of them in order, as an event file
+    of ``dim`` coordinates."""
     sets = [events] if isinstance(events, EventSet) else events
-    dim = sets[0].points.shape[1] if dim is None else dim
     rows = ([str(ev.process_id), *point] for ev in sets for point in ev.points)
     _write_csv(path, [EVENT_HEADER, *_coordinates(dim)], rows)
 
 
-def read_event_files(paths, region: Region | None = None) -> list[EventSet]:
+def read_event_files(paths, region: Region) -> list[EventSet]:
     """Read one or more event files, each once; process ids are mapped to a
     contiguous 0..D-1 label set in sorted order of the raw ids.
 
-    All files must have the dimension of the first, and of the ``region``
-    if one is given; an event outside the ``region`` raises
-    ``ValidationError`` naming its file and row.
+    All files must have the ``region``'s dimension; an event outside the
+    ``region`` raises ``ValidationError`` naming its file and row.
     """
     rows = []
-    dim = None if region is None else region.dim
+    dim = region.dim
     for path in paths:
         file_dim, file_rows = _event_table(path)
-        if dim is not None and file_dim != dim:
+        if file_dim != dim:
             raise ValidationError(f"{path}: events have {file_dim} coordinates, expected {dim}")
-        dim = file_dim
         for row_no, pid, point in file_rows:
-            if region is not None and not region.contains_point(point):
+            if not region.contains_point(point):
                 raise ValidationError(
                     f"{path}:{row_no}: event for process {pid} lies outside the region"
                 )
         rows += file_rows
     # header-only inputs define a single process with no events
-    sets = _event_sets(rows, dim or 1, () if rows else (0,))
+    sets = _event_sets(rows, dim, () if rows else (0,))
     return [EventSet(ev.points, new_id) for new_id, ev in enumerate(sets)]
 
 

@@ -184,14 +184,14 @@ def diffusion_bandwidth(x, n_grid: int = 2**14) -> float:
     return float(np.sqrt(t_star) * width)
 
 
-def kde_intensity(train_points, targets, bandwidths=None) -> np.ndarray:
+def kde_intensity(train_points, targets, bandwidths) -> np.ndarray:
     """Gaussian product-kernel intensity estimate at ``targets``, a
     ``ProductGrid`` (its nodes in ``ij`` order) or a point array.
 
     The density is scaled by the training count so its integral over the
-    region approaches the count (minus boundary leakage). Unless given,
-    bandwidths ``h`` come from the 1D diffusion rule applied per axis.
-    The kernel of bandwidths ``h`` is the unit-variance kernel between
+    region approaches the count (minus boundary leakage). ``bandwidths``
+    ``h`` are one per axis (``diffusion_bandwidth`` solves one from an
+    axis's coordinates). The kernel of bandwidths ``h`` is the unit-variance kernel between
     coordinates divided by ``h``, over ``prod(h)``: one ``gram_matvec``
     call, with a grid's axes scaled axis by axis.
     """
@@ -204,8 +204,6 @@ def kde_intensity(train_points, targets, bandwidths=None) -> np.ndarray:
         targets = _as_points(targets)
     if dim != (targets.dim if grid else targets.shape[1]):
         raise ValidationError("training points do not match the targets' dimension")
-    if bandwidths is None:
-        bandwidths = [diffusion_bandwidth(x) for x in X.T]
     h = np.atleast_1d(np.asarray(bandwidths, dtype=float))
     if h.shape != (dim,):
         raise ValidationError(f"one bandwidth per axis needed: got {h.size} for {dim} axes")

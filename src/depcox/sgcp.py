@@ -82,7 +82,6 @@ from .thinning import (
     accept_delete,
     accept_insert,
     accept_move,
-    assign_rate,
     estimate_total,
 )
 
@@ -531,7 +530,7 @@ class _Workspace:
     def L(self) -> np.ndarray:
         """Cholesky factor of ``C``, formed on first use and kept as long as ``C``."""
         if self._L is None:
-            self._L, self._jitter = cholesky_with_jitter(self.C, symmetric=True)
+            self._L, self._jitter = cholesky_with_jitter(self.C)
         return self._L
 
     def _factor(self):
@@ -560,7 +559,7 @@ class _Workspace:
             lks = tri_solve(L, ks)
             mu, var = mstar + float(lks.dot(v)), cstar - float(lks.dot(lks))
         else:
-            Ls, _ = cholesky_with_jitter(_drop(self.C, exclude), symmetric=True)
+            Ls, _ = cholesky_with_jitter(_drop(self.C, exclude))
             w = tri_solve(Ls, _without(ks, exclude))
             vs = tri_solve(Ls, _without(self.g - self.m, exclude))
             mu, var = mstar + float(w.dot(vs)), cstar - float(w.dot(w))
@@ -842,7 +841,7 @@ def _hyper_energy(prior, pts, g, rho, priors: PriorConfig):
     if n == 0:
         return nlp, grad
     m, C, dm, dC = prior.mean_cov_grads(pts, kappa, theta)
-    L, _ = cholesky_with_jitter(C, symmetric=True)  # C is exactly symmetric
+    L, _ = cholesky_with_jitter(C)
     r = g - m
     w = tri_solve(L, r)
     alpha = tri_solve(L, w, trans="T")
@@ -936,7 +935,7 @@ def lambda_posterior(
     points' notional levels assigned from their current sigmoids; with a
     one-level ladder the total is exactly K + M.
     """
-    data_levels = assign_rate(sigmoid_array(state.g_data), ladder)
+    data_levels = [ladder.assign(sig) for sig in sigmoid_array(state.g_data).tolist()]
     total = estimate_total(data_levels, state.rate_idx, ladder)
     return priors.lambda_alpha + total, priors.lambda_beta + region.volume
 

@@ -49,9 +49,11 @@ class RateLadder:
         return len(self.levels)
 
     def assign(self, sigmoid_value: float) -> int:
-        """``assign_rate`` of one float, searched in the scaled levels with
-        ``bisect_left`` and no numpy call: the per-point case of the birth
-        and move kernels."""
+        """Index (0-based) of the smallest level whose slack-scaled value
+        covers the float ``sigmoid_value``, searched with ``bisect_left``
+        and no numpy call. Falls back to the top level when even the
+        slack-scaled top is exceeded, so the level always upper-bounds the
+        sigmoid; NaN gets the top level too."""
         top = len(self._scaled) - 1
         if sigmoid_value != sigmoid_value:  # NaN
             return top
@@ -59,21 +61,6 @@ class RateLadder:
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.levels)
-
-
-def assign_rate(sigmoid_value, ladder: RateLadder):
-    """Index of the smallest level whose slack-scaled value covers ``sigmoid_value``.
-
-    Falls back to the top level when even the slack-scaled top is exceeded,
-    so the returned level always upper-bounds the sigmoid; NaN, which
-    ``searchsorted`` places above every level, gets the top level too.
-    Accepts scalars or arrays; indices are 0-based. A scalar goes through
-    ``RateLadder.assign``, which the birth and move kernels call directly.
-    """
-    if np.ndim(sigmoid_value) == 0:
-        return ladder.assign(float(sigmoid_value))
-    idx = np.searchsorted(ladder._scaled, sigmoid_value, side="left")
-    return np.minimum(idx, ladder.n_levels - 1).astype(int)
 
 
 def thinned_prob(sigmoid_value: float, level: float) -> float:

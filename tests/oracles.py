@@ -198,7 +198,7 @@ class FixedFunctionPrior:
         return self.mean(X, W, kappa), self.cov(X, W, X, W, kappa, theta)
 
     def site_scalars(self, kappa: float, theta: float) -> SiteScalars:
-        return SiteScalars(kappa, theta, kappa**2, (), (), [], 0.0, 0.0)
+        return SiteScalars(kappa, theta, kappa**2, (), [], 0.0, 0.0)
 
     def site(self, x, xx: float, pts, zz, W, s: SiteScalars):
         """Empty projection, the known value, zero variance and a zero

@@ -25,11 +25,18 @@ from depcox.engine import (
     sweep,
 )
 from depcox.errors import NumericalError, ValidationError
+from depcox.gaussian import ProductGrid
 from depcox.generate import sample_events, sample_ground_truth
 from depcox.metrics import Quadrature
 from depcox.sgcp import EventSet, PriorConfig, Region
 from depcox.thinning import RateLadder
-from oracles import hyper_energy_stacked, mean_cov_grads_stacked, point_loglik_where, site_and_row
+from oracles import (
+    cholesky_with_jitter_copies,
+    hyper_energy_stacked,
+    mean_cov_grads_stacked,
+    point_loglik_where,
+    site_and_row,
+)
 
 UNIT = Region([0.0], [1.0])
 
@@ -161,8 +168,9 @@ class TestRunChain:
     def test_per_site_call_keeps_every_draw(self, monkeypatch, dim, independent):
         # the second chain computes each proposal's site through the
         # projection, mean and covariance calls (oracles.site_and_row) and
-        # symmetrises every covariance it factors: the route the per-site
-        # call and the copied factor buffer replace, draw for draw
+        # factors every covariance through a symmetrised copy
+        # (oracles.cholesky_with_jitter_copies): the route the per-site call
+        # and the copied factor buffer replace, draw for draw
         region = Region([0.0] * dim, [1.0] * dim)
         rng = np.random.default_rng(40 + dim)
         truth = sample_ground_truth(region, 2, 2, rng, lambda_star_range=(20.0, 25.0), grid_per_axis=6)
@@ -175,8 +183,7 @@ class TestRunChain:
             depcox.convolution.ConvolutionPrior, "site", lambda prior, x, xx, pts, zz, W, s:
             site_and_row(prior, x, pts, W, s.kappa, s.theta)
         )
-        chol = depcox.sgcp.cholesky_with_jitter
-        monkeypatch.setattr(depcox.sgcp, "cholesky_with_jitter", lambda cov, symmetric=False: chol(cov))
+        monkeypatch.setattr(depcox.sgcp, "cholesky_with_jitter", cholesky_with_jitter_copies)
         oracle = run_chain_with_info(data, region, cfg)[0]
         assert len(fast) == len(oracle) == 8
         assert sum(t.shape[0] for a in fast for t in a.thinned) > 0
@@ -475,15 +482,16 @@ class TestRunChain:
         assert np.median(ess) > 50  # about 290 here; below 20 with a broken gradient
 
     def test_memory_stays_per_process(self, monkeypatch):
+        # every Gram matrix the prior forms: the latent one, the residual
+        # covariances' Gram sums and the new sites' rows
         recorded = []
-        original = depcox.convolution.gauss_gram
+        for name in ("gauss_gram", "gauss_gram_sum"):
+            def recording(*args, _original=getattr(depcox.convolution, name)):
+                out = _original(*args)
+                recorded.append(out.shape)
+                return out
 
-        def recording(X, Z, variance):
-            out = original(X, Z, variance)
-            recorded.append(out.shape)
-            return out
-
-        monkeypatch.setattr(depcox.convolution, "gauss_gram", recording)
+            monkeypatch.setattr(depcox.convolution, name, recording)
         data, _ = _toy_data(seed=4, n_proc=3, lam=(15.0, 20.0))
         cfg = _small_config(n_iters=8, burn_in=2, grid_per_axis=10)
         samples = run_chain_with_info(data, UNIT, cfg)[0]
@@ -698,14 +706,14 @@ class TestSummarize:
     def test_single_sample_has_zero_sd(self):
         samples, data = self._manual_samples()
         cfg = _small_config(independent=True)
-        grid = np.linspace(0, 1, 20)[:, None]
+        grid = ProductGrid([np.linspace(0, 1, 20)])
         summary = summarize(samples[:1], grid, data, UNIT, cfg)
         np.testing.assert_array_equal(summary.intensity_sd, 0.0)
 
     def test_identical_samples_have_zero_sd(self):
         samples, data = self._manual_samples()
         cfg = _small_config(independent=True)
-        grid = np.linspace(0, 1, 20)[:, None]
+        grid = ProductGrid([np.linspace(0, 1, 20)])
         summary = summarize([samples[0], samples[0]], grid, data, UNIT, cfg)
         np.testing.assert_allclose(summary.intensity_sd, 0.0, atol=1e-9)
 
@@ -713,7 +721,7 @@ class TestSummarize:
         samples, data = self._manual_samples()
         doubled, _ = self._manual_samples(doubled=True)
         cfg = _small_config(independent=True)
-        grid = np.linspace(0, 1, 20)[:, None]
+        grid = ProductGrid([np.linspace(0, 1, 20)])
         base = summarize(samples, grid, data, UNIT, cfg)
         twice = summarize(doubled, grid, data, UNIT, cfg)
         np.testing.assert_allclose(twice.intensity_mean, 2.0 * base.intensity_mean, rtol=1e-12)
@@ -721,14 +729,14 @@ class TestSummarize:
     def test_intensity_samples_matches_summary_mean(self):
         samples, data = self._manual_samples()
         cfg = _small_config(independent=True)
-        grid = np.linspace(0, 1, 10)[:, None]
+        grid = ProductGrid([np.linspace(0, 1, 10)])
         summary = summarize(samples, grid, data, UNIT, cfg)
-        lams = intensity_samples(samples, grid, data, UNIT, cfg)
+        lams = intensity_samples(samples, grid.nodes, data, UNIT, cfg)
         np.testing.assert_allclose(lams.mean(axis=0), summary.intensity_mean, rtol=1e-10)
 
     def test_empty_samples_rejected(self):
         with pytest.raises(ValidationError):
-            summarize([], np.zeros((3, 1)), [EventSet(np.zeros((0, 1)))], UNIT, _small_config())
+            summarize([], ProductGrid([np.zeros(3)]), [EventSet(np.zeros((0, 1)))], UNIT, _small_config())
 
     def test_copies_of_one_sample_have_exactly_zero_sd(self):
         # a sum of squares less n mean^2 leaves rounding residue at many nodes

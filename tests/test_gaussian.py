@@ -217,23 +217,31 @@ class TestCholeskyJitter:
     @staticmethod
     def _needs_one_doubling(n=12):
         # smallest eigenvalue -1.5 base jitters: the first attempt fails,
-        # the doubled jitter leaves it +0.5 base jitters
+        # the doubled jitter leaves it +0.5 base jitters; symmetrised, as
+        # cholesky_with_jitter requires
         rng = np.random.default_rng(5)
         Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
         lam = np.linspace(1.0, 2.0, n)
         lam[0] = 0.0
         lam[0] = -1.5 * JITTER_SCALE * lam.sum() / n
-        return (Q * lam) @ Q.T
+        S = (Q * lam) @ Q.T
+        return 0.5 * (S + S.T)
 
-    @pytest.mark.parametrize("kind", ["symmetric", "asymmetric", "escalating"])
+    @pytest.mark.parametrize("kind", ["symmetric", "escalating", "near-singular", "reversed"])
     def test_one_buffer_gives_the_copies_factor_bit_for_bit(self, kind):
+        # on an exactly symmetric cov the copies' symmetrisation is the
+        # identity, so the copied buffer gives their factor and jitter,
+        # escalations too; "reversed" is a reversed view, as from_precision
+        # passes the precision
         rng = np.random.default_rng(6)
         A = rng.standard_normal((40, 40))
         cov = {
             "symmetric": 0.5 * (A @ A.T + (A @ A.T).T) + np.eye(40),
-            "asymmetric": A @ A.T + np.eye(40) + 1e-9 * rng.standard_normal((40, 40)),
             "escalating": self._needs_one_doubling(),
+            "near-singular": gauss_gram(*[rng.uniform(size=(30, 1))] * 2, 0.05),
+            "reversed": (A @ A.T + np.eye(40))[::-1, ::-1],
         }[kind]
+        assert np.array_equal(cov, cov.T)
         before = cov.copy()
         L, jit = cholesky_with_jitter(cov)
         want, want_jit = cholesky_with_jitter_copies(cov)
@@ -244,29 +252,6 @@ class TestCholeskyJitter:
         if kind == "escalating":
             base = JITTER_SCALE * np.trace(cov) / cov.shape[0]
             assert jit == pytest.approx(2.0 * base, rel=1e-12)
-
-    @pytest.mark.parametrize("kind", ["spread", "escalating", "near-singular"])
-    def test_symmetric_input_skips_the_symmetrisation_bit_for_bit(self, kind):
-        # on an exactly symmetric cov the symmetrisation is the identity:
-        # the copied buffer gives the same factor and jitter, escalations too
-        rng = np.random.default_rng(7)
-        A = rng.standard_normal((30, 30))
-        cov = {
-            "spread": A @ A.T + np.eye(30),
-            "escalating": self._needs_one_doubling(),
-            "near-singular": gauss_gram(*[rng.uniform(size=(30, 1))] * 2, 0.05),
-        }[kind]
-        cov = 0.5 * (cov + cov.T)
-        assert np.array_equal(cov, cov.T)
-        before = cov.copy()
-        L, jit = cholesky_with_jitter(cov, symmetric=True)
-        want, want_jit = cholesky_with_jitter(cov)
-        assert jit == want_jit
-        assert L.flags.f_contiguous
-        assert L.tobytes(order="A") == want.tobytes(order="A")
-        np.testing.assert_array_equal(cov, before)  # the input is not written to
-        if kind == "escalating":
-            assert jit == pytest.approx(2.0 * JITTER_SCALE * np.trace(cov) / cov.shape[0], rel=1e-12)
 
 
 class TestTriSolve:

@@ -7,8 +7,9 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import expit, logit
 
+from depcox.convolution import latent_grid
 from depcox.errors import ValidationError
-from depcox.gaussian import ProductGrid
+from depcox.gaussian import ProductGrid, chol_solve, cholesky_with_jitter, gauss_gram
 from depcox.generate import (
     GroundTruth,
     low_intensity_fraction,
@@ -94,6 +95,22 @@ class TestGroundTruth:
         b = sample_ground_truth(UNIT, 3, 1, np.random.default_rng(5))
         np.testing.assert_array_equal(a.weights, b.weights)
         np.testing.assert_array_equal(a.lambda_stars, b.lambda_stars)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_weights_come_from_the_latent_gram_factor_bit_for_bit(self, dim):
+        # sample_ground_truth draws through LatentFactor.L; the route it
+        # replaces factored the nodes' Gram matrix itself
+        region = Region([0.0] * dim, [1.0] * dim)
+        truth = sample_ground_truth(region, 2, 2, np.random.default_rng(30 + dim), grid_per_axis=8)
+        rng = np.random.default_rng(30 + dim)
+        phis = np.exp(rng.uniform(np.log(0.004), np.log(0.02), size=2))  # the default phi_range
+        assert phis.tobytes() == truth.phis.tobytes()
+        nodes = latent_grid(region, 8).nodes
+        np.testing.assert_array_equal(truth.grid, nodes)
+        for q in range(2):
+            L, _ = cholesky_with_jitter(gauss_gram(nodes, nodes, phis[q]))
+            want = chol_solve(L, L @ rng.standard_normal(nodes.shape[0]))
+            assert truth.weights[q].tobytes() == want.tobytes()
 
 
 class TestThinEvents:

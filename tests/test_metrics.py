@@ -193,6 +193,11 @@ class TestL2Error:
             l2_error(np.ones(10), np.ones(10), quad)
 
 
+def _solved(X):
+    """The bandwidths ``cli._kde_rows`` solves: one diffusion bandwidth per axis."""
+    return [diffusion_bandwidth(x) for x in X.T]
+
+
 class TestKdeIntensity:
     def _clustered(self, rng, n=400):
         x = 0.5 + 0.07 * rng.standard_normal(n)
@@ -202,14 +207,14 @@ class TestKdeIntensity:
         rng = np.random.default_rng(1)
         X = self._clustered(rng)
         quad = Quadrature.for_region(UNIT, 512)
-        lam = kde_intensity(X, quad.grid)
+        lam = kde_intensity(X, quad.grid, _solved(X))
         assert quad.weights @ lam == pytest.approx(len(X), rel=0.02)
 
     def test_mode_at_cluster_center(self):
         rng = np.random.default_rng(2)
         X = (0.37 + 0.01 * rng.standard_normal(200))[:, None]
         quad = Quadrature.for_region(UNIT, 512)
-        lam = kde_intensity(X, quad.grid)
+        lam = kde_intensity(X, quad.grid, _solved(X))
         cell = 1.0 / 511
         assert abs(quad.grid.nodes[np.argmax(lam), 0] - X.mean()) <= cell
 
@@ -224,7 +229,7 @@ class TestKdeIntensity:
     def test_needs_two_events(self):
         quad = Quadrature.for_region(UNIT, 64)
         with pytest.raises(ValidationError):
-            kde_intensity(np.array([[0.5]]), quad.grid)
+            kde_intensity(np.array([[0.5]]), quad.grid, [0.1])
 
     def test_2d_integral_close_to_count(self):
         rng = np.random.default_rng(4)
@@ -232,7 +237,7 @@ class TestKdeIntensity:
         pts = pts[np.all((pts > 0.05) & (pts < 0.95), axis=1)]
         region = Region([0.0, 0.0], [1.0, 1.0])
         quad = Quadrature.for_region(region, 64)
-        lam = kde_intensity(pts, quad.grid)
+        lam = kde_intensity(pts, quad.grid, _solved(pts))
         assert quad.weights @ lam == pytest.approx(len(pts), rel=0.02)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -249,7 +254,7 @@ class TestKdeIntensity:
         rng = np.random.default_rng(dim)
         X = rng.uniform(size=(25, dim))
         grid = ProductGrid([np.linspace(0.0, 1.0, n) for n in (9, 6, 4)[:dim]])
-        for h in ([0.05, 0.3, 0.1][:dim], None):
+        for h in ([0.05, 0.3, 0.1][:dim], _solved(X)):
             np.testing.assert_allclose(kde_intensity(X, grid, h), kde_intensity(X, grid.nodes, h),
                                        rtol=1e-12, atol=0)
 
@@ -257,7 +262,7 @@ class TestKdeIntensity:
         X = np.random.default_rng(0).uniform(size=(5, 2))
         for targets in (Quadrature.for_region(UNIT, 8).grid, np.zeros((3, 1)), np.zeros((3, 3))):
             with pytest.raises(ValidationError, match="dimension"):
-                kde_intensity(X, targets)
+                kde_intensity(X, targets, [0.1, 0.1])
 
     @pytest.mark.parametrize("bandwidths", [[0.1], [0.1, 0.2, 0.3]])
     def test_one_bandwidth_per_axis(self, bandwidths):

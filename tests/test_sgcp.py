@@ -41,12 +41,13 @@ from depcox.sgcp import (
     sigmoid_array,
     thinned_levels,
 )
-from depcox.thinning import RateLadder
+from depcox.thinning import SLACK, RateLadder
 from oracles import (
     CopyingPointSet,
     FixedFunctionPrior,
     Mvn,
     append_thinned,
+    assign_rate_searchsorted,
     conditional_mvn,
     contains_point_numpy,
     hyper_energy_stacked,
@@ -68,6 +69,18 @@ def _empty_state(lam=2.0, kappa=1.0, theta=0.05, n_data=0):
         kappa=kappa,
         theta=theta,
     )
+
+
+def _sigmoid_bracket(s: float) -> tuple[float, float]:
+    """Adjacent floats ``lo < hi`` with ``sigmoid_array`` of ``lo`` at most
+    ``s`` and of ``hi`` above it, found by bisection."""
+    lo, hi = -40.0, 40.0
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if sigmoid_array(np.array([mid]))[0] <= s:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
 
 
 def _moments(p):
@@ -1026,7 +1039,7 @@ class TestHyperEnergyBits:
         rho = np.log([1.0, 0.0005])
         kappa, theta = float(np.exp(rho[0])), float(np.exp(rho[1]))
         _, C, _, _ = prior.mean_cov_grads(pts, kappa, theta)
-        _, jitter = cholesky_with_jitter(C, symmetric=True)
+        _, jitter = cholesky_with_jitter(C)
         assert jitter > 1.5 * JITTER_SCALE * np.trace(C) / 40  # at least one doubling
         self._assert_same(prior, pts, g, rho)
 
@@ -1051,6 +1064,21 @@ class TestGibbsLambda:
             state, UNIT, PriorConfig(lambda_alpha=1.0, lambda_beta=0.1), TWO_LEVEL
         )
         assert shape == pytest.approx(11.0)
+        assert rate == pytest.approx(1.1)
+
+    def test_observed_points_at_and_above_the_scaled_levels(self):
+        # observed sigmoids at each slack-scaled level of (0.25, 0.5, 1),
+        # that is 0.225, 0.45 and 0.9, as near as a sigmoid of a float
+        # reaches from below, the next sigmoid a float reaches above each,
+        # and 0.95: each counts 1 / its level in the shape
+        ladder = RateLadder((0.25, 0.5, 1.0))
+        g = [bound for s in ladder.as_array() * SLACK for bound in _sigmoid_bracket(s)]
+        state = _empty_state(n_data=7)
+        state.g_values = np.array(g + [logit(0.95)])
+        sig = sigmoid_array(state.g_values)
+        assert [assign_rate_searchsorted(v, ladder) for v in sig] == [0, 1, 1, 2, 2, 2, 2]
+        shape, rate = lambda_posterior(state, UNIT, PriorConfig(lambda_alpha=1.5, lambda_beta=0.1), ladder)
+        assert shape == 1.5 + 4 + 2 + 2 + 1 + 1 + 1 + 1
         assert rate == pytest.approx(1.1)
 
     def test_no_events_shifts_only_rate(self):

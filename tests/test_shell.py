@@ -18,7 +18,14 @@ from depcox import io
 from depcox.cli import main
 from depcox.engine import RunConfig, intensity_samples, run_chain_with_info, summarize
 from depcox.generate import sample_events, sample_ground_truth
-from depcox.metrics import Quadrature, kde_intensity, l2_error, predictive_loglik, sample_logliks
+from depcox.metrics import (
+    Quadrature,
+    diffusion_bandwidth,
+    kde_intensity,
+    l2_error,
+    predictive_loglik,
+    sample_logliks,
+)
 from depcox.sgcp import EventSet, PriorConfig, Region
 from depcox.thinning import RateLadder
 
@@ -86,21 +93,21 @@ def _archive_files_equal(a: Path, b: Path, exclude=("timings.json",)) -> bool:
 class TestEventFiles:
     def test_round_trip(self, tmp_path):
         ev = EventSet(np.array([[0.25], [0.75]]), 1)
-        io.write_event_file(tmp_path / "ev.csv", ev)
-        back = io.read_event_files([tmp_path / "ev.csv"])
+        io.write_event_file(tmp_path / "ev.csv", ev, 1)
+        back = io.read_event_files([tmp_path / "ev.csv"], Region([0.0], [1.0]))
         assert len(back) == 1
         np.testing.assert_array_equal(back[0].points, ev.points)
         assert back[0].process_id == 0  # contiguous relabeling
 
     def test_header_only_file_is_one_empty_process(self, tmp_path):
         (tmp_path / "ev.csv").write_text("process_id,x1\n")
-        back = io.read_event_files([tmp_path / "ev.csv"])
+        back = io.read_event_files([tmp_path / "ev.csv"], Region([0.0], [1.0]))
         assert len(back) == 1 and len(back[0]) == 0
 
     def test_bad_row_reports_location(self, tmp_path):
         (tmp_path / "ev.csv").write_text("process_id,x1\n0,0.5\n0,abc\n")
         with pytest.raises(io.ValidationError, match="3"):
-            io.read_event_files([tmp_path / "ev.csv"])
+            io.read_event_files([tmp_path / "ev.csv"], Region([0.0], [1.0]))
 
     def test_files_of_different_dimension_exit_2_naming_the_file(self, tmp_path, capsys):
         cfg = _write_config(tmp_path)
@@ -111,7 +118,7 @@ class TestEventFiles:
         assert main(["fit", str(one), str(two), "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
         assert "two.csv" in capsys.readouterr().err
         with pytest.raises(io.ValidationError, match="one.csv"):
-            io.read_event_files([two, one])
+            io.read_event_files([two, one], Region([0.0, 0.0], [1.0, 1.0]))
 
     def test_file_of_other_dimension_than_region_exits_2_naming_the_file(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, region={"lower": [0.0, 0.0], "upper": [1.0, 1.0]})
@@ -624,7 +631,7 @@ class TestEval:
         rng = np.random.default_rng(0)
         pts = np.clip(0.5 + 0.05 * rng.standard_normal(40), 0.01, 0.99)
         ev_file = tmp_path / "ev.csv"
-        io.write_event_file(ev_file, EventSet(pts[:, None], 0))
+        io.write_event_file(ev_file, EventSet(pts[:, None], 0), 1)
         cfg = _write_config(tmp_path, train_fraction=1.0, n_iters=12, burn_in=4)
         arch = tmp_path / "arch"
         main(["fit", str(ev_file), "--config", str(cfg), "--out", str(arch)])
@@ -645,8 +652,8 @@ class TestEval:
         train = [EventSet(rng.uniform(size=(12, 1)), 0), EventSet(np.array([[0.4]]), 1)]
         test = [EventSet(rng.uniform(size=(5, 1)), 0), EventSet(np.array([[0.6], [0.9]]), 1)]
         train_file, test_file = tmp_path / "train.csv", tmp_path / "test.csv"
-        io.write_event_file(train_file, train)
-        io.write_event_file(test_file, test)
+        io.write_event_file(train_file, train, 1)
+        io.write_event_file(test_file, test, 1)
         cfg = _write_config(tmp_path, train_fraction=1.0, n_iters=6, burn_in=2)
         arch, report = tmp_path / "arch", tmp_path / "report.csv"
         assert main(["fit", str(train_file), "--config", str(cfg), "--out", str(arch)]) == 0
@@ -657,7 +664,8 @@ class TestEval:
             ("process_1", "ours"), ("process_1", "independent"),
         }
         quad = Quadrature.for_region(Region([0.0], [1.0]))
-        lam_grid, lam_ev = (kde_intensity(train[0].points, t) for t in (quad.grid, test[0].points))
+        h = [diffusion_bandwidth(x) for x in train[0].points.T]
+        lam_grid, lam_ev = (kde_intensity(train[0].points, t, h) for t in (quad.grid, test[0].points))
         want = np.sum(np.log(lam_ev)) - quad.weights @ lam_grid
         assert rows[("process_0", "kde", "predictive_loglik")] == pytest.approx(want, rel=1e-12)
 

@@ -11,7 +11,6 @@ from depcox.thinning import (
     accept_delete,
     accept_insert,
     accept_move,
-    assign_rate,
     estimate_total,
     thinned_prob,
 )
@@ -54,45 +53,44 @@ class TestRateLadder:
 
 class TestAssignRate:
     def test_low_sigmoid_takes_first_level(self):
-        assert assign_rate(0.3, TWO_LEVEL) == 0  # 0.3 <= 0.5 * 0.9
+        assert TWO_LEVEL.assign(0.3) == 0  # 0.3 <= 0.5 * 0.9
 
     def test_mid_sigmoid_takes_top_level(self):
-        assert assign_rate(0.6, TWO_LEVEL) == 1  # 0.6 > 0.45, 0.6 <= 0.9
+        assert TWO_LEVEL.assign(0.6) == 1  # 0.6 > 0.45, 0.6 <= 0.9
 
     def test_above_slack_falls_back_to_top(self):
-        assert assign_rate(0.95, TWO_LEVEL) == 1
+        assert TWO_LEVEL.assign(0.95) == 1
 
     def test_boundary_is_inclusive(self):
-        assert assign_rate(0.45, TWO_LEVEL) == 0
+        assert TWO_LEVEL.assign(0.45) == 0
 
     def test_assigned_level_always_bounds_sigmoid(self):
         rng = np.random.default_rng(0)
         ladder = default_ladder(4)
         sig = rng.uniform(1e-6, 1 - 1e-6, size=1000)
-        idx = assign_rate(sig, ladder)
-        levels = ladder.as_array()[idx]
+        levels = ladder.as_array()[[ladder.assign(s) for s in sig.tolist()]]
         assert np.all(sig <= levels)
 
     def test_monotone_in_sigmoid(self):
         ladder = default_ladder(3)
         sig = np.sort(np.random.default_rng(1).uniform(0.001, 0.999, size=500))
-        idx = assign_rate(sig, ladder)
+        idx = [ladder.assign(s) for s in sig.tolist()]
         assert np.all(np.diff(idx) >= 0)
 
     @pytest.mark.parametrize("ladder", [RateLadder((1.0,)), TWO_LEVEL, default_ladder(3)])
-    def test_scalar_search_matches_the_array_path(self, ladder):
-        # at each scaled level, the floats either side of it, 0, 1 and NaN:
-        # bisect gives NaN index 0, searchsorted the top, as assign_rate must
+    def test_bisect_matches_searchsorted(self, ladder):
+        # at each scaled level (0.225, 0.45 and 0.9 on the three-level
+        # ladder), the floats either side of it, 0, 1 and NaN: bisect gives
+        # NaN index 0 and searchsorted the top, which assign must give
         scaled = ladder.as_array() * SLACK
         values = [0.0, 1.0, float("nan")] + [
             float(v) for s in scaled for v in (np.nextafter(s, 0.0), s, np.nextafter(s, 1.0))
         ]
-        array_idx = assign_rate(np.array(values), ladder)
-        for v, want in zip(values, array_idx):
+        for v in values:
             got = ladder.assign(v)
             assert type(got) is int
-            assert got == want == assign_rate(v, ladder) == assign_rate_searchsorted(v, ladder), v
-        assert ladder.assign(float("nan")) == assign_rate(float("nan"), ladder) == ladder.n_levels - 1
+            assert got == assign_rate_searchsorted(v, ladder), v
+        assert ladder.assign(float("nan")) == ladder.n_levels - 1
 
 
 class TestThinnedProb:
