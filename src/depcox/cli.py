@@ -54,8 +54,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_generate(args) -> int:
     cfg = io.load_config(args.config)
-    seed = cfg.run.seed if args.seed is None else args.seed
-    rng = np.random.default_rng(seed)
+    run = cfg.run if args.seed is None else replace(cfg.run, seed=args.seed)
+    rng = np.random.default_rng(run.seed)
     gen = io.generate_args(cfg)
     truth = sample_ground_truth(cfg.region, n_latent=cfg.run.n_latent, rng=rng, **gen)
     events = sample_events(truth, rng)
@@ -71,7 +71,7 @@ def cmd_generate(args) -> int:
 def cmd_fit(args) -> int:
     cfg = io.load_config(args.config)
     if args.seed is not None:
-        cfg.run.seed = args.seed
+        cfg = replace(cfg, run=replace(cfg.run, seed=args.seed))
     events = io.read_event_files(args.events, cfg.region)
     rng = np.random.default_rng(cfg.run.seed)
     train, test, split_idx = _split(events, cfg.train_fraction, rng)

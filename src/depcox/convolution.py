@@ -590,9 +590,9 @@ def phi_mh_update(
     values: np.ndarray,
     factors,
     rng: np.random.Generator,
-    step: float = 0.1,
-    log_mean: float = 0.0,
-    log_sd: float = 1.0,
+    step: float,
+    log_mean: float,
+    log_sd: float,
 ) -> tuple[list, np.ndarray]:
     """One log-space random-walk Metropolis step per latent variance, given
     the latent grid values ``values`` (Q, J) and their ``factors``.

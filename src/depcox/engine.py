@@ -9,11 +9,12 @@ draws; a copy of a chain continues exactly as the chain would.
 
 A chain's retained draws are columnar: ``Draws`` holds one set of arrays
 per chain, each field stacked over the draws, not a ``PosteriorSample``
-with its own arrays per draw, filled as the chain runs. Each
-``PosteriorSample`` taken from it is a read-only view of one draw;
-``diagnostics`` reads the traces from the columns. Prediction is one
-loop, ``intensity_rows``, which ``summarize``, ``intensity_samples`` and
-eval reduce.
+with its own arrays per draw. It is filled as the chain runs and joins
+each process's draws once, at the last draw; it is read once it is full,
+by iteration only. Each ``PosteriorSample`` taken from it is a read-only
+view of one draw; ``diagnostics`` reads the traces from the columns.
+Prediction is one loop, ``intensity_rows``, which ``summarize``,
+``intensity_samples`` and eval reduce.
 
 Each latent function's variance and grid live only in its
 ``convolution.LatentFactor``, which factors the latent Gram matrix per
@@ -31,9 +32,7 @@ covariance itself, at start-up, in the sweep or in prediction.
 
 from __future__ import annotations
 
-import operator
 import time
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,9 +74,9 @@ class RunConfig:
     """Everything a chain run needs besides the data and the region.
 
     The sampler's own settings are fixed, not configured: birth/death
-    proposes an insertion with probability ``b`` and the Hamiltonian update
-    takes ``n_steps`` leapfrog steps, at those kernels' defaults in
-    ``sgcp``; the starting step sizes are ``HMC_STEP_SIZE`` and
+    proposes an insertion with probability ``b``, at that kernel's default
+    in ``sgcp``, and the Hamiltonian update takes ``sgcp.N_LEAPFROG``
+    leapfrog steps; the starting step sizes are ``HMC_STEP_SIZE`` and
     ``PHI_STEP_SIZE`` here, and both steps always adapt during burn-in.
     The latent grid extends past the region by ``convolution.GRID_PAD``
     of its length per side, and a point takes the lowest ladder level
@@ -104,6 +103,8 @@ class RunConfig:
             raise ValidationError("need 0 <= burn_in < n_iters")
         if self.thin_every < 1:
             raise ValidationError("thin_every must be at least 1")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be a non-negative integer, got {self.seed}")
         if self.n_latent < 1 or self.grid_per_axis < 2:
             raise ValidationError("need at least one latent function and two grid points")
 
@@ -132,20 +133,9 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _put(flat: np.ndarray, start: int, piece: np.ndarray) -> np.ndarray:
-    """``flat`` with ``piece`` at row ``start``: in a copy twice as long if it lacks room."""
-    end = start + len(piece)
-    if end > len(flat):
-        grown = np.empty((max(end, 2 * len(flat)), *flat.shape[1:]), flat.dtype)
-        grown[:start] = flat[:start]
-        flat = grown
-    flat[start:end] = piece
-    return flat
-
-
-class Draws(Sequence):
+class Draws:
     """A chain's retained draws, stored by column: ``Draws(n)`` is an
-    empty store for ``n`` draws, and ``append`` copies in the next. The
+    empty store for ``n`` draws, and ``append`` takes in the next. The
     sampler appends each retained sweep's draw as the chain runs, and
     ``io.load_archive`` each record as it reads it.
 
@@ -156,56 +146,49 @@ class Draws(Sequence):
     ``thinned_flat[d]``, ``rate_idx_flat[d]`` and ``g_flat[d]``, draw
     ``i``'s part running from row ``i`` to row ``i + 1`` of column ``d``
     of ``thinned_offsets`` (points and levels) or ``g_offsets`` (function
-    values). A flat array doubles when a draw does not fit and is cut to
-    its length at the ``n``-th draw, which makes every column read-only.
-    So a chain holds a fixed number of arrays however many draws it keeps;
-    ``draws[i]`` and iteration give a ``PosteriorSample`` of views.
+    values). ``append`` keeps each draw's per-process arrays, which no
+    caller writes after appending (see ``sgcp``; ``io`` reads each record
+    into fresh arrays); the ``n``-th draw joins each process's parts with
+    one concatenation, forms the offsets with one cumulative sum and makes
+    every column read-only. The store is read once it is full, by
+    iteration only, which gives a ``PosteriorSample`` of views per draw.
     """
 
     _COLUMNS = ("iteration", "lambda_stars", "kappas", "thetas", "phis", "latent_values")
 
     def __init__(self, n: int):
-        self._size, self._count = n, 0
+        self._size, self._count, self._parts = n, 0, []
 
     def append(self, s: PosteriorSample) -> None:
-        """Copy in ``s``, of the processes, dimension and latent grid of
+        """Take in ``s``, of the processes, dimension and latent grid of
         the draws before it, as the next draw."""
         i, n = self._count, self._size
         if i == 0:
-            n_proc = len(s.lambda_stars)
             self.iteration = np.empty(n, dtype=int)
-            self.lambda_stars, self.kappas, self.thetas = (np.empty((n, n_proc)) for _ in range(3))
+            self.lambda_stars, self.kappas, self.thetas = (np.empty((n, len(s.lambda_stars))) for _ in range(3))
             self.phis, self.latent_values = (np.empty((n, *a.shape)) for a in (s.phis, s.latent_values))
-            self.thinned_offsets, self.g_offsets = (np.zeros((n + 1, n_proc), dtype=int) for _ in range(2))
-            self.thinned_flat, self.rate_idx_flat, self.g_flat = (
-                [np.empty((0, *a.shape[1:]), a.dtype) for a in pieces]
-                for pieces in (s.thinned, s.rate_idx, s.g_values))
         for name in self._COLUMNS:
             getattr(self, name)[i] = getattr(s, name)
-        t, g = self.thinned_offsets, self.g_offsets
-        t[i + 1] = t[i] + [len(a) for a in s.rate_idx]
-        g[i + 1] = g[i] + [len(a) for a in s.g_values]
-        for d in range(t.shape[1]):
-            self.thinned_flat[d] = _put(self.thinned_flat[d], t[i, d], s.thinned[d])
-            self.rate_idx_flat[d] = _put(self.rate_idx_flat[d], t[i, d], s.rate_idx[d])
-            self.g_flat[d] = _put(self.g_flat[d], g[i, d], s.g_values[d])
+        self._parts.append((s.thinned, s.rate_idx, s.g_values))
         self._count = i + 1
         if self._count == n:
-            for flat, ends in ((self.thinned_flat, t[n]), (self.rate_idx_flat, t[n]), (self.g_flat, g[n])):
-                flat[:] = [_frozen(a[:end].copy()) for a, end in zip(flat, ends)]
-            for name in (*self._COLUMNS, "thinned_offsets", "g_offsets"):
-                _frozen(getattr(self, name))
+            self._join()
+
+    def _join(self) -> None:
+        thinned, rate_idx, g_values = zip(*self._parts)  # each: per draw, one array per process
+        self._parts = []
+        n_proc = self.lambda_stars.shape[1]
+        self.thinned_flat, self.rate_idx_flat, self.g_flat = (
+            [_frozen(np.concatenate([draw[d] for draw in parts])) for d in range(n_proc)]
+            for parts in (thinned, rate_idx, g_values))
+        self.thinned_offsets, self.g_offsets = (
+            _frozen(np.cumsum([[0] * n_proc, *([len(a) for a in draw] for draw in parts)], axis=0))
+            for parts in (rate_idx, g_values))
+        for name in self._COLUMNS:
+            _frozen(getattr(self, name))
 
     def __len__(self) -> int:
         return self._count
-
-    def __getitem__(self, key):
-        i = operator.index(key)
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError(f"draw {key} of {len(self)}")
-        return self._draw(i)
 
     def __iter__(self):
         return map(self._draw, range(len(self)))
@@ -264,7 +247,7 @@ def _latent_ess_move(states, A_list, prior: ConvolutionPrior, ladder, rng):
         total = 0.0
         for d, state in enumerate(states):
             g = A_list[d] @ u + residuals[d]
-            total += point_loglik(g, state.n_data, state.rate_idx, ladder, levels[d])
+            total += point_loglik(g, state.n_data, levels[d])
             if not np.isfinite(total):
                 return -np.inf
         return total
@@ -349,10 +332,7 @@ def start_chain(data, region: Region, config: RunConfig) -> ChainState:
             raise ValidationError(f"events of process {d} fall outside the region")
 
     priors = config.priors
-    streams = [
-        np.random.default_rng(s)
-        for s in np.random.SeedSequence(config.seed).spawn(n_proc + 1)
-    ]
+    streams = [np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(n_proc + 1)]
     if config.independent:
         prior = independent_prior(np.exp(priors.phi_log_mean), region.dim)
     else:

@@ -166,13 +166,19 @@ def sample_events(truth: GroundTruth, rng: np.random.Generator) -> list[EventSet
     return out
 
 
-def low_intensity_fraction(truth: GroundTruth, d: int = 0, resolution: int = 2048) -> float:
-    """Fraction of the region where the intensity sits at or below half its bound."""
+# About how many grid nodes ``low_intensity_fraction`` counts over.
+LOW_FRACTION_NODES = 2048
+
+
+def low_intensity_fraction(truth: GroundTruth) -> float:
+    """Fraction of the region where the first process's intensity sits at
+    or below half its bound (a bank truth has one process), over a grid of
+    about ``LOW_FRACTION_NODES`` nodes."""
     region = truth.region
-    per_axis = max(2, int(round(resolution ** (1.0 / region.dim))))
+    per_axis = max(2, int(round(LOW_FRACTION_NODES ** (1.0 / region.dim))))
     X = ProductGrid([np.linspace(lo, hi, per_axis) for lo, hi in zip(region.lower, region.upper)]).nodes
-    lam = truth.intensity(d, X)
-    return float(np.mean(lam <= 0.5 * truth.lambda_stars[d]))
+    lam = truth.intensity(0, X)
+    return float(np.mean(lam <= 0.5 * truth.lambda_stars[0]))
 
 
 def make_benchmark_bank(

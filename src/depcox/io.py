@@ -11,16 +11,16 @@ per-process lists are spelled out.
 
 An archive's ``samples.jsonl`` holds one record per retained draw.
 ``load_archive`` sizes an ``engine.Draws`` by its non-blank records and
-appends each record as it is read and checked, as the sampler appends
-each retained sweep: each ``PosteriorSample`` read from it is a
-read-only view of one draw.
+appends each record, in fresh arrays, as it is read and checked, as the
+sampler appends each retained sweep: each ``PosteriorSample`` read from
+it is a read-only view of one draw.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
-from collections.abc import Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass, field, fields, is_dataclass
 from inspect import signature
 from pathlib import Path
@@ -142,7 +142,10 @@ def read_event_files(paths, region: Region) -> list[EventSet]:
     contiguous 0..D-1 label set in sorted order of the raw ids.
 
     All files must have the ``region``'s dimension; an event outside the
-    ``region`` raises ``ValidationError`` naming its file and row.
+    ``region`` raises ``ValidationError`` naming its file and row. A file
+    with no events names no process id, so it is read only on its own, as
+    one process with no events; given beside other files, it raises
+    ``ValidationError`` naming it rather than drop its process.
     """
     rows = []
     dim = region.dim
@@ -150,6 +153,9 @@ def read_event_files(paths, region: Region) -> list[EventSet]:
         file_dim, file_rows = _event_table(path)
         if file_dim != dim:
             raise ValidationError(f"{path}: events have {file_dim} coordinates, expected {dim}")
+        if not file_rows and len(paths) > 1:
+            raise ValidationError(
+                f"{path}: no events, so no process id; a file with no events is read only on its own")
         for row_no, pid, point in file_rows:
             if not region.contains_point(point):
                 raise ValidationError(
@@ -413,7 +419,7 @@ def save_archive(
     train: list[EventSet],
     test: list[EventSet],
     split_indices: list[dict],
-    samples: Sequence[PosteriorSample],
+    samples: Iterable[PosteriorSample],
     diag: dict,
     timings: dict,
 ) -> Path:

@@ -141,8 +141,13 @@ def _silverman(x: np.ndarray) -> float:
     return 0.9 * spread * len(x) ** (-0.2)
 
 
-def diffusion_bandwidth(x, n_grid: int = 2**14) -> float:
-    """One-dimensional fixed-point plug-in bandwidth (diffusion rule).
+# Histogram bins of the diffusion bandwidth's discrete cosine transform.
+BANDWIDTH_BINS = 2**14
+
+
+def diffusion_bandwidth(x) -> float:
+    """One-dimensional fixed-point plug-in bandwidth (diffusion rule), from
+    a histogram of ``BANDWIDTH_BINS`` bins.
 
     Falls back to Silverman's rule when the fixed point cannot be
     bracketed (tiny or degenerate samples).
@@ -160,10 +165,10 @@ def diffusion_bandwidth(x, n_grid: int = 2**14) -> float:
     lo -= span / 10.0
     hi += span / 10.0
     width = hi - lo
-    hist, _ = np.histogram(x, bins=n_grid, range=(lo, hi))
+    hist, _ = np.histogram(x, bins=BANDWIDTH_BINS, range=(lo, hi))
     density = hist / x.size
     a = dct(density, type=2)
-    I = np.arange(1, n_grid, dtype=float) ** 2
+    I = np.arange(1, BANDWIDTH_BINS, dtype=float) ** 2
     a2 = (a[1:] / 2.0) ** 2
 
     def objective(t):

@@ -299,39 +299,31 @@ def thinned_levels(rate_idx, ladder: RateLadder) -> tuple:
     return levels, np.log(levels), None if top.all() else top
 
 
-def point_loglik(g_values, n_data: int, rate_idx, ladder: RateLadder, levels=None) -> float:
+def point_loglik(g_values, n_data: int, levels) -> float:
     """Log likelihood of the point pattern in the function values.
 
     Observed points contribute log sigmoid terms; thinned points contribute
     the log probability of being thinned at their assigned level, which
     acts as a barrier keeping each sigmoid below its level. ``levels`` is
-    ``thinned_levels(rate_idx, ladder)``, if the caller holds it. With
-    every thinned point at level 1, each margin is ``sigmoid(-g)`` and its
-    log less ``log 1 = 0`` is its log, so neither ``sigmoid(g)`` nor the
-    subtraction is formed.
+    ``thinned_levels`` of the thinned points' level indices. With every
+    thinned point at level 1, each term is ``log sigmoid(-g)``, in one
+    ``logaddexp`` call as for the observed points.
     """
     g = np.asarray(g_values, dtype=float)
-    gd = g[:n_data]
     gt = g[n_data:]
-    ll = -float(np.logaddexp(0.0, -gd).sum())
-    if gt.size:
-        levels, log_levels, top = thinned_levels(rate_idx, ladder) if levels is None else levels
-        # level 1 margins are sigmoid(-g), not 1 - sigmoid(g), which keeps
-        # their digits for large g; sigmoid(-g) is exactly 0 for g above
-        # about 709.78, and log 0 is no likelihood at all. Below level 1 a
-        # margin is level - sigmoid(g): one sigmoid call serves both kinds
-        if top is None:
-            margins = sigmoid_array(-gt)
-        else:
-            sig = sigmoid_array(np.where(top, -gt, gt))
-            margins = np.where(top, sig, levels - sig)
-        if (margins <= 0.0).any():
-            return -np.inf
-        logs = np.log(margins)
-        if top is not None:
-            logs -= log_levels
-        ll += float(logs.sum())
-    return ll
+    ll = -float(np.logaddexp(0.0, -g[:n_data]).sum())
+    levels, log_levels, top = levels
+    if top is None:  # also with no thinned point
+        return ll - float(np.logaddexp(0.0, gt).sum())
+    # level 1 margins are sigmoid(-g), not 1 - sigmoid(g), which keeps
+    # their digits for large g; sigmoid(-g) is exactly 0 for g above
+    # about 709.78, and log 0 is no likelihood at all. Below level 1 a
+    # margin is level - sigmoid(g): one sigmoid call serves both kinds
+    sig = sigmoid_array(np.where(top, -gt, gt))
+    margins = np.where(top, sig, levels - sig)
+    if (margins <= 0.0).any():
+        return -np.inf
+    return ll + float((np.log(margins) - log_levels).sum())
 
 
 def _same_factors(a, b) -> bool:
@@ -811,7 +803,7 @@ def ess_function_update(
     levels = thinned_levels(state.rate_idx, ladder)
 
     def loglik(g):
-        return point_loglik(g, state.n_data, state.rate_idx, ladder, levels)
+        return point_loglik(g, state.n_data, levels)
 
     return replace(state, g_values=elliptical_slice(state.g_values, ws.m, loglik, rng, nu))
 
@@ -883,15 +875,19 @@ def leapfrog(energy_and_grad, q0: np.ndarray, p0: np.ndarray, step_size: float, 
     return q, p, u, True
 
 
+# Leapfrog steps of one Hamiltonian hyperparameter transition.
+N_LEAPFROG = 10
+
+
 def hmc_hyper_update(
     state: AugmentedState,
     ctx: GpContext,
     priors: PriorConfig,
     rng: np.random.Generator,
-    step_size: float = 0.1,
-    n_steps: int = 10,
+    step_size: float,
 ) -> tuple[AugmentedState, bool, float]:
-    """One Hamiltonian transition over (log kappa, log theta).
+    """One Hamiltonian transition over (log kappa, log theta), of
+    ``N_LEAPFROG`` leapfrog steps of ``step_size``.
 
     Targets the Gaussian likelihood of the current function values under
     the conditional prior plus the log-normal hyperparameter priors; the
@@ -913,7 +909,7 @@ def hmc_hyper_update(
         return replace(state), False, 0.0
     p0 = rng.standard_normal(2)
     h0 = start[0] + 0.5 * float(p0 @ p0)
-    rho_new, p_new, u_new, ok = leapfrog(energy_and_grad, rho, p0, step_size, n_steps, start)
+    rho_new, p_new, u_new, ok = leapfrog(energy_and_grad, rho, p0, step_size, N_LEAPFROG, start)
     new = replace(state)
     if not ok:
         return new, False, 0.0

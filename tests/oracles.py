@@ -482,17 +482,17 @@ def hyper_energy_stacked(prior, pts, g, rho, priors):
     return nlp, grad
 
 
-def point_loglik_where(g_values, n_data: int, rate_idx, ladder, levels=None) -> float:
+def point_loglik_where(g_values, n_data: int, levels) -> float:
     """``sgcp.point_loglik`` as it once formed every thinned point's
-    margin, level 1 or not: ``np.where`` between ``sigmoid(-g)`` and
-    ``level - sigmoid(g)``, less the log of the level (``levels`` is not
-    read). The sigmoid is the library's ``sigmoid_array``, so this checks
-    the formula and not the last bit of a sigmoid."""
+    margin, level 1 or not, given the thinned points' ``levels``:
+    ``np.where`` between ``sigmoid(-g)`` and ``level - sigmoid(g)``, less
+    the log of the level. The sigmoid is the library's ``sigmoid_array``,
+    so this checks the formula and not the last bit of a sigmoid."""
     g = np.asarray(g_values, dtype=float)
     gd, gt = g[:n_data], g[n_data:]
     ll = -float(np.sum(np.logaddexp(0.0, -gd)))
     if gt.size:
-        lv = ladder.as_array()[np.asarray(rate_idx, dtype=int)]
+        lv = np.asarray(levels, dtype=float)
         sig = sigmoid_array(gt)
         margins = np.where(lv == 1.0, sigmoid_array(-gt), lv - sig)
         if np.any(margins <= 0.0):

@@ -465,7 +465,7 @@ class TestPerAxisFactor:
             monkeypatch.setattr(depcox.convolution, name, recording)
         rng = np.random.default_rng(1)
         assert rng.standard_normal() > 0  # the seed's proposal raises phi
-        factors, accepted = phi_mh_update(prior.values, prior.factors, np.random.default_rng(1), step=1.0)
+        factors, accepted = phi_mh_update(prior.values, prior.factors, np.random.default_rng(1), 1.0, 0.0, 1.0)
         assert not accepted[0] and factors[0] is prior.factors[0]
         assert formed == []
 
@@ -656,7 +656,7 @@ class TestPhiUpdate:
         rng = np.random.default_rng(7)
         grid = np.linspace(0, 1, 5)[:, None]
         prior = latent_prior(grid, rng.standard_normal((1, 5)), [0.2])
-        factors, accepted = phi_mh_update(prior.values, prior.factors, np.random.default_rng(0), step=0.0)
+        factors, accepted = phi_mh_update(prior.values, prior.factors, np.random.default_rng(0), 0.0, 0.0, 1.0)
         assert accepted.all()
         np.testing.assert_array_equal([f.phi for f in factors], prior.phis)
 
@@ -684,8 +684,8 @@ class TestPhiUpdate:
         rng = np.random.default_rng(8)
         grid = np.linspace(0, 1, 5)[:, None]
         prior = latent_prior(grid, rng.standard_normal((2, 5)), [0.2, 0.4])
-        a, acc_a = phi_mh_update(prior.values, prior.factors, np.random.default_rng(3), step=0.3)
-        b, acc_b = phi_mh_update(prior.values, prior.factors, np.random.default_rng(3), step=0.3)
+        a, acc_a = phi_mh_update(prior.values, prior.factors, np.random.default_rng(3), 0.3, 0.0, 1.0)
+        b, acc_b = phi_mh_update(prior.values, prior.factors, np.random.default_rng(3), 0.3, 0.0, 1.0)
         np.testing.assert_array_equal([f.phi for f in a], [f.phi for f in b])
         np.testing.assert_array_equal(acc_a, acc_b)
 

@@ -81,8 +81,8 @@ class TestRunChain:
     def test_single_sample_when_iters_is_burnin_plus_one(self):
         data, _ = _toy_data()
         samples = run_chain_with_info(data, UNIT, _small_config(n_iters=4, burn_in=3))[0]
-        assert len(samples) == 1
-        assert samples[0].iteration == 3
+        (sample,) = samples
+        assert sample.iteration == 3
 
     @pytest.mark.parametrize("n_iters, burn_in, thin_every, kept", [
         (10, 4, 2, [4, 6, 8]),
@@ -216,9 +216,9 @@ class TestRunChain:
             calls["energy"] += 1
             return out
 
-        def loglik(*args):
+        def loglik(g, n_data, levels):
             calls["loglik"] += 1
-            return point_loglik_where(*args)
+            return point_loglik_where(g, n_data, levels[0])
 
         monkeypatch.setattr(depcox.sgcp, "_hyper_energy", energy)
         monkeypatch.setattr(depcox.sgcp, "point_loglik", loglik)
@@ -502,7 +502,7 @@ class TestRunChain:
         biggest = max(max(shape) for shape in recorded)
         assert biggest <= cap
         # and in particular never the all-process joint
-        n_sum = sum(len(samples[-1].g_values[d]) for d in range(3))
+        n_sum = sum(len(g) for g in list(samples)[-1].g_values)
         assert biggest < max(n_sum, cap + 1)
 
     def test_near_zero_coupling_matches_independent_model(self):
@@ -598,16 +598,11 @@ class TestDraws:
         samples, *_ = self._chain_samples(dim, independent)
         draws = _draws(samples)
         assert len(draws) == len(samples)
-        for i, s in enumerate(samples):
-            _assert_same_draw(s, draws[i])
-            _assert_same_draw(s, draws[i - len(samples)])
         for s, d in zip(samples, draws, strict=True):
             _assert_same_draw(s, d)
-        assert draws[-1].thinned[0].shape == (0, dim) and draws[-1].rate_idx[0].shape == (0,)
-        assert draws[0].latent_values.shape == ((0, 0) if independent else (1, 5**dim))
-        for key in (len(samples), -len(samples) - 1):
-            with pytest.raises(IndexError):
-                draws[key]
+        first, *_, last = draws
+        assert last.thinned[0].shape == (0, dim) and last.rate_idx[0].shape == (0,)
+        assert first.latent_values.shape == ((0, 0) if independent else (1, 5**dim))
 
     def test_columns_are_stacked_per_draw(self):
         samples, *_ = self._chain_samples(1, False)
@@ -620,11 +615,30 @@ class TestDraws:
             np.testing.assert_array_equal(draws.g_flat[d], np.concatenate([s.g_values[d] for s in samples]))
             assert draws.thinned_offsets[-1, d] == len(draws.rate_idx_flat[d]) == len(draws.thinned_flat[d])
 
-    def test_an_empty_sequence_has_no_draws(self):
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_a_process_with_no_thinned_point_in_any_draw(self, tmp_path, dim):
+        # the join of parts that are all empty keeps the points' dimension
+        # and both dtypes, whether the sampler or the archive reader fills it
+        from depcox import io
+
+        samples, data, region, cfg = self._chain_samples(dim, False)
+        samples = [replace(s, thinned=[s.thinned[0][:0], *s.thinned[1:]],
+                           rate_idx=[s.rate_idx[0][:0], *s.rate_idx[1:]],
+                           g_values=[s.g_values[0][:len(data[0])], *s.g_values[1:]]) for s in samples]
+        split = [{"process": d, "train": [], "test": []} for d in range(len(data))]
+        io.save_archive(tmp_path, io.ShellConfig(region, cfg), data, data, split, samples, {}, {})
+        for draws in (_draws(samples), io.load_archive(tmp_path).samples):
+            assert draws.thinned_flat[0].shape == (0, dim) and draws.thinned_flat[0].dtype == float
+            assert draws.rate_idx_flat[0].shape == (0,) and draws.rate_idx_flat[0].dtype == int
+            assert not draws.thinned_offsets[:, 0].any()
+            np.testing.assert_array_equal(draws.g_offsets[:, 0], len(data[0]) * np.arange(len(samples) + 1))
+            assert draws.rate_idx_flat[1].size > 0
+            for s, d in zip(samples, draws, strict=True):
+                _assert_same_draw(s, d)
+
+    def test_an_empty_store_has_no_draws(self):
         draws = Draws(0)
         assert len(draws) == 0 and not draws and list(draws) == []
-        with pytest.raises(IndexError):
-            draws[0]
 
     def test_a_full_store_takes_no_further_draw(self):
         samples, *_ = self._chain_samples(1, False)

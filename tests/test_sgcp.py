@@ -209,59 +209,64 @@ class TestSigmoid:
 
 
 class TestPointLoglik:
+    @staticmethod
+    def _loglik(g, n_data, idx, ladder):
+        return point_loglik(g, n_data, thinned_levels(idx, ladder))
+
     def test_single_level_matches_direct_formula(self):
         rng = np.random.default_rng(0)
         g = rng.normal(0, 2, size=7)
-        got = point_loglik(g, 3, np.zeros(4, dtype=int), SINGLE)
+        got = self._loglik(g, 3, np.zeros(4, dtype=int), SINGLE)
         want = np.sum(np.log(expit(g[:3]))) + np.sum(np.log(expit(-g[3:])))
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_level_barrier_is_minus_inf(self):
         g = np.array([1.0])  # sigmoid 0.73 above level 0.5
-        assert point_loglik(g, 0, [0], TWO_LEVEL) == -np.inf
-
-    def test_levels_formed_once_give_the_same_bits(self):
-        # a slice move forms the thinned points' levels once for all its
-        # shrinks; each evaluation then gives what forming them again gives
-        ladder = RateLadder((0.25, 0.5, 1.0))
-        rng = np.random.default_rng(20)
-        idx = np.array([0, 1, 2, 2, 0, 1, 2, 0, 1])
-        levels = thinned_levels(idx, ladder)
-        for _ in range(20):
-            g = np.concatenate((rng.normal(0, 2, size=4), logit(rng.uniform(0, 0.2, size=9))))
-            want = point_loglik(g, 4, idx, ladder)
-            assert np.isfinite(want) and point_loglik(g, 4, idx, ladder, levels) == want
-        g[4] = logit(0.9)  # above its level 0.25: the barrier
-        assert point_loglik(g, 4, idx, ladder, levels) == point_loglik(g, 4, idx, ladder) == -np.inf
+        assert self._loglik(g, 0, [0], TWO_LEVEL) == -np.inf
 
     @pytest.mark.parametrize("ladder", [SINGLE, TWO_LEVEL, RateLadder((0.25, 0.5, 1.0))])
-    def test_matches_the_general_formula_bit_for_bit(self, ladder):
-        # every thinned point at level 1 (as on a one-level ladder) takes
-        # the margins sigmoid(-g) alone; the general formula gives the same
-        # bits, and so do mixed levels
+    def test_every_point_at_level_one_is_one_logaddexp_call_bit_for_bit(self, ladder):
+        # every thinned point at level 1 (as on a one-level ladder): each
+        # term is log sigmoid(-g) = -logaddexp(0, g), and the general
+        # formula agrees to rounding
         rng = np.random.default_rng(21)
-        top = ladder.n_levels - 1
-        for idx in (np.full(9, top), rng.integers(0, ladder.n_levels, 9)):
-            levels = thinned_levels(idx, ladder)
-            assert (levels[2] is None) == bool(np.all(idx == top))
-            for _ in range(20):
-                cap = ladder.as_array()[idx]
-                g = np.concatenate((rng.normal(0, 2, size=4), logit(rng.uniform(0, 1, size=9) * cap)))
-                want = point_loglik_where(g, 4, idx, ladder)
-                assert np.isfinite(want)
-                for got in (point_loglik(g, 4, idx, ladder), point_loglik(g, 4, idx, ladder, levels)):
-                    assert _same_bits(got, want)
+        idx = np.full(9, ladder.n_levels - 1)
+        assert thinned_levels(idx, ladder)[2] is None
+        for _ in range(20):
+            g = np.concatenate((rng.normal(0, 2, size=4), logit(rng.uniform(0, 1, size=9))))
+            want = -float(np.logaddexp(0.0, -g[:4]).sum()) - float(np.logaddexp(0.0, g[4:]).sum())
+            got = self._loglik(g, 4, idx, ladder)
+            assert _same_bits(got, want)
+            assert got == pytest.approx(point_loglik_where(g, 4, np.ones(9)), rel=1e-12)
 
-    def test_an_underflowing_level_one_margin_is_minus_inf(self):
-        # expit(-800) underflows to 0: log 0 is no likelihood at all
+    @pytest.mark.parametrize("ladder", [TWO_LEVEL, RateLadder((0.25, 0.5, 1.0))])
+    def test_mixed_levels_match_the_general_formula_bit_for_bit(self, ladder):
+        rng = np.random.default_rng(21)
+        idx = np.arange(9) % ladder.n_levels
+        cap = ladder.as_array()[idx]
+        for _ in range(20):
+            g = np.concatenate((rng.normal(0, 2, size=4), logit(rng.uniform(0, 1, size=9) * cap)))
+            want = point_loglik_where(g, 4, cap)
+            assert np.isfinite(want)
+            assert _same_bits(self._loglik(g, 4, idx, ladder), want)
+        g[4] = logit(0.9)  # above its level: the barrier
+        assert self._loglik(g, 4, idx, ladder) == point_loglik_where(g, 4, cap) == -np.inf
+
+    def test_an_underflowing_level_one_margin(self):
+        # expit(-800) underflows to 0. With every thinned point at level 1
+        # the term is -logaddexp(0, 800), about -800; beside a lower level
+        # the margin is sigmoid(-g), and log 0 is no likelihood at all
         g = np.array([0.3, 800.0, -1.0])
         assert float(expit(-800.0)) == 0.0
-        assert point_loglik(g, 1, [0, 0], SINGLE) == point_loglik_where(g, 1, [0, 0], SINGLE) == -np.inf
-        assert point_loglik(g, 1, [1, 1], TWO_LEVEL) == -np.inf
+        want = -np.logaddexp(0.0, -0.3) - np.logaddexp(0.0, 800.0) - np.logaddexp(0.0, -1.0)
+        assert want == pytest.approx(-800.868, abs=1e-3)
+        for ladder, idx in ((SINGLE, [0, 0]), (TWO_LEVEL, [1, 1])):
+            assert self._loglik(g, 1, idx, ladder) == pytest.approx(want, rel=1e-12)
+        assert self._loglik(g, 1, [1, 0], TWO_LEVEL) == point_loglik_where(g, 1, [1.0, 0.5]) == -np.inf
 
     def test_stable_for_extreme_values(self):
         g = np.array([800.0, -800.0])
-        got = point_loglik(g, 1, [0], SINGLE)
+        got = self._loglik(g, 1, [0], SINGLE)
         assert np.isfinite(got)
         assert got == pytest.approx(np.log(expit(-(-800.0))) - 0.0, abs=1e-9)
 
@@ -609,7 +614,7 @@ class TestWorkspaceBuffers:
                 lambda s: birth_death_step(s, region, SINGLE, ctx, rng),
                 lambda s: move_step(s, region, SINGLE, ctx, rng),
                 lambda s: ess_function_update(s, ctx, SINGLE, rng),
-                lambda s: hmc_hyper_update(s, ctx, PriorConfig(), rng)[0],
+                lambda s: hmc_hyper_update(s, ctx, PriorConfig(), rng, 0.1)[0],
                 lambda s: gibbs_lambda_star(s, region, PriorConfig(), SINGLE, rng),
             ):
                 given = [a.tobytes() for a in (state.thinned, state.rate_idx, state.g_values)]
@@ -865,7 +870,7 @@ class TestEllipticalSlice:
         L, _ = cholesky_with_jitter(ws.C)
 
         def loglik(g):
-            return point_loglik(g, state.n_data, state.rate_idx, SINGLE)
+            return point_loglik(g, state.n_data, thinned_levels(state.rate_idx, SINGLE))
 
         by_hand = np.random.default_rng(17)
         want = elliptical_slice(
@@ -925,7 +930,7 @@ class TestHmcHyperUpdate:
         rng = np.random.default_rng(13)
         draws = np.empty(3000)
         for i in range(3000):
-            state, _, _ = hmc_hyper_update(state, ctx, priors, rng, step_size=0.4, n_steps=10)
+            state, _, _ = hmc_hyper_update(state, ctx, priors, rng, 0.4)
             draws[i] = np.log(state.kappa)
         p = kstest(draws[::3], norm(0.3, 0.7).cdf).pvalue
         assert p > 0.01
@@ -950,7 +955,7 @@ class TestHmcHyperUpdate:
 
         def run():
             calls.clear()
-            out = hmc_hyper_update(state, ctx, PriorConfig(), np.random.default_rng(2), 0.2, 10)
+            out = hmc_hyper_update(state, ctx, PriorConfig(), np.random.default_rng(2), 0.2)
             return out, len(calls)
 
         (a, accepted_a, prob_a), n_a = run()

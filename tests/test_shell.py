@@ -104,6 +104,21 @@ class TestEventFiles:
         back = io.read_event_files([tmp_path / "ev.csv"], Region([0.0], [1.0]))
         assert len(back) == 1 and len(back[0]) == 0
 
+    @pytest.mark.parametrize("empty_at", [0, 1, 2])
+    def test_a_file_with_no_events_beside_others_exits_2_naming_it(self, tmp_path, capsys, empty_at):
+        # a header-only file names no process id: read beside other files,
+        # its process would drop out and the others be renumbered
+        cfg = _write_config(tmp_path)
+        paths = [tmp_path / f"events_{d}.csv" for d in range(3)]
+        for d, path in enumerate(paths):
+            path.write_text("process_id,x1\n" + ("" if d == empty_at else f"{d},0.5\n{d},0.25\n"))
+        with pytest.raises(io.ValidationError, match=f"events_{empty_at}.csv"):
+            io.read_event_files(paths, Region([0.0], [1.0]))
+        out = tmp_path / "a"
+        assert main(["fit", *map(str, paths), "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"events_{empty_at}.csv" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_row_reports_location(self, tmp_path):
         (tmp_path / "ev.csv").write_text("process_id,x1\n0,0.5\n0,abc\n")
         with pytest.raises(io.ValidationError, match="3"):
@@ -376,6 +391,15 @@ class TestGenerate:
         assert not out.exists()
         io.load_config(cfg)  # only generate reads the entries: fit and eval load it
 
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_negative_seed_exits_2_naming_the_key(self, tmp_path, capsys, where):
+        cfg = _write_config(tmp_path, **({"seed": -1} if where == "config" else {}))
+        out = tmp_path / "gen"
+        flag = ["--seed", "-1"] if where == "flag" else []
+        assert main(["generate", "--config", str(cfg), "--out", str(out), *flag]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_truth_manifest_round_trip(self, tmp_path):
         cfg = _write_config(tmp_path)
         out = tmp_path / "gen"
@@ -447,6 +471,17 @@ class TestFit:
         ev.write_text("process_id,x1\n0,0.5\n")
         assert main(["fit", str(ev), "--config", str(cfg), "--out", str(tmp_path / "a")]) == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_negative_seed_exits_2_naming_the_key(self, tmp_path, capsys, where):
+        cfg = _write_config(tmp_path, **({"seed": -1} if where == "config" else {}))
+        ev = tmp_path / "ev.csv"
+        ev.write_text("process_id,x1\n0,0.5\n")
+        out = tmp_path / "a"
+        flag = ["--seed", "-1"] if where == "flag" else []
+        assert main(["fit", str(ev), "--config", str(cfg), "--out", str(out), *flag]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_config_key_warns_but_a_retired_one_does_not(self, tmp_path):
         with pytest.warns(UserWarning, match="n_iter"):

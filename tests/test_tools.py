@@ -231,3 +231,33 @@ def test_grid_probe_prints_the_median_and_iqr_of_its_repeats(monkeypatch):
     line = probe.summary_line("2d-20x20", 400, results)
     assert line == ("2d-20x20     Q*J=  400  N=  88-125    30.00 sweeps/s (IQR 20.00-40.00, 5 runs)"
                     "    0.0300 s/sample predict  +   0.5 MB peak RSS      3000 B/draw")
+
+
+def test_traffic_traces_a_one_sweep_fit(tmp_path):
+    # the tracer of tools/traffic.py over a one-sweep 1D fit: the store's
+    # append runs in full, the exit-3 branch of cli.main does not, and a
+    # dataclass field's value is recorded
+    import importlib.util
+    import inspect
+
+    from depcox import cli
+    from depcox.engine import Draws
+
+    path = Path(__file__).resolve().parent.parent / "tools" / "traffic.py"
+    spec = importlib.util.spec_from_file_location("traffic", path)
+    traffic = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traffic)
+    events, config = tmp_path / "events.csv", tmp_path / "config.json"
+    events.write_text("process_id,x1\n0,0.25\n0,0.5\n0,0.75\n")
+    config.write_text(json.dumps({"region": {"lower": [0.0], "upper": [1.0]}, "n_iters": 1,
+                                  "grid_per_axis": 4}))
+    with traffic.Tracer() as tracer:
+        assert cli.main(["fit", str(events), "--config", str(config), "--out", str(tmp_path / "a")]) == 0
+    unreached = {stem: {n for n, _ in lines} for stem, lines in tracer.unreached().items()}
+    append = {n for *_, n in Draws.append.__code__.co_lines() if n}
+    assert append & {n for f, n in tracer.reached if f.endswith("engine.py")}
+    assert not append & unreached["engine"]
+    source, start = inspect.getsourcelines(cli.main)
+    exit_3 = start + [line.strip() for line in source].index("return 3")
+    assert exit_3 in unreached["cli"] and exit_3 - 1 in unreached["cli"]
+    assert tracer.values["engine.RunConfig.__init__(n_iters)"] == {"1"}
