@@ -141,25 +141,25 @@ def _model_rows(model, samples, run, region, train, test, quad, truth):
     """Predictive rows of every process, then, given a ``truth``, the L2
     error of each process's posterior mean intensity at the nodes.
 
-    One pass over the samples extends each to the quadrature nodes and all
-    test points at once (``intensity_rows``); of each sample it keeps only
-    every process's integral, its intensities at the test points and,
-    given a ``truth``, its part of a running sum at the nodes.
+    One pass over the samples extends each to the quadrature nodes and
+    each process to its own test events (``intensity_rows``); of each
+    sample it keeps only every process's integral, its intensities at its
+    test events and, given a ``truth``, its part of a running sum at the
+    nodes.
     """
-    n_nodes = quad.weights.size
-    X = np.vstack([np.zeros((0, region.dim)), *(ev.points for ev in test if len(ev))])
+    X = [ev.points if len(ev) else np.zeros((0, region.dim)) for ev in test]
     integrals = np.empty((len(samples), len(test)))
-    at_events = np.empty((len(samples), len(test), len(X)))
-    lam_sum = np.zeros((len(test), n_nodes))
-    for i, (_, lam) in enumerate(intensity_rows(samples, X, train, region, run, quad.grid)):
-        integrals[i] = quad.integrate(lam[:, :n_nodes])
-        at_events[i] = lam[:, n_nodes:]
+    at_events = [np.empty((len(samples), len(x))) for x in X]
+    lam_sum = np.zeros((len(test), quad.weights.size))
+    for i, (_, lam, at_points) in enumerate(intensity_rows(samples, X, train, region, run, quad.grid)):
+        integrals[i] = quad.integrate(lam)
+        for at, row in zip(at_events, at_points):
+            at[i] = row
         if truth is not None:
-            lam_sum += lam[:, :n_nodes]
+            lam_sum += lam
     rows = []
-    ends = np.cumsum([len(ev) for ev in test])
-    for d, ev in enumerate(test):
-        lls = sample_logliks(at_events[:, d, ends[d] - len(ev) : ends[d]], integrals[:, d])
+    for d, at in enumerate(at_events):
+        lls = sample_logliks(at, integrals[:, d])
         rows.append((f"process_{d}", model, "predictive_loglik", predictive_loglik(lls)))
         finite = lls[np.isfinite(lls)]
         rows.append(

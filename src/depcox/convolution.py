@@ -39,8 +39,8 @@ j)^{-1/2}``:
   scalars it needs of ``kappa``, ``theta`` and the latent variances come
   from ``site_scalars``, which the caller forms once per ``kappa`` and
   ``theta``;
-* the coupling matrix, ``extend`` and the latent mean coefficients, which
-  apply ``Q_q (s_q * .)`` axis by axis;
+* the coupling matrix, the conditional mean's grid vectors and the
+  latent mean coefficients, which apply ``Q_q (s_q * .)`` axis by axis;
 * the log density of the latent values in ``phi_mh_update``, so a
   proposal costs D eigendecompositions of one axis's size.
 
@@ -68,10 +68,14 @@ is drawn in whitened coordinates ``s_q * Q_q^T u_q``, in which process
 data space (Matheron's rule), and mapped back through the eigenfactors:
 neither the precision nor ``L_q`` is formed for it.
 
-Predictions (``extend``, ``latent_interpolant``) take either scattered
-points or a ``ProductGrid``. The latent grid enters them as the factor's
-``ProductGrid``, not as J scattered nodes, so its Gram-vector products
-contract one per-axis factor at a time
+Prediction is ``conditional_mean``: given one draw of a process's
+points, function values, ``kappa`` and ``theta``, it forms the weights
+through the calls the process's workspace makes, in its order, so with
+its bits, and extends them to any number of targets, each scattered
+points or a ``ProductGrid``; no workspace is built for it.
+``latent_interpolant`` takes the same targets. The latent grid enters
+them as the factor's ``ProductGrid``, not as J scattered nodes, so its
+Gram-vector products contract one per-axis factor at a time
 (``gaussian.gram_matvec``) against a target grid and against scattered
 targets alike; only the process's own points enter as scattered nodes.
 """
@@ -450,25 +454,39 @@ class ConvolutionPrior:
             axis=1,
         )
 
-    def extend(self, X, pts, W, a, kappa: float, theta: float) -> np.ndarray:
-        """``mean(X) + cov(X, pts) @ a`` without projecting ``X``.
+    def conditional_mean(self, targets, pts, g, kappa: float, theta: float) -> list:
+        """The conditional mean of the function given its values ``g`` at
+        the points ``pts``, at each of ``targets``: one array per target, a
+        point array or a ``ProductGrid`` (its nodes in ``ij`` order).
 
-        ``X`` is a point array or a ``ProductGrid``; ``W`` is the
-        projection of ``pts``. Each latent function's ``K(X, grid)``
-        serves both the mean and the projected part of the
-        cross-covariance, applied to the grid vector
-        ``kappa alpha_q - kappa^2 Q_q (s_q * W_q a)`` through the grid's
-        axes.
+        The mean at ``X`` is ``mean(X) + cov(X, pts) a`` with the weights
+        ``a = C^{-1} (g - m)`` of the floored residual covariance ``C`` and
+        the mean ``m`` at the points. The weights come from the calls a
+        process's workspace (``sgcp._Workspace``) makes, in its order:
+        ``project``, ``mean_cov``, ``cholesky_with_jitter`` and
+        ``chol_solve``, so they have its bits, and no workspace is built.
+        ``W a`` and each latent function's grid vector ``kappa alpha_q -
+        kappa^2 Q_q (s_q * W_q a)`` are formed once and serve every target:
+        the target's ``K(X, grid)`` applies that vector through the grid's
+        axes, for the mean and the projected part of the cross-covariance
+        at once, and ``K(X, pts)`` applies the weights. No target is
+        projected.
         """
+        W = self.project(pts, theta)
+        m, C = self.mean_cov(pts, kappa, theta, W)
+        a = chol_solve(cholesky_with_jitter(C)[0], np.asarray(g, dtype=float) - m)
         J = self.values.shape[1]
         Wa = W @ a
-        out = 0.0
-        for q, f in enumerate(self.factors):
-            r = f.from_eigen(f.s * Wa[q * J : (q + 1) * J])
-            c = kappa * self._alphas[q] - kappa**2 * r
-            out += gram_matvec(X, f.grid, theta + f.phi, c)
-            out += kappa**2 * gram_matvec(X, pts, 2.0 * theta + f.phi, a)
-        return out
+        cs = [kappa * alpha - kappa**2 * f.from_eigen(f.s * Wa[q * J : (q + 1) * J])
+              for q, (f, alpha) in enumerate(zip(self.factors, self._alphas))]
+        means = []
+        for X in targets:
+            out = 0.0
+            for f, c in zip(self.factors, cs):
+                out += gram_matvec(X, f.grid, theta + f.phi, c)
+                out += kappa**2 * gram_matvec(X, pts, 2.0 * theta + f.phi, a)
+            means.append(out)
+        return means
 
     def latent_interpolant(self, X) -> np.ndarray:
         """Conditional mean of each latent function at a point array or a

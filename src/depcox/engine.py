@@ -14,7 +14,8 @@ each process's draws once, at the last draw; it is read once it is full,
 by iteration only. Each ``PosteriorSample`` taken from it is a read-only
 view of one draw; ``diagnostics`` reads the traces from the columns.
 Prediction is one loop, ``intensity_rows``, which ``summarize``,
-``intensity_samples`` and eval reduce.
+``intensity_samples`` and eval reduce: it extends each draw of each
+process to the grid nodes and to that process's own target points.
 
 Each latent function's variance and grid live only in its
 ``convolution.LatentFactor``, which factors the latent Gram matrix per
@@ -25,8 +26,10 @@ slice move's prior draw and the latent prior precision go through a
 factor's dense Cholesky factor; the precision is formed only when the
 points, over all processes, are at least as many as the latent values
 (``convolution.sample_latent_posterior``). Each process's conditional
-prior lives in the workspace its ``GpContext`` owns (``sgcp._Workspace``):
-the engine never projects a point set or forms or factors a residual
+prior lives in the workspace its ``GpContext`` owns (``sgcp._Workspace``),
+and prediction forms it through the prior's ``conditional_mean``, with the
+workspace's bits but with no workspace, context or state built: the
+engine never projects a point set or forms or factors a residual
 covariance itself, at start-up, in the sweep or in prediction.
 """
 
@@ -478,11 +481,11 @@ def summarize(samples, grid: ProductGrid, data, region: Region, config: RunConfi
     nodes of the ``ProductGrid`` ``grid``: a running reduction of
     ``intensity_rows``."""
     nodes = grid.nodes
-    rows = intensity_rows(samples, nodes[:0], data, region, config, grid)
+    rows = intensity_rows(samples, [nodes[:0]] * len(data), data, region, config, grid)
     n_latent = 0 if config.independent else config.n_latent
     lam_acc = np.zeros((3, len(data), len(nodes)))
     lat_acc = np.zeros((3, n_latent, len(nodes)))
-    for k, (prior, lam) in enumerate(rows, 1):
+    for k, (prior, lam, _) in enumerate(rows, 1):
         _accumulate(lam_acc, k, lam)
         if n_latent:
             _accumulate(lat_acc, k, prior.latent_interpolant(grid))
@@ -492,45 +495,59 @@ def summarize(samples, grid: ProductGrid, data, region: Region, config: RunConfi
 
 
 def intensity_rows(samples, X, data, region: Region, config: RunConfig, grid=None):
-    """Yield each sample's conditional prior and its intensity of every
-    process at the points ``X``, (D, n): the one loop that extends draws
-    to targets, which ``summarize``, ``intensity_samples`` and eval
-    reduce. Given a ``ProductGrid`` ``grid``, its N nodes come first,
-    (D, N + n).
+    """Yield, for each sample, its conditional prior, the intensity of every
+    process at the N nodes of the ``ProductGrid`` ``grid``, (D, N) (N = 0
+    without a grid), and a list of each process ``d``'s intensities at its
+    own points ``X[d]``, (n_d,): the one loop that extends draws to
+    targets, which ``summarize``, ``intensity_samples`` and eval reduce.
+    ``X`` holds one point array per process; an empty one, (0, dim), asks
+    for the grid alone.
 
     A target's function value is the conditional mean given the sample's
-    state, ``m(X) + cov(X, pts) C^{-1} (g - m(pts))``: each sample and
-    process gets one workspace, whose weights ``C^{-1} (g - m(pts))``
-    extend to every target. A caller that reduces over the samples holds
-    one sample's intensities at a time.
+    state, ``m(X) + cov(X, pts) C^{-1} (g - m(pts))``
+    (``ConvolutionPrior.conditional_mean``): one call per sample and
+    process serves the grid and the process's points. A caller that
+    reduces over the samples holds one sample's intensities at a time.
     """
     if len(samples) == 0:
         raise ValidationError("at least one posterior sample required")
-    X = _as_points(X)
     data = [d if isinstance(d, EventSet) else EventSet(d) for d in data]
+    X = [_as_points(x) for x in X]
+    if len(X) != len(data):
+        raise ValidationError(f"{len(data)} processes but target points for {len(X)}")
     n_grid = 0 if grid is None else grid.size
-    targets = ([] if grid is None else [(grid, slice(0, n_grid))]) + [(X, slice(n_grid, None))]
+    grids = [] if grid is None else [grid]
+    # one buffer per sample: the grid rows, then each process's points
+    cuts = np.cumsum([len(data) * n_grid] + [len(x) for x in X]).tolist()
     for s, prior in _sample_priors(samples, region, config):
-        lam = np.empty((len(data), n_grid + X.shape[0]))
+        buf = np.empty(cuts[-1])
+        lam = buf[: cuts[0]].reshape(len(data), n_grid)
+        at_points = [buf[a:b] for a, b in zip(cuts, cuts[1:])]
         for d, ev in enumerate(data):
-            state = AugmentedState(s.thinned[d], s.rate_idx[d], s.g_values[d],
-                                   s.lambda_stars[d], s.kappas[d], s.thetas[d])
-            ws = GpContext(ev.points, prior).workspace(state)
-            a = ws.weights()
-            for target, span in targets:  # each target straight into its part of the row
-                g = prior.extend(target, ws.pts, ws.W, a, ws.kappa, ws.theta)
-                row = sigmoid_array(g, out=lam[d, span])
-                row *= s.lambda_stars[d]
-        yield prior, lam
+            pts = np.vstack([ev.points, s.thinned[d]])
+            g = prior.conditional_mean(grids + [X[d]], pts, s.g_values[d], s.kappas[d], s.thetas[d])
+            if grids:
+                lam[d] = g[0]
+            at_points[d][:] = g[-1]
+        # once per sample, not per process and target: each call sets an errstate
+        sigmoid_array(buf, out=buf)
+        lam *= s.lambda_stars[:, None]
+        for at, lam_star in zip(at_points, s.lambda_stars):
+            at *= lam_star
+        yield prior, lam, at_points
 
 
 def intensity_samples(samples, X, data, region: Region, config: RunConfig, grid=None) -> np.ndarray:
-    """The intensities of ``intensity_rows`` for all samples at once,
-    (S, D, n), or (S, D, N + n) given a ``grid``."""
-    n = _as_points(X).shape[0] + (0 if grid is None else grid.size)
-    out = np.empty((len(samples), len(data), n))
-    for i, (_, lam) in enumerate(intensity_rows(samples, X, data, region, config, grid)):
-        out[i] = lam
+    """The intensities of ``intensity_rows`` for all samples at once, every
+    process at the same points ``X``: (S, D, n), or (S, D, N + n) given a
+    ``grid``, its N nodes first."""
+    X = _as_points(X)
+    n_grid = 0 if grid is None else grid.size
+    out = np.empty((len(samples), len(data), n_grid + X.shape[0]))
+    for i, (_, lam, at_points) in enumerate(intensity_rows(samples, [X] * len(data), data, region,
+                                                           config, grid)):
+        out[i, :, :n_grid] = lam
+        out[i, :, n_grid:] = at_points
     return out
 
 

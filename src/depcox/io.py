@@ -150,17 +150,16 @@ def read_event_files(paths, region: Region) -> list[EventSet]:
     rows = []
     dim = region.dim
     for path in paths:
-        file_dim, file_rows = _event_table(path)
+        file_dim, file_rows, points = _event_table(path)
         if file_dim != dim:
             raise ValidationError(f"{path}: events have {file_dim} coordinates, expected {dim}")
         if not file_rows and len(paths) > 1:
             raise ValidationError(
                 f"{path}: no events, so no process id; a file with no events is read only on its own")
-        for row_no, pid, point in file_rows:
-            if not region.contains_point(point):
-                raise ValidationError(
-                    f"{path}:{row_no}: event for process {pid} lies outside the region"
-                )
+        outside = ~region.contains(points)
+        if outside.any():
+            row_no, pid, _ = file_rows[outside.argmax()]
+            raise ValidationError(f"{path}:{row_no}: event for process {pid} lies outside the region")
         rows += file_rows
     # header-only inputs define a single process with no events
     sets = _event_sets(rows, dim, () if rows else (0,))
@@ -181,20 +180,21 @@ def iter_event_rows(path):
     yield from _event_table(path)[1]
 
 
-def _event_table(path) -> tuple[int, list]:
-    """One event file's dimension, from its header, and its rows
-    (row_number, process_id, point)."""
-    text = _read_text(path).strip().splitlines()
-    if not text:
+def _event_table(path) -> tuple[int, list, np.ndarray]:
+    """One event file's dimension, from its header, its rows
+    (row_number, process_id, point), each numbered by its line in the file,
+    and their points as one (n, dim) array. Blank lines are skipped; a row
+    with a non-finite coordinate raises ``ValidationError`` naming the
+    first such row."""
+    lines = [(no, line) for no, line in enumerate(_read_text(path).splitlines(), start=1) if line.strip()]
+    if not lines:
         raise ValidationError(f"{path}: empty event file")
-    header = [h.strip() for h in text[0].split(",")]
+    header = [h.strip() for h in lines[0][1].split(",")]
     if header[0] != EVENT_HEADER or len(header) < 2:
-        raise ValidationError(f"{path}: bad header {text[0]!r}")
+        raise ValidationError(f"{path}: bad header {lines[0][1].strip()!r}")
     dim = len(header) - 1
     rows = []
-    for row_no, line in enumerate(text[1:], start=2):
-        if not line.strip():
-            continue
+    for row_no, line in lines[1:]:
         fields = line.split(",")
         if len(fields) != dim + 1:
             raise ValidationError(f"{path}:{row_no}: expected {dim + 1} fields")
@@ -203,10 +203,12 @@ def _event_table(path) -> tuple[int, list]:
             point = [float(v) for v in fields[1:]]
         except ValueError as exc:
             raise ValidationError(f"{path}:{row_no}: {exc}") from exc
-        if not all(np.isfinite(point)):
-            raise ValidationError(f"{path}:{row_no}: non-finite coordinate")
         rows.append((row_no, pid, point))
-    return dim, rows
+    points = np.array([point for *_, point in rows]).reshape(-1, dim)
+    bad = ~np.isfinite(points).all(axis=1)
+    if bad.any():
+        raise ValidationError(f"{path}:{rows[bad.argmax()][0]}: non-finite coordinate")
+    return dim, rows, points
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,10 @@ The conditional prior over a process's current points (projection ``W``,
 mean ``m``, residual covariance ``C``) lives in one ``_Workspace`` per
 process, owned by its ``GpContext`` for the whole chain, together with
 the Cholesky factor of ``C``; nothing else forms or factors it. The
-function slice update, the engine's initial draw, the latent posterior
-(``convolution.latent_posterior``) and prediction read it. ``_Workspace``
-says when it is rebuilt and when its factor is.
+function slice update, the engine's initial draw and the latent posterior
+(``convolution.latent_posterior``) read it; prediction forms the same
+weights without one (``convolution.ConvolutionPrior.conditional_mean``).
+``_Workspace`` says when it is rebuilt and when its factor is.
 
 Birth/death and move run thousands of times a sweep on arrays of tens of
 entries, so their cost is mostly numpy calls and copies. The workspace
@@ -72,7 +73,6 @@ from .errors import NumericalError, ValidationError
 from .gaussian import (
     _as_points,
     chol_inverse,
-    chol_solve,
     cholesky_with_jitter,
     sq_norm,
     tri_solve,
@@ -388,8 +388,7 @@ class _Proposal(NamedTuple):
 class _Workspace:
     """Dense conditional prior over the current point set with a cached
     Cholesky factor; supports appends, removals and moves of points in
-    place, drop-one conditionals, prior draws (``prior_draw``) and
-    prediction weights (``weights``).
+    place, drop-one conditionals and prior draws (``prior_draw``).
 
     Invariant: ``W == prior.project(pts, theta)``, each point's
     cross-covariance with the latent grid whitened by the latent factors
@@ -414,9 +413,9 @@ class _Workspace:
     trailing columns of ``C`` and of ``W`` move in a 2-D shift, which numpy
     makes through a temporary copy of the source (a flat shift would carry
     each row's first entries into the row before). A full buffer moves to
-    one of twice the size. The build allocates exact sizes, so a workspace that is never appended to (the
-    prediction's) holds no spare capacity, and sets of fewer than
-    ``_EXACT_BELOW`` points are held at exact size too. ``W`` holds the points as columns of a
+    one of twice the size. The build allocates exact sizes, so a workspace
+    that is never appended to holds no spare capacity, and sets of fewer
+    than ``_EXACT_BELOW`` points are held at exact size too. ``W`` holds the points as columns of a
     row-major buffer, so each of its rows stays contiguous and ``w^T W``
     and ``W^T beta`` reach the BLAS kernel a fresh ``project`` reaches, with
     the same rounding: draws through a kept ``W`` are byte-identical to
@@ -469,7 +468,7 @@ class _Workspace:
         self._g = state.g_values.copy()
         self.n = self._zz.size
         self._resize(self.n)
-        self._site = None  # formed on the first conditional: prediction makes none
+        self._site = None  # formed on the first conditional
         self.degenerate = self.C.size == 0 or not self.C.any()
         self._L = None
         self._v = None
@@ -633,10 +632,6 @@ class _Workspace:
         if self.degenerate:
             return np.zeros(self.n)
         return self.L @ rng.standard_normal(self.n)
-
-    def weights(self) -> np.ndarray:
-        """``C^{-1} (g - m)``, which extends the conditional mean to new sites."""
-        return chol_solve(self.L, self.g - self.m)
 
 
 def _state_of(ws: _Workspace, state: AugmentedState, rate_idx: list) -> AugmentedState:

@@ -9,8 +9,10 @@ two test inputs: a halving rate ladder and an intensity off the model's
 basis. The last group keeps the earlier formulas of primitives the
 kernels call thousands of times a sweep, and of the Hamiltonian energy,
 which the library now evaluates with fewer numpy calls or copies and
-must match bit for bit. ``latent_prior``
-builds a coupled prior from a grid, its values and their variances.
+must match bit for bit, and the prediction loop as it once was: a
+sampler's workspace per draw and process, whose weights extend to one
+target at a time. ``latent_prior`` builds a coupled prior from a grid,
+its values and their variances.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from scipy.linalg import lapack, solve_triangular
 from scipy.special import expit
 
 from depcox.convolution import MARGINAL_FLOOR, ConvolutionPrior, LatentFactor, SiteScalars
+from depcox.engine import _sample_priors
 from depcox.errors import NumericalError, ValidationError
 from depcox.gaussian import (
     JITTER_SCALE,
@@ -31,11 +34,13 @@ from depcox.gaussian import (
     _khatri_rao,
     axis_gram,
     chol_inverse,
+    chol_solve,
     cholesky,
+    gram_matvec,
     cholesky_with_jitter,
     tri_solve,
 )
-from depcox.sgcp import sigmoid_array
+from depcox.sgcp import AugmentedState, EventSet, GpContext, _Workspace, sigmoid_array
 from depcox.thinning import SLACK, RateLadder
 
 
@@ -499,3 +504,52 @@ def point_loglik_where(g_values, n_data: int, levels) -> float:
             return -np.inf
         ll += float(np.sum(np.log(margins) - np.log(lv)))
     return ll
+
+
+def workspace_weights(prior, pts, g, kappa: float, theta: float, thinned=None):
+    """The sampler's workspace over the points ``pts``, then ``thinned``
+    (none if not given), with function values ``g``, and its prediction
+    weights ``C^{-1} (g - m)``, as the workspace once formed them."""
+    pts = _as_points(pts)
+    thinned = np.zeros((0, pts.shape[1])) if thinned is None else thinned
+    state = AugmentedState(thinned, np.zeros(len(thinned), dtype=int), g, 1.0, kappa, theta)
+    ws = _Workspace(GpContext(pts, prior), state)
+    return ws, chol_solve(ws.L, ws.g - ws.m)
+
+
+def extend_per_target(prior, X, pts, W, a, kappa: float, theta: float) -> np.ndarray:
+    """``ConvolutionPrior.extend`` as it once was: ``mean(X) + cov(X, pts)
+    @ a`` at one target ``X``, a point array or a ``ProductGrid``, given the
+    projection ``W`` of ``pts``, with ``W a`` and each latent function's
+    grid vector formed again for each target."""
+    J = prior.values.shape[1]
+    Wa = W @ a
+    out = 0.0
+    for q, f in enumerate(prior.factors):
+        r = f.from_eigen(f.s * Wa[q * J : (q + 1) * J])
+        c = kappa * prior._alphas[q] - kappa**2 * r
+        out += gram_matvec(X, f.grid, theta + f.phi, c)
+        out += kappa**2 * gram_matvec(X, pts, 2.0 * theta + f.phi, a)
+    return out
+
+
+def intensity_rows_per_workspace(samples, X, data, region, config, grid=None):
+    """``engine.intensity_rows`` as it once was: for each sample its prior
+    and the intensity of every process at the nodes of ``grid`` (if given)
+    and then at the points ``X``, one array for all processes, (D, N + n),
+    through a workspace per sample and process and ``extend_per_target``
+    per target."""
+    X = _as_points(X)
+    data = [d if isinstance(d, EventSet) else EventSet(d) for d in data]
+    n_grid = 0 if grid is None else grid.size
+    targets = ([] if grid is None else [(grid, slice(0, n_grid))]) + [(X, slice(n_grid, None))]
+    for s, prior in _sample_priors(samples, region, config):
+        lam = np.empty((len(data), n_grid + X.shape[0]))
+        for d, ev in enumerate(data):
+            ws, a = workspace_weights(prior, ev.points, s.g_values[d], s.kappas[d], s.thetas[d],
+                                      s.thinned[d])
+            for target, span in targets:
+                g = extend_per_target(prior, target, ws.pts, ws.W, a, ws.kappa, ws.theta)
+                row = sigmoid_array(g, out=lam[d, span])
+                row *= s.lambda_stars[d]
+        yield prior, lam

@@ -39,6 +39,7 @@ from oracles import (
     output_cov,
     reversed_factor_cov,
     site_and_row,
+    workspace_weights,
 )
 
 
@@ -182,12 +183,14 @@ class TestConditionalPrior:
         coupled = latent_prior(grid, rng.standard_normal((2, 16)), [0.02, 0.05])
         kappa, theta = 0.9, 0.01
         pts, X = rng.uniform(size=(6, 2)), rng.uniform(size=(9, 2))
-        a = rng.standard_normal(6)
+        g = rng.standard_normal(6)
         for prior in (coupled, independent_prior(0.02, 2)):
-            W = prior.project(pts, theta)
+            ws, a = workspace_weights(prior, pts, g, kappa, theta)
+            W = ws.W
             WX = prior.project(X, theta)
             want = prior.mean(X, WX, kappa) + prior.cov(X, WX, pts, W, kappa, theta) @ a
-            np.testing.assert_allclose(prior.extend(X, pts, W, a, kappa, theta), want, rtol=1e-9, atol=1e-12)
+            got, = prior.conditional_mean([X], pts, g, kappa, theta)
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
 
     def test_site_matches_projection_and_mean_cov(self):
         rng = np.random.default_rng(11)
@@ -235,7 +238,7 @@ class TestEmptyGrid:
         phi0, kappa, theta = 0.03, 1.3, 0.02
         v = 2.0 * theta + phi0
         prior = independent_prior(phi0, dim)
-        X, pts, a = rng.uniform(size=(7, dim)), rng.uniform(size=(5, dim)), rng.standard_normal(5)
+        X, pts, g = rng.uniform(size=(7, dim)), rng.uniform(size=(5, dim)), rng.standard_normal(5)
         W, WX = prior.project(pts, theta), prior.project(X, theta)
         assert W.shape == (0, 5) and WX.shape == (0, 7)
 
@@ -259,9 +262,9 @@ class TestEmptyGrid:
         assert dC[1].tobytes() == (kappa**2 * theta * 2.0 * dG).tobytes()
 
         target = ProductGrid([np.linspace(0.0, 1.0, 3 + k) for k in range(dim)])
-        for T in (X, target):  # equal up to the sign of zero
-            np.testing.assert_array_equal(prior.extend(T, pts, W, a, kappa, theta),
-                                          kappa**2 * gram_matvec(T, pts, v, a))
+        _, a = workspace_weights(prior, pts, g, kappa, theta)
+        for T, got in zip((X, target), prior.conditional_mean([X, target], pts, g, kappa, theta)):
+            np.testing.assert_array_equal(got, kappa**2 * gram_matvec(T, pts, v, a))  # up to the sign of zero
 
 
 class TestSite:
@@ -330,6 +333,13 @@ class TestPerAxisFactor:
         Ks = [_jittered(gauss_gram(nodes, nodes, phi)) for phi in phis]
         return prior, nodes, X, Ks, rng
 
+    def _values_of_weights(self, prior, X, a):
+        """Function values at ``X`` whose weights ``C^{-1} (g - m)`` are
+        about ``a``, so that the conditional mean does not cancel."""
+        kappa, theta = self.KAPPA, self.THETA
+        m, C = prior.mean_cov(X, kappa, theta, prior.project(X, theta))
+        return m + C @ a
+
     def _dense_project(self, prior, Ks, X, theta):
         return np.concatenate(
             [np.linalg.solve(np.linalg.cholesky(K), gauss_gram(prior.grid.nodes, X, theta + phi))
@@ -360,14 +370,15 @@ class TestPerAxisFactor:
         A = np.hstack([kappa * gauss_gram(X, nodes, theta + phi) @ np.linalg.inv(K)
                        for K, phi in zip(Ks, prior.phis)])
         self._close(prior.coupling_matrix(W, kappa), A)
-        a = rng.standard_normal(X.shape[0])
+        g = self._values_of_weights(prior, X, rng.standard_normal(X.shape[0]))
+        _, a = workspace_weights(prior, X, g, kappa, theta)
         T = rng.uniform(X.min(axis=0), X.max(axis=0), size=(5, X.shape[1]))
         G = sum(gauss_gram(T, X, 2 * theta + phi) for phi in prior.phis)
         Wt = self._dense_project(prior, Ks, T, theta)
         want = kappa * sum(gauss_gram(T, nodes, theta + phi) @ al
                            for phi, al in zip(prior.phis, alphas))
         want = want + kappa**2 * (G - Wt.T @ Wd) @ a
-        self._close(prior.extend(T, X, W, a, kappa, theta), want)
+        self._close(prior.conditional_mean([T], X, g, kappa, theta)[0], want)
 
     @pytest.mark.parametrize("name,phis", CASES)
     def test_latent_logpost_matches_dense_density(self, name, phis):
@@ -383,12 +394,10 @@ class TestPerAxisFactor:
     def test_prediction_on_a_product_grid_is_prediction_at_its_nodes(self, name, phis):
         prior, nodes, X, Ks, rng = self._setup(name, phis)
         kappa, theta = self.KAPPA, self.THETA
-        W = prior.project(X, theta)
-        a = rng.standard_normal(X.shape[0])
+        g = self._values_of_weights(prior, X, rng.standard_normal(X.shape[0]))
         lo, hi = nodes.min(axis=0), nodes.max(axis=0)
         T = ProductGrid([np.linspace(l, h, n) for l, h, n in zip(lo, hi, (9, 4, 6))])
-        self._close(prior.extend(T, X, W, a, kappa, theta),
-                    prior.extend(T.nodes, X, W, a, kappa, theta), rel=1e-12)
+        self._close(*prior.conditional_mean([T, T.nodes], X, g, kappa, theta), rel=1e-12)
         self._close(prior.latent_interpolant(T), prior.latent_interpolant(T.nodes), rel=1e-12)
         alphas = [np.linalg.solve(K, u) for K, u in zip(Ks, prior.values)]
         want = np.stack([gauss_gram(T.nodes, nodes, phi) @ al

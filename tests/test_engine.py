@@ -17,6 +17,7 @@ from depcox.engine import (
     RunConfig,
     diagnostics,
     effective_sample_size,
+    intensity_rows,
     intensity_samples,
     run_chain_with_info,
     split_psrf,
@@ -33,6 +34,7 @@ from depcox.thinning import RateLadder
 from oracles import (
     cholesky_with_jitter_copies,
     hyper_energy_stacked,
+    intensity_rows_per_workspace,
     mean_cov_grads_stacked,
     point_loglik_where,
     site_and_row,
@@ -824,6 +826,60 @@ class TestProductGridPrediction:
             summary.intensity_sd, lams.std(axis=0), rtol=1e-6, atol=1e-9 * lams.max()
         )
         assert summary.latent_mean.shape == (0 if independent else 2, quad.weights.size)
+
+
+class TestPredictionAgainstWorkspace:
+    """``intensity_rows`` gives what a sampler's workspace per draw and
+    process, extended one target at a time, gives
+    (``oracles.intensity_rows_per_workspace``): bit for bit at the grid
+    nodes, and to 1e-12 relative at each process's own points. The oracle
+    extends every process to all processes' points at once, so there the
+    kernel rows come from a product of another size, which rounds
+    otherwise."""
+
+    @staticmethod
+    def _case(dim, independent, counts):
+        samples, data, region, cfg = _grid_case(dim, independent, seed=3)
+        # the first draw again, with no thinned point of process 0, which has
+        # events; the second process has none, and no point at all in it
+        s = samples[0]
+        samples.append(replace(s, thinned=[s.thinned[0][:0], s.thinned[1]],
+                               rate_idx=[s.rate_idx[0][:0], s.rate_idx[1]],
+                               g_values=[s.g_values[0][:4], s.g_values[1]]))
+        if not independent:  # the latent variances change from draw to draw
+            assert all((a.phis != b.phis).all() for a, b in zip(samples, samples[1:]))
+        grid = Quadrature.for_region(region, 9 if dim == 2 else 33).grid
+        rng = np.random.default_rng(4)
+        return samples, data, region, cfg, grid, [rng.uniform(size=(n, dim)) for n in counts]
+
+    @pytest.mark.parametrize("counts", [(5, 3), (4, 0)])
+    @pytest.mark.parametrize("dim,independent", TestProductGridPrediction.CASES)
+    def test_matches_the_workspace_path(self, dim, independent, counts):
+        samples, data, region, cfg, grid, X = self._case(dim, independent, counts)
+        want = list(intensity_rows_per_workspace(samples, np.vstack(X), data, region, cfg, grid))
+        got = list(intensity_rows(samples, X, data, region, cfg, grid))
+        assert len(got) == len(want) == len(samples)
+        starts = grid.size + np.cumsum((0, *counts))
+        for (_, lam, at_points), (_, lam_w) in zip(got, want):
+            np.testing.assert_array_equal(lam, lam_w[:, : grid.size])
+            assert [at.shape for at in at_points] == [(n,) for n in counts]
+            for d, at in enumerate(at_points):
+                np.testing.assert_allclose(at, lam_w[d, starts[d] : starts[d + 1]], rtol=1e-12, atol=0)
+
+    def test_builds_no_workspace_context_or_state(self, monkeypatch):
+        samples, data, region, cfg, grid, X = self._case(2, False, (5, 0))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("prediction built a sampler object")
+
+        for cls in (depcox.sgcp._Workspace, depcox.sgcp.GpContext, depcox.sgcp.AugmentedState):
+            monkeypatch.setattr(cls, "__init__", refuse)
+        assert len(list(intensity_rows(samples, X, data, region, cfg, grid))) == len(samples)
+
+    def test_needs_target_points_for_every_process(self):
+        samples, data, region, cfg, grid, X = self._case(1, False, (5, 3))
+        with pytest.raises(ValidationError, match="target points"):
+            next(intensity_rows(samples, X[:1], data, region, cfg, grid))
 
 
 class TestLatentPriors:

@@ -293,12 +293,15 @@ class TestWorkspace:
         return ctx, state, rng
 
     def test_weights_solve_c_against_the_residual(self):
-        # up to the jitter of 1e-8 of C's mean diagonal
+        # up to the jitter of 1e-8 of C's mean diagonal: the prior has no
+        # latent grid, so no floor, and its conditional mean at the points
+        # is m + C w with the weights w that solve C against g - m
         ctx, state, _ = self._setup()
         ws = _Workspace(ctx, state)
-        w = ws.weights()
+        w = np.linalg.solve(ws.C, state.g_values - ws.m)
+        got, = ctx.prior.conditional_mean([ws.pts], ws.pts, state.g_values, state.kappa, state.theta)
         atol = 1e-7 * np.mean(np.diag(ws.C)) * np.abs(w).max()
-        np.testing.assert_allclose(ws.C @ w, state.g_values - ws.m, rtol=0, atol=atol)
+        np.testing.assert_allclose(got - ws.m, state.g_values - ws.m, rtol=0, atol=atol)
 
     def test_conditional_matches_mvn_oracle(self):
         ctx, state, rng = self._setup()

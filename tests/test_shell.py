@@ -124,6 +124,15 @@ class TestEventFiles:
         with pytest.raises(io.ValidationError, match="3"):
             io.read_event_files([tmp_path / "ev.csv"], Region([0.0], [1.0]))
 
+    @pytest.mark.parametrize("row,problem", [("0,1.5", "event for process 0 lies outside the region"),
+                                             ("0,nan", "non-finite coordinate")])
+    def test_rows_are_numbered_by_their_line_after_leading_blank_lines(self, tmp_path, capsys, row, problem):
+        cfg = _write_config(tmp_path)
+        path = tmp_path / "e_blank.csv"
+        path.write_text(f"\n\nprocess_id,x1\n0,0.1\n{row}\n")
+        assert main(["fit", str(path), "--config", str(cfg), "--out", str(tmp_path / "a")]) == 2
+        assert f"e_blank.csv:5: {problem}" in capsys.readouterr().err
+
     def test_files_of_different_dimension_exit_2_naming_the_file(self, tmp_path, capsys):
         cfg = _write_config(tmp_path)
         one = tmp_path / "one.csv"

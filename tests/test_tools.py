@@ -196,6 +196,31 @@ def test_ab_bench_summary_of_hand_written_runs():
     assert not evals["gap_exceeds_parent_iqr"]
 
 
+def test_ab_bench_of_one_workload_runs_and_names_only_it(tmp_path, monkeypatch, capsys):
+    # hand-written runs of one workload, in place of perfbench/run.py: the
+    # parent side takes 2 s to evaluate, this checkout 1 s
+    bench = _ab_bench()
+    parent, calls = tmp_path / "parent", []
+
+    def run_once(checkout, workload, seed, chain_seed, seconds):
+        calls.append((workload, seed, chain_seed))
+        return {"correct": True, "metrics": {"eval_s": {"value": 2.0 if checkout == parent else 1.0}}}
+
+    monkeypatch.setattr(bench, "run_once", run_once)
+    monkeypatch.chdir(tmp_path)
+    assert bench.main([str(parent), "--workload", "1d-ladder", "--pairs", "2", "--name", "one"]) == 0
+    assert calls == [("1d-ladder", 1, 0)] * 2 + [("1d-ladder", 2, 1)] * 2
+    record = json.loads((tmp_path / "BENCH_one.json").read_text())
+    assert record["workloads"] == ["1d-ladder"] and list(record["summary"]) == ["1d-ladder"]
+    assert {r["workload"] for r in record["runs"]} == {"1d-ladder"}
+    assert record["summary"]["1d-ladder"]["eval_s"]["change_wins"] == 2
+    out = capsys.readouterr().out
+    assert "workloads: 1d-ladder\n" in out and "1d-ladder eval_s (lower is better)" in out
+    with pytest.raises(SystemExit):
+        bench.main([str(parent), "--workload", "no-such-workload"])
+    assert "unknown workload no-such-workload" in capsys.readouterr().err
+
+
 def test_ab_bench_prints_each_workload_and_metric():
     declared = [{"name": "sweeps_per_s", "better": "higher"}]
     runs = [

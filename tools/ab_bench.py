@@ -1,8 +1,11 @@
 """Benchmark a parent checkout against this one, in alternating pairs of runs.
 
     python3 tools/ab_bench.py PARENT_CHECKOUT --pairs 10 --name sampler
+    python3 tools/ab_bench.py PARENT_CHECKOUT --workload 1d-coupled --name eval
 
-Run from the root of a checkout. For each workload and each of ``--pairs``
+Run from the root of a checkout. ``--workload NAME`` (repeatable) runs only
+the workloads named, in the order given; by default it runs every workload
+of ``BENCHMARK.json``. For each workload and each of ``--pairs``
 event seeds (``--first-seed``, ``--first-seed + 1``, ...) it runs
 ``perfbench/run.py --trace 0``, for the ``run_seconds`` of
 ``BENCHMARK.json``, once in the parent checkout and once in this
@@ -16,8 +19,10 @@ as many realizations as pairs. It writes ``BENCH_<name>.json``: every
 run's metrics and chain seed, and per workload and end-to-end metric of
 ``BENCHMARK.json`` each side's median and quartiles, the ratio of the
 medians, how many pairs this checkout won and whether the gap between the
-medians exceeds the parent's interquartile spread. When the runs are
-done it prints that summary too, one line per workload and metric.
+medians exceeds the parent's interquartile spread, under ``workloads``
+the names of the workloads it ran. When the runs are done it prints that
+summary too: the workloads that ran, then one line per workload and
+metric.
 """
 
 from __future__ import annotations
@@ -128,7 +133,11 @@ def main(argv=None) -> int:
     parser.add_argument("--name", default="ab", help="writes BENCH_<name>.json")
     args = parser.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = args.workload or [w["name"] for w in bench["workloads"]]
+    known = [w["name"] for w in bench["workloads"]]
+    workloads = args.workload or known
+    unknown = sorted(set(workloads) - set(known))
+    if unknown:
+        parser.error(f"unknown workload {', '.join(unknown)}; BENCHMARK.json has {', '.join(known)}")
     seconds = bench["run_seconds"]
     checkouts = {"parent": args.parent.resolve(), "change": ROOT}
     out = Path(f"BENCH_{args.name}.json")
@@ -148,9 +157,10 @@ def main(argv=None) -> int:
                 print(f"{workload} seed {seed} chain seed {pair} {side}: "
                       + ", ".join(f"{k} {v:.4g}" for k, v in metrics.items()), flush=True)
             out.write_text(json.dumps({
-                "seconds": seconds,
+                "seconds": seconds, "workloads": workloads,
                 "runs": runs, "summary": summarize(runs, bench["end_to_end"]),
             }, indent=1) + "\n")
+    print(f"workloads: {', '.join(workloads)}")
     print("\n".join(summary_lines(summarize(runs, bench["end_to_end"]))))
     print(f"wrote {out}")
     return 0 if all(r["correct"] for r in runs) else 1
